@@ -252,35 +252,23 @@ func BenchmarkChooseCompatibleLargeCatalog(b *testing.B) {
 
 // --- Sweep engine benches ---
 
-// matrixSpecs rebuilds the Figure 10-12 policy × mechanism sweep at bench
-// scale, for driving the sweep engine with explicit options.
-func matrixSpecs() []experiments.RunSpec {
-	var specs []experiments.RunSpec
-	for _, pol := range experiments.NamedPolicyFactories() {
-		for _, mech := range experiments.FigureMechanisms() {
-			specs = append(specs, experiments.RunSpec{
-				ID: pol.Name + "/" + mech.String(),
-				Cfg: experiments.PolicyRunConfig{
+// BenchmarkPolicyMatrixSequential is the pre-engine baseline: the 20 cells
+// of Figures 10-12 one after another, every cell regenerating the default
+// trace set itself (the behaviour PolicyMatrix had before the sweep engine).
+func BenchmarkPolicyMatrixSequential(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, pol := range experiments.NamedPolicyFactories() {
+			for _, mech := range experiments.FigureMechanisms() {
+				if _, err := experiments.RunPolicy(experiments.PolicyRunConfig{
 					Policy:    pol,
 					Mechanism: mech,
 					VMs:       benchVMs,
 					Horizon:   benchHorizon,
 					Seed:      benchSeed,
-				},
-			})
-		}
-	}
-	return specs
-}
-
-// BenchmarkPolicyMatrixSequential is the pre-engine baseline: one worker,
-// and every cell regenerates the default trace set itself (the behaviour
-// PolicyMatrix had before the sweep engine).
-func BenchmarkPolicyMatrixSequential(b *testing.B) {
-	specs := matrixSpecs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Sweep(specs, experiments.SweepOptions{Workers: 1, PerRunTraces: true}); err != nil {
-			b.Fatal(err)
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
 }
@@ -336,9 +324,9 @@ func BenchmarkScaleFleet1k(b *testing.B) {
 	b.ReportMetric(res.BytesPerVM, "bytes/vm")
 }
 
-// BenchmarkScaleFleet4k4Shards runs the same rung on the parallel sharded
-// engine — four independent event loops over a 4k-VM fleet, merged into
-// one report — and gates its capacity metrics next to the single-loop
+// BenchmarkScaleFleet4k4Shards runs the same rung on four shards — four
+// independent event loops over a 4k-VM fleet, merged into one report —
+// and gates its capacity metrics next to the single-loop
 // rung. Shard working sets are a quarter of the fleet's, so ns/vm-hour
 // here also tracks the cache-locality half of the flattening argument
 // (docs/SCALING.md, "Sharded rungs").

@@ -20,9 +20,11 @@
 // The scale experiment (docs/SCALING.md) is the one member excluded from
 // -exp all: it climbs synthetic fleets of 1k/10k/100k nested VMs over the
 // full horizon and reports ns per simulated VM-hour and bytes per VM.
-// -fleet N replaces the ladder with a single rung of N VMs; -shards N runs
-// every rung on the parallel sharded engine (N independent event loops,
-// merged fleet report — docs/ARCHITECTURE.md, "Sharded execution").
+// -fleet N replaces the ladder with a single rung of N VMs; -shards N
+// splits every rung across N independent event loops whose reports merge
+// into one fleet view (docs/ARCHITECTURE.md, "Sharded execution"). Both
+// flags are errors without -exp scale, as -scenarios/-scenario are without
+// -exp scenarios: spotsim rejects a flag it would otherwise ignore.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the selected
 // experiments (the heap profile is taken after a forced GC at exit), so
@@ -66,7 +68,7 @@ func main() {
 	flag.Int64Var(&opts.seed, "seed", 42, "simulation seed")
 	flag.IntVar(&opts.parallel, "parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = sequential)")
 	flag.IntVar(&opts.fleet, "fleet", 0, "scale experiment fleet size (0 = the 1k/10k/100k ladder)")
-	flag.IntVar(&opts.shards, "shards", 0, "scale experiment shard count (0/1 = single event loop)")
+	flag.IntVar(&opts.shards, "shards", 0, "scale experiment shard count (0 and 1 both mean one event loop)")
 	flag.StringVar(&opts.scenarios, "scenarios", "", "comma-separated library subset for -exp scenarios (empty = whole library)")
 	flag.StringVar(&opts.scenarioFile, "scenario", "", "JSON scenario spec file to run instead of the library")
 	flag.StringVar(&opts.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
@@ -167,6 +169,14 @@ func runExperiments(w io.Writer, o runOpts) error {
 	if !knownExperiments[exp] {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
+	// A flag only one experiment reads is an error anywhere else, not a
+	// silently unsharded (or library-wide) run.
+	if exp != "scale" && (fleet != 0 || o.shards != 0) {
+		return fmt.Errorf("-fleet and -shards only apply to -exp scale (got -exp %s)", exp)
+	}
+	if exp != "scenarios" && (o.scenarios != "" || o.scenarioFile != "") {
+		return fmt.Errorf("-scenarios and -scenario only apply to -exp scenarios (got -exp %s)", exp)
+	}
 	horizon := simkit.Time(float64(30*simkit.Day) * months)
 	// The scale ladder tops out at 100k VMs and the scenario cells size
 	// themselves, so neither rides along with "all"; they run only when
@@ -246,7 +256,7 @@ func runExperiments(w io.Writer, o runOpts) error {
 		if fleet > 0 {
 			sizes = []int{fleet}
 		}
-		fmt.Fprintf(os.Stderr, "spotsim: running scale ladder %v (%.1f months, %d shards)...\n", sizes, months, max(o.shards, 1))
+		fmt.Fprintf(os.Stderr, "spotsim: running scale ladder %v (%.1f months)...\n", sizes, months)
 		rows, err := experiments.ScaleLadder(sizes, horizon, seed,
 			func() int64 { return time.Now().UnixNano() }, parallel, o.shards)
 		if err != nil {

@@ -223,9 +223,8 @@ func TestRunScenarioFile(t *testing.T) {
 	}
 }
 
-// TestRunScaleSharded exercises `-exp scale -shards N`: the rung runs on
-// the parallel sharded engine and the capacity table carries the shard
-// count.
+// TestRunScaleSharded exercises `-exp scale -shards N`: the rung splits
+// across N event loops and the capacity table carries the shard count.
 func TestRunScaleSharded(t *testing.T) {
 	var b strings.Builder
 	if err := run(&b, runOpts{exp: "scale", months: 0.1, seed: 42, parallel: 1, fleet: 64, shards: 4}); err != nil {
@@ -238,6 +237,52 @@ func TestRunScaleSharded(t *testing.T) {
 	if !strings.Contains(out, "64") || !strings.Contains(out, "4") {
 		t.Errorf("sharded rung missing from output:\n%s", out)
 	}
+}
+
+// TestRunRejectsIgnoredFlags pins that a flag only one experiment reads is
+// an error under any other -exp (it used to be dropped without a word:
+// `-exp all -shards 4` printed unsharded figures), and that -shards 0 and 1
+// are the same one-shard run.
+func TestRunRejectsIgnoredFlags(t *testing.T) {
+	base := runOpts{vms: 4, months: 0.1, seed: 42, parallel: 1}
+	for _, tc := range []struct {
+		name    string
+		mod     func(*runOpts)
+		wantErr string // empty: must succeed
+	}{
+		{"shards without scale", func(o *runOpts) { o.exp, o.shards = "all", 4 }, "only apply to -exp scale"},
+		{"shards=1 without scale", func(o *runOpts) { o.exp, o.shards = "headline", 1 }, "only apply to -exp scale"},
+		{"fleet without scale", func(o *runOpts) { o.exp, o.fleet = "fig10", 100 }, "only apply to -exp scale"},
+		{"fleet under scenarios", func(o *runOpts) { o.exp, o.fleet = "scenarios", 100 }, "only apply to -exp scale"},
+		{"scenarios without scenarios", func(o *runOpts) { o.exp, o.scenarios = "all", "storm" }, "only apply to -exp scenarios"},
+		{"scenario file without scenarios", func(o *runOpts) { o.exp, o.scenarioFile = "scale", "x.json" }, "only apply to -exp scenarios"},
+		{"unknown exp wins", func(o *runOpts) { o.exp, o.shards = "nope", 4 }, "unknown experiment"},
+		{"scale with shards=0", func(o *runOpts) { o.exp, o.fleet, o.shards = "scale", 20, 0 }, ""},
+		{"scale with shards=1", func(o *runOpts) { o.exp, o.fleet, o.shards = "scale", 20, 1 }, ""},
+	} {
+		o := base
+		tc.mod(&o)
+		var b strings.Builder
+		err := run(&b, o)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+		case tc.wantErr != "" && b.Len() > 0:
+			t.Errorf("%s: rejected run still printed output:\n%s", tc.name, b.String())
+		case tc.wantErr == "":
+			// Both spellings of "one shard" render the same shards column.
+			if fields := strings.Fields(lastLine(b.String())); len(fields) < 2 || fields[0] != "20" || fields[1] != "1" {
+				t.Errorf("%s: capacity row = %q, want 20 VMs on 1 shard", tc.name, lastLine(b.String()))
+			}
+		}
+	}
+}
+
+func lastLine(s string) string {
+	lines := strings.Split(strings.TrimSpace(s), "\n")
+	return lines[len(lines)-1]
 }
 
 // TestRunProfiles exercises -cpuprofile/-memprofile: both files must come

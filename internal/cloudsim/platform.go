@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
 
 	"repro/internal/cloud"
 	"repro/internal/obs"
@@ -235,32 +234,13 @@ type instanceState struct {
 	reclaimed bool
 }
 
-// instRef pairs an instance's slab handle with its launch seq, so ordered
-// list operations compare entries without dereferencing the slab. A zeroed
-// slot marks a dead entry awaiting compaction.
-type instRef struct {
-	slot slab.Handle
-	seq  int
-}
-
-// spotList is one market's running spot instances, kept in launch order
-// (deterministic warning delivery without a per-sweep copy-and-sort).
+// spotList is one market's running spot instances in launch order
+// (deterministic warning delivery without a per-sweep copy-and-sort; a
+// launch completing out of order — start latency is sampled — is repaired
+// lazily by Ordered). Only launch and destroy events mutate the list, never
+// a warning sweep.
 type spotList struct {
-	// insts holds {handle, seq} refs, not pointers: refs are
-	// pointer-free, so the slice is invisible to the GC and its copies
-	// skip the write barrier. Mutation is O(1): insertion appends
-	// (launch seqs are monotonic, so appends are already nearly sorted),
-	// removal marks the entry dead in place via the instance's cached
-	// index, and the list compacts once dead entries outnumber live
-	// ones. The warning sweep needs the historical seq-sorted delivery
-	// order, so the list re-sorts lazily (ordered) when a launch
-	// completing out of order (start latency is sampled) has dirtied it
-	// — rare next to the per-launch/destroy mutations, which a sorted
-	// scheme taxed with an O(n) memmove each.
-	insts    []instRef
-	live     int
-	unsorted bool
-	lastSeq  int // largest launch seq ever inserted
+	insts slab.RefList[instanceState]
 	// minBid/minBidCount track the smallest outstanding bid and how many
 	// instances hold it; a price move that stays at or below minBid cannot
 	// underbid anyone, so the revocation sweep skips the whole market.
@@ -269,37 +249,26 @@ type spotList struct {
 	minBidDirty bool
 }
 
+func setListIdx(st *instanceState, i int) { st.listIdx = i }
+
 func (l *spotList) insert(st *instanceState) {
 	st.inList = true
-	if len(l.insts) == 0 || st.seq > l.lastSeq {
-		l.lastSeq = st.seq
-	} else {
-		l.unsorted = true
-	}
-	st.listIdx = len(l.insts)
-	l.insts = append(l.insts, instRef{slot: st.slot, seq: st.seq})
-	l.live++
+	st.listIdx = l.insts.Add(st.slot, uint64(st.seq))
 	bid := st.inst.Bid
 	switch {
-	case l.live == 1 || (!l.minBidDirty && bid < l.minBid):
+	case l.insts.Len() == 1 || (!l.minBidDirty && bid < l.minBid):
 		l.minBid, l.minBidCount, l.minBidDirty = bid, 1, false
 	case !l.minBidDirty && bid == l.minBid:
 		l.minBidCount++
 	}
 }
 
-func (l *spotList) remove(s *slab.Slab[instanceState], st *instanceState) {
+func (l *spotList) remove(st *instanceState) {
 	if !st.inList {
 		return
 	}
 	st.inList = false
-	l.live--
-	if st.listIdx < len(l.insts) && l.insts[st.listIdx].slot == st.slot {
-		l.insts[st.listIdx].slot = slab.Handle{}
-	}
-	if l.live*2 < len(l.insts) {
-		l.compact(s)
-	}
+	l.insts.Remove(st.slot, st.listIdx)
 	if !l.minBidDirty && st.inst.Bid == l.minBid {
 		l.minBidCount--
 		if l.minBidCount <= 0 {
@@ -308,44 +277,13 @@ func (l *spotList) remove(s *slab.Slab[instanceState], st *instanceState) {
 	}
 }
 
-// compact drops dead entries, preserving the live members' order and
-// refreshing their cached positions. Only launch and destroy events mutate
-// the list, so no walk is in flight.
-func (l *spotList) compact(s *slab.Slab[instanceState]) {
-	kept := l.insts[:0]
-	for _, r := range l.insts {
-		if r.slot == (slab.Handle{}) {
-			continue
-		}
-		s.Get(r.slot).listIdx = len(kept)
-		kept = append(kept, r)
-	}
-	l.insts = kept
-}
-
-// ordered returns the list in launch order — the deterministic delivery
-// order the warning sweep relies on — restoring it first if out-of-order
-// launches have dirtied it.
-func (l *spotList) ordered(s *slab.Slab[instanceState]) []instRef {
-	if l.unsorted {
-		l.compact(s)
-		refs := l.insts
-		sort.Slice(refs, func(i, j int) bool { return refs[i].seq < refs[j].seq })
-		for i, r := range refs {
-			s.Get(r.slot).listIdx = i
-		}
-		l.unsorted = false
-	}
-	return l.insts
-}
-
 // floor returns the market's minimum outstanding bid, recomputing it after
 // the last minimum-bid holder left.
 func (l *spotList) floor(s *slab.Slab[instanceState]) cloud.USD {
 	if l.minBidDirty {
 		l.minBid, l.minBidCount = 0, 0
-		for _, r := range l.insts {
-			st := s.Get(r.slot)
+		for _, r := range l.insts.Ordered() {
+			st := s.Get(r.Slot)
 			if st == nil || !st.inList {
 				continue
 			}
@@ -546,7 +484,7 @@ func (p *Platform) RequestSpot(typ string, zone cloud.Zone, bid cloud.USD, cb cl
 		p.stats.SpotLaunched++
 		list := p.spotByMarket[st.market]
 		if list == nil {
-			list = &spotList{}
+			list = &spotList{insts: slab.NewRefList(p.instSlab, setListIdx, nil)}
 			p.spotByMarket[st.market] = list
 		}
 		list.insert(st)
@@ -666,7 +604,7 @@ func (p *Platform) destroy(st *instanceState) {
 	st.inst.Volumes = nil
 	if st.inst.Market == cloud.MarketSpot {
 		if list := p.spotByMarket[st.market]; list != nil {
-			list.remove(p.instSlab, st)
+			list.remove(st)
 		}
 	}
 	// Billing is finalized here: Ended is set, so AccruedCost is the
@@ -836,9 +774,9 @@ func (p *Platform) walkMarket(key spotmarket.MarketKey, tr *spotmarket.Trace) {
 			// at or below every outstanding bid cannot underbid anyone —
 			// skip the scan without touching a single instance.
 			if list := p.spotByMarket[key]; list != nil &&
-				list.live > 0 && price > list.floor(p.instSlab) {
-				for _, r := range list.ordered(p.instSlab) {
-					st := p.instSlab.Get(r.slot)
+				list.insts.Len() > 0 && price > list.floor(p.instSlab) {
+				for _, r := range list.insts.Ordered() {
+					st := p.instSlab.Get(r.Slot)
 					if st == nil || !st.inList {
 						continue
 					}

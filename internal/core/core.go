@@ -315,14 +315,6 @@ func hostLess(a, b *hostState) bool {
 	return a.inst.ID < b.inst.ID
 }
 
-// hostRef pairs a host's slab handle with its launch seq, so the ordered
-// pool lists binary-search and compare entries without dereferencing the
-// slab. A zeroed slot marks a dead entry awaiting compaction.
-type hostRef struct {
-	slot slab.Handle
-	seq  uint64
-}
-
 func (h *hostState) free() int { return h.capacity - len(h.vms) - h.reserved }
 
 // vmByID finds a resident VM by id (binary search over the sorted slice).
@@ -337,29 +329,20 @@ func (h *hostState) vmByID(id nestedvm.ID) *vmState {
 type poolState struct {
 	key PoolKey
 	bid cloud.USD
-	// hosts holds the pool's hosts as hostRefs rather than *hostState:
-	// refs are pointer-free, so the list is invisible to the GC and its
-	// copies skip the write barrier. Mutation is O(1): insertion appends
-	// (launch seqs are monotonic, so appends are already nearly sorted),
-	// removal marks the entry dead in place via the host's cached index,
-	// and the list compacts once dead entries outnumber live ones. The
-	// sweeps need the historical seq-sorted walk order, so the list
-	// re-sorts lazily (orderedPoolHosts) when an out-of-order insert has
-	// dirtied it — rare next to the per-event mutations, which a sorted
-	// scheme taxed with an O(n) memmove each. hostsLive counts the live
-	// members (the number the pool gauge and the sweeps see).
-	hosts         []hostRef
-	hostsLive     int
-	hostsUnsorted bool
-	// lastSeq is the largest seq ever inserted into hosts.
-	lastSeq uint64
+	// hosts holds the pool's hosts in (seq, instance id) order — the
+	// historical walk order the sweeps and reports rely on. Acquisitions
+	// complete nearly in launch order, so the list mostly stays sorted by
+	// itself; a completion landing behind a newer one (sampled launch
+	// latencies reorder a burst) is repaired lazily by Ordered. Mutation
+	// only happens from acquisition and retire events, never mid-sweep.
+	hosts slab.RefList[hostState]
 	// freeCands is a superset of the pool's hosts with free slots, in
 	// arrival order: freeHost scans every candidate anyway, so the set
 	// needs no order — the historical id-ordered choice is reproduced by
 	// the scan's (free, seq, id) comparator. Hosts enter whenever their
 	// free capacity rises from zero and leave lazily when a scan finds
 	// them full, warned or dead.
-	freeCands []hostRef
+	freeCands []slab.Ref
 	// vmCount is the incremental sum of len(h.vms) across hosts, keeping
 	// the pool-occupancy gauge O(1) to refresh.
 	vmCount int
@@ -723,80 +706,26 @@ func (c *Controller) hostFreed(h *hostState) {
 		return
 	}
 	h.freeIdx = len(pool.freeCands)
-	pool.freeCands = append(pool.freeCands, hostRef{slot: h.slot, seq: h.seq})
+	pool.freeCands = append(pool.freeCands, slab.Ref{Slot: h.slot, Seq: h.seq})
 	h.inFreeSet = true
 }
 
-// addPoolHost enters h into its pool's host list — always an append.
-// Acquisitions complete nearly in launch order, so the list stays sorted
-// by itself; a completion landing behind a newer one (sampled launch
-// latencies reorder a burst) just dirties the order, repaired lazily the
-// next time a sweep needs the sorted walk.
+// addPoolHost enters h into its pool's host list.
 func (c *Controller) addPoolHost(pool *poolState, h *hostState) {
 	h.inHosts = true
-	if len(pool.hosts) == 0 || h.seq > pool.lastSeq {
-		pool.lastSeq = h.seq
-	} else {
-		pool.hostsUnsorted = true
-	}
-	h.poolIdx = len(pool.hosts)
-	pool.hosts = append(pool.hosts, hostRef{slot: h.slot, seq: h.seq})
-	pool.hostsLive++
+	h.poolIdx = pool.hosts.Add(h.slot, h.seq)
 }
 
-// dropPoolHost removes h from its pool's host list (no-op when absent) —
-// one indexed write via the host's cached position, compacting once dead
-// entries outnumber live ones. List mutation only happens from acquisition
-// and retire events, never mid-sweep, so the compaction cannot disturb a
-// walk.
+// dropPoolHost removes h from its pool's host list (no-op when absent).
 func (c *Controller) dropPoolHost(pool *poolState, h *hostState) {
 	if !h.inHosts {
 		return
 	}
 	h.inHosts = false
-	pool.hostsLive--
-	if h.poolIdx < len(pool.hosts) && pool.hosts[h.poolIdx].slot == h.slot {
-		pool.hosts[h.poolIdx].slot = slab.Handle{}
-	}
-	if pool.hostsLive*2 < len(pool.hosts) {
-		c.compactPoolHosts(pool)
-	}
+	pool.hosts.Remove(h.slot, h.poolIdx)
 }
 
-// compactPoolHosts drops dead entries, preserving the live members' order
-// and refreshing their cached positions.
-func (c *Controller) compactPoolHosts(pool *poolState) {
-	kept := pool.hosts[:0]
-	for _, r := range pool.hosts {
-		if r.slot == (slab.Handle{}) {
-			continue
-		}
-		c.hostSlab.Get(r.slot).poolIdx = len(kept)
-		kept = append(kept, r)
-	}
-	pool.hosts = kept
-}
-
-// orderedPoolHosts returns the pool's host list in seq order — the
-// deterministic walk order the sweeps and reports rely on — restoring it
-// first if out-of-order acquisitions have dirtied it.
-func (c *Controller) orderedPoolHosts(pool *poolState) []hostRef {
-	if pool.hostsUnsorted {
-		c.compactPoolHosts(pool)
-		s := pool.hosts
-		sort.Slice(s, func(i, j int) bool {
-			if s[i].seq != s[j].seq {
-				return s[i].seq < s[j].seq
-			}
-			return c.hostSlab.Get(s[i].slot).inst.ID < c.hostSlab.Get(s[j].slot).inst.ID
-		})
-		for i, r := range s {
-			c.hostSlab.Get(r.slot).poolIdx = i
-		}
-		pool.hostsUnsorted = false
-	}
-	return pool.hosts
-}
+func setPoolIdx(h *hostState, i int) { h.poolIdx = i }
 
 // maybeScrubRentals compacts the rental ledger in fleet mode: terminated
 // instances' bills never change, so their final costs fold into rentalFinal

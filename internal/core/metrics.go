@@ -131,7 +131,7 @@ func (m *coreMetrics) syncPool(pool *poolState) {
 		vg = m.reg.Gauge("spotcheck_pool_vms", poolLabel(pool.key))
 		m.poolVMs[pool.key] = vg
 	}
-	hg.Set(float64(pool.hostsLive))
+	hg.Set(float64(pool.hosts.Len()))
 	vg.Set(float64(pool.vmCount))
 }
 

@@ -120,7 +120,7 @@ func (c *Controller) proactiveSweep() {
 			continue
 		}
 		pool := c.pools[key]
-		if pool.hostsLive == 0 {
+		if pool.hosts.Len() == 0 {
 			continue
 		}
 		s, ok := c.tickPrices[spotmarket.MarketKey{Type: key.Type, Zone: key.Zone}]
@@ -130,8 +130,8 @@ func (c *Controller) proactiveSweep() {
 		if s.price <= s.od || s.price > pool.bid {
 			continue
 		}
-		for _, hh := range c.orderedPoolHosts(pool) {
-			h := c.hostSlab.Get(hh.slot)
+		for _, hh := range pool.hosts.Ordered() {
+			h := c.hostSlab.Get(hh.Slot)
 			if h == nil || !h.inHosts || h.warned {
 				continue
 			}
@@ -157,7 +157,7 @@ func (c *Controller) predictiveSweep(prev map[spotmarket.MarketKey]cloud.USD) {
 			continue
 		}
 		pool := c.pools[key]
-		if pool.hostsLive == 0 {
+		if pool.hosts.Len() == 0 {
 			continue
 		}
 		mkey := spotmarket.MarketKey{Type: key.Type, Zone: key.Zone}
@@ -172,8 +172,8 @@ func (c *Controller) predictiveSweep(prev map[spotmarket.MarketKey]cloud.USD) {
 		if float64(s.price) < threshold*float64(s.od) {
 			continue // not near the bid yet
 		}
-		for _, hh := range c.orderedPoolHosts(pool) {
-			h := c.hostSlab.Get(hh.slot)
+		for _, hh := range pool.hosts.Ordered() {
+			h := c.hostSlab.Get(hh.Slot)
 			if h == nil || !h.inHosts || h.warned {
 				continue // dead entry, or too late: the warning already fired
 			}
@@ -195,8 +195,8 @@ func (c *Controller) returnSweep() {
 			continue
 		}
 		pool := c.pools[key]
-		for _, hh := range c.orderedPoolHosts(pool) {
-			h := c.hostSlab.Get(hh.slot)
+		for _, hh := range pool.hosts.Ordered() {
+			h := c.hostSlab.Get(hh.Slot)
 			if h == nil || !h.inHosts || h.role != roleHost {
 				continue
 			}

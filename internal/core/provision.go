@@ -265,7 +265,7 @@ func (c *Controller) freeHost(pool *poolState, slotType cloud.InstanceType) *hos
 	cands := pool.freeCands
 	kept := cands[:0]
 	for _, hh := range cands {
-		h := c.hostSlab.Get(hh.slot)
+		h := c.hostSlab.Get(hh.Slot)
 		if h == nil {
 			continue // marked dead by a retire; drop the entry
 		}
@@ -290,7 +290,9 @@ func (c *Controller) freeHost(pool *poolState, slotType cloud.InstanceType) *hos
 func (c *Controller) poolFor(key PoolKey) *poolState {
 	pool := c.pools[key]
 	if pool == nil {
-		pool = &poolState{key: key}
+		// hostLess breaks seq ties by instance id: foreign id formats all
+		// parse to seq 0.
+		pool = &poolState{key: key, hosts: slab.NewRefList(c.hostSlab, setPoolIdx, hostLess)}
 		c.pools[key] = pool
 		i := sort.Search(len(c.poolKeys), func(i int) bool { return !poolKeyLess(c.poolKeys[i], key) })
 		c.poolKeys = append(c.poolKeys, PoolKey{})
@@ -571,8 +573,8 @@ func (c *Controller) forgetHost(h *hostState) {
 	if pool := c.pools[h.key]; pool != nil {
 		c.dropPoolHost(pool, h)
 		if h.inFreeSet {
-			if h.freeIdx < len(pool.freeCands) && pool.freeCands[h.freeIdx].slot == h.slot {
-				pool.freeCands[h.freeIdx].slot = slab.Handle{}
+			if h.freeIdx < len(pool.freeCands) && pool.freeCands[h.freeIdx].Slot == h.slot {
+				pool.freeCands[h.freeIdx].Slot = slab.Handle{}
 			}
 			h.inFreeSet = false
 		}

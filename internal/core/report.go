@@ -406,8 +406,8 @@ func (c *Controller) Pools() []PoolInfo {
 	for _, key := range c.sortedPoolKeys() {
 		p := c.pools[key]
 		info := PoolInfo{Key: key, Bid: p.bid, Revocations: p.revocations}
-		for _, hh := range c.orderedPoolHosts(p) {
-			h := c.hostSlab.Get(hh.slot)
+		for _, hh := range p.hosts.Ordered() {
+			h := c.hostSlab.Get(hh.Slot)
 			if h == nil || !h.inHosts {
 				continue
 			}

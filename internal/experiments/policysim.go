@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/cloud"
@@ -99,21 +97,18 @@ type PolicyRunConfig struct {
 	// total downtime, sorted ascending, for per-VM SLO percentiles.
 	CollectVMDowntimes bool
 
-	// Shards, when > 1, splits the fleet across that many independent
-	// single-threaded simulations — one scheduler, platform, metrics
-	// registry and controller per shard, exactly §5's "partitioning
-	// customers across multiple independent controllers" — and runs the
-	// shard event loops concurrently on a bounded worker pool. Customers
-	// keep a home shard (core.ShardIndex), per-shard policy and platform
-	// streams are seeded seed^shard, and the merged Report/Snapshot folds
-	// shards in index order, so the merged result is byte-identical at
-	// every worker count. Default 0: the single event loop the golden
-	// figures pin.
+	// Shards is how many independent single-threaded simulations the fleet
+	// runs as (0 and 1 both mean one) — one scheduler, platform, metrics
+	// registry and controller per shard, §5's "partitioning customers
+	// across multiple independent controllers". Customers keep a home
+	// shard (core.ShardIndex), shard s seeds its policy, platform and
+	// chaos streams seed^s, and results fold in shard order, so the
+	// outcome is byte-identical at every worker count.
 	Shards int
 	// ShardWorkers bounds how many shard event loops run concurrently
-	// (<= 0 means GOMAXPROCS; 1 runs shards sequentially, which still
-	// flattens the capacity curve — each loop touches only its own
-	// shard-sized working set). Ignored unless Shards > 1.
+	// (<= 0 means GOMAXPROCS; 1 runs shards one after another, which
+	// still flattens the capacity curve — each loop touches only its own
+	// shard-sized working set).
 	ShardWorkers int
 
 	// FleetMode turns on every fleet-scale knob at once: pre-sized slabs
@@ -127,14 +122,6 @@ type PolicyRunConfig struct {
 	// introspection forgets recycled VMs, so the golden-figure runs leave
 	// it off.
 	FleetMode bool
-	// Clock, when set, returns wall-clock nanoseconds and turns on the
-	// scale experiment's capacity measurements: RunPolicy times fleet
-	// creation plus the event loop into PolicyRunResult.WallNs and
-	// samples the post-run live heap into LiveHeapBytes. The clock is
-	// injected because this package is deterministic by lint rule; only
-	// non-simulation callers (cmd/spotsim, the root bench harness) may
-	// read time.Now.
-	Clock func() int64
 }
 
 // PolicyRunResult carries one simulation's outcome.
@@ -153,14 +140,6 @@ type PolicyRunResult struct {
 	// PolicyRunConfig.CollectVMDowntimes is set (nil otherwise). The
 	// scenario library derives p99-downtime SLO numbers from it.
 	VMDowntimes []simkit.Time
-	// WallNs and LiveHeapBytes are the capacity measurements taken when
-	// PolicyRunConfig.Clock is set (zero otherwise): wall-clock
-	// nanoseconds for fleet creation plus the event loop, and the
-	// absolute live-heap size sampled after a forced GC with the
-	// controller and platform still reachable. RunScale turns them into
-	// ns-per-VM-hour and bytes-per-VM.
-	WallNs        int64
-	LiveHeapBytes uint64
 }
 
 // CostPerHour is the Figure 10 metric.
@@ -196,53 +175,23 @@ func (r PolicyRunResult) Migrations() int {
 		r.Metric("spotcheck_migrations_aborted_total"))
 }
 
-// shardPlan is the private contract between runPolicySharded and the
-// per-shard RunPolicy invocations it fans out: the global customer ring
-// (so every shard names customers consistently with the fleet-wide
-// partitioning), the local→global VM index mapping, and an optional
-// retention slot the shard parks its controller and platform in so the
-// outer capacity measurement can sample the whole fleet's live heap.
-type shardPlan struct {
-	// customers is the fleet-wide customer ring; VM with global index g is
-	// owned by customers[g%len(customers)]. Nil keeps the default 4-name
-	// ring of unsharded runs.
-	customers []string
-	// global maps this shard's local VM index to its global fleet index.
-	global []int
-	// retain, when non-nil, receives the run's controller and platform.
-	retain *shardRetain
-}
-
-type shardRetain struct {
-	ctrl *core.Controller
-	plat cloud.Provider
-}
-
-// customerFor names the owner of the VM with local index i.
-func (p *shardPlan) customerFor(i int) string {
-	if p == nil || p.customers == nil {
-		return fmt.Sprintf("customer-%d", i%4)
-	}
-	g := i
-	if p.global != nil {
-		g = p.global[i]
-	}
-	return p.customers[g%len(p.customers)]
-}
-
-// RunPolicy executes one policy × mechanism simulation. With cfg.Shards > 1
-// it becomes N independent simulations on concurrent event loops whose
-// results merge into one fleet view (see PolicyRunConfig.Shards).
+// RunPolicy executes one policy × mechanism simulation: the run driver
+// plus the fold of its shards into one fleet view.
 func RunPolicy(cfg PolicyRunConfig) (PolicyRunResult, error) {
-	if cfg.Shards > 1 {
-		return runPolicySharded(cfg)
+	cfg, err := cfg.resolved()
+	if err != nil {
+		return PolicyRunResult{}, err
 	}
-	return runPolicyOne(cfg, nil)
+	shards, err := runShards(cfg)
+	if err != nil {
+		return PolicyRunResult{}, err
+	}
+	return foldShards(cfg, shards), nil
 }
 
-// runPolicyOne executes a single-event-loop simulation; plan is non-nil
-// only when the run is one shard of a sharded fleet.
-func runPolicyOne(cfg PolicyRunConfig, plan *shardPlan) (PolicyRunResult, error) {
+// resolved fills the zero-value defaults and the trace set, once per run;
+// everything downstream reads the config as given.
+func (cfg PolicyRunConfig) resolved() (PolicyRunConfig, error) {
 	if len(cfg.ArrivalOffsets) > 0 {
 		cfg.VMs = len(cfg.ArrivalOffsets)
 	}
@@ -258,14 +207,42 @@ func runPolicyOne(cfg PolicyRunConfig, plan *shardPlan) (PolicyRunResult, error)
 	if cfg.Policy.New == nil {
 		cfg.Policy = NamedPolicyFactories()[0]
 	}
-	traces := cfg.Traces
-	if traces == nil {
+	if cfg.Shards < 1 {
+		cfg.Shards = 1
+	}
+	if cfg.VMs < cfg.Shards {
+		return cfg, fmt.Errorf("experiments: %d VMs cannot fill %d shards", cfg.VMs, cfg.Shards)
+	}
+	if cfg.Traces == nil {
 		var err error
-		traces, err = EvalTraces(cfg.Horizon, cfg.Seed)
+		cfg.Traces, err = EvalTraces(cfg.Horizon, cfg.Seed)
 		if err != nil {
-			return PolicyRunResult{}, err
+			return cfg, err
 		}
 	}
+	return cfg, nil
+}
+
+// shard is one complete single-threaded simulation — scheduler, metrics
+// registry, platform (chaos-wrapped when configured) and controller — and,
+// once run, its outcome. Holding a shard keeps its whole object graph
+// reachable, which is what RunScale's live-heap sample needs.
+type shard struct {
+	sched *simkit.Scheduler
+	reg   *obs.Registry
+	ctrl  *core.Controller
+
+	report    core.Report
+	snapshot  *obs.Snapshot
+	downtimes []simkit.Time
+}
+
+// buildShard assembles shard s of a resolved config. Shard streams are
+// seeded seed^s, so shards are independent of each other and shard 0 of a
+// one-shard run is the plain seed.
+func buildShard(cfg PolicyRunConfig, s int) (*shard, error) {
+	seed := cfg.Seed ^ int64(s)
+	vms := (cfg.VMs - s + cfg.Shards - 1) / cfg.Shards // indexes s, s+n, ... below cfg.VMs
 	sched := simkit.NewScheduler()
 	// One registry shared by the platform and controller, so a single
 	// snapshot carries both spotcheck_* and spotcheck_cloudsim_* families.
@@ -273,8 +250,8 @@ func runPolicyOne(cfg PolicyRunConfig, plan *shardPlan) (PolicyRunResult, error)
 	platCfg := cloudsim.Config{
 		Catalog:          cfg.Catalog,
 		Zones:            cfg.Zones,
-		Traces:           traces,
-		Seed:             cfg.Seed,
+		Traces:           cfg.Traces,
+		Seed:             seed,
 		WarningWindow:    cfg.WarningWindow,
 		BillingIncrement: cfg.BillingIncrement,
 		Metrics:          reg,
@@ -290,7 +267,7 @@ func runPolicyOne(cfg PolicyRunConfig, plan *shardPlan) (PolicyRunResult, error)
 		MonitorInterval:     cfg.MonitorInterval,
 		NetworkAwareSlicing: cfg.NetworkAwareSlicing,
 		Workload:            cfg.Workload,
-		Seed:                cfg.Seed,
+		Seed:                seed,
 		Metrics:             reg,
 	}
 	if cfg.FleetMode {
@@ -298,93 +275,73 @@ func runPolicyOne(cfg PolicyRunConfig, plan *shardPlan) (PolicyRunResult, error)
 		// sliced, backups multiplexed), so VMs + slack pre-sizes both
 		// ledgers even through revocation churn — compaction recycles
 		// terminated slots before the fleet can outgrow them.
-		platCfg.ExpectedInstances = cfg.VMs + cfg.VMs/4 + 64
+		platCfg.ExpectedInstances = vms + vms/4 + 64
 		platCfg.CompactTerminated = true
 		platCfg.PrefixBilling = true
 		platCfg.VPC = netip.MustParsePrefix("10.0.0.0/8")
-		coreCfg.ExpectedVMs = cfg.VMs
+		coreCfg.ExpectedVMs = vms
 		coreCfg.RecycleReleased = true
 	}
 	plat, err := cloudsim.New(sched, platCfg)
 	if err != nil {
-		return PolicyRunResult{}, err
+		return nil, err
 	}
 	coreCfg.Provider = plat
 	if cfg.Chaos != nil {
 		// The chaos wrapper shares the run's registry so injected-fault
 		// counts surface in the result snapshot next to everything else.
 		chaosCfg := *cfg.Chaos
+		chaosCfg.Seed ^= int64(s)
 		chaosCfg.Metrics = reg
 		coreCfg.Provider = cloudchaos.Wrap(plat, sched, chaosCfg)
 	}
 	ctrl, err := core.New(coreCfg)
 	if err != nil {
-		return PolicyRunResult{}, err
+		return nil, err
 	}
-	var start int64
-	if cfg.Clock != nil {
-		start = cfg.Clock()
-	}
+	return &shard{sched: sched, reg: reg, ctrl: ctrl}, nil
+}
+
+// run requests the shard's slice of the fleet — global VM indexes s, s+n,
+// s+2n, ... of cfg.VMs, each owned by ring[g%len(ring)] — drives the event
+// loop to the horizon and records the outcome.
+func (sh *shard) run(cfg PolicyRunConfig, s int, ring []string) error {
 	// Request errors raised inside scheduled arrival events cannot return
 	// through the event loop; they are collected and joined after the run.
 	var arrivalErrs []error
-	request := func(i int) error {
-		_, err := ctrl.RequestServerWithOptions(core.ServerOptions{
-			Customer:  plan.customerFor(i),
+	request := func(g int) error {
+		_, err := sh.ctrl.RequestServerWithOptions(core.ServerOptions{
+			Customer:  ring[g%len(ring)],
 			Type:      cloud.M3Medium,
 			Stateless: cfg.Stateless,
 		})
 		return err
 	}
-	for i := 0; i < cfg.VMs; i++ {
-		if len(cfg.ArrivalOffsets) > 0 && cfg.ArrivalOffsets[i] > 0 {
-			i := i
-			sched.After(cfg.ArrivalOffsets[i], fmt.Sprintf("arrival vm-%d", i), func() {
-				if err := request(i); err != nil {
-					arrivalErrs = append(arrivalErrs, fmt.Errorf("arrival %d: %w", i, err))
+	for g := s; g < cfg.VMs; g += cfg.Shards {
+		if len(cfg.ArrivalOffsets) > 0 && cfg.ArrivalOffsets[g] > 0 {
+			sh.sched.After(cfg.ArrivalOffsets[g], fmt.Sprintf("arrival vm-%d", g), func() {
+				if err := request(g); err != nil {
+					arrivalErrs = append(arrivalErrs, fmt.Errorf("arrival %d: %w", g, err))
 				}
 			})
 			continue
 		}
-		if err := request(i); err != nil {
-			return PolicyRunResult{}, err
+		if err := request(g); err != nil {
+			return err
 		}
 	}
-	sched.RunUntil(cfg.Horizon)
+	sh.sched.RunUntil(cfg.Horizon)
 	if len(arrivalErrs) > 0 {
-		return PolicyRunResult{}, errors.Join(arrivalErrs...)
+		return errors.Join(arrivalErrs...)
 	}
-	res := PolicyRunResult{
-		Policy:    cfg.Policy.Name,
-		Mechanism: cfg.Mechanism,
-		Report:    ctrl.Report(),
-		VMs:       cfg.VMs,
-		Horizon:   cfg.Horizon,
-		Snapshot:  reg.Snapshot(),
-	}
+	sh.report = sh.ctrl.Report()
+	sh.snapshot = sh.reg.Snapshot()
 	if cfg.CollectVMDowntimes {
-		for _, info := range ctrl.ListVMs() {
-			res.VMDowntimes = append(res.VMDowntimes, ctrl.DebugLedger(info.ID).Down)
+		for _, info := range sh.ctrl.ListVMs() {
+			sh.downtimes = append(sh.downtimes, sh.ctrl.DebugLedger(info.ID).Down)
 		}
-		sort.Slice(res.VMDowntimes, func(i, j int) bool {
-			return res.VMDowntimes[i] < res.VMDowntimes[j]
-		})
 	}
-	if cfg.Clock != nil {
-		res.WallNs = cfg.Clock() - start
-		// Sample the live heap while the whole simulation graph is still
-		// reachable, so slabs, indexes and ledgers all count.
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		res.LiveHeapBytes = ms.HeapAlloc
-		runtime.KeepAlive(ctrl)
-		runtime.KeepAlive(plat)
-	}
-	if plan != nil && plan.retain != nil {
-		plan.retain.ctrl, plan.retain.plat = ctrl, coreCfg.Provider
-	}
-	return res, nil
+	return nil
 }
 
 // shardCustomerRing builds the fleet-wide customer ring for an n-shard run:
@@ -393,8 +350,8 @@ func runPolicyOne(cfg PolicyRunConfig, plan *shardPlan) (PolicyRunResult, error)
 // belongs to shard j%n. VM with global index g is owned by
 // ring[g%len(ring)], so VM g lands on shard g%n — every customer keeps its
 // hash-derived home shard AND the fleet splits evenly, with each shard
-// seeing perShard distinct customers striped exactly like an unsharded
-// run's customer-%d naming. The scan is deterministic: it depends only on
+// seeing perShard distinct customers. One shard's ring is customer-0 ..
+// customer-(perShard-1). The scan is deterministic: it depends only on
 // (n, perShard), never on seeds or timing.
 func shardCustomerRing(n, perShard int) []string {
 	byShard := make([][]string, n)
@@ -414,150 +371,58 @@ func shardCustomerRing(n, perShard int) []string {
 	return ring
 }
 
-// runPolicySharded fans one logical simulation out across cfg.Shards
-// independent event loops and merges the results. Each shard is a complete
-// simulation — own scheduler, platform, metrics registry, controller —
-// over the shared read-only trace set, seeded cfg.Seed^shard so policy and
-// platform streams are independent per shard (the PR-5 per-market-seed
-// idiom at shard granularity). Shards run on a bounded worker pool; since
-// every shard's outcome depends only on its own inputs and the merge folds
-// in shard index order, the merged report, snapshot and downtime list are
-// byte-identical at every worker count.
-func runPolicySharded(cfg PolicyRunConfig) (PolicyRunResult, error) {
+// runShards is the one run driver: it partitions a resolved config's fleet
+// across cfg.Shards complete simulations over the shared read-only trace
+// set and runs their event loops on a bounded pool. Every shard's outcome
+// depends only on its own inputs, so the returned shards — and anything
+// folded from them in index order — are identical at every worker count.
+func runShards(cfg PolicyRunConfig) ([]*shard, error) {
 	n := cfg.Shards
-	if len(cfg.ArrivalOffsets) > 0 {
-		cfg.VMs = len(cfg.ArrivalOffsets)
-	}
-	if cfg.VMs == 0 {
-		cfg.VMs = 40
-	}
-	if cfg.Horizon == 0 {
-		cfg.Horizon = SixMonths
-	}
-	if cfg.Policy.New == nil {
-		cfg.Policy = NamedPolicyFactories()[0]
-	}
-	if cfg.VMs < n {
-		return PolicyRunResult{}, fmt.Errorf("experiments: %d VMs cannot fill %d shards", cfg.VMs, n)
-	}
-	traces := cfg.Traces
-	if traces == nil {
-		var err error
-		traces, err = EvalTraces(cfg.Horizon, cfg.Seed)
-		if err != nil {
-			return PolicyRunResult{}, err
-		}
-	}
-
-	var start int64
-	if cfg.Clock != nil {
-		start = cfg.Clock()
-	}
-
-	// Partition the fleet: VM with global index g belongs to
-	// ring[g%len(ring)], whose home shard is g%n by construction.
 	ring := shardCustomerRing(n, 4)
-	global := make([][]int, n)
-	for g := 0; g < cfg.VMs; g++ {
-		s := g % n
-		global[s] = append(global[s], g)
-	}
-
-	type shardOut struct {
-		res PolicyRunResult
-		err error
-	}
-	outs := make([]shardOut, n)
-	retains := make([]shardRetain, n)
-	workers := cfg.ShardWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for s := range idx {
-				shardCfg := cfg
-				shardCfg.Shards = 0
-				shardCfg.ShardWorkers = 0
-				shardCfg.Seed = cfg.Seed ^ int64(s)
-				shardCfg.Traces = traces
-				shardCfg.VMs = len(global[s])
-				shardCfg.Clock = nil // the fleet-level clock wraps all shards
-				if len(cfg.ArrivalOffsets) > 0 {
-					offsets := make([]simkit.Time, len(global[s]))
-					for i, g := range global[s] {
-						offsets[i] = cfg.ArrivalOffsets[g]
-					}
-					shardCfg.ArrivalOffsets = offsets
-				}
-				if cfg.Chaos != nil {
-					chaosCfg := *cfg.Chaos
-					chaosCfg.Seed ^= int64(s)
-					shardCfg.Chaos = &chaosCfg
-				}
-				plan := &shardPlan{customers: ring, global: global[s]}
-				if cfg.Clock != nil {
-					plan.retain = &retains[s]
-				}
-				res, err := runPolicyOne(shardCfg, plan)
-				outs[s] = shardOut{res: res, err: err}
-			}
-		}()
-	}
-	for s := 0; s < n; s++ {
-		idx <- s
-	}
-	close(idx)
-	wg.Wait()
-
-	reports := make([]core.Report, n)
-	snaps := make([]*obs.Snapshot, n)
-	var errs []error
-	var downs []simkit.Time
-	for s := range outs {
-		if outs[s].err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", s, outs[s].err))
-			continue
+	shards := make([]*shard, n)
+	err := forEachIndex(n, cfg.ShardWorkers, func(s int) error {
+		var err error
+		shards[s], err = buildShard(cfg, s)
+		if err == nil {
+			err = shards[s].run(cfg, s, ring)
 		}
-		reports[s] = outs[s].res.Report
-		snaps[s] = outs[s].res.Snapshot
-		downs = append(downs, outs[s].res.VMDowntimes...)
+		if err != nil && n > 1 {
+			err = fmt.Errorf("shard %d: %w", s, err)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(errs) > 0 {
-		return PolicyRunResult{}, errors.Join(errs...)
-	}
+	return shards, nil
+}
 
+// foldShards assembles the fleet view. A lone shard's report and snapshot
+// are the fleet's as they stand; merging would re-derive ratios the
+// controller already computed (and move DegradedFraction by an ulp).
+func foldShards(cfg PolicyRunConfig, shards []*shard) PolicyRunResult {
 	res := PolicyRunResult{
 		Policy:    cfg.Policy.Name,
 		Mechanism: cfg.Mechanism,
-		Report:    core.MergeReports(reports),
+		Report:    shards[0].report,
 		VMs:       cfg.VMs,
 		Horizon:   cfg.Horizon,
-		Snapshot:  obs.MergeSnapshots(snaps),
+		Snapshot:  shards[0].snapshot,
 	}
-	if cfg.CollectVMDowntimes {
-		sort.Slice(downs, func(i, j int) bool { return downs[i] < downs[j] })
-		res.VMDowntimes = downs
+	if len(shards) > 1 {
+		reports := make([]core.Report, len(shards))
+		snaps := make([]*obs.Snapshot, len(shards))
+		for s, sh := range shards {
+			reports[s], snaps[s] = sh.report, sh.snapshot
+		}
+		res.Report = core.MergeReports(reports)
+		res.Snapshot = obs.MergeSnapshots(snaps)
 	}
-	if cfg.Clock != nil {
-		res.WallNs = cfg.Clock() - start
-		// Sample the live heap with every shard's object graph still
-		// reachable, so the fleet's whole footprint counts — same protocol
-		// as the single-loop run.
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		res.LiveHeapBytes = ms.HeapAlloc
-		runtime.KeepAlive(retains)
+	for _, sh := range shards {
+		res.VMDowntimes = append(res.VMDowntimes, sh.downtimes...)
 	}
-	return res, nil
+	sort.Slice(res.VMDowntimes, func(i, j int) bool { return res.VMDowntimes[i] < res.VMDowntimes[j] })
+	return res
 }
 
 // PolicyMatrix runs every named policy against every figure mechanism —

@@ -39,20 +39,13 @@ type ScaleConfig struct {
 	// injected by the non-simulation caller: cmd/spotsim and the root
 	// benchmark harness pass time.Now().UnixNano.
 	Clock func() int64
-	// Workers bounds the trace-generation fan-out (<= 0 means
-	// GOMAXPROCS). The simulation itself is single-threaded.
-	Workers int
 	// Traces overrides the default EvalTraces set; ScaleLadder uses this
 	// to generate the set once and share it across rungs, exactly as the
 	// sweep engine shares traces across cells.
 	Traces spotmarket.Set
-	// MonitorInterval defaults to 10 minutes, matching RunPolicy.
-	MonitorInterval simkit.Time
-	// Shards, when > 1, runs the rung on the parallel sharded engine
-	// (PolicyRunConfig.Shards): the fleet splits across that many
-	// independent event loops running concurrently, and the rung's report
-	// is the merged fleet view. ShardWorkers bounds the loop concurrency
-	// (<= 0 means GOMAXPROCS).
+	// Shards and ShardWorkers are PolicyRunConfig's: how many independent
+	// event loops the fleet splits across (0 and 1 both mean one) and how
+	// many of them run concurrently (<= 0 means GOMAXPROCS).
 	Shards       int
 	ShardWorkers int
 }
@@ -60,11 +53,12 @@ type ScaleConfig struct {
 // ScaleResult carries one rung's capacity measurements.
 type ScaleResult struct {
 	VMs int
-	// Shards echoes the rung's shard count (0 = single event loop).
+	// Shards is the number of event loops the rung ran on (>= 1).
 	Shards  int
 	Horizon simkit.Time
-	// WallNs is the wall-clock time of fleet creation plus the full
-	// six-month event loop (trace generation and reporting excluded).
+	// WallNs is the wall-clock time of building the shards, creating the
+	// fleet, running the event loops to the horizon and folding the
+	// report (trace generation excluded).
 	WallNs int64
 	// VMHours is the simulated service time the rung bought with WallNs:
 	// VMs × horizon hours.
@@ -89,74 +83,63 @@ type ScaleResult struct {
 // paper's headline configuration — with every fleet-mode knob on.
 //
 // Measurement protocol: the live heap is sampled (after a forced GC)
-// before the platform and controller are built and again after the run
-// with the whole object graph still reachable, so the delta is the
-// simulation's true live footprint rather than allocation traffic. The
-// wall clock covers fleet creation and the event loop only.
+// before the shards are built and again after the run with every shard's
+// object graph still reachable, so the delta is the simulation's true live
+// footprint rather than allocation traffic. The wall clock covers shard
+// construction, fleet creation, the event loops and the report fold; trace
+// generation happens before it starts.
 func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	if cfg.VMs <= 0 {
 		cfg.VMs = 10_000
 	}
-	if cfg.Horizon == 0 {
-		cfg.Horizon = SixMonths
-	}
-	if cfg.MonitorInterval == 0 {
-		cfg.MonitorInterval = 10 * simkit.Minute
-	}
 	if cfg.Clock == nil {
 		return ScaleResult{}, fmt.Errorf("experiments: ScaleConfig.Clock is required (the deterministic simulation packages cannot read the wall clock themselves)")
 	}
-	traces := cfg.Traces
-	if traces == nil {
-		var err error
-		traces, err = EvalTraces(cfg.Horizon, cfg.Seed, cfg.Workers)
-		if err != nil {
-			return ScaleResult{}, err
-		}
-	}
-
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-
-	res, err := RunPolicy(PolicyRunConfig{
-		Policy:          PolicyFactory{Name: "1P-M", New: core.Policy1PM},
-		Mechanism:       migration.SpotCheckLazy,
-		VMs:             cfg.VMs,
-		Horizon:         cfg.Horizon,
-		Seed:            cfg.Seed,
-		MonitorInterval: cfg.MonitorInterval,
-		Traces:          traces,
-		FleetMode:       true,
-		Shards:          cfg.Shards,
-		ShardWorkers:    cfg.ShardWorkers,
-		Clock:           cfg.Clock,
-	})
+	run, err := PolicyRunConfig{
+		Policy:       PolicyFactory{Name: "1P-M", New: core.Policy1PM},
+		Mechanism:    migration.SpotCheckLazy,
+		VMs:          cfg.VMs,
+		Horizon:      cfg.Horizon,
+		Seed:         cfg.Seed,
+		Traces:       cfg.Traces,
+		FleetMode:    true,
+		Shards:       cfg.Shards,
+		ShardWorkers: cfg.ShardWorkers,
+	}.resolved()
 	if err != nil {
 		return ScaleResult{}, err
 	}
 
-	// RunPolicy held the controller and platform alive across its own
-	// post-run heap sample (LiveHeapBytes); subtracting the
-	// pre-construction baseline leaves the simulation's live footprint.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := cfg.Clock()
+	shards, err := runShards(run)
+	if err != nil {
+		return ScaleResult{}, err
+	}
+	res := foldShards(run, shards)
+	wall := cfg.Clock() - start
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(shards)
+
 	out := ScaleResult{
-		VMs:           cfg.VMs,
-		Shards:        cfg.Shards,
-		Horizon:       cfg.Horizon,
-		WallNs:        res.WallNs,
-		VMHours:       float64(cfg.VMs) * cfg.Horizon.Hours(),
+		VMs:           run.VMs,
+		Shards:        run.Shards,
+		Horizon:       run.Horizon,
+		WallNs:        wall,
+		VMHours:       float64(run.VMs) * run.Horizon.Hours(),
 		CostPerVMHour: res.CostPerHour(),
 		Availability:  res.Report.Availability,
 	}
-	if heap := res.LiveHeapBytes; heap > before.HeapAlloc {
-		out.LiveHeapBytes = heap - before.HeapAlloc
+	if after.HeapAlloc > before.HeapAlloc {
+		out.LiveHeapBytes = after.HeapAlloc - before.HeapAlloc
 	}
 	if out.VMHours > 0 {
 		out.NsPerVMHour = float64(out.WallNs) / out.VMHours
 	}
-	if cfg.VMs > 0 {
-		out.BytesPerVM = float64(out.LiveHeapBytes) / float64(cfg.VMs)
-	}
+	out.BytesPerVM = float64(out.LiveHeapBytes) / float64(run.VMs)
 	return out, nil
 }
 
@@ -185,7 +168,6 @@ func ScaleLadder(sizes []int, horizon simkit.Time, seed int64, clock func() int6
 			Horizon: horizon,
 			Seed:    seed,
 			Clock:   clock,
-			Workers: workers,
 			Traces:  traces,
 			Shards:  shards,
 		})
@@ -208,12 +190,8 @@ func ScaleTable(rows []ScaleResult) *analysis.Table {
 		if r.WallNs > 0 {
 			perSec = r.VMHours / (float64(r.WallNs) / 1e9) / 1e6
 		}
-		shards := r.Shards
-		if shards < 1 {
-			shards = 1
-		}
 		t.AddRow(r.VMs,
-			shards,
+			r.Shards,
 			float64(r.WallNs)/1e9,
 			r.NsPerVMHour,
 			perSec,

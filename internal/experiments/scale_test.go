@@ -11,35 +11,43 @@ import (
 	"repro/internal/simkit"
 )
 
-// TestRunScaleSmoke runs one small rung end to end and checks every
-// capacity metric is populated and sane.
+// TestRunScaleSmoke runs one small rung end to end on one shard and on
+// two, and checks every capacity metric is populated and sane: RunScale
+// owns the measurement (clock, heap samples, keeping the shards alive), so
+// both shapes must report wall time and live heap.
 func TestRunScaleSmoke(t *testing.T) {
-	res, err := RunScale(ScaleConfig{
-		VMs:     200,
-		Horizon: 4 * simkit.Day,
-		Seed:    1,
-		Clock:   func() int64 { return time.Now().UnixNano() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.VMs != 200 {
-		t.Errorf("VMs = %d, want 200", res.VMs)
-	}
-	if want := 200 * (4 * simkit.Day).Hours(); res.VMHours != want {
-		t.Errorf("VMHours = %v, want %v", res.VMHours, want)
-	}
-	if res.WallNs <= 0 || res.NsPerVMHour <= 0 {
-		t.Errorf("wall-clock metrics not populated: WallNs=%d NsPerVMHour=%v", res.WallNs, res.NsPerVMHour)
-	}
-	if res.LiveHeapBytes == 0 || res.BytesPerVM <= 0 {
-		t.Errorf("heap metrics not populated: LiveHeapBytes=%d BytesPerVM=%v", res.LiveHeapBytes, res.BytesPerVM)
-	}
-	if res.Availability <= 0 || res.Availability > 1 {
-		t.Errorf("availability out of range: %v", res.Availability)
-	}
-	if res.CostPerVMHour <= 0 {
-		t.Errorf("cost per VM-hour = %v, want > 0", res.CostPerVMHour)
+	for _, shards := range []int{0, 2} {
+		res, err := RunScale(ScaleConfig{
+			VMs:     200,
+			Horizon: 4 * simkit.Day,
+			Seed:    1,
+			Shards:  shards,
+			Clock:   func() int64 { return time.Now().UnixNano() },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.VMs != 200 {
+			t.Errorf("shards=%d: VMs = %d, want 200", shards, res.VMs)
+		}
+		if want := max(shards, 1); res.Shards != want {
+			t.Errorf("shards=%d: result reports %d shards, want %d", shards, res.Shards, want)
+		}
+		if want := 200 * (4 * simkit.Day).Hours(); res.VMHours != want {
+			t.Errorf("shards=%d: VMHours = %v, want %v", shards, res.VMHours, want)
+		}
+		if res.WallNs <= 0 || res.NsPerVMHour <= 0 {
+			t.Errorf("shards=%d: wall-clock metrics not populated: WallNs=%d NsPerVMHour=%v", shards, res.WallNs, res.NsPerVMHour)
+		}
+		if res.LiveHeapBytes == 0 || res.BytesPerVM <= 0 {
+			t.Errorf("shards=%d: heap metrics not populated: LiveHeapBytes=%d BytesPerVM=%v", shards, res.LiveHeapBytes, res.BytesPerVM)
+		}
+		if res.Availability <= 0 || res.Availability > 1 {
+			t.Errorf("shards=%d: availability out of range: %v", shards, res.Availability)
+		}
+		if res.CostPerVMHour <= 0 {
+			t.Errorf("shards=%d: cost per VM-hour = %v, want > 0", shards, res.CostPerVMHour)
+		}
 	}
 }
 

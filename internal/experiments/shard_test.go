@@ -92,6 +92,80 @@ func TestShardedChaosIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestShardedOneShardIsSingleLoop is the differential pin behind "the
+// single loop is Shards=1": for every named policy, plus one chaos +
+// arrival-curve + downtime-collecting config, Shards 0 and 1 produce the
+// same report, snapshot and downtime list — and that report is the lone
+// shard's own controller report, not a MergeReports re-derivation (which
+// moves DegradedFraction by an ulp on these inputs).
+func TestShardedOneShardIsSingleLoop(t *testing.T) {
+	offsets := make([]simkit.Time, 24)
+	for i := range offsets {
+		offsets[i] = simkit.Time(i%6) * simkit.Hour
+	}
+	var cfgs []PolicyRunConfig
+	for _, pol := range NamedPolicyFactories() {
+		cfgs = append(cfgs, PolicyRunConfig{
+			Policy: pol, Mechanism: migration.SpotCheckLazy,
+			VMs: 40, Horizon: 60 * simkit.Day, Seed: 42,
+		})
+	}
+	cfgs = append(cfgs, PolicyRunConfig{
+		Policy: NamedPolicyFactories()[2], Mechanism: migration.SpotCheckLazy,
+		Horizon: 20 * simkit.Day, Seed: 42,
+		Chaos:          &cloudchaos.Config{Seed: 7, FailProb: 0.05},
+		ArrivalOffsets: offsets, CollectVMDowntimes: true,
+	})
+	unmergedDiffers := false
+	for _, cfg := range cfgs {
+		cfg.Shards = 0
+		zero, err := RunPolicy(cfg)
+		if err != nil {
+			t.Fatalf("%s shards=0: %v", cfg.Policy.Name, err)
+		}
+		cfg.Shards = 1
+		one, err := RunPolicy(cfg)
+		if err != nil {
+			t.Fatalf("%s shards=1: %v", cfg.Policy.Name, err)
+		}
+		if !reflect.DeepEqual(zero.Report, one.Report) {
+			t.Errorf("%s: report differs between Shards 0 and 1\n0: %+v\n1: %+v", cfg.Policy.Name, zero.Report, one.Report)
+		}
+		if !reflect.DeepEqual(zero.Snapshot, one.Snapshot) {
+			t.Errorf("%s: snapshot differs between Shards 0 and 1", cfg.Policy.Name)
+		}
+		if !reflect.DeepEqual(zero.VMDowntimes, one.VMDowntimes) {
+			t.Errorf("%s: downtime list differs between Shards 0 and 1", cfg.Policy.Name)
+		}
+
+		// The same simulation straight off the builder: what the lone
+		// shard's controller reports is what RunPolicy must return.
+		run, err := cfg.resolved()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := buildShard(run, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sh.run(run, 0, shardCustomerRing(1, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sh.report, one.Report) {
+			t.Errorf("%s: RunPolicy report is not the lone shard's own report\nshard: %+v\ngot:   %+v", cfg.Policy.Name, sh.report, one.Report)
+		}
+		if !reflect.DeepEqual(sh.snapshot, one.Snapshot) {
+			t.Errorf("%s: RunPolicy snapshot is not the lone shard's own snapshot", cfg.Policy.Name)
+		}
+		if !reflect.DeepEqual(core.MergeReports([]core.Report{sh.report}), sh.report) {
+			unmergedDiffers = true
+		}
+	}
+	if !unmergedDiffers {
+		t.Error("MergeReports of a lone report is exact on every input; the unmerged check is vacuous")
+	}
+}
+
 // TestShardCustomerRing pins the fleet-partitioning construction: every
 // ring slot j holds a distinct customer whose core.ShardIndex home is
 // shard j%n, so VM with global index g lands on shard g%n while keeping

@@ -46,24 +46,50 @@ type SweepOptions struct {
 	// runtime.GOMAXPROCS(0). Results are identical regardless of the
 	// worker count — only wall-clock time changes.
 	Workers int
-	// PerRunTraces disables the shared-trace optimisation, regenerating
-	// default traces inside every run (the pre-engine behaviour; useful
-	// for benchmarking the saving).
-	PerRunTraces bool
 }
 
-func (o SweepOptions) workers(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// forEachIndex calls fn(0..n-1) on a bounded worker pool: workers <= 0
+// means GOMAXPROCS, capped at n, and 1 runs inline on the caller's
+// goroutine. It is fail-fast — after the first error no further index is
+// dispatched (in-flight calls drain) — and returns the failures joined in
+// index order (the inline loop's single failure as-is), so the error does
+// not depend on scheduling.
+func forEachIndex(n, workers int, fn func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if w > n {
-		w = n
+	if workers > n {
+		workers = n
 	}
-	if w < 1 {
-		w = 1
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return w
+	errs := make([]error, n)
+	var failed atomic.Bool
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				if errs[i] = fn(i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	for i := 0; i < n && !failed.Load(); i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // traceKey identifies one default-trace generation: RunPolicy falls back to
@@ -116,45 +142,20 @@ func Sweep(specs []RunSpec, opt SweepOptions) ([]PolicyRunResult, error) {
 	}
 	// Copy so shared-trace filling never mutates the caller's specs.
 	specs = append([]RunSpec(nil), specs...)
-	if !opt.PerRunTraces {
-		if err := fillSharedTraces(specs, opt.Workers); err != nil {
-			return nil, err
-		}
+	if err := fillSharedTraces(specs, opt.Workers); err != nil {
+		return nil, err
 	}
-
-	workers := opt.workers(len(specs))
 	results := make([]PolicyRunResult, len(specs))
-	errs := make([]error, len(specs))
-	var failed atomic.Bool
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				res, err := RunPolicy(specs[i].Cfg)
-				if err != nil {
-					errs[i] = &RunError{ID: specs[i].ID, Err: err}
-					failed.Store(true)
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	for i := range specs {
-		if failed.Load() {
-			break // fail fast: stop dispatching once any run errors
+	err := forEachIndex(len(specs), opt.Workers, func(i int) error {
+		res, err := RunPolicy(specs[i].Cfg)
+		if err != nil {
+			return &RunError{ID: specs[i].ID, Err: err}
 		}
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	if failed.Load() {
-		return nil, errors.Join(errs...)
+		results[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cloud"
@@ -82,6 +84,58 @@ func TestSweepFailFast(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "poisoned-cell") {
 		t.Errorf("aggregated error %q does not identify the failed run", err)
+	}
+}
+
+// TestForEachIndex pins the pool Sweep and the shard driver share: every
+// index runs exactly once at any worker count, one worker is a plain
+// in-order loop that stops at the first error, and a parallel run reports
+// its failures in index order whatever order they happened in.
+func TestForEachIndex(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, 3, 64} {
+		hits := make([]int32, 10)
+		if err := forEachIndex(len(hits), workers, func(i int) error {
+			atomic.AddInt32(&hits[i], 1)
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Errorf("workers=%d: index %d ran %d times", workers, i, h)
+			}
+		}
+	}
+	if err := forEachIndex(0, 4, func(int) error { return errors.New("ran") }); err != nil {
+		t.Errorf("empty range: %v", err)
+	}
+
+	var order []int
+	boom := errors.New("boom")
+	err := forEachIndex(6, 1, func(i int) error {
+		order = append(order, i) // unsynchronised on purpose: one worker is inline
+		if i == 2 {
+			return boom
+		}
+		return nil
+	})
+	if err != boom {
+		t.Errorf("one worker: err = %v, want the first failure as returned", err)
+	}
+	if !reflect.DeepEqual(order, []int{0, 1, 2}) {
+		t.Errorf("one worker visited %v, want [0 1 2]", order)
+	}
+
+	// Both failing indexes are in flight before either returns.
+	var gate sync.WaitGroup
+	gate.Add(2)
+	err = forEachIndex(2, 2, func(i int) error {
+		gate.Done()
+		gate.Wait()
+		return fmt.Errorf("fail-%d", i)
+	})
+	if err == nil || err.Error() != "fail-0\nfail-1" {
+		t.Errorf("parallel failures = %q, want fail-0 then fail-1", err)
 	}
 }
 
