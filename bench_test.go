@@ -208,18 +208,18 @@ func BenchmarkTable3RevocationStorms(b *testing.B) {
 	b.ReportMetric(pFull, "1pool-P(N)/hr")
 }
 
-// BenchmarkChooseCompatibleLargeCatalog measures one cheapest-compatible
-// placement decision over the full generated catalog (18 HVM types × 3
-// zones = 54 spot markets): the catalog scan, feasibility filter and
-// per-slice price comparison that run on every acquisition at scale.
-func BenchmarkChooseCompatibleLargeCatalog(b *testing.B) {
+// largeCatalogChoose returns one cheapest-compatible placement decision over
+// the full generated catalog (18 HVM types × 3 zones = 54 spot markets) —
+// the catalog scan, feasibility filter and per-slice price comparison that
+// run on every acquisition at scale — and the number of markets it scans.
+func largeCatalogChoose(tb testing.TB) (choose func() error, markets int) {
 	cat, err := cloud.GenerateCatalog(cloud.DefaultCatalogSpec())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	traces, err := experiments.CatalogTraces(cat, 2*simkit.Day, benchSeed)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	plat, err := cloudsim.New(simkit.NewScheduler(), cloudsim.Config{
 		Traces:    traces,
@@ -228,11 +228,11 @@ func BenchmarkChooseCompatibleLargeCatalog(b *testing.B) {
 		Latencies: cloudsim.ZeroOpLatencies(),
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	req, ok := cat.TypeByName(cloud.M3Medium)
 	if !ok {
-		b.Fatal("m3.medium missing from generated catalog")
+		tb.Fatal("m3.medium missing from generated catalog")
 	}
 	ctx := &core.PlacementContext{
 		Requested: req,
@@ -241,13 +241,37 @@ func BenchmarkChooseCompatibleLargeCatalog(b *testing.B) {
 		Rand:      rand.New(rand.NewSource(benchSeed)),
 	}
 	policy := core.NewCheapestCompatiblePolicy(nil)
+	return func() error {
+		_, _, err := policy.Choose(ctx)
+		return err
+	}, len(traces)
+}
+
+// BenchmarkChooseCompatibleLargeCatalog measures largeCatalogChoose.
+func BenchmarkChooseCompatibleLargeCatalog(b *testing.B) {
+	choose, markets := largeCatalogChoose(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := policy.Choose(ctx); err != nil {
+		if err := choose(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(traces)), "markets")
+	b.ReportMetric(float64(markets), "markets")
+}
+
+// The decision runs on every acquisition, so what it allocates must not
+// grow with the markets scanned: only the provider's copies of its catalog
+// and zone list.
+func TestChooseCompatibleLargeCatalogAllocs(t *testing.T) {
+	choose, _ := largeCatalogChoose(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := choose(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("Choose over the 54-market catalog allocates %.1f allocs/op, want <= 2", allocs)
+	}
 }
 
 // --- Sweep engine benches ---
@@ -303,9 +327,9 @@ func BenchmarkHeadline(b *testing.B) {
 
 // BenchmarkScaleFleet1k runs the scale experiment's measured rung at bench
 // scale — a 1k-VM synthetic fleet in fleet mode — and reports the two
-// capacity metrics benchbase gates: ns per simulated VM-hour and live
-// bytes per VM. The full 1k/10k/100k ladder over six months runs via
-// `spotsim -exp scale`.
+// capacity metrics `go run ./bench` tracks on its fleet workloads: ns per
+// simulated VM-hour and live bytes per VM. The full 1k/10k/100k ladder
+// over six months runs via `spotsim -exp scale`.
 func BenchmarkScaleFleet1k(b *testing.B) {
 	var res experiments.ScaleResult
 	for i := 0; i < b.N; i++ {

@@ -293,13 +293,10 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleTrace dumps the controller's event-trace ring, oldest first.
+// handleTrace dumps the controller's event-trace ring, oldest first. Like
+// handleMetrics it does not take d.mu; Dump is one consistent copy.
 func (d *daemon) handleTrace(w http.ResponseWriter, _ *http.Request) {
-	d.writeJSON(w, http.StatusOK, map[string]any{
-		"total":   d.trace.Total(),
-		"dropped": d.trace.Dropped(),
-		"events":  d.trace.Events(),
-	})
+	d.writeJSON(w, http.StatusOK, d.trace.Dump())
 }
 
 func (d *daemon) handleAdvance(w http.ResponseWriter, r *http.Request) {

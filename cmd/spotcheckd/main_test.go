@@ -5,11 +5,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/simkit"
 )
 
@@ -377,8 +379,9 @@ func TestDaemonTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dump struct {
-		Total  uint64 `json:"total"`
-		Events []struct {
+		Total   uint64 `json:"total"`
+		Dropped uint64 `json:"dropped"`
+		Events  []struct {
 			Scope   string `json:"scope"`
 			Subject string `json:"subject"`
 			Kind    string `json:"kind"`
@@ -388,6 +391,9 @@ func TestDaemonTrace(t *testing.T) {
 	if dump.Total == 0 || len(dump.Events) == 0 {
 		t.Fatalf("empty trace: %+v", dump)
 	}
+	if dump.Total-dump.Dropped != uint64(len(dump.Events)) {
+		t.Errorf("total %d - dropped %d != %d events served", dump.Total, dump.Dropped, len(dump.Events))
+	}
 	kinds := map[string]bool{}
 	for _, e := range dump.Events {
 		kinds[e.Scope+"/"+e.Kind] = true
@@ -395,6 +401,52 @@ func TestDaemonTrace(t *testing.T) {
 	for _, want := range []string{"vm/requested", "vm/placed", "host/acquired", "market/bid"} {
 		if !kinds[want] {
 			t.Errorf("trace missing %s event", want)
+		}
+	}
+}
+
+// TestDaemonEventsAreTraceSubsequence: both endpoints read one store, so
+// while the ring has dropped nothing a VM's /events is exactly the /trace
+// events about that VM — same seq, at, kind and detail, in the same order.
+func TestDaemonEventsAreTraceSubsequence(t *testing.T) {
+	d, srv := testServer(t)
+	client := srv.Client()
+	var ids []string
+	for _, customer := range []string{"alice", "bob", "alice"} {
+		resp, err := client.Post(srv.URL+"/servers?customer="+customer, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var created map[string]string
+		decode(t, resp, http.StatusCreated, &created)
+		ids = append(ids, created["id"])
+	}
+	d.advance(14 * 24 * simkit.Hour) // long enough for revocations and returns
+
+	resp, err := client.Get(srv.URL + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump obs.TraceDump
+	decode(t, resp, http.StatusOK, &dump)
+	if dump.Dropped != 0 || dump.Total != uint64(len(dump.Events)) {
+		t.Fatalf("trace dropped %d of %d events (%d served); the comparison needs all of them", dump.Dropped, dump.Total, len(dump.Events))
+	}
+	for _, id := range ids {
+		resp, err := client.Get(srv.URL + "/servers/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []obs.TraceEvent
+		decode(t, resp, http.StatusOK, &events)
+		var want []obs.TraceEvent
+		for _, e := range dump.Events {
+			if e.Scope == "vm" && e.Subject == id {
+				want = append(want, e)
+			}
+		}
+		if len(events) < 3 || !slices.Equal(events, want) {
+			t.Errorf("%s: /events = %v\n/trace about it = %v", id, events, want)
 		}
 	}
 }

@@ -14,6 +14,7 @@
 //	estimate <id>               predicted revocation downtime right now
 //	release <id>                relinquish a VM
 //	pools | prices | report | customers | status | clock
+//	trace | metrics             the controller's event ring, Prometheus metrics
 //	advance <duration>          advance virtual time (e.g. 1h30m)
 package main
 
@@ -39,7 +40,7 @@ func main() {
 
 func run(w io.Writer, client *http.Client, base string, args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("need a command (create, servers, describe, events, release, pools, prices, report, customers, clock, advance)")
+		return fmt.Errorf("need a command (create, servers, describe, events, estimate, release, pools, prices, report, customers, status, clock, trace, metrics, advance)")
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
@@ -74,7 +75,7 @@ func run(w io.Writer, client *http.Client, base string, args []string) error {
 		default:
 			return do(w, client, http.MethodDelete, base+"/servers/"+id)
 		}
-	case "pools", "prices", "report", "customers", "clock", "status":
+	case "pools", "prices", "report", "customers", "status", "clock", "trace", "metrics":
 		return do(w, client, http.MethodGet, base+"/"+cmd)
 	case "advance":
 		if len(rest) != 1 {

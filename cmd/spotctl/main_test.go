@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -28,6 +29,11 @@ func stub(t *testing.T) (*httptest.Server, *http.Request) {
 			w.Write([]byte(`{"ID":"nvm-00001","Market":"spot"}`))
 		case r.URL.Path == "/report":
 			w.Write([]byte(`{"VMHours":42}`))
+		case r.URL.Path == "/trace":
+			w.Write([]byte(`{"total":1,"dropped":0,"events":[{"seq":0,"kind":"requested"}]}`))
+		case r.URL.Path == "/metrics":
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+			w.Write([]byte("# TYPE spotcheck_vms_created_total counter\nspotcheck_vms_created_total 1\n"))
 		case r.URL.Path == "/advance":
 			w.Write([]byte(`{"virtualTime":"1h0m0s"}`))
 		case r.URL.Path == "/missing":
@@ -79,8 +85,16 @@ func TestSubcommands(t *testing.T) {
 		{[]string{"report"}, "/report", http.MethodGet, "42"},
 		{[]string{"advance", "1h"}, "/advance", http.MethodPost, "virtualTime"},
 		{[]string{"pools"}, "/pools", http.MethodGet, "[]"},
+		{[]string{"estimate", "nvm-00001"}, "/servers/nvm-00001/estimate", http.MethodGet, "[]"},
+		{[]string{"status"}, "/status", http.MethodGet, "[]"},
+		{[]string{"trace"}, "/trace", http.MethodGet, "\"dropped\": 0"},
+		{[]string{"metrics"}, "/metrics", http.MethodGet, "spotcheck_vms_created_total 1\n"},
 	}
+	usage := run(io.Discard, srv.Client(), srv.URL, nil).Error()
 	for _, c := range cases {
+		if !strings.Contains(usage, c.args[0]) {
+			t.Errorf("usage message %q does not list %s", usage, c.args[0])
+		}
 		out := runCtl(t, srv, c.args...)
 		if last.URL.Path != c.wantPath || last.Method != c.wantMethod {
 			t.Errorf("%v -> %s %s, want %s %s", c.args, last.Method, last.URL.Path, c.wantMethod, c.wantPath)

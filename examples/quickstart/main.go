@@ -11,6 +11,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/core"
 	"repro/internal/migration"
+	"repro/internal/obs"
 	"repro/internal/simkit"
 	"repro/internal/spotmarket"
 )
@@ -47,6 +48,7 @@ func main() {
 		Provider:  platform,
 		Mechanism: migration.SpotCheckLazy,
 		Placement: core.Policy1PM(),
+		Trace:     obs.NewTrace(0), // keeps the audit timeline printed below
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -91,8 +91,9 @@ type Config struct {
 	// always recorded; pass a shared registry to expose them (spotcheckd's
 	// /metrics, spotsim's -metrics summary).
 	Metrics *obs.Registry
-	// Trace receives structured controller events (a bounded ring).
-	// Defaults to a fresh ring of obs.DefaultTraceCap events.
+	// Trace receives structured controller events: the fleet-wide ring and
+	// the per-VM timelines Events serves. Nil means nobody can read events,
+	// so none are recorded or formatted.
 	Trace *obs.Trace
 
 	// NetworkAwareSlicing caps host slicing so every nested VM keeps its
@@ -126,9 +127,6 @@ type Config struct {
 	// Default off: every VM's state is retained for the whole run, which
 	// the golden-figure experiments rely on.
 	RecycleReleased bool
-	// EventLogCap overrides the per-VM audit-timeline retention bound
-	// (default 256 events; the oldest half is dropped on overflow).
-	EventLogCap int
 
 	// Seed drives the controller's probabilistic policies.
 	Seed int64
@@ -183,9 +181,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
-	}
-	if c.Trace == nil {
-		c.Trace = obs.NewTrace(0)
 	}
 	return nil
 }
@@ -386,7 +381,7 @@ type Controller struct {
 	acqIndex map[acqKey][]*pendingAcq
 
 	history *History
-	events  *eventLog
+	trace   *obs.Trace // nil: no event sink (see emit)
 
 	nextVM int
 
@@ -531,9 +526,9 @@ func New(cfg Config) (*Controller, error) {
 		backupHosts: map[string]*hostState{},
 		acqIndex:    map[acqKey][]*pendingAcq{},
 		history:     NewHistory(),
-		events:      newEventLog(cfg.EventLogCap),
+		trace:       cfg.Trace,
 		retired:     retiredVMStats{byCustomer: map[string]*retiredCustomer{}},
-		met:         newCoreMetrics(cfg.Metrics, cfg.Trace),
+		met:         newCoreMetrics(cfg.Metrics),
 	}
 	if exp > 0 {
 		c.rentals = make([]rental, 0, exp)
@@ -639,7 +634,9 @@ func (c *Controller) freeVMSlot(vs *vmState) {
 		rc.down.add(d)
 	}
 	delete(c.vmIndex, vm.ID)
-	c.events.drop(vm.ID)
+	if c.trace != nil {
+		c.trace.Forget(string(vm.ID))
+	}
 	slot := vs.slot
 	// Keep the slot readable as "released" for any same-instant stale
 	// reader; the next Alloc fully resets it.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/migration"
 	"repro/internal/nestedvm"
+	"repro/internal/obs"
 	"repro/internal/simkit"
 	"repro/internal/spotmarket"
 )
@@ -34,8 +35,8 @@ func makeTrace(t *testing.T, base cloud.USD, end simkit.Time, spikes ...spike) *
 
 const testEnd = 200 * simkit.Hour
 
-// testRig builds a platform + controller. Traces default to flat $0.01 for
-// every m3 market in zone-a; mutate overrides via the maps.
+// testRig builds a platform + controller with an event sink. Traces default
+// to flat $0.01 for every m3 market in zone-a; mutate overrides the config.
 type testRig struct {
 	sched *simkit.Scheduler
 	plat  *cloudsim.Platform
@@ -65,6 +66,7 @@ func newRig(t *testing.T, traces spotmarket.Set, mutate func(*Config)) *testRig 
 		Scheduler: sched,
 		Provider:  plat,
 		Mechanism: migration.SpotCheckLazy,
+		Trace:     obs.NewTrace(0),
 	}
 	if mutate != nil {
 		mutate(&cfg)

@@ -39,7 +39,12 @@
 // summation order. Fleet-scale runs opt in via Config: ExpectedVMs
 // pre-sizes the slabs and indexes, RecycleReleased returns released VM
 // slots (and retired hosts' slots) to the free lists after folding their
-// final accounting into integer-duration aggregates, and EventLogCap
-// bounds the per-VM audit timeline. Aggregate reports are unchanged;
-// per-VM introspection forgets recycled VMs.
+// final accounting into integer-duration aggregates. Aggregate reports are
+// unchanged; per-VM introspection forgets recycled VMs.
+//
+// # Events
+//
+// Controller events go through one function, emit, into the store the
+// caller supplied as Config.Trace (an obs.Trace: fleet-wide ring plus one
+// bounded timeline per VM, read back by Events); without one, none exist.
 package core

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/internal/nestedvm"
-	"repro/internal/simkit"
+	"repro/internal/obs"
 )
 
 // EventKind classifies controller events in a nested VM's audit timeline.
@@ -23,73 +20,25 @@ const (
 	EventReleased  EventKind = "released"
 )
 
-// Event is one entry in a VM's audit timeline.
-type Event struct {
-	At   simkit.Time `json:"at"`
-	Kind EventKind   `json:"kind"`
-	// Detail is a human-readable elaboration (host, pool, reason).
-	Detail string `json:"detail"`
-}
-
-func (e Event) String() string {
-	return fmt.Sprintf("%-12v %-10s %s", e.At, e.Kind, e.Detail)
-}
-
-// eventLog stores bounded per-VM timelines. The cap bounds memory on
-// months-long simulations; the newest events win.
-type eventLog struct {
-	mu   sync.Mutex
-	cap  int                     // immutable after construction
-	byVM map[nestedvm.ID][]Event // guarded by mu
-}
-
-const defaultEventCap = 256
-
-func newEventLog(cap int) *eventLog {
-	if cap <= 0 {
-		cap = defaultEventCap
+// emit is the controller's one event path: it appends a structured event to
+// the configured sink (Config.Trace) and does nothing without one. Call
+// sites that build a detail check c.trace themselves first, so a controller
+// nobody can read events from formats nothing.
+func (c *Controller) emit(scope, subject string, kind EventKind, detail string) {
+	if c.trace == nil {
+		return
 	}
-	return &eventLog{cap: cap, byVM: map[nestedvm.ID][]Event{}}
+	c.trace.Add(obs.TraceEvent{
+		At: c.sched.Now(), Scope: scope, Subject: subject, Kind: string(kind), Detail: detail,
+	})
 }
 
-func (l *eventLog) add(id nestedvm.ID, at simkit.Time, kind EventKind, format string, args ...any) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	evs := l.byVM[id]
-	if len(evs) >= l.cap {
-		// Drop the oldest half rather than shifting per event.
-		evs = append(evs[:0], evs[len(evs)/2:]...)
+// Events returns a VM's audit timeline (oldest first): every retained event
+// whose subject is that VM. Unknown or recycled VMs, and a controller
+// without a sink, yield an empty timeline.
+func (c *Controller) Events(id nestedvm.ID) []obs.TraceEvent {
+	if c.trace == nil {
+		return nil
 	}
-	detail := format
-	if len(args) > 0 {
-		detail = fmt.Sprintf(format, args...)
-	}
-	l.byVM[id] = append(evs, Event{At: at, Kind: kind, Detail: detail})
-}
-
-// drop discards a VM's timeline (slot recycling; the VM is gone for good).
-func (l *eventLog) drop(id nestedvm.ID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.byVM, id)
-}
-
-func (l *eventLog) get(id nestedvm.ID) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Event(nil), l.byVM[id]...)
-}
-
-// record appends an event to a VM's audit timeline and mirrors it into the
-// shared obs trace ring (scope "vm"), so spotcheckd's /trace endpoint shows
-// the same stream the per-VM timelines hold.
-func (c *Controller) record(id nestedvm.ID, kind EventKind, format string, args ...any) {
-	c.events.add(id, c.sched.Now(), kind, format, args...)
-	c.traceEvent("vm", string(id), string(kind), format, args...)
-}
-
-// Events returns a VM's audit timeline (oldest first). Unknown VMs yield
-// an empty timeline.
-func (c *Controller) Events(id nestedvm.ID) []Event {
-	return c.events.get(id)
+	return c.trace.Timeline(string(id))
 }

@@ -1,22 +1,31 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/nestedvm"
 	"repro/internal/simkit"
 	"repro/internal/spotmarket"
 )
 
-func TestEventTimelineAcrossRevocation(t *testing.T) {
+// revocationRig runs one VM through a revocation and the return to spot.
+func revocationRig(t *testing.T, mutate func(*Config)) (*testRig, nestedvm.ID) {
+	t.Helper()
 	traces := spotmarket.Set{
 		{Type: cloud.M3Medium, Zone: "zone-a"}: makeTrace(t, 0.01, testEnd,
 			spike{at: 10 * simkit.Hour, dur: simkit.Hour, price: 0.50}),
 	}
-	r := newRig(t, traces, nil)
+	r := newRig(t, traces, mutate)
 	id := r.request(t, "alice")
-	r.run(t, 13*simkit.Hour) // through revocation and return
+	r.run(t, 13*simkit.Hour)
+	return r, id
+}
+
+func TestEventTimelineAcrossRevocation(t *testing.T) {
+	r, id := revocationRig(t, nil)
 
 	events := r.ctrl.Events(id)
 	if len(events) < 5 {
@@ -24,7 +33,7 @@ func TestEventTimelineAcrossRevocation(t *testing.T) {
 	}
 	var kinds []EventKind
 	for _, e := range events {
-		kinds = append(kinds, e.Kind)
+		kinds = append(kinds, EventKind(e.Kind))
 	}
 	wantOrder := []EventKind{EventRequested, EventPlaced, EventWarned, EventPaused, EventMigrated, EventReturned}
 	idx := 0
@@ -44,7 +53,7 @@ func TestEventTimelineAcrossRevocation(t *testing.T) {
 	}
 	// The warned event carries context.
 	for _, e := range events {
-		if e.Kind == EventWarned && !strings.Contains(e.Detail, "deadline") {
+		if EventKind(e.Kind) == EventWarned && !strings.Contains(e.Detail, "deadline") {
 			t.Errorf("warned detail = %q", e.Detail)
 		}
 	}
@@ -53,12 +62,12 @@ func TestEventTimelineAcrossRevocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	events = r.ctrl.Events(id)
-	if events[len(events)-1].Kind != EventReleased {
+	if EventKind(events[len(events)-1].Kind) != EventReleased {
 		t.Errorf("last event = %v, want released", events[len(events)-1])
 	}
 	// String rendering includes the kind.
 	if !strings.Contains(events[0].String(), "requested") {
-		t.Error("Event.String missing kind")
+		t.Error("TraceEvent.String missing kind")
 	}
 	// Unknown VM: empty timeline, no panic.
 	if got := r.ctrl.Events("nvm-none"); len(got) != 0 {
@@ -66,17 +75,22 @@ func TestEventTimelineAcrossRevocation(t *testing.T) {
 	}
 }
 
-func TestEventLogBounded(t *testing.T) {
-	l := newEventLog(8)
-	for i := 0; i < 100; i++ {
-		l.add("vm", simkit.Time(i), EventMigrated, "n%d", i)
+// TestEventSinkDoesNotFeedBack: recording is write-only. The same run with
+// and without a sink produces the same report and the same metrics, and
+// without one there is no timeline to read.
+func TestEventSinkDoesNotFeedBack(t *testing.T) {
+	with, id := revocationRig(t, nil)
+	without, _ := revocationRig(t, func(c *Config) { c.Trace = nil })
+	if !reflect.DeepEqual(with.ctrl.Report(), without.ctrl.Report()) {
+		t.Errorf("reports differ:\n with sink    %+v\n without sink %+v", with.ctrl.Report(), without.ctrl.Report())
 	}
-	evs := l.get("vm")
-	if len(evs) > 8 {
-		t.Errorf("log grew to %d, cap 8", len(evs))
+	if !reflect.DeepEqual(with.ctrl.Metrics().Snapshot(), without.ctrl.Metrics().Snapshot()) {
+		t.Error("registry snapshots differ between the run with a sink and the run without")
 	}
-	// The newest event survives.
-	if evs[len(evs)-1].Detail != "n99" {
-		t.Errorf("newest event lost: %v", evs[len(evs)-1])
+	if len(with.ctrl.Events(id)) == 0 {
+		t.Error("no timeline with a sink")
+	}
+	if evs := without.ctrl.Events(id); len(evs) != 0 {
+		t.Errorf("timeline without a sink: %v", evs)
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/migration"
 	"repro/internal/obs"
 )
@@ -15,9 +13,8 @@ import (
 // ControllerStats is reconstructed from these instruments by Stats() — the
 // registry is the single source of truth; there is no shadow tally.
 type coreMetrics struct {
-	reg   *obs.Registry
-	trace *obs.Trace
-	mig   *migration.Metrics
+	reg *obs.Registry
+	mig *migration.Metrics
 
 	vmsCreated  *obs.Counter
 	vmsReleased *obs.Counter
@@ -44,10 +41,9 @@ type coreMetrics struct {
 	poolVMs       map[PoolKey]*obs.Gauge
 }
 
-func newCoreMetrics(reg *obs.Registry, trace *obs.Trace) *coreMetrics {
+func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 	m := &coreMetrics{
 		reg:         reg,
-		trace:       trace,
 		mig:         migration.NewMetrics(reg),
 		vmsCreated:  reg.Counter("spotcheck_vms_created_total"),
 		vmsReleased: reg.Counter("spotcheck_vms_released_total"),
@@ -145,17 +141,6 @@ func (c *Controller) syncPoolOf(h *hostState) {
 	}
 }
 
-// traceEvent appends a structured event to the shared trace ring.
-func (c *Controller) traceEvent(scope, subject, kind, format string, args ...any) {
-	detail := format
-	if len(args) > 0 {
-		detail = fmt.Sprintf(format, args...)
-	}
-	c.met.trace.Add(obs.TraceEvent{
-		At: c.sched.Now(), Scope: scope, Subject: subject, Kind: kind, Detail: detail,
-	})
-}
-
 // Stats derives the controller counters from the metrics registry, keeping
 // the historical ControllerStats shape. Counter increments are exact in
 // float64 far beyond any simulated event count, so the int conversions are
@@ -185,6 +170,3 @@ func (c *Controller) Stats() ControllerStats {
 
 // Metrics exposes the controller's registry (its own when none was given).
 func (c *Controller) Metrics() *obs.Registry { return c.met.reg }
-
-// Trace exposes the controller's event-trace ring.
-func (c *Controller) Trace() *obs.Trace { return c.met.trace }

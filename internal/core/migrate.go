@@ -77,7 +77,9 @@ func (c *Controller) onRevocationWarning(w cloud.RevocationWarning) {
 		}
 		vs.vm.Revocations++
 		c.met.revocations.Inc()
-		c.record(vs.vm.ID, EventWarned, "host %s revoked (price %v), %v to deadline", h.inst.ID, w.Price, w.Deadline-c.sched.Now())
+		if c.trace != nil {
+			c.emit("vm", string(vs.vm.ID), EventWarned, fmt.Sprintf("host %s revoked (price %v), %v to deadline", h.inst.ID, w.Price, w.Deadline-c.sched.Now()))
+		}
 		c.migrateVM(vs, reasonRevocation, w.Deadline)
 	}
 }
@@ -102,7 +104,9 @@ func (c *Controller) recordStorm(key PoolKey, vms int) {
 	c.sched.After(0, "storm-observe", func() {
 		s := c.storms[idx]
 		c.met.stormVMs.Observe(float64(s.VMs))
-		c.traceEvent("pool", s.Pool.String(), "revocation-batch", "%d VMs displaced", s.VMs)
+		if c.trace != nil {
+			c.emit("pool", s.Pool.String(), "revocation-batch", fmt.Sprintf("%d VMs displaced", s.VMs))
+		}
 	})
 }
 
@@ -119,7 +123,9 @@ func (c *Controller) migrateVM(vs *vmState, reason migrationReason, deadline sim
 	vs.phase = phaseMigrating
 	vs.vm.Migrations++
 	c.met.migStarted[reason].Inc()
-	c.traceEvent("vm", string(vs.vm.ID), "migration-start", "reason="+reason.String()+" host="+string(src.inst.ID))
+	if c.trace != nil {
+		c.emit("vm", string(vs.vm.ID), "migration-start", "reason="+reason.String()+" host="+string(src.inst.ID))
+	}
 	c.endLazyWindow(vs)
 	switch reason {
 	case reasonRevocation:
@@ -233,7 +239,9 @@ func (c *Controller) runBoundedMigration(vs *vmState, src *hostState, deadline s
 		}
 		paused = true
 		vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
-		c.record(vm.ID, EventPaused, "final flush pause (%v)", flush.Downtime)
+		if c.trace != nil {
+			c.emit("vm", string(vm.ID), EventPaused, fmt.Sprintf("final flush pause (%v)", flush.Downtime))
+		}
 		c.sched.After(flush.Downtime, "flush-done "+string(vm.ID), func() {
 			flushDone = true
 			proceed()
@@ -485,7 +493,9 @@ func (c *Controller) completeMove(vs *vmState, src, dst *hostState) {
 		withBackup := c.cfg.Mechanism.UsesBackup() && !vs.stateless
 		if !withBackup && !vs.stateless {
 			c.met.stateLost.Inc()
-			c.record(vm.ID, EventStateLost, "destination %s died mid-migration", dst.inst.ID)
+			if c.trace != nil {
+				c.emit("vm", string(vm.ID), EventStateLost, fmt.Sprintf("destination %s died mid-migration", dst.inst.ID))
+			}
 		}
 		c.maybeRetireHost(src)
 		// The recovery chain below re-plumbs *from* the dead destination, so
@@ -515,7 +525,9 @@ func (c *Controller) completeMove(vs *vmState, src, dst *hostState) {
 	if dst.key.Market == cloud.MarketSpot {
 		kind = EventReturned
 	}
-	c.record(vm.ID, kind, "now on "+string(dst.inst.ID)+" ("+dst.key.String()+")")
+	if c.trace != nil {
+		c.emit("vm", string(vm.ID), kind, "now on "+string(dst.inst.ID)+" ("+dst.key.String()+")")
+	}
 
 	if c.cfg.Mechanism.UsesBackup() {
 		if dst.key.Market == cloud.MarketSpot {
@@ -539,7 +551,9 @@ func (c *Controller) completeMove(vs *vmState, src, dst *hostState) {
 		}
 		vm.Revocations++
 		c.met.revocations.Inc()
-		c.record(vm.ID, EventWarned, "landed on already-warned host %s", dst.inst.ID)
+		if c.trace != nil {
+			c.emit("vm", string(vm.ID), EventWarned, fmt.Sprintf("landed on already-warned host %s", dst.inst.ID))
+		}
 		c.migrateVM(vs, reasonRevocation, deadline)
 	}
 }
@@ -592,7 +606,7 @@ func (c *Controller) runLiveEvacuation(vs *vmState, src *hostState, deadline sim
 					}
 					// No checkpoint: memory state is gone; reboot.
 					c.met.stateLost.Inc()
-					c.record(vm.ID, EventStateLost, "predictive miss with no backup server")
+					c.emit("vm", string(vm.ID), EventStateLost, "predictive miss with no backup server")
 					c.sched.After(simkit.Seconds(c.cfg.RebootSeconds), "reboot "+string(vm.ID), func() {
 						c.moveLive(vs, src, dst)
 					})
@@ -605,7 +619,7 @@ func (c *Controller) runLiveEvacuation(vs *vmState, src *hostState, deadline sim
 		// Lost: the platform killed the source mid-copy. Memory state is
 		// gone; the VM reboots from its network volume on the destination.
 		c.met.stateLost.Inc()
-		c.record(vm.ID, EventStateLost, "live migration exceeded the warning window")
+		c.emit("vm", string(vm.ID), EventStateLost, "live migration exceeded the warning window")
 		downAt := deadline
 		if downAt < now {
 			downAt = now
@@ -674,7 +688,7 @@ func (c *Controller) runLiveReturn(vs *vmState, src *hostState) {
 		vs.phase = phaseRunning
 		vm.Migrations--
 		c.met.migAborted.Inc()
-		c.traceEvent("vm", string(vm.ID), "migration-abort", "spot target vanished; staying on-demand")
+		c.emit("vm", string(vm.ID), "migration-abort", "spot target vanished; staying on-demand")
 		if vm.Ledger.Condition() != nestedvm.CondNormal {
 			vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
 		}

@@ -60,7 +60,10 @@ func (c *Controller) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, 
 	vs.stateless = opts.Stateless
 	c.vmIndex[id] = vs.slot
 	c.met.vmsCreated.Inc()
-	c.record(id, EventRequested, opts.Customer+" requested a "+opts.Type+" (stateless="+strconv.FormatBool(opts.Stateless)+")")
+	if c.trace != nil {
+		c.trace.Keep(string(id))
+		c.emit("vm", string(id), EventRequested, opts.Customer+" requested a "+opts.Type+" (stateless="+strconv.FormatBool(opts.Stateless)+")")
+	}
 	c.placeNew(vs, 0)
 	return id, nil
 }
@@ -220,7 +223,9 @@ func (c *Controller) acquireHost(key PoolKey, slotType cloud.InstanceType, _ *vm
 		c.maybeScrubRentals()
 		c.met.hostAcquired(key)
 		c.met.syncPool(pool)
-		c.traceEvent("host", string(inst.ID), "acquired", "pool="+key.String()+" capacity="+strconv.Itoa(acq.capacity))
+		if c.trace != nil {
+			c.emit("host", string(inst.ID), "acquired", "pool="+key.String()+" capacity="+strconv.Itoa(acq.capacity))
+		}
 		if acq.capacity > 1 {
 			c.met.sliced.Inc()
 		}
@@ -243,7 +248,9 @@ func (c *Controller) acquireHost(key PoolKey, slotType cloud.InstanceType, _ *vm
 		bid := c.cfg.Bidding.Bid(od)
 		pool.bid = bid
 		c.met.bidPlaced(key, float64(bid))
-		c.traceEvent("market", key.String(), "bid", "bid=%v od=%v", bid, od)
+		if c.trace != nil {
+			c.emit("market", key.String(), "bid", fmt.Sprintf("bid=%v od=%v", bid, od))
+		}
 		c.prov.RequestSpot(key.Type, key.Zone, bid, finish)
 	case cloud.MarketOnDemand:
 		c.prov.RunOnDemand(key.Type, key.Zone, finish)
@@ -394,7 +401,9 @@ func (c *Controller) startService(vs *vmState, h *hostState) {
 	vm.Created = c.sched.Now()
 	vm.Ledger.Start(c.sched.Now())
 	c.syncPoolOf(h)
-	c.record(vm.ID, EventPlaced, "running on "+string(h.inst.ID)+" ("+h.key.String()+")")
+	if c.trace != nil {
+		c.emit("vm", string(vm.ID), EventPlaced, "running on "+string(h.inst.ID)+" ("+h.key.String()+")")
+	}
 	// Spot-hosted VMs under a backup-using mechanism continuously
 	// checkpoint to a backup server; on-demand hosts rely on live
 	// migration and need none (§4.2).
@@ -506,7 +515,7 @@ func (c *Controller) teardownVM(vs *vmState) {
 	vs.phase = phaseReleased
 	vs.serviceEnd = c.sched.Now()
 	c.met.vmsReleased.Inc()
-	c.record(vm.ID, EventReleased, "released by customer")
+	c.emit("vm", string(vm.ID), EventReleased, "released by customer")
 	if wasRunning {
 		vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
 	}
@@ -581,7 +590,9 @@ func (c *Controller) forgetHost(h *hostState) {
 		pool.vmCount -= len(h.vms)
 		c.met.syncPool(pool)
 	}
-	c.traceEvent("host", string(h.inst.ID), "retired", "pool="+h.key.String())
+	if c.trace != nil {
+		c.emit("host", string(h.inst.ID), "retired", "pool="+h.key.String())
+	}
 	// Recycle the slot: nothing references this state anymore (no resident
 	// VMs, no reservations, no pins).
 	for i := range h.vms {

@@ -16,7 +16,7 @@ import (
 // how big a derivative cloud can one simulation process actually sustain?
 // Each rung of the ladder runs a synthetic fleet under the full controller
 // in fleet mode (slab-backed state, recycling, prefix billing) and reports
-// the two capacity numbers the benchbase baseline tracks:
+// the two capacity numbers `go run ./bench` tracks on its fleet workloads:
 //
 //   - ns per simulated VM-hour — wall-clock cost of simulated time, the
 //     reciprocal of VM-hours/sec throughput;

@@ -14,13 +14,13 @@ import (
 //
 // The annotation is opt-in per field:
 //
-//	type eventLog struct {
+//	type Trace struct {
 //		mu   sync.Mutex
-//		byVM map[nestedvm.ID][]Event // guarded by mu
+//		kept map[string][]TraceEvent // guarded by mu
 //	}
 //
 // Limits (no type information): only accesses through the method's
-// receiver are checked — an alias (`m := &l.byVM`) or access from a
+// receiver are checked — an alias (`m := &t.kept`) or access from a
 // non-method function is invisible; RLock is accepted for writes too, and
 // closures inside a method are skipped (their execution time is unknown).
 var LockDiscipline = &Analyzer{

@@ -1,6 +1,6 @@
 // Package obs is the controller's observability layer: a lightweight,
 // allocation-conscious metrics registry (counters, gauges, histograms with
-// fixed bucket layouts) plus a structured event-trace ring buffer.
+// fixed bucket layouts) plus the structured event store.
 //
 // Everything the paper's evaluation (§6, Figures 6-12) plots is observable
 // behaviour — revocation rates, migration downtime, checkpoint residue
@@ -32,8 +32,12 @@
 //   - Snapshot.Summary renders an aligned plain-text table (spotsim's
 //     -metrics flag).
 //
-// The Trace ring buffer keeps the last N structured events (migrations,
-// warnings, flush pauses) with monotonic sequence numbers; it overwrites
-// the oldest entries and counts what it dropped, bounding memory on
-// months-long simulations.
+// Trace is the one event store and TraceEvent the one event record. Its
+// ring keeps the last N structured events (migrations, warnings, flush
+// pauses) with monotonic sequence numbers, overwrites the oldest entries
+// and counts what it dropped; for subjects a caller Keeps (the controller
+// keeps every nested VM) it also holds the subject's newest TimelineCap
+// events past ring overwrites, until Forget. Both views are written by one
+// Add under one mutex, so memory stays bounded on months-long simulations
+// and a timeline is always a subsequence of what the ring saw.
 package obs

@@ -1,15 +1,16 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/simkit"
 )
 
-// TraceEvent is one structured entry in the event-trace ring: what happened
-// (Kind), to whom (Scope + Subject) and when (virtual time At). Seq is a
-// monotonic sequence number assigned at append time, so consumers can
-// detect gaps left by ring overwrites.
+// TraceEvent is the one record of something that happened: what (Kind), to
+// whom (Scope + Subject) and when (virtual time At). Seq is a monotonic
+// sequence number assigned at append time, so consumers can detect gaps
+// left by ring overwrites.
 type TraceEvent struct {
 	Seq     uint64      `json:"seq"`
 	At      simkit.Time `json:"at"`
@@ -19,31 +20,41 @@ type TraceEvent struct {
 	Detail  string      `json:"detail,omitempty"`
 }
 
-// Trace is a fixed-capacity ring buffer of TraceEvents. Appends overwrite
-// the oldest entries once full; Dropped reports how many were lost. All
-// methods are safe for concurrent use.
+func (e TraceEvent) String() string {
+	return fmt.Sprintf("%-12v %-15s %s", e.At, e.Kind, e.Detail)
+}
+
+// Trace is the event store: a fixed-capacity ring of every TraceEvent
+// (appends overwrite the oldest entries once full) plus, for each subject
+// passed to Keep, a timeline of that subject's newest TimelineCap events
+// that ring overwrites do not touch. All methods are safe for concurrent
+// use.
 type Trace struct {
 	mu    sync.Mutex
-	buf   []TraceEvent // guarded by mu
-	start int          // index of the oldest entry; guarded by mu
-	n     int          // live entries; guarded by mu
-	seq   uint64       // next sequence number; guarded by mu
+	buf   []TraceEvent            // guarded by mu
+	start int                     // index of the oldest entry; guarded by mu
+	n     int                     // live entries; guarded by mu
+	seq   uint64                  // next sequence number; guarded by mu
+	kept  map[string][]TraceEvent // timelines by subject; guarded by mu
 }
 
 // DefaultTraceCap bounds trace memory when callers don't choose a size.
 const DefaultTraceCap = 4096
 
-// NewTrace returns a ring holding the last capacity events (DefaultTraceCap
-// when capacity <= 0).
+// TimelineCap bounds each kept subject's timeline; the newest events win.
+const TimelineCap = 256
+
+// NewTrace returns a store whose ring holds the last capacity events
+// (DefaultTraceCap when capacity <= 0).
 func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Trace{buf: make([]TraceEvent, capacity)}
+	return &Trace{buf: make([]TraceEvent, capacity), kept: map[string][]TraceEvent{}}
 }
 
-// Add appends an event, stamping its sequence number, and returns that
-// sequence number.
+// Add appends an event to the ring — and to its subject's timeline when the
+// subject is kept — stamping and returning its sequence number.
 func (t *Trace) Add(ev TraceEvent) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -56,18 +67,61 @@ func (t *Trace) Add(ev TraceEvent) uint64 {
 	} else {
 		t.start = (t.start + 1) % len(t.buf) // overwrote the oldest
 	}
+	if tl, ok := t.kept[ev.Subject]; ok {
+		if len(tl) == TimelineCap {
+			copy(tl, tl[1:]) // shift out the oldest
+			tl = tl[:TimelineCap-1]
+		}
+		t.kept[ev.Subject] = append(tl, ev)
+	}
 	return ev.Seq
 }
 
-// Events returns the retained events oldest-first.
-func (t *Trace) Events() []TraceEvent {
+// Keep starts a timeline for subject: every later event about it is
+// retained there as well as in the ring. Keeping a kept subject changes
+// nothing.
+func (t *Trace) Keep(subject string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]TraceEvent, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.buf[(t.start+i)%len(t.buf)])
+	if _, ok := t.kept[subject]; !ok {
+		t.kept[subject] = nil
 	}
-	return out
+}
+
+// Forget discards subject's timeline and stops keeping one (the subject is
+// gone for good); the ring is untouched.
+func (t *Trace) Forget(subject string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.kept, subject)
+}
+
+// Timeline returns subject's retained events oldest-first; empty for a
+// subject that is not kept.
+func (t *Trace) Timeline(subject string) []TraceEvent {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]TraceEvent(nil), t.kept[subject]...)
+}
+
+// TraceDump is a consistent copy of the ring: of Total events ever
+// appended, Dropped were overwritten and Events are the rest, oldest first.
+type TraceDump struct {
+	Total   uint64       `json:"total"`
+	Dropped uint64       `json:"dropped"`
+	Events  []TraceEvent `json:"events"`
+}
+
+// Dump copies the ring and its counters under one lock acquisition, so
+// Total-Dropped == len(Events) holds however many goroutines are appending.
+func (t *Trace) Dump() TraceDump {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	d := TraceDump{Total: t.seq, Dropped: t.seq - uint64(t.n), Events: make([]TraceEvent, 0, t.n)}
+	for i := 0; i < t.n; i++ {
+		d.Events = append(d.Events, t.buf[(t.start+i)%len(t.buf)])
+	}
+	return d
 }
 
 // Len reports retained events; Cap the ring capacity.
@@ -84,18 +138,4 @@ func (t *Trace) Cap() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.buf)
-}
-
-// Total reports how many events were ever appended.
-func (t *Trace) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
-}
-
-// Dropped reports how many events the ring has overwritten.
-func (t *Trace) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq - uint64(t.n)
 }

@@ -155,3 +155,13 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// Latency sampling runs once per simulated provider operation and must not
+// allocate.
+func TestLognormalSampleAllocs(t *testing.T) {
+	d := Lognormal{Mu: 4, Sigma: 0.3}
+	r := rand.New(rand.NewSource(1))
+	if allocs := testing.AllocsPerRun(1000, func() { _ = d.Sample(r) }); allocs != 0 {
+		t.Errorf("Lognormal.Sample allocates %.2f allocs/op, want 0", allocs)
+	}
+}

@@ -122,6 +122,22 @@ func TestAvailabilityCurveSinglePassIdentical(t *testing.T) {
 	}
 }
 
+// The monitor loop's access pattern — one cursor scanning a trace forward
+// at 1-minute resolution — must not allocate, cursor creation included.
+func TestCursorSequentialScanAllocs(t *testing.T) {
+	tr := churnTrace(t, 4096, 45*simkit.Day)
+	var sink cloud.USD
+	allocs := testing.AllocsPerRun(5, func() {
+		cur := tr.Cursor()
+		for at := simkit.Time(0); at < tr.End(); at += simkit.Minute {
+			sink += cur.PriceAt(at)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("cursor scan allocates %.1f allocs/scan, want 0 (sink %v)", allocs, sink)
+	}
+}
+
 // BenchmarkTraceSequentialScan pins the cursor's reason to exist: a
 // forward scan (the monitor loop's access pattern) through the trace at
 // 1-minute resolution, via repeated Trace.PriceAt binary searches versus

@@ -37,6 +37,21 @@ func BenchmarkGenerateSixMonth(b *testing.B) {
 	}
 }
 
+// Generating one six-month market allocates a fixed handful of objects (the
+// RNG, the pre-sized episode and point slices, the trace) however many
+// points it emits; per-point allocation would show up here as thousands.
+func TestGenerateSixMonthAllocs(t *testing.T) {
+	cfg := DefaultConfig(0.07, VolatilityMedium)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Generate(cfg, sixMonths, newRand(42)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Errorf("Generate allocates %.0f allocs/market, want <= 6", allocs)
+	}
+}
+
 // BenchmarkGenerateSetParallel generates an 18-market six-month set (the
 // Figure 6c workload) at several worker counts. Markets derive independent
 // RNG streams from seed ^ hashKey(k), so every worker count produces the
