@@ -50,6 +50,9 @@ type Provider interface {
 	// OnDemandPrice returns the fixed $/hr for the type.
 	OnDemandPrice(typ string) (USD, error)
 	// SpotPrice returns the current market $/hr in the (type, zone) market.
+	// ErrNotFound means the pair has no spot market and is permanent for
+	// the provider's lifetime: callers may stop asking (the controller's
+	// monitor does). A failure that may clear must be any other error.
 	SpotPrice(typ string, zone Zone) (USD, error)
 
 	// RunOnDemand launches a non-revocable instance. The callback fires

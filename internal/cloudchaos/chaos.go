@@ -124,7 +124,7 @@ func (p *Provider) delay(label string, fn func()) {
 		bound++
 	}
 	d := simkit.Time(p.rng.Int63n(bound))
-	p.sched.After(d, "chaos-delay "+label, fn)
+	p.sched.After(d, label, fn)
 }
 
 // inject decides whether a fault fires for the given operation, counting

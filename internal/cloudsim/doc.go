@@ -11,11 +11,15 @@
 // cloud.InstanceIDs to generation-checked handles, and deferred closures
 // (launch completions, terminations) revalidate their handle — or capture
 // the heap *cloud.Instance, which is never recycled — instead of trusting
-// a pointer across simulated time. Spot instances are additionally indexed
-// per market in bid-sorted lists carrying a cached minimum bid, so a price
+// a pointer across simulated time. Everything kept per traced spot market
+// is one market record — the trace, the SpotPrice cursor, the running spot
+// instances in launch order with their cached minimum bid, the lazily
+// built prefix integral and the price-tick counter — in the platform's one
+// map keyed by (type, zone); a spot instance points at its record. A price
 // change walks a market's instances only when the new price can actually
-// underbid someone; assigned VPC addresses are indexed so IP release and
-// duplicate checks never scan the ledger.
+// underbid someone. A pair without a record has no spot market: SpotPrice
+// answers cloud.ErrNotFound for it, always. Assigned VPC addresses are
+// indexed so IP release and duplicate checks never scan the ledger.
 //
 // Defaults retain every instance record for the whole run. Fleet-scale
 // runs opt in via Config: ExpectedInstances pre-sizes the ledger,

@@ -116,28 +116,13 @@ type Platform struct {
 	finalCost map[cloud.InstanceID]cloud.USD
 	volumes   map[cloud.VolumeID]*cloud.Volume
 
-	// spot instances grouped by market for revocation sweeps, id-ordered,
-	// with the market's minimum outstanding bid tracked so a price change
-	// at or below every bid skips the scan entirely.
-	spotByMarket map[spotmarket.MarketKey]*spotList
+	// markets holds one record per traced (type, zone) spot market; a pair
+	// without a record has no spot market, now or later.
+	markets map[spotmarket.MarketKey]*market
 
 	// ipAssigned indexes which live instance holds each assigned address,
 	// replacing whole-ledger scans in AssignIP/ReleaseIP.
 	ipAssigned map[cloud.Addr]*cloud.Instance
-
-	// prefix lazily caches per-market cumulative price integrals
-	// (PrefixBilling only).
-	prefix map[spotmarket.MarketKey]*spotmarket.PrefixIntegral
-
-	// priceCursors give SpotPrice amortized-O(1) lookups: the controller's
-	// monitor loop samples every market each tick with sim time moving
-	// forward, so a per-market cursor beats re-binary-searching the trace.
-	priceCursors map[spotmarket.MarketKey]*spotmarket.Cursor
-	// missingMarkets memoizes the not-found error per untraced market: the
-	// catalog is larger than the traced set, so the monitor probes the same
-	// missing pairs every tick and a fresh wrapped error each time is pure
-	// allocation churn.
-	missingMarkets map[spotmarket.MarketKey]error
 
 	ipPool *ipPool
 
@@ -211,11 +196,28 @@ func (m *platMetrics) launched(market cloud.Market) {
 	}
 }
 
+// market is everything the platform keeps per traced spot market.
+type market struct {
+	trace *spotmarket.Trace
+	// cursor gives SpotPrice amortized-O(1) lookups: callers only query at
+	// the scheduler's Now, which never moves backwards, so one cursor
+	// serves every call instead of re-binary-searching the trace.
+	cursor spotmarket.Cursor
+	// spots holds the market's running spot instances for the revocation
+	// sweep.
+	spots spotList
+	// prefix is the cumulative price integral, built on first use
+	// (PrefixBilling only).
+	prefix *spotmarket.PrefixIntegral
+	// ticks counts the market's price changes (nil without Config.Metrics).
+	ticks *obs.Counter
+}
+
 type instanceState struct {
 	inst        *cloud.Instance
-	slot        slab.Handle          // this state's own slab handle
-	market      spotmarket.MarketKey // spot only
-	forcedKill  simkit.Event         // pending forced termination, if warned
+	slot        slab.Handle  // this state's own slab handle
+	market      *market      // spot only
+	forcedKill  simkit.Event // pending forced termination, if warned
 	terminating bool
 	// seq is the platform's launch counter for this instance — the numeric
 	// suffix of its id. Ordering spot lists by seq instead of the id string
@@ -307,19 +309,18 @@ func New(sched *simkit.Scheduler, cfg Config) (*Platform, error) {
 	}
 	exp := cfg.ExpectedInstances
 	p := &Platform{
-		sched:        sched,
-		cfg:          cfg,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
-		types:        make(map[string]cloud.InstanceType, len(cfg.Catalog)),
-		instSlab:     slab.New[instanceState](exp),
-		instByID:     make(map[cloud.InstanceID]slab.Handle, exp),
-		volumes:      make(map[cloud.VolumeID]*cloud.Volume, exp),
-		spotByMarket: map[spotmarket.MarketKey]*spotList{},
-		ipAssigned:   make(map[cloud.Addr]*cloud.Instance, exp),
-		priceCursors: make(map[spotmarket.MarketKey]*spotmarket.Cursor, len(cfg.Traces)),
-		ipPool:       newIPPool(cfg.VPC),
-		liveCount:    map[string]int{},
-		met:          newPlatMetrics(cfg.Metrics),
+		sched:      sched,
+		cfg:        cfg,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		types:      make(map[string]cloud.InstanceType, len(cfg.Catalog)),
+		instSlab:   slab.New[instanceState](exp),
+		instByID:   make(map[cloud.InstanceID]slab.Handle, exp),
+		volumes:    make(map[cloud.VolumeID]*cloud.Volume, exp),
+		markets:    make(map[spotmarket.MarketKey]*market, len(cfg.Traces)),
+		ipAssigned: make(map[cloud.Addr]*cloud.Instance, exp),
+		ipPool:     newIPPool(cfg.VPC),
+		liveCount:  map[string]int{},
+		met:        newPlatMetrics(cfg.Metrics),
 	}
 	if cfg.CompactTerminated {
 		p.finalCost = make(map[cloud.InstanceID]cloud.USD, exp)
@@ -329,7 +330,17 @@ func New(sched *simkit.Scheduler, cfg Config) (*Platform, error) {
 	}
 	// Walk each market's price trace; every price change may revoke.
 	for _, key := range cfg.Traces.Keys() {
-		p.walkMarket(key, cfg.Traces[key])
+		tr := cfg.Traces[key]
+		m := &market{
+			trace:  tr,
+			cursor: tr.Cursor(),
+			spots:  spotList{insts: slab.NewRefList(p.instSlab, setListIdx, nil)},
+		}
+		if p.met != nil {
+			m.ticks = p.met.reg.Counter(metricPriceTicks, obs.L("market", key.String()))
+		}
+		p.markets[key] = m
+		p.walkMarket(m)
 	}
 	return p, nil
 }
@@ -374,45 +385,20 @@ func (p *Platform) OnDemandPrice(typ string) (cloud.USD, error) {
 
 // SpotPrice implements cloud.Provider.
 func (p *Platform) SpotPrice(typ string, zone cloud.Zone) (cloud.USD, error) {
-	cur, err := p.cursor(typ, zone)
+	m, err := p.market(typ, zone)
 	if err != nil {
 		return 0, err
 	}
-	return cur.PriceAt(p.sched.Now()), nil
+	return m.cursor.PriceAt(p.sched.Now()), nil
 }
 
-// cursor returns the market's shared price cursor, creating it on first
-// use. Callers only query at p.sched.Now(), which never moves backwards,
-// so one cursor per market serves every SpotPrice call.
-func (p *Platform) cursor(typ string, zone cloud.Zone) (*spotmarket.Cursor, error) {
-	key := spotmarket.MarketKey{Type: typ, Zone: zone}
-	if cur, ok := p.priceCursors[key]; ok {
-		return cur, nil
-	}
-	tr, ok := p.cfg.Traces[key]
-	if !ok {
-		err, ok := p.missingMarkets[key]
-		if !ok {
-			err = fmt.Errorf("%w: no spot market for %s/%s", cloud.ErrNotFound, typ, zone)
-			if p.missingMarkets == nil {
-				p.missingMarkets = map[spotmarket.MarketKey]error{}
-			}
-			p.missingMarkets[key] = err
-		}
-		return nil, err
-	}
-	cur := new(spotmarket.Cursor)
-	*cur = tr.Cursor()
-	p.priceCursors[key] = cur
-	return cur, nil
-}
-
-func (p *Platform) trace(typ string, zone cloud.Zone) (*spotmarket.Trace, error) {
-	tr, ok := p.cfg.Traces[spotmarket.MarketKey{Type: typ, Zone: zone}]
-	if !ok {
+// market returns the record of a traced spot market.
+func (p *Platform) market(typ string, zone cloud.Zone) (*market, error) {
+	m := p.markets[spotmarket.MarketKey{Type: typ, Zone: zone}]
+	if m == nil {
 		return nil, fmt.Errorf("%w: no spot market for %s/%s", cloud.ErrNotFound, typ, zone)
 	}
-	return tr, nil
+	return m, nil
 }
 
 // RunOnDemand implements cloud.Provider.
@@ -435,7 +421,7 @@ func (p *Platform) RunOnDemand(typ string, zone cloud.Zone, cb cloud.InstanceCal
 	st := p.newInstance(it, zone, cloud.MarketOnDemand, 0)
 	h, id := st.slot, st.inst.ID
 	delay := simkit.SampleSeconds(p.cfg.Latencies.StartOnDemand, p.rng)
-	p.sched.After(delay, "od-launch "+string(id), func() {
+	p.sched.After(delay, "od-launch", func() {
 		// The slot may have been terminated-and-compacted mid-launch; the
 		// generation check catches a recycled handle.
 		st := p.instSlab.Get(h)
@@ -454,12 +440,12 @@ func (p *Platform) RequestSpot(typ string, zone cloud.Zone, bid cloud.USD, cb cl
 		cb(nil, fmt.Errorf("%w: type %q", cloud.ErrNotFound, typ))
 		return
 	}
-	mcur, err := p.cursor(typ, zone)
+	m, err := p.market(typ, zone)
 	if err != nil {
 		cb(nil, err)
 		return
 	}
-	if cur := mcur.PriceAt(p.sched.Now()); bid <= cur {
+	if cur := m.cursor.PriceAt(p.sched.Now()); bid <= cur {
 		cb(nil, fmt.Errorf("%w: bid %v <= market %v for %s/%s", cloud.ErrBidTooLow, bid, cur, typ, zone))
 		return
 	}
@@ -468,10 +454,10 @@ func (p *Platform) RequestSpot(typ string, zone cloud.Zone, bid cloud.USD, cb cl
 		return
 	}
 	st := p.newInstance(it, zone, cloud.MarketSpot, bid)
-	st.market = spotmarket.MarketKey{Type: typ, Zone: zone}
+	st.market = m
 	h, id := st.slot, st.inst.ID
 	delay := simkit.SampleSeconds(p.cfg.Latencies.StartSpot, p.rng)
-	p.sched.After(delay, "spot-launch "+string(id), func() {
+	p.sched.After(delay, "spot-launch", func() {
 		st := p.instSlab.Get(h)
 		if st == nil {
 			cb(nil, fmt.Errorf("%w: instance %s terminated during launch", cloud.ErrBadState, id))
@@ -482,15 +468,10 @@ func (p *Platform) RequestSpot(typ string, zone cloud.Zone, bid cloud.USD, cb cl
 			return
 		}
 		p.stats.SpotLaunched++
-		list := p.spotByMarket[st.market]
-		if list == nil {
-			list = &spotList{insts: slab.NewRefList(p.instSlab, setListIdx, nil)}
-			p.spotByMarket[st.market] = list
-		}
-		list.insert(st)
+		m.spots.insert(st)
 		// The price may have spiked past the bid while the launch was
 		// pending; EC2 would warn immediately.
-		if price := mcur.PriceAt(p.sched.Now()); price > st.inst.Bid {
+		if price := m.cursor.PriceAt(p.sched.Now()); price > st.inst.Bid {
 			p.warn(st, price)
 		}
 	})
@@ -561,7 +542,7 @@ func (p *Platform) Terminate(id cloud.InstanceID, cb cloud.Callback) error {
 	p.stats.VoluntaryTerminations++
 	h := st.slot
 	delay := simkit.SampleSeconds(p.cfg.Latencies.Terminate, p.rng)
-	p.sched.After(delay, "terminate "+string(id), func() {
+	p.sched.After(delay, "terminate", func() {
 		// A forced kill may have beaten this event and compacted the slot;
 		// the handle check keeps the destroy off a recycled entry.
 		if st := p.instSlab.Get(h); st != nil {
@@ -603,9 +584,7 @@ func (p *Platform) destroy(st *instanceState) {
 	}
 	st.inst.Volumes = nil
 	if st.inst.Market == cloud.MarketSpot {
-		if list := p.spotByMarket[st.market]; list != nil {
-			list.remove(st)
-		}
+		st.market.spots.remove(st)
 	}
 	// Billing is finalized here: Ended is set, so AccruedCost is the
 	// instance's whole-life bill.
@@ -676,40 +655,17 @@ func (p *Platform) AccruedCost(id cloud.InstanceID) (cloud.USD, error) {
 	case cloud.MarketOnDemand:
 		return cloud.USD(float64(inst.Type.OnDemand) * end.Sub(inst.Launched).Hours()), nil
 	case cloud.MarketSpot:
-		if p.cfg.PrefixBilling {
-			pi, err := p.prefixFor(inst.Type.Name, inst.Zone)
-			if err != nil {
-				return 0, err
-			}
-			return pi.Integrate(inst.Launched, end), nil
+		m := st.market
+		if !p.cfg.PrefixBilling {
+			return m.trace.Integrate(inst.Launched, end), nil
 		}
-		tr, err := p.trace(inst.Type.Name, inst.Zone)
-		if err != nil {
-			return 0, err
+		if m.prefix == nil {
+			m.prefix = m.trace.PrefixIntegral()
 		}
-		return tr.Integrate(inst.Launched, end), nil
+		return m.prefix.Integrate(inst.Launched, end), nil
 	default:
 		return 0, fmt.Errorf("%w: unknown market %v", cloud.ErrBadState, inst.Market)
 	}
-}
-
-// prefixFor returns the market's cumulative price integral, building it on
-// first use (PrefixBilling only).
-func (p *Platform) prefixFor(typ string, zone cloud.Zone) (*spotmarket.PrefixIntegral, error) {
-	key := spotmarket.MarketKey{Type: typ, Zone: zone}
-	if pi, ok := p.prefix[key]; ok {
-		return pi, nil
-	}
-	tr, err := p.trace(typ, zone)
-	if err != nil {
-		return nil, err
-	}
-	if p.prefix == nil {
-		p.prefix = map[spotmarket.MarketKey]*spotmarket.PrefixIntegral{}
-	}
-	pi := tr.PrefixIntegral()
-	p.prefix[key] = pi
-	return pi, nil
 }
 
 // periodBilledCost implements 2015-era EC2 billing: every started period
@@ -721,13 +677,9 @@ func (p *Platform) periodBilledCost(st *instanceState, end simkit.Time) (cloud.U
 	incHours := inc.Hours()
 	var cur spotmarket.Cursor
 	if inst.Market == cloud.MarketSpot {
-		tr, err := p.trace(inst.Type.Name, inst.Zone)
-		if err != nil {
-			return 0, err
-		}
 		// Period starts walk forward; a cursor makes the per-period price
 		// lookup O(1) instead of a binary search per billing increment.
-		cur = tr.Cursor()
+		cur = st.market.trace.Cursor()
 	}
 	var total float64
 	for start := inst.Launched; start < end; start += inc {
@@ -747,25 +699,20 @@ func (p *Platform) periodBilledCost(st *instanceState, end simkit.Time) (cloud.U
 
 // walkMarket schedules an event at every price change of the market and
 // issues revocation warnings to underbid spot instances.
-func (p *Platform) walkMarket(key spotmarket.MarketKey, tr *spotmarket.Trace) {
-	// Resolve the per-market tick counter once, outside the hot closure.
-	var ticks *obs.Counter
-	if p.met != nil {
-		ticks = p.met.reg.Counter(metricPriceTicks, obs.L("market", key.String()))
-	}
+func (p *Platform) walkMarket(m *market) {
 	// The walk visits price changes strictly forward; a private cursor
 	// (separate from the SpotPrice one, which trails at Now) keeps each
 	// step O(1).
-	cur := tr.Cursor()
+	cur := m.trace.Cursor()
 	var step func(from simkit.Time)
 	step = func(from simkit.Time) {
 		next, ok := cur.NextChangeAfter(from)
 		if !ok {
 			return
 		}
-		p.sched.At(next, "price-change "+key.String(), func() {
-			if ticks != nil {
-				ticks.Inc()
+		p.sched.At(next, "price-change", func() {
+			if m.ticks != nil {
+				m.ticks.Inc()
 			}
 			price := cur.PriceAt(next)
 			// The list is id-ordered (deterministic warning delivery) and
@@ -773,8 +720,7 @@ func (p *Platform) walkMarket(key spotmarket.MarketKey, tr *spotmarket.Trace) {
 			// under a warning, so the live slice is safe to walk. A price
 			// at or below every outstanding bid cannot underbid anyone —
 			// skip the scan without touching a single instance.
-			if list := p.spotByMarket[key]; list != nil &&
-				list.insts.Len() > 0 && price > list.floor(p.instSlab) {
+			if list := &m.spots; list.insts.Len() > 0 && price > list.floor(p.instSlab) {
 				for _, r := range list.insts.Ordered() {
 					st := p.instSlab.Get(r.Slot)
 					if st == nil || !st.inList {
@@ -808,7 +754,7 @@ func (p *Platform) warn(st *instanceState, price cloud.USD) {
 	if p.met != nil {
 		p.met.warnings.Inc()
 	}
-	st.forcedKill = p.sched.At(deadline, "forced-kill "+string(st.inst.ID), func() {
+	st.forcedKill = p.sched.At(deadline, "forced-kill", func() {
 		st.forcedKill = simkit.Event{}
 		if st.inst.State == cloud.StateTerminated {
 			return

@@ -42,7 +42,7 @@ func (p *Platform) AttachVolume(vol cloud.VolumeID, inst cloud.InstanceID, cb cl
 	v.AttachedTo = inst
 	target := st.inst
 	delay := simkit.SampleSeconds(p.cfg.Latencies.AttachVolume, p.rng)
-	p.sched.After(delay, "attach-vol "+string(vol), func() {
+	p.sched.After(delay, "attach-vol", func() {
 		if target.State == cloud.StateTerminated {
 			v.AttachedTo = ""
 			if cb != nil {
@@ -72,7 +72,7 @@ func (p *Platform) DetachVolume(vol cloud.VolumeID, cb cloud.Callback) error {
 		target = st.inst
 	}
 	delay := simkit.SampleSeconds(p.cfg.Latencies.DetachVolume, p.rng)
-	p.sched.After(delay, "detach-vol "+string(vol), func() {
+	p.sched.After(delay, "detach-vol", func() {
 		if target != nil {
 			target.Volumes = removeVolume(target.Volumes, vol)
 		}
@@ -194,7 +194,7 @@ func (p *Platform) AssignIP(inst cloud.InstanceID, addr cloud.Addr, cb cloud.Cal
 	}
 	target := st.inst
 	delay := simkit.SampleSeconds(p.cfg.Latencies.AttachIP, p.rng)
-	p.sched.After(delay, "assign-ip "+addr.String(), func() {
+	p.sched.After(delay, "assign-ip", func() {
 		if target.State == cloud.StateTerminated {
 			if cb != nil {
 				cb(fmt.Errorf("%w: instance %s terminated during IP assign", cloud.ErrBadState, inst))
@@ -221,7 +221,7 @@ func (p *Platform) UnassignIP(inst cloud.InstanceID, addr cloud.Addr, cb cloud.C
 	}
 	target := st.inst
 	delay := simkit.SampleSeconds(p.cfg.Latencies.DetachIP, p.rng)
-	p.sched.After(delay, "unassign-ip "+addr.String(), func() {
+	p.sched.After(delay, "unassign-ip", func() {
 		out := target.IPs[:0]
 		for _, a := range target.IPs {
 			if a != addr {

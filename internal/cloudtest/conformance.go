@@ -225,6 +225,13 @@ func testErrors(t *testing.T, h Harness) {
 	if !errors.Is(err1, cloud.ErrNotFound) {
 		t.Errorf("unknown type = %v, want ErrNotFound", err1)
 	}
+	// ErrNotFound from SpotPrice is permanent — the controller's monitor
+	// stops probing the pair after the first — so it must repeat.
+	for call := 1; call <= 2; call++ {
+		if _, err := p.SpotPrice("no-such-type", h.SpotZone); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("unknown spot market, call %d = %v, want ErrNotFound", call, err)
+		}
+	}
 	if _, err := p.Instance("i-none"); !errors.Is(err, cloud.ErrNotFound) {
 		t.Errorf("unknown instance = %v", err)
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/simkit"
 	"repro/internal/slab"
-	"repro/internal/spotmarket"
 	"repro/internal/workload"
 )
 
@@ -244,8 +243,11 @@ const (
 )
 
 type hostState struct {
-	inst     *cloud.Instance
-	key      PoolKey
+	inst *cloud.Instance
+	key  PoolKey
+	// pool is the pool a roleHost host serves in (the one key names); nil
+	// for hot spares and backup hosts.
+	pool     *poolState
 	role     hostRole
 	slotType cloud.InstanceType // nested VM size this host is sliced into
 	capacity int
@@ -323,7 +325,9 @@ func (h *hostState) vmByID(id nestedvm.ID) *vmState {
 
 type poolState struct {
 	key PoolKey
-	bid cloud.USD
+	// market is the table record of the pool's (type, zone) pair.
+	market *market
+	bid    cloud.USD
 	// hosts holds the pool's hosts in (seq, instance id) order — the
 	// historical walk order the sweeps and reports rely on. Acquisitions
 	// complete nearly in launch order, so the list mostly stays sorted by
@@ -341,8 +345,11 @@ type poolState struct {
 	// vmCount is the incremental sum of len(h.vms) across hosts, keeping
 	// the pool-occupancy gauge O(1) to refresh.
 	vmCount int
-	// revocations counts revocation events hitting this pool.
-	revocations int
+
+	// The pool's labelled instruments, resolved on first use so a series
+	// appears only once its pool has something to report.
+	hostsAcquired, spotRequests  *obs.Counter
+	bidGauge, hostGauge, vmGauge *obs.Gauge
 }
 
 // Controller is the SpotCheck derivative cloud.
@@ -351,13 +358,6 @@ type Controller struct {
 	sched *simkit.Scheduler
 	prov  cloud.Provider
 	rng   *rand.Rand
-
-	pools map[PoolKey]*poolState
-	// poolKeys caches the sorted pool keys (pools are never removed);
-	// poolKeyScratch is the reusable snapshot the sweeps iterate, since a
-	// sweep can create pools mid-walk.
-	poolKeys       []PoolKey
-	poolKeyScratch []PoolKey
 
 	// vmSlab and hostSlab hold all controller-side VM and host state in
 	// index-addressed, pre-sizable chunks; vmIndex and hostIndex are the
@@ -380,6 +380,9 @@ type Controller struct {
 	// are pruned lazily on lookup.
 	acqIndex map[acqKey][]*pendingAcq
 
+	// history is the market table: per (type, zone) pair, the monitor's
+	// samples, the trailing price window, the revocation count and the
+	// pair's server pools.
 	history *History
 	trace   *obs.Trace // nil: no event sink (see emit)
 
@@ -394,28 +397,14 @@ type Controller struct {
 	rentalsScrubbed int          // ledger length after the last fold
 	retired         retiredVMStats
 
-	// lastAboveOD stamps when each market's price last met or exceeded
-	// the on-demand price (return hold-down, §4.3).
-	lastAboveOD map[spotmarket.MarketKey]simkit.Time
-	// prevPrice holds the previous monitor sample per market (for the
-	// predictive trend check).
-	prevPrice map[spotmarket.MarketKey]cloud.USD
-	// prevPriceSpare is the idle half of the monitor's double-buffered
-	// sample maps: each tick swaps it in (cleared) instead of copying,
-	// so the per-tick snapshot allocates nothing.
-	prevPriceSpare map[spotmarket.MarketKey]cloud.USD
-	// tickPrices is the per-tick market snapshot observePrices builds and
-	// the sweeps consume, so one tick queries each market's cursor once
-	// instead of once per pool (and once per VM in the return sweep).
-	tickPrices map[spotmarket.MarketKey]marketSample
+	// tick numbers the monitor's ticks; market samples are stamped with it,
+	// so a sample's age is a comparison and nothing is cleared. It starts
+	// at 1 (the first tick is 2): a never-sampled record's zero stamp then
+	// matches neither the current tick nor the one before it.
+	tick uint64
 	// calmCache memoizes spotCalmFor per requested-type name within one
 	// tick: every VM of a type shares the same market-calm answer.
 	calmCache map[string]bool
-	// observable enumerates the provider's (HVM type, zone) market grid,
-	// resolved once at startup: the catalog and zone set are fixed for a
-	// provider's lifetime, and caching the pairs keeps observePrices from
-	// copying the catalog — and the zone list per type — on every tick.
-	observable []observableMarket
 
 	// met holds the pre-resolved observability instruments; Stats() derives
 	// ControllerStats from it.
@@ -424,19 +413,13 @@ type Controller struct {
 	// storms records concurrent-revocation batches (Table 3).
 	storms []StormEvent
 
-	// monitorEvent is the pending monitor tick, cancelled on Shutdown.
+	// monitorEvent is the pending monitor tick, cancelled on Shutdown;
+	// tickFn is monitorTick bound once, since evaluating the method value
+	// per reschedule would allocate.
 	monitorEvent simkit.Event
+	tickFn       func()
 	// shutdown marks a drained controller: no new spares or placements.
 	shutdown bool
-}
-
-// marketSample is one market's per-tick observation: its spot price and the
-// matching on-demand price (odOK false when the type has no on-demand
-// quote, which the sweeps treat as the market being unusable).
-type marketSample struct {
-	price cloud.USD
-	od    cloud.USD
-	odOK  bool
 }
 
 // retiredVMStats accumulates the final accounting of VMs whose controller
@@ -518,7 +501,6 @@ func New(cfg Config) (*Controller, error) {
 		sched:       cfg.Scheduler,
 		prov:        cfg.Provider,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		pools:       map[PoolKey]*poolState{},
 		vmSlab:      slab.New[vmState](exp),
 		vmIndex:     make(map[nestedvm.ID]slab.Handle, exp),
 		hostSlab:    slab.New[hostState](exp),
@@ -526,10 +508,12 @@ func New(cfg Config) (*Controller, error) {
 		backupHosts: map[string]*hostState{},
 		acqIndex:    map[acqKey][]*pendingAcq{},
 		history:     NewHistory(),
+		tick:        1,
 		trace:       cfg.Trace,
 		retired:     retiredVMStats{byCustomer: map[string]*retiredCustomer{}},
 		met:         newCoreMetrics(cfg.Metrics),
 	}
+	c.history.watch(c.prov)
 	if exp > 0 {
 		c.rentals = make([]rental, 0, exp)
 	}
@@ -661,10 +645,8 @@ func (c *Controller) hostAddVM(h *hostState, vs *vmState) {
 	h.vms = append(h.vms, nil)
 	copy(h.vms[i+1:], h.vms[i:])
 	h.vms[i] = vs
-	if h.role == roleHost {
-		if pool := c.pools[h.key]; pool != nil {
-			pool.vmCount++
-		}
+	if h.pool != nil {
+		h.pool.vmCount++
 	}
 }
 
@@ -679,10 +661,8 @@ func (c *Controller) hostRemoveVM(h *hostState, vs *vmState) {
 	copy(h.vms[i:], h.vms[i+1:])
 	h.vms[len(h.vms)-1] = nil
 	h.vms = h.vms[:len(h.vms)-1]
-	if h.role == roleHost {
-		if pool := c.pools[h.key]; pool != nil {
-			pool.vmCount--
-		}
+	if h.pool != nil {
+		h.pool.vmCount--
 	}
 	c.hostFreed(h)
 }
@@ -698,28 +678,26 @@ func (c *Controller) hostFreed(h *hostState) {
 	if h.inst == nil || h.inst.State != cloud.StateRunning {
 		return
 	}
-	pool := c.pools[h.key]
-	if pool == nil {
-		return
-	}
+	pool := h.pool
 	h.freeIdx = len(pool.freeCands)
 	pool.freeCands = append(pool.freeCands, slab.Ref{Slot: h.slot, Seq: h.seq})
 	h.inFreeSet = true
 }
 
-// addPoolHost enters h into its pool's host list.
+// addPoolHost binds h to pool and enters it into the pool's host list.
 func (c *Controller) addPoolHost(pool *poolState, h *hostState) {
+	h.pool = pool
 	h.inHosts = true
 	h.poolIdx = pool.hosts.Add(h.slot, h.seq)
 }
 
 // dropPoolHost removes h from its pool's host list (no-op when absent).
-func (c *Controller) dropPoolHost(pool *poolState, h *hostState) {
+func (c *Controller) dropPoolHost(h *hostState) {
 	if !h.inHosts {
 		return
 	}
 	h.inHosts = false
-	pool.hosts.Remove(h.slot, h.poolIdx)
+	h.pool.hosts.Remove(h.slot, h.poolIdx)
 }
 
 func setPoolIdx(h *hostState, i int) { h.poolIdx = i }

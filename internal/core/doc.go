@@ -20,13 +20,23 @@
 //     translate external IDs to generation-checked handles. A stale
 //     handle — one whose slot was freed or reused — resolves to nil
 //     instead of aliasing the slot's next occupant.
-//   - Hosts keep their resident VMs in an ID-sorted slice; pools keep
-//     ID-sorted host and free-candidate slices plus a vmCount, so sweeps
-//     iterate in deterministic order with no per-tick sorting.
-//   - The monitor batches its per-pool passes: each tick samples every
-//     market's price cursor exactly once into a tick-local snapshot, and
-//     the proactive/predictive/return sweeps read that snapshot instead
-//     of re-querying per VM.
+//   - Everything keyed by (instance type, zone) is one record in one
+//     table, History (market.go): the catalog entry, the monitor's price
+//     samples, the hold-down stamp, the trailing price window, the
+//     revocation count and the pair's on-demand and spot pools. The table
+//     covers the provider's catalog × zones grid from New (other keys grow
+//     it on demand), stays sorted by (type, zone), and has one map index
+//     for callers that arrive with a key. Hosts point at their pool and
+//     pools at their record.
+//   - Hosts keep their resident VMs in an ID-sorted slice; pools keep a
+//     launch-ordered host list, a free-candidate set and a vmCount, so
+//     sweeps iterate in deterministic order with no per-tick sorting.
+//   - The monitor asks the provider for each probed pair's price once per
+//     tick and stamps the sample with the tick number; the proactive,
+//     predictive and return sweeps walk the table and read the records
+//     instead of re-querying per pool or per VM, and nothing is cleared or
+//     copied between ticks. A pair answering cloud.ErrNotFound has no spot
+//     market and is not probed again.
 //
 // Fleet-wide duration sums (service time, downtime, degraded time)
 // outgrow int64 nanoseconds at ~292 VM-years — under 600 VMs over a

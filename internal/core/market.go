@@ -1,0 +1,170 @@
+package core
+
+import (
+	"math"
+	"slices"
+	"sort"
+
+	"repro/internal/cloud"
+	"repro/internal/simkit"
+	"repro/internal/spotmarket"
+)
+
+// History is the controller's market table: one record per (instance type,
+// zone) pair holding everything known about that pair — the trailing price
+// window and revocation count the probabilistic policies weight pools by
+// (4P-COST, 4P-ST; §6.2, Table 2), the monitor's tick samples, and the
+// pair's server pools (§4.1). A controller seeds it with its provider's
+// catalog × zones grid; a standalone one (NewHistory) starts empty. Either
+// way a key it has not seen grows a record on demand.
+type History struct {
+	// markets is sorted by (type, zone), the order every sweep and report
+	// walks. Inserting copies the slice, so a walk that grows the table
+	// mid-way (a sweep creating a pool outside the grid) keeps ranging over
+	// the snapshot it started on.
+	markets []*market
+	// index finds the record for callers that arrive with a key.
+	index map[spotmarket.MarketKey]*market
+}
+
+// market is the table's record for one (instance type, zone) pair.
+type market struct {
+	key spotmarket.MarketKey
+	// typ is the provider's catalog entry for key.Type (zero for a record
+	// grown on demand outside the provider's grid).
+	typ cloud.InstanceType
+	// noSpot marks a pair the monitor does not probe: its type cannot host
+	// nested VMs (not HVM), it lies outside the provider's grid, or the
+	// provider answered cloud.ErrNotFound for it once — which providers
+	// guarantee is permanent.
+	noSpot bool
+
+	// price is the monitor's newest sample, taken on tick sampled; prev is
+	// the one before it, taken on tick prevSampled. A sweep on tick t reads
+	// price only when sampled == t and prev only when prevSampled == t-1,
+	// so a failed probe leaves nothing behind that needs clearing.
+	price, prev          cloud.USD
+	sampled, prevSampled uint64
+	// lastAboveOD stamps when the price last met or exceeded the on-demand
+	// price (return hold-down, §4.3); everAboveOD is false until it has.
+	lastAboveOD simkit.Time
+	everAboveOD bool
+
+	window      priceWindow
+	revocations int
+
+	// pools holds the pair's on-demand and spot pools, indexed by
+	// cloud.Market; nil until a host is first wanted there.
+	pools [2]*poolState
+}
+
+// priceWindowCap is the trailing window's length in samples. The monitor
+// adds one per tick, so it spans 168 monitor intervals: 28 h at the
+// experiments' 10-minute interval, 2.8 h at the daemon's 1-minute default.
+const priceWindowCap = 24 * 7
+
+type priceWindow struct {
+	samples []float64
+	next    int
+}
+
+func (w *priceWindow) add(v float64) {
+	if len(w.samples) < priceWindowCap {
+		w.samples = append(w.samples, v)
+		return
+	}
+	w.samples[w.next] = v
+	w.next = (w.next + 1) % priceWindowCap
+}
+
+func (w *priceWindow) mean() float64 {
+	if len(w.samples) == 0 {
+		return 0
+	}
+	var s float64
+	for _, v := range w.samples {
+		s += v
+	}
+	return s / float64(len(w.samples))
+}
+
+func (w *priceWindow) stddev() float64 {
+	n := len(w.samples)
+	if n < 2 {
+		return 0
+	}
+	m := w.mean()
+	var ss float64
+	for _, v := range w.samples {
+		d := v - m
+		ss += d * d
+	}
+	return math.Sqrt(ss / float64(n-1))
+}
+
+// NewHistory returns an empty history.
+func NewHistory() *History {
+	return &History{index: map[spotmarket.MarketKey]*market{}}
+}
+
+// watch seeds the table with the provider's market grid, resolving each
+// pair's catalog entry once: catalogs and zone sets are fixed for a
+// provider's lifetime. Only HVM types can host nested VMs, so only their
+// pairs are probed.
+func (h *History) watch(prov cloud.Provider) {
+	zones := prov.Zones()
+	for _, typ := range prov.Catalog() {
+		for _, zone := range zones {
+			m := h.at(spotmarket.MarketKey{Type: typ.Name, Zone: zone})
+			m.typ = typ
+			m.noSpot = !typ.HVM
+		}
+	}
+}
+
+// at returns the record for key, growing the table when it is new.
+func (h *History) at(key spotmarket.MarketKey) *market {
+	if m := h.index[key]; m != nil {
+		return m
+	}
+	m := &market{key: key, noSpot: true}
+	h.index[key] = m
+	i := sort.Search(len(h.markets), func(i int) bool { return !marketKeyLess(h.markets[i].key, key) })
+	// Clipped, the slice has no room to grow in place: Insert copies it.
+	h.markets = slices.Insert(slices.Clip(h.markets), i, m)
+	return m
+}
+
+// ObservePrice records a price sample for a market.
+func (h *History) ObservePrice(key spotmarket.MarketKey, price cloud.USD) {
+	h.at(key).window.add(float64(price))
+}
+
+// ObserveRevocation records a revocation event in a market.
+func (h *History) ObserveRevocation(key spotmarket.MarketKey) {
+	h.at(key).revocations++
+}
+
+// MeanPrice returns the trailing mean observed price, or 0 if unobserved.
+func (h *History) MeanPrice(key spotmarket.MarketKey) cloud.USD {
+	if m := h.index[key]; m != nil {
+		return cloud.USD(m.window.mean())
+	}
+	return 0
+}
+
+// Volatility returns the trailing price standard deviation.
+func (h *History) Volatility(key spotmarket.MarketKey) float64 {
+	if m := h.index[key]; m != nil {
+		return m.window.stddev()
+	}
+	return 0
+}
+
+// Revocations returns the revocation count observed in a market.
+func (h *History) Revocations(key spotmarket.MarketKey) int {
+	if m := h.index[key]; m != nil {
+		return m.revocations
+	}
+	return 0
+}

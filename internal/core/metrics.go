@@ -5,9 +5,8 @@ import (
 	"repro/internal/obs"
 )
 
-// coreMetrics holds the controller's pre-resolved instruments. The
-// controller is single-threaded on the sim loop, so the per-pool maps need
-// no locking; the instruments themselves are atomics, so a concurrent
+// coreMetrics holds the controller's pre-resolved instruments; the per-pool
+// ones live on their poolState. The instruments are atomics, so a concurrent
 // scrape (spotcheckd's /metrics) always reads a consistent point.
 //
 // ControllerStats is reconstructed from these instruments by Stats() — the
@@ -33,12 +32,6 @@ type coreMetrics struct {
 	monitorTick *obs.Counter
 	provErrs    *obs.Counter
 	stormVMs    *obs.Histogram
-
-	hostsAcquired map[PoolKey]*obs.Counter
-	spotRequests  map[PoolKey]*obs.Counter
-	poolBid       map[PoolKey]*obs.Gauge
-	poolHosts     map[PoolKey]*obs.Gauge
-	poolVMs       map[PoolKey]*obs.Gauge
 }
 
 func newCoreMetrics(reg *obs.Registry) *coreMetrics {
@@ -58,12 +51,6 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 		monitorTick: reg.Counter("spotcheck_monitor_ticks_total"),
 		provErrs:    reg.Counter("spotcheck_provider_errors_total"),
 		stormVMs:    reg.Histogram("spotcheck_revocation_batch_vms", obs.CountBuckets),
-
-		hostsAcquired: map[PoolKey]*obs.Counter{},
-		spotRequests:  map[PoolKey]*obs.Counter{},
-		poolBid:       map[PoolKey]*obs.Gauge{},
-		poolHosts:     map[PoolKey]*obs.Gauge{},
-		poolVMs:       map[PoolKey]*obs.Gauge{},
 	}
 	for _, r := range []migrationReason{reasonRevocation, reasonProactive, reasonReturn, reasonStagingHop} {
 		m.migStarted[r] = reg.Counter("spotcheck_migrations_started_total", obs.L("reason", r.String()))
@@ -91,53 +78,36 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 
 func poolLabel(key PoolKey) obs.Label { return obs.L("pool", key.String()) }
 
-func (m *coreMetrics) hostAcquired(key PoolKey) {
-	ctr := m.hostsAcquired[key]
-	if ctr == nil {
-		ctr = m.reg.Counter("spotcheck_hosts_acquired_total", poolLabel(key))
-		m.hostsAcquired[key] = ctr
+func (m *coreMetrics) hostAcquired(pool *poolState) {
+	if pool.hostsAcquired == nil {
+		pool.hostsAcquired = m.reg.Counter("spotcheck_hosts_acquired_total", poolLabel(pool.key))
 	}
-	ctr.Inc()
+	pool.hostsAcquired.Inc()
 }
 
-func (m *coreMetrics) bidPlaced(key PoolKey, bid float64) {
-	ctr := m.spotRequests[key]
-	if ctr == nil {
-		ctr = m.reg.Counter("spotcheck_spot_requests_total", poolLabel(key))
-		m.spotRequests[key] = ctr
+func (m *coreMetrics) bidPlaced(pool *poolState, bid float64) {
+	if pool.spotRequests == nil {
+		pool.spotRequests = m.reg.Counter("spotcheck_spot_requests_total", poolLabel(pool.key))
+		pool.bidGauge = m.reg.Gauge("spotcheck_pool_bid_usd", poolLabel(pool.key))
 	}
-	ctr.Inc()
-	g := m.poolBid[key]
-	if g == nil {
-		g = m.reg.Gauge("spotcheck_pool_bid_usd", poolLabel(key))
-		m.poolBid[key] = g
-	}
-	g.Set(bid)
+	pool.spotRequests.Inc()
+	pool.bidGauge.Set(bid)
 }
 
 // syncPool refreshes a pool's occupancy gauges from its current state.
 func (m *coreMetrics) syncPool(pool *poolState) {
-	hg := m.poolHosts[pool.key]
-	if hg == nil {
-		hg = m.reg.Gauge("spotcheck_pool_hosts", poolLabel(pool.key))
-		m.poolHosts[pool.key] = hg
+	if pool.hostGauge == nil {
+		pool.hostGauge = m.reg.Gauge("spotcheck_pool_hosts", poolLabel(pool.key))
+		pool.vmGauge = m.reg.Gauge("spotcheck_pool_vms", poolLabel(pool.key))
 	}
-	vg := m.poolVMs[pool.key]
-	if vg == nil {
-		vg = m.reg.Gauge("spotcheck_pool_vms", poolLabel(pool.key))
-		m.poolVMs[pool.key] = vg
-	}
-	hg.Set(float64(pool.hosts.Len()))
-	vg.Set(float64(pool.vmCount))
+	pool.hostGauge.Set(float64(pool.hosts.Len()))
+	pool.vmGauge.Set(float64(pool.vmCount))
 }
 
 // syncPoolOf refreshes the gauges of the pool a host belongs to.
 func (c *Controller) syncPoolOf(h *hostState) {
-	if h == nil || h.role != roleHost {
-		return
-	}
-	if pool := c.pools[h.key]; pool != nil {
-		c.met.syncPool(pool)
+	if h != nil && h.pool != nil {
+		c.met.syncPool(h.pool)
 	}
 }
 

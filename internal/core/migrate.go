@@ -51,12 +51,7 @@ func (c *Controller) onRevocationWarning(w cloud.RevocationWarning) {
 	}
 	h.warned = true
 	h.warnDeadline = w.Deadline
-	pool := c.pools[h.key]
-	if pool != nil {
-		pool.revocations++
-	}
-	mkey := spotmarket.MarketKey{Type: h.key.Type, Zone: h.key.Zone}
-	c.history.ObserveRevocation(mkey)
+	h.pool.market.revocations++
 
 	// h.vms is id-sorted and no migration path removes a VM from its source
 	// synchronously (completeMove always runs from a later event), so the
@@ -209,7 +204,7 @@ func (c *Controller) runBoundedMigration(vs *vmState, src *hostState, deadline s
 		// Yank: pause immediately on the warning and push the whole
 		// residue; the VM is down from the warning onward.
 		vm.Ledger.Set(nestedvm.CondDown, now)
-		c.sched.After(flush.Total, "flush-done "+string(vm.ID), func() {
+		c.sched.After(flush.Total, "flush-done", func() {
 			flushDone = true
 			proceed()
 		})
@@ -242,19 +237,19 @@ func (c *Controller) runBoundedMigration(vs *vmState, src *hostState, deadline s
 		if c.trace != nil {
 			c.emit("vm", string(vm.ID), EventPaused, fmt.Sprintf("final flush pause (%v)", flush.Downtime))
 		}
-		c.sched.After(flush.Downtime, "flush-done "+string(vm.ID), func() {
+		c.sched.After(flush.Downtime, "flush-done", func() {
 			flushDone = true
 			proceed()
 		})
 	}
-	c.sched.At(pauseBy, "pause-deadline "+string(vm.ID), beginFinal)
+	c.sched.At(pauseBy, "pause-deadline", beginFinal)
 	c.chooseDestinationRetry(vs, false, func(h *hostState, staged bool) {
 		destHost, stagedHop = h, staged
 		at := c.sched.Now()
 		if at < drainEnd {
 			at = drainEnd
 		}
-		c.sched.At(at, "pause "+string(vm.ID), beginFinal)
+		c.sched.At(at, "pause", beginFinal)
 		// The deadline may already have forced the pause and finished the
 		// flush while the destination was still coming up.
 		proceed()
@@ -279,7 +274,7 @@ func (c *Controller) runStatelessMigration(vs *vmState, src *hostState, deadline
 		}
 		c.replumb(vs, src, destHost, false)
 	}
-	c.sched.At(deadline, "stateless-kill "+string(vm.ID), func() {
+	c.sched.At(deadline, "stateless-kill", func() {
 		vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
 		sourceDead = true
 		proceed()
@@ -297,7 +292,7 @@ func (c *Controller) chooseDestinationRetry(vs *vmState, forceOD bool, ok func(*
 	c.chooseDestination(vs, forceOD, func(h *hostState, staged bool, err error) {
 		if err != nil {
 			c.met.destFails.Inc()
-			c.sched.After(c.cfg.MonitorInterval, "dest-retry "+string(vs.vm.ID), func() {
+			c.sched.After(c.cfg.MonitorInterval, "dest-retry", func() {
 				if c.shutdown {
 					return
 				}
@@ -409,7 +404,7 @@ func (c *Controller) restoreOnDestination(vs *vmState, src, dst *hostState, stag
 	vm := vs.vm
 	mech := c.cfg.Mechanism
 	if vs.stateless {
-		c.sched.After(simkit.Seconds(c.cfg.BootSeconds), "boot "+string(vm.ID), func() {
+		c.sched.After(simkit.Seconds(c.cfg.BootSeconds), "boot", func() {
 			c.completeMove(vs, src, dst)
 		})
 		return
@@ -433,12 +428,12 @@ func (c *Controller) restoreOnDestination(vs *vmState, src, dst *hostState, stag
 		res = migration.RestoreResult{Downtime: simkit.Second}
 	}
 	c.met.mig.RecordRestore(mech.Lazy(), res)
-	c.sched.After(res.Downtime, "restore "+string(vm.ID), func() {
+	c.sched.After(res.Downtime, "restore", func() {
 		c.completeMove(vs, src, dst)
 		if mech.Lazy() && res.DegradedTime > 0 && vs.phase == phaseRunning {
 			vm.Ledger.Set(nestedvm.CondDegraded, c.sched.Now())
 			vs.restoreSrv = srv
-			vs.lazyDegradeEvent = c.sched.After(res.DegradedTime, "prefetch-done "+string(vm.ID), func() {
+			vs.lazyDegradeEvent = c.sched.After(res.DegradedTime, "prefetch-done", func() {
 				vs.lazyDegradeEvent = simkit.Event{}
 				c.endLazyWindow(vs)
 				if vs.phase == phaseRunning {
@@ -456,7 +451,7 @@ func (c *Controller) restoreOnDestination(vs *vmState, src, dst *hostState, stag
 			// instance id — instance ids are monotonic and never reused.
 			vh := vs.slot
 			dstID := dst.inst.ID
-			c.sched.After(c.cfg.MonitorInterval, "staging-hop "+string(vm.ID), func() {
+			c.sched.After(c.cfg.MonitorInterval, "staging-hop", func() {
 				if c.vmSlab.Get(vh) == nil {
 					return
 				}
@@ -508,7 +503,7 @@ func (c *Controller) completeMove(vs *vmState, src, dst *hostState) {
 				c.replumb(vs, dst, h, staged)
 				return
 			}
-			c.sched.After(simkit.Seconds(c.cfg.RebootSeconds), "reboot "+string(vm.ID), func() {
+			c.sched.After(simkit.Seconds(c.cfg.RebootSeconds), "reboot", func() {
 				c.moveLive(vs, dst, h)
 			})
 		})
@@ -585,12 +580,12 @@ func (c *Controller) runLiveEvacuation(vs *vmState, src *hostState, deadline sim
 			if pauseAt < now {
 				pauseAt = now
 			}
-			c.sched.At(pauseAt, "live-pause "+string(vm.ID), func() {
+			c.sched.At(pauseAt, "live-pause", func() {
 				if vs.phase == phaseMigrating {
 					vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
 				}
 			})
-			c.sched.At(copyDone, "live-done "+string(vm.ID), func() {
+			c.sched.At(copyDone, "live-done", func() {
 				// A deadline-free (proactive/predictive) migration can
 				// still lose its source: a real warning may have arrived
 				// mid-copy and the platform force-terminated it before
@@ -607,7 +602,7 @@ func (c *Controller) runLiveEvacuation(vs *vmState, src *hostState, deadline sim
 					// No checkpoint: memory state is gone; reboot.
 					c.met.stateLost.Inc()
 					c.emit("vm", string(vm.ID), EventStateLost, "predictive miss with no backup server")
-					c.sched.After(simkit.Seconds(c.cfg.RebootSeconds), "reboot "+string(vm.ID), func() {
+					c.sched.After(simkit.Seconds(c.cfg.RebootSeconds), "reboot", func() {
 						c.moveLive(vs, src, dst)
 					})
 					return
@@ -624,13 +619,13 @@ func (c *Controller) runLiveEvacuation(vs *vmState, src *hostState, deadline sim
 		if downAt < now {
 			downAt = now
 		}
-		c.sched.At(downAt, "lost "+string(vm.ID), func() {
+		c.sched.At(downAt, "lost", func() {
 			if vs.phase == phaseMigrating {
 				vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
 			}
 		})
 		rebootDone := downAt + simkit.Seconds(c.cfg.RebootSeconds)
-		c.sched.At(rebootDone, "reboot "+string(vm.ID), func() {
+		c.sched.At(rebootDone, "reboot", func() {
 			c.moveLive(vs, src, dst)
 		})
 	})
@@ -666,7 +661,8 @@ func (c *Controller) tryReturn(vs *vmState) {
 	// The target market itself must be calm: below the on-demand price and
 	// past the return hold-down. Without this check a pool whose price
 	// hovers above on-demand would ping-pong VMs between markets.
-	if !c.marketCalm(spotmarket.MarketKey{Type: target.Type, Zone: target.Zone}) {
+	m := c.history.index[spotmarket.MarketKey{Type: target.Type, Zone: target.Zone}]
+	if m == nil || !c.marketCalm(m) {
 		return
 	}
 	vs.returnTarget = target
@@ -722,12 +718,12 @@ func (c *Controller) runLiveReturn(vs *vmState, src *hostState) {
 		if pauseAt < now {
 			pauseAt = now
 		}
-		c.sched.At(pauseAt, "live-pause "+string(vm.ID), func() {
+		c.sched.At(pauseAt, "live-pause", func() {
 			if vs.phase == phaseMigrating {
 				vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
 			}
 		})
-		c.sched.At(copyDone, "live-done "+string(vm.ID), func() {
+		c.sched.At(copyDone, "live-done", func() {
 			c.moveLive(vs, src, dst)
 		})
 	})

@@ -5,53 +5,39 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/simkit"
-	"repro/internal/spotmarket"
 )
 
-// startMonitor launches the controller's periodic loop: it samples spot
-// prices into History (feeding the probabilistic policies), triggers
-// proactive migrations under k×OD bidding, and migrates VMs back to spot
-// pools once a price spike has abated for the hold-down period (§4.3's
-// allocation dynamics).
+// startMonitor launches the controller's periodic loop (monitorTick).
 func (c *Controller) startMonitor() {
-	c.lastAboveOD = map[spotmarket.MarketKey]simkit.Time{}
-	c.prevPrice = map[spotmarket.MarketKey]cloud.USD{}
-	c.prevPriceSpare = map[spotmarket.MarketKey]cloud.USD{}
-	c.tickPrices = map[spotmarket.MarketKey]marketSample{}
 	c.calmCache = map[string]bool{}
-	// Enumerate the observable market grid once: providers' catalogs and
-	// zone sets are fixed for their lifetime, so re-fetching (and copying)
-	// them every tick only churns the heap.
-	for _, typ := range c.prov.Catalog() {
-		if !typ.HVM {
-			continue
-		}
-		for _, zone := range c.prov.Zones() {
-			c.observable = append(c.observable, observableMarket{
-				key: spotmarket.MarketKey{Type: typ.Name, Zone: zone},
-				od:  typ.OnDemand,
-			})
-		}
+	c.tickFn = c.monitorTick
+	c.monitorEvent = c.sched.After(c.cfg.MonitorInterval, "monitor", c.tickFn)
+}
+
+// monitorTick is one pass of the periodic loop: it samples spot prices into
+// the market table (feeding the probabilistic policies), triggers proactive
+// migrations under k×OD bidding, and migrates VMs back to spot pools once a
+// price spike has abated for the hold-down period (§4.3's allocation
+// dynamics). The sweeps walk the table in (type, zone) order, on-demand
+// pool before spot, so a tick looks up no market or pool by key and — once
+// the price windows are full — allocates nothing.
+func (c *Controller) monitorTick() {
+	c.monitorEvent = simkit.Event{}
+	if c.shutdown {
+		return
 	}
-	var tick func()
-	tick = func() {
-		c.monitorEvent = simkit.Event{}
-		if c.shutdown {
-			return
-		}
-		c.met.monitorTick.Inc()
-		prev := c.snapshotPrices()
-		c.observePrices()
-		if c.cfg.Bidding.Proactive() {
-			c.proactiveSweep()
-		}
-		if c.cfg.Predictive.Enabled {
-			c.predictiveSweep(prev)
-		}
-		c.returnSweep()
-		c.monitorEvent = c.sched.After(c.cfg.MonitorInterval, "monitor", tick)
+	c.met.monitorTick.Inc()
+	c.tick++
+	clear(c.calmCache)
+	c.samplePrices()
+	if c.cfg.Bidding.Proactive() {
+		c.proactiveSweep()
 	}
-	c.monitorEvent = c.sched.After(c.cfg.MonitorInterval, "monitor", tick)
+	if c.cfg.Predictive.Enabled {
+		c.predictiveSweep()
+	}
+	c.returnSweep()
+	c.monitorEvent = c.sched.After(c.cfg.MonitorInterval, "monitor", c.tickFn)
 }
 
 // stopMonitor cancels the pending monitor tick (idempotent).
@@ -60,74 +46,54 @@ func (c *Controller) stopMonitor() {
 	c.monitorEvent = simkit.Event{}
 }
 
-// snapshotPrices hands the previous tick's samples to the caller and swaps
-// in the cleared spare map for this tick's observations. The two maps
-// alternate tick over tick — a zero-allocation double buffer instead of a
-// fresh copy every tick. The returned map is only valid until the next
-// tick swaps it back in.
-func (c *Controller) snapshotPrices() map[spotmarket.MarketKey]cloud.USD {
-	prev := c.prevPrice
-	clear(c.prevPriceSpare)
-	c.prevPrice = c.prevPriceSpare
-	c.prevPriceSpare = prev
-	return prev
-}
-
-// observableMarket is one (HVM type, zone) pair of the provider's market
-// grid, with the type's on-demand price resolved up front.
-type observableMarket struct {
-	key spotmarket.MarketKey
-	od  cloud.USD
-}
-
-// observePrices samples every observable market's spot price. Markets with
-// price at or above the on-demand price have their lastAboveOD stamped for
-// the return hold-down. The samples also fill the tick's market snapshot,
-// so the sweeps that follow read each market's price from the snapshot
-// instead of re-walking the provider's trace cursors per pool or per VM.
-// The market grid itself comes from the startup-cached observable list, so
-// a steady-state tick allocates nothing here.
-func (c *Controller) observePrices() {
+// samplePrices asks the provider for every probed market's spot price once,
+// so the sweeps that follow read it from the record instead of re-walking
+// the provider's trace cursors per pool or per VM. A price at or above the
+// on-demand price stamps lastAboveOD for the return hold-down.
+func (c *Controller) samplePrices() {
 	now := c.sched.Now()
-	clear(c.tickPrices)
-	clear(c.calmCache)
-	for _, m := range c.observable {
+	for _, m := range c.history.markets {
+		if m.noSpot {
+			continue
+		}
 		price, err := c.prov.SpotPrice(m.key.Type, m.key.Zone)
 		if err != nil {
-			// No trace for this type/zone pair is expected — the
-			// catalog is larger than the traced market set. Anything
-			// else is a provider fault worth surfacing.
-			if !errors.Is(err, cloud.ErrNotFound) {
+			// The catalog is larger than the traced market set, and a
+			// provider's ErrNotFound is permanent: stop asking. Anything
+			// else is a provider fault worth surfacing, and worth retrying.
+			if errors.Is(err, cloud.ErrNotFound) {
+				m.noSpot = true
+			} else {
 				c.met.provErrs.Inc()
 			}
 			continue
 		}
-		c.history.ObservePrice(m.key, price)
-		c.prevPrice[m.key] = price
-		c.tickPrices[m.key] = marketSample{price: price, od: m.od, odOK: true}
-		if price >= m.od {
-			c.lastAboveOD[m.key] = now
+		m.window.add(float64(price))
+		m.prev, m.prevSampled = m.price, m.sampled
+		m.price, m.sampled = price, c.tick
+		if price >= m.typ.OnDemand {
+			m.lastAboveOD, m.everAboveOD = now, true
 		}
 	}
+}
+
+// spotPool returns m's spot pool for an evacuation sweep, or nil when there
+// is nothing to judge or walk: no hosts, or no price sample this tick.
+func (c *Controller) spotPool(m *market) *poolState {
+	pool := m.pools[cloud.MarketSpot]
+	if pool == nil || pool.hosts.Len() == 0 || m.sampled != c.tick {
+		return nil
+	}
+	return pool
 }
 
 // proactiveSweep live-migrates VMs off spot pools whose price has crossed
 // the on-demand price but not yet the (k×OD) bid — avoiding the revocation
 // entirely at the cost of paying above-OD spot prices briefly.
 func (c *Controller) proactiveSweep() {
-	for _, key := range c.sortedPoolKeys() {
-		if key.Market != cloud.MarketSpot {
-			continue
-		}
-		pool := c.pools[key]
-		if pool.hosts.Len() == 0 {
-			continue
-		}
-		s, ok := c.tickPrices[spotmarket.MarketKey{Type: key.Type, Zone: key.Zone}]
-		if !ok || !s.odOK {
-			continue
-		}
-		if s.price <= s.od || s.price > pool.bid {
+	for _, m := range c.history.markets {
+		pool := c.spotPool(m)
+		if pool == nil || m.price <= m.typ.OnDemand || m.price > pool.bid {
 			continue
 		}
 		for _, hh := range pool.hosts.Ordered() {
@@ -145,31 +111,22 @@ func (c *Controller) proactiveSweep() {
 }
 
 // predictiveSweep evacuates spot pools whose price is rising toward the
-// bid: price at or above threshold×on-demand AND above the previous sample.
-// Unlike proactiveSweep (which waits for the price to actually cross the
-// on-demand price under a k×OD bid), the predictor acts on the trend and
-// therefore works even when the bid equals the on-demand price — at the
-// risk of mispredicting (§3.2).
-func (c *Controller) predictiveSweep(prev map[spotmarket.MarketKey]cloud.USD) {
+// bid: price at or above threshold×on-demand AND above the previous tick's
+// sample. Unlike proactiveSweep (which waits for the price to actually
+// cross the on-demand price under a k×OD bid), the predictor acts on the
+// trend and therefore works even when the bid equals the on-demand price —
+// at the risk of mispredicting (§3.2).
+func (c *Controller) predictiveSweep() {
 	threshold := c.cfg.Predictive.threshold()
-	for _, key := range c.sortedPoolKeys() {
-		if key.Market != cloud.MarketSpot {
+	for _, m := range c.history.markets {
+		pool := c.spotPool(m)
+		if pool == nil {
 			continue
 		}
-		pool := c.pools[key]
-		if pool.hosts.Len() == 0 {
-			continue
-		}
-		mkey := spotmarket.MarketKey{Type: key.Type, Zone: key.Zone}
-		s, ok := c.tickPrices[mkey]
-		if !ok || !s.odOK {
-			continue
-		}
-		last, seen := prev[mkey]
-		if !seen || s.price <= last {
+		if m.prevSampled != c.tick-1 || m.price <= m.prev {
 			continue // not rising
 		}
-		if float64(s.price) < threshold*float64(s.od) {
+		if float64(m.price) < threshold*float64(m.typ.OnDemand) {
 			continue // not near the bid yet
 		}
 		for _, hh := range pool.hosts.Ordered() {
@@ -190,11 +147,11 @@ func (c *Controller) predictiveSweep(prev map[spotmarket.MarketKey]cloud.USD) {
 // returnSweep migrates VMs hosted on on-demand servers back to spot pools
 // once prices have stayed below on-demand for the hold-down period.
 func (c *Controller) returnSweep() {
-	for _, key := range c.sortedPoolKeys() {
-		if key.Market != cloud.MarketOnDemand {
+	for _, m := range c.history.markets {
+		pool := m.pools[cloud.MarketOnDemand]
+		if pool == nil {
 			continue
 		}
-		pool := c.pools[key]
 		for _, hh := range pool.hosts.Ordered() {
 			h := c.hostSlab.Get(hh.Slot)
 			if h == nil || !h.inHosts || h.role != roleHost {
@@ -223,15 +180,10 @@ func (c *Controller) spotCalmFor(vs *vmState) bool {
 	if calm, ok := c.calmCache[vs.vm.Type.Name]; ok {
 		return calm
 	}
-	// A market qualifies when observed, currently below OD, last above OD
-	// more than ReturnHoldDown ago — and able to host the requested type.
+	// A market qualifies when calm and able to host the requested type.
 	calm := false
-	for _, key := range c.observedMarkets() {
-		typ, ok := c.prov.TypeByName(key.Type)
-		if !ok || c.hostUnits(typ, vs.vm.Type) <= 0 {
-			continue
-		}
-		if c.marketCalm(key) {
+	for _, m := range c.history.markets {
+		if c.marketCalm(m) && c.hostUnits(m.typ, vs.vm.Type) > 0 {
 			calm = true
 			break
 		}
@@ -240,38 +192,22 @@ func (c *Controller) spotCalmFor(vs *vmState) bool {
 	return calm
 }
 
-// marketCalm reports whether a spot market's price is below the on-demand
-// price and has been for at least the return hold-down. With the predictor
-// enabled, a market loitering at or above the prediction threshold also
-// counts as hot — otherwise the return sweep would undo every predictive
-// evacuation while the price plateaus just below on-demand.
-func (c *Controller) marketCalm(key spotmarket.MarketKey) bool {
-	s, ok := c.tickPrices[key]
-	if !ok || !s.odOK || s.price >= s.od {
+// marketCalm reports whether a spot market, sampled this tick, is priced
+// below the on-demand price and has been for at least the return hold-down.
+// With the predictor enabled, a market loitering at or above the prediction
+// threshold also counts as hot — otherwise the return sweep would undo
+// every predictive evacuation while the price plateaus just below
+// on-demand.
+func (c *Controller) marketCalm(m *market) bool {
+	od := m.typ.OnDemand
+	if m.sampled != c.tick || m.price >= od {
 		return false
 	}
 	if c.cfg.Predictive.Enabled &&
-		float64(s.price) >= c.cfg.Predictive.threshold()*float64(s.od) {
+		float64(m.price) >= c.cfg.Predictive.threshold()*float64(od) {
 		return false
 	}
-	if last, seen := c.lastAboveOD[key]; seen && c.sched.Now()-last < c.cfg.ReturnHoldDown {
-		return false
-	}
-	return true
-}
-
-// observedMarkets lists markets present in history, sorted.
-func (c *Controller) observedMarkets() []spotmarket.MarketKey {
-	return c.history.sortedMarkets()
-}
-
-// sortedPoolKeys returns a snapshot of the pool keys in sorted order. The
-// sorted cache is maintained incrementally by poolFor; the copy matters
-// because sweeps can create pools mid-iteration (tryReturn → acquireHost →
-// poolFor), which would shift the cache's backing array under the caller.
-func (c *Controller) sortedPoolKeys() []PoolKey {
-	c.poolKeyScratch = append(c.poolKeyScratch[:0], c.poolKeys...)
-	return c.poolKeyScratch
+	return !m.everAboveOD || c.sched.Now()-m.lastAboveOD >= c.cfg.ReturnHoldDown
 }
 
 // ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ import (
 
 // TestMonitorTickSteadyStateAllocs pins the per-tick allocation fix behind
 // the flattened capacity curve: once the price windows are warm and every
-// market has been probed once, a monitor tick's sampling and sweep phases
-// must allocate nothing — the market grid is startup-cached, the sorted
-// market and pool-key sets are maintained incrementally with scratch-copy
-// snapshots, the tick sample maps are cleared in place, and missing-market
-// errors are memoized on the platform side.
+// untraced market has answered its one probe, a monitor tick — sampling and
+// every sweep — must allocate nothing. The market table is built at New and
+// walked in place, samples are tick-stamped rather than cleared or copied,
+// and the tick reschedules itself through a func value bound once.
 func TestMonitorTickSteadyStateAllocs(t *testing.T) {
 	r := newRig(t, nil, func(c *Config) {
 		c.Placement = Policy1PM()
@@ -24,23 +23,19 @@ func TestMonitorTickSteadyStateAllocs(t *testing.T) {
 	r.run(t, simkit.Hour)
 
 	c := r.ctrl
-	// Warm every steady-state structure: fill each market's trailing price
-	// window past its one-week ring capacity, touch every untraced
-	// catalog pair's memoized error, and size the tick maps.
-	for i := 0; i < priceWindowCap+8; i++ {
-		prev := c.snapshotPrices()
-		c.observePrices()
-		c.predictiveSweep(prev)
-		c.returnSweep()
+	// The real tick, fired by hand: cancelling the pending tick first hands
+	// its scheduler slot to the one monitorTick schedules, so the queue
+	// neither grows nor advances the clock.
+	tick := func() {
+		c.stopMonitor()
+		c.monitorTick()
 	}
-
-	allocs := testing.AllocsPerRun(100, func() {
-		prev := c.snapshotPrices()
-		c.observePrices()
-		c.predictiveSweep(prev)
-		c.returnSweep()
-	})
-	if allocs != 0 {
+	// Warm every steady-state structure: fill each market's trailing price
+	// window past its ring capacity.
+	for i := 0; i < priceWindowCap+8; i++ {
+		tick()
+	}
+	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
 		t.Errorf("steady-state monitor tick allocates %.1f objects/tick, want 0", allocs)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/cloud"
@@ -17,119 +16,6 @@ import (
 // type or a market list built for a different catalog), so policies fail
 // fast with it instead of silently shrinking their candidate set.
 var ErrUnknownMarket = errors.New("core: market names a type missing from the provider catalog")
-
-// History is the controller's own record of market behaviour: trailing
-// price observations (sampled by the monitor loop) and per-pool revocation
-// counts. The probabilistic policies (4P-COST, 4P-ST) weight pools by these
-// observations rather than by instantaneous prices (§6.2, Table 2).
-type History struct {
-	prices map[spotmarket.MarketKey]*priceWindow
-	// revocations counts revocation events per market.
-	revocations map[spotmarket.MarketKey]int
-	// sorted mirrors the prices keys in sorted order, maintained
-	// incrementally as ObservePrice sees new markets — the monitor's
-	// per-tick sweeps read it instead of rebuilding and re-sorting the key
-	// set every tick. scratch is the copy handed to callers (see
-	// sortedMarkets).
-	sorted  []spotmarket.MarketKey
-	scratch []spotmarket.MarketKey
-}
-
-const priceWindowCap = 24 * 7 // one week of hourly-ish samples
-
-type priceWindow struct {
-	samples []float64
-	next    int
-	full    bool
-}
-
-func (w *priceWindow) add(v float64) {
-	if len(w.samples) < priceWindowCap {
-		w.samples = append(w.samples, v)
-		return
-	}
-	w.samples[w.next] = v
-	w.next = (w.next + 1) % priceWindowCap
-	w.full = true
-}
-
-func (w *priceWindow) mean() float64 {
-	if len(w.samples) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range w.samples {
-		s += v
-	}
-	return s / float64(len(w.samples))
-}
-
-func (w *priceWindow) stddev() float64 {
-	n := len(w.samples)
-	if n < 2 {
-		return 0
-	}
-	m := w.mean()
-	var ss float64
-	for _, v := range w.samples {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// NewHistory returns an empty history.
-func NewHistory() *History {
-	return &History{
-		prices:      map[spotmarket.MarketKey]*priceWindow{},
-		revocations: map[spotmarket.MarketKey]int{},
-	}
-}
-
-// ObservePrice records a price sample for a market.
-func (h *History) ObservePrice(key spotmarket.MarketKey, price cloud.USD) {
-	w := h.prices[key]
-	if w == nil {
-		w = &priceWindow{}
-		h.prices[key] = w
-		at := sort.Search(len(h.sorted), func(i int) bool {
-			if h.sorted[i].Type != key.Type {
-				return h.sorted[i].Type > key.Type
-			}
-			return h.sorted[i].Zone >= key.Zone
-		})
-		h.sorted = append(h.sorted, spotmarket.MarketKey{})
-		copy(h.sorted[at+1:], h.sorted[at:])
-		h.sorted[at] = key
-	}
-	w.add(float64(price))
-}
-
-// ObserveRevocation records a revocation event in a market.
-func (h *History) ObserveRevocation(key spotmarket.MarketKey) {
-	h.revocations[key]++
-}
-
-// MeanPrice returns the trailing mean observed price, or 0 if unobserved.
-func (h *History) MeanPrice(key spotmarket.MarketKey) cloud.USD {
-	if w := h.prices[key]; w != nil {
-		return cloud.USD(w.mean())
-	}
-	return 0
-}
-
-// Volatility returns the trailing price standard deviation.
-func (h *History) Volatility(key spotmarket.MarketKey) float64 {
-	if w := h.prices[key]; w != nil {
-		return w.stddev()
-	}
-	return 0
-}
-
-// Revocations returns the revocation count observed in a market.
-func (h *History) Revocations(key spotmarket.MarketKey) int {
-	return h.revocations[key]
-}
 
 // ---------------------------------------------------------------------------
 // Placement policies (Table 2 + §4.2's greedy and stability-first)
@@ -581,14 +467,4 @@ func (d DestinationPolicy) String() string {
 	default:
 		return fmt.Sprintf("destination(%d)", int(d))
 	}
-}
-
-// sortedMarkets returns history keys in deterministic order (test helper
-// and report ordering). The sorted set is maintained incrementally by
-// ObservePrice, so steady-state calls neither allocate nor sort; callers
-// get a scratch copy because a sweep iterating the keys may observe new
-// markets mid-walk, which would shift the cache's backing array.
-func (h *History) sortedMarkets() []spotmarket.MarketKey {
-	h.scratch = append(h.scratch[:0], h.sorted...)
-	return h.scratch
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"repro/internal/backup"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/nestedvm"
 	"repro/internal/simkit"
 	"repro/internal/slab"
+	"repro/internal/spotmarket"
 )
 
 // ServerOptions parameterises a nested VM request beyond the plain
@@ -82,7 +82,7 @@ func (c *Controller) placeNew(vs *vmState, attempts int) {
 				if err != nil {
 					// Nothing left to try; park and retry placement later.
 					c.met.destFails.Inc()
-					c.sched.After(c.cfg.MonitorInterval, "replace "+string(vs.vm.ID), func() {
+					c.sched.After(c.cfg.MonitorInterval, "replace", func() {
 						c.placeNew(vs, 0)
 					})
 					return
@@ -150,6 +150,10 @@ type acqKey struct {
 // the caller (release the reservation by installing a VM or decrementing
 // reserved).
 func (c *Controller) acquireHost(key PoolKey, slotType cloud.InstanceType, _ *vmState, cb func(*hostState, error)) {
+	if key.Market != cloud.MarketSpot && key.Market != cloud.MarketOnDemand {
+		cb(nil, fmt.Errorf("core: unknown market %v", key.Market))
+		return
+	}
 	natType, ok := c.prov.TypeByName(key.Type)
 	if !ok {
 		cb(nil, fmt.Errorf("core: unknown native type %q", key.Type))
@@ -221,7 +225,7 @@ func (c *Controller) acquireHost(key PoolKey, slotType cloud.InstanceType, _ *vm
 		c.addPoolHost(pool, h)
 		c.rentals = append(c.rentals, rental{inst: inst, kind: rentalHost})
 		c.maybeScrubRentals()
-		c.met.hostAcquired(key)
+		c.met.hostAcquired(pool)
 		c.met.syncPool(pool)
 		if c.trace != nil {
 			c.emit("host", string(inst.ID), "acquired", "pool="+key.String()+" capacity="+strconv.Itoa(acq.capacity))
@@ -247,15 +251,13 @@ func (c *Controller) acquireHost(key PoolKey, slotType cloud.InstanceType, _ *vm
 		}
 		bid := c.cfg.Bidding.Bid(od)
 		pool.bid = bid
-		c.met.bidPlaced(key, float64(bid))
+		c.met.bidPlaced(pool, float64(bid))
 		if c.trace != nil {
 			c.emit("market", key.String(), "bid", fmt.Sprintf("bid=%v od=%v", bid, od))
 		}
 		c.prov.RequestSpot(key.Type, key.Zone, bid, finish)
 	case cloud.MarketOnDemand:
 		c.prov.RunOnDemand(key.Type, key.Zone, finish)
-	default:
-		finish(nil, fmt.Errorf("core: unknown market %v", key.Market))
 	}
 }
 
@@ -294,29 +296,19 @@ func (c *Controller) freeHost(pool *poolState, slotType cloud.InstanceType) *hos
 	return best
 }
 
+// poolFor returns the pool for key, creating it in its market's record on
+// first use. key.Market is one of the two contract types (acquireHost
+// rejects anything else first).
 func (c *Controller) poolFor(key PoolKey) *poolState {
-	pool := c.pools[key]
+	m := c.history.at(spotmarket.MarketKey{Type: key.Type, Zone: key.Zone})
+	pool := m.pools[key.Market]
 	if pool == nil {
 		// hostLess breaks seq ties by instance id: foreign id formats all
 		// parse to seq 0.
-		pool = &poolState{key: key, hosts: slab.NewRefList(c.hostSlab, setPoolIdx, hostLess)}
-		c.pools[key] = pool
-		i := sort.Search(len(c.poolKeys), func(i int) bool { return !poolKeyLess(c.poolKeys[i], key) })
-		c.poolKeys = append(c.poolKeys, PoolKey{})
-		copy(c.poolKeys[i+1:], c.poolKeys[i:])
-		c.poolKeys[i] = key
+		pool = &poolState{key: key, market: m, hosts: slab.NewRefList(c.hostSlab, setPoolIdx, hostLess)}
+		m.pools[key.Market] = pool
 	}
 	return pool
-}
-
-func poolKeyLess(a, b PoolKey) bool {
-	if a.Type != b.Type {
-		return a.Type < b.Type
-	}
-	if a.Zone != b.Zone {
-		return a.Zone < b.Zone
-	}
-	return a.Market < b.Market
 }
 
 // installVM finishes provisioning a new VM on a reserved host slot:
@@ -335,7 +327,7 @@ func (c *Controller) installVM(vs *vmState, h *hostState) {
 	if err != nil {
 		h.reserved--
 		c.hostFreed(h)
-		c.sched.After(c.cfg.MonitorInterval, "re-place "+string(vm.ID), func() { c.placeNew(vs, 0) })
+		c.sched.After(c.cfg.MonitorInterval, "re-place", func() { c.placeNew(vs, 0) })
 		return
 	}
 	vm.IP = addr
@@ -382,7 +374,7 @@ func (c *Controller) abortInstall(vs *vmState, h *hostState, err error) {
 		// Unexpected failures still retry, but are counted.
 		c.met.destFails.Inc()
 	}
-	c.sched.After(c.cfg.MonitorInterval, "re-place "+string(vs.vm.ID), func() { c.placeNew(vs, 0) })
+	c.sched.After(c.cfg.MonitorInterval, "re-place", func() { c.placeNew(vs, 0) })
 }
 
 // startService puts the VM into service on the host.
@@ -579,17 +571,16 @@ func (c *Controller) maybeRetireHost(h *hostState) {
 
 func (c *Controller) forgetHost(h *hostState) {
 	delete(c.hostIndex, h.inst.ID)
-	if pool := c.pools[h.key]; pool != nil {
-		c.dropPoolHost(pool, h)
-		if h.inFreeSet {
-			if h.freeIdx < len(pool.freeCands) && pool.freeCands[h.freeIdx].Slot == h.slot {
-				pool.freeCands[h.freeIdx].Slot = slab.Handle{}
-			}
-			h.inFreeSet = false
+	pool := h.pool
+	c.dropPoolHost(h)
+	if h.inFreeSet {
+		if h.freeIdx < len(pool.freeCands) && pool.freeCands[h.freeIdx].Slot == h.slot {
+			pool.freeCands[h.freeIdx].Slot = slab.Handle{}
 		}
-		pool.vmCount -= len(h.vms)
-		c.met.syncPool(pool)
+		h.inFreeSet = false
 	}
+	pool.vmCount -= len(h.vms)
+	c.met.syncPool(pool)
 	if c.trace != nil {
 		c.emit("host", string(h.inst.ID), "retired", "pool="+h.key.String())
 	}

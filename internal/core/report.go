@@ -153,22 +153,8 @@ func (c *Controller) Customers() []CustomerReport {
 		totalService.addAcc(rc.service)
 		totalStateful.addAcc(rc.stateful)
 	}
-	for _, id := range c.vmIDsSorted() {
-		vs := c.lookupVM(id)
-		if vs == nil {
-			continue
-		}
+	c.forEachServiceVM(now, func(vs *vmState, end simkit.Time) {
 		vm := vs.vm
-		if vm.Created == 0 && vs.phase == phaseProvisioning {
-			continue
-		}
-		end := now
-		if vs.phase == phaseReleased {
-			end = vs.serviceEnd
-		}
-		if end < vm.Created {
-			continue
-		}
 		a := byName[vm.Customer]
 		if a == nil {
 			a = &acc{}
@@ -184,7 +170,7 @@ func (c *Controller) Customers() []CustomerReport {
 		d, _ := vm.Ledger.Snapshot(end)
 		a.down.add(d)
 		totalService.add(life)
-	}
+	})
 	rep := c.Report()
 	names := make([]string, 0, len(byName))
 	for n := range byName {
@@ -216,6 +202,26 @@ func (c *Controller) Customers() []CustomerReport {
 	return out
 }
 
+// forEachServiceVM calls fn, in no particular order, for every tracked VM
+// that has entered service, with the end of its service interval so far:
+// now, or the moment it was released. Report and Customers only sum integer
+// durations and take maxima over the walk, so its order cannot show.
+func (c *Controller) forEachServiceVM(now simkit.Time, fn func(vs *vmState, end simkit.Time)) {
+	for _, slot := range c.vmIndex {
+		vs := c.vmSlab.Get(slot)
+		if vs == nil || (vs.vm.Created == 0 && vs.phase == phaseProvisioning) {
+			continue // recycled, or never entered service
+		}
+		end := now
+		if vs.phase == phaseReleased {
+			end = vs.serviceEnd
+		}
+		if end >= vs.vm.Created {
+			fn(vs, end)
+		}
+	}
+}
+
 // Report computes the controller's aggregate accounting as of now.
 func (c *Controller) Report() Report {
 	now := c.sched.Now()
@@ -227,22 +233,8 @@ func (c *Controller) Report() Report {
 	serviceTotal := c.retired.service
 	r.MaxDownSpell = c.retired.maxDownSpell
 	r.TCPBreaks = c.retired.tcpBreaks
-	for _, id := range c.vmIDsSorted() {
-		vs := c.lookupVM(id)
-		if vs == nil {
-			continue
-		}
+	c.forEachServiceVM(now, func(vs *vmState, end simkit.Time) {
 		vm := vs.vm
-		if vm.Created == 0 && vs.phase == phaseProvisioning {
-			continue // never entered service
-		}
-		end := now
-		if vs.phase == phaseReleased {
-			end = vs.serviceEnd
-		}
-		if end < vm.Created {
-			continue
-		}
 		d, g := vm.Ledger.Snapshot(end)
 		down.add(d)
 		degraded.add(g)
@@ -251,7 +243,7 @@ func (c *Controller) Report() Report {
 			r.MaxDownSpell = spell
 		}
 		r.TCPBreaks += vm.Ledger.SpellsExceeding(TCPTimeout, end)
-	}
+	})
 	r.TotalDown, r.TotalDegraded = down.clamp(), degraded.clamp()
 	r.VMHours = serviceTotal.hours()
 	if serviceTotal.positive() {
@@ -400,22 +392,32 @@ type PoolInfo struct {
 	Revocations int
 }
 
-// Pools returns summaries of all pools in deterministic order.
+// Pools returns summaries of all pools created so far, ordered by type,
+// zone, then on-demand before spot.
 func (c *Controller) Pools() []PoolInfo {
-	out := make([]PoolInfo, 0, len(c.pools))
-	for _, key := range c.sortedPoolKeys() {
-		p := c.pools[key]
-		info := PoolInfo{Key: key, Bid: p.bid, Revocations: p.revocations}
-		for _, hh := range p.hosts.Ordered() {
-			h := c.hostSlab.Get(hh.Slot)
-			if h == nil || !h.inHosts {
+	out := []PoolInfo{}
+	for _, m := range c.history.markets {
+		for _, p := range m.pools {
+			if p == nil {
 				continue
 			}
-			info.Hosts++
-			info.VMs += len(h.vms)
-			info.FreeSlots += h.free()
+			info := PoolInfo{Key: p.key, Bid: p.bid}
+			if p.key.Market == cloud.MarketSpot {
+				// Only spot hosts are revoked: the market's count is its
+				// spot pool's.
+				info.Revocations = m.revocations
+			}
+			for _, hh := range p.hosts.Ordered() {
+				h := c.hostSlab.Get(hh.Slot)
+				if h == nil || !h.inHosts {
+					continue
+				}
+				info.Hosts++
+				info.VMs += len(h.vms)
+				info.FreeSlots += h.free()
+			}
+			out = append(out, info)
 		}
-		out = append(out, info)
 	}
 	return out
 }

@@ -319,7 +319,7 @@ func (sh *shard) run(cfg PolicyRunConfig, s int, ring []string) error {
 	}
 	for g := s; g < cfg.VMs; g += cfg.Shards {
 		if len(cfg.ArrivalOffsets) > 0 && cfg.ArrivalOffsets[g] > 0 {
-			sh.sched.After(cfg.ArrivalOffsets[g], fmt.Sprintf("arrival vm-%d", g), func() {
+			sh.sched.After(cfg.ArrivalOffsets[g], "arrival", func() {
 				if err := request(g); err != nil {
 					arrivalErrs = append(arrivalErrs, fmt.Errorf("arrival %d: %w", g, err))
 				}

@@ -34,18 +34,14 @@ const eventChunk = 128
 // sees a generation mismatch and does nothing — it can never touch the
 // slot's next occupant or corrupt the heap.
 type Event struct {
-	e     *event
-	gen   uint64
-	at    Time
-	label string
+	e   *event
+	gen uint64
+	at  Time
 }
 
 // At reports when the event fires (or fired). It stays valid for the
 // lifetime of the handle.
 func (h Event) At() Time { return h.at }
-
-// Label returns the diagnostic label supplied at scheduling time.
-func (h Event) Label() string { return h.label }
 
 // Canceled reports whether Cancel was called on this event before it fired.
 // Events that fired normally — including events Cancel was called on only
@@ -212,8 +208,11 @@ func (s *Scheduler) remove(i int) {
 	e.index = -1
 }
 
-// At schedules fn at absolute virtual time t. Scheduling in the past panics:
-// it would silently reorder causality, which is always a bug in the caller.
+// At schedules fn at absolute virtual time t. label names the kind of event
+// — a constant such as "flush-done", never a per-entity string: building one
+// would put formatting on every caller's hot path. Scheduling in the past
+// panics: it would silently reorder causality, which is always a bug in the
+// caller.
 func (s *Scheduler) At(t Time, label string, fn func()) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("simkit: scheduling %q at %v, before now %v", label, t, s.now))
@@ -228,7 +227,7 @@ func (s *Scheduler) At(t Time, label string, fn func()) Event {
 	e.label = label
 	s.seq++
 	s.push(e)
-	return Event{e: e, gen: e.gen, at: t, label: label}
+	return Event{e: e, gen: e.gen, at: t}
 }
 
 // After schedules fn at now+d.

@@ -58,7 +58,7 @@ func ReadAWSPriceHistory(r io.Reader, start time.Time) (Set, error) {
 			return nil, fmt.Errorf("spotmarket: aws history line %d: bad timestamp %q: %w", line, rec[0], err)
 		}
 		price, err := strconv.ParseFloat(rec[3], 64)
-		if err != nil || price <= 0 {
+		if err != nil || !(price > 0 && price <= float64(maxPrice)) { // NaN fails too
 			return nil, fmt.Errorf("spotmarket: aws history line %d: bad price %q", line, rec[3])
 		}
 		key := MarketKey{Type: rec[1], Zone: cloud.Zone(rec[2])}

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/cloud"
@@ -18,6 +19,10 @@ import (
 // marking the trace end, so horizons round-trip exactly. This mirrors
 // third-party spot price archives (the paper cites [21]) closely enough
 // that a real archive converts with a one-line awk script.
+
+// maxOffsetSeconds is the first offset past what simkit.Time can hold
+// (float64(MaxInt64) rounds up to 2^63).
+const maxOffsetSeconds = float64(math.MaxInt64) / float64(simkit.Second)
 
 // WriteCSV encodes a trace set.
 func WriteCSV(w io.Writer, set Set) error {
@@ -73,8 +78,10 @@ func ReadCSV(r io.Reader) (Set, error) {
 			return nil, fmt.Errorf("spotmarket: CSV line %d: %w", line, err)
 		}
 		key := MarketKey{Type: rec[0], Zone: cloud.Zone(rec[1])}
+		// ParseFloat accepts "NaN" and "Inf", and converting either — or
+		// anything past int64 nanoseconds — to simkit.Time is undefined.
 		secs, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(secs) || math.Abs(secs) >= maxOffsetSeconds {
 			return nil, fmt.Errorf("spotmarket: CSV line %d: bad offset %q", line, rec[2])
 		}
 		a, ok := markets[key]

@@ -29,9 +29,14 @@ type Trace struct {
 	end    simkit.Time
 }
 
+// maxPrice bounds a trace's prices ($/hr). No market quotes anywhere near
+// it; the bound is what keeps every bill a trace can produce — a price
+// integrated over at most the int64-nanosecond horizon — finite.
+const maxPrice cloud.USD = 1e9
+
 // NewTrace builds a trace from points. Points must be strictly increasing
-// in time, start at T=0, carry positive prices, and end before end. The
-// slice is copied so callers stay free to reuse it.
+// in time, start at T=0, carry prices in (0, 1e9] $/hr, and end before
+// end. The slice is copied so callers stay free to reuse it.
 func NewTrace(points []Point, end simkit.Time) (*Trace, error) {
 	if err := validatePoints(points, end); err != nil {
 		return nil, err
@@ -60,8 +65,11 @@ func validatePoints(points []Point, end simkit.Time) error {
 		return fmt.Errorf("spotmarket: trace must start at t=0, got %v", points[0].T)
 	}
 	for i, p := range points {
-		if p.Price <= 0 {
-			return fmt.Errorf("spotmarket: non-positive price %v at point %d", p.Price, i)
+		// Written so that NaN fails too: it is neither > 0 nor <= maxPrice.
+		// A NaN price would never exceed a bid — the market could not
+		// revoke — and would turn every bill NaN.
+		if !(p.Price > 0 && p.Price <= maxPrice) {
+			return fmt.Errorf("spotmarket: price %v at point %d outside (0, %v]", float64(p.Price), i, float64(maxPrice))
 		}
 		if i > 0 && p.T <= points[i-1].T {
 			return fmt.Errorf("spotmarket: points not strictly increasing at %d (%v after %v)", i, p.T, points[i-1].T)
