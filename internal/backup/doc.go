@@ -22,4 +22,13 @@
 // Registry is attached via SetMetrics, the pool exports
 // spotcheck_backup_* gauges and the fan-in histogram described in
 // DESIGN.md's Observability section.
+//
+// Summation order: a server's ingest (IngestUtilization, and the
+// spotcheck_backup_ingest_mbs gauge derived from it) is the sum of its
+// streams' dirty rates taken over the stream array front to back. A
+// registration appends to that array and an unregistration moves the last
+// stream into the vacated slot, so the order — and with mixed dirty rates
+// the last bit of the sum — depends only on the sequence of registrations
+// and unregistrations, never on the run. docs/ARCHITECTURE.md ("Backup
+// pool internals") describes the rest of the layout.
 package backup

@@ -29,7 +29,12 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 }
 
 // SetMetrics attaches metrics to the pool; pass nil to detach.
-func (p *Pool) SetMetrics(m *Metrics) { p.metrics = m }
+func (p *Pool) SetMetrics(m *Metrics) {
+	p.metrics = m
+	for _, s := range p.servers {
+		s.ingest = nil // resolved against the previous registry, if any
+	}
+}
 
 // sync refreshes the fleet-level gauges and one server's ingest gauge.
 func (m *Metrics) sync(p *Pool, s *Server) {
@@ -39,8 +44,12 @@ func (m *Metrics) sync(p *Pool, s *Server) {
 	m.servers.Set(float64(len(p.servers)))
 	m.vms.Set(float64(len(p.byVM)))
 	if s != nil {
-		m.reg.Gauge("spotcheck_backup_ingest_mbs", obs.L("server", s.ID())).
-			Set(s.IngestUtilization() * s.cfg.IngestMBs)
+		// Resolved on the server's first sync — its provisioning, where the
+		// series has always first appeared — and kept.
+		if s.ingest == nil {
+			s.ingest = m.reg.Gauge("spotcheck_backup_ingest_mbs", obs.L("server", s.ID()))
+		}
+		s.ingest.Set(s.IngestUtilization() * s.cfg.IngestMBs)
 	}
 }
 

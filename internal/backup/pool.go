@@ -2,6 +2,7 @@ package backup
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -13,33 +14,38 @@ import (
 type Pool struct {
 	cfg     Config
 	servers []*Server
-	next    int // round-robin cursor
+	next    int // round-robin cursor: the servers index a scan starts from
 	nextID  int
-	// byVM tracks which server holds each VM.
-	byVM map[string]*Server
-	// groupCount tracks VMs per (server, group) for spread assignment;
-	// vmGroup remembers each VM's group for release accounting.
-	groupCount map[groupKey]int
-	vmGroup    map[string]string
+	// open holds the servers with a free slot, ordered by their position in
+	// servers: a scan walks it cyclically from the cursor and so visits the
+	// servers with room in exactly the order a walk over servers would,
+	// without stepping over the full ones.
+	open []*Server
+	// byVM tracks which server holds each VM, and under which spread group.
+	byVM map[string]assignment
+	// groupIDs interns spread-group strings; a Server counts its VMs per
+	// group in a slice indexed by these ids.
+	groupIDs map[string]int
 	// onProvision, if set, is invoked after the pool adds a server.
 	onProvision func(*Server)
 	// metrics, if set, mirrors fleet state into an obs.Registry.
 	metrics *Metrics
 }
 
-type groupKey struct {
+type assignment struct {
 	server *Server
-	group  string
+	group  int // interned spread group, noGroup when assigned without one
 }
+
+const noGroup = -1
 
 // NewPool creates an empty pool whose servers use cfg.
 func NewPool(cfg Config, onProvision func(*Server)) *Pool {
 	cfg.fillDefaults()
 	return &Pool{
 		cfg:         cfg,
-		byVM:        map[string]*Server{},
-		groupCount:  map[groupKey]int{},
-		vmGroup:     map[string]string{},
+		byVM:        map[string]assignment{},
+		groupIDs:    map[string]int{},
 		onProvision: onProvision,
 	}
 }
@@ -54,18 +60,33 @@ func (p *Pool) Size() int { return len(p.servers) }
 func (p *Pool) TotalVMs() int { return len(p.byVM) }
 
 // ServerFor returns the server backing vmID, or nil.
-func (p *Pool) ServerFor(vmID string) *Server { return p.byVM[vmID] }
+func (p *Pool) ServerFor(vmID string) *Server { return p.byVM[vmID].server }
 
 // provision adds a fresh server.
 func (p *Pool) provision() *Server {
 	p.nextID++
 	s := NewServer(fmt.Sprintf("backup-%03d", p.nextID), p.cfg)
+	s.pos = len(p.servers)
 	p.servers = append(p.servers, s)
+	p.open = append(p.open, s) // the highest position: open stays ordered
 	p.metrics.sync(p, s)
 	if p.onProvision != nil {
 		p.onProvision(s)
 	}
 	return s
+}
+
+// openIndex is the index in open of the first server at or after pos.
+func (p *Pool) openIndex(pos int) int {
+	return sort.Search(len(p.open), func(i int) bool { return p.open[i].pos >= pos })
+}
+
+// groupVMs reports how many of the server's VMs belong to spread group g.
+func (s *Server) groupVMs(g int) int32 {
+	if g < 0 || g >= len(s.groups) {
+		return 0
+	}
+	return s.groups[g]
 }
 
 // Assign registers a VM's checkpoint stream on the next server in
@@ -89,56 +110,52 @@ func (p *Pool) AssignSpread(vmID string, dirtyMBs float64, group string) (*Serve
 	if len(p.servers) == 0 {
 		p.provision()
 	}
+	g := noGroup
+	if group != "" {
+		var known bool
+		if g, known = p.groupIDs[group]; !known {
+			g = len(p.groupIDs)
+			p.groupIDs[group] = g
+		}
+	}
 	var best *Server
-	bestIdx := -1
-	bestGroup := -1
-	for i := 0; i < len(p.servers); i++ {
-		idx := (p.next + i) % len(p.servers)
-		s := p.servers[idx]
-		if s.Free() <= 0 {
-			continue
+	var bestGroup int32
+	i, n := p.openIndex(p.next), len(p.open)
+	for range n {
+		if i == n {
+			i = 0
 		}
-		g := 0
-		if group != "" {
-			g = p.groupCount[groupKey{s, group}]
-		}
-		if best == nil || g < bestGroup {
-			best = s
-			bestIdx = idx
-			bestGroup = g
-			if g == 0 && group != "" {
-				break // cannot do better than zero
-			}
-			if group == "" {
-				break // plain round-robin: first with room wins
+		s := p.open[i]
+		i++
+		if c := s.groupVMs(g); best == nil || c < bestGroup {
+			best, bestGroup = s, c
+			if c == 0 {
+				break // cannot do better; without a group every count is zero
 			}
 		}
 	}
 	if best == nil {
+		// An onProvision callback may re-enter the pool (assigning spares,
+		// even growing the fleet further), appending servers after the one
+		// just provisioned and moving the cursor; best.pos is where the new
+		// server actually sits, not len-1.
 		best = p.provision()
-		// The provision path re-finds the index rather than assuming
-		// len-1: an onProvision callback may re-enter the pool (assigning
-		// spares, even growing the fleet further), appending servers after
-		// the one just provisioned. A blind cursor reset to 0 would
-		// likewise discard the cursor position those reentrant
-		// assignments established, skewing grouped placement toward
-		// server 0.
-		for i, s := range p.servers {
-			if s == best {
-				bestIdx = i
-				break
-			}
-		}
 	}
 	// Advance the cursor past the chosen server.
-	p.next = (bestIdx + 1) % len(p.servers)
+	p.next = (best.pos + 1) % len(p.servers)
 	if err := best.Register(vmID, dirtyMBs); err != nil {
 		return nil, err
 	}
-	p.byVM[vmID] = best
-	if group != "" {
-		p.groupCount[groupKey{best, group}]++
-		p.vmGroup[vmID] = group
+	if best.Free() == 0 {
+		i := p.openIndex(best.pos)
+		p.open = slices.Delete(p.open, i, i+1)
+	}
+	p.byVM[vmID] = assignment{best, g}
+	if g != noGroup {
+		for len(best.groups) <= g {
+			best.groups = append(best.groups, 0)
+		}
+		best.groups[g]++
 	}
 	p.metrics.assigned(p, best)
 	return best, nil
@@ -147,17 +164,18 @@ func (p *Pool) AssignSpread(vmID string, dirtyMBs float64, group string) (*Serve
 // Release removes a VM's stream and returns the server it was on (nil for
 // unknown VMs), so the caller can retire servers that drained.
 func (p *Pool) Release(vmID string) *Server {
-	s, ok := p.byVM[vmID]
+	a, ok := p.byVM[vmID]
 	if !ok {
 		return nil
 	}
+	s := a.server
 	s.Unregister(vmID)
 	delete(p.byVM, vmID)
-	if g, ok := p.vmGroup[vmID]; ok {
-		if p.groupCount[groupKey{s, g}] > 0 {
-			p.groupCount[groupKey{s, g}]--
-		}
-		delete(p.vmGroup, vmID)
+	if a.group != noGroup {
+		s.groups[a.group]--
+	}
+	if s.Free() == 1 { // was full: it has room again
+		p.open = slices.Insert(p.open, p.openIndex(s.pos), s)
 	}
 	p.metrics.sync(p, s)
 	return s
@@ -169,24 +187,22 @@ func (p *Pool) Remove(s *Server) error {
 	if s.VMs() > 0 {
 		return fmt.Errorf("backup: server %s still backs %d VMs", s.ID(), s.VMs())
 	}
-	for i, cur := range p.servers {
-		if cur == s {
-			p.servers = append(p.servers[:i], p.servers[i+1:]...)
-			if len(p.servers) == 0 {
-				p.next = 0
-			} else {
-				p.next %= len(p.servers)
-			}
-			for k := range p.groupCount {
-				if k.server == s {
-					delete(p.groupCount, k)
-				}
-			}
-			p.metrics.retired(p, s)
-			return nil
-		}
+	if s.pos >= len(p.servers) || p.servers[s.pos] != s {
+		return fmt.Errorf("backup: server %s not in pool", s.ID())
 	}
-	return fmt.Errorf("backup: server %s not in pool", s.ID())
+	i := p.openIndex(s.pos) // a drained server has room
+	p.open = slices.Delete(p.open, i, i+1)
+	p.servers = slices.Delete(p.servers, s.pos, s.pos+1)
+	for _, later := range p.servers[s.pos:] {
+		later.pos--
+	}
+	if len(p.servers) == 0 {
+		p.next = 0
+	} else {
+		p.next %= len(p.servers)
+	}
+	p.metrics.retired(p, s)
+	return nil
 }
 
 // MaxVMsPerServer reports the largest registration count in the pool — the
@@ -205,13 +221,15 @@ func (p *Pool) MaxVMsPerServer() int {
 // single backup server — the restore load one pool-wide revocation storm
 // would put on that server.
 func (p *Pool) MaxGroupPerServer() int {
-	var max int
-	for _, n := range p.groupCount {
-		if n > max {
-			max = n
+	var max int32
+	for _, s := range p.servers {
+		for _, n := range s.groups {
+			if n > max {
+				max = n
+			}
 		}
 	}
-	return max
+	return int(max)
 }
 
 // Distribution returns registration counts per server, sorted descending.

@@ -296,3 +296,29 @@ func TestAssignSpreadReleaseAccounting(t *testing.T) {
 		t.Errorf("after remove max group = %d, want 1 (c remains)", p.MaxGroupPerServer())
 	}
 }
+
+// TestAssignReleaseSteadyStateAllocs pins the per-migration backup cost: on
+// a warm pool with metrics attached, re-assigning and releasing a known VM
+// id allocates nothing — no gauge lookup, no label slice, no group key.
+func TestAssignReleaseSteadyStateAllocs(t *testing.T) {
+	p := NewPool(Config{}, nil)
+	p.SetMetrics(NewMetrics(obs.NewRegistry()))
+	groups := []string{"m3.medium/us-east-1a/spot", "m3.large/us-east-1b/spot", "m3.xlarge/us-east-1c/spot"}
+	for i := 0; i < 500; i++ {
+		if _, err := p.AssignSpread(fmt.Sprintf("nvm-%06d", i), 2.8, groups[i%len(groups)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const id = "nvm-000123"
+	allocs := testing.AllocsPerRun(1000, func() {
+		if p.Release(id) == nil {
+			t.Fatal("release of a known id returned nil")
+		}
+		if _, err := p.AssignSpread(id, 2.8, groups[1]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Release→AssignSpread allocates %v times per cycle, want 0", allocs)
+	}
+}

@@ -3,6 +3,8 @@ package backup
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/obs"
 )
 
 // Config describes one backup server's capacity.
@@ -73,16 +75,27 @@ func (c *Config) fillDefaults() {
 type Server struct {
 	id  string
 	cfg Config
-	// vms maps VM id -> dirty rate (MB/s) of its checkpoint stream.
-	vms map[string]float64
+	// ids and dirty are the registered streams as dense parallel arrays: VM
+	// id and dirty rate (MB/s) of stream i. A stream leaves by swap-remove,
+	// so the order is a function of the register/unregister sequence alone
+	// and the ingest sum over dirty repeats bit for bit.
+	ids   []string
+	dirty []float64
 	// restoring counts in-flight restorations.
 	restoring int
+
+	// Kept by the Pool this server belongs to (zero on a standalone one):
+	// groups counts resident VMs per pool-interned spread group, pos is the
+	// server's index in the pool, and ingest is its resolved gauge.
+	groups []int32
+	pos    int
+	ingest *obs.Gauge
 }
 
 // NewServer builds a backup server. Zero config fields take defaults.
 func NewServer(id string, cfg Config) *Server {
 	cfg.fillDefaults()
-	return &Server{id: id, cfg: cfg, vms: map[string]float64{}}
+	return &Server{id: id, cfg: cfg}
 }
 
 // ID returns the server's identifier.
@@ -92,7 +105,8 @@ func (s *Server) ID() string { return s.id }
 func (s *Server) Config() Config { return s.cfg }
 
 // Register adds a VM's checkpoint stream. It fails when the server is at
-// its VM capacity.
+// its VM capacity. A server that belongs to a Pool takes streams through
+// the pool (AssignSpread/Release), which tracks which servers have room.
 func (s *Server) Register(vmID string, dirtyMBs float64) error {
 	if vmID == "" {
 		return fmt.Errorf("backup: empty VM id")
@@ -100,46 +114,62 @@ func (s *Server) Register(vmID string, dirtyMBs float64) error {
 	if dirtyMBs < 0 {
 		return fmt.Errorf("backup: negative dirty rate %v", dirtyMBs)
 	}
-	if _, dup := s.vms[vmID]; dup {
+	if s.Has(vmID) {
 		return fmt.Errorf("backup: VM %s already registered on %s", vmID, s.id)
 	}
-	if len(s.vms) >= s.cfg.MaxVMs {
+	if len(s.ids) >= s.cfg.MaxVMs {
 		return fmt.Errorf("backup: server %s full (%d VMs)", s.id, s.cfg.MaxVMs)
 	}
-	s.vms[vmID] = dirtyMBs
+	s.ids = append(s.ids, vmID)
+	s.dirty = append(s.dirty, dirtyMBs)
 	return nil
 }
 
 // Unregister removes a VM's stream; unknown VMs are a no-op.
-func (s *Server) Unregister(vmID string) { delete(s.vms, vmID) }
-
-// Has reports whether the VM is registered here.
-func (s *Server) Has(vmID string) bool {
-	_, ok := s.vms[vmID]
-	return ok
+func (s *Server) Unregister(vmID string) {
+	i := s.index(vmID)
+	if i < 0 {
+		return
+	}
+	last := len(s.ids) - 1
+	s.ids[i], s.dirty[i] = s.ids[last], s.dirty[last]
+	s.ids[last] = ""
+	s.ids, s.dirty = s.ids[:last], s.dirty[:last]
 }
 
+// index finds a stream by VM id; a server holds at most MaxVMs (~40), so a
+// scan of the dense array beats hashing the id.
+func (s *Server) index(vmID string) int {
+	for i, id := range s.ids {
+		if id == vmID {
+			return i
+		}
+	}
+	return -1
+}
+
+// Has reports whether the VM is registered here.
+func (s *Server) Has(vmID string) bool { return s.index(vmID) >= 0 }
+
 // VMs reports the number of registered streams.
-func (s *Server) VMs() int { return len(s.vms) }
+func (s *Server) VMs() int { return len(s.ids) }
 
 // Free reports remaining registration slots.
-func (s *Server) Free() int { return s.cfg.MaxVMs - len(s.vms) }
+func (s *Server) Free() int { return s.cfg.MaxVMs - len(s.ids) }
 
 // VMIDs returns registered VM ids in sorted order.
 func (s *Server) VMIDs() []string {
-	out := make([]string, 0, len(s.vms))
-	for id := range s.vms {
-		out = append(out, id)
-	}
+	out := append(make([]string, 0, len(s.ids)), s.ids...)
 	sort.Strings(out)
 	return out
 }
 
 // IngestUtilization is the ratio of the aggregate dirty rate to ingest
-// capacity. Values above the knee degrade resident VMs (Figure 7).
+// capacity. Values above the knee degrade resident VMs (Figure 7). The sum
+// runs over the stream array front to back.
 func (s *Server) IngestUtilization() float64 {
 	var sum float64
-	for _, d := range s.vms {
+	for _, d := range s.dirty {
 		sum += d
 	}
 	return sum / s.cfg.IngestMBs

@@ -182,3 +182,38 @@ func TestDefaultsFilled(t *testing.T) {
 		t.Error("ID wrong")
 	}
 }
+
+// TestIngestUtilizationDeterministic replays one register/unregister
+// sequence over 40 streams with mixed dirty rates 200 times: the ingest sum
+// runs over the dense stream array front to back, so every replay must give
+// the same bit pattern. (A walk over a Go map visits the rates in a
+// different order each time, and the last ulp of the sum with it.)
+func TestIngestUtilizationDeterministic(t *testing.T) {
+	rates := []float64{2.8, 0.1, 7.3, 1e-3, 31.7}
+	replay := func() uint64 {
+		s := NewServer("b1", Config{})
+		for i := 0; i < 40; i++ {
+			if err := s.Register(vmName(i), rates[i%len(rates)]*(1+float64(i)/64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 40; i += 3 {
+			s.Unregister(vmName(i))
+		}
+		for i := 0; i < 40; i += 3 {
+			if err := s.Register(vmName(i), rates[(i+1)%len(rates)]/3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.VMs() != 40 {
+			t.Fatalf("VMs = %d, want 40", s.VMs())
+		}
+		return math.Float64bits(s.IngestUtilization())
+	}
+	want := replay()
+	for i := 1; i < 200; i++ {
+		if got := replay(); got != want {
+			t.Fatalf("replay %d: utilization bits %#x, first replay %#x", i, got, want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"strconv"
 
 	"repro/internal/cloud"
 	"repro/internal/obs"
@@ -155,6 +156,10 @@ type platMetrics struct {
 	forced     *obs.Counter
 	launchedOD *obs.Counter
 	launchedSp *obs.Counter
+	// billedBy holds the billing counter per cloud.Market, resolved on the
+	// market's first bill: a series appears in a snapshot only once it has
+	// something to report.
+	billedBy [cloud.MarketSpot + 1]*obs.Counter
 }
 
 func newPlatMetrics(reg *obs.Registry) *platMetrics {
@@ -182,7 +187,12 @@ func (m *platMetrics) billed(market cloud.Market, usd float64) {
 	if m == nil || usd <= 0 {
 		return
 	}
-	m.reg.Counter(metricBillingFinal, obs.L("market", market.String())).Add(usd)
+	ctr := m.billedBy[market]
+	if ctr == nil {
+		ctr = m.reg.Counter(metricBillingFinal, obs.L("market", market.String()))
+		m.billedBy[market] = ctr
+	}
+	ctr.Add(usd)
 }
 
 func (m *platMetrics) launched(market cloud.Market) {
@@ -499,9 +509,20 @@ func (p *Platform) lookupInst(id cloud.InstanceID) *instanceState {
 	return p.instSlab.Get(h)
 }
 
+// paddedID is fmt.Sprintf(prefix+"%06d", n) for n ≥ 0 in one allocation
+// instead of two: ids are minted once per launch and per volume.
+func paddedID(prefix string, n int) string {
+	var buf [24]byte // the longest prefix ("vol-") and 19 digits fit
+	b := append(buf[:0], prefix...)
+	for width := 100000; width > 1 && n < width; width /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(n), 10))
+}
+
 func (p *Platform) newInstance(it cloud.InstanceType, zone cloud.Zone, market cloud.Market, bid cloud.USD) *instanceState {
 	p.nextInstance++
-	id := cloud.InstanceID(fmt.Sprintf("i-%06d", p.nextInstance))
+	id := cloud.InstanceID(paddedID("i-", p.nextInstance))
 	st, h := p.instSlab.Alloc()
 	*st = instanceState{
 		slot: h,

@@ -2,10 +2,12 @@ package cloudsim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/obs"
 	"repro/internal/simkit"
 	"repro/internal/spotmarket"
 )
@@ -316,5 +318,46 @@ func TestCatalogAndZonesAccessors(t *testing.T) {
 	od, err := p.OnDemandPrice(cloud.M3Medium)
 	if err != nil || od != 0.07 {
 		t.Errorf("OnDemandPrice = %v, %v", od, err)
+	}
+}
+
+// paddedID must stay byte-identical to the Sprintf it replaced, including
+// past the six-digit pad where ids simply grow.
+func TestPaddedIDMatchesSprintf(t *testing.T) {
+	for _, n := range []int{0, 1, 42, 999_999, 1_000_000, 12_345_678} {
+		for _, prefix := range []string{"i-", "vol-"} {
+			if got, want := paddedID(prefix, n), fmt.Sprintf(prefix+"%06d", n); got != want {
+				t.Errorf("paddedID(%q, %d) = %q, want %q", prefix, n, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = paddedID("i-", 137_681) }); allocs != 1 {
+		t.Errorf("paddedID allocates %v times, want 1 (the id itself)", allocs)
+	}
+}
+
+// platMetrics.billed resolves a market's counter on the first bill — when
+// the series first appears — and every later bill is a pointer and an add.
+func TestBilledResolvesOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := newPlatMetrics(reg)
+	if _, ok := reg.Snapshot().Value(metricBillingFinal, obs.L("market", "spot")); ok {
+		t.Fatal("billing series present before any bill")
+	}
+	m.billed(cloud.MarketSpot, 0.25)
+	m.billed(cloud.MarketOnDemand, 1)
+	allocs := testing.AllocsPerRun(1000, func() {
+		m.billed(cloud.MarketSpot, 0.25)
+		m.billed(cloud.MarketOnDemand, 0.5)
+	})
+	if allocs != 0 {
+		t.Errorf("billed allocates %v times per call pair after first use, want 0", allocs)
+	}
+	snap := reg.Snapshot()
+	if v, _ := snap.Value(metricBillingFinal, obs.L("market", "spot")); v != 0.25*1002 {
+		t.Errorf("spot billing counter = %v, want %v", v, 0.25*1002)
+	}
+	if v, _ := snap.Value(metricBillingFinal, obs.L("market", "on-demand")); v != 1+0.5*1001 {
+		t.Errorf("on-demand billing counter = %v, want %v", v, 1+0.5*1001)
 	}
 }

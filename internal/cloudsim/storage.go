@@ -15,7 +15,7 @@ func (p *Platform) CreateVolume(sizeGB int) (*cloud.Volume, error) {
 		return nil, fmt.Errorf("%w: volume size %d GB", cloud.ErrBadState, sizeGB)
 	}
 	p.nextVolume++
-	v := &cloud.Volume{ID: cloud.VolumeID(fmt.Sprintf("vol-%06d", p.nextVolume)), SizeGB: sizeGB}
+	v := &cloud.Volume{ID: cloud.VolumeID(paddedID("vol-", p.nextVolume)), SizeGB: sizeGB}
 	p.volumes[v.ID] = v
 	return v, nil
 }

@@ -203,6 +203,10 @@ type vmState struct {
 	pendingRelease bool
 	// lazyDegradeEvent tracks the post-restore demand-paging window.
 	lazyDegradeEvent simkit.Event
+	// backup is the server holding the VM's checkpoint stream (nil when it
+	// has none): the pointer registerBackup was handed, kept so the restore
+	// path need not look the VM up in the pool again.
+	backup *backup.Server
 	// restoreSrv holds the backup server serving an in-progress lazy
 	// restore (so its restore slot is released even on early teardown).
 	restoreSrv *backup.Server
@@ -325,6 +329,9 @@ func (h *hostState) vmByID(id nestedvm.ID) *vmState {
 
 type poolState struct {
 	key PoolKey
+	// label is key.String(), built once: the pool's metric label and its
+	// VMs' backup spread group.
+	label string
 	// market is the table record of the pool's (type, zone) pair.
 	market *market
 	bid    cloud.USD

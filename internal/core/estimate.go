@@ -88,7 +88,7 @@ func (c *Controller) EstimateMigration(id nestedvm.ID) (MigrationEstimate, error
 		est.FlushDegraded = flush.DegradedTime
 
 		readMBs := 38.4
-		if srv := c.backups.ServerFor(string(vm.ID)); srv != nil {
+		if srv := vs.backup; srv != nil {
 			readMBs = srv.RestoreReadMBsPerVM(srv.Restoring()+1, mech.Lazy())
 		}
 		res, err := migration.SimulateRestore(migration.RestoreSpec{

@@ -76,19 +76,19 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 	return m
 }
 
-func poolLabel(key PoolKey) obs.Label { return obs.L("pool", key.String()) }
+func poolLabel(pool *poolState) obs.Label { return obs.L("pool", pool.label) }
 
 func (m *coreMetrics) hostAcquired(pool *poolState) {
 	if pool.hostsAcquired == nil {
-		pool.hostsAcquired = m.reg.Counter("spotcheck_hosts_acquired_total", poolLabel(pool.key))
+		pool.hostsAcquired = m.reg.Counter("spotcheck_hosts_acquired_total", poolLabel(pool))
 	}
 	pool.hostsAcquired.Inc()
 }
 
 func (m *coreMetrics) bidPlaced(pool *poolState, bid float64) {
 	if pool.spotRequests == nil {
-		pool.spotRequests = m.reg.Counter("spotcheck_spot_requests_total", poolLabel(pool.key))
-		pool.bidGauge = m.reg.Gauge("spotcheck_pool_bid_usd", poolLabel(pool.key))
+		pool.spotRequests = m.reg.Counter("spotcheck_spot_requests_total", poolLabel(pool))
+		pool.bidGauge = m.reg.Gauge("spotcheck_pool_bid_usd", poolLabel(pool))
 	}
 	pool.spotRequests.Inc()
 	pool.bidGauge.Set(bid)
@@ -97,8 +97,8 @@ func (m *coreMetrics) bidPlaced(pool *poolState, bid float64) {
 // syncPool refreshes a pool's occupancy gauges from its current state.
 func (m *coreMetrics) syncPool(pool *poolState) {
 	if pool.hostGauge == nil {
-		pool.hostGauge = m.reg.Gauge("spotcheck_pool_hosts", poolLabel(pool.key))
-		pool.vmGauge = m.reg.Gauge("spotcheck_pool_vms", poolLabel(pool.key))
+		pool.hostGauge = m.reg.Gauge("spotcheck_pool_hosts", poolLabel(pool))
+		pool.vmGauge = m.reg.Gauge("spotcheck_pool_vms", poolLabel(pool))
 	}
 	pool.hostGauge.Set(float64(pool.hosts.Len()))
 	pool.vmGauge.Set(float64(pool.vmCount))

@@ -409,7 +409,7 @@ func (c *Controller) restoreOnDestination(vs *vmState, src, dst *hostState, stag
 		})
 		return
 	}
-	srv := c.backups.ServerFor(string(vm.ID))
+	srv := vs.backup
 	var readMBs float64
 	if srv != nil {
 		readMBs = srv.BeginRestore(mech.Lazy())

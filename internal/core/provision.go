@@ -305,7 +305,7 @@ func (c *Controller) poolFor(key PoolKey) *poolState {
 	if pool == nil {
 		// hostLess breaks seq ties by instance id: foreign id formats all
 		// parse to seq 0.
-		pool = &poolState{key: key, market: m, hosts: slab.NewRefList(c.hostSlab, setPoolIdx, hostLess)}
+		pool = &poolState{key: key, label: key.String(), market: m, hosts: slab.NewRefList(c.hostSlab, setPoolIdx, hostLess)}
 		m.pools[key.Market] = pool
 	}
 	return pool
@@ -419,32 +419,31 @@ func (c *Controller) startService(vs *vmState, h *hostState) {
 // capacity on demand. Stateless VMs never register: their state is
 // reconstructible, so checkpointing would be pure overhead (§4.2).
 func (c *Controller) registerBackup(vs *vmState) {
-	if vs.vm.BackupServer != "" || vs.stateless {
+	if vs.backup != nil || vs.stateless {
 		return
 	}
 	// Spread same-pool VMs across backup servers (§4.2) so one pool-wide
 	// storm does not concentrate its restore load on a single server.
-	group := vs.homePool.String()
-	if vs.host != nil {
-		group = vs.host.key.String()
-	}
-	srv, err := c.backups.AssignSpread(string(vs.vm.ID), vs.vm.Memory.DirtyMBs, group)
+	// Both callers have just placed the VM on a spot pool's host.
+	srv, err := c.backups.AssignSpread(string(vs.vm.ID), vs.vm.Memory.DirtyMBs, vs.host.pool.label)
 	if err != nil {
 		// Should not happen (pool auto-provisions); run unprotected and
 		// count it.
 		c.met.destFails.Inc()
 		return
 	}
+	vs.backup = srv
 	vs.vm.BackupServer = srv.ID()
 }
 
 // unregisterBackup removes the VM's checkpoint stream and retires the
 // backup server (and its rented native instance) once it drains.
 func (c *Controller) unregisterBackup(vs *vmState) {
-	if vs.vm.BackupServer == "" {
+	if vs.backup == nil {
 		return
 	}
 	srv := c.backups.Release(string(vs.vm.ID))
+	vs.backup = nil
 	vs.vm.BackupServer = ""
 	if srv != nil && srv.VMs() == 0 {
 		if err := c.backups.Remove(srv); err == nil {

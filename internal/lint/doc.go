@@ -7,7 +7,8 @@
 //     (the property the sweep engine and the byte-identity tests pin).
 //   - metrichygiene: every obs metric name is a compile-time string constant
 //     carrying the spotcheck_ prefix, keeping the scrape namespace unified
-//     and the series cardinality bounded (no fmt.Sprintf-minted names).
+//     and the series cardinality bounded (no fmt.Sprintf-minted names);
+//     instruments are resolved once, not looked up per record.
 //   - panicdiscipline: panic is reserved for invariant guards in designated
 //     packages (internal/obs registration, internal/simkit scheduling);
 //     policy and migration logic must return errors.

@@ -19,17 +19,26 @@ var (
 	regOnlyMethods = map[string]bool{"Remove": true, "Total": true}
 )
 
+// recordMethods maps each instrument lookup to the recording method that,
+// called on the lookup's result in the same expression, makes every record
+// pay for an intern: reg.Counter(name, labels...).Add(v) hashes the label
+// signature and takes the family lock each time it runs.
+var recordMethods = map[string]string{"Counter": "Add", "Gauge": "Set", "Histogram": "Observe"}
+
 // MetricHygiene requires every metric name handed to an obs.Registry to be
 // a compile-time string constant (literal, package-level const, or their
 // concatenation) carrying the spotcheck_ prefix. Dynamic names — above all
 // fmt.Sprintf — are banned outright: a name minted per entity makes family
 // cardinality unbounded and the exposition scrape-unsafe; variation belongs
-// in labels, whose series obs.Registry.Remove can retire. The check is
-// syntactic (no type information), so it keys on method names; the obs
-// package itself is exempt, being the framework under test.
+// in labels, whose series obs.Registry.Remove can retire. It also flags an
+// instrument looked up and recorded to in one expression — Counter(...).Add,
+// Gauge(...).Set, Histogram(...).Observe — because obs.Registry's contract
+// is "resolve once and keep the returned pointer". The check is syntactic
+// (no type information), so it keys on method names; the obs package itself
+// is exempt, being the framework under test.
 var MetricHygiene = &Analyzer{
 	Name: "metrichygiene",
-	Doc:  "obs metric names must be spotcheck_-prefixed string constants",
+	Doc:  "obs metric names must be spotcheck_-prefixed string constants; instruments are resolved once, not per record",
 	Run:  runMetricHygiene,
 }
 
@@ -47,6 +56,11 @@ func runMetricHygiene(pass *Pass) {
 			return true
 		}
 		method := sel.Sel.Name
+		if lookup := lookupMethod(sel.X); lookup != "" && recordMethods[lookup] == method {
+			pass.Reportf(call,
+				"%s(...).%s looks the instrument up on every record; resolve it once and keep the pointer",
+				lookup, method)
+		}
 		switch {
 		case nameMethods[method]:
 		case regOnlyMethods[method] && receiverLooksLikeRegistry(sel.X):
@@ -64,6 +78,21 @@ func runMetricHygiene(pass *Pass) {
 		}
 		return true
 	})
+}
+
+// lookupMethod returns the method name when x is itself a call of the form
+// recv.Counter(...), recv.Gauge(...) or recv.Histogram(...), and "" otherwise.
+// A chain split across lines parses to the same tree.
+func lookupMethod(x ast.Expr) string {
+	inner, ok := ast.Unparen(x).(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	sel, ok := inner.Fun.(*ast.SelectorExpr)
+	if !ok || recordMethods[sel.Sel.Name] == "" {
+		return ""
+	}
+	return sel.Sel.Name
 }
 
 // receiverLooksLikeRegistry reports whether the receiver chain's last

@@ -112,6 +112,85 @@ func f(reg registry, name string) {
 type registry interface{ Gauge(name string) }
 `,
 		},
+		{
+			name: "lookup-and-record in one expression flagged",
+			rel:  "internal/cloudsim",
+			src: `package cloudsim
+const metricBilled = "spotcheck_billed_usd_total"
+func f(m *metrics, market string, usd, ingest, fanin float64) {
+	m.reg.Counter(metricBilled, L("market", market)).Add(usd)
+	m.reg.Gauge("spotcheck_ingest_mbs", L("server", market)).
+		Set(ingest)
+	(m.reg.Histogram("spotcheck_fanin", nil)).Observe(fanin)
+}
+type metrics struct{ reg *registry }
+type registry struct{}
+type label struct{}
+func L(k, v string) label { return label{} }
+type instrument struct{}
+func (*registry) Counter(name string, l ...label) *instrument { return nil }
+func (*registry) Gauge(name string, l ...label) *instrument { return nil }
+func (*registry) Histogram(name string, b []float64, l ...label) *instrument { return nil }
+func (*instrument) Add(float64) {}
+func (*instrument) Set(float64) {}
+func (*instrument) Observe(float64) {}
+`,
+			want: []string{"Counter(...).Add looks the instrument up", "Gauge(...).Set looks the instrument up", "Histogram(...).Observe looks the instrument up"},
+		},
+		{
+			name: "resolve-once and unrelated chains allowed",
+			rel:  "internal/backup",
+			src: `package backup
+func f(m *metrics, s *server, set *bitset, v float64) {
+	if s.ingest == nil {
+		s.ingest = m.reg.Gauge("spotcheck_backup_ingest_mbs")
+	}
+	s.ingest.Set(v)
+	m.fanIn.Observe(v)
+	set.Counter("spotcheck_bits").Set(3) // Counter paired with Set: not the record shape
+	m.total().Add(v)
+}
+type metrics struct{ reg *registry; fanIn *instrument }
+func (*metrics) total() *instrument { return nil }
+type server struct{ ingest *instrument }
+type registry struct{}
+func (*registry) Gauge(name string) *instrument { return nil }
+type instrument struct{}
+func (*instrument) Set(float64) {}
+func (*instrument) Observe(float64) {}
+func (*instrument) Add(float64) {}
+type bitset struct{}
+func (*bitset) Counter(name string) *bits { return nil }
+type bits struct{}
+func (*bits) Set(int) {}
+`,
+		},
+		{
+			name: "lookup-and-record suppressed with reason",
+			rel:  "internal/core",
+			src: `package core
+func f(reg *registry, usd float64) {
+	//lint:ignore metrichygiene fixture: runs once at shutdown, keeping a pointer would outlive its use
+	reg.Counter("spotcheck_final_bill_usd_total").
+		Add(usd)
+}
+type registry struct{}
+type instrument struct{}
+func (*registry) Counter(name string) *instrument { return nil }
+func (*instrument) Add(float64) {}
+`,
+		},
+		{
+			name: "lookup-and-record exempt inside obs",
+			rel:  "internal/obs",
+			src: `package obs
+func f(r *Registry) { r.Counter("spotcheck_jobs_total").Add(1) }
+type Registry struct{}
+type Counter struct{}
+func (*Registry) Counter(name string) *Counter { return nil }
+func (*Counter) Add(float64) {}
+`,
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -9,13 +9,30 @@ import "fmt"
 // they were issued under, which is what keeps stale handles inert after the
 // slot has been recycled.
 type event struct {
-	at    Time
-	seq   uint64
 	fn    func()
 	label string
 	gen   uint64 // occupancy generation; bumped on slot reuse
 	cgen  uint64 // gen of the most recent canceled occupancy (0 = none)
 	index int32  // heap position, -1 when not pending
+}
+
+// entry is one element of the pending heap: the event's ordering key held
+// by value beside its slot, so sifting compares keys within the heap's own
+// array and follows a slot pointer only to record the slot's new position.
+type entry struct {
+	at  Time
+	seq uint64
+	e   *event
+}
+
+// before orders the heap: earliest time first, FIFO among simultaneous
+// events. (at, seq) is unique per event, so the order is total and the pop
+// sequence is independent of the heap's arity and internal layout.
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // eventChunk is how many slots a slab allocation carries. Chunking keeps
@@ -60,17 +77,22 @@ func (h Event) Pending() bool {
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use: simulations are deterministic single-goroutine runs.
 //
-// The pending queue is a hand-rolled binary min-heap over (at, seq) — no
-// container/heap interface boxing on the dispatch hot path — and fired or
-// canceled events are recycled through a free list, so steady-state
+// The pending queue is a hand-rolled 4-ary min-heap over (at, seq) — no
+// container/heap interface boxing on the dispatch hot path, half a binary
+// heap's levels, and a node's four children adjacent in memory — and fired
+// or canceled events are recycled through a free list, so steady-state
 // scheduling allocates nothing.
 type Scheduler struct {
 	now     Time
 	seq     uint64
-	pending []*event // binary min-heap ordered by (at, seq)
+	pending []entry  // 4-ary min-heap ordered by (at, seq)
 	free    []*event // recycled slots awaiting reuse
 	fired   uint64
 }
+
+// arity is the heap's fan-out: the children of node i are arity*i+1 …
+// arity*i+arity.
+const arity = 4
 
 // NewScheduler returns a scheduler positioned at virtual time zero.
 func NewScheduler() *Scheduler { return &Scheduler{} }
@@ -112,100 +134,80 @@ func (s *Scheduler) recycle(e *event) {
 	s.free = append(s.free, e)
 }
 
-// less orders the heap: earliest time first, FIFO among simultaneous
-// events. (at, seq) is unique per event, so the order is total and the pop
-// sequence is independent of the heap's internal layout.
-func less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// siftUp moves pending[i] toward the root until the heap property holds.
-// It moves the element once, shifting parents down into the hole.
-func (s *Scheduler) siftUp(i int) {
+// siftUp places x at or above the hole at position i, shifting parents
+// down into the hole until the heap property holds.
+func (s *Scheduler) siftUp(i int, x entry) {
 	h := s.pending
-	e := h[i]
 	for i > 0 {
-		parent := (i - 1) / 2
-		p := h[parent]
-		if !less(e, p) {
+		parent := (i - 1) / arity
+		if !x.before(h[parent]) {
 			break
 		}
-		h[i] = p
-		p.index = int32(i)
+		h[i] = h[parent]
+		h[i].e.index = int32(i)
 		i = parent
 	}
-	h[i] = e
-	e.index = int32(i)
+	h[i] = x
+	x.e.index = int32(i)
 }
 
-// siftDown moves pending[i] toward the leaves until the heap property
-// holds.
-func (s *Scheduler) siftDown(i int) {
+// siftDown places x at or below the hole at position i, pulling the least
+// child up into the hole until the heap property holds.
+func (s *Scheduler) siftDown(i int, x entry) {
 	h := s.pending
 	n := len(h)
-	e := h[i]
 	for {
-		left := 2*i + 1
-		if left >= n || left < 0 { // left < 0 after int overflow
+		first := arity*i + 1
+		if first >= n || first < 0 { // first < 0 after int overflow
 			break
 		}
-		m := left
-		if right := left + 1; right < n && less(h[right], h[left]) {
-			m = right
+		m := first
+		for c, end := first+1, min(first+arity, n); c < end; c++ {
+			if h[c].before(h[m]) {
+				m = c
+			}
 		}
-		if !less(h[m], e) {
+		if !h[m].before(x) {
 			break
 		}
 		h[i] = h[m]
-		h[i].index = int32(i)
+		h[i].e.index = int32(i)
 		i = m
 	}
-	h[i] = e
-	e.index = int32(i)
+	h[i] = x
+	x.e.index = int32(i)
 }
 
-// push appends e and restores the heap property.
-func (s *Scheduler) push(e *event) {
-	s.pending = append(s.pending, e)
-	s.siftUp(len(s.pending) - 1)
-}
-
-// popRoot removes and returns the earliest pending event.
-func (s *Scheduler) popRoot() *event {
+// popRoot removes and returns the earliest pending entry. The caller
+// recycles its slot, which is what marks it no longer pending.
+func (s *Scheduler) popRoot() entry {
 	h := s.pending
-	n := len(h)
-	root := h[0]
-	last := h[n-1]
-	h[n-1] = nil
-	s.pending = h[:n-1]
-	if n > 1 {
-		s.pending[0] = last
-		s.siftDown(0)
+	n := len(h) - 1
+	root, last := h[0], h[n]
+	h[n] = entry{}
+	s.pending = h[:n]
+	if n > 0 {
+		s.siftDown(0, last)
 	}
-	root.index = -1
 	return root
 }
 
-// remove deletes the pending event at heap position i.
+// remove deletes the entry at heap position i; as with popRoot, the caller
+// recycles the slot.
 func (s *Scheduler) remove(i int) {
 	h := s.pending
-	n := len(h)
-	e := h[i]
-	last := h[n-1]
-	h[n-1] = nil
-	s.pending = h[:n-1]
-	if i < n-1 {
-		s.pending[i] = last
-		last.index = int32(i)
-		s.siftDown(i)
-		if s.pending[i] == last {
-			s.siftUp(i)
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	s.pending = h[:n]
+	if i < n {
+		// The last entry fills the hole; it may belong above it or below.
+		if i > 0 && last.before(h[(i-1)/arity]) {
+			s.siftUp(i, last)
+		} else {
+			s.siftDown(i, last)
 		}
 	}
-	e.index = -1
 }
 
 // At schedules fn at absolute virtual time t. label names the kind of event
@@ -221,12 +223,11 @@ func (s *Scheduler) At(t Time, label string, fn func()) Event {
 		panic("simkit: nil event func")
 	}
 	e := s.alloc()
-	e.at = t
-	e.seq = s.seq
 	e.fn = fn
 	e.label = label
+	s.pending = append(s.pending, entry{})
+	s.siftUp(len(s.pending)-1, entry{at: t, seq: s.seq, e: e})
 	s.seq++
-	s.push(e)
 	return Event{e: e, gen: e.gen, at: t}
 }
 
@@ -259,11 +260,11 @@ func (s *Scheduler) Step() bool {
 	if len(s.pending) == 0 {
 		return false
 	}
-	e := s.popRoot()
-	s.now = e.at
+	root := s.popRoot()
+	s.now = root.at
 	s.fired++
-	fn := e.fn
-	s.recycle(e)
+	fn := root.e.fn
+	s.recycle(root.e)
 	fn()
 	return true
 }

@@ -1,6 +1,9 @@
 package simkit
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -349,6 +352,73 @@ func TestSchedulerOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+
+	// Cancel-heavy mix against a sorted-slice reference: every fired event
+	// must be the reference's head (same id, same time, so FIFO among ties
+	// too), through a queue whose size crosses four levels of the 4-ary heap
+	// (1, 5, 21, 85, 341 nodes) while over 30 % of the ops cancel an event
+	// from the middle of the order — the removal that sifts either way.
+	type rec struct {
+		at Time
+		id int
+		h  Event
+	}
+	ops, cancels := 0, 0
+	for _, size := range []int{1, 4, 5, 6, 21, 22, 85, 86, 341, 342, 700} {
+		rng := rand.New(rand.NewSource(int64(size)))
+		s := NewScheduler()
+		var ref []rec // the pending events, sorted by (at, id)
+		var fired []int
+		next := 0
+		add := func() {
+			at := s.Now() + Time(rng.Intn(40))*Millisecond // few distinct times: many ties
+			id := next
+			next++
+			h := s.At(at, "p", func() { fired = append(fired, id) })
+			// ids only grow, so the new event sorts after every tie.
+			i := sort.Search(len(ref), func(i int) bool { return ref[i].at > at })
+			ref = slices.Insert(ref, i, rec{at, id, h})
+		}
+		step := func() {
+			want, n := ref[0], len(fired)
+			ref = ref[1:]
+			if !s.Step() || len(fired) != n+1 || fired[n] != want.id || s.Now() != want.at {
+				t.Fatalf("size %d: fired %v at %v, reference head is event %d at %v", size, fired[n:], s.Now(), want.id, want.at)
+			}
+		}
+		for len(ref) < size {
+			add()
+		}
+		for range 6*size + 60 {
+			ops++
+			switch r := rng.Intn(10); {
+			case len(ref) < size/2 || r >= 8:
+				add()
+			case r < 5 && len(ref) > 2:
+				i := len(ref)/4 + rng.Intn(len(ref)/2)
+				s.Cancel(ref[i].h)
+				if !ref[i].h.Canceled() || ref[i].h.Pending() {
+					t.Fatalf("size %d: canceled event %d still pending", size, ref[i].id)
+				}
+				ref = slices.Delete(ref, i, i+1)
+				cancels++
+			case len(ref) > 0:
+				step()
+			}
+			if s.Pending() != len(ref) {
+				t.Fatalf("size %d: %d pending, reference holds %d", size, s.Pending(), len(ref))
+			}
+		}
+		for len(ref) > 0 {
+			step()
+		}
+		if s.Step() {
+			t.Fatalf("size %d: an event outlived the reference", size)
+		}
+	}
+	if cancels*10 < ops*3 {
+		t.Errorf("%d cancels in %d ops: the mix is not cancel-heavy", cancels, ops)
 	}
 }
 
