@@ -326,7 +326,7 @@ func BenchmarkHeadline(b *testing.B) {
 // --- Fleet-scale capacity bench (docs/SCALING.md) ---
 
 // BenchmarkScaleFleet1k runs the scale experiment's measured rung at bench
-// scale — a 1k-VM synthetic fleet in fleet mode — and reports the two
+// scale — a 1k-VM synthetic fleet — and reports the two
 // capacity metrics `go run ./bench` tracks on its fleet workloads: ns per
 // simulated VM-hour and live bytes per VM. The full 1k/10k/100k ladder
 // over six months runs via `spotsim -exp scale`.

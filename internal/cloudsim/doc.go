@@ -21,11 +21,13 @@
 // answers cloud.ErrNotFound for it, always. Assigned VPC addresses are
 // indexed so IP release and duplicate checks never scan the ledger.
 //
-// Defaults retain every instance record for the whole run. Fleet-scale
-// runs opt in via Config: ExpectedInstances pre-sizes the ledger,
-// CompactTerminated recycles a terminated instance's slot (retaining its
-// final bill for AccruedCost), and PrefixBilling answers spot bills from
-// per-market prefix integrals in O(log n) instead of walking every price
-// segment the instance lived through. docs/SCALING.md quantifies the
-// result.
+// The ledger holds live instances only. Termination bills the instance
+// once, keeps the bill under its id (AccruedCost answers it for the rest of
+// the run) and recycles the slot; Instance(id) resolves live instances only,
+// and an operation addressed to a terminated instance fails with
+// cloud.ErrBadState where an id never issued fails with cloud.ErrNotFound.
+// Continuous spot bills read the market's prefix integral in O(log n)
+// instead of walking every price segment the instance lived through.
+// Config.ExpectedInstances pre-sizes the ledger when the scale is known;
+// docs/SCALING.md quantifies the result.
 package cloudsim

@@ -43,23 +43,16 @@ type Config struct {
 	// that customers do not pay for the interrupted partial hour).
 	BillingIncrement simkit.Time
 	// VPC is the private address block for nested VM IPs.
-	// Defaults to 10.0.0.0/16.
+	// Defaults to 10.0.0.0/8.
 	VPC netip.Prefix
 
-	// ExpectedInstances pre-sizes the instance ledger and indexes for
-	// fleet-scale runs, avoiding incremental rehash/regrow churn. Zero
-	// keeps the default sizing.
+	// ExpectedInstances is a capacity hint: it pre-sizes the instance
+	// ledger and indexes so a run of known scale never regrows them. Zero
+	// grows on demand; no output depends on it.
 	ExpectedInstances int
-	// CompactTerminated recycles an instance's ledger slot when it
-	// terminates, retaining only its id and final bill (AccruedCost keeps
-	// answering; Instance does not). Off by default: the default paths
-	// keep every record, and some callers inspect terminated instances.
+	// CompactTerminated has no effect; deleted with the bench/ edit in Move 2.
 	CompactTerminated bool
-	// PrefixBilling answers spot AccruedCost from per-market prefix
-	// integrals (O(log n)) instead of walking every price segment the
-	// instance lived through. The sum re-associates, so bills can differ
-	// from the default segment walk in the last ulps — which is why the
-	// golden-pinned default paths leave it off.
+	// PrefixBilling has no effect; deleted with the bench/ edit in Move 2.
 	PrefixBilling bool
 
 	// Metrics, if non-nil, receives platform instruments (price ticks,
@@ -82,7 +75,7 @@ func (c *Config) fillDefaults() {
 		c.Latencies = DefaultOpLatencies()
 	}
 	if !c.VPC.IsValid() {
-		c.VPC = netip.MustParsePrefix("10.0.0.0/16")
+		c.VPC = netip.MustParsePrefix("10.0.0.0/8")
 	}
 }
 
@@ -107,13 +100,13 @@ type Platform struct {
 	nextInstance int
 	nextVolume   int
 	// instSlab holds every live instance's state in chunked, index-addressed
-	// storage; instByID maps external ids to generation-checked handles. In
-	// default runs slots are never freed (the ledger is append-only, as it
-	// always was); CompactTerminated recycles them at destroy.
+	// storage; instByID maps external ids to generation-checked handles.
+	// destroy recycles the slot, so the ledger holds live instances only.
 	instSlab *slab.Slab[instanceState]
 	instByID map[cloud.InstanceID]slab.Handle
-	// finalCost retains compacted instances' whole-life bills so AccruedCost
-	// still answers after the ledger entry is gone (CompactTerminated only).
+	// finalCost is what remains of a terminated instance: its whole-life
+	// bill, which AccruedCost keeps answering, under its id, which tells a
+	// terminated instance from one that never existed.
 	finalCost map[cloud.InstanceID]cloud.USD
 	volumes   map[cloud.VolumeID]*cloud.Volume
 
@@ -216,8 +209,8 @@ type market struct {
 	// spots holds the market's running spot instances for the revocation
 	// sweep.
 	spots spotList
-	// prefix is the cumulative price integral, built on first use
-	// (PrefixBilling only).
+	// prefix is the cumulative price integral, built on the market's
+	// first spot bill.
 	prefix *spotmarket.PrefixIntegral
 	// ticks counts the market's price changes (nil without Config.Metrics).
 	ticks *obs.Counter
@@ -325,15 +318,13 @@ func New(sched *simkit.Scheduler, cfg Config) (*Platform, error) {
 		types:      make(map[string]cloud.InstanceType, len(cfg.Catalog)),
 		instSlab:   slab.New[instanceState](exp),
 		instByID:   make(map[cloud.InstanceID]slab.Handle, exp),
+		finalCost:  make(map[cloud.InstanceID]cloud.USD, exp),
 		volumes:    make(map[cloud.VolumeID]*cloud.Volume, exp),
 		markets:    make(map[spotmarket.MarketKey]*market, len(cfg.Traces)),
 		ipAssigned: make(map[cloud.Addr]*cloud.Instance, exp),
 		ipPool:     newIPPool(cfg.VPC),
 		liveCount:  map[string]int{},
 		met:        newPlatMetrics(cfg.Metrics),
-	}
-	if cfg.CompactTerminated {
-		p.finalCost = make(map[cloud.InstanceID]cloud.USD, exp)
 	}
 	for _, it := range cfg.Catalog {
 		p.types[it.Name] = it
@@ -432,8 +423,8 @@ func (p *Platform) RunOnDemand(typ string, zone cloud.Zone, cb cloud.InstanceCal
 	h, id := st.slot, st.inst.ID
 	delay := simkit.SampleSeconds(p.cfg.Latencies.StartOnDemand, p.rng)
 	p.sched.After(delay, "od-launch", func() {
-		// The slot may have been terminated-and-compacted mid-launch; the
-		// generation check catches a recycled handle.
+		// The instance may have been terminated mid-launch; the generation
+		// check catches its recycled handle.
 		st := p.instSlab.Get(h)
 		if st == nil {
 			cb(nil, fmt.Errorf("%w: instance %s terminated during launch", cloud.ErrBadState, id))
@@ -474,9 +465,6 @@ func (p *Platform) RequestSpot(typ string, zone cloud.Zone, bid cloud.USD, cb cl
 			return
 		}
 		p.finishLaunch(st, cb)
-		if st.inst.State != cloud.StateRunning {
-			return
-		}
 		p.stats.SpotLaunched++
 		m.spots.insert(st)
 		// The price may have spiked past the bid while the launch was
@@ -500,13 +488,24 @@ func (p *Platform) checkCapacity(typ string) error {
 }
 
 // lookupInst resolves an external instance id to its live ledger entry (nil
-// when unknown or compacted).
+// when unknown or terminated).
 func (p *Platform) lookupInst(id cloud.InstanceID) *instanceState {
 	h, ok := p.instByID[id]
 	if !ok {
 		return nil
 	}
 	return p.instSlab.Get(h)
+}
+
+// errNoInstance is the error of an operation whose lookupInst missed: a
+// terminated instance is in the wrong state for it, an id never issued
+// does not exist. The controller tells the two apart — racing a
+// termination is expected, addressing nothing is not.
+func (p *Platform) errNoInstance(id cloud.InstanceID) error {
+	if _, ok := p.finalCost[id]; ok {
+		return fmt.Errorf("%w: instance %s is terminated", cloud.ErrBadState, id)
+	}
+	return fmt.Errorf("%w: instance %s", cloud.ErrNotFound, id)
 }
 
 // paddedID is fmt.Sprintf(prefix+"%06d", n) for n ≥ 0 in one allocation
@@ -538,11 +537,6 @@ func (p *Platform) newInstance(it cloud.InstanceType, zone cloud.Zone, market cl
 }
 
 func (p *Platform) finishLaunch(st *instanceState, cb cloud.InstanceCallback) {
-	if st.inst.State == cloud.StateTerminated {
-		// Terminated while pending.
-		cb(nil, fmt.Errorf("%w: instance %s terminated during launch", cloud.ErrBadState, st.inst.ID))
-		return
-	}
 	st.inst.State = cloud.StateRunning
 	st.inst.Launched = p.sched.Now()
 	p.stats.Launched++
@@ -554,9 +548,9 @@ func (p *Platform) finishLaunch(st *instanceState, cb cloud.InstanceCallback) {
 func (p *Platform) Terminate(id cloud.InstanceID, cb cloud.Callback) error {
 	st := p.lookupInst(id)
 	if st == nil {
-		return fmt.Errorf("%w: instance %s", cloud.ErrNotFound, id)
+		return p.errNoInstance(id)
 	}
-	if st.inst.State == cloud.StateTerminated || st.terminating {
+	if st.terminating {
 		return fmt.Errorf("%w: instance %s already terminated", cloud.ErrBadState, id)
 	}
 	st.terminating = true
@@ -577,11 +571,11 @@ func (p *Platform) Terminate(id cloud.InstanceID, cb cloud.Callback) error {
 }
 
 // destroy finalizes termination: frees addresses, detaches volumes, removes
-// the instance from revocation sweeps.
+// the instance from revocation sweeps, bills it and recycles its ledger
+// slot. The *cloud.Instance itself survives for any holder (the
+// controller's rental ledger keeps the pointer); only the platform-side
+// state is reclaimed.
 func (p *Platform) destroy(st *instanceState) {
-	if st.inst.State == cloud.StateTerminated {
-		return
-	}
 	if st.forcedKill.Pending() {
 		p.sched.Cancel(st.forcedKill)
 		st.forcedKill = simkit.Event{}
@@ -607,25 +601,11 @@ func (p *Platform) destroy(st *instanceState) {
 	if st.inst.Market == cloud.MarketSpot {
 		st.market.spots.remove(st)
 	}
-	// Billing is finalized here: Ended is set, so AccruedCost is the
+	// Billing is finalized here: Ended is set, so the accrued cost is the
 	// instance's whole-life bill.
-	if p.met != nil {
-		if cost, err := p.AccruedCost(st.inst.ID); err == nil {
-			p.met.billed(st.inst.Market, float64(cost))
-		}
-	}
-	if p.cfg.CompactTerminated {
-		p.compact(st)
-	}
-}
-
-// compact recycles a terminated instance's ledger slot, keeping only its
-// final bill. The *cloud.Instance itself survives for any holder (the
-// controller's rental ledger keeps the pointer); only the platform-side
-// state is reclaimed.
-func (p *Platform) compact(st *instanceState) {
 	id := st.inst.ID
-	if cost, err := p.AccruedCost(id); err == nil {
+	if cost, err := p.accrued(st); err == nil {
+		p.met.billed(st.inst.Market, float64(cost))
 		p.finalCost[id] = cost
 	}
 	delete(p.instByID, id)
@@ -634,8 +614,8 @@ func (p *Platform) compact(st *instanceState) {
 	p.instSlab.Free(slot)
 }
 
-// Instance implements cloud.Provider. Compacted (terminated, fleet-mode)
-// instances are no longer resolvable.
+// Instance implements cloud.Provider. It resolves live (pending, running
+// or warned) instances only.
 func (p *Platform) Instance(id cloud.InstanceID) (*cloud.Instance, error) {
 	st := p.lookupInst(id)
 	if st == nil {
@@ -655,12 +635,18 @@ func (p *Platform) OnRevocationWarning(fn func(cloud.RevocationWarning)) {
 func (p *Platform) AccruedCost(id cloud.InstanceID) (cloud.USD, error) {
 	st := p.lookupInst(id)
 	if st == nil {
-		// Compacted instances keep answering with their finalized bill.
+		// Terminated instances keep answering with their finalized bill.
 		if cost, ok := p.finalCost[id]; ok {
 			return cost, nil
 		}
 		return 0, fmt.Errorf("%w: instance %s", cloud.ErrNotFound, id)
 	}
+	return p.accrued(st)
+}
+
+// accrued bills a ledger entry up to now, or up to its end once destroy
+// has set it.
+func (p *Platform) accrued(st *instanceState) (cloud.USD, error) {
 	inst := st.inst
 	if inst.State == cloud.StatePending {
 		return 0, nil
@@ -677,9 +663,6 @@ func (p *Platform) AccruedCost(id cloud.InstanceID) (cloud.USD, error) {
 		return cloud.USD(float64(inst.Type.OnDemand) * end.Sub(inst.Launched).Hours()), nil
 	case cloud.MarketSpot:
 		m := st.market
-		if !p.cfg.PrefixBilling {
-			return m.trace.Integrate(inst.Launched, end), nil
-		}
 		if m.prefix == nil {
 			m.prefix = m.trace.PrefixIntegral()
 		}
@@ -777,9 +760,6 @@ func (p *Platform) warn(st *instanceState, price cloud.USD) {
 	}
 	st.forcedKill = p.sched.At(deadline, "forced-kill", func() {
 		st.forcedKill = simkit.Event{}
-		if st.inst.State == cloud.StateTerminated {
-			return
-		}
 		p.stats.ForcedTerminations++
 		if p.met != nil {
 			p.met.forced.Inc()

@@ -28,7 +28,7 @@ func (p *Platform) AttachVolume(vol cloud.VolumeID, inst cloud.InstanceID, cb cl
 	}
 	st := p.lookupInst(inst)
 	if st == nil {
-		return fmt.Errorf("%w: instance %s", cloud.ErrNotFound, inst)
+		return p.errNoInstance(inst)
 	}
 	if v.AttachedTo != "" {
 		return fmt.Errorf("%w: volume %s attached to %s", cloud.ErrBadState, vol, v.AttachedTo)
@@ -37,8 +37,8 @@ func (p *Platform) AttachVolume(vol cloud.VolumeID, inst cloud.InstanceID, cb cl
 		return fmt.Errorf("%w: instance %s is %v", cloud.ErrBadState, inst, s)
 	}
 	// Reserve immediately so concurrent attaches fail fast. The closure
-	// captures the instance, not its ledger slot: the slot may be recycled
-	// (fleet mode) before the attach lands, the instance never is.
+	// captures the instance, not its ledger slot: the slot is recycled if
+	// the instance terminates before the attach lands, the instance never is.
 	v.AttachedTo = inst
 	target := st.inst
 	delay := simkit.SampleSeconds(p.cfg.Latencies.AttachVolume, p.rng)
@@ -181,7 +181,7 @@ func (p *Platform) ReleaseIP(addr cloud.Addr) error {
 func (p *Platform) AssignIP(inst cloud.InstanceID, addr cloud.Addr, cb cloud.Callback) error {
 	st := p.lookupInst(inst)
 	if st == nil {
-		return fmt.Errorf("%w: instance %s", cloud.ErrNotFound, inst)
+		return p.errNoInstance(inst)
 	}
 	if !p.ipPool.inUse[addr] {
 		return fmt.Errorf("%w: address %s not allocated", cloud.ErrNotFound, addr)
@@ -214,7 +214,7 @@ func (p *Platform) AssignIP(inst cloud.InstanceID, addr cloud.Addr, cb cloud.Cal
 func (p *Platform) UnassignIP(inst cloud.InstanceID, addr cloud.Addr, cb cloud.Callback) error {
 	st := p.lookupInst(inst)
 	if st == nil {
-		return fmt.Errorf("%w: instance %s", cloud.ErrNotFound, inst)
+		return p.errNoInstance(inst)
 	}
 	if !st.inst.HasIP(addr) {
 		return fmt.Errorf("%w: address %s not on instance %s", cloud.ErrBadState, addr, inst)

@@ -35,6 +35,7 @@ func Run(t *testing.T, h Harness) {
 	t.Run("Volumes", func(t *testing.T) { testVolumes(t, h) })
 	t.Run("Addresses", func(t *testing.T) { testAddresses(t, h) })
 	t.Run("ErrorContract", func(t *testing.T) { testErrors(t, h) })
+	t.Run("TerminatedInstance", func(t *testing.T) { testTerminated(t, h) })
 	t.Run("CostAccrual", func(t *testing.T) { testCost(t, h) })
 }
 
@@ -240,6 +241,52 @@ func testErrors(t *testing.T, h Harness) {
 	}
 	if err := p.DetachVolume("vol-none", nil); !errors.Is(err, cloud.ErrNotFound) {
 		t.Errorf("unknown volume = %v", err)
+	}
+}
+
+// testTerminated pins how a provider answers for an instance that is gone:
+// the controller treats ErrBadState as having raced a termination and
+// anything else as an unexpected failure, so a terminated instance must not
+// look like one that never existed — and its bill must outlive it.
+func testTerminated(t *testing.T, h Harness) {
+	p, drain := h.New(t)
+	inst := launchOD(t, p, h, drain)
+	addr, err := p.AllocateIP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol, err := p.CreateVolume(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Terminate(inst.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	drain()
+	ops := []struct {
+		name string
+		call func(cloud.InstanceID) error
+	}{
+		{"Terminate", func(id cloud.InstanceID) error { return p.Terminate(id, nil) }},
+		{"AssignIP", func(id cloud.InstanceID) error { return p.AssignIP(id, addr, nil) }},
+		{"UnassignIP", func(id cloud.InstanceID) error { return p.UnassignIP(id, addr, nil) }},
+		{"AttachVolume", func(id cloud.InstanceID) error { return p.AttachVolume(vol.ID, id, nil) }},
+	}
+	for _, op := range ops {
+		if err := op.call(inst.ID); !errors.Is(err, cloud.ErrBadState) {
+			t.Errorf("%s on a terminated instance = %v, want ErrBadState", op.name, err)
+		}
+		if err := op.call("i-none"); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("%s on an id never issued = %v, want ErrNotFound", op.name, err)
+		}
+	}
+	bill, err := p.AccruedCost(inst.ID)
+	if err != nil || bill < 0 {
+		t.Fatalf("final bill of a terminated instance = %v, %v", bill, err)
+	}
+	drain()
+	if again, err := p.AccruedCost(inst.ID); err != nil || again != bill {
+		t.Errorf("final bill moved: %v then %v, %v", bill, again, err)
 	}
 }
 

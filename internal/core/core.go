@@ -113,18 +113,18 @@ type Config struct {
 	// state — exactly the risk the paper describes.
 	Predictive PredictiveConfig
 
-	// ExpectedVMs pre-sizes the controller's fleet state — the VM and host
-	// slabs, the boundary ID maps and the rental ledger — so a run of known
-	// scale never grows them mid-simulation. Zero starts small and grows on
-	// demand.
+	// ExpectedVMs is a capacity hint: it pre-sizes the controller's fleet
+	// state — the VM and host slabs, the boundary ID maps and the rental
+	// ledger — so a run of known scale never grows them mid-simulation.
+	// Zero grows on demand; no output depends on it.
 	ExpectedVMs int
 	// RecycleReleased frees a released VM's controller state for reuse by
 	// later requests, folding its final accounting into retained aggregate
 	// totals (Report and Customers are unchanged; the time-derived figures
 	// are exact because the fold sums integer durations). Per-VM
-	// introspection (DescribeVM, Events, ListVMs) forgets recycled VMs.
-	// Default off: every VM's state is retained for the whole run, which
-	// the golden-figure experiments rely on.
+	// introspection (DescribeVM, Events, ListVMs) forgets recycled VMs,
+	// which is the whole choice: spotcheckd answers for a deleted server
+	// and leaves it off, batch runs have no reader after release and set it.
 	RecycleReleased bool
 
 	// Seed drives the controller's probabilistic policies.
@@ -396,9 +396,9 @@ type Controller struct {
 	nextVM int
 
 	// rentals tracks every native instance ever rented (for cost). Each
-	// entry memoizes its final cost once the instance terminates; with
-	// RecycleReleased the finalized entries periodically fold into
-	// rentalFinal so the ledger stays proportional to live instances.
+	// entry memoizes its final cost once the instance terminates; the
+	// finalized entries periodically fold into rentalFinal so the ledger
+	// stays proportional to live instances.
 	rentals         []rental
 	rentalFinal     [3]cloud.USD // folded cost by rentalKind
 	rentalsScrubbed int          // ledger length after the last fold
@@ -595,7 +595,7 @@ func (c *Controller) newHostState() *hostState {
 }
 
 // freeVMSlot recycles a released VM's slab slot, folding its final
-// accounting into the retained aggregates first (RecycleReleased only).
+// accounting into the retained aggregates first (Config.RecycleReleased).
 func (c *Controller) freeVMSlot(vs *vmState) {
 	vm := vs.vm
 	end := vs.serviceEnd
@@ -709,16 +709,11 @@ func (c *Controller) dropPoolHost(h *hostState) {
 
 func setPoolIdx(h *hostState, i int) { h.poolIdx = i }
 
-// maybeScrubRentals compacts the rental ledger in fleet mode: terminated
-// instances' bills never change, so their final costs fold into rentalFinal
-// and the entries drop. Amortized triggering (the ledger must double since
-// the last scrub) keeps the whole-ledger pass O(1) per append. Default runs
-// keep every entry — Report's per-entry summation order is part of the
-// golden digests.
+// maybeScrubRentals compacts the rental ledger: terminated instances'
+// bills never change, so their final costs fold into rentalFinal and the
+// entries drop. Amortized triggering (the ledger must double since the last
+// scrub) keeps the whole-ledger pass O(1) per append.
 func (c *Controller) maybeScrubRentals() {
-	if !c.cfg.RecycleReleased {
-		return
-	}
 	if len(c.rentals) < 64 || len(c.rentals) < 2*c.rentalsScrubbed {
 		return
 	}

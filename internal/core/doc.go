@@ -44,13 +44,13 @@
 // accumulators (durAcc) that are bit-identical to the narrow arithmetic
 // until the sum actually overflows.
 //
-// By default every VM's state is retained for the whole run — the golden
-// figure experiments rely on per-VM introspection and on exact float
-// summation order. Fleet-scale runs opt in via Config: ExpectedVMs
-// pre-sizes the slabs and indexes, RecycleReleased returns released VM
-// slots (and retired hosts' slots) to the free lists after folding their
-// final accounting into integer-duration aggregates. Aggregate reports are
-// unchanged; per-VM introspection forgets recycled VMs.
+// A released VM keeps its state — and its answers to DescribeVM, Events
+// and ListVMs — for the rest of the run, unless Config.RecycleReleased
+// returns its slot to the free list after folding its final accounting
+// into integer-duration aggregates; Report and Customers read the same
+// either way. Retired hosts' slots and finalized rental-ledger entries are
+// always folded and reused. Config.ExpectedVMs pre-sizes the slabs and
+// indexes when the scale is known.
 //
 // # Events
 //

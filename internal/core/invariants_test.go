@@ -27,9 +27,9 @@ func TestControllerInvariantsUnderRandomScenarios(t *testing.T) {
 }
 
 // TestControllerInvariantsFleetMode replays the adversarial scenarios with
-// every fleet-scale knob on — slab recycling on both sides, instance
-// compaction, prefix billing — so release/revocation churn exercises the
-// free lists under audit.
+// Config.RecycleReleased on (and both ledgers pre-sized), so release churn
+// exercises the VM free list under audit. The name is older than the
+// switch: it is the one setting the two tests differ in.
 func TestControllerInvariantsFleetMode(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		seed := seed
@@ -39,7 +39,7 @@ func TestControllerInvariantsFleetMode(t *testing.T) {
 	}
 }
 
-func runRandomScenario(t *testing.T, seed int64, fleet bool) {
+func runRandomScenario(t *testing.T, seed int64, recycle bool) {
 	rng := rand.New(rand.NewSource(seed))
 	horizon := simkit.Time(10+rng.Intn(30)) * simkit.Day
 
@@ -64,10 +64,8 @@ func runRandomScenario(t *testing.T, seed int64, fleet bool) {
 		Seed:           seed,
 		ODStockoutProb: float64(rng.Intn(3)) * 0.05, // 0, 5% or 10%
 	}
-	if fleet {
+	if recycle {
 		platCfg.ExpectedInstances = 32
-		platCfg.CompactTerminated = true
-		platCfg.PrefixBilling = true
 	}
 	plat, err := cloudsim.New(sched, platCfg)
 	if err != nil {
@@ -96,7 +94,7 @@ func runRandomScenario(t *testing.T, seed int64, fleet bool) {
 	if rng.Intn(3) == 0 {
 		cfg.Predictive = PredictiveConfig{Enabled: true}
 	}
-	if fleet {
+	if recycle {
 		cfg.ExpectedVMs = 16
 		cfg.RecycleReleased = true
 	}

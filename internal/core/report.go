@@ -145,9 +145,9 @@ func (c *Controller) Customers() []CustomerReport {
 	}
 	byName := make(map[string]*acc, len(c.retired.byCustomer))
 	var totalService, totalStateful durAcc
-	// Recycled VMs (fleet mode) folded their whole contribution into the
-	// retired accumulators when their slots were freed; every sum is an
-	// integer duration, so the seed is exact regardless of fold order.
+	// Recycled VMs folded their whole contribution into the retired
+	// accumulators when their slots were freed; every sum is an integer
+	// duration, so the seed is exact regardless of fold order.
 	for name, rc := range c.retired.byCustomer {
 		byName[name] = &acc{vms: rc.vms, service: rc.service, stateful: rc.stateful, down: rc.down}
 		totalService.addAcc(rc.service)
@@ -227,8 +227,8 @@ func (c *Controller) Report() Report {
 	now := c.sched.Now()
 	r := Report{At: now, Stats: c.Stats()}
 
-	// Seed from the retired accumulators (recycled VMs, fleet mode); the
-	// live walk below adds only VMs whose slots are still tracked.
+	// Seed from the retired accumulators (recycled VMs); the live walk
+	// below adds only VMs whose slots are still tracked.
 	down, degraded := c.retired.down, c.retired.degraded
 	serviceTotal := c.retired.service
 	r.MaxDownSpell = c.retired.maxDownSpell
@@ -253,9 +253,9 @@ func (c *Controller) Report() Report {
 		r.Availability = 1
 	}
 
-	// Rentals scrubbed out of the ledger (fleet mode) folded their final
-	// costs into rentalFinal; live entries are summed below. A terminated
-	// instance's bill never changes, so it is memoized on first read.
+	// Rentals scrubbed out of the ledger folded their final costs into
+	// rentalFinal; live entries are summed below. A terminated instance's
+	// bill never changes, so it is memoized on first read.
 	r.HostCost = c.rentalFinal[rentalHost]
 	r.BackupCost = c.rentalFinal[rentalBackup]
 	r.SpareCost = c.rentalFinal[rentalSpare]

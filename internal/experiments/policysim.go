@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"net/netip"
 	"sort"
 
 	"repro/internal/analysis"
@@ -111,16 +110,7 @@ type PolicyRunConfig struct {
 	// shard-sized working set).
 	ShardWorkers int
 
-	// FleetMode turns on every fleet-scale knob at once: pre-sized slabs
-	// and indexes on both sides (core.Config.ExpectedVMs, cloudsim
-	// ExpectedInstances), recycling of released VM state and terminated
-	// instance ledger slots (RecycleReleased, CompactTerminated),
-	// prefix-integral spot billing, and a /8 VPC so 100k+ nested VMs do
-	// not exhaust the address pool. Aggregate accounting is unchanged —
-	// time-derived report fields exactly, dollar totals to float
-	// re-association (see TestFleetModeReportEquivalence) — but per-VM
-	// introspection forgets recycled VMs, so the golden-figure runs leave
-	// it off.
+	// FleetMode has no effect; deleted with the bench/ edit in Move 2.
 	FleetMode bool
 }
 
@@ -255,6 +245,11 @@ func buildShard(cfg PolicyRunConfig, s int) (*shard, error) {
 		WarningWindow:    cfg.WarningWindow,
 		BillingIncrement: cfg.BillingIncrement,
 		Metrics:          reg,
+		// Peak live instances stay below the nested-VM count (hosts are
+		// sliced, backups multiplexed), so VMs + slack pre-sizes both
+		// ledgers even through revocation churn — terminated slots are
+		// recycled before the fleet can outgrow them.
+		ExpectedInstances: vms + vms/4 + 64,
 	}
 	coreCfg := core.Config{
 		Scheduler:           sched,
@@ -269,18 +264,9 @@ func buildShard(cfg PolicyRunConfig, s int) (*shard, error) {
 		Workload:            cfg.Workload,
 		Seed:                seed,
 		Metrics:             reg,
-	}
-	if cfg.FleetMode {
-		// Peak live instances stay below the nested-VM count (hosts are
-		// sliced, backups multiplexed), so VMs + slack pre-sizes both
-		// ledgers even through revocation churn — compaction recycles
-		// terminated slots before the fleet can outgrow them.
-		platCfg.ExpectedInstances = vms + vms/4 + 64
-		platCfg.CompactTerminated = true
-		platCfg.PrefixBilling = true
-		platCfg.VPC = netip.MustParsePrefix("10.0.0.0/8")
-		coreCfg.ExpectedVMs = vms
-		coreCfg.RecycleReleased = true
+		ExpectedVMs:         vms,
+		// A batch run releases no VM and has no per-VM reader after one.
+		RecycleReleased: true,
 	}
 	plat, err := cloudsim.New(sched, platCfg)
 	if err != nil {

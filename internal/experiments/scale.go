@@ -15,8 +15,8 @@ import (
 // scale`, docs/SCALING.md). It answers the question the figures never ask:
 // how big a derivative cloud can one simulation process actually sustain?
 // Each rung of the ladder runs a synthetic fleet under the full controller
-// in fleet mode (slab-backed state, recycling, prefix billing) and reports
-// the two capacity numbers `go run ./bench` tracks on its fleet workloads:
+// and reports the two capacity numbers `go run ./bench` tracks on its fleet
+// workloads:
 //
 //   - ns per simulated VM-hour — wall-clock cost of simulated time, the
 //     reciprocal of VM-hours/sec throughput;
@@ -80,7 +80,7 @@ type ScaleResult struct {
 
 // RunScale runs one rung: a synthetic fleet of cfg.VMs m3.medium nested
 // VMs under the 1P-M policy and lazy-restore SpotCheck migration — the
-// paper's headline configuration — with every fleet-mode knob on.
+// paper's headline configuration.
 //
 // Measurement protocol: the live heap is sampled (after a forced GC)
 // before the shards are built and again after the run with every shard's
@@ -102,7 +102,6 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 		Horizon:      cfg.Horizon,
 		Seed:         cfg.Seed,
 		Traces:       cfg.Traces,
-		FleetMode:    true,
 		Shards:       cfg.Shards,
 		ShardWorkers: cfg.ShardWorkers,
 	}.resolved()

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -76,73 +74,6 @@ func TestScaleLadderSharesTraces(t *testing.T) {
 	}
 }
 
-// TestFleetModeReportEquivalence is the old-vs-new state-equivalence pin
-// alongside TestPolicyMatrixGoldenDigest: the same paper-scale scenario run
-// with every fleet knob on (slab recycling, instance compaction, prefix
-// billing, rental scrubbing) must produce the same aggregate accounting as
-// the retain-everything default. Time-derived fields are integer-duration
-// sums, so they must match exactly; dollar totals re-associate float sums
-// (prefix integrals, scrub folds), so they get a 1e-9 relative tolerance.
-func TestFleetModeReportEquivalence(t *testing.T) {
-	cfg := PolicyRunConfig{
-		// The stormiest policy spreads the fleet across all four markets,
-		// so revocation churn exercises slot recycling on both sides.
-		Policy:    NamedPolicyFactories()[2], // 4P-ED
-		Mechanism: migration.SpotCheckLazy,
-		VMs:       24,
-		Horizon:   45 * simkit.Day,
-		Seed:      42,
-	}
-	base, err := RunPolicy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.FleetMode = true
-	fleet, err := RunPolicy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	br, fr := base.Report, fleet.Report
-	exact := []struct {
-		name       string
-		base, flee any
-	}{
-		{"VMHours", br.VMHours, fr.VMHours},
-		{"Availability", br.Availability, fr.Availability},
-		{"DegradedFraction", br.DegradedFraction, fr.DegradedFraction},
-		{"TotalDown", br.TotalDown, fr.TotalDown},
-		{"TotalDegraded", br.TotalDegraded, fr.TotalDegraded},
-		{"MaxDownSpell", br.MaxDownSpell, fr.MaxDownSpell},
-		{"TCPBreaks", br.TCPBreaks, fr.TCPBreaks},
-		{"Stats", br.Stats, fr.Stats},
-		{"StormSizes", br.StormSizes, fr.StormSizes},
-		{"MaxStorm", br.MaxStorm, fr.MaxStorm},
-		{"BackupServers", br.BackupServers, fr.BackupServers},
-		{"BackupVMsMax", br.BackupVMsMax, fr.BackupVMsMax},
-	}
-	for _, f := range exact {
-		if !reflect.DeepEqual(f.base, f.flee) {
-			t.Errorf("Report.%s: default %v, fleet mode %v", f.name, f.base, f.flee)
-		}
-	}
-	approx := []struct {
-		name       string
-		base, flee float64
-	}{
-		{"HostCost", float64(br.HostCost), float64(fr.HostCost)},
-		{"BackupCost", float64(br.BackupCost), float64(fr.BackupCost)},
-		{"SpareCost", float64(br.SpareCost), float64(fr.SpareCost)},
-		{"TotalCost", float64(br.TotalCost), float64(fr.TotalCost)},
-		{"CostPerVMHour", float64(br.CostPerVMHour), float64(fr.CostPerVMHour)},
-	}
-	for _, f := range approx {
-		if !closeRel(f.base, f.flee, 1e-9) {
-			t.Errorf("Report.%s: default %.15g, fleet mode %.15g (beyond 1e-9 relative)", f.name, f.base, f.flee)
-		}
-	}
-}
-
 // TestFleetAccountingSurvivesInt64Overflow pins the durAcc fix: a fleet's
 // total service time outgrows int64 nanoseconds at ~292 VM-years, so 1000
 // VMs over six months (~500 VM-years) used to wrap VMHours negative and
@@ -156,7 +87,6 @@ func TestFleetAccountingSurvivesInt64Overflow(t *testing.T) {
 		VMs:       1000,
 		Horizon:   SixMonths,
 		Seed:      0,
-		FleetMode: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,13 +103,4 @@ func TestFleetAccountingSurvivesInt64Overflow(t *testing.T) {
 	if rep.Availability <= 0.99 || rep.Availability > 1 {
 		t.Errorf("Availability = %v, want (0.99, 1]", rep.Availability)
 	}
-}
-
-// closeRel reports whether a and b agree to relative tolerance tol.
-func closeRel(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= tol*scale
 }
