@@ -410,3 +410,52 @@ func TestControllerSurvivesChaos(t *testing.T) {
 		}
 	}
 }
+
+// Each operation's injected error is built once and handed out again: it
+// still wraps both ErrInjected and the operation's organic class, its text is
+// what the per-injection fmt.Errorf used to print, and on a warm provider an
+// injected failure — decision, delay draw, scheduled delivery — allocates
+// nothing.
+func TestChaosInjectedErrorsPrebuilt(t *testing.T) {
+	sched, inner := flatPlatform(t)
+	chaos := cloudchaos.Wrap(inner, sched, cloudchaos.Config{FailProb: 1, ExtraLatency: simkit.Second, Seed: 3})
+	var got error
+	icb := func(_ *cloud.Instance, err error) { got = err }
+	cb := func(err error) { got = err }
+	addr, _ := inner.AllocateIP()
+	ops := []struct {
+		call    func()
+		organic error
+		text    string
+	}{
+		{func() { chaos.RunOnDemand(cloud.M3Medium, "zone-a", icb) }, cloud.ErrCapacity, "launch m3.medium: "},
+		{func() { chaos.RequestSpot(cloud.M3Medium, "zone-a", 1, icb) }, cloud.ErrCapacity, "spot m3.medium: "},
+		{func() { _ = chaos.AttachVolume("vol-000001", "i-000001", cb) }, cloud.ErrBadState, "attach-vol: "},
+		{func() { _ = chaos.DetachVolume("vol-000001", cb) }, cloud.ErrBadState, "detach-vol: "},
+		{func() { _ = chaos.AssignIP("i-000001", addr, cb) }, cloud.ErrBadState, "assign-ip: "},
+		{func() { _ = chaos.UnassignIP("i-000001", addr, cb) }, cloud.ErrBadState, "unassign-ip: "},
+	}
+	for _, op := range ops {
+		got = nil
+		op.call()
+		sched.Run(10)
+		want := op.text + cloudchaos.ErrInjected.Error() + ": " + op.organic.Error()
+		if got == nil || got.Error() != want {
+			t.Errorf("injected error text = %q, want %q", got, want)
+		}
+		if !errors.Is(got, cloudchaos.ErrInjected) || !errors.Is(got, op.organic) {
+			t.Errorf("%v: lost ErrInjected or its organic class %v", got, op.organic)
+		}
+		first := got
+		allocs := testing.AllocsPerRun(100, func() {
+			op.call()
+			sched.Run(10)
+		})
+		if allocs != 0 {
+			t.Errorf("%sinjected failure allocates %v times on a warm provider, want 0", op.text, allocs)
+		}
+		if got != first {
+			t.Errorf("%sinjected error rebuilt between injections", op.text)
+		}
+	}
+}

@@ -2,9 +2,11 @@ package cloudsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"strconv"
+	"strings"
 
 	"repro/internal/cloud"
 	"repro/internal/obs"
@@ -97,28 +99,30 @@ type Platform struct {
 
 	types map[string]cloud.InstanceType
 
-	nextInstance int
-	nextVolume   int
 	// instSlab holds every live instance's state in chunked, index-addressed
-	// storage; instByID maps external ids to generation-checked handles.
-	// destroy recycles the slot, so the ledger holds live instances only.
+	// storage; destroy recycles the slot, so it holds live instances only.
 	instSlab *slab.Slab[instanceState]
-	instByID map[cloud.InstanceID]slab.Handle
-	// finalCost is what remains of a terminated instance: its whole-life
-	// bill, which AccruedCost keeps answering, under its id, which tells a
-	// terminated instance from one that never existed.
-	finalCost map[cloud.InstanceID]cloud.USD
-	volumes   map[cloud.VolumeID]*cloud.Volume
+	// ledger has one entry per instance id ever issued, indexed by the id's
+	// sequence number (ids are minted from a counter, so idSeq reads the
+	// index straight off the id and nothing is hashed): the live instance's
+	// handle, or — once terminated — its whole-life bill, which AccruedCost
+	// keeps answering. Entry 0 is never issued; the next id is len(ledger).
+	ledger []ledgerEntry
+	// volumes holds every volume by its id's sequence number; a deleted
+	// volume leaves nil behind, entry 0 is never issued.
+	volumes []*cloud.Volume
 
 	// markets holds one record per traced (type, zone) spot market; a pair
 	// without a record has no spot market, now or later.
 	markets map[spotmarket.MarketKey]*market
 
-	// ipAssigned indexes which live instance holds each assigned address,
-	// replacing whole-ledger scans in AssignIP/ReleaseIP.
-	ipAssigned map[cloud.Addr]*cloud.Instance
-
 	ipPool *ipPool
+
+	// ops holds the delayed completions in flight (see op); opFree lists the
+	// free entries, opDoneFn is opDone bound once.
+	ops      []op
+	opFree   []uint32
+	opDoneFn func(uint64)
 
 	// liveCount tracks non-terminated instances per type for Capacity.
 	liveCount map[string]int
@@ -312,20 +316,19 @@ func New(sched *simkit.Scheduler, cfg Config) (*Platform, error) {
 	}
 	exp := cfg.ExpectedInstances
 	p := &Platform{
-		sched:      sched,
-		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		types:      make(map[string]cloud.InstanceType, len(cfg.Catalog)),
-		instSlab:   slab.New[instanceState](exp),
-		instByID:   make(map[cloud.InstanceID]slab.Handle, exp),
-		finalCost:  make(map[cloud.InstanceID]cloud.USD, exp),
-		volumes:    make(map[cloud.VolumeID]*cloud.Volume, exp),
-		markets:    make(map[spotmarket.MarketKey]*market, len(cfg.Traces)),
-		ipAssigned: make(map[cloud.Addr]*cloud.Instance, exp),
-		ipPool:     newIPPool(cfg.VPC),
-		liveCount:  map[string]int{},
-		met:        newPlatMetrics(cfg.Metrics),
+		sched:     sched,
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		types:     make(map[string]cloud.InstanceType, len(cfg.Catalog)),
+		instSlab:  slab.New[instanceState](exp),
+		ledger:    make([]ledgerEntry, 1, exp+1),
+		volumes:   make([]*cloud.Volume, 1, exp+1),
+		markets:   make(map[spotmarket.MarketKey]*market, len(cfg.Traces)),
+		ipPool:    newIPPool(cfg.VPC, exp),
+		liveCount: map[string]int{},
+		met:       newPlatMetrics(cfg.Metrics),
 	}
+	p.opDoneFn = p.opDone
 	for _, it := range cfg.Catalog {
 		p.types[it.Name] = it
 	}
@@ -420,18 +423,8 @@ func (p *Platform) RunOnDemand(typ string, zone cloud.Zone, cb cloud.InstanceCal
 		return
 	}
 	st := p.newInstance(it, zone, cloud.MarketOnDemand, 0)
-	h, id := st.slot, st.inst.ID
 	delay := simkit.SampleSeconds(p.cfg.Latencies.StartOnDemand, p.rng)
-	p.sched.After(delay, "od-launch", func() {
-		// The instance may have been terminated mid-launch; the generation
-		// check catches its recycled handle.
-		st := p.instSlab.Get(h)
-		if st == nil {
-			cb(nil, fmt.Errorf("%w: instance %s terminated during launch", cloud.ErrBadState, id))
-			return
-		}
-		p.finishLaunch(st, cb)
-	})
+	p.after(delay, "od-launch", op{kind: opLaunch, h: st.slot, inst: st.inst, icb: cb})
 }
 
 // RequestSpot implements cloud.Provider.
@@ -456,23 +449,8 @@ func (p *Platform) RequestSpot(typ string, zone cloud.Zone, bid cloud.USD, cb cl
 	}
 	st := p.newInstance(it, zone, cloud.MarketSpot, bid)
 	st.market = m
-	h, id := st.slot, st.inst.ID
 	delay := simkit.SampleSeconds(p.cfg.Latencies.StartSpot, p.rng)
-	p.sched.After(delay, "spot-launch", func() {
-		st := p.instSlab.Get(h)
-		if st == nil {
-			cb(nil, fmt.Errorf("%w: instance %s terminated during launch", cloud.ErrBadState, id))
-			return
-		}
-		p.finishLaunch(st, cb)
-		p.stats.SpotLaunched++
-		m.spots.insert(st)
-		// The price may have spiked past the bid while the launch was
-		// pending; EC2 would warn immediately.
-		if price := m.cursor.PriceAt(p.sched.Now()); price > st.inst.Bid {
-			p.warn(st, price)
-		}
-	})
+	p.after(delay, "spot-launch", op{kind: opLaunch, h: st.slot, inst: st.inst, icb: cb})
 }
 
 // checkCapacity enforces the per-type fleet cap.
@@ -487,25 +465,10 @@ func (p *Platform) checkCapacity(typ string) error {
 	return nil
 }
 
-// lookupInst resolves an external instance id to its live ledger entry (nil
-// when unknown or terminated).
-func (p *Platform) lookupInst(id cloud.InstanceID) *instanceState {
-	h, ok := p.instByID[id]
-	if !ok {
-		return nil
-	}
-	return p.instSlab.Get(h)
-}
-
-// errNoInstance is the error of an operation whose lookupInst missed: a
-// terminated instance is in the wrong state for it, an id never issued
-// does not exist. The controller tells the two apart — racing a
-// termination is expected, addressing nothing is not.
-func (p *Platform) errNoInstance(id cloud.InstanceID) error {
-	if _, ok := p.finalCost[id]; ok {
-		return fmt.Errorf("%w: instance %s is terminated", cloud.ErrBadState, id)
-	}
-	return fmt.Errorf("%w: instance %s", cloud.ErrNotFound, id)
+// ledgerEntry is what the platform knows under one issued instance id.
+type ledgerEntry struct {
+	live slab.Handle // the instance's state while it exists, zero after
+	bill cloud.USD   // its whole-life bill once it has terminated
 }
 
 // paddedID is fmt.Sprintf(prefix+"%06d", n) for n ≥ 0 in one allocation
@@ -519,29 +482,95 @@ func paddedID(prefix string, n int) string {
 	return string(strconv.AppendInt(b, int64(n), 10))
 }
 
+// idSeq is paddedID's strict inverse: the n for which paddedID(prefix, n)
+// is id, byte for byte. Anything else — another prefix, a non-digit, fewer
+// than six digits, a zero-padded longer number, a number past int — is not
+// an id this platform could have minted, and reports false.
+func idSeq(prefix, id string) (int, bool) {
+	if !strings.HasPrefix(id, prefix) {
+		return 0, false
+	}
+	digits := id[len(prefix):]
+	if len(digits) < 6 || (len(digits) > 6 && digits[0] == '0') {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(digits); i++ {
+		d := int(digits[i]) - '0'
+		if d < 0 || d > 9 || n > (math.MaxInt-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	return n, true
+}
+
+// issued reports the ledger index of an instance id this platform minted,
+// or 0 for any other string.
+func (p *Platform) issued(id cloud.InstanceID) int {
+	if n, ok := idSeq("i-", string(id)); ok && n < len(p.ledger) {
+		return n
+	}
+	return 0
+}
+
+// lookupInst resolves an external instance id to its live ledger entry (nil
+// when unknown or terminated).
+func (p *Platform) lookupInst(id cloud.InstanceID) *instanceState {
+	return p.instSlab.Get(p.ledger[p.issued(id)].live)
+}
+
+// errNoInstance is the error of an operation whose lookupInst missed: a
+// terminated instance is in the wrong state for it, an id never issued
+// does not exist. The controller tells the two apart — racing a
+// termination is expected, addressing nothing is not.
+func (p *Platform) errNoInstance(id cloud.InstanceID) error {
+	if p.issued(id) != 0 {
+		return fmt.Errorf("%w: instance %s is terminated", cloud.ErrBadState, id)
+	}
+	return fmt.Errorf("%w: instance %s", cloud.ErrNotFound, id)
+}
+
 func (p *Platform) newInstance(it cloud.InstanceType, zone cloud.Zone, market cloud.Market, bid cloud.USD) *instanceState {
-	p.nextInstance++
-	id := cloud.InstanceID(paddedID("i-", p.nextInstance))
+	seq := len(p.ledger)
 	st, h := p.instSlab.Alloc()
 	*st = instanceState{
 		slot: h,
-		seq:  p.nextInstance,
+		seq:  seq,
 		inst: &cloud.Instance{
-			ID: id, Type: it, Zone: zone, Market: market, Bid: bid,
+			ID: cloud.InstanceID(paddedID("i-", seq)), Type: it, Zone: zone, Market: market, Bid: bid,
 			State: cloud.StatePending,
 		},
 	}
-	p.instByID[id] = h
+	p.ledger = append(p.ledger, ledgerEntry{live: h})
 	p.liveCount[it.Name]++
 	return st
 }
 
-func (p *Platform) finishLaunch(st *instanceState, cb cloud.InstanceCallback) {
+// launched completes a launch: the instance starts running and its renter
+// hears of it; a spot instance joins its market's revocation sweep.
+func (p *Platform) launched(o op) {
+	// The instance may have been terminated mid-launch; the generation
+	// check catches its recycled handle.
+	st := p.instSlab.Get(o.h)
+	if st == nil {
+		o.icb(nil, fmt.Errorf("%w: instance %s terminated during launch", cloud.ErrBadState, o.inst.ID))
+		return
+	}
 	st.inst.State = cloud.StateRunning
 	st.inst.Launched = p.sched.Now()
 	p.stats.Launched++
 	p.met.launched(st.inst.Market)
-	cb(st.inst, nil)
+	o.icb(st.inst, nil)
+	if m := st.market; m != nil {
+		p.stats.SpotLaunched++
+		m.spots.insert(st)
+		// The price may have spiked past the bid while the launch was
+		// pending; EC2 would warn immediately.
+		if price := m.cursor.PriceAt(p.sched.Now()); price > st.inst.Bid {
+			p.warn(st, price)
+		}
+	}
 }
 
 // Terminate implements cloud.Provider.
@@ -555,18 +584,8 @@ func (p *Platform) Terminate(id cloud.InstanceID, cb cloud.Callback) error {
 	}
 	st.terminating = true
 	p.stats.VoluntaryTerminations++
-	h := st.slot
 	delay := simkit.SampleSeconds(p.cfg.Latencies.Terminate, p.rng)
-	p.sched.After(delay, "terminate", func() {
-		// A forced kill may have beaten this event and compacted the slot;
-		// the handle check keeps the destroy off a recycled entry.
-		if st := p.instSlab.Get(h); st != nil {
-			p.destroy(st)
-		}
-		if cb != nil {
-			cb(nil)
-		}
-	})
+	p.after(delay, "terminate", op{kind: opTerminate, h: st.slot, cb: cb})
 	return nil
 }
 
@@ -587,13 +606,13 @@ func (p *Platform) destroy(st *instanceState) {
 	// allocated to the renter, who may reassign them elsewhere (this is
 	// what lets a nested VM keep its IP across a forced termination).
 	for _, a := range st.inst.IPs {
-		if p.ipAssigned[a] == st.inst {
-			delete(p.ipAssigned, a)
+		if as := p.ipPool.state(a); as != nil && as.holder == st.inst {
+			as.holder = nil
 		}
 	}
 	st.inst.IPs = nil
 	for _, vid := range st.inst.Volumes {
-		if v, ok := p.volumes[vid]; ok {
+		if v := p.volume(vid); v != nil {
 			v.AttachedTo = ""
 		}
 	}
@@ -602,13 +621,11 @@ func (p *Platform) destroy(st *instanceState) {
 		st.market.spots.remove(st)
 	}
 	// Billing is finalized here: Ended is set, so the accrued cost is the
-	// instance's whole-life bill.
-	id := st.inst.ID
-	if cost, err := p.accrued(st); err == nil {
-		p.met.billed(st.inst.Market, float64(cost))
-		p.finalCost[id] = cost
-	}
-	delete(p.instByID, id)
+	// instance's whole-life bill. (accrued only fails for a market
+	// newInstance never sets.)
+	cost, _ := p.accrued(st)
+	p.met.billed(st.inst.Market, float64(cost))
+	p.ledger[st.seq] = ledgerEntry{bill: cost}
 	slot := st.slot
 	*st = instanceState{}
 	p.instSlab.Free(slot)
@@ -633,13 +650,14 @@ func (p *Platform) OnRevocationWarning(fn func(cloud.RevocationWarning)) {
 // fixed rate; spot instances accrue the integral of the market price over
 // their running interval (EC2 bills the market price, not the bid).
 func (p *Platform) AccruedCost(id cloud.InstanceID) (cloud.USD, error) {
-	st := p.lookupInst(id)
+	n := p.issued(id)
+	if n == 0 {
+		return 0, fmt.Errorf("%w: instance %s", cloud.ErrNotFound, id)
+	}
+	st := p.instSlab.Get(p.ledger[n].live)
 	if st == nil {
 		// Terminated instances keep answering with their finalized bill.
-		if cost, ok := p.finalCost[id]; ok {
-			return cost, nil
-		}
-		return 0, fmt.Errorf("%w: instance %s", cloud.ErrNotFound, id)
+		return p.ledger[n].bill, nil
 	}
 	return p.accrued(st)
 }

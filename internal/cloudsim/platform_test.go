@@ -14,7 +14,7 @@ import (
 
 // testPlatform builds a platform over a single m3.medium/zone-a market
 // whose price is $0.01 except for a spike to $0.50 during [1h, 2h).
-func testPlatform(t *testing.T, mutate func(*Config)) (*simkit.Scheduler, *Platform) {
+func testPlatform(t testing.TB, mutate func(*Config)) (*simkit.Scheduler, *Platform) {
 	t.Helper()
 	tr, err := spotmarket.NewTrace([]spotmarket.Point{
 		{T: 0, Price: 0.01},

@@ -7,6 +7,7 @@ package cloudtest
 
 import (
 	"errors"
+	"net/netip"
 	"testing"
 
 	"repro/internal/cloud"
@@ -241,6 +242,61 @@ func testErrors(t *testing.T, h Harness) {
 	}
 	if err := p.DetachVolume("vol-none", nil); !errors.Is(err, cloud.ErrNotFound) {
 		t.Errorf("unknown volume = %v", err)
+	}
+
+	// Near misses: strings one edit away from an id the provider did issue —
+	// a shorter or longer zero padding, a stray letter, a number past any
+	// counter, another resource's id, nothing at all — name nothing, and must
+	// not be taken for the id they resemble.
+	inst := launchOD(t, p, h, drain)
+	vol, err := p.CreateVolume(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := p.AllocateIP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []cloud.InstanceID{
+		"i-1", "i-0000001", "i-00000x", "i-99999999999999999999", cloud.InstanceID(vol.ID), "",
+		inst.ID + "0", inst.ID[:len(inst.ID)-1], " " + inst.ID,
+	} {
+		if _, err := p.Instance(id); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("Instance(%q) = %v, want ErrNotFound", id, err)
+		}
+		if _, err := p.AccruedCost(id); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("AccruedCost(%q) = %v, want ErrNotFound", id, err)
+		}
+		if err := p.Terminate(id, nil); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("Terminate(%q) = %v, want ErrNotFound", id, err)
+		}
+		if err := p.AssignIP(id, addr, nil); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("AssignIP(%q) = %v, want ErrNotFound", id, err)
+		}
+		if err := p.AttachVolume(vol.ID, id, nil); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("AttachVolume(_, %q) = %v, want ErrNotFound", id, err)
+		}
+	}
+	for _, id := range []cloud.VolumeID{"vol-1", "vol-0000001", "vol-00000x", cloud.VolumeID(inst.ID), "", vol.ID + "0"} {
+		if err := p.AttachVolume(id, inst.ID, nil); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("AttachVolume(%q) = %v, want ErrNotFound", id, err)
+		}
+		if err := p.DeleteVolume(id); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("DeleteVolume(%q) = %v, want ErrNotFound", id, err)
+		}
+	}
+	// Addresses the pool never handed out: another family, outside any
+	// private block, the zero Addr.
+	for _, a := range []cloud.Addr{netip.MustParseAddr("fe80::1"), netip.MustParseAddr("192.0.2.1"), {}} {
+		if err := p.AssignIP(inst.ID, a, nil); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("AssignIP(_, %v) = %v, want ErrNotFound", a, err)
+		}
+		if err := p.ReleaseIP(a); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("ReleaseIP(%v) = %v, want ErrNotFound", a, err)
+		}
+	}
+	if got, err := p.Instance(inst.ID); err != nil || got != inst {
+		t.Errorf("the issued id stopped resolving: %v, %v", got, err)
 	}
 }
 

@@ -217,8 +217,30 @@ type vmState struct {
 	returnTarget PoolKey
 	// homePool is the spot pool the placement policy originally assigned;
 	// returns after a spike go back there so the policy's distribution of
-	// VMs across pools (Table 2) stays stable over time.
-	homePool PoolKey
+	// VMs across pools (Table 2) stays stable over time. homeMarket is that
+	// pool's market record, set wherever homePool is.
+	homePool   PoolKey
+	homeMarket *market
+	// typeMarket is the record of the VM's own type in the backup zone: its
+	// on-demand pool is where a displaced VM goes, and its calm slot holds
+	// the return sweep's per-tick answer for this requested type.
+	typeMarket *market
+	// placeAttempts is the attempt count of the placement in flight (see
+	// placeNew), read when its host acquisition resolves.
+	placeAttempts int
+	// move is the state of the relocation in flight (phase moveIdle when
+	// there is none).
+	move move
+	// epoch stamps the argument of every event scheduled for this VM: it
+	// moves on each time the VM lands on a host and when the slot is freed,
+	// and survives recycling, so an event left over from an earlier move or
+	// an earlier occupant no longer matches (see advance).
+	epoch uint32
+	// onOp is the provider callback of the re-plumbing operation in flight,
+	// bound once per slot: the chain has at most one outstanding, and it
+	// lands before the VM can leave phaseMigrating, so the slot is never
+	// recycled under it.
+	onOp cloud.Callback
 	// stateless marks a VM whose service tolerates memory-state loss
 	// (e.g. a replicated web tier, §4.2): it runs without a backup server
 	// and simply reboots from its volume on a new host after revocation.
@@ -232,10 +254,6 @@ type vmState struct {
 	// point frees the slot instead of teardownVM, so the chain's pending
 	// continuation never reads a recycled slot.
 	recycleDeferred bool
-	// pinnedSrc is the terminated migration destination this VM's recovery
-	// chain still references as its source; the pin keeps that host's slot
-	// from being recycled until the chain re-enters completeMove.
-	pinnedSrc *hostState
 }
 
 type hostRole int
@@ -266,8 +284,9 @@ type hostState struct {
 	// slot is this state's slab handle (see vmState.slot).
 	slot slab.Handle
 	// pinned counts in-flight recovery chains still holding this host as
-	// their migration source after it terminated; a pinned host's slot is
-	// never recycled (see completeMove's dst-terminated branch).
+	// their migration source after it terminated (move.pinned); a pinned
+	// host's slot is never recycled (see completeMove's dst-terminated
+	// branch).
 	pinned int
 	// inFreeSet marks membership in the pool's free-host candidate set;
 	// freeIdx is the entry's position there, kept current by the lazy
@@ -332,9 +351,14 @@ type poolState struct {
 	// label is key.String(), built once: the pool's metric label and its
 	// VMs' backup spread group.
 	label string
-	// market is the table record of the pool's (type, zone) pair.
+	// market is the table record of the pool's (type, zone) pair; typ is the
+	// catalog entry of the native type the pool rents.
 	market *market
+	typ    cloud.InstanceType
 	bid    cloud.USD
+	// joinable holds the pool's in-flight acquisitions that can still take
+	// a waiter, oldest first (see acquireIn).
+	joinable []*pendingAcq
 	// hosts holds the pool's hosts in (seq, instance id) order — the
 	// historical walk order the sweeps and reports rely on. Acquisitions
 	// complete nearly in launch order, so the list mostly stays sorted by
@@ -382,10 +406,17 @@ type Controller struct {
 	spares       []*hostState // ready hot spares
 	sparePending int
 
-	// acqIndex holds in-flight host acquisitions that can still absorb
-	// waiters, keyed by pool and slice size; filled or finished entries
-	// are pruned lazily on lookup.
-	acqIndex map[acqKey][]*pendingAcq
+	// acqFree and followFree recycle the records of finished host
+	// acquisitions and landed live-move followers, each with the provider
+	// callback it was bound to when first built.
+	acqFree    []*pendingAcq
+	followFree []*follower
+	// advanceFn is advance bound once: the function of every argument-
+	// carrying event the controller schedules.
+	advanceFn func(uint64)
+	// moveSeen counts the move-phase transitions taken, by (from, to); the
+	// audit checks every nonzero cell against moveLegal.
+	moveSeen [numMovePhases][numMovePhases]uint32
 
 	// history is the market table: per (type, zone) pair, the monitor's
 	// samples, the trailing price window, the revocation count and the
@@ -409,9 +440,10 @@ type Controller struct {
 	// at 1 (the first tick is 2): a never-sampled record's zero stamp then
 	// matches neither the current tick nor the one before it.
 	tick uint64
-	// calmCache memoizes spotCalmFor per requested-type name within one
-	// tick: every VM of a type shares the same market-calm answer.
-	calmCache map[string]bool
+	// calmTick and anyCalm memoize, for one tick, whether any market at all
+	// is calm: when none is, the return sweep has nothing to ask.
+	calmTick uint64
+	anyCalm  bool
 
 	// met holds the pre-resolved observability instruments; Stats() derives
 	// ControllerStats from it.
@@ -513,13 +545,13 @@ func New(cfg Config) (*Controller, error) {
 		hostSlab:    slab.New[hostState](exp),
 		hostIndex:   make(map[cloud.InstanceID]slab.Handle, exp),
 		backupHosts: map[string]*hostState{},
-		acqIndex:    map[acqKey][]*pendingAcq{},
 		history:     NewHistory(),
 		tick:        1,
 		trace:       cfg.Trace,
 		retired:     retiredVMStats{byCustomer: map[string]*retiredCustomer{}},
 		met:         newCoreMetrics(cfg.Metrics),
 	}
+	c.advanceFn = c.advance
 	c.history.watch(c.prov)
 	if exp > 0 {
 		c.rentals = make([]rental, 0, exp)
@@ -577,10 +609,14 @@ func (c *Controller) lookupHost(id cloud.InstanceID) *hostState {
 }
 
 // newVMState allocates a slab slot for a fresh VM, resetting any recycled
-// contents.
+// contents except what belongs to the slot rather than its occupant: the
+// event epoch and the bound provider callback.
 func (c *Controller) newVMState() *vmState {
 	vs, h := c.vmSlab.Alloc()
-	*vs = vmState{slot: h}
+	*vs = vmState{slot: h, epoch: vs.epoch, onOp: vs.onOp}
+	if vs.onOp == nil {
+		vs.onOp = func(error) { c.replumbNext(vs) }
+	}
 	return vs
 }
 
@@ -631,7 +667,7 @@ func (c *Controller) freeVMSlot(vs *vmState) {
 	slot := vs.slot
 	// Keep the slot readable as "released" for any same-instant stale
 	// reader; the next Alloc fully resets it.
-	*vs = vmState{phase: phaseReleased}
+	*vs = vmState{phase: phaseReleased, epoch: vs.epoch + 1, onOp: vs.onOp}
 	c.vmSlab.Free(slot)
 }
 

@@ -133,14 +133,91 @@ func runRandomScenario(t *testing.T, seed int64, recycle bool) {
 		})
 	}
 
+	// The move records are audited while the scenario runs, not only where
+	// it happens to stop: a move lasts a minute or two, so the audit's period
+	// is shorter than that and shares no factor with the monitor's.
+	for at := 97 * simkit.Second; at < horizon; at += 97 * simkit.Second {
+		sched.At(at, "audit", func() { auditMoves(t, ctrl) })
+	}
 	sched.RunUntil(horizon)
 	auditController(t, ctrl, mech)
+}
+
+// moveLegal is the move record's transition table: moveLegal[from] is the set
+// of phases a move may enter from from. Controller.enter counts every
+// transition taken; auditMoves holds the counts against this table.
+var moveLegal = [numMovePhases]uint16{
+	moveIdle:     phases(moveDrain, moveFlush, moveServe, moveCopy),
+	moveDrain:    phases(moveFlush),
+	moveFlush:    phases(moveFlushed),
+	moveFlushed:  phases(moveDetach),
+	moveServe:    phases(moveKilled),
+	moveKilled:   phases(moveDetach),
+	moveCopy:     phases(moveIdle, moveDetach, moveReboot, moveRecover),
+	moveDetach:   phases(moveAttach),
+	moveAttach:   phases(moveUnassign),
+	moveUnassign: phases(moveAssign),
+	moveAssign:   phases(moveRestore),
+	moveRestore:  phases(moveIdle, moveRecover),
+	moveReboot:   phases(moveIdle, moveRecover),
+	moveRecover:  phases(moveDetach, moveReboot),
+}
+
+// auditMoves checks the move records: every transition taken so far is in the
+// table, a VM is migrating exactly when its record is not idle, no VM rests
+// on its warned source past the warning's deadline plus the bound, a phase
+// that only a timer ends has that timer pending, and pins and deferred
+// releases agree with the record.
+func auditMoves(t *testing.T, c *Controller) {
+	t.Helper()
+	for from := range c.moveSeen {
+		for to, n := range c.moveSeen[from] {
+			if n > 0 && moveLegal[from]&(1<<to) == 0 {
+				t.Errorf("move transition %d -> %d taken %d times, not in the table", from, to, n)
+			}
+		}
+	}
+	now := c.sched.Now()
+	for _, id := range c.vmIDsSorted() {
+		vs := c.lookupVM(id)
+		if vs == nil {
+			continue
+		}
+		m := &vs.move
+		if (vs.phase == phaseMigrating) != (m.phase != moveIdle) {
+			t.Errorf("%s: lifecycle phase %d with move phase %d", id, vs.phase, m.phase)
+		}
+		if vs.pendingRelease && vs.phase != phaseMigrating {
+			t.Errorf("%s: release deferred with no move in flight", id)
+		}
+		switch m.phase {
+		case moveDrain, moveFlush, moveServe:
+			if now > m.deadline+c.cfg.Bound {
+				t.Errorf("%s: still in source-side phase %d at %v, deadline %v + bound %v", id, m.phase, now, m.deadline, c.cfg.Bound)
+			}
+			fallthrough
+		case moveRestore, moveReboot:
+			if !m.wake.Pending() {
+				t.Errorf("%s: rests in phase %d with no timer pending", id, m.phase)
+			}
+		}
+		if m.phase != moveIdle && (m.src == nil || m.src.inst == nil) {
+			t.Errorf("%s: move in phase %d has lost its source", id, m.phase)
+		}
+		if m.pinned && (m.src.pinned <= 0 || m.src.inst.State != cloud.StateTerminated) {
+			t.Errorf("%s: pin on source %s: host pinned %d times, state %v", id, m.src.inst.ID, m.src.pinned, m.src.inst.State)
+		}
+		if m.dst != nil && m.phase != moveIdle && m.dst.reserved <= 0 {
+			t.Errorf("%s: destination %s holds no reservation for the move", id, m.dst.inst.ID)
+		}
+	}
 }
 
 // auditController checks the cross-cutting bookkeeping invariants.
 func auditController(t *testing.T, c *Controller, mech migration.Mechanism) {
 	t.Helper()
 	now := c.sched.Now()
+	auditMoves(t, c)
 
 	seenIPs := map[cloud.Addr]nestedvm.ID{}
 	for _, id := range c.vmIDsSorted() {

@@ -50,6 +50,11 @@ type market struct {
 	lastAboveOD simkit.Time
 	everAboveOD bool
 
+	// calm is the return sweep's answer for VMs that requested this record's
+	// type, valid on tick calmTick (see spotCalmFor).
+	calm     bool
+	calmTick uint64
+
 	window      priceWindow
 	revocations int
 

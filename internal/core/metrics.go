@@ -21,7 +21,7 @@ type coreMetrics struct {
 	// return migrations undone before any copy happened (spot vanished
 	// between the calm check and acquisition). Counters stay monotonic;
 	// net migrations = started - aborted.
-	migStarted  map[migrationReason]*obs.Counter
+	migStarted  [numReasons]*obs.Counter
 	migAborted  *obs.Counter
 	revocations *obs.Counter
 	stateLost   *obs.Counter
@@ -40,7 +40,6 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 		mig:         migration.NewMetrics(reg),
 		vmsCreated:  reg.Counter("spotcheck_vms_created_total"),
 		vmsReleased: reg.Counter("spotcheck_vms_released_total"),
-		migStarted:  map[migrationReason]*obs.Counter{},
 		migAborted:  reg.Counter("spotcheck_migrations_aborted_total"),
 		revocations: reg.Counter("spotcheck_revocation_warnings_total"),
 		stateLost:   reg.Counter("spotcheck_vms_lost_memory_state_total"),
@@ -52,7 +51,7 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 		provErrs:    reg.Counter("spotcheck_provider_errors_total"),
 		stormVMs:    reg.Histogram("spotcheck_revocation_batch_vms", obs.CountBuckets),
 	}
-	for _, r := range []migrationReason{reasonRevocation, reasonProactive, reasonReturn, reasonStagingHop} {
+	for r := migrationReason(0); r < numReasons; r++ {
 		m.migStarted[r] = reg.Counter("spotcheck_migrations_started_total", obs.L("reason", r.String()))
 	}
 	reg.Describe("spotcheck_vms_created_total", "Nested VMs requested by customers.")

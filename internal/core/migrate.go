@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cloud"
 	"repro/internal/migration"
@@ -24,21 +23,14 @@ const (
 	reasonReturn
 	// reasonStagingHop: second hop from a staging host to the final home.
 	reasonStagingHop
+	numReasons
 )
 
 func (r migrationReason) String() string {
-	switch r {
-	case reasonRevocation:
-		return "revocation"
-	case reasonProactive:
-		return "proactive"
-	case reasonReturn:
-		return "return"
-	case reasonStagingHop:
-		return "staging-hop"
-	default:
+	if r < 0 || r >= numReasons {
 		return fmt.Sprintf("reason(%d)", int(r))
 	}
+	return [numReasons]string{"revocation", "proactive", "return", "staging-hop"}[r]
 }
 
 // onRevocationWarning reacts to the native platform revoking a spot host:
@@ -108,13 +100,10 @@ func (c *Controller) recordStorm(key PoolKey, vms int) {
 // migrateVM starts moving a nested VM off its current host. deadline is
 // zero for unconstrained (live) relocations.
 func (c *Controller) migrateVM(vs *vmState, reason migrationReason, deadline simkit.Time) {
-	if vs.phase != phaseRunning {
+	if vs.phase != phaseRunning || vs.host == nil {
 		return
 	}
 	src := vs.host
-	if src == nil {
-		return
-	}
 	vs.phase = phaseMigrating
 	vs.vm.Migrations++
 	c.met.migStarted[reason].Inc()
@@ -122,25 +111,27 @@ func (c *Controller) migrateVM(vs *vmState, reason migrationReason, deadline sim
 		c.emit("vm", string(vs.vm.ID), "migration-start", "reason="+reason.String()+" host="+string(src.inst.ID))
 	}
 	c.endLazyWindow(vs)
+	vs.move = move{reason: reason, src: src, deadline: deadline, started: c.sched.Now()}
 	switch reason {
 	case reasonRevocation:
 		switch {
 		case vs.stateless:
-			c.runStatelessMigration(vs, src, deadline)
+			c.startStateless(vs)
 		case c.cfg.Mechanism.UsesBackup():
-			c.runBoundedMigration(vs, src, deadline)
+			c.startBounded(vs)
 		default:
-			c.runLiveEvacuation(vs, src, deadline, false)
+			c.startLive(vs)
 		}
 	case reasonProactive:
-		c.runLiveEvacuation(vs, src, 0, false)
+		c.startLive(vs)
 	case reasonReturn:
 		// Returns are committed by tryReturn, which validates the target
 		// market before calling migrateVM; by the time we get here the
 		// move is definitely happening.
-		c.runLiveReturn(vs, src)
+		c.startReturn(vs)
 	case reasonStagingHop:
-		c.runLiveEvacuation(vs, src, 0, true)
+		vs.move.forceOD = true
+		c.startLive(vs)
 	}
 }
 
@@ -157,15 +148,15 @@ func (c *Controller) endLazyWindow(vs *vmState) {
 	}
 }
 
-// runBoundedMigration implements the revocation path for the four
-// backup-based mechanisms: flush the dirty residue within the bound (Yank
-// pause, or SpotCheck's ramped degradation + short pause), acquire a
-// destination in parallel, re-plumb the volume and address, then restore
-// (fully or lazily).
-func (c *Controller) runBoundedMigration(vs *vmState, src *hostState, deadline simkit.Time) {
+// startBounded begins the revocation path of the four backup-based
+// mechanisms: flush the dirty residue within the bound (Yank pause, or
+// SpotCheck's ramped degradation + short pause) while a destination is
+// acquired in parallel; whichever ends second starts the re-plumbing, and
+// the restore (full or lazy) follows it.
+func (c *Controller) startBounded(vs *vmState) {
 	now := c.sched.Now()
-	vm := vs.vm
-	warning := deadline - now
+	vm, m := vs.vm, &vs.move
+	warning := m.deadline - now
 	if warning <= 0 {
 		warning = simkit.Second
 	}
@@ -189,29 +180,15 @@ func (c *Controller) runBoundedMigration(vs *vmState, src *hostState, deadline s
 		flush = migration.FlushResult{Downtime: c.cfg.Bound, Total: c.cfg.Bound, Completed: true}
 	}
 	c.met.mig.RecordFlush(cp.ResidueMB(), flush)
-
-	var destHost *hostState
-	var stagedHop bool
-	var flushDone bool
-	proceed := func() {
-		if !flushDone || destHost == nil {
-			return
-		}
-		c.replumb(vs, src, destHost, stagedHop)
-	}
+	m.flush = flush
 
 	if !c.cfg.Mechanism.Optimized() {
 		// Yank: pause immediately on the warning and push the whole
 		// residue; the VM is down from the warning onward.
 		vm.Ledger.Set(nestedvm.CondDown, now)
-		c.sched.After(flush.Total, "flush-done", func() {
-			flushDone = true
-			proceed()
-		})
-		c.chooseDestinationRetry(vs, false, func(h *hostState, staged bool) {
-			destHost, stagedHop = h, staged
-			proceed()
-		})
+		c.enter(vs, moveFlush)
+		c.wakeAfter(vs, flush.Total, "flush-done", stepFlushDone)
+		c.seekDestination(vs)
 		return
 	}
 
@@ -221,192 +198,190 @@ func (c *Controller) runBoundedMigration(vs *vmState, src *hostState, deadline s
 	// the destination is up — or until the deadline forces it — so the
 	// down window shrinks to pause + re-plumbing + restore (~23 s, §5).
 	vm.Ledger.Set(nestedvm.CondDegraded, now)
-	drainEnd := now + flush.DegradedTime
+	m.drainEnd = now + flush.DegradedTime
 	// State safety: the final pause must still complete inside the window.
-	pauseBy := deadline - flush.Downtime - simkit.Second
-	if pauseBy < drainEnd {
-		pauseBy = drainEnd
-	}
-	paused := false
-	beginFinal := func() {
-		if paused || vs.phase != phaseMigrating {
-			return
-		}
-		paused = true
-		vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
-		if c.trace != nil {
-			c.emit("vm", string(vm.ID), EventPaused, fmt.Sprintf("final flush pause (%v)", flush.Downtime))
-		}
-		c.sched.After(flush.Downtime, "flush-done", func() {
-			flushDone = true
-			proceed()
-		})
-	}
-	c.sched.At(pauseBy, "pause-deadline", beginFinal)
-	c.chooseDestinationRetry(vs, false, func(h *hostState, staged bool) {
-		destHost, stagedHop = h, staged
-		at := c.sched.Now()
-		if at < drainEnd {
-			at = drainEnd
-		}
-		c.sched.At(at, "pause", beginFinal)
-		// The deadline may already have forced the pause and finished the
-		// flush while the destination was still coming up.
-		proceed()
-	})
+	pauseBy := max(m.deadline-flush.Downtime-simkit.Second, m.drainEnd)
+	c.enter(vs, moveDrain)
+	m.wake = c.stepAt(vs, pauseBy, "pause-deadline", stepPause)
+	c.seekDestination(vs)
 }
 
-// runStatelessMigration handles revocation of a stateless VM: no memory
-// state to save, so the VM serves until the platform kills the source, then
-// reboots from its network volume on a fresh host. Downtime is the gap
-// between the forced termination and boot completing on the destination.
-func (c *Controller) runStatelessMigration(vs *vmState, src *hostState, deadline simkit.Time) {
-	vm := vs.vm
-	now := c.sched.Now()
-	if deadline < now {
-		deadline = now
-	}
-	var destHost *hostState
-	var sourceDead bool
-	proceed := func() {
-		if !sourceDead || destHost == nil {
-			return
-		}
-		c.replumb(vs, src, destHost, false)
-	}
-	c.sched.At(deadline, "stateless-kill", func() {
-		vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
-		sourceDead = true
-		proceed()
-	})
-	c.chooseDestinationRetry(vs, false, func(h *hostState, _ bool) {
-		destHost = h
-		proceed()
-	})
+// startStateless handles revocation of a stateless VM: no memory state to
+// save, so the VM serves until the platform kills the source, then reboots
+// from its network volume on a fresh host. Downtime is the gap between the
+// forced termination and boot completing on the destination.
+func (c *Controller) startStateless(vs *vmState) {
+	m := &vs.move
+	m.deadline = max(m.deadline, c.sched.Now())
+	c.enter(vs, moveServe)
+	m.wake = c.stepAt(vs, m.deadline, "stateless-kill", stepKill)
+	c.seekDestination(vs)
 }
 
-// chooseDestinationRetry loops until a destination appears. A displaced
-// VM's state is safe on its backup server, so waiting loses availability
-// but never state ("there is never a risk of losing nested VM state").
-func (c *Controller) chooseDestinationRetry(vs *vmState, forceOD bool, ok func(*hostState, bool)) {
-	c.chooseDestination(vs, forceOD, func(h *hostState, staged bool, err error) {
-		if err != nil {
-			c.met.destFails.Inc()
-			c.sched.After(c.cfg.MonitorInterval, "dest-retry", func() {
-				if c.shutdown {
-					return
-				}
-				c.chooseDestinationRetry(vs, forceOD, ok)
-			})
-			return
-		}
-		ok(h, staged)
-	})
-}
-
-// chooseDestination picks the new host for a displaced VM according to the
-// destination policy (forceOD bypasses spares/staging for final homes).
-// The callback's staged flag marks a temporary staging placement that needs
-// a second hop.
-func (c *Controller) chooseDestination(vs *vmState, forceOD bool, cb func(h *hostState, staged bool, err error)) {
-	if !forceOD {
+// seekDestination picks the new host for a displaced VM according to the
+// destination policy (forceOD bypasses spares and staging for final homes)
+// and hands it to destinationReady, now or when its acquisition lands. It
+// is retried every monitor interval until one appears: a displaced VM's
+// state is safe on its backup server, so waiting loses availability but
+// never state ("there is never a risk of losing nested VM state").
+func (c *Controller) seekDestination(vs *vmState) {
+	if !vs.move.forceOD {
 		switch c.cfg.Destination {
 		case DestHotSpare:
 			if h := c.takeSpare(vs.vm.Type); h != nil {
 				h.reserved++
-				cb(h, false, nil)
+				c.destinationReady(vs, h, false)
 				return
 			}
 			// No spare ready: fall back to a lazy on-demand request.
 		case DestStaging:
 			if h := c.findStagingSlot(vs); h != nil {
 				h.reserved++
-				cb(h, true, nil)
+				c.destinationReady(vs, h, true)
 				return
 			}
 		}
 	}
-	key := PoolKey{Type: vs.vm.Type.Name, Zone: c.cfg.BackupZone, Market: cloud.MarketOnDemand}
-	c.acquireHost(key, vs.vm.Type, vs, func(h *hostState, err error) {
-		cb(h, false, err)
-	})
+	// The VM's own type, on demand, in the backup zone. Once that pool
+	// exists the request goes straight to it, with no key to hash.
+	if pool := vs.typeMarket.pools[cloud.MarketOnDemand]; pool != nil {
+		c.acquireIn(pool, vs.vm.Type, vs)
+		return
+	}
+	c.acquireHost(PoolKey{Type: vs.vm.Type.Name, Zone: c.cfg.BackupZone, Market: cloud.MarketOnDemand}, vs.vm.Type, vs)
+}
+
+// hostAcquired receives the outcome of a host acquisition for the VM that
+// asked: a host with one slot reserved for it, or an error. What happens
+// next is read off the VM's state — a new VM continues its placement, a
+// return commits or aborts, any other move has its destination or retries.
+func (c *Controller) hostAcquired(vs *vmState, h *hostState, err error) {
+	switch m := &vs.move; {
+	case vs.phase != phaseMigrating:
+		c.placed(vs, h, err)
+	case m.reason == reasonReturn && m.phase == moveCopy:
+		if err != nil {
+			c.abortReturn(vs)
+			return
+		}
+		c.met.mig.RecordLive(m.live)
+		c.destinationReady(vs, h, false)
+	case err != nil:
+		c.met.destFails.Inc()
+		c.stepAfter(vs, c.cfg.MonitorInterval, "dest-retry", stepRetry)
+	default:
+		c.destinationReady(vs, h, false)
+	}
+}
+
+// destinationReady records the move's destination and continues the chain
+// from wherever the source side has got to.
+func (c *Controller) destinationReady(vs *vmState, h *hostState, staged bool) {
+	m := &vs.move
+	m.dst = h
+	switch m.phase {
+	case moveDrain, moveFlush, moveFlushed:
+		m.staged = staged
+		if c.cfg.Mechanism.Optimized() {
+			// Pause as soon as the drain allows. The deadline may already
+			// have forced the pause, and finished the flush, while the
+			// destination was still coming up.
+			c.stepAt(vs, max(c.sched.Now(), m.drainEnd), "pause", stepPause)
+		}
+		if m.phase == moveFlushed {
+			c.replumb(vs)
+		}
+	case moveKilled:
+		c.replumb(vs)
+	case moveCopy:
+		c.copyTo(vs)
+	case moveRecover:
+		if c.cfg.Mechanism.UsesBackup() && !vs.stateless {
+			m.staged = staged
+			c.replumb(vs)
+			return
+		}
+		c.enter(vs, moveReboot)
+		c.wakeAfter(vs, simkit.Seconds(c.cfg.RebootSeconds), "reboot", stepReboot)
+	}
 }
 
 // findStagingSlot looks for spare capacity on an existing, unwarned,
-// running host (any pool) whose slice size matches.
+// running host (any pool) whose slice size matches: the one with the least
+// instance id, in one pass.
 func (c *Controller) findStagingSlot(vs *vmState) *hostState {
-	ids := make([]cloud.InstanceID, 0, len(c.hostIndex))
-	for id := range c.hostIndex {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		h := c.lookupHost(id)
+	var best *hostState
+	for id, slot := range c.hostIndex {
+		h := c.hostSlab.Get(slot)
 		if h == nil || h.role != roleHost || h.warned || h.free() <= 0 {
 			continue
 		}
-		if h.inst.State != cloud.StateRunning {
+		if h.inst.State != cloud.StateRunning || h.slotType.Name != vs.vm.Type.Name || h == vs.host {
 			continue
 		}
-		if h.slotType.Name != vs.vm.Type.Name {
-			continue
+		if best == nil || id < best.inst.ID {
+			best = h
 		}
-		if h == vs.host {
-			continue
-		}
-		return h
 	}
-	return nil
+	return best
 }
 
-// replumb performs the paper's §3.5 sequence once the VM is paused and the
+// replumb starts the paper's §3.5 sequence once the VM is paused and the
 // destination is up: detach the volume and address from the source, attach
 // both to the destination, then restore the VM from its backup server. The
 // VM is down throughout (Table 1's ~23 s of EC2 operations plus restore
-// downtime).
-func (c *Controller) replumb(vs *vmState, src, dst *hostState, staged bool) {
-	vm := vs.vm
-	step4 := func() {
-		c.restoreOnDestination(vs, src, dst, staged)
-	}
-	step3 := func() {
-		if err := c.prov.AssignIP(dst.inst.ID, vm.IP, func(err error) { step4() }); err != nil {
-			// Address plumbing failed (extremely rare: destination died);
-			// continue — the VM still restores, the address follows later.
-			step4()
-		}
-	}
-	step2 := func() {
-		srcAlive := src.inst.State != cloud.StateTerminated && src.inst.HasIP(vm.IP)
-		if !srcAlive {
-			step3()
-			return
-		}
-		if err := c.prov.UnassignIP(src.inst.ID, vm.IP, func(err error) { step3() }); err != nil {
-			step3()
-		}
-	}
-	step1 := func() {
-		if err := c.prov.AttachVolume(vm.Volume, dst.inst.ID, func(err error) { step2() }); err != nil {
-			step2()
-		}
-	}
+// downtime). Each operation's completion — vs.onOp — re-enters replumbNext.
+func (c *Controller) replumb(vs *vmState) {
+	c.enter(vs, moveDetach)
 	// Detach from the source; the platform auto-detaches if the source was
 	// already force-terminated, so an error here means "already done".
-	if err := c.prov.DetachVolume(vm.Volume, func(err error) { step1() }); err != nil {
-		step1()
+	if err := c.prov.DetachVolume(vs.vm.Volume, vs.onOp); err != nil {
+		c.replumbNext(vs)
 	}
 }
 
-// restoreOnDestination resumes the VM on dst from its backup server, or —
-// for stateless VMs — boots it afresh from its network volume.
-func (c *Controller) restoreOnDestination(vs *vmState, src, dst *hostState, staged bool) {
-	vm := vs.vm
+// replumbNext runs when the operation of the current re-plumbing phase has
+// landed or been refused — either way that step is over — and issues the
+// next one.
+func (c *Controller) replumbNext(vs *vmState) {
+	vm, m := vs.vm, &vs.move
+	for {
+		var err error
+		switch m.phase {
+		case moveDetach:
+			c.enter(vs, moveAttach)
+			err = c.prov.AttachVolume(vm.Volume, m.dst.inst.ID, vs.onOp)
+		case moveAttach:
+			c.enter(vs, moveUnassign)
+			if src := m.src.inst; src.State == cloud.StateTerminated || !src.HasIP(vm.IP) {
+				continue
+			}
+			err = c.prov.UnassignIP(m.src.inst.ID, vm.IP, vs.onOp)
+		case moveUnassign:
+			c.enter(vs, moveAssign)
+			// A failure here is extremely rare (the destination died); the
+			// VM still restores, the address follows later.
+			err = c.prov.AssignIP(m.dst.inst.ID, vm.IP, vs.onOp)
+		case moveAssign:
+			c.restoreOnDestination(vs)
+			return
+		default:
+			return
+		}
+		if err == nil {
+			return
+		}
+	}
+}
+
+// restoreOnDestination resumes the VM on the destination from its backup
+// server, or — for stateless VMs — boots it afresh from its network volume.
+func (c *Controller) restoreOnDestination(vs *vmState) {
+	vm, m := vs.vm, &vs.move
 	mech := c.cfg.Mechanism
+	c.enter(vs, moveRestore)
 	if vs.stateless {
-		c.sched.After(simkit.Seconds(c.cfg.BootSeconds), "boot", func() {
-			c.completeMove(vs, src, dst)
-		})
+		c.wakeAfter(vs, simkit.Seconds(c.cfg.BootSeconds), "boot", stepRestored)
 		return
 	}
 	srv := vs.backup
@@ -428,50 +403,43 @@ func (c *Controller) restoreOnDestination(vs *vmState, src, dst *hostState, stag
 		res = migration.RestoreResult{Downtime: simkit.Second}
 	}
 	c.met.mig.RecordRestore(mech.Lazy(), res)
-	c.sched.After(res.Downtime, "restore", func() {
-		c.completeMove(vs, src, dst)
-		if mech.Lazy() && res.DegradedTime > 0 && vs.phase == phaseRunning {
-			vm.Ledger.Set(nestedvm.CondDegraded, c.sched.Now())
-			vs.restoreSrv = srv
-			vs.lazyDegradeEvent = c.sched.After(res.DegradedTime, "prefetch-done", func() {
-				vs.lazyDegradeEvent = simkit.Event{}
-				c.endLazyWindow(vs)
-				if vs.phase == phaseRunning {
-					vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
-				}
-			})
-		} else if srv != nil {
-			srv.EndRestore()
-		}
-		if staged && vs.phase == phaseRunning {
-			// Staging placement: schedule the second hop to a fresh
-			// on-demand server once the dust settles. The timer may outlive
-			// the VM (slot recycled) or the host (slot recycled for another
-			// instance), so it re-validates by handle generation and by
-			// instance id — instance ids are monotonic and never reused.
-			vh := vs.slot
-			dstID := dst.inst.ID
-			c.sched.After(c.cfg.MonitorInterval, "staging-hop", func() {
-				if c.vmSlab.Get(vh) == nil {
-					return
-				}
-				if vs.phase == phaseRunning && vs.host != nil && vs.host.inst.ID == dstID {
-					c.migrateVM(vs, reasonStagingHop, 0)
-				}
-			})
-		}
-	})
+	m.srv, m.restore = srv, res
+	c.wakeAfter(vs, res.Downtime, "restore", stepRestored)
+}
+
+// restored ends the restore phase: the VM lands, and whatever outlives the
+// move — the lazy-restore window, the staging hop — is set going.
+func (c *Controller) restored(vs *vmState) {
+	m := &vs.move
+	// completeMove ends the record, or starts the next move in it. (A
+	// stateless boot leaves all three zero.)
+	srv, tail, staged := m.srv, m.restore.DegradedTime, m.staged
+	c.completeMove(vs)
+	if c.cfg.Mechanism.Lazy() && tail > 0 && vs.phase == phaseRunning {
+		vs.vm.Ledger.Set(nestedvm.CondDegraded, c.sched.Now())
+		vs.restoreSrv = srv
+		vs.lazyDegradeEvent = c.stepAfter(vs, tail, "prefetch-done", stepPrefetchDone)
+	} else if srv != nil {
+		srv.EndRestore()
+	}
+	if staged && vs.phase == phaseRunning {
+		// Staging placement: schedule the second hop to a fresh on-demand
+		// server once the dust settles.
+		c.stepAfter(vs, c.cfg.MonitorInterval, "staging-hop", stepStagingHop)
+	}
 }
 
 // completeMove finalizes bookkeeping after a migration: the VM now runs on
-// dst; the source slot frees; backup registration follows the new market.
-func (c *Controller) completeMove(vs *vmState, src, dst *hostState) {
-	vm := vs.vm
-	// A terminated source pinned by a prior dst-died recovery chain (below)
-	// is released here: the chain that pinned it always funnels into exactly
+// the move's destination; the source slot frees; backup registration
+// follows the new market.
+func (c *Controller) completeMove(vs *vmState) {
+	vm, m := vs.vm, &vs.move
+	src, dst := m.src, m.dst
+	// A terminated source pinned by a prior dst-died recovery (below) is
+	// released here: the chain that pinned it always funnels into exactly
 	// one completeMove with that host as src.
-	if vs.pinnedSrc == src {
-		vs.pinnedSrc = nil
+	if m.pinned {
+		m.pinned = false
 		src.pinned--
 	}
 	c.hostRemoveVM(src, vs)
@@ -483,36 +451,30 @@ func (c *Controller) completeMove(vs *vmState, src, dst *hostState) {
 	// there: with a backup checkpoint it restores onto a fresh host;
 	// without one it reboots from its volume (memory state lost).
 	if dst.inst.State == cloud.StateTerminated {
-		now := c.sched.Now()
-		vm.Ledger.Set(nestedvm.CondDown, now)
-		withBackup := c.cfg.Mechanism.UsesBackup() && !vs.stateless
-		if !withBackup && !vs.stateless {
+		vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
+		if !c.cfg.Mechanism.UsesBackup() && !vs.stateless {
 			c.met.stateLost.Inc()
 			if c.trace != nil {
 				c.emit("vm", string(vm.ID), EventStateLost, fmt.Sprintf("destination %s died mid-migration", dst.inst.ID))
 			}
 		}
 		c.maybeRetireHost(src)
-		// The recovery chain below re-plumbs *from* the dead destination, so
-		// its slab slot must survive until that chain's own completeMove.
-		// Pin it; the unpin at the top of completeMove releases it.
+		// The recovery re-plumbs *from* the dead destination, so its slab
+		// slot must survive until that chain's own completeMove. Pin it;
+		// the unpin at the top of completeMove releases it.
 		dst.pinned++
-		vs.pinnedSrc = dst
-		c.chooseDestinationRetry(vs, false, func(h *hostState, staged bool) {
-			if withBackup {
-				c.replumb(vs, dst, h, staged)
-				return
-			}
-			c.sched.After(simkit.Seconds(c.cfg.RebootSeconds), "reboot", func() {
-				c.moveLive(vs, dst, h)
-			})
-		})
+		m.src, m.dst, m.pinned, m.forceOD = dst, nil, true, false
+		c.enter(vs, moveRecover)
+		c.seekDestination(vs)
 		return
 	}
 	c.hostAddVM(dst, vs)
 	vs.host = dst
 	vm.Host = dst.inst.ID
 	vs.phase = phaseRunning
+	vs.epoch++
+	c.enter(vs, moveIdle)
+	vs.move = move{}
 	vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
 	c.syncPoolOf(src)
 	c.syncPoolOf(dst)
@@ -553,82 +515,74 @@ func (c *Controller) completeMove(vs *vmState, src, dst *hostState) {
 	}
 }
 
-// runLiveEvacuation live-migrates a VM to an on-demand (or staging) host:
-// the revocation path for the XenLive baseline, the proactive path for
-// k×OD bidding, and staging second hops. With a deadline, the VM's memory
-// state is lost if the pre-copy cannot finish in time.
-func (c *Controller) runLiveEvacuation(vs *vmState, src *hostState, deadline simkit.Time, forceOD bool) {
-	vm := vs.vm
+// simulateLive sizes a live pre-copy of vs's memory.
+func (c *Controller) simulateLive(vs *vmState) migration.LiveResult {
 	live, err := migration.SimulateLive(migration.LiveSpec{
-		MemoryMB:     vm.Memory.SizeMB,
-		DirtyMBs:     vm.Memory.DirtyMBs,
+		MemoryMB:     vs.vm.Memory.SizeMB,
+		DirtyMBs:     vs.vm.Memory.DirtyMBs,
 		BandwidthMBs: c.cfg.LiveBandwidthMBs,
 	})
 	if err != nil {
 		live = migration.LiveResult{Total: simkit.Minute, Downtime: simkit.Second, Converged: true}
 	}
-	c.met.mig.RecordLive(live)
-	start := c.sched.Now()
-	c.chooseDestinationRetry(vs, forceOD, func(dst *hostState, _ bool) {
-		now := c.sched.Now()
-		copyDone := start + live.Total
-		if now > copyDone {
-			copyDone = now
-		}
-		if deadline == 0 || (live.Converged && copyDone <= deadline) {
-			pauseAt := copyDone - live.Downtime
-			if pauseAt < now {
-				pauseAt = now
-			}
-			c.sched.At(pauseAt, "live-pause", func() {
-				if vs.phase == phaseMigrating {
-					vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
-				}
-			})
-			c.sched.At(copyDone, "live-done", func() {
-				// A deadline-free (proactive/predictive) migration can
-				// still lose its source: a real warning may have arrived
-				// mid-copy and the platform force-terminated it before
-				// the pre-copy finished (the misprediction risk of §3.2).
-				if deadline == 0 && src.inst.State == cloud.StateTerminated {
-					c.met.predMisses.Inc()
-					vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
-					if c.cfg.Mechanism.UsesBackup() && !vs.stateless {
-						// Continuous checkpointing saves the day: restore
-						// from the backup server instead.
-						c.replumb(vs, src, dst, false)
-						return
-					}
-					// No checkpoint: memory state is gone; reboot.
-					c.met.stateLost.Inc()
-					c.emit("vm", string(vm.ID), EventStateLost, "predictive miss with no backup server")
-					c.sched.After(simkit.Seconds(c.cfg.RebootSeconds), "reboot", func() {
-						c.moveLive(vs, src, dst)
-					})
-					return
-				}
-				c.moveLive(vs, src, dst)
-			})
+	return live
+}
+
+// startLive live-migrates a VM to an on-demand (or staging) host: the
+// revocation path for the XenLive baseline, the proactive path for k×OD
+// bidding, and staging second hops. With a deadline, the VM's memory state
+// is lost if the pre-copy cannot finish in time.
+func (c *Controller) startLive(vs *vmState) {
+	vs.move.live = c.simulateLive(vs)
+	c.met.mig.RecordLive(vs.move.live)
+	c.enter(vs, moveCopy)
+	c.seekDestination(vs)
+}
+
+// copyTo times the rest of a live move now that its destination is known.
+func (c *Controller) copyTo(vs *vmState) {
+	m := &vs.move
+	now := c.sched.Now()
+	copyDone := max(m.started+m.live.Total, now)
+	if m.deadline == 0 || (m.live.Converged && copyDone <= m.deadline) {
+		c.stepAt(vs, max(copyDone-m.live.Downtime, now), "live-pause", stepDown)
+		m.wake = c.stepAt(vs, copyDone, "live-done", stepLiveDone)
+		return
+	}
+	// Lost: the platform killed the source mid-copy. Memory state is
+	// gone; the VM reboots from its network volume on the destination.
+	c.met.stateLost.Inc()
+	c.emit("vm", string(vs.vm.ID), EventStateLost, "live migration exceeded the warning window")
+	downAt := max(m.deadline, now)
+	c.enter(vs, moveReboot)
+	c.stepAt(vs, downAt, "lost", stepDown)
+	m.wake = c.stepAt(vs, downAt+simkit.Seconds(c.cfg.RebootSeconds), "reboot", stepReboot)
+}
+
+// liveDone ends a pre-copy that was given time to finish.
+func (c *Controller) liveDone(vs *vmState) {
+	vm, m := vs.vm, &vs.move
+	// A deadline-free (proactive/predictive) migration can still lose its
+	// source: a real warning may have arrived mid-copy and the platform
+	// force-terminated it before the pre-copy finished (the misprediction
+	// risk of §3.2). A return's on-demand source is never taken.
+	if m.deadline == 0 && m.src.inst.State == cloud.StateTerminated {
+		c.met.predMisses.Inc()
+		vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
+		if c.cfg.Mechanism.UsesBackup() && !vs.stateless {
+			// Continuous checkpointing saves the day: restore from the
+			// backup server instead.
+			c.replumb(vs)
 			return
 		}
-		// Lost: the platform killed the source mid-copy. Memory state is
-		// gone; the VM reboots from its network volume on the destination.
+		// No checkpoint: memory state is gone; reboot.
 		c.met.stateLost.Inc()
-		c.emit("vm", string(vm.ID), EventStateLost, "live migration exceeded the warning window")
-		downAt := deadline
-		if downAt < now {
-			downAt = now
-		}
-		c.sched.At(downAt, "lost", func() {
-			if vs.phase == phaseMigrating {
-				vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
-			}
-		})
-		rebootDone := downAt + simkit.Seconds(c.cfg.RebootSeconds)
-		c.sched.At(rebootDone, "reboot", func() {
-			c.moveLive(vs, src, dst)
-		})
-	})
+		c.emit("vm", string(vm.ID), EventStateLost, "predictive miss with no backup server")
+		c.enter(vs, moveReboot)
+		c.wakeAfter(vs, simkit.Seconds(c.cfg.RebootSeconds), "reboot", stepReboot)
+		return
+	}
+	c.moveLive(vs)
 }
 
 // tryReturn considers moving an on-demand-hosted VM back to spot: it picks
@@ -646,7 +600,7 @@ func (c *Controller) tryReturn(vs *vmState) {
 	}
 	// Return to the VM's home pool so the placement policy's distribution
 	// stays stable; VMs without one (placed during a spike) ask the policy.
-	target := vs.homePool
+	target, m := vs.homePool, vs.homeMarket
 	if target.Type == "" {
 		ctx := &PlacementContext{Requested: vs.vm.Type, Provider: c.prov, History: c.history, Rand: c.rng}
 		natType, zone, err := c.cfg.Placement.Choose(ctx)
@@ -657,111 +611,113 @@ func (c *Controller) tryReturn(vs *vmState) {
 			return
 		}
 		target = PoolKey{Type: natType, Zone: zone, Market: cloud.MarketSpot}
+		m = c.history.index[spotmarket.MarketKey{Type: natType, Zone: zone}]
 	}
 	// The target market itself must be calm: below the on-demand price and
 	// past the return hold-down. Without this check a pool whose price
 	// hovers above on-demand would ping-pong VMs between markets.
-	m := c.history.index[spotmarket.MarketKey{Type: target.Type, Zone: target.Zone}]
 	if m == nil || !c.marketCalm(m) {
 		return
 	}
 	vs.returnTarget = target
-	if vs.homePool.Type == "" {
-		vs.homePool = target
-	}
+	vs.homePool, vs.homeMarket = target, m
 	c.migrateVM(vs, reasonReturn, 0)
 }
 
-// runLiveReturn live-migrates a VM from an on-demand host back to the spot
+// startReturn live-migrates a VM from an on-demand host back to the spot
 // pool selected by tryReturn.
-func (c *Controller) runLiveReturn(vs *vmState, src *hostState) {
-	vm := vs.vm
-	abort := func() {
-		// Spot became unavailable again between the calm check and the
-		// acquisition; stay on-demand and undo the migration bookkeeping.
-		// The registry counter stays monotonic: the start remains counted
-		// and the abort is counted separately; Stats() nets them out.
-		vs.phase = phaseRunning
-		vm.Migrations--
-		c.met.migAborted.Inc()
-		c.emit("vm", string(vm.ID), "migration-abort", "spot target vanished; staying on-demand")
-		if vm.Ledger.Condition() != nestedvm.CondNormal {
-			vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
-		}
-	}
+func (c *Controller) startReturn(vs *vmState) {
 	key := vs.returnTarget
 	if key.Type == "" {
-		abort()
+		c.abortReturn(vs)
 		return
 	}
-	live, lerr := migration.SimulateLive(migration.LiveSpec{
-		MemoryMB:     vm.Memory.SizeMB,
-		DirtyMBs:     vm.Memory.DirtyMBs,
-		BandwidthMBs: c.cfg.LiveBandwidthMBs,
-	})
-	if lerr != nil {
-		live = migration.LiveResult{Total: simkit.Minute, Downtime: simkit.Second, Converged: true}
+	vs.move.live = c.simulateLive(vs)
+	c.enter(vs, moveCopy)
+	c.acquireHost(key, vs.vm.Type, vs)
+}
+
+// abortReturn undoes a return whose spot target became unavailable between
+// the calm check and the acquisition: the VM stays on-demand. The registry
+// counter stays monotonic: the start remains counted and the abort is
+// counted separately; Stats() nets them out.
+func (c *Controller) abortReturn(vs *vmState) {
+	vm := vs.vm
+	vs.phase = phaseRunning
+	if vs.move.phase != moveIdle {
+		c.enter(vs, moveIdle)
 	}
-	start := c.sched.Now()
-	c.acquireHost(key, vm.Type, vs, func(dst *hostState, err error) {
-		if err != nil {
-			abort()
-			return
-		}
-		c.met.mig.RecordLive(live)
-		now := c.sched.Now()
-		copyDone := start + live.Total
-		if now > copyDone {
-			copyDone = now
-		}
-		pauseAt := copyDone - live.Downtime
-		if pauseAt < now {
-			pauseAt = now
-		}
-		c.sched.At(pauseAt, "live-pause", func() {
-			if vs.phase == phaseMigrating {
-				vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
-			}
-		})
-		c.sched.At(copyDone, "live-done", func() {
-			c.moveLive(vs, src, dst)
-		})
-	})
+	vs.move = move{}
+	vm.Migrations--
+	c.met.migAborted.Inc()
+	c.emit("vm", string(vm.ID), "migration-abort", "spot target vanished; staying on-demand")
+	if vm.Ledger.Condition() != nestedvm.CondNormal {
+		vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
+	}
+}
+
+// follower is one leg of a live move's address or volume re-plumbing: the
+// operation that takes the resource off the source, and what must follow
+// it onto the destination. It outlives the move that started it —
+// completeMove runs before the first operation lands, and the VM may be
+// warned and moving again by then — so the destination travels with the
+// follower, as the native instance itself (a host's slot may be recycled
+// by then, an instance never is). Records and their bound callbacks are
+// recycled through Controller.followFree.
+type follower struct {
+	c    *Controller
+	dst  *cloud.Instance
+	addr cloud.Addr     // the address to assign, or
+	vol  cloud.VolumeID // the volume to attach
+	fn   cloud.Callback // land, bound once
+}
+
+func (c *Controller) newFollower(dst *cloud.Instance, addr cloud.Addr, vol cloud.VolumeID) *follower {
+	var f *follower
+	if n := len(c.followFree); n > 0 {
+		f, c.followFree = c.followFree[n-1], c.followFree[:n-1]
+	} else {
+		f = &follower{c: c}
+		f.fn = f.land
+	}
+	f.dst, f.addr, f.vol = dst, addr, vol
+	return f
+}
+
+// land puts the resource on the destination once it is off the source.
+func (f *follower) land(error) {
+	c, dst, addr, vol := f.c, f.dst, f.addr, f.vol
+	f.dst = nil
+	c.followFree = append(c.followFree, f)
+	if dst.State == cloud.StateTerminated {
+		return
+	}
+	if vol != "" {
+		_ = c.prov.AttachVolume(vol, dst.ID, nil) // best effort, like the move it trails
+	} else {
+		_ = c.prov.AssignIP(dst.ID, addr, nil)
+	}
 }
 
 // moveLive finalizes a live relocation: the address and volume follow the
 // VM (their re-plumbing overlaps the copy and adds no downtime beyond the
 // stop-and-copy, matching the paper's treatment of live migration), and
 // the source is voluntarily relinquished once empty.
-func (c *Controller) moveLive(vs *vmState, src, dst *hostState) {
+func (c *Controller) moveLive(vs *vmState) {
 	vm := vs.vm
-	// Move the address: unassign from source, then assign to destination.
+	src, dst := vs.move.src.inst, vs.move.dst.inst
 	if vm.IP.IsValid() {
-		addr := vm.IP
-		reassign := func() {
-			if dst.inst.State != cloud.StateTerminated {
-				_ = c.prov.AssignIP(dst.inst.ID, addr, nil)
-			}
-		}
-		if src.inst.State != cloud.StateTerminated && src.inst.HasIP(addr) {
-			if err := c.prov.UnassignIP(src.inst.ID, addr, func(error) { reassign() }); err != nil {
-				reassign()
-			}
-		} else {
-			reassign()
+		f := c.newFollower(dst, vm.IP, "")
+		if src.State == cloud.StateTerminated || !src.HasIP(vm.IP) ||
+			c.prov.UnassignIP(src.ID, vm.IP, f.fn) != nil {
+			f.land(nil)
 		}
 	}
-	// Move the volume.
 	if vm.Volume != "" {
-		vol := vm.Volume
-		attach := func() {
-			if dst.inst.State != cloud.StateTerminated {
-				_ = c.prov.AttachVolume(vol, dst.inst.ID, nil)
-			}
-		}
-		if err := c.prov.DetachVolume(vol, func(error) { attach() }); err != nil {
-			attach()
+		f := c.newFollower(dst, cloud.Addr{}, vm.Volume)
+		if c.prov.DetachVolume(vm.Volume, f.fn) != nil {
+			f.land(nil)
 		}
 	}
-	c.completeMove(vs, src, dst)
+	c.completeMove(vs)
 }

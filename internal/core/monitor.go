@@ -9,7 +9,6 @@ import (
 
 // startMonitor launches the controller's periodic loop (monitorTick).
 func (c *Controller) startMonitor() {
-	c.calmCache = map[string]bool{}
 	c.tickFn = c.monitorTick
 	c.monitorEvent = c.sched.After(c.cfg.MonitorInterval, "monitor", c.tickFn)
 }
@@ -28,7 +27,6 @@ func (c *Controller) monitorTick() {
 	}
 	c.met.monitorTick.Inc()
 	c.tick++
-	clear(c.calmCache)
 	c.samplePrices()
 	if c.cfg.Bidding.Proactive() {
 		c.proactiveSweep()
@@ -145,7 +143,9 @@ func (c *Controller) predictiveSweep() {
 }
 
 // returnSweep migrates VMs hosted on on-demand servers back to spot pools
-// once prices have stayed below on-demand for the hold-down period.
+// once prices have stayed below on-demand for the hold-down period. On a
+// tick where no market at all is calm it ends at the first candidate: no VM
+// could pass spotCalmFor, so none reaches tryReturn or the placement policy.
 func (c *Controller) returnSweep() {
 	for _, m := range c.history.markets {
 		pool := m.pools[cloud.MarketOnDemand]
@@ -161,6 +161,9 @@ func (c *Controller) returnSweep() {
 				if vs.phase != phaseRunning {
 					continue
 				}
+				if !c.someMarketCalm() {
+					return
+				}
 				if !c.spotCalmFor(vs) {
 					continue
 				}
@@ -170,26 +173,42 @@ func (c *Controller) returnSweep() {
 	}
 }
 
+// someMarketCalm reports whether any market is calm this tick, asked once
+// per tick and only when the sweep has a candidate to ask for.
+func (c *Controller) someMarketCalm() bool {
+	if c.calmTick != c.tick {
+		c.calmTick, c.anyCalm = c.tick, false
+		for _, m := range c.history.markets {
+			if c.marketCalm(m) {
+				c.anyCalm = true
+				break
+			}
+		}
+	}
+	return c.anyCalm
+}
+
 // spotCalmFor reports whether the placement policy's candidate markets have
 // been calm (below on-demand) long enough to return this VM to spot. It
 // checks the markets the policy could choose; a single calm candidate is
 // enough since the return-time Choose call may pick it. The answer depends
-// only on the VM's requested type, so it is memoized per type for the tick —
-// the return sweep asks once per requested type instead of once per VM.
+// only on the VM's requested type, so it is kept for the tick on that type's
+// record — the return sweep asks once per requested type instead of once
+// per VM.
 func (c *Controller) spotCalmFor(vs *vmState) bool {
-	if calm, ok := c.calmCache[vs.vm.Type.Name]; ok {
-		return calm
+	slot := vs.typeMarket
+	if slot.calmTick == c.tick {
+		return slot.calm
 	}
 	// A market qualifies when calm and able to host the requested type.
-	calm := false
+	slot.calmTick, slot.calm = c.tick, false
 	for _, m := range c.history.markets {
 		if c.marketCalm(m) && c.hostUnits(m.typ, vs.vm.Type) > 0 {
-			calm = true
+			slot.calm = true
 			break
 		}
 	}
-	c.calmCache[vs.vm.Type.Name] = calm
-	return calm
+	return slot.calm
 }
 
 // marketCalm reports whether a spot market, sampled this tick, is priced
@@ -258,7 +277,7 @@ func (c *Controller) takeSpare(slotType cloud.InstanceType) *hostState {
 		h.slotType = slotType
 		h.capacity = capacity
 		h.key = PoolKey{Type: h.inst.Type.Name, Zone: h.inst.Zone, Market: cloud.MarketOnDemand}
-		c.addPoolHost(c.poolFor(h.key), h)
+		c.addPoolHost(c.poolFor(h.key, h.inst.Type), h)
 		c.hostFreed(h)
 		c.requestSpare()
 		return h

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/backup"
@@ -58,6 +59,7 @@ func (c *Controller) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, 
 	vs.phase = phaseProvisioning
 	vs.workload = c.cfg.Workload
 	vs.stateless = opts.Stateless
+	vs.typeMarket = c.history.at(spotmarket.MarketKey{Type: typ.Name, Zone: c.cfg.BackupZone})
 	c.vmIndex[id] = vs.slot
 	c.met.vmsCreated.Inc()
 	if c.trace != nil {
@@ -70,25 +72,16 @@ func (c *Controller) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, 
 
 // placeNew runs the placement policy and host acquisition for a fresh VM.
 // attempts counts placement retries; after a few failures the controller
-// falls back to a direct on-demand host of the requested type.
+// falls back to a direct on-demand host of the requested type. placed takes
+// over when the acquisition resolves.
 func (c *Controller) placeNew(vs *vmState, attempts int) {
 	if vs.phase == phaseReleased {
 		c.releaseDeferredSlot(vs)
 		return
 	}
+	vs.placeAttempts = attempts
 	if attempts >= 3 {
-		c.acquireHost(PoolKey{Type: vs.vm.Type.Name, Zone: c.cfg.BackupZone, Market: cloud.MarketOnDemand},
-			vs.vm.Type, vs, func(h *hostState, err error) {
-				if err != nil {
-					// Nothing left to try; park and retry placement later.
-					c.met.destFails.Inc()
-					c.sched.After(c.cfg.MonitorInterval, "replace", func() {
-						c.placeNew(vs, 0)
-					})
-					return
-				}
-				c.installVM(vs, h)
-			})
+		c.acquireHost(PoolKey{Type: vs.vm.Type.Name, Zone: c.cfg.BackupZone, Market: cloud.MarketOnDemand}, vs.vm.Type, vs)
 		return
 	}
 	ctx := &PlacementContext{
@@ -102,17 +95,28 @@ func (c *Controller) placeNew(vs *vmState, attempts int) {
 		c.placeNew(vs, attempts+1)
 		return
 	}
-	key := PoolKey{Type: natType, Zone: zone, Market: cloud.MarketSpot}
-	c.acquireHost(key, vs.vm.Type, vs, func(h *hostState, err error) {
-		if err != nil {
-			// Spot acquisition failed (e.g. price spike making the bid
-			// invalid); retry, eventually landing on-demand.
-			c.placeNew(vs, attempts+1)
-			return
+	c.acquireHost(PoolKey{Type: natType, Zone: zone, Market: cloud.MarketSpot}, vs.vm.Type, vs)
+}
+
+// placed continues a new VM's placement with the outcome of its host
+// acquisition.
+func (c *Controller) placed(vs *vmState, h *hostState, err error) {
+	fallback := vs.placeAttempts >= 3
+	switch {
+	case err != nil && fallback:
+		// Nothing left to try; park and retry placement later.
+		c.met.destFails.Inc()
+		c.stepAfter(vs, c.cfg.MonitorInterval, "replace", stepPlace)
+	case err != nil:
+		// Spot acquisition failed (e.g. price spike making the bid
+		// invalid); retry, eventually landing on-demand.
+		c.placeNew(vs, vs.placeAttempts+1)
+	default:
+		if !fallback {
+			vs.homePool, vs.homeMarket = h.key, h.pool.market
 		}
-		vs.homePool = key
 		c.installVM(vs, h)
-	})
+	}
 }
 
 // hostUnits is the number of slot-type slices the controller packs onto a
@@ -128,125 +132,80 @@ func (c *Controller) hostUnits(host, slot cloud.InstanceType) int {
 // pendingAcq is an in-flight native host acquisition. Concurrent placements
 // for the same pool share one acquisition until its slots are spoken for
 // (the paper "reserves the additional slot in order to rapidly allocate ...
-// a subsequent customer request").
+// a subsequent customer request"). Its waiters are VM handles: what each
+// does with the host is read off the VM when the launch lands
+// (hostAcquired). Records, waiter buffers and the launch callback bound to
+// each record are recycled through Controller.acqFree.
 type pendingAcq struct {
-	key      PoolKey
+	c        *Controller
+	pool     *poolState
 	slotType cloud.InstanceType
 	capacity int
-	waiters  []func(*hostState, error)
-	// done marks a finished acquisition awaiting lazy removal from the
-	// controller's joinable index.
-	done bool
-}
-
-// acqKey indexes joinable acquisitions by pool and slice size.
-type acqKey struct {
-	key      PoolKey
-	slotType string
+	waiters  []slab.Handle
+	fn       cloud.InstanceCallback // finish, bound once
 }
 
 // acquireHost finds or creates a host with a free slot of slotType in the
-// given pool. The callback receives the host with one slot reserved for
-// the caller (release the reservation by installing a VM or decrementing
-// reserved).
-func (c *Controller) acquireHost(key PoolKey, slotType cloud.InstanceType, _ *vmState, cb func(*hostState, error)) {
+// pool key names, on behalf of vs: hostAcquired receives the host with one
+// slot reserved for the VM (released by installing it or decrementing
+// reserved), or the error.
+func (c *Controller) acquireHost(key PoolKey, slotType cloud.InstanceType, vs *vmState) {
 	if key.Market != cloud.MarketSpot && key.Market != cloud.MarketOnDemand {
-		cb(nil, fmt.Errorf("core: unknown market %v", key.Market))
+		c.hostAcquired(vs, nil, fmt.Errorf("core: unknown market %v", key.Market))
 		return
 	}
 	natType, ok := c.prov.TypeByName(key.Type)
 	if !ok {
-		cb(nil, fmt.Errorf("core: unknown native type %q", key.Type))
+		c.hostAcquired(vs, nil, fmt.Errorf("core: unknown native type %q", key.Type))
 		return
 	}
-	capacity := c.hostUnits(natType, slotType)
-	if capacity <= 0 {
-		cb(nil, fmt.Errorf("core: native type %s cannot host %s", key.Type, slotType.Name))
+	if c.hostUnits(natType, slotType) <= 0 {
+		c.hostAcquired(vs, nil, fmt.Errorf("core: native type %s cannot host %s", key.Type, slotType.Name))
 		return
 	}
-	pool := c.poolFor(key)
+	c.acquireIn(c.poolFor(key, natType), slotType, vs)
+}
+
+// acquireIn is acquireHost for a pool already resolved: one whose native
+// type is known to host slotType.
+func (c *Controller) acquireIn(pool *poolState, slotType cloud.InstanceType, vs *vmState) {
 	// Reuse a running host with a free slot and matching slice size.
 	if h := c.freeHost(pool, slotType); h != nil {
 		h.reserved++
-		cb(h, nil)
+		c.hostAcquired(vs, h, nil)
 		return
 	}
-	// Join the oldest in-flight acquisition with spare capacity, pruning
-	// finished or filled entries from the index as we pass them.
-	ik := acqKey{key: key, slotType: slotType.Name}
-	if list, ok := c.acqIndex[ik]; ok {
-		kept := list[:0]
-		joined := false
-		for _, acq := range list {
-			if acq.done || len(acq.waiters) >= acq.capacity {
-				continue
-			}
-			if !joined {
-				acq.waiters = append(acq.waiters, cb)
-				joined = true
-			}
-			if len(acq.waiters) < acq.capacity {
-				kept = append(kept, acq)
-			}
+	// Join the oldest in-flight acquisition with spare capacity; one that
+	// fills leaves the joinable list.
+	for i, acq := range pool.joinable {
+		if acq.slotType.Name != slotType.Name {
+			continue
 		}
-		for i := len(kept); i < len(list); i++ {
-			list[i] = nil
+		acq.waiters = append(acq.waiters, vs.slot)
+		if len(acq.waiters) >= acq.capacity {
+			pool.joinable = slices.Delete(pool.joinable, i, i+1)
 		}
-		if len(kept) == 0 {
-			delete(c.acqIndex, ik)
-		} else {
-			c.acqIndex[ik] = kept
-		}
-		if joined {
-			return
-		}
+		return
 	}
 	// Start a new acquisition.
-	acq := &pendingAcq{key: key, slotType: slotType, capacity: capacity}
-	acq.waiters = append(acq.waiters, cb)
-	c.acqIndex[ik] = append(c.acqIndex[ik], acq)
-
-	finish := func(inst *cloud.Instance, err error) {
-		acq.done = true
-		if err != nil {
-			for _, w := range acq.waiters {
-				w(nil, err)
-			}
-			return
-		}
-		h := c.newHostState()
-		h.inst = inst
-		h.seq = instanceSeq(inst.ID)
-		h.key = key
-		h.role = roleHost
-		h.slotType = slotType
-		h.capacity = acq.capacity
-		c.hostIndex[inst.ID] = h.slot
-		c.addPoolHost(pool, h)
-		c.rentals = append(c.rentals, rental{inst: inst, kind: rentalHost})
-		c.maybeScrubRentals()
-		c.met.hostAcquired(pool)
-		c.met.syncPool(pool)
-		if c.trace != nil {
-			c.emit("host", string(inst.ID), "acquired", "pool="+key.String()+" capacity="+strconv.Itoa(acq.capacity))
-		}
-		if acq.capacity > 1 {
-			c.met.sliced.Inc()
-		}
-		for _, w := range acq.waiters {
-			h.reserved++
-			w(h, nil)
-		}
-		// Unreserved slots go straight into the free-candidate set so the
-		// next placement finds them without a pool scan.
-		c.hostFreed(h)
+	var acq *pendingAcq
+	if n := len(c.acqFree); n > 0 {
+		acq, c.acqFree = c.acqFree[n-1], c.acqFree[:n-1]
+	} else {
+		acq = &pendingAcq{c: c}
+		acq.fn = acq.finish
 	}
-
+	acq.pool, acq.slotType, acq.capacity = pool, slotType, c.hostUnits(pool.typ, slotType)
+	acq.waiters = append(acq.waiters[:0], vs.slot)
+	if acq.capacity > 1 {
+		pool.joinable = append(pool.joinable, acq)
+	}
+	key := pool.key
 	switch key.Market {
 	case cloud.MarketSpot:
 		od, err := c.prov.OnDemandPrice(key.Type)
 		if err != nil {
-			finish(nil, err)
+			acq.finish(nil, err)
 			return
 		}
 		bid := c.cfg.Bidding.Bid(od)
@@ -255,10 +214,58 @@ func (c *Controller) acquireHost(key PoolKey, slotType cloud.InstanceType, _ *vm
 		if c.trace != nil {
 			c.emit("market", key.String(), "bid", fmt.Sprintf("bid=%v od=%v", bid, od))
 		}
-		c.prov.RequestSpot(key.Type, key.Zone, bid, finish)
+		c.prov.RequestSpot(key.Type, key.Zone, bid, acq.fn)
 	case cloud.MarketOnDemand:
-		c.prov.RunOnDemand(key.Type, key.Zone, finish)
+		c.prov.RunOnDemand(key.Type, key.Zone, acq.fn)
 	}
+}
+
+// finish is the acquisition's launch callback: it books the new host and
+// hands every waiter its slot — or the error.
+func (acq *pendingAcq) finish(inst *cloud.Instance, err error) {
+	c, pool := acq.c, acq.pool
+	if i := slices.Index(pool.joinable, acq); i >= 0 {
+		pool.joinable = slices.Delete(pool.joinable, i, i+1)
+	}
+	var h *hostState
+	if err == nil {
+		h = c.newHostState()
+		h.inst = inst
+		h.seq = instanceSeq(inst.ID)
+		h.key = pool.key
+		h.role = roleHost
+		h.slotType = acq.slotType
+		h.capacity = acq.capacity
+		c.hostIndex[inst.ID] = h.slot
+		c.addPoolHost(pool, h)
+		c.rentals = append(c.rentals, rental{inst: inst, kind: rentalHost})
+		c.maybeScrubRentals()
+		c.met.hostAcquired(pool)
+		c.met.syncPool(pool)
+		if c.trace != nil {
+			c.emit("host", string(inst.ID), "acquired", "pool="+pool.key.String()+" capacity="+strconv.Itoa(acq.capacity))
+		}
+		if acq.capacity > 1 {
+			c.met.sliced.Inc()
+		}
+	}
+	// A waiter's VM cannot have been recycled: a new VM released while it
+	// waits keeps its slot until its chain ends (recycleDeferred), a
+	// migrating one is released only after the move.
+	for _, w := range acq.waiters {
+		if h != nil {
+			h.reserved++
+		}
+		c.hostAcquired(c.vmSlab.Get(w), h, err)
+	}
+	if h != nil {
+		// Unreserved slots go straight into the free-candidate set so the
+		// next placement finds them without a pool scan.
+		c.hostFreed(h)
+	}
+	// Only now: a waiter may have started an acquisition of its own.
+	acq.pool = nil
+	c.acqFree = append(c.acqFree, acq)
 }
 
 // freeHost returns a running, unwarned host with a free slot of the given
@@ -298,14 +305,14 @@ func (c *Controller) freeHost(pool *poolState, slotType cloud.InstanceType) *hos
 
 // poolFor returns the pool for key, creating it in its market's record on
 // first use. key.Market is one of the two contract types (acquireHost
-// rejects anything else first).
-func (c *Controller) poolFor(key PoolKey) *poolState {
+// rejects anything else first); typ is the catalog entry of key.Type.
+func (c *Controller) poolFor(key PoolKey, typ cloud.InstanceType) *poolState {
 	m := c.history.at(spotmarket.MarketKey{Type: key.Type, Zone: key.Zone})
 	pool := m.pools[key.Market]
 	if pool == nil {
 		// hostLess breaks seq ties by instance id: foreign id formats all
 		// parse to seq 0.
-		pool = &poolState{key: key, label: key.String(), market: m, hosts: slab.NewRefList(c.hostSlab, setPoolIdx, hostLess)}
+		pool = &poolState{key: key, label: key.String(), market: m, typ: typ, hosts: slab.NewRefList(c.hostSlab, setPoolIdx, hostLess)}
 		m.pools[key.Market] = pool
 	}
 	return pool
@@ -327,7 +334,7 @@ func (c *Controller) installVM(vs *vmState, h *hostState) {
 	if err != nil {
 		h.reserved--
 		c.hostFreed(h)
-		c.sched.After(c.cfg.MonitorInterval, "re-place", func() { c.placeNew(vs, 0) })
+		c.stepAfter(vs, c.cfg.MonitorInterval, "re-place", stepPlace)
 		return
 	}
 	vm.IP = addr
@@ -374,7 +381,7 @@ func (c *Controller) abortInstall(vs *vmState, h *hostState, err error) {
 		// Unexpected failures still retry, but are counted.
 		c.met.destFails.Inc()
 	}
-	c.sched.After(c.cfg.MonitorInterval, "re-place", func() { c.placeNew(vs, 0) })
+	c.stepAfter(vs, c.cfg.MonitorInterval, "re-place", stepPlace)
 }
 
 // startService puts the VM into service on the host.

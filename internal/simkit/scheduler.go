@@ -8,8 +8,16 @@ import "fmt"
 // increments every time it is reused for a new event; handles carry the gen
 // they were issued under, which is what keeps stale handles inert after the
 // slot has been recycled.
+//
+// An event carries its callback in one of two forms: fn, a closure (At,
+// After), or afn with arg, a function bound once by the caller plus the
+// 64-bit word that tells it what fired (AtArg, AfterArg) — so a caller that
+// schedules per entity builds no closure per event. The slot is 64 bytes,
+// one cache line.
 type event struct {
 	fn    func()
+	afn   func(uint64)
+	arg   uint64
 	label string
 	gen   uint64 // occupancy generation; bumped on slot reuse
 	cgen  uint64 // gen of the most recent canceled occupancy (0 = none)
@@ -129,6 +137,7 @@ func (s *Scheduler) alloc() *event {
 // dropping the closure so it can be collected.
 func (s *Scheduler) recycle(e *event) {
 	e.fn = nil
+	e.afn = nil
 	e.label = ""
 	e.index = -1
 	s.free = append(s.free, e)
@@ -216,19 +225,40 @@ func (s *Scheduler) remove(i int) {
 // panics: it would silently reorder causality, which is always a bug in the
 // caller.
 func (s *Scheduler) At(t Time, label string, fn func()) Event {
-	if t < s.now {
-		panic(fmt.Sprintf("simkit: scheduling %q at %v, before now %v", label, t, s.now))
-	}
 	if fn == nil {
 		panic("simkit: nil event func")
 	}
-	e := s.alloc()
+	e := s.push(t, label)
 	e.fn = fn
+	return Event{e: e, gen: e.gen, at: t}
+}
+
+// AtArg schedules fn(arg) at absolute virtual time t. It is At for callers
+// that would otherwise build one closure per event: fn is bound once (a
+// method value kept on the caller), arg says which entity and step fired.
+// Both forms share the slab, the sequence counter and the heap, so events
+// pop in (at, seq) order whichever call scheduled them.
+func (s *Scheduler) AtArg(t Time, label string, fn func(uint64), arg uint64) Event {
+	if fn == nil {
+		panic("simkit: nil event func")
+	}
+	e := s.push(t, label)
+	e.afn, e.arg = fn, arg
+	return Event{e: e, gen: e.gen, at: t}
+}
+
+// push takes a slot for an event labelled label at time t and queues it; the
+// caller fills in the callback. Scheduling in the past panics (see At).
+func (s *Scheduler) push(t Time, label string) *event {
+	if t < s.now {
+		panic(fmt.Sprintf("simkit: scheduling %q at %v, before now %v", label, t, s.now))
+	}
+	e := s.alloc()
 	e.label = label
 	s.pending = append(s.pending, entry{})
 	s.siftUp(len(s.pending)-1, entry{at: t, seq: s.seq, e: e})
 	s.seq++
-	return Event{e: e, gen: e.gen, at: t}
+	return e
 }
 
 // After schedules fn at now+d.
@@ -237,6 +267,14 @@ func (s *Scheduler) After(d Time, label string, fn func()) Event {
 		panic(fmt.Sprintf("simkit: negative delay %v for %q", d, label))
 	}
 	return s.At(s.now+d, label, fn)
+}
+
+// AfterArg schedules fn(arg) at now+d (see AtArg).
+func (s *Scheduler) AfterArg(d Time, label string, fn func(uint64), arg uint64) Event {
+	if d < 0 {
+		panic(fmt.Sprintf("simkit: negative delay %v for %q", d, label))
+	}
+	return s.AtArg(s.now+d, label, fn, arg)
 }
 
 // Cancel removes a pending event. Canceling an already-fired, already-
@@ -263,9 +301,13 @@ func (s *Scheduler) Step() bool {
 	root := s.popRoot()
 	s.now = root.at
 	s.fired++
-	fn := root.e.fn
+	fn, afn, arg := root.e.fn, root.e.afn, root.e.arg
 	s.recycle(root.e)
-	fn()
+	if fn != nil {
+		fn()
+	} else {
+		afn(arg)
+	}
 	return true
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestSchedulerOrdering(t *testing.T) {
@@ -219,6 +220,35 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// The argument-carrying form is the one hot paths schedule through: after
+// warm-up it must allocate nothing, and its slot must stay within a cache
+// line however the two callback forms share it.
+func TestAtArgSteadyStateAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 64 {
+		t.Errorf("event slot is %d bytes, want <= 64", size)
+	}
+	s := NewScheduler()
+	var sum uint64
+	fn := func(arg uint64) { sum += arg }
+	for i := 0; i < 4*eventChunk; i++ {
+		s.AfterArg(Time(i)*Millisecond, "warm", fn, uint64(i))
+	}
+	s.Run(0)
+	want := sum + 1000*7 + 7 // AllocsPerRun calls once more to warm up
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.AfterArg(Millisecond, "steady", fn, 7)
+		h := s.AtArg(s.Now()+2*Millisecond, "dropped", fn, 1<<40)
+		s.Cancel(h)
+		s.Run(0)
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state AtArg schedule+cancel+fire allocates %.2f allocs/op, want 0", allocs)
+	}
+	if sum != want {
+		t.Errorf("argument events delivered a sum of %d, want %d (a canceled event fired, or an argument was lost)", sum, want)
+	}
+}
+
 // Heavy interleaved schedule/cancel/fire churn with handle copies retained
 // across recycling: pop order must match a reference sort and the heap
 // must never lose or duplicate events.
@@ -371,17 +401,30 @@ func TestSchedulerOrderProperty(t *testing.T) {
 		var ref []rec // the pending events, sorted by (at, id)
 		var fired []int
 		next := 0
+		// Half the events carry their id as an argument to one shared
+		// function, half in a closure: both forms share the slab, the
+		// sequence counter and the heap, so the pop order is a function of
+		// (at, seq) alone — and a canceled or fired argument event must stay
+		// inert however its slot is reused, as a closure event does.
+		fireArg := func(id uint64) { fired = append(fired, int(id)) }
 		add := func() {
 			at := s.Now() + Time(rng.Intn(40))*Millisecond // few distinct times: many ties
 			id := next
 			next++
-			h := s.At(at, "p", func() { fired = append(fired, id) })
+			var h Event
+			if rng.Intn(2) == 0 {
+				h = s.AtArg(at, "p", fireArg, uint64(id))
+			} else {
+				h = s.At(at, "p", func() { fired = append(fired, id) })
+			}
 			// ids only grow, so the new event sorts after every tie.
 			i := sort.Search(len(ref), func(i int) bool { return ref[i].at > at })
 			ref = slices.Insert(ref, i, rec{at, id, h})
 		}
+		var dead []Event // handles of fired and canceled events: stale once their slot is reused
 		step := func() {
 			want, n := ref[0], len(fired)
+			dead = append(dead, want.h)
 			ref = ref[1:]
 			if !s.Step() || len(fired) != n+1 || fired[n] != want.id || s.Now() != want.at {
 				t.Fatalf("size %d: fired %v at %v, reference head is event %d at %v", size, fired[n:], s.Now(), want.id, want.at)
@@ -401,10 +444,16 @@ func TestSchedulerOrderProperty(t *testing.T) {
 				if !ref[i].h.Canceled() || ref[i].h.Pending() {
 					t.Fatalf("size %d: canceled event %d still pending", size, ref[i].id)
 				}
+				dead = append(dead, ref[i].h)
 				ref = slices.Delete(ref, i, i+1)
 				cancels++
 			case len(ref) > 0:
 				step()
+			}
+			if len(dead) > 0 {
+				// A stale handle of either form cancels nothing: the pending
+				// count below and the reference order catch it if it does.
+				s.Cancel(dead[rng.Intn(len(dead))])
 			}
 			if s.Pending() != len(ref) {
 				t.Fatalf("size %d: %d pending, reference holds %d", size, s.Pending(), len(ref))

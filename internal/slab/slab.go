@@ -36,6 +36,10 @@ type Handle struct {
 // IsZero reports whether h is the zero Handle.
 func (h Handle) IsZero() bool { return h.idx == 0 }
 
+// Index is the handle's slot number: what Slab.At resolves, and small enough
+// (32 bits) to travel in an event argument beside other fields.
+func (h Handle) Index() uint32 { return h.idx }
+
 // String formats the handle for diagnostics.
 func (h Handle) String() string { return fmt.Sprintf("slab(%d@g%d)", h.idx, h.gen) }
 
@@ -111,6 +115,17 @@ func (s *Slab[T]) Get(h Handle) *T {
 		return nil
 	}
 	return &e.val
+}
+
+// At returns the value in slot idx whoever occupies it — live, freed or
+// recycled — or nil when the slab never issued that slot. It does no
+// generation check: it is for callers that keep their own occupancy stamp
+// inside T (one that survives recycling) and compare it themselves.
+func (s *Slab[T]) At(idx uint32) *T {
+	if idx == 0 || idx > s.next {
+		return nil
+	}
+	return &s.slot(idx).val
 }
 
 // Free releases a live handle's slot to the free list and reports whether
