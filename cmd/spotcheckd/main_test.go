@@ -145,6 +145,56 @@ func TestDaemonLifecycle(t *testing.T) {
 	decode(t, resp, http.StatusNotFound, nil)
 }
 
+// A server deleted while the controller is still placing it leaves nothing
+// rented: a few wall-seconds after every POST at the default speedup.
+func TestDaemonDeleteDuringProvisioning(t *testing.T) {
+	_, srv := testServer(t)
+	client := srv.Client()
+	do := func(method, path string, want int, v any) {
+		t.Helper()
+		req, _ := http.NewRequest(method, srv.URL+path, nil)
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode(t, resp, want, v)
+	}
+	var created map[string]string
+	do(http.MethodPost, "/servers?customer=alice&type=m3.medium", http.StatusCreated, &created)
+	id := created["id"]
+	do(http.MethodPost, "/advance?d=3m", http.StatusOK, nil)
+	var info struct{ Phase string }
+	do(http.MethodGet, "/servers/"+id, http.StatusOK, &info)
+	if info.Phase != "provisioning" {
+		t.Fatalf("phase %q three minutes after the request: the script no longer deletes mid-provisioning", info.Phase)
+	}
+	do(http.MethodDelete, "/servers/"+id, http.StatusOK, nil)
+	do(http.MethodDelete, "/servers/"+id, http.StatusNotFound, nil)
+	do(http.MethodPost, "/advance?d=1h", http.StatusOK, nil)
+
+	do(http.MethodGet, "/servers/"+id, http.StatusOK, &info)
+	if info.Phase != "released" {
+		t.Errorf("phase %q an hour after the delete", info.Phase)
+	}
+	var pools []struct {
+		Key        struct{ Type string }
+		Hosts, VMs int
+	}
+	do(http.MethodGet, "/pools", http.StatusOK, &pools)
+	for _, p := range pools {
+		if p.Hosts != 0 || p.VMs != 0 {
+			t.Errorf("pool %s keeps %d hosts for %d VMs", p.Key.Type, p.Hosts, p.VMs)
+		}
+	}
+	var before, after struct{ TotalCost float64 }
+	do(http.MethodGet, "/report", http.StatusOK, &before)
+	do(http.MethodPost, "/advance?d=24h", http.StatusOK, nil)
+	do(http.MethodGet, "/report", http.StatusOK, &after)
+	if after.TotalCost != before.TotalCost {
+		t.Errorf("bill still growing a day after the delete: %v -> %v", before.TotalCost, after.TotalCost)
+	}
+}
+
 func TestDaemonErrors(t *testing.T) {
 	_, srv := testServer(t)
 	client := srv.Client()

@@ -193,7 +193,7 @@ type flight struct {
 // caller. Injecting by wrapping the inner callback instead would race the
 // inner provider's synchronous-error path: the caller would observe both
 // the returned error and a scheduled failure callback for one logical
-// operation, corrupting retry bookkeeping (e.g. core.abortInstall unwinding
+// operation, corrupting retry bookkeeping (e.g. core's failed install unwinding
 // the same reservation twice).
 func (p *Provider) begin(op int, typ string, cb cloud.Callback, icb cloud.InstanceCallback) *flight {
 	var f *flight

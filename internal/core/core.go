@@ -199,7 +199,9 @@ type vmState struct {
 	phase    vmPhase
 	host     *hostState
 	workload workload.Profile
-	// pendingRelease marks a VM whose customer released it mid-migration.
+	// pendingRelease marks a VM released while a chain holds it: the chain
+	// tears it down where it has nothing in flight (placeNew, placed, a failed
+	// install, land).
 	pendingRelease bool
 	// lazyDegradeEvent tracks the post-restore demand-paging window.
 	lazyDegradeEvent simkit.Event
@@ -225,9 +227,6 @@ type vmState struct {
 	// on-demand pool is where a displaced VM goes, and its calm slot holds
 	// the return sweep's per-tick answer for this requested type.
 	typeMarket *market
-	// placeAttempts is the attempt count of the placement in flight (see
-	// placeNew), read when its host acquisition resolves.
-	placeAttempts int
 	// move is the state of the relocation in flight (phase moveIdle when
 	// there is none).
 	move move
@@ -236,10 +235,10 @@ type vmState struct {
 	// and survives recycling, so an event left over from an earlier move or
 	// an earlier occupant no longer matches (see advance).
 	epoch uint32
-	// onOp is the provider callback of the re-plumbing operation in flight,
-	// bound once per slot: the chain has at most one outstanding, and it
-	// lands before the VM can leave phaseMigrating, so the slot is never
-	// recycled under it.
+	// onOp is the provider callback of the install or re-plumbing operation
+	// in flight, bound once per slot: the chain has at most one outstanding,
+	// and it lands before the VM can leave phaseProvisioning or
+	// phaseMigrating, so the slot is never recycled under it.
 	onOp cloud.Callback
 	// stateless marks a VM whose service tolerates memory-state loss
 	// (e.g. a replicated web tier, §4.2): it runs without a backup server
@@ -249,11 +248,6 @@ type vmState struct {
 	// outlive the VM capture it and re-check liveness before touching the
 	// (possibly recycled) slot.
 	slot slab.Handle
-	// recycleDeferred defers slot recycling for a VM released while its
-	// provisioning chain is still in flight: the chain's released-exit
-	// point frees the slot instead of teardownVM, so the chain's pending
-	// continuation never reads a recycled slot.
-	recycleDeferred bool
 }
 
 type hostRole int
@@ -615,7 +609,7 @@ func (c *Controller) newVMState() *vmState {
 	vs, h := c.vmSlab.Alloc()
 	*vs = vmState{slot: h, epoch: vs.epoch, onOp: vs.onOp}
 	if vs.onOp == nil {
-		vs.onOp = func(error) { c.replumbNext(vs) }
+		vs.onOp = func(err error) { c.opLanded(vs, err) }
 	}
 	return vs
 }
@@ -669,16 +663,6 @@ func (c *Controller) freeVMSlot(vs *vmState) {
 	// reader; the next Alloc fully resets it.
 	*vs = vmState{phase: phaseReleased, epoch: vs.epoch + 1, onOp: vs.onOp}
 	c.vmSlab.Free(slot)
-}
-
-// releaseDeferredSlot frees a recycle-deferred VM slot at a provisioning
-// chain's released-exit point (see vmState.recycleDeferred).
-func (c *Controller) releaseDeferredSlot(vs *vmState) {
-	if !vs.recycleDeferred {
-		return
-	}
-	vs.recycleDeferred = false
-	c.freeVMSlot(vs)
 }
 
 // hostAddVM inserts a VM into its host's sorted resident list and keeps the

@@ -31,14 +31,17 @@
 //   - Hosts keep their resident VMs in an ID-sorted slice; pools keep a
 //     launch-ordered host list, a free-candidate set and a vmCount, so
 //     sweeps iterate in deterministic order with no per-tick sorting.
-//   - A migration in flight is a move record on its vmState (move.go): the
-//     phase it rests in, source and destination, deadline and the simulated
-//     flush, pre-copy and restore results. Its timers are argument-carrying
-//     events on one bound function (advance) whose argument names the slot,
-//     the VM's epoch and the step, so a leftover event is dropped by
-//     comparison; host acquisitions hold VM handles as waiters. The chain
-//     builds no closure and hashes no key per step
-//     (docs/ARCHITECTURE.md, "Move record").
+//   - A chain in flight — a new VM's placement and installation (a move
+//     with no source) or a migration — is a move record on its vmState
+//     (move.go): the phase it rests in, source and destination, deadline and
+//     the simulated flush, pre-copy and restore results. Its timers are
+//     argument-carrying events on one bound function (advance) whose
+//     argument names the slot, the VM's epoch and the step, so a leftover
+//     event is dropped by comparison; host acquisitions hold VM handles as
+//     waiters. The chain builds no closure and hashes no key per step, every
+//     chain ends in one landing (land), and a VM released while a chain holds
+//     it is torn down by that chain where it has nothing in flight
+//     (pendingRelease; docs/ARCHITECTURE.md, "Move record").
 //   - The monitor asks the provider for each probed pair's price once per
 //     tick and stamps the sample with the tick number; the proactive,
 //     predictive and return sweeps walk the table and read the records

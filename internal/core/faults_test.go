@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/cloudchaos"
 	"repro/internal/cloudsim"
 	"repro/internal/migration"
 	"repro/internal/nestedvm"
@@ -62,6 +63,48 @@ func TestInstallRetriesAfterAssignFailure(t *testing.T) {
 	}
 	if info.IP == "" {
 		t.Error("VM has no address after recovery")
+	}
+}
+
+// A failed installation gives back everything the attempt took, the volume it
+// created included: however many attempts a flaky control plane costs, the
+// platform ends up with exactly one volume per VM.
+func TestFailedInstallsLeakNoVolumes(t *testing.T) {
+	sched := simkit.NewScheduler()
+	plat, err := cloudsim.New(sched, cloudsim.Config{
+		Traces: spotmarket.Set{{Type: cloud.M3Medium, Zone: "zone-a"}: makeTrace(t, 0.01, testEnd)},
+		Seed:   25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := newLedger(plat)
+	chaos := cloudchaos.Wrap(held, sched, cloudchaos.Config{FailProb: 0.25, ExtraLatency: 30 * simkit.Second, Seed: 25})
+	ctrl, err := New(Config{
+		Scheduler: sched, Provider: chaos,
+		Mechanism: migration.SpotCheckLazy, Placement: Policy1PM(), Seed: 25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vms = 200
+	for i := 0; i < vms; i++ {
+		if _, err := ctrl.RequestServer("flaky", cloud.M3Medium); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sched.RunUntil(6 * simkit.Hour)
+	running := 0
+	for _, info := range ctrl.ListVMs() {
+		if info.Phase == "running" {
+			running++
+		}
+	}
+	if running != vms || chaos.Injected < vms/4 {
+		t.Fatalf("%d of %d VMs running after %d injected faults: the cell does not exercise the retry", running, vms, chaos.Injected)
+	}
+	if n := len(held.volumes); n != vms {
+		t.Errorf("%d volumes on the platform for %d VMs after %d injected faults", n, vms, chaos.Injected)
 	}
 }
 

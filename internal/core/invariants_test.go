@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -18,12 +19,7 @@ import (
 // audits the controller's bookkeeping. Every seed is an independent
 // adversarial scenario.
 func TestControllerInvariantsUnderRandomScenarios(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runRandomScenario(t, seed, false)
-		})
-	}
+	runRandomScenarios(t, false)
 }
 
 // TestControllerInvariantsFleetMode replays the adversarial scenarios with
@@ -31,15 +27,34 @@ func TestControllerInvariantsUnderRandomScenarios(t *testing.T) {
 // exercises the VM free list under audit. The name is older than the
 // switch: it is the one setting the two tests differ in.
 func TestControllerInvariantsFleetMode(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runRandomScenario(t, seed, true)
-		})
-	}
+	runRandomScenarios(t, true)
 }
 
-func runRandomScenario(t *testing.T, seed int64, recycle bool) {
+// runRandomScenarios runs the 20 seeds and reports how much of the move
+// record's transition table they exercised between them.
+func runRandomScenarios(t *testing.T, recycle bool) {
+	var seen [numMovePhases]uint32
+	for seed := int64(0); seed < 20; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			c := runRandomScenario(t, seed, recycle)
+			for from := range c.moveSeen {
+				for to, n := range c.moveSeen[from] {
+					if n > 0 {
+						seen[from] |= 1 << to
+					}
+				}
+			}
+		})
+	}
+	taken, legal := 0, 0
+	for from := range moveLegal {
+		taken += bits.OnesCount32(seen[from])
+		legal += bits.OnesCount32(moveLegal[from])
+	}
+	t.Logf("the 20 seeds took %d of the table's %d transitions", taken, legal)
+}
+
+func runRandomScenario(t *testing.T, seed int64, recycle bool) *Controller {
 	rng := rand.New(rand.NewSource(seed))
 	horizon := simkit.Time(10+rng.Intn(30)) * simkit.Day
 
@@ -81,7 +96,7 @@ func runRandomScenario(t *testing.T, seed int64, recycle bool) {
 	mech := mechs[rng.Intn(len(mechs))]
 	cfg := Config{
 		Scheduler:   sched,
-		Provider:    plat,
+		Provider:    newLedger(plat),
 		Mechanism:   mech,
 		Placement:   policies[rng.Intn(len(policies))],
 		Destination: dests[rng.Intn(len(dests))],
@@ -103,12 +118,18 @@ func runRandomScenario(t *testing.T, seed int64, recycle bool) {
 		t.Fatal(err)
 	}
 
-	// Fleet churn: create and release VMs at random times.
+	// Fleet churn: create and release VMs at random times. One VM in three
+	// is released again while its chain is still placing or installing it —
+	// the same instant, or within the few minutes that takes.
 	var ids []nestedvm.ID
 	n := 4 + rng.Intn(12)
 	for i := 0; i < n; i++ {
 		at := simkit.Time(rng.Int63n(int64(horizon / 2)))
 		stateless := rng.Intn(4) == 0
+		early, wait := rng.Intn(3) == 0, simkit.Time(rng.Int63n(int64(6*simkit.Minute)))
+		if rng.Intn(4) == 0 {
+			wait = 0
+		}
 		sched.At(at, "create", func() {
 			id, err := ctrl.RequestServerWithOptions(ServerOptions{
 				Customer: "fuzz", Type: cloud.M3Medium, Stateless: stateless,
@@ -118,11 +139,17 @@ func runRandomScenario(t *testing.T, seed int64, recycle bool) {
 				return
 			}
 			ids = append(ids, id)
+			if early {
+				sched.After(wait, "release-new", func() { _ = ctrl.ReleaseServer(id) })
+			}
 		})
 	}
+	// The rest of the releases fall anywhere in the horizon, short of the ten
+	// minutes the last teardown's address and volume need to get back to the
+	// platform before the final audit counts them.
 	releases := rng.Intn(n)
 	for i := 0; i < releases; i++ {
-		at := horizon/2 + simkit.Time(rng.Int63n(int64(horizon/4)))
+		at := simkit.Time(rng.Int63n(int64(horizon - 10*simkit.Minute)))
 		sched.At(at, "release", func() {
 			if len(ids) == 0 {
 				return
@@ -135,19 +162,40 @@ func runRandomScenario(t *testing.T, seed int64, recycle bool) {
 
 	// The move records are audited while the scenario runs, not only where
 	// it happens to stop: a move lasts a minute or two, so the audit's period
-	// is shorter than that and shares no factor with the monitor's.
+	// is shorter than that and shares no factor with the monitor's. It is
+	// longer than a monitor interval, though: a host whose only installation
+	// failed may sit empty until the retry takes it again, but one found
+	// empty by two audits in a row is rented for nobody.
+	idle := map[cloud.InstanceID]bool{}
 	for at := 97 * simkit.Second; at < horizon; at += 97 * simkit.Second {
-		sched.At(at, "audit", func() { auditMoves(t, ctrl) })
+		sched.At(at, "audit", func() {
+			auditMoves(t, ctrl)
+			was := idle
+			idle = map[cloud.InstanceID]bool{}
+			for _, h := range idleHosts(ctrl) {
+				if h.warned {
+					continue
+				}
+				if was[h.inst.ID] {
+					t.Errorf("host %s: empty and unreserved for over a monitor interval at %v", h.inst.ID, sched.Now())
+				}
+				idle[h.inst.ID] = true
+			}
+		})
 	}
 	sched.RunUntil(horizon)
 	auditController(t, ctrl, mech)
+	return ctrl
 }
 
 // moveLegal is the move record's transition table: moveLegal[from] is the set
 // of phases a move may enter from from. Controller.enter counts every
 // transition taken; auditMoves holds the counts against this table.
-var moveLegal = [numMovePhases]uint16{
-	moveIdle:     phases(moveDrain, moveFlush, moveServe, moveCopy),
+var moveLegal = [numMovePhases]uint32{
+	moveIdle:     phases(movePlace, moveDrain, moveFlush, moveServe, moveCopy),
+	movePlace:    phases(moveAddress, moveIdle),
+	moveAddress:  phases(moveVolume, movePlace, moveIdle),
+	moveVolume:   phases(moveIdle, movePlace),
 	moveDrain:    phases(moveFlush),
 	moveFlush:    phases(moveFlushed),
 	moveFlushed:  phases(moveDetach),
@@ -184,11 +232,24 @@ func auditMoves(t *testing.T, c *Controller) {
 			continue
 		}
 		m := &vs.move
-		if (vs.phase == phaseMigrating) != (m.phase != moveIdle) {
+		installing := phases(movePlace, moveAddress, moveVolume)&(1<<m.phase) != 0
+		held := vs.phase == phaseProvisioning || vs.phase == phaseMigrating
+		if held != (m.phase != moveIdle) || installing != (vs.phase == phaseProvisioning) {
 			t.Errorf("%s: lifecycle phase %d with move phase %d", id, vs.phase, m.phase)
 		}
-		if vs.pendingRelease && vs.phase != phaseMigrating {
-			t.Errorf("%s: release deferred with no move in flight", id)
+		if vs.pendingRelease && m.phase == moveIdle {
+			t.Errorf("%s: release deferred with no record in flight", id)
+		}
+		if installing {
+			// A new VM has no source; while its address or volume is on its way
+			// the destination is the slot reserved for it.
+			if m.src != nil || (m.dst == nil) != (m.phase == movePlace) {
+				t.Errorf("%s: install phase %d with src %v, dst %v", id, m.phase, m.src != nil, m.dst != nil)
+			}
+			if m.dst != nil && m.dst.reserved <= 0 {
+				t.Errorf("%s: host %s holds no reservation for the install", id, m.dst.inst.ID)
+			}
+			continue
 		}
 		switch m.phase {
 		case moveDrain, moveFlush, moveServe:
@@ -293,6 +354,30 @@ func auditController(t *testing.T, c *Controller, mech migration.Mechanism) {
 		for _, vs := range h.vms {
 			if vs.host != h {
 				t.Errorf("host %s lists %s but the VM points elsewhere", instID, vs.vm.ID)
+			}
+		}
+	}
+
+	// Conservation at the platform: what the controller holds there is what
+	// the tracked VMs hold. (Teardowns hand their address and volume back
+	// within seconds; the scenarios leave them the time.)
+	if led, ok := c.prov.(*ledgerProvider); ok {
+		holders := 0
+		owned := map[cloud.Addr]bool{}
+		for _, id := range c.vmIDsSorted() {
+			if vs := c.lookupVM(id); vs != nil {
+				if vs.vm.Volume != "" {
+					holders++
+				}
+				owned[vs.vm.IP] = true
+			}
+		}
+		if n := len(led.volumes); n != holders {
+			t.Errorf("the controller holds %d volumes, %d tracked VMs hold one", n, holders)
+		}
+		for a := range led.addrs {
+			if !owned[a] {
+				t.Errorf("address %v is allocated and belongs to no tracked VM", a)
 			}
 		}
 	}

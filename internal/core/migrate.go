@@ -253,11 +253,11 @@ func (c *Controller) seekDestination(vs *vmState) {
 
 // hostAcquired receives the outcome of a host acquisition for the VM that
 // asked: a host with one slot reserved for it, or an error. What happens
-// next is read off the VM's state — a new VM continues its placement, a
+// next is read off the VM's record — a new VM continues its placement, a
 // return commits or aborts, any other move has its destination or retries.
 func (c *Controller) hostAcquired(vs *vmState, h *hostState, err error) {
 	switch m := &vs.move; {
-	case vs.phase != phaseMigrating:
+	case m.phase == movePlace:
 		c.placed(vs, h, err)
 	case m.reason == reasonReturn && m.phase == moveCopy:
 		if err != nil {
@@ -336,6 +336,17 @@ func (c *Controller) replumb(vs *vmState) {
 	// Detach from the source; the platform auto-detaches if the source was
 	// already force-terminated, so an error here means "already done".
 	if err := c.prov.DetachVolume(vs.vm.Volume, vs.onOp); err != nil {
+		c.replumbNext(vs)
+	}
+}
+
+// opLanded is vs.onOp: the provider operation of the record's phase is over.
+// A failed install step aborts the installation; a failed re-plumbing step
+// is a step done (see replumb).
+func (c *Controller) opLanded(vs *vmState, err error) {
+	if p := vs.move.phase; p == moveAddress || p == moveVolume {
+		c.install(vs, err)
+	} else {
 		c.replumbNext(vs)
 	}
 }
@@ -429,9 +440,8 @@ func (c *Controller) restored(vs *vmState) {
 	}
 }
 
-// completeMove finalizes bookkeeping after a migration: the VM now runs on
-// the move's destination; the source slot frees; backup registration
-// follows the new market.
+// completeMove ends a migration: the source lets the VM go, and the VM
+// lands on the move's destination — unless that died under it.
 func (c *Controller) completeMove(vs *vmState) {
 	vm, m := vs.vm, &vs.move
 	src, dst := m.src, m.dst
@@ -443,76 +453,30 @@ func (c *Controller) completeMove(vs *vmState) {
 		src.pinned--
 	}
 	c.hostRemoveVM(src, vs)
-	if dst.reserved > 0 {
-		dst.reserved--
-	}
-	// The destination may itself have died while the VM was in flight
-	// (e.g. a staging spot host revoked mid-copy). The VM cannot resume
-	// there: with a backup checkpoint it restores onto a fresh host;
-	// without one it reboots from its volume (memory state lost).
-	if dst.inst.State == cloud.StateTerminated {
-		vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
-		if !c.cfg.Mechanism.UsesBackup() && !vs.stateless {
-			c.met.stateLost.Inc()
-			if c.trace != nil {
-				c.emit("vm", string(vm.ID), EventStateLost, fmt.Sprintf("destination %s died mid-migration", dst.inst.ID))
-			}
-		}
-		c.maybeRetireHost(src)
-		// The recovery re-plumbs *from* the dead destination, so its slab
-		// slot must survive until that chain's own completeMove. Pin it;
-		// the unpin at the top of completeMove releases it.
-		dst.pinned++
-		m.src, m.dst, m.pinned, m.forceOD = dst, nil, true, false
-		c.enter(vs, moveRecover)
-		c.seekDestination(vs)
+	if dst.inst.State != cloud.StateTerminated {
+		c.land(vs)
 		return
 	}
-	c.hostAddVM(dst, vs)
-	vs.host = dst
-	vm.Host = dst.inst.ID
-	vs.phase = phaseRunning
-	vs.epoch++
-	c.enter(vs, moveIdle)
-	vs.move = move{}
-	vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
-	c.syncPoolOf(src)
-	c.syncPoolOf(dst)
-	kind := EventMigrated
-	if dst.key.Market == cloud.MarketSpot {
-		kind = EventReturned
-	}
-	if c.trace != nil {
-		c.emit("vm", string(vm.ID), kind, "now on "+string(dst.inst.ID)+" ("+dst.key.String()+")")
-	}
-
-	if c.cfg.Mechanism.UsesBackup() {
-		if dst.key.Market == cloud.MarketSpot {
-			c.registerBackup(vs)
-		} else {
-			c.unregisterBackup(vs)
+	// The destination died while the VM was in flight (e.g. a staging spot
+	// host revoked mid-copy). The VM cannot resume there: with a backup
+	// checkpoint it restores onto a fresh host; without one it reboots from
+	// its volume (memory state lost).
+	dst.reserved--
+	vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
+	if !c.cfg.Mechanism.UsesBackup() && !vs.stateless {
+		c.met.stateLost.Inc()
+		if c.trace != nil {
+			c.emit("vm", string(vm.ID), EventStateLost, fmt.Sprintf("destination %s died mid-migration", dst.inst.ID))
 		}
 	}
 	c.maybeRetireHost(src)
-	if vs.pendingRelease {
-		vs.pendingRelease = false
-		c.teardownVM(vs)
-		return
-	}
-	// The destination may have been warned while the VM was in flight:
-	// evacuate again with whatever window remains (same as startService).
-	if dst.warned {
-		deadline := dst.warnDeadline
-		if deadline <= c.sched.Now() {
-			deadline = c.sched.Now() + simkit.Second
-		}
-		vm.Revocations++
-		c.met.revocations.Inc()
-		if c.trace != nil {
-			c.emit("vm", string(vm.ID), EventWarned, fmt.Sprintf("landed on already-warned host %s", dst.inst.ID))
-		}
-		c.migrateVM(vs, reasonRevocation, deadline)
-	}
+	// The recovery re-plumbs *from* the dead destination, so its slab
+	// slot must survive until that chain's own completeMove. Pin it;
+	// the unpin at the top of completeMove releases it.
+	dst.pinned++
+	m.src, m.dst, m.pinned, m.forceOD = dst, nil, true, false
+	c.enter(vs, moveRecover)
+	c.seekDestination(vs)
 }
 
 // simulateLive sizes a live pre-copy of vs's memory.
@@ -602,8 +566,7 @@ func (c *Controller) tryReturn(vs *vmState) {
 	// stays stable; VMs without one (placed during a spike) ask the policy.
 	target, m := vs.homePool, vs.homeMarket
 	if target.Type == "" {
-		ctx := &PlacementContext{Requested: vs.vm.Type, Provider: c.prov, History: c.history, Rand: c.rng}
-		natType, zone, err := c.cfg.Placement.Choose(ctx)
+		natType, zone, err := c.choosePool(vs)
 		if err != nil {
 			// No viable spot destination this tick; the VM stays where it
 			// is and the next monitor tick retries. Count the miss.
@@ -656,20 +619,21 @@ func (c *Controller) abortReturn(vs *vmState) {
 	}
 }
 
-// follower is one leg of a live move's address or volume re-plumbing: the
-// operation that takes the resource off the source, and what must follow
-// it onto the destination. It outlives the move that started it —
-// completeMove runs before the first operation lands, and the VM may be
-// warned and moving again by then — so the destination travels with the
-// follower, as the native instance itself (a host's slot may be recycled
-// by then, an instance never is). Records and their bound callbacks are
-// recycled through Controller.followFree.
+// follower is one leg of a live move's or a teardown's address or volume
+// re-plumbing: the operation that takes the resource off the source, and
+// what must follow it — onto the destination, or, with no destination, back
+// to the platform. It outlives the move that started it — completeMove runs
+// before the first operation lands, and the VM may be warned and moving
+// again by then — so the destination travels with the follower, as the
+// native instance itself (a host's slot may be recycled by then, an instance
+// never is). Records and their bound callbacks are recycled through
+// Controller.followFree.
 type follower struct {
 	c    *Controller
-	dst  *cloud.Instance
-	addr cloud.Addr     // the address to assign, or
-	vol  cloud.VolumeID // the volume to attach
-	fn   cloud.Callback // land, bound once
+	dst  *cloud.Instance // nil: release the address, delete the volume
+	addr cloud.Addr      // the address to assign, or
+	vol  cloud.VolumeID  // the volume to attach
+	fn   cloud.Callback  // land, bound once
 }
 
 func (c *Controller) newFollower(dst *cloud.Instance, addr cloud.Addr, vol cloud.VolumeID) *follower {
@@ -684,17 +648,22 @@ func (c *Controller) newFollower(dst *cloud.Instance, addr cloud.Addr, vol cloud
 	return f
 }
 
-// land puts the resource on the destination once it is off the source.
+// land puts the resource on the destination, or gives it back, once it is
+// off the source. Best effort, like the move or teardown it trails.
 func (f *follower) land(error) {
 	c, dst, addr, vol := f.c, f.dst, f.addr, f.vol
 	f.dst = nil
 	c.followFree = append(c.followFree, f)
-	if dst.State == cloud.StateTerminated {
-		return
-	}
-	if vol != "" {
-		_ = c.prov.AttachVolume(vol, dst.ID, nil) // best effort, like the move it trails
-	} else {
+	switch {
+	case dst == nil && vol != "":
+		_ = c.prov.DeleteVolume(vol)
+	case dst == nil:
+		_ = c.prov.ReleaseIP(addr)
+	case dst.State == cloud.StateTerminated:
+		// The destination is gone: nothing to land on.
+	case vol != "":
+		_ = c.prov.AttachVolume(vol, dst.ID, nil)
+	default:
 		_ = c.prov.AssignIP(dst.ID, addr, nil)
 	}
 }

@@ -7,17 +7,23 @@ import (
 	"repro/internal/migration"
 	"repro/internal/nestedvm"
 	"repro/internal/simkit"
+	"repro/internal/slab"
 )
 
 // movePhase is where a move in flight rests: what it is waiting for. Every
-// variant of the chain — bounded-time, stateless, live evacuation, live
-// return, staging hop, the recovery after a destination died — runs on the
-// same phases. enter counts every transition taken; the audit
-// (invariants_test.go) holds the counts against the legal set.
+// variant of the chain — a new VM's placement and installation (a move with
+// no source), bounded-time, stateless, live evacuation, live return, staging
+// hop, the recovery after a destination died — runs on the same phases. enter
+// counts every transition taken; the audit (invariants_test.go) holds the
+// counts against the legal set.
 type movePhase uint8
 
 const (
 	moveIdle movePhase = iota // no move in flight
+	// A new VM. Its record has no src; dst is the slot reserved for it.
+	movePlace   // waiting for a placement retry or a host acquisition
+	moveAddress // its address on its way onto dst
+	moveVolume  // its volume on its way onto dst
 	// Source side. The destination search runs beside these phases; the
 	// record's dst says whether it has ended.
 	moveDrain   // bounded, ramped: degraded but running, checkpointing ever faster until the final pause
@@ -38,7 +44,7 @@ const (
 )
 
 // phases builds a set of move phases.
-func phases(ps ...movePhase) (set uint16) {
+func phases(ps ...movePhase) (set uint32) {
 	for _, p := range ps {
 		set |= 1 << p
 	}
@@ -66,7 +72,7 @@ const (
 // moveAccepts is the other half of the table: the phases in which each step
 // means something. A step that arrives in any other phase is left over — a
 // pause deadline after the pause began, say — and advance drops it.
-var moveAccepts = [numMoveSteps]uint16{
+var moveAccepts = [numMoveSteps]uint32{
 	stepPause:        phases(moveDrain),
 	stepFlushDone:    phases(moveFlush),
 	stepKill:         phases(moveServe),
@@ -77,7 +83,7 @@ var moveAccepts = [numMoveSteps]uint16{
 	stepRestored:     phases(moveRestore),
 	stepPrefetchDone: phases(moveIdle),
 	stepStagingHop:   phases(moveIdle),
-	stepPlace:        phases(moveIdle),
+	stepPlace:        phases(movePlace),
 }
 
 // move is the state of one relocation in flight, resident on its vmState.
@@ -93,10 +99,12 @@ var moveAccepts = [numMoveSteps]uint16{
 type move struct {
 	phase    movePhase
 	reason   migrationReason
-	staged   bool // dst is a staging slot: a second hop follows the restore
-	forceOD  bool // the search bypasses spares and staging (a hop's final home)
-	pinned   bool // src is a terminated destination this chain pinned
+	staged   bool  // dst is a staging slot: a second hop follows the restore
+	forceOD  bool  // the search bypasses spares and staging (a hop's final home)
+	pinned   bool  // src is a terminated destination this chain pinned
+	tries    uint8 // movePlace: placements refused so far; the fourth goes on demand
 	src, dst *hostState
+	gaveBack slab.Handle // movePlace: the host whose slot was given back (see giveBack)
 	deadline simkit.Time // the warning's deadline; 0 for an unconstrained live move
 	started  simkit.Time
 	drainEnd simkit.Time // bounded, ramped: when the dirty residue reaches its floor
@@ -195,6 +203,7 @@ func (c *Controller) advance(arg uint64) {
 			c.migrateVM(vs, reasonStagingHop, 0)
 		}
 	case stepPlace:
-		c.placeNew(vs, 0)
+		m.tries = 0
+		c.placeNew(vs)
 	}
 }

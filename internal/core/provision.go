@@ -66,43 +66,43 @@ func (c *Controller) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, 
 		c.trace.Keep(string(id))
 		c.emit("vm", string(id), EventRequested, opts.Customer+" requested a "+opts.Type+" (stateless="+strconv.FormatBool(opts.Stateless)+")")
 	}
-	c.placeNew(vs, 0)
+	c.enter(vs, movePlace)
+	c.placeNew(vs)
 	return id, nil
 }
 
-// placeNew runs the placement policy and host acquisition for a fresh VM.
-// attempts counts placement retries; after a few failures the controller
-// falls back to a direct on-demand host of the requested type. placed takes
-// over when the acquisition resolves.
-func (c *Controller) placeNew(vs *vmState, attempts int) {
-	if vs.phase == phaseReleased {
-		c.releaseDeferredSlot(vs)
+// choosePool asks the placement policy for a spot pool for vs.
+func (c *Controller) choosePool(vs *vmState) (string, cloud.Zone, error) {
+	return c.cfg.Placement.Choose(&PlacementContext{Requested: vs.vm.Type, Provider: c.prov, History: c.history, Rand: c.rng})
+}
+
+// placeNew runs the placement policy and host acquisition for a new VM; placed
+// takes over when the acquisition resolves. After three refusals the VM goes
+// to an on-demand host of its own type. One released while it waited for this
+// placement leaves here instead.
+func (c *Controller) placeNew(vs *vmState) {
+	if vs.pendingRelease {
+		c.abandon(vs)
 		return
 	}
-	vs.placeAttempts = attempts
-	if attempts >= 3 {
-		c.acquireHost(PoolKey{Type: vs.vm.Type.Name, Zone: c.cfg.BackupZone, Market: cloud.MarketOnDemand}, vs.vm.Type, vs)
-		return
+	for m := &vs.move; m.tries < 3; m.tries++ {
+		if natType, zone, err := c.choosePool(vs); err == nil {
+			c.acquireHost(PoolKey{Type: natType, Zone: zone, Market: cloud.MarketSpot}, vs.vm.Type, vs)
+			return
+		}
 	}
-	ctx := &PlacementContext{
-		Requested: vs.vm.Type,
-		Provider:  c.prov,
-		History:   c.history,
-		Rand:      c.rng,
-	}
-	natType, zone, err := c.cfg.Placement.Choose(ctx)
-	if err != nil {
-		c.placeNew(vs, attempts+1)
-		return
-	}
-	c.acquireHost(PoolKey{Type: natType, Zone: zone, Market: cloud.MarketSpot}, vs.vm.Type, vs)
+	c.acquireHost(PoolKey{Type: vs.vm.Type.Name, Zone: c.cfg.BackupZone, Market: cloud.MarketOnDemand}, vs.vm.Type, vs)
 }
 
 // placed continues a new VM's placement with the outcome of its host
 // acquisition.
 func (c *Controller) placed(vs *vmState, h *hostState, err error) {
-	fallback := vs.placeAttempts >= 3
+	m := &vs.move
+	m.dst = h
+	fallback := m.tries >= 3
 	switch {
+	case vs.pendingRelease:
+		c.abandon(vs)
 	case err != nil && fallback:
 		// Nothing left to try; park and retry placement later.
 		c.met.destFails.Inc()
@@ -110,13 +110,42 @@ func (c *Controller) placed(vs *vmState, h *hostState, err error) {
 	case err != nil:
 		// Spot acquisition failed (e.g. price spike making the bid
 		// invalid); retry, eventually landing on-demand.
-		c.placeNew(vs, vs.placeAttempts+1)
+		m.tries++
+		c.placeNew(vs)
 	default:
 		if !fallback {
 			vs.homePool, vs.homeMarket = h.key, h.pool.market
 		}
-		c.installVM(vs, h)
+		c.install(vs, nil)
 	}
+}
+
+// giveBack returns the slot reserved for a new VM on its record's dst. The
+// record remembers the host by handle — nothing holds it from here on: the
+// retry is likely to take it again, and abandon must not leave it empty.
+func (c *Controller) giveBack(m *move) {
+	h := m.dst
+	h.reserved--
+	c.hostFreed(h)
+	m.dst, m.gaveBack = nil, h.slot
+}
+
+// abandon ends the chain of a new VM released before it landed, at a point
+// where it has nothing in flight: a reserved slot, if it has one, goes back,
+// and the host with it if that leaves it empty.
+func (c *Controller) abandon(vs *vmState) {
+	m := &vs.move
+	if m.dst != nil {
+		c.giveBack(m)
+	}
+	if h := c.hostSlab.Get(m.gaveBack); h != nil {
+		c.maybeRetireHost(h)
+	}
+	c.enter(vs, moveIdle)
+	vs.move = move{}
+	vs.pendingRelease = false
+	vs.vm.Created = c.sched.Now() // it never entered service
+	c.teardownVM(vs)
 }
 
 // hostUnits is the number of slot-type slices the controller packs onto a
@@ -249,13 +278,14 @@ func (acq *pendingAcq) finish(inst *cloud.Instance, err error) {
 			c.met.sliced.Inc()
 		}
 	}
-	// A waiter's VM cannot have been recycled: a new VM released while it
-	// waits keeps its slot until its chain ends (recycleDeferred), a
-	// migrating one is released only after the move.
+	// Every slot is reserved before any waiter hears of the host: one released
+	// meanwhile gives its slot back, and must not find the host empty with the
+	// others still to come. No waiter's VM can have been recycled: a release
+	// waits for the chain to end (pendingRelease).
+	if h != nil {
+		h.reserved += len(acq.waiters)
+	}
 	for _, w := range acq.waiters {
-		if h != nil {
-			h.reserved++
-		}
 		c.hostAcquired(c.vmSlab.Get(w), h, err)
 	}
 	if h != nil {
@@ -318,106 +348,122 @@ func (c *Controller) poolFor(key PoolKey, typ cloud.InstanceType) *poolState {
 	return pool
 }
 
-// installVM finishes provisioning a new VM on a reserved host slot:
-// allocates its VPC address, creates and attaches its root volume, and
-// registers it with a backup server if required. The VM enters service when
-// all steps complete.
-func (c *Controller) installVM(vs *vmState, h *hostState) {
-	if vs.phase == phaseReleased {
-		h.reserved--
-		c.hostFreed(h)
-		c.releaseDeferredSlot(vs)
-		return
-	}
-	vm := vs.vm
-	addr, err := c.prov.AllocateIP()
-	if err != nil {
-		h.reserved--
-		c.hostFreed(h)
-		c.stepAfter(vs, c.cfg.MonitorInterval, "re-place", stepPlace)
-		return
-	}
-	vm.IP = addr
-	// Assign the address, then create/attach the volume, then start.
-	if err := c.prov.AssignIP(h.inst.ID, addr, func(err error) {
-		if err != nil {
-			c.abortInstall(vs, h, err)
+// install puts a new VM's address and volume on the slot reserved for it, one
+// provider operation in flight per phase: placed starts it, and each
+// operation's completion — vs.onOp — re-enters it with the outcome.
+func (c *Controller) install(vs *vmState, err error) {
+	vm, m := vs.vm, &vs.move
+	switch {
+	case err != nil: // the operation in flight failed
+	case m.phase == movePlace:
+		c.enter(vs, moveAddress)
+		if vm.IP, err = c.prov.AllocateIP(); err != nil {
+			c.replaceLater(vs)
 			return
 		}
-		vol, err := c.prov.CreateVolume(8)
-		if err != nil {
-			c.abortInstall(vs, h, err)
+		if err = c.prov.AssignIP(m.dst.inst.ID, vm.IP, vs.onOp); err == nil {
 			return
 		}
-		vm.Volume = vol.ID
-		if err := c.prov.AttachVolume(vol.ID, h.inst.ID, func(err error) {
-			if err != nil {
-				c.abortInstall(vs, h, err)
+	case m.phase == moveAddress:
+		var vol *cloud.Volume
+		if vol, err = c.prov.CreateVolume(8); err == nil {
+			vm.Volume = vol.ID
+			c.enter(vs, moveVolume)
+			if err = c.prov.AttachVolume(vol.ID, m.dst.inst.ID, vs.onOp); err == nil {
 				return
 			}
-			c.startService(vs, h)
-		}); err != nil {
-			c.abortInstall(vs, h, err)
 		}
-	}); err != nil {
-		c.abortInstall(vs, h, err)
+	default:
+		// Address and volume are on: the service clock starts.
+		vm.Created = c.sched.Now()
+		vm.Ledger.Start(c.sched.Now())
+		c.land(vs)
+		return
 	}
-}
-
-// abortInstall unwinds a failed installation and retries placement.
-func (c *Controller) abortInstall(vs *vmState, h *hostState, err error) {
-	h.reserved--
-	c.hostFreed(h)
-	if vs.vm.IP.IsValid() {
-		// Best-effort: the address may or may not have been assigned.
-		_ = c.prov.ReleaseIP(vs.vm.IP)
-		vs.vm.IP = cloud.Addr{}
+	// A failed installation gives back what it took — the address (assigned
+	// or not: best effort), the volume it created — and is retried.
+	_ = c.prov.ReleaseIP(vm.IP)
+	vm.IP = cloud.Addr{}
+	if vm.Volume != "" {
+		_ = c.prov.DeleteVolume(vm.Volume)
+		vm.Volume = ""
 	}
-	if vs.phase == phaseReleased {
-		c.releaseDeferredSlot(vs)
+	if vs.pendingRelease {
+		c.abandon(vs)
 		return
 	}
 	if !errors.Is(err, cloud.ErrBadState) && !errors.Is(err, cloud.ErrCapacity) {
 		// Unexpected failures still retry, but are counted.
 		c.met.destFails.Inc()
 	}
+	c.replaceLater(vs)
+}
+
+// replaceLater gives the reserved slot back and parks the VM on a placement
+// retry.
+func (c *Controller) replaceLater(vs *vmState) {
+	c.giveBack(&vs.move)
+	c.enter(vs, movePlace)
 	c.stepAfter(vs, c.cfg.MonitorInterval, "re-place", stepPlace)
 }
 
-// startService puts the VM into service on the host.
-func (c *Controller) startService(vs *vmState, h *hostState) {
-	h.reserved--
-	if vs.phase == phaseReleased {
-		c.hostFreed(h)
-		c.releaseDeferredSlot(vs)
-		return
-	}
+// land puts the VM into service on the record's destination and ends the
+// record: where a new VM's installation and every move arrive. A move's src
+// has already let the VM go (completeMove); a new VM has none.
+func (c *Controller) land(vs *vmState) {
 	vm := vs.vm
-	c.hostAddVM(h, vs)
-	vs.host = h
-	vm.Host = h.inst.ID
+	src, dst := vs.move.src, vs.move.dst
+	dst.reserved--
+	c.hostAddVM(dst, vs)
+	vs.host = dst
+	vm.Host = dst.inst.ID
 	vs.phase = phaseRunning
-	vm.Created = c.sched.Now()
-	vm.Ledger.Start(c.sched.Now())
-	c.syncPoolOf(h)
+	vs.epoch++
+	c.enter(vs, moveIdle)
+	vs.move = move{}
+	kind, verb := EventPlaced, "running"
+	if src != nil {
+		vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
+		c.syncPoolOf(src)
+		kind, verb = EventMigrated, "now"
+		if dst.key.Market == cloud.MarketSpot {
+			kind = EventReturned
+		}
+	}
+	c.syncPoolOf(dst)
 	if c.trace != nil {
-		c.emit("vm", string(vm.ID), EventPlaced, "running on "+string(h.inst.ID)+" ("+h.key.String()+")")
+		c.emit("vm", string(vm.ID), kind, verb+" on "+string(dst.inst.ID)+" ("+dst.key.String()+")")
 	}
 	// Spot-hosted VMs under a backup-using mechanism continuously
 	// checkpoint to a backup server; on-demand hosts rely on live
 	// migration and need none (§4.2).
-	if c.cfg.Mechanism.UsesBackup() && h.key.Market == cloud.MarketSpot {
-		c.registerBackup(vs)
+	if c.cfg.Mechanism.UsesBackup() {
+		if dst.key.Market == cloud.MarketSpot {
+			c.registerBackup(vs)
+		} else {
+			c.unregisterBackup(vs)
+		}
 	}
-	// The host may have been warned while this VM was still installing;
-	// evacuate immediately with whatever window remains.
-	if h.warned {
-		deadline := h.warnDeadline
+	if src != nil {
+		c.maybeRetireHost(src)
+	}
+	if vs.pendingRelease {
+		vs.pendingRelease = false
+		c.teardownVM(vs)
+		return
+	}
+	// The destination may have been warned while the VM was in flight:
+	// evacuate with whatever is left of the window.
+	if dst.warned {
+		deadline := dst.warnDeadline
 		if deadline <= c.sched.Now() {
 			deadline = c.sched.Now() + simkit.Second
 		}
 		vm.Revocations++
 		c.met.revocations.Inc()
+		if c.trace != nil {
+			c.emit("vm", string(vm.ID), EventWarned, fmt.Sprintf("landed on already-warned host %s", dst.inst.ID))
+		}
 		c.migrateVM(vs, reasonRevocation, deadline)
 	}
 }
@@ -476,13 +522,19 @@ func (c *Controller) onBackupProvisioned(srv *backup.Server) {
 			c.met.destFails.Inc()
 			return
 		}
+		c.rentals = append(c.rentals, rental{inst: inst, kind: rentalBackup})
+		if !slices.Contains(c.backups.Servers(), srv) {
+			// The server drained and was removed while its instance was
+			// launching: nothing else would ever terminate it.
+			_ = c.prov.Terminate(inst.ID, nil)
+			return
+		}
 		h := c.newHostState()
 		h.inst = inst
 		h.seq = instanceSeq(inst.ID)
 		h.role = roleBackup
 		c.hostIndex[inst.ID] = h.slot
 		c.backupHosts[srv.ID()] = h
-		c.rentals = append(c.rentals, rental{inst: inst, kind: rentalBackup})
 		c.maybeScrubRentals()
 	})
 }
@@ -493,69 +545,55 @@ func (c *Controller) ReleaseServer(id nestedvm.ID) error {
 	if vs == nil {
 		return fmt.Errorf("core: unknown VM %s", id)
 	}
-	switch vs.phase {
-	case phaseReleased:
+	switch {
+	case vs.phase == phaseReleased || vs.pendingRelease:
 		return fmt.Errorf("core: VM %s already released", id)
-	case phaseMigrating:
-		// Finish the migration first; release after.
+	case vs.phase == phaseRunning:
+		c.teardownVM(vs)
+	default:
+		// A chain holds it — placing, installing or moving it: the chain
+		// tears it down where it next has nothing in flight.
 		vs.pendingRelease = true
-		return nil
 	}
-	c.teardownVM(vs)
 	return nil
 }
 
-// teardownVM removes a VM from service and frees its resources.
+// teardownVM removes a VM from service and frees its resources. No chain
+// holds the VM: it is running, or a new VM's chain has just let it go with
+// no host, address or volume.
 func (c *Controller) teardownVM(vs *vmState) {
-	vm := vs.vm
-	wasRunning := vs.phase == phaseRunning
-	fromProvisioning := vs.phase == phaseProvisioning
+	vm, h := vs.vm, vs.host
 	vs.phase = phaseReleased
 	vs.serviceEnd = c.sched.Now()
 	c.met.vmsReleased.Inc()
 	c.emit("vm", string(vm.ID), EventReleased, "released by customer")
-	if wasRunning {
-		vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
-	}
-	c.unregisterBackup(vs)
-	c.endLazyWindow(vs)
-	h := vs.host
-	var hinst *cloud.Instance
 	if h != nil {
+		vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
+		c.unregisterBackup(vs)
+		c.endLazyWindow(vs)
 		// Retiring may forget the host and recycle its slot; the instance
 		// itself outlives it for the address plumbing below.
-		hinst = h.inst
+		hinst := h.inst
 		c.hostRemoveVM(h, vs)
 		vs.host = nil
 		c.syncPoolOf(h)
 		// Relinquish empty hosts to stop paying for them.
 		c.maybeRetireHost(h)
-	}
-	if vm.IP.IsValid() {
-		if hinst != nil && hinst.State != cloud.StateTerminated && hinst.HasIP(vm.IP) {
-			addr := vm.IP
-			_ = c.prov.UnassignIP(hinst.ID, addr, func(error) {
-				_ = c.prov.ReleaseIP(addr)
-			})
-		} else {
-			_ = c.prov.ReleaseIP(vm.IP)
+		// The address and the volume come off the host, then go back to the
+		// platform: followers with no destination.
+		f := c.newFollower(nil, vm.IP, "")
+		if hinst.State == cloud.StateTerminated || !hinst.HasIP(vm.IP) ||
+			c.prov.UnassignIP(hinst.ID, vm.IP, f.fn) != nil {
+			f.land(nil)
 		}
-		vm.IP = cloud.Addr{}
-	}
-	if vm.Volume != "" {
-		vol := vm.Volume
-		_ = c.prov.DetachVolume(vol, func(error) {
-			_ = c.prov.DeleteVolume(vol)
-		})
+		f = c.newFollower(nil, cloud.Addr{}, vm.Volume)
+		if c.prov.DetachVolume(vm.Volume, f.fn) != nil {
+			f.land(nil)
+		}
+		vm.IP, vm.Volume = cloud.Addr{}, ""
 	}
 	if c.cfg.RecycleReleased {
-		if fromProvisioning {
-			// The provisioning chain still holds a continuation with this
-			// state; it frees the slot at its released-exit point.
-			vs.recycleDeferred = true
-		} else {
-			c.freeVMSlot(vs)
-		}
+		c.freeVMSlot(vs)
 	}
 }
 
@@ -600,23 +638,16 @@ func (c *Controller) forgetHost(h *hostState) {
 	c.hostSlab.Free(h.slot)
 }
 
-// Shutdown drains the derivative cloud: every nested VM is released and
-// every rented native instance (hosts, spares, backup hosts) is returned
-// to the platform. The final Report remains queryable afterwards. Call it
-// when decommissioning the controller; it is not required for correctness.
+// Shutdown drains the derivative cloud: every nested VM is released — one a
+// chain still holds, when that chain ends, so let the event loop run on — and
+// every rented native instance (hosts, spares, backup hosts) is returned to
+// the platform. The final Report remains queryable afterwards. Call it when
+// decommissioning the controller; it is not required for correctness.
 func (c *Controller) Shutdown() {
 	c.shutdown = true
 	c.stopMonitor()
 	for _, id := range c.vmIDsSorted() {
-		vs := c.lookupVM(id)
-		if vs == nil || vs.phase == phaseReleased {
-			continue
-		}
-		if vs.phase == phaseMigrating {
-			vs.pendingRelease = true
-			continue
-		}
-		c.teardownVM(vs)
+		_ = c.ReleaseServer(id) // refused by the ones already released
 	}
 	// Spares are not retired by teardown; return them explicitly.
 	for _, h := range c.spares {
