@@ -39,15 +39,21 @@ func flatPlatform(t *testing.T) (*simkit.Scheduler, *cloudsim.Platform) {
 // With no faults configured, the wrapper is transparent: it must pass the
 // full provider conformance suite.
 func TestChaosTransparentPassesConformance(t *testing.T) {
+	traces := cloudtest.FlatTraces(t, cloud.M3Medium, "zone-a")
 	cloudtest.Run(t, cloudtest.Harness{
 		New: func(t *testing.T) (cloud.Provider, func()) {
-			sched, inner := flatPlatform(t)
+			sched := simkit.NewScheduler()
+			inner, err := cloudsim.New(sched, cloudsim.Config{Traces: traces, Latencies: cloudsim.ZeroOpLatencies()})
+			if err != nil {
+				t.Fatal(err)
+			}
 			return cloudchaos.Wrap(inner, sched, cloudchaos.Config{}),
 				func() { sched.Run(100000) }
 		},
 		SpotType: cloud.M3Medium,
 		SpotZone: "zone-a",
 		LowPrice: 0.02,
+		Traces:   traces,
 	})
 }
 

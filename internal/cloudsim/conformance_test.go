@@ -7,23 +7,16 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/cloudtest"
 	"repro/internal/simkit"
-	"repro/internal/spotmarket"
 )
 
 // The simulated platform must pass the provider conformance suite.
 func TestPlatformConformance(t *testing.T) {
+	traces := cloudtest.FlatTraces(t, cloud.M3Medium, "zone-a")
 	cloudtest.Run(t, cloudtest.Harness{
 		New: func(t *testing.T) (cloud.Provider, func()) {
-			tr, err := spotmarket.NewTrace(
-				[]spotmarket.Point{{T: 0, Price: 0.01}}, 10000*simkit.Hour)
-			if err != nil {
-				t.Fatal(err)
-			}
 			sched := simkit.NewScheduler()
 			p, err := cloudsim.New(sched, cloudsim.Config{
-				Traces: spotmarket.Set{
-					{Type: cloud.M3Medium, Zone: "zone-a"}: tr,
-				},
+				Traces:    traces,
 				Latencies: cloudsim.ZeroOpLatencies(),
 			})
 			if err != nil {
@@ -34,5 +27,6 @@ func TestPlatformConformance(t *testing.T) {
 		SpotType: cloud.M3Medium,
 		SpotZone: "zone-a",
 		LowPrice: 0.02,
+		Traces:   traces,
 	})
 }

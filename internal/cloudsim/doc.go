@@ -25,16 +25,61 @@
 // Each of the six delayed completions (launch, terminate, attach/detach
 // volume, assign/unassign address) parks an op value in a recycled entry
 // and schedules the entry's index on an argument-carrying event
-// (simkit.AfterArg): no closure, and on a warm platform no allocation.
+// (simkit.AfterArg): no closure, and on a warm platform no allocation. A
+// forced kill carries its instance's packed slab handle and a crossing its
+// market's table index the same way, so the platform hands the scheduler no
+// function literal at all.
 //
 // Everything kept per traced spot market is one market record — the trace,
-// the SpotPrice cursor, the running spot instances in launch order with
-// their cached minimum bid, the lazily built prefix integral and the
-// price-tick counter — in the platform's one map keyed by (type, zone); a
-// spot instance points at its record. A price change walks a market's
-// instances only when the new price can actually underbid someone. A pair
-// without a record has no spot market: SpotPrice answers cloud.ErrNotFound
-// for it, always.
+// its one cursor, the running spot instances in launch order with their
+// cached minimum bid, the armed crossing, the lazily built prefix integral
+// and the price-tick counter — in the platform's one table, a slice in
+// canonical key order (spotmarket.Set.Keys, the order the controller's
+// monitor samples in) beside a map keyed by (type, zone); a spot instance
+// points at its record. Resolving a pair first tries the record after the
+// one resolved last, a string compare, and hashes the pair only on a miss.
+// A pair without a record has no spot market: SpotPrice answers
+// cloud.ErrNotFound for it, always, wherever in a sweep it is asked.
+//
+// # Price changes
+//
+// A price change can only do something when it exceeds the market's lowest
+// outstanding bid, so the platform does not schedule the others. A market
+// arms at most one "price-change" event, its crossing: the first trace point
+// after now priced above that floor (Cursor.NextAbove, a forward scan). It
+// arms when its first spot instance starts running, re-arms when one bidding
+// under the scanned floor joins and when the crossing fires, and disarms
+// when its last instance leaves; an instance joining at or above the scanned
+// floor changes nothing, and a floor that rose since the scan leaves an early
+// crossing that finds nobody to warn and re-arms. A market nobody can be
+// revoked from schedules nothing at all. When a crossing fires it warns, in
+// launch order, every running instance the new price underbids; a launch
+// that completes inside a spike is warned by the launch itself.
+//
+// Event order is (time, sequence of scheduling), and a crossing takes its
+// sequence when it is armed. Two orders follow. Crossings of several markets
+// at one instant (a zone-wide storm) are handled together, by whichever
+// fires first, in the order a walk that scheduled every price change of
+// every market would have reached them: the market whose previous change is
+// earlier first, equal previous changes compared the same way in turn, two
+// markets at their first change in table order. That is the order seeded
+// runs were pinned under, and a differential test against that walk
+// (walk_test.go) holds the platform to it. A crossing that shares its
+// instant with an unrelated event — a launch or a termination completing on
+// the very nanosecond of a price change — runs before or after it by which
+// was scheduled first, the crossing counting from when it was armed. That
+// order is deterministic, and for a launch immaterial (the instance is
+// warned at that instant by the crossing or by the launch itself), but it
+// need not be the order a per-point walk would have produced; no pinned run
+// has such a tie.
+//
+// spotcheck_cloudsim_price_ticks_total{market} counts the price changes the
+// platform has observed: it advances by the number of trace points the
+// market's cursor passes whenever something moves it — SpotPrice,
+// RequestSpot, a launch completing, a crossing. A controller that samples
+// every market each monitor tick therefore reads, at every tick and at the
+// end of a run, exactly the number of changes so far; between two questions
+// the counter trails the trace by the changes nobody has looked at yet.
 //
 // The slab holds live instances only. Termination bills the instance once,
 // keeps the bill in its ledger entry (AccruedCost answers it for the rest of

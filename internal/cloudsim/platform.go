@@ -112,9 +112,19 @@ type Platform struct {
 	// volume leaves nil behind, entry 0 is never issued.
 	volumes []*cloud.Volume
 
-	// markets holds one record per traced (type, zone) spot market; a pair
-	// without a record has no spot market, now or later.
-	markets map[spotmarket.MarketKey]*market
+	// markets holds one record per traced (type, zone) spot market in the
+	// canonical key order (spotmarket.Set.Keys); a pair without a record has
+	// no spot market, now or later. byKey finds a record by its pair; guess
+	// is the index after the record market() last returned, tried first.
+	markets []market
+	byKey   map[spotmarket.MarketKey]*market
+	guess   int
+	// crossFn is crossing bound once; due is its scratch list of the markets
+	// whose crossings fall on one instant; scans counts Cursor.NextAbove
+	// calls (the work an arm costs; tests pin it).
+	crossFn func(uint64)
+	due     []*market
+	scans   uint64
 
 	ipPool *ipPool
 
@@ -123,6 +133,8 @@ type Platform struct {
 	ops      []op
 	opFree   []uint32
 	opDoneFn func(uint64)
+	// forcedKillFn is forcedKill bound once.
+	forcedKillFn func(uint64)
 
 	// liveCount tracks non-terminated instances per type for Capacity.
 	liveCount map[string]int
@@ -205,19 +217,44 @@ func (m *platMetrics) launched(market cloud.Market) {
 
 // market is everything the platform keeps per traced spot market.
 type market struct {
+	key   spotmarket.MarketKey
+	index int // position in Platform.markets
 	trace *spotmarket.Trace
-	// cursor gives SpotPrice amortized-O(1) lookups: callers only query at
-	// the scheduler's Now, which never moves backwards, so one cursor
-	// serves every call instead of re-binary-searching the trace.
+	// cursor is the market's one position in its trace. Every reader asks at
+	// the scheduler's Now, which never moves backwards, so lookups are
+	// amortized O(1) instead of a binary search each.
 	cursor spotmarket.Cursor
 	// spots holds the market's running spot instances for the revocation
 	// sweep.
 	spots spotList
+	// armed is the market's one price-change event: the first trace point,
+	// after the time it was armed, priced above armedFloor — none when the
+	// price never exceeds armedFloor again. armedFloor is +Inf while spots
+	// is empty and otherwise never above the lowest outstanding bid, so no
+	// instance can be underbid before armed fires.
+	armed      simkit.Event
+	armedFloor cloud.USD
 	// prefix is the cumulative price integral, built on the market's
 	// first spot bill.
 	prefix *spotmarket.PrefixIntegral
-	// ticks counts the market's price changes (nil without Config.Metrics).
-	ticks *obs.Counter
+	// ticks counts the price changes the platform has observed (nil without
+	// Config.Metrics); counted is how many of the changes behind the cursor
+	// it has been given.
+	ticks   *obs.Counter
+	counted int
+}
+
+// observe moves the market's cursor to now and returns the price there,
+// advancing the tick counter by the price changes the move passed.
+func (m *market) observe(now simkit.Time) cloud.USD {
+	price := m.cursor.PriceAt(now)
+	if i := m.cursor.Index(); i > m.counted {
+		if m.ticks != nil {
+			m.ticks.Add(float64(i - m.counted))
+		}
+		m.counted = i
+	}
+	return price
 }
 
 type instanceState struct {
@@ -323,28 +360,34 @@ func New(sched *simkit.Scheduler, cfg Config) (*Platform, error) {
 		instSlab:  slab.New[instanceState](exp),
 		ledger:    make([]ledgerEntry, 1, exp+1),
 		volumes:   make([]*cloud.Volume, 1, exp+1),
-		markets:   make(map[spotmarket.MarketKey]*market, len(cfg.Traces)),
+		markets:   make([]market, len(cfg.Traces)),
+		byKey:     make(map[spotmarket.MarketKey]*market, len(cfg.Traces)),
 		ipPool:    newIPPool(cfg.VPC, exp),
 		liveCount: map[string]int{},
 		met:       newPlatMetrics(cfg.Metrics),
 	}
 	p.opDoneFn = p.opDone
+	p.forcedKillFn = p.forcedKill
+	p.crossFn = p.crossing
 	for _, it := range cfg.Catalog {
 		p.types[it.Name] = it
 	}
-	// Walk each market's price trace; every price change may revoke.
-	for _, key := range cfg.Traces.Keys() {
+	// A market schedules nothing until a spot instance joins it (see arm).
+	for i, key := range cfg.Traces.Keys() {
 		tr := cfg.Traces[key]
-		m := &market{
-			trace:  tr,
-			cursor: tr.Cursor(),
-			spots:  spotList{insts: slab.NewRefList(p.instSlab, setListIdx, nil)},
+		m := &p.markets[i]
+		*m = market{
+			key:        key,
+			index:      i,
+			trace:      tr,
+			cursor:     tr.Cursor(),
+			spots:      spotList{insts: slab.NewRefList(p.instSlab, setListIdx, nil)},
+			armedFloor: noFloor,
 		}
 		if p.met != nil {
 			m.ticks = p.met.reg.Counter(metricPriceTicks, obs.L("market", key.String()))
 		}
-		p.markets[key] = m
-		p.walkMarket(m)
+		p.byKey[key] = m
 	}
 	return p, nil
 }
@@ -393,14 +436,23 @@ func (p *Platform) SpotPrice(typ string, zone cloud.Zone) (cloud.USD, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.cursor.PriceAt(p.sched.Now()), nil
+	return m.observe(p.sched.Now()), nil
 }
 
-// market returns the record of a traced spot market.
+// market returns the record of a traced spot market. Callers that sweep the
+// markets do so in key order (the monitor samples every one each tick), so
+// the record after the last one returned is tried first — a string compare
+// that is a pointer compare when the caller's keys are the trace set's own —
+// and only a miss hashes the pair, which also re-syncs the guess.
 func (p *Platform) market(typ string, zone cloud.Zone) (*market, error) {
-	m := p.markets[spotmarket.MarketKey{Type: typ, Zone: zone}]
-	if m == nil {
-		return nil, fmt.Errorf("%w: no spot market for %s/%s", cloud.ErrNotFound, typ, zone)
+	m := &p.markets[p.guess]
+	if m.key.Type != typ || m.key.Zone != zone {
+		if m = p.byKey[spotmarket.MarketKey{Type: typ, Zone: zone}]; m == nil {
+			return nil, fmt.Errorf("%w: no spot market for %s/%s", cloud.ErrNotFound, typ, zone)
+		}
+	}
+	if p.guess = m.index + 1; p.guess == len(p.markets) {
+		p.guess = 0
 	}
 	return m, nil
 }
@@ -439,7 +491,7 @@ func (p *Platform) RequestSpot(typ string, zone cloud.Zone, bid cloud.USD, cb cl
 		cb(nil, err)
 		return
 	}
-	if cur := m.cursor.PriceAt(p.sched.Now()); bid <= cur {
+	if cur := m.observe(p.sched.Now()); bid <= cur {
 		cb(nil, fmt.Errorf("%w: bid %v <= market %v for %s/%s", cloud.ErrBidTooLow, bid, cur, typ, zone))
 		return
 	}
@@ -567,8 +619,14 @@ func (p *Platform) launched(o op) {
 		m.spots.insert(st)
 		// The price may have spiked past the bid while the launch was
 		// pending; EC2 would warn immediately.
-		if price := m.cursor.PriceAt(p.sched.Now()); price > st.inst.Bid {
+		if price := m.observe(p.sched.Now()); price > st.inst.Bid {
 			p.warn(st, price)
+		}
+		// The armed crossing still covers a bid at or above the floor it
+		// was scanned for; the market's first instance, or a lower bid,
+		// needs a new scan.
+		if st.inst.Bid < m.armedFloor {
+			p.arm(m)
 		}
 	}
 }
@@ -617,8 +675,11 @@ func (p *Platform) destroy(st *instanceState) {
 		}
 	}
 	st.inst.Volumes = nil
-	if st.inst.Market == cloud.MarketSpot {
-		st.market.spots.remove(st)
+	if m := st.market; m != nil {
+		m.spots.remove(st)
+		if m.spots.insts.Len() == 0 {
+			p.arm(m) // nobody left to revoke: the market goes silent
+		}
 	}
 	// Billing is finalized here: Ended is set, so the accrued cost is the
 	// instance's whole-life bill. (accrued only fails for a market
@@ -719,44 +780,93 @@ func (p *Platform) periodBilledCost(st *instanceState, end simkit.Time) (cloud.U
 	return cloud.USD(total), nil
 }
 
-// walkMarket schedules an event at every price change of the market and
-// issues revocation warnings to underbid spot instances.
-func (p *Platform) walkMarket(m *market) {
-	// The walk visits price changes strictly forward; a private cursor
-	// (separate from the SpotPrice one, which trails at Now) keeps each
-	// step O(1).
-	cur := m.trace.Cursor()
-	var step func(from simkit.Time)
-	step = func(from simkit.Time) {
-		next, ok := cur.NextChangeAfter(from)
-		if !ok {
-			return
-		}
-		p.sched.At(next, "price-change", func() {
-			if m.ticks != nil {
-				m.ticks.Inc()
-			}
-			price := cur.PriceAt(next)
-			// The list is id-ordered (deterministic warning delivery) and
-			// mutated only from launch/destroy events, never synchronously
-			// under a warning, so the live slice is safe to walk. A price
-			// at or below every outstanding bid cannot underbid anyone —
-			// skip the scan without touching a single instance.
-			if list := &m.spots; list.insts.Len() > 0 && price > list.floor(p.instSlab) {
-				for _, r := range list.insts.Ordered() {
-					st := p.instSlab.Get(r.Slot)
-					if st == nil || !st.inList {
-						continue
-					}
-					if st.inst.State == cloud.StateRunning && price > st.inst.Bid {
-						p.warn(st, price)
-					}
-				}
-			}
-			step(next)
-		})
+// noFloor is armedFloor in a market with nothing armed: every bid is under it.
+var noFloor = cloud.USD(math.Inf(1))
+
+// arm schedules m's next crossing in place of the one armed: the first price
+// change after now that exceeds the lowest outstanding bid, the only kind
+// that can revoke anyone. Every change before it is observed when somebody
+// next asks the price, not by an event. A market with no spot instance arms
+// nothing.
+func (p *Platform) arm(m *market) {
+	p.sched.Cancel(m.armed)
+	m.armed, m.armedFloor = simkit.Event{}, noFloor
+	if m.spots.insts.Len() == 0 {
+		return
 	}
-	step(0)
+	m.armedFloor = m.spots.floor(p.instSlab)
+	p.scans++
+	if at, ok := m.cursor.NextAbove(p.sched.Now(), m.armedFloor); ok {
+		m.armed = p.sched.AtArg(at, "price-change", p.crossFn, uint64(m.index))
+	}
+}
+
+// crossing fires the armed crossing of the market at index arg and, with it,
+// every other market's crossing armed for this same instant: their own
+// events are cancelled and all are handled here, in the order a walk that
+// scheduled every price change of every market would have reached them
+// (walkedBefore). Arming gives an event its place among same-instant events
+// when the crossing is found, not when the previous change fires, so without
+// this a zone-wide spike would revoke its markets in a different order.
+func (p *Platform) crossing(arg uint64) {
+	now := p.sched.Now()
+	due := p.due[:0]
+	for i := range p.markets {
+		m := &p.markets[i]
+		if uint64(i) != arg && (!m.armed.Pending() || m.armed.At() != now) {
+			continue
+		}
+		p.sched.Cancel(m.armed) // a no-op for the one that fired
+		m.observe(now)
+		due = append(due, m)
+		// Insertion sort: ties are rare and a handful of markets wide.
+		for j := len(due) - 1; j > 0 && walkedBefore(m, due[j-1]); j-- {
+			due[j], due[j-1] = due[j-1], due[j]
+		}
+	}
+	for _, m := range due {
+		p.cross(m)
+	}
+	p.due = due[:0]
+}
+
+// walkedBefore orders two markets whose cursors both stand on a price change
+// at the same instant. A per-point walk gives each change its place in the
+// event order when the market's previous change fires, so the market whose
+// previous change is earlier goes first; equal previous changes are ordered
+// the same way in turn, and two markets both at their first change go in
+// table order.
+func walkedBefore(a, b *market) bool {
+	for i, j := a.cursor.Index(), b.cursor.Index(); i > 0 && j > 0; {
+		i, j = i-1, j-1
+		if ta, tb := a.trace.PointAt(i).T, b.trace.PointAt(j).T; ta != tb {
+			return ta < tb
+		}
+	}
+	return a.index < b.index
+}
+
+// cross handles the price change m's cursor stands on: it warns every
+// running instance the new price underbids, then arms the next crossing.
+func (p *Platform) cross(m *market) {
+	price := m.observe(p.sched.Now())
+	// The list is id-ordered (deterministic warning delivery) and mutated
+	// only from launch/destroy events, never synchronously under a warning,
+	// so the live slice is safe to walk. The floor may have risen since the
+	// crossing was armed; a price at or below every outstanding bid cannot
+	// underbid anyone — skip the scan without touching a single instance.
+	if list := &m.spots; list.insts.Len() > 0 && price > list.floor(p.instSlab) {
+		for _, r := range list.insts.Ordered() {
+			st := p.instSlab.Get(r.Slot)
+			if st == nil || !st.inList {
+				continue
+			}
+			if st.inst.State == cloud.StateRunning && price > st.inst.Bid {
+				p.warn(st, price)
+			}
+		}
+	}
+	p.arm(m)
 }
 
 func (p *Platform) warn(st *instanceState, price cloud.USD) {
@@ -776,18 +886,28 @@ func (p *Platform) warn(st *instanceState, price cloud.USD) {
 	if p.met != nil {
 		p.met.warnings.Inc()
 	}
-	st.forcedKill = p.sched.At(deadline, "forced-kill", func() {
-		st.forcedKill = simkit.Event{}
-		p.stats.ForcedTerminations++
-		if p.met != nil {
-			p.met.forced.Inc()
-		}
-		st.reclaimed = true
-		p.destroy(st)
-	})
+	st.forcedKill = p.sched.AtArg(deadline, "forced-kill", p.forcedKillFn, st.slot.Pack())
 	for _, fn := range p.revocationListeners {
 		fn(w)
 	}
+}
+
+// forcedKill reclaims a warned instance at its deadline; arg is its packed
+// slab handle. destroy cancels the event of an instance that leaves earlier,
+// and the handle's generation keeps a stray one off the slot's next
+// occupant.
+func (p *Platform) forcedKill(arg uint64) {
+	st := p.instSlab.Get(slab.Unpack(arg))
+	if st == nil {
+		return
+	}
+	st.forcedKill = simkit.Event{}
+	p.stats.ForcedTerminations++
+	if p.met != nil {
+		p.met.forced.Inc()
+	}
+	st.reclaimed = true
+	p.destroy(st)
 }
 
 var _ cloud.Provider = (*Platform)(nil)

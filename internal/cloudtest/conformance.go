@@ -7,11 +7,14 @@ package cloudtest
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"net/netip"
 	"testing"
 
 	"repro/internal/cloud"
 	"repro/internal/simkit"
+	"repro/internal/spotmarket"
 )
 
 // Harness supplies a provider under test plus the simulation controls the
@@ -26,6 +29,37 @@ type Harness struct {
 	SpotZone cloud.Zone
 	// LowPrice is an upper bound on the market's current price.
 	LowPrice cloud.USD
+	// Traces, when set, is the price history New's provider replays: the
+	// suite then asks for every traced market, in every order, and checks
+	// each answer against it.
+	Traces spotmarket.Set
+}
+
+// FlatTraces returns a trace set for Harness.Traces over the default catalog
+// and zones: every pair but each type's last zone has a market, each at its
+// own constant price — so an answer read off the wrong market is a wrong
+// answer, and nothing is ever revoked. The named pair is the cheapest, at
+// $0.01; the others climb a cent at a time.
+func FlatTraces(t testing.TB, typ string, zone cloud.Zone) spotmarket.Set {
+	t.Helper()
+	set := spotmarket.Set{}
+	zones := cloud.DefaultZones()
+	cents := 1
+	for _, it := range cloud.DefaultCatalog() {
+		for _, z := range zones[:len(zones)-1] {
+			price := cloud.USD(0.01)
+			if it.Name != typ || z != zone {
+				cents++
+				price = cloud.USD(0.01 * float64(cents))
+			}
+			tr, err := spotmarket.NewTrace([]spotmarket.Point{{T: 0, Price: price}}, 10000*simkit.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set[spotmarket.MarketKey{Type: it.Name, Zone: z}] = tr
+		}
+	}
+	return set
 }
 
 // Run executes the full conformance suite.
@@ -38,6 +72,7 @@ func Run(t *testing.T, h Harness) {
 	t.Run("ErrorContract", func(t *testing.T) { testErrors(t, h) })
 	t.Run("TerminatedInstance", func(t *testing.T) { testTerminated(t, h) })
 	t.Run("CostAccrual", func(t *testing.T) { testCost(t, h) })
+	t.Run("MarketsInAnyOrder", func(t *testing.T) { testMarketOrder(t, h) })
 }
 
 func launchOD(t *testing.T, p cloud.Provider, h Harness, drain func()) *cloud.Instance {
@@ -358,4 +393,82 @@ func testCost(t *testing.T, h Harness) {
 	}
 	_ = simkit.Time(0) // the suite is time-agnostic; accrual over time is
 	// implementation-specific and covered by the backend's own tests.
+}
+
+// testMarketOrder asks SpotPrice and RequestSpot for every traced market
+// forwards, backwards, twice over and shuffled, with pairs that have no
+// market in between. A provider may remember where the last question landed
+// (the monitor sweeps the markets in one order every tick); no order of
+// questions may change an answer, and a pair without a market stays
+// ErrNotFound however often and wherever in the sweep it is asked.
+func testMarketOrder(t *testing.T, h Harness) {
+	if len(h.Traces) == 0 {
+		t.Skip("the harness names no trace set")
+	}
+	p, drain := h.New(t)
+	keys := h.Traces.Keys()
+	unknown := []spotmarket.MarketKey{
+		{Type: "no-such-type", Zone: h.SpotZone},
+		{Type: h.SpotType, Zone: "no-such-zone"},
+		{Type: keys[len(keys)-1].Type, Zone: "no-such-zone"},
+	}
+	var asks []spotmarket.MarketKey
+	asks = append(asks, keys...)
+	for i := len(keys) - 1; i >= 0; i-- {
+		asks = append(asks, keys[i], keys[i], unknown[i%len(unknown)])
+	}
+	shuffled := append(append([]spotmarket.MarketKey(nil), asks...), keys...)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	asks = append(append(asks, shuffled...), keys...)
+
+	var launched []*cloud.Instance
+	for i, k := range asks {
+		tr, traced := h.Traces[k]
+		price, err := p.SpotPrice(k.Type, k.Zone)
+		var spotErr error
+		if !traced {
+			if !errors.Is(err, cloud.ErrNotFound) {
+				t.Errorf("ask %d: SpotPrice(%v) = %v, %v; want ErrNotFound", i, k, price, err)
+			}
+			p.RequestSpot(k.Type, k.Zone, 1, func(_ *cloud.Instance, err error) { spotErr = err })
+			if !errors.Is(spotErr, cloud.ErrNotFound) {
+				t.Errorf("ask %d: RequestSpot(%v) = %v, want ErrNotFound", i, k, spotErr)
+			}
+			continue
+		}
+		want := tr.PriceAt(p.Now())
+		if err != nil || price != want {
+			t.Fatalf("ask %d: SpotPrice(%v) = %v, %v; its trace says %v", i, k, price, err, want)
+		}
+		// A bid at the market price is too low and the next float up is not:
+		// RequestSpot judged it against this market's price and no other's.
+		p.RequestSpot(k.Type, k.Zone, want, func(_ *cloud.Instance, err error) { spotErr = err })
+		if !errors.Is(spotErr, cloud.ErrBidTooLow) {
+			t.Errorf("ask %d: RequestSpot(%v) at the market price %v = %v, want ErrBidTooLow", i, k, want, spotErr)
+		}
+		above := cloud.USD(math.Nextafter(float64(want), math.Inf(1)))
+		p.RequestSpot(k.Type, k.Zone, above, func(inst *cloud.Instance, err error) {
+			if err != nil {
+				t.Errorf("ask %d: RequestSpot(%v) just above the market price %v: %v", i, k, want, err)
+				return
+			}
+			launched = append(launched, inst)
+		})
+	}
+	drain()
+	if len(launched) == 0 {
+		t.Fatal("no spot launch completed")
+	}
+	for _, inst := range launched {
+		if k := (spotmarket.MarketKey{Type: inst.Type.Name, Zone: inst.Zone}); h.Traces[k] == nil {
+			t.Errorf("instance %s launched in %v, which has no market", inst.ID, k)
+		}
+		if inst.State != cloud.StateRunning {
+			continue // a trace that moves may have revoked it meanwhile
+		}
+		if err := p.Terminate(inst.ID, nil); err != nil {
+			t.Errorf("terminate %s: %v", inst.ID, err)
+		}
+	}
+	drain()
 }

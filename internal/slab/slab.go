@@ -40,6 +40,15 @@ func (h Handle) IsZero() bool { return h.idx == 0 }
 // (32 bits) to travel in an event argument beside other fields.
 func (h Handle) Index() uint32 { return h.idx }
 
+// Pack returns the handle as one 64-bit word — what an argument-carrying
+// event has room for; Unpack is its inverse. The word keeps the generation,
+// so a handle that went stale while the event was pending still resolves to
+// nil.
+func (h Handle) Pack() uint64 { return uint64(h.idx)<<32 | uint64(h.gen) }
+
+// Unpack rebuilds the handle Pack encoded.
+func Unpack(w uint64) Handle { return Handle{idx: uint32(w >> 32), gen: uint32(w)} }
+
 // String formats the handle for diagnostics.
 func (h Handle) String() string { return fmt.Sprintf("slab(%d@g%d)", h.idx, h.gen) }
 

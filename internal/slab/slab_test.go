@@ -68,6 +68,13 @@ func TestStaleHandleInertAfterReuse(t *testing.T) {
 	if got := s.Get(h2); got == nil || got.id != 2 {
 		t.Fatalf("live handle broken by stale ops: %+v", got)
 	}
+	// A handle survives the trip through an event argument, staleness included.
+	if Unpack(h1.Pack()) != h1 || Unpack(h2.Pack()) != h2 || !Unpack(0).IsZero() {
+		t.Fatalf("Pack/Unpack is not the identity: %v, %v", Unpack(h1.Pack()), Unpack(h2.Pack()))
+	}
+	if s.Get(Unpack(h1.Pack())) != nil || s.Get(Unpack(h2.Pack())) != v2 {
+		t.Fatal("an unpacked handle resolves differently from the handle packed")
+	}
 }
 
 func TestDoubleFreeInert(t *testing.T) {

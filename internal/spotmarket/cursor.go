@@ -7,7 +7,7 @@ import (
 
 // Cursor is a stateful reader over a Trace for time-ordered access. The
 // Trace methods binary-search the segment list on every call; the monitor
-// loop, the platform's price walk and the figure kernels all query time
+// loop, the platform's price sampling and the figure kernels all query time
 // moving forward, so a cursor remembers the last segment and advances
 // linearly from it — amortized O(1) per call over a monotone scan instead
 // of O(log n). Queries that jump backwards are still correct: the cursor
@@ -52,17 +52,25 @@ func (c *Cursor) PriceAt(t simkit.Time) cloud.USD {
 	return c.tr.points[c.seek(t)].Price
 }
 
-// NextChangeAfter returns the time of the first price change strictly
-// after t, or ok=false when the price never changes again, exactly as
-// Trace.NextChangeAfter.
-func (c *Cursor) NextChangeAfter(t simkit.Time) (simkit.Time, bool) {
-	i := c.seek(t)
+// Index reports how many price changes lie in (0, t] for the t of the last
+// query: the index of the segment it landed in.
+func (c *Cursor) Index() int { return c.i }
+
+// NextAbove returns the time of the first price change strictly after t
+// whose price exceeds bid — the next instant the market can revoke an
+// instance bidding bid — or ok=false when the price never exceeds it again.
+// The scan is a plain forward walk from t's segment; the cursor stays
+// anchored at t.
+func (c *Cursor) NextAbove(t simkit.Time, bid cloud.USD) (simkit.Time, bool) {
 	pts := c.tr.points
-	if pts[i].T > t { // only when t precedes the first point
-		return pts[i].T, true
+	i := c.seek(t)
+	if pts[i].T <= t { // false only when t precedes the first point
+		i++
 	}
-	if i+1 < len(pts) {
-		return pts[i+1].T, true
+	for ; i < len(pts); i++ {
+		if pts[i].Price > bid {
+			return pts[i].T, true
+		}
 	}
 	return 0, false
 }

@@ -55,11 +55,29 @@ func TestCursorMatchesTrace(t *testing.T) {
 		if got, want := cur.PriceAt(x), tr.PriceAt(x); got != want {
 			t.Fatalf("cursor PriceAt(%v) = %v, trace says %v", x, got, want)
 		}
-		gn, gok := cur.NextChangeAfter(x)
-		wn, wok := tr.NextChangeAfter(x)
-		if gn != wn || gok != wok {
-			t.Fatalf("cursor NextChangeAfter(%v) = (%v,%v), trace says (%v,%v)", x, gn, gok, wn, wok)
+		if got, want := cur.Index(), tr.segmentAt(x); got != want {
+			t.Fatalf("cursor Index after PriceAt(%v) = %d, trace says segment %d", x, got, want)
 		}
+		// NextAbove against a walk over every later point, at a bid nothing
+		// exceeds, one everything exceeds, and the current price.
+		for _, bid := range []cloud.USD{maxPrice, 0, tr.PriceAt(x)} {
+			var wn simkit.Time
+			wok := false
+			for i := 0; i < tr.Len() && !wok; i++ {
+				if p := tr.PointAt(i); p.T > x && p.Price > bid {
+					wn, wok = p.T, true
+				}
+			}
+			if gn, gok := cur.NextAbove(x, bid); gn != wn || gok != wok {
+				t.Fatalf("cursor NextAbove(%v, %v) = (%v,%v), the points say (%v,%v)", x, bid, gn, gok, wn, wok)
+			}
+			if cur.Index() != tr.segmentAt(x) {
+				t.Fatalf("NextAbove(%v, %v) moved the cursor to %d", x, bid, cur.Index())
+			}
+		}
+	}
+	if at, ok := cur.NextAbove(-simkit.Hour, 0); !ok || at != 0 {
+		t.Fatalf("NextAbove(-1h, 0) = (%v,%v), want the first point", at, ok)
 	}
 
 	// Random access, including backward jumps and negative times.
