@@ -85,11 +85,14 @@ func newDaemon(months float64, seed int64) (*daemon, error) {
 	return &daemon{sched: sched, plat: plat, ctrl: ctrl, reg: reg, trace: trace}, nil
 }
 
-// advance moves virtual time forward under the lock.
+// advance moves virtual time forward under the lock, then settles the
+// controller's tick accounting so the lock-free /metrics reads the monitor
+// and price-change counters as of the new instant.
 func (d *daemon) advance(dt simkit.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.sched.RunUntil(d.sched.Now() + dt)
+	d.ctrl.Settle()
 }
 
 // wallToSim converts elapsed wall-clock time to a virtual-time delta at the

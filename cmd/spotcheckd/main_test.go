@@ -595,3 +595,87 @@ func TestClockLoopAdvancesByElapsedWallTime(t *testing.T) {
 		t.Errorf("virtual time = %v, want %v", got, want)
 	}
 }
+
+// scrapeCounters reads every spotcheck_monitor_ticks_total and
+// spotcheck_cloudsim_price_ticks_total series from one /metrics scrape.
+func scrapeCounters(t *testing.T, client *http.Client, url string) map[string]float64 {
+	t.Helper()
+	resp, err := client.Get(url + "/metrics")
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if !strings.HasPrefix(line, "spotcheck_monitor_ticks_total") && !strings.HasPrefix(line, "spotcheck_cloudsim_price_ticks_total") {
+			continue
+		}
+		fields := strings.Fields(line)
+		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+		if err != nil {
+			t.Errorf("bad series %q", line)
+			continue
+		}
+		out[fields[0]] = v
+	}
+	return out
+}
+
+// TestDaemonMetricsDuringAdvance scrapes /metrics, which takes no lock,
+// while /advance runs the event loop (run it under -race): the monitor's
+// tick counter and every market's price-change counter only ever rise, and
+// once the advances are done the tick counter reads one per monitor
+// interval of virtual time — Settle runs inside each advance.
+func TestDaemonMetricsDuringAdvance(t *testing.T) {
+	_, srv := testServer(t)
+	client := srv.Client()
+	resp, err := client.Post(srv.URL+"/servers?customer=alice", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode(t, resp, http.StatusCreated, nil)
+
+	const steps = 8
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < steps; i++ {
+			resp, err := client.Post(srv.URL+"/advance?d=6h", "", nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+		}
+	}()
+	last := map[string]float64{}
+	check := func() {
+		for name, v := range scrapeCounters(t, client, srv.URL) {
+			if v < last[name] {
+				t.Errorf("%s fell from %v to %v", name, last[name], v)
+			}
+			last[name] = v
+		}
+	}
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		check()
+	}
+	check()
+	if want := float64(steps * 6 * 60); last["spotcheck_monitor_ticks_total"] != want {
+		t.Errorf("spotcheck_monitor_ticks_total = %v after %d h, want %v (one per minute)", last["spotcheck_monitor_ticks_total"], steps*6, want)
+	}
+	if len(last) < 2 {
+		t.Errorf("scrapes found only %v", last)
+	}
+}

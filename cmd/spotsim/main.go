@@ -185,11 +185,15 @@ func runExperiments(w io.Writer, o runOpts) error {
 		return exp == f || (exp == "all" && f != "scale" && f != "scenarios")
 	}
 
+	// One session for the invocation: a simulation two sections share (Table
+	// 3's pools, the headline and several ablation control arms are matrix
+	// cells) runs once.
+	session := experiments.NewSession(parallel)
 	needMatrix := want("fig10") || want("fig11") || want("fig12")
 	if needMatrix {
 		fmt.Fprintf(os.Stderr, "spotsim: running %d simulations (%d VMs, %.1f months)...\n",
 			5*4, vms, months)
-		matrix, err := experiments.PolicyMatrix(vms, horizon, seed, parallel)
+		matrix, err := session.PolicyMatrix(vms, horizon, seed)
 		if err != nil {
 			return err
 		}
@@ -207,7 +211,7 @@ func runExperiments(w io.Writer, o runOpts) error {
 		}
 	}
 	if want("table3") {
-		rows, err := experiments.Table3(vms, horizon, seed, parallel)
+		rows, err := session.Table3(vms, horizon, seed)
 		if err != nil {
 			return err
 		}
@@ -215,7 +219,7 @@ func runExperiments(w io.Writer, o runOpts) error {
 		fmt.Fprintln(w)
 	}
 	if want("headline") || metrics {
-		h, err := experiments.RunHeadline(vms, horizon, seed)
+		h, err := session.RunHeadline(vms, horizon, seed)
 		if err != nil {
 			return err
 		}
@@ -236,7 +240,7 @@ func runExperiments(w io.Writer, o runOpts) error {
 	}
 	if want("ablations") {
 		fmt.Fprintln(os.Stderr, "spotsim: running ablation studies...")
-		out, err := experiments.RenderAblations(vms, horizon, seed, parallel)
+		out, err := session.RenderAblations(vms, horizon, seed)
 		if err != nil {
 			return err
 		}
@@ -244,7 +248,7 @@ func runExperiments(w io.Writer, o runOpts) error {
 	}
 	if want("catalog") {
 		fmt.Fprintln(os.Stderr, "spotsim: running catalog comparison (4 policies, 54 generated markets)...")
-		rows, err := experiments.CatalogComparison(vms, horizon, seed, parallel)
+		rows, err := session.CatalogComparison(vms, horizon, seed)
 		if err != nil {
 			return err
 		}

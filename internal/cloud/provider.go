@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"errors"
+	"math"
 
 	"repro/internal/simkit"
 )
@@ -22,6 +23,10 @@ var (
 	// ErrNoAddresses reports VPC address-pool exhaustion.
 	ErrNoAddresses = errors.New("cloud: private address pool exhausted")
 )
+
+// NoChange is SpotPriceAt's next when the price at t has not changed by Now:
+// a time after every simulated instant.
+const NoChange = simkit.Time(math.MaxInt64)
 
 // InstanceCallback receives the result of an asynchronous instance launch.
 // Exactly one of inst/err is meaningful.
@@ -54,6 +59,13 @@ type Provider interface {
 	// the provider's lifetime: callers may stop asking (the controller's
 	// monitor does). A failure that may clear must be any other error.
 	SpotPrice(typ string, zone Zone) (USD, error)
+	// SpotPriceAt answers from the market's price history (EC2's
+	// DescribeSpotPriceHistory): the price in force at t, which must not lie
+	// after Now, and next, the first price change after t when that change
+	// has already happened (next <= Now) — NoChange otherwise, so a caller
+	// learns nothing about the future. Errors are SpotPrice's, plus any
+	// error for a t after Now.
+	SpotPriceAt(typ string, zone Zone, t simkit.Time) (price USD, next simkit.Time, err error)
 
 	// RunOnDemand launches a non-revocable instance. The callback fires
 	// when the instance reaches StateRunning.

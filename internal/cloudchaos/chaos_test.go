@@ -54,6 +54,18 @@ func TestChaosTransparentPassesConformance(t *testing.T) {
 		SpotZone: "zone-a",
 		LowPrice: 0.02,
 		Traces:   traces,
+		Replay: func(t *testing.T, sched *simkit.Scheduler, traces spotmarket.Set) (cloud.Provider, func(spotmarket.MarketKey) float64) {
+			reg := obs.NewRegistry()
+			inner, err := cloudsim.New(sched, cloudsim.Config{Traces: traces, Latencies: cloudsim.ZeroOpLatencies(), Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Faults on: the wrapper injects none into the price history.
+			return cloudchaos.Wrap(inner, sched, cloudchaos.Config{FailProb: 1, Seed: 1}), func(k spotmarket.MarketKey) float64 {
+				v, _ := reg.Snapshot().Value("spotcheck_cloudsim_price_ticks_total", obs.L("market", k.String()))
+				return v
+			}
+		},
 	})
 }
 

@@ -35,7 +35,7 @@
 // cached minimum bid, the armed crossing, the lazily built prefix integral
 // and the price-tick counter — in the platform's one table, a slice in
 // canonical key order (spotmarket.Set.Keys, the order the controller's
-// monitor samples in) beside a map keyed by (type, zone); a spot instance
+// table walks in) beside a map keyed by (type, zone); a spot instance
 // points at its record. Resolving a pair first tries the record after the
 // one resolved last, a string compare, and hashes the pair only on a miss.
 // A pair without a record has no spot market: SpotPrice answers
@@ -73,13 +73,22 @@
 // need not be the order a per-point walk would have produced; no pinned run
 // has such a tie.
 //
+// SpotPriceAt answers from a market's price history through the same
+// cursor: the price in force at any t up to now — the cursor re-anchors by
+// binary search when asked about an earlier time than its last question —
+// and the first change after t if that change has already happened
+// (cloud.NoChange otherwise), so a caller replaying the ticks it skipped
+// takes one question per price step and learns nothing about the future.
+//
 // spotcheck_cloudsim_price_ticks_total{market} counts the price changes the
-// platform has observed: it advances by the number of trace points the
-// market's cursor passes whenever something moves it — SpotPrice,
-// RequestSpot, a launch completing, a crossing. A controller that samples
-// every market each monitor tick therefore reads, at every tick and at the
-// end of a run, exactly the number of changes so far; between two questions
-// the counter trails the trace by the changes nobody has looked at yet.
+// platform has observed: the changes up to the latest time anybody asked
+// that market's price about — SpotPrice and RequestSpot (now), SpotPriceAt
+// (its t), a launch completing, a crossing. A question about an earlier time
+// leaves it alone, so it never falls. The controller settles it at the end
+// of a run (and spotcheckd after each advance) by asking every market at its
+// last monitor tick, so it reads exactly what asking every market at every
+// tick would have; between two settles it trails the trace by the changes
+// nobody has asked about yet.
 //
 // The slab holds live instances only. Termination bills the instance once,
 // keeps the bill in its ledger entry (AccruedCost answers it for the rest of

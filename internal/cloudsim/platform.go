@@ -244,10 +244,12 @@ type market struct {
 	counted int
 }
 
-// observe moves the market's cursor to now and returns the price there,
-// advancing the tick counter by the price changes the move passed.
-func (m *market) observe(now simkit.Time) cloud.USD {
-	price := m.cursor.PriceAt(now)
+// observe moves the market's cursor to t and returns the price there,
+// advancing the tick counter to the price changes up to t when it has not
+// been given them yet: the counter holds the changes up to the latest time
+// anyone asked about, whatever order the questions came in.
+func (m *market) observe(t simkit.Time) cloud.USD {
+	price := m.cursor.PriceAt(t)
 	if i := m.cursor.Index(); i > m.counted {
 		if m.ticks != nil {
 			m.ticks.Add(float64(i - m.counted))
@@ -439,8 +441,30 @@ func (p *Platform) SpotPrice(typ string, zone cloud.Zone) (cloud.USD, error) {
 	return m.observe(p.sched.Now()), nil
 }
 
+// SpotPriceAt implements cloud.Provider through the market's one cursor,
+// which re-anchors when asked about an earlier time than its last question.
+func (p *Platform) SpotPriceAt(typ string, zone cloud.Zone, t simkit.Time) (cloud.USD, simkit.Time, error) {
+	m, err := p.market(typ, zone)
+	if err != nil {
+		return 0, 0, err
+	}
+	now := p.sched.Now()
+	if t > now {
+		return 0, 0, fmt.Errorf("cloudsim: price history of %s/%s asked at %v, after now %v", typ, zone, t, now)
+	}
+	// A trace's price before its start is its first (Trace.PriceAt clamps).
+	price := m.observe(max(t, 0))
+	next := cloud.NoChange
+	if i := m.cursor.Index() + 1; i < m.trace.Len() {
+		if at := m.trace.PointAt(i).T; at <= now {
+			next = at
+		}
+	}
+	return price, next, nil
+}
+
 // market returns the record of a traced spot market. Callers that sweep the
-// markets do so in key order (the monitor samples every one each tick), so
+// markets do so in key order (the controller's settle asks every one), so
 // the record after the last one returned is tried first — a string compare
 // that is a pointer compare when the caller's keys are the trace set's own —
 // and only a miss hashes the pair, which also re-syncs the guess.

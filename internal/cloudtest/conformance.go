@@ -33,6 +33,11 @@ type Harness struct {
 	// suite then asks for every traced market, in every order, and checks
 	// each answer against it.
 	Traces spotmarket.Set
+	// Replay, when set, builds a provider on sched that replays the given
+	// trace set, and returns with it a reader of the provider's price-change
+	// counter for a market (nil when it keeps none). The PriceHistory case
+	// walks the clock through moving prices with it.
+	Replay func(t *testing.T, sched *simkit.Scheduler, traces spotmarket.Set) (cloud.Provider, func(spotmarket.MarketKey) float64)
 }
 
 // FlatTraces returns a trace set for Harness.Traces over the default catalog
@@ -73,6 +78,93 @@ func Run(t *testing.T, h Harness) {
 	t.Run("TerminatedInstance", func(t *testing.T) { testTerminated(t, h) })
 	t.Run("CostAccrual", func(t *testing.T) { testCost(t, h) })
 	t.Run("MarketsInAnyOrder", func(t *testing.T) { testMarketOrder(t, h) })
+	t.Run("PriceHistory", func(t *testing.T) { testPriceHistory(t, h) })
+}
+
+// testPriceHistory checks SpotPriceAt against the replayed traces. For every
+// traced pair and times asked forward, backward and repeated, the price is
+// the trace's at t, and next is the first change after t when that change
+// lies at or before Now, NoChange otherwise. A t after Now is an error, an
+// unknown pair ErrNotFound, and the price-change counter never decreases.
+func testPriceHistory(t *testing.T, h Harness) {
+	if h.Replay == nil {
+		t.Skip("the harness replays no price history")
+	}
+	const end = 48 * simkit.Hour
+	rng := rand.New(rand.NewSource(7))
+	traces := spotmarket.Set{}
+	for _, key := range FlatTraces(t, h.SpotType, h.SpotZone).Keys()[:3] {
+		pts := []spotmarket.Point{{T: 0, Price: h.LowPrice / 2}}
+		for at := simkit.Time(0); ; {
+			at += simkit.Time(1+rng.Intn(90)) * simkit.Minute
+			if rng.Intn(3) == 0 {
+				at += simkit.Time(rng.Intn(60)) * simkit.Second
+			}
+			if at >= end {
+				break
+			}
+			pts = append(pts, spotmarket.Point{T: at, Price: cloud.USD(0.005 + 0.1*rng.Float64())})
+		}
+		tr, err := spotmarket.NewTrace(pts, end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[key] = tr
+	}
+	sched := simkit.NewScheduler()
+	p, ticks := h.Replay(t, sched, traces)
+	seen := map[spotmarket.MarketKey]float64{}
+	ask := func(k spotmarket.MarketKey, at simkit.Time) {
+		t.Helper()
+		tr := traces[k]
+		price, next, err := p.SpotPriceAt(k.Type, k.Zone, at)
+		if err != nil || price != tr.PriceAt(at) {
+			t.Fatalf("SpotPriceAt(%v, %v) at now %v = %v, %v; the trace says %v", k, at, p.Now(), price, err, tr.PriceAt(at))
+		}
+		want := cloud.NoChange
+		if nt, ok := tr.NextChangeAfter(at); ok && nt <= p.Now() {
+			want = nt
+		}
+		if next != want {
+			t.Fatalf("SpotPriceAt(%v, %v) at now %v: next %v, want %v", k, at, p.Now(), next, want)
+		}
+		if ticks != nil {
+			if n := ticks(k); n < seen[k] {
+				t.Fatalf("price-change counter of %v fell from %v to %v", k, seen[k], n)
+			} else {
+				seen[k] = n
+			}
+		}
+	}
+	keys := traces.Keys()
+	for stop := 0; stop < 12; stop++ {
+		sched.RunUntil(sched.Now() + simkit.Time(rng.Int63n(int64(6*simkit.Hour))))
+		now := p.Now()
+		for _, k := range keys {
+			ask(k, now)
+			ask(k, now) // repeated
+			for i := 0; i < 5; i++ {
+				ask(k, simkit.Time(rng.Int63n(int64(now)+1))) // backward and forward
+			}
+			for at := now - min(now, 3*simkit.Hour); at <= now; at += 7 * simkit.Minute {
+				ask(k, at) // forward walk
+			}
+			if _, _, err := p.SpotPriceAt(k.Type, k.Zone, now+1); err == nil {
+				t.Fatalf("SpotPriceAt(%v) after now %v answered", k, now)
+			}
+		}
+		unknown := []spotmarket.MarketKey{{Type: "no-such-type", Zone: h.SpotZone}, {Type: h.SpotType, Zone: "no-such-zone"}}
+		for _, typ := range p.Catalog() {
+			if k := (spotmarket.MarketKey{Type: typ.Name, Zone: h.SpotZone}); traces[k] == nil {
+				unknown = append(unknown, k) // in the catalog, but untraced
+			}
+		}
+		for _, k := range unknown {
+			if _, _, err := p.SpotPriceAt(k.Type, k.Zone, now); !errors.Is(err, cloud.ErrNotFound) {
+				t.Fatalf("SpotPriceAt(%v) = %v, want ErrNotFound", k, err)
+			}
+		}
+	}
 }
 
 func launchOD(t *testing.T, p cloud.Provider, h Harness, drain func()) *cloud.Instance {

@@ -432,8 +432,16 @@ type Controller struct {
 	// tick numbers the monitor's ticks; market samples are stamped with it,
 	// so a sample's age is a comparison and nothing is cleared. It starts
 	// at 1 (the first tick is 2): a never-sampled record's zero stamp then
-	// matches neither the current tick nor the one before it.
-	tick uint64
+	// matches neither the current tick nor the one before it. It is the
+	// last tick accounted, fired or not (see catchUp); tick n falls at
+	// tickBase + (n-1)·MonitorInterval.
+	tick     uint64
+	tickBase simkit.Time
+	// odHosts counts the hosts in on-demand pools: while there are any, the
+	// return sweep has candidates and the monitor's ticks are events.
+	odHosts int
+	// ticking is set while an armed tick's sweeps run.
+	ticking bool
 	// calmTick and anyCalm memoize, for one tick, whether any market at all
 	// is calm: when none is, the return sweep has nothing to ask.
 	calmTick uint64
@@ -570,8 +578,11 @@ func (c *Controller) Mechanism() migration.Mechanism { return c.cfg.Mechanism }
 func (c *Controller) Storms() []StormEvent { return append([]StormEvent(nil), c.storms...) }
 
 // History exposes the controller's market observations (for policies and
-// reports).
-func (c *Controller) History() *History { return c.history }
+// reports), settled up to now.
+func (c *Controller) History() *History {
+	c.Settle()
+	return c.history
+}
 
 // vmIDsSorted returns all tracked VM ids in stable order.
 func (c *Controller) vmIDsSorted() []nestedvm.ID {
@@ -711,11 +722,16 @@ func (c *Controller) hostFreed(h *hostState) {
 	h.inFreeSet = true
 }
 
-// addPoolHost binds h to pool and enters it into the pool's host list.
+// addPoolHost binds h to pool and enters it into the pool's host list. An
+// on-demand host gives the return sweep a candidate: the monitor arms.
 func (c *Controller) addPoolHost(pool *poolState, h *hostState) {
 	h.pool = pool
 	h.inHosts = true
 	h.poolIdx = pool.hosts.Add(h.slot, h.seq)
+	if pool.key.Market == cloud.MarketOnDemand {
+		c.odHosts++
+		c.armMonitor()
+	}
 }
 
 // dropPoolHost removes h from its pool's host list (no-op when absent).
@@ -725,6 +741,9 @@ func (c *Controller) dropPoolHost(h *hostState) {
 	}
 	h.inHosts = false
 	h.pool.hosts.Remove(h.slot, h.poolIdx)
+	if h.pool.key.Market == cloud.MarketOnDemand {
+		c.odHosts--
+	}
 }
 
 func setPoolIdx(h *hostState, i int) { h.poolIdx = i }

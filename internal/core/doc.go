@@ -42,12 +42,44 @@
 //     chain ends in one landing (land), and a VM released while a chain holds
 //     it is torn down by that chain where it has nothing in flight
 //     (pendingRelease; docs/ARCHITECTURE.md, "Move record").
-//   - The monitor asks the provider for each probed pair's price once per
-//     tick and stamps the sample with the tick number; the proactive,
-//     predictive and return sweeps walk the table and read the records
-//     instead of re-querying per pool or per VM, and nothing is cleared or
-//     copied between ticks. A pair answering cloud.ErrNotFound has no spot
-//     market and is not probed again.
+//   - A record's samples are stamped with the tick number they belong to;
+//     the proactive, predictive and return sweeps walk the table and read
+//     the records instead of re-querying per pool or per VM, and nothing is
+//     cleared or copied between ticks. A pair answering cloud.ErrNotFound
+//     has no spot market and is not asked again.
+//
+// # Monitor ticks
+//
+// The monitor's ticks lie on a fixed grid, tickBase + k·MonitorInterval
+// from the controller's creation, and every tick counts in
+// spotcheck_monitor_ticks_total, but a tick is an event — armed — only
+// while a sweep could act on it: a host sits in an on-demand pool (the
+// return sweep's candidates), or the run bids k×OD (proactive sweep) or
+// runs the predictor. An armed tick that finds nothing to act on does not
+// re-arm. The ticks in between are replayed: catchUp accounts them, and a
+// market record catches up only when it is read — by a sweep (spotPool,
+// marketCalm) or by a policy through History.MeanPrice/Volatility — from
+// the provider's price history (cloud.Provider.SpotPriceAt), one question
+// per price step. The replay fills price, prev, their tick stamps,
+// lastAboveOD, everAboveOD and noSpot exactly as sampling every market on
+// every tick would, and the trailing window takes the samples as
+// (price, ticks) runs that reach the ring, slot for slot, when it is read.
+//
+// Same-instant rule. A read inside an event settles only the ticks strictly
+// before now: a tick at this very instant is still to come, unless it is
+// armed and has already fired. An arming that lands on a grid instant equal
+// to now schedules that tick now, so it pops after every event already
+// queued for the instant. Per-tick polling queued tick T one interval
+// earlier, so the two orders differ only for an event queued within the
+// interval before T for exactly T; none of the pinned runs has one (their
+// same-instant pairs with a tick are all scripted long before).
+//
+// Settle brings the accounting up to now, ticks at now included: it counts
+// the unfired ticks and asks each market not read since the last tick its
+// price there, which advances the provider's price-change counters exactly
+// as a per-tick sample would. Report, Stats, History and Shutdown settle
+// first; an embedder that exposes the metrics registry between runs of the
+// event loop calls Settle after each run (spotcheckd does, in advance).
 //
 // Fleet-wide duration sums (service time, downtime, degraded time)
 // outgrow int64 nanoseconds at ~292 VM-years — under 600 VMs over a

@@ -25,6 +25,9 @@ type History struct {
 	markets []*market
 	// index finds the record for callers that arrive with a key.
 	index map[spotmarket.MarketKey]*market
+	// sync, when set, brings a record's samples up to date before a reader
+	// sees them: the controller installs its tick replay (syncMarket).
+	sync func(*market)
 }
 
 // market is the table's record for one (instance type, zone) pair.
@@ -42,9 +45,12 @@ type market struct {
 	// price is the monitor's newest sample, taken on tick sampled; prev is
 	// the one before it, taken on tick prevSampled. A sweep on tick t reads
 	// price only when sampled == t and prev only when prevSampled == t-1,
-	// so a failed probe leaves nothing behind that needs clearing.
+	// so a failed probe leaves nothing behind that needs clearing. synced is
+	// the last tick replayed into the record (see syncMarket): the samples
+	// and stamps are those of ticks up to synced, and nothing later.
 	price, prev          cloud.USD
 	sampled, prevSampled uint64
+	synced               uint64
 	// lastAboveOD stamps when the price last met or exceeded the on-demand
 	// price (return hold-down, §4.3); everAboveOD is false until it has.
 	lastAboveOD simkit.Time
@@ -68,21 +74,92 @@ type market struct {
 // experiments' 10-minute interval, 2.8 h at the daemon's 1-minute default.
 const priceWindowCap = 24 * 7
 
+// priceWindow is a ring of the newest priceWindowCap samples. Samples arrive
+// as runs — one price held over many ticks is one addRun — and reach the
+// ring only when somebody reads it, so a market replayed tick-free costs one
+// entry per price step. The ring a read sees is exactly the one a sample-at-
+// a-time add would have built: same slots, same write position, so mean and
+// stddev sum in the same order and agree to the bit.
 type priceWindow struct {
 	samples []float64
 	next    int
+	// runs[head:] are the runs added since the ring was last written, oldest
+	// first; runN is their total count. A run the newer runs outnumber
+	// priceWindowCap to one is overwritten whole, so it is dropped on arrival
+	// of the sample that buries it, keeping only its effect on next.
+	runs []sampleRun
+	head int
+	runN int
 }
 
-func (w *priceWindow) add(v float64) {
-	if len(w.samples) < priceWindowCap {
-		w.samples = append(w.samples, v)
+// sampleRun is n consecutive samples of one value.
+type sampleRun struct {
+	v float64
+	n int
+}
+
+func (w *priceWindow) add(v float64) { w.addRun(v, 1) }
+
+// addRun appends n samples of v.
+func (w *priceWindow) addRun(v float64, n int) {
+	if n <= 0 {
 		return
 	}
-	w.samples[w.next] = v
-	w.next = (w.next + 1) % priceWindowCap
+	if k := len(w.runs); k > w.head && w.runs[k-1].v == v {
+		w.runs[k-1].n += n
+	} else {
+		if k == cap(w.runs) && w.head > 0 {
+			w.runs = w.runs[:copy(w.runs, w.runs[w.head:])]
+			w.head = 0
+		}
+		w.runs = append(w.runs, sampleRun{v: v, n: n})
+	}
+	w.runN += n
+	for len(w.runs)-w.head > 1 && w.runN-w.runs[w.head].n >= priceWindowCap {
+		w.pass(w.runs[w.head].n)
+		w.runN -= w.runs[w.head].n
+		w.head++
+	}
+}
+
+// pass moves the ring through n samples that newer ones will overwrite: it
+// claims their slots but writes no values.
+func (w *priceWindow) pass(n int) {
+	for ; n > 0 && len(w.samples) < priceWindowCap; n-- {
+		w.samples = append(w.samples, 0)
+	}
+	if n > 0 {
+		w.next = (w.next + n) % priceWindowCap
+	}
+}
+
+// write puts n samples of v into the ring.
+func (w *priceWindow) write(v float64, n int) {
+	for ; n > 0 && len(w.samples) < priceWindowCap; n-- {
+		w.samples = append(w.samples, v)
+	}
+	for ; n > 0; n-- {
+		w.samples[w.next] = v
+		w.next = (w.next + 1) % priceWindowCap
+	}
+}
+
+// flush writes the pending runs into the ring. Only the newest
+// priceWindowCap samples can survive: the oldest run's excess is passed.
+func (w *priceWindow) flush() {
+	runs := w.runs[w.head:]
+	if over := w.runN - priceWindowCap; over > 0 {
+		w.pass(over)
+		runs[0].n -= over
+	}
+	for _, r := range runs {
+		w.write(r.v, r.n)
+	}
+	w.runs, w.head, w.runN = w.runs[:0], 0, 0
 }
 
 func (w *priceWindow) mean() float64 {
+	w.flush()
 	if len(w.samples) == 0 {
 		return 0
 	}
@@ -94,11 +171,11 @@ func (w *priceWindow) mean() float64 {
 }
 
 func (w *priceWindow) stddev() float64 {
+	m := w.mean()
 	n := len(w.samples)
 	if n < 2 {
 		return 0
 	}
-	m := w.mean()
 	var ss float64
 	for _, v := range w.samples {
 		d := v - m
@@ -150,9 +227,18 @@ func (h *History) ObserveRevocation(key spotmarket.MarketKey) {
 	h.at(key).revocations++
 }
 
+// read returns the record for key brought up to date, or nil if unseen.
+func (h *History) read(key spotmarket.MarketKey) *market {
+	m := h.index[key]
+	if m != nil && h.sync != nil {
+		h.sync(m)
+	}
+	return m
+}
+
 // MeanPrice returns the trailing mean observed price, or 0 if unobserved.
 func (h *History) MeanPrice(key spotmarket.MarketKey) cloud.USD {
-	if m := h.index[key]; m != nil {
+	if m := h.read(key); m != nil {
 		return cloud.USD(m.window.mean())
 	}
 	return 0
@@ -160,7 +246,7 @@ func (h *History) MeanPrice(key spotmarket.MarketKey) cloud.USD {
 
 // Volatility returns the trailing price standard deviation.
 func (h *History) Volatility(key spotmarket.MarketKey) float64 {
-	if m := h.index[key]; m != nil {
+	if m := h.read(key); m != nil {
 		return m.window.stddev()
 	}
 	return 0

@@ -113,8 +113,9 @@ func (c *Controller) syncPoolOf(h *hostState) {
 // Stats derives the controller counters from the metrics registry, keeping
 // the historical ControllerStats shape. Counter increments are exact in
 // float64 far beyond any simulated event count, so the int conversions are
-// lossless.
+// lossless. It settles the monitor's tick accounting first (Settle).
 func (c *Controller) Stats() ControllerStats {
+	c.Settle()
 	m := c.met
 	started := func(r migrationReason) float64 { return m.migStarted[r].Value() }
 	aborted := m.migAborted.Value()

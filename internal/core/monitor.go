@@ -7,27 +7,71 @@ import (
 	"repro/internal/simkit"
 )
 
-// startMonitor launches the controller's periodic loop (monitorTick).
+// Tick n of the monitor falls at tickAt(n), tick 1 being the controller's
+// creation (never sampled). doc.go, "Monitor ticks", explains which ticks
+// are events and how the others are replayed.
+
+// startMonitor sets the tick grid and arms the first tick if a sweep can
+// already act on it.
 func (c *Controller) startMonitor() {
 	c.tickFn = c.monitorTick
-	c.monitorEvent = c.sched.After(c.cfg.MonitorInterval, "monitor", c.tickFn)
+	c.tickBase = c.sched.Now()
+	c.history.sync = c.syncMarket
+	c.armMonitor()
 }
 
-// monitorTick is one pass of the periodic loop: it samples spot prices into
-// the market table (feeding the probabilistic policies), triggers proactive
-// migrations under k×OD bidding, and migrates VMs back to spot pools once a
-// price spike has abated for the hold-down period (§4.3's allocation
-// dynamics). The sweeps walk the table in (type, zone) order, on-demand
-// pool before spot, so a tick looks up no market or pool by key and — once
-// the price windows are full — allocates nothing.
+// needTicks reports whether a tick can act: a host sits in an on-demand pool
+// (the return sweep's candidates), or the run evacuates spot pools on price
+// (k×OD bidding's proactive sweep, the predictor).
+func (c *Controller) needTicks() bool {
+	return c.odHosts > 0 || c.cfg.Bidding.Proactive() || c.cfg.Predictive.Enabled
+}
+
+// tickAt returns when tick n falls.
+func (c *Controller) tickAt(n uint64) simkit.Time {
+	return c.tickBase + simkit.Time(n-1)*c.cfg.MonitorInterval
+}
+
+// armMonitor schedules the next tick when a sweep can act on it and none is
+// pending or firing. A tick at this very instant is still ahead (catchUp
+// takes only earlier ones), so it is scheduled now and pops after everything
+// already queued for the instant.
+func (c *Controller) armMonitor() {
+	if c.shutdown || c.ticking || c.monitorEvent.Pending() || !c.needTicks() {
+		return
+	}
+	c.catchUp(c.sched.Now() - 1)
+	c.monitorEvent = c.sched.At(c.tickAt(c.tick+1), "monitor", c.tickFn)
+}
+
+// catchUp accounts the ticks up to through that nobody fired. A pending tick
+// is the first unaccounted one by construction, so there is nothing to do
+// while one is; after Shutdown no tick counts.
+func (c *Controller) catchUp(through simkit.Time) {
+	if through < c.tickAt(c.tick+1) || c.shutdown || c.monitorEvent.Pending() {
+		return
+	}
+	if n := uint64((through-c.tickBase)/c.cfg.MonitorInterval) + 1; n > c.tick {
+		c.met.monitorTick.Add(float64(n - c.tick))
+		c.tick = n
+	}
+}
+
+// monitorTick is one armed pass of the periodic loop: it triggers proactive
+// migrations under k×OD bidding and predictive evacuations, and migrates VMs
+// back to spot pools once a price spike has abated for the hold-down period
+// (§4.3's allocation dynamics). The sweeps walk the table in (type, zone)
+// order, on-demand pool before spot, so a tick looks up no market or pool by
+// key and — once the price windows are full — allocates nothing.
 func (c *Controller) monitorTick() {
 	c.monitorEvent = simkit.Event{}
 	if c.shutdown {
 		return
 	}
-	c.met.monitorTick.Inc()
-	c.tick++
-	c.samplePrices()
+	c.catchUp(c.sched.Now())
+	// Arming waits for the sweeps, so the next tick takes its place in the
+	// queue after whatever they scheduled.
+	c.ticking = true
 	if c.cfg.Bidding.Proactive() {
 		c.proactiveSweep()
 	}
@@ -35,7 +79,8 @@ func (c *Controller) monitorTick() {
 		c.predictiveSweep()
 	}
 	c.returnSweep()
-	c.monitorEvent = c.sched.After(c.cfg.MonitorInterval, "monitor", c.tickFn)
+	c.ticking = false
+	c.armMonitor()
 }
 
 // stopMonitor cancels the pending monitor tick (idempotent).
@@ -44,34 +89,73 @@ func (c *Controller) stopMonitor() {
 	c.monitorEvent = simkit.Event{}
 }
 
-// samplePrices asks the provider for every probed market's spot price once,
-// so the sweeps that follow read it from the record instead of re-walking
-// the provider's trace cursors per pool or per VM. A price at or above the
-// on-demand price stamps lastAboveOD for the return hold-down.
-func (c *Controller) samplePrices() {
-	now := c.sched.Now()
+// Settle brings the tick accounting up to now: the ticks no event fired
+// count in spotcheck_monitor_ticks_total, and every probed market the
+// controller has not read since the last tick is asked its price there, so
+// the provider's price-change counters read what a per-tick sample of every
+// market would have left. Report, Stats, History and Shutdown settle first;
+// an embedder that exposes the metrics registry between runs of the event
+// loop (spotcheckd) calls it after each run.
+func (c *Controller) Settle() {
+	c.catchUp(c.sched.Now())
+	if c.tick < 2 {
+		return
+	}
+	t := c.tickAt(c.tick)
 	for _, m := range c.history.markets {
-		if m.noSpot {
+		if m.noSpot || m.synced == c.tick {
 			continue
 		}
-		price, err := c.prov.SpotPrice(m.key.Type, m.key.Zone)
+		if _, _, err := c.prov.SpotPriceAt(m.key.Type, m.key.Zone, t); errors.Is(err, cloud.ErrNotFound) {
+			m.noSpot = true
+		}
+	}
+}
+
+// syncMarket replays into m the ticks it has missed, from the provider's
+// price history: the samples, stamps and window a per-tick sample would have
+// left. A price the history shows held over several ticks is one question
+// and one window run. Inside an event only ticks before now are settled: a
+// tick at this instant is still to fire, or has fired and is accounted.
+func (c *Controller) syncMarket(m *market) {
+	c.catchUp(c.sched.Now() - 1)
+	if m.synced >= c.tick {
+		return
+	}
+	k, last := max(m.synced+1, 2), c.tick
+	m.synced = last
+	for k <= last && !m.noSpot {
+		t := c.tickAt(k)
+		price, next, err := c.prov.SpotPriceAt(m.key.Type, m.key.Zone, t)
 		if err != nil {
 			// The catalog is larger than the traced market set, and a
 			// provider's ErrNotFound is permanent: stop asking. Anything
-			// else is a provider fault worth surfacing, and worth retrying.
+			// else is a provider fault worth surfacing, and worth retrying
+			// on the next tick.
 			if errors.Is(err, cloud.ErrNotFound) {
 				m.noSpot = true
 			} else {
 				c.met.provErrs.Inc()
 			}
+			k++
 			continue
 		}
-		m.window.add(float64(price))
-		m.prev, m.prevSampled = m.price, m.sampled
-		m.price, m.sampled = price, c.tick
-		if price >= m.typ.OnDemand {
-			m.lastAboveOD, m.everAboveOD = now, true
+		// The price holds for every tick before next.
+		end := last
+		if next <= c.tickAt(last) {
+			end = k + uint64((next-1-t)/c.cfg.MonitorInterval)
 		}
+		m.window.addRun(float64(price), int(end-k+1))
+		if end > k {
+			m.prev, m.prevSampled = price, end-1
+		} else {
+			m.prev, m.prevSampled = m.price, m.sampled
+		}
+		m.price, m.sampled = price, end
+		if price >= m.typ.OnDemand {
+			m.lastAboveOD, m.everAboveOD = c.tickAt(end), true
+		}
+		k = end + 1
 	}
 }
 
@@ -79,7 +163,10 @@ func (c *Controller) samplePrices() {
 // is nothing to judge or walk: no hosts, or no price sample this tick.
 func (c *Controller) spotPool(m *market) *poolState {
 	pool := m.pools[cloud.MarketSpot]
-	if pool == nil || pool.hosts.Len() == 0 || m.sampled != c.tick {
+	if pool == nil || pool.hosts.Len() == 0 {
+		return nil
+	}
+	if c.syncMarket(m); m.sampled != c.tick {
 		return nil
 	}
 	return pool
@@ -218,6 +305,7 @@ func (c *Controller) spotCalmFor(vs *vmState) bool {
 // every predictive evacuation while the price plateaus just below
 // on-demand.
 func (c *Controller) marketCalm(m *market) bool {
+	c.syncMarket(m)
 	od := m.typ.OnDemand
 	if m.sampled != c.tick || m.price >= od {
 		return false

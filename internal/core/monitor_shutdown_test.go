@@ -9,15 +9,20 @@ import (
 // TestShutdownStopsMonitor pins the monitor's cancel path: Shutdown must
 // cancel the pending tick and stop the loop rescheduling itself. Before the
 // fix the monitor self-scheduled forever, so a post-Shutdown Run(limit)
-// never drained.
+// never drained. The predictor keeps the tick armed, so there is a pending
+// one to cancel; ticks are read after Stats has settled them.
 func TestShutdownStopsMonitor(t *testing.T) {
-	r := newRig(t, nil, nil)
+	r := newRig(t, nil, func(c *Config) { c.Predictive = PredictiveConfig{Enabled: true} })
 	r.request(t, "alice")
 	r.run(t, 30*simkit.Minute)
 
+	if !r.ctrl.monitorEvent.Pending() {
+		t.Fatal("predictive run has no tick armed")
+	}
+	r.ctrl.Stats()
 	ticksBefore := r.ctrl.met.monitorTick.Value()
-	if ticksBefore == 0 {
-		t.Fatal("monitor never ticked before shutdown")
+	if ticksBefore != 30 {
+		t.Fatalf("monitor ticked %v times in 30 minutes, want 30", ticksBefore)
 	}
 	r.ctrl.Shutdown()
 	if r.ctrl.monitorEvent.Pending() {
@@ -29,6 +34,7 @@ func TestShutdownStopsMonitor(t *testing.T) {
 	if r.sched.Pending() != 0 {
 		t.Errorf("queue not drained after shutdown: %d events pending", r.sched.Pending())
 	}
+	r.ctrl.Stats()
 	if got := r.ctrl.met.monitorTick.Value(); got != ticksBefore {
 		t.Errorf("monitor ticked %v times after shutdown", got-ticksBefore)
 	}

@@ -644,6 +644,7 @@ func (c *Controller) forgetHost(h *hostState) {
 // the platform. The final Report remains queryable afterwards. Call it when
 // decommissioning the controller; it is not required for correctness.
 func (c *Controller) Shutdown() {
+	c.Settle()
 	c.shutdown = true
 	c.stopMonitor()
 	for _, id := range c.vmIDsSorted() {

@@ -90,6 +90,10 @@ type SlicingAblation struct {
 
 // AblationSlicing runs the comparison.
 func AblationSlicing(vms int, horizon simkit.Time, seed int64, workers ...int) (SlicingAblation, error) {
+	return NewSession(sweepWorkers(workers)).ablationSlicing(vms, horizon, seed)
+}
+
+func (s *Session) ablationSlicing(vms int, horizon simkit.Time, seed int64) (SlicingAblation, error) {
 	// A market where m3.large costs 1.2x m3.medium (i.e. 0.6x per slot),
 	// both spiking together so storms are comparable. Generated once: both
 	// arms read the same immutable trace set.
@@ -101,7 +105,7 @@ func AblationSlicing(vms int, horizon simkit.Time, seed int64, workers ...int) (
 	c := configs[spotmarket.MarketKey{Type: cloud.M3Large, Zone: EvalZone}]
 	c.BaseRatio = 0.06 // large trades at 6% of OD => 0.0084/2 slots = 0.0042
 	configs[spotmarket.MarketKey{Type: cloud.M3Large, Zone: EvalZone}] = c
-	traces, err := spotmarket.GenerateSet(configs, horizon, seed, sweepWorkers(workers))
+	traces, err := spotmarket.GenerateSet(configs, horizon, seed, s.workers)
 	if err != nil {
 		return SlicingAblation{}, err
 	}
@@ -119,10 +123,10 @@ func AblationSlicing(vms int, horizon simkit.Time, seed int64, workers ...int) (
 			Traces:    traces,
 		}}
 	}
-	results, err := Sweep([]RunSpec{
+	results, err := s.Sweep([]RunSpec{
 		spec(core.NewRoundRobinPolicy("direct", markets[:1]), "direct"),
 		spec(core.NewGreedyCheapestPolicy(markets), "greedy-sliced"),
-	}, SweepOptions{Workers: sweepWorkers(workers)})
+	})
 	if err != nil {
 		return SlicingAblation{}, err
 	}
@@ -154,6 +158,10 @@ type BiddingAblationRow struct {
 // AblationBidding compares bid=OD against k×OD (with proactive migration)
 // on the stormy 4-pool placement.
 func AblationBidding(vms int, horizon simkit.Time, seed int64, workers ...int) ([]BiddingAblationRow, error) {
+	return NewSession(sweepWorkers(workers)).ablationBidding(vms, horizon, seed)
+}
+
+func (s *Session) ablationBidding(vms int, horizon simkit.Time, seed int64) ([]BiddingAblationRow, error) {
 	policies := []struct {
 		name string
 		bid  core.BiddingPolicy
@@ -173,7 +181,7 @@ func AblationBidding(vms int, horizon simkit.Time, seed int64, workers ...int) (
 			Bidding:   p.bid,
 		}}
 	}
-	results, err := Sweep(specs, SweepOptions{Workers: sweepWorkers(workers)})
+	results, err := s.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -221,6 +229,10 @@ type DestinationAblationRow struct {
 // lazy acquisition hides the startup behind the degraded drain and spares
 // buy nothing — the paper's own observation.)
 func AblationDestination(vms int, horizon simkit.Time, seed int64, workers ...int) ([]DestinationAblationRow, error) {
+	return NewSession(sweepWorkers(workers)).ablationDestination(vms, horizon, seed)
+}
+
+func (s *Session) ablationDestination(vms int, horizon simkit.Time, seed int64) ([]DestinationAblationRow, error) {
 	configs := []struct {
 		name   string
 		dest   core.DestinationPolicy
@@ -243,7 +255,7 @@ func AblationDestination(vms int, horizon simkit.Time, seed int64, workers ...in
 			WarningWindow: 45 * simkit.Second,
 		}}
 	}
-	results, err := Sweep(specs, SweepOptions{Workers: sweepWorkers(workers)})
+	results, err := s.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -284,6 +296,10 @@ type StatelessAblation struct {
 
 // AblationStateless runs the comparison on the calm 1P-M pool.
 func AblationStateless(vms int, horizon simkit.Time, seed int64, workers ...int) (StatelessAblation, error) {
+	return NewSession(sweepWorkers(workers)).ablationStateless(vms, horizon, seed)
+}
+
+func (s *Session) ablationStateless(vms int, horizon simkit.Time, seed int64) (StatelessAblation, error) {
 	spec := func(name string, stateless bool) RunSpec {
 		return RunSpec{ID: name, Cfg: PolicyRunConfig{
 			Policy:    PolicyFactory{Name: "1P-M", New: core.Policy1PM},
@@ -294,10 +310,10 @@ func AblationStateless(vms int, horizon simkit.Time, seed int64, workers ...int)
 			Stateless: stateless,
 		}}
 	}
-	results, err := Sweep([]RunSpec{
+	results, err := s.Sweep([]RunSpec{
 		spec("stateful", false),
 		spec("stateless", true),
-	}, SweepOptions{Workers: sweepWorkers(workers)})
+	})
 	if err != nil {
 		return StatelessAblation{}, err
 	}
@@ -332,6 +348,10 @@ type PredictiveAblation struct {
 // spikes whose onset straddles a monitor tick — the honest result the
 // paper hints at: trend prediction is hard without high-frequency signals.
 func AblationPredictive(vms int, horizon simkit.Time, seed int64, workers ...int) (PredictiveAblation, error) {
+	return NewSession(sweepWorkers(workers)).ablationPredictive(vms, horizon, seed)
+}
+
+func (s *Session) ablationPredictive(vms int, horizon simkit.Time, seed int64) (PredictiveAblation, error) {
 	spec := func(name string, pred core.PredictiveConfig) RunSpec {
 		return RunSpec{ID: name, Cfg: PolicyRunConfig{
 			Policy:     PolicyFactory{Name: "4P-ED", New: core.Policy4PED},
@@ -342,10 +362,10 @@ func AblationPredictive(vms int, horizon simkit.Time, seed int64, workers ...int
 			Predictive: pred,
 		}}
 	}
-	results, err := Sweep([]RunSpec{
+	results, err := s.Sweep([]RunSpec{
 		spec("predictive-off", core.PredictiveConfig{}),
 		spec("predictive-on", core.PredictiveConfig{Enabled: true, Threshold: 0.8}),
-	}, SweepOptions{Workers: sweepWorkers(workers)})
+	})
 	if err != nil {
 		return PredictiveAblation{}, err
 	}
@@ -376,6 +396,10 @@ type ZoneSpreadAblation struct {
 // AblationZoneSpread compares storm sizes with and without zone spreading
 // of the medium pool across three zones with independent prices.
 func AblationZoneSpread(vms int, horizon simkit.Time, seed int64, workers ...int) (ZoneSpreadAblation, error) {
+	return NewSession(sweepWorkers(workers)).ablationZoneSpread(vms, horizon, seed)
+}
+
+func (s *Session) ablationZoneSpread(vms int, horizon simkit.Time, seed int64) (ZoneSpreadAblation, error) {
 	zones := []cloud.Zone{"zone-a", "zone-b", "zone-c"}
 	configs := map[spotmarket.MarketKey]spotmarket.GenConfig{}
 	for _, z := range zones {
@@ -383,7 +407,7 @@ func AblationZoneSpread(vms int, horizon simkit.Time, seed int64, workers ...int
 			spotmarket.DefaultConfig(0.07, spotmarket.VolatilityHigh)
 	}
 	// One generation, shared read-only by both arms.
-	traces, err := spotmarket.GenerateSet(configs, horizon, seed, sweepWorkers(workers))
+	traces, err := spotmarket.GenerateSet(configs, horizon, seed, s.workers)
 	if err != nil {
 		return ZoneSpreadAblation{}, err
 	}
@@ -397,10 +421,10 @@ func AblationZoneSpread(vms int, horizon simkit.Time, seed int64, workers ...int
 			Traces:    traces,
 		}}
 	}
-	results, err := Sweep([]RunSpec{
+	results, err := s.Sweep([]RunSpec{
 		spec(core.NewZoneSpreadPolicy(cloud.M3Medium, zones[:1]), "1-zone"),
 		spec(core.NewZoneSpreadPolicy(cloud.M3Medium, zones), "3-zone"),
-	}, SweepOptions{Workers: sweepWorkers(workers)})
+	})
 	if err != nil {
 		return ZoneSpreadAblation{}, err
 	}
@@ -417,7 +441,13 @@ func AblationZoneSpread(vms int, horizon simkit.Time, seed int64, workers ...int
 // The optional trailing argument bounds each ablation's sweep worker count
 // (0 or absent means GOMAXPROCS; 1 runs sequentially).
 func RenderAblations(vms int, horizon simkit.Time, seed int64, workers ...int) (string, error) {
-	w := sweepWorkers(workers)
+	return NewSession(sweepWorkers(workers)).RenderAblations(vms, horizon, seed)
+}
+
+// RenderAblations is the package-level RenderAblations on the session: the
+// control arms that are policy-matrix cells run only if the session has not
+// run them yet.
+func (s *Session) RenderAblations(vms int, horizon simkit.Time, seed int64) (string, error) {
 	var out string
 	flush, err := AblationFlush(nil)
 	if err != nil {
@@ -425,7 +455,7 @@ func RenderAblations(vms int, horizon simkit.Time, seed int64, workers ...int) (
 	}
 	out += AblationFlushTable(flush).String() + "\n"
 
-	slicing, err := AblationSlicing(vms, horizon, seed, w)
+	slicing, err := s.ablationSlicing(vms, horizon, seed)
 	if err != nil {
 		return "", err
 	}
@@ -433,26 +463,26 @@ func RenderAblations(vms int, horizon simkit.Time, seed int64, workers ...int) (
 		slicing.DirectCostPerHour, slicing.SlicedCostPerHour, slicing.SavingsPct,
 		slicing.DirectMaxStorm, slicing.SlicedMaxStorm)
 
-	bidding, err := AblationBidding(vms, horizon, seed, w)
+	bidding, err := s.ablationBidding(vms, horizon, seed)
 	if err != nil {
 		return "", err
 	}
 	out += AblationBiddingTable(bidding).String() + "\n"
 
-	dest, err := AblationDestination(vms, horizon, seed, w)
+	dest, err := s.ablationDestination(vms, horizon, seed)
 	if err != nil {
 		return "", err
 	}
 	out += AblationDestinationTable(dest).String() + "\n"
 
-	sl, err := AblationStateless(vms, horizon, seed, w)
+	sl, err := s.ablationStateless(vms, horizon, seed)
 	if err != nil {
 		return "", err
 	}
 	out += fmt.Sprintf("Ablation: stateless — stateful $%.4f/hr (unavail %.4f%%) vs stateless $%.4f/hr (unavail %.4f%%), %d backup servers saved\n\n",
 		sl.StatefulCostPerHour, sl.StatefulUnavailPct, sl.StatelessCostPerHour, sl.StatelessUnavailPct, sl.BackupServersSaved)
 
-	pred, err := AblationPredictive(vms, horizon, seed, w)
+	pred, err := s.ablationPredictive(vms, horizon, seed)
 	if err != nil {
 		return "", err
 	}
@@ -460,21 +490,21 @@ func RenderAblations(vms int, horizon simkit.Time, seed int64, workers ...int) (
 		pred.OffRevocations, pred.OffUnavailPct, pred.OffCostPerHour,
 		pred.OnRevocations, pred.OnPredictive, pred.OnMisses, pred.OnUnavailPct, pred.OnCostPerHour)
 
-	zs, err := AblationZoneSpread(vms, horizon, seed, w)
+	zs, err := s.ablationZoneSpread(vms, horizon, seed)
 	if err != nil {
 		return "", err
 	}
 	out += fmt.Sprintf("Ablation: zone spread — 1 zone: max storm %d (unavail %.4f%%); 3 zones: max storm %d (unavail %.4f%%)\n\n",
 		zs.OneZoneMaxStorm, zs.OneZoneUnavailPct, zs.ThreeZoneMaxStorm, zs.ThreeZoneUnavailPct)
 
-	bill, err := AblationBilling(vms, horizon, seed, w)
+	bill, err := s.ablationBilling(vms, horizon, seed)
 	if err != nil {
 		return "", err
 	}
 	out += fmt.Sprintf("Ablation: billing — continuous $%.4f/hr vs 2015-era hourly $%.4f/hr (%+.1f%%; started hours round up, reclaimed partial hours free)\n\n",
 		bill.ContinuousCostPerHour, bill.HourlyCostPerHour, bill.DeltaPct)
 
-	tm, err := AblationTraceModel(vms, horizon, seed, w)
+	tm, err := s.ablationTraceModel(vms, horizon, seed)
 	if err != nil {
 		return "", err
 	}
@@ -500,6 +530,10 @@ type BillingAblation struct {
 // where frequent revocations make both hourly rounding (more cost) and
 // free reclaimed hours (less cost) matter.
 func AblationBilling(vms int, horizon simkit.Time, seed int64, workers ...int) (BillingAblation, error) {
+	return NewSession(sweepWorkers(workers)).ablationBilling(vms, horizon, seed)
+}
+
+func (s *Session) ablationBilling(vms int, horizon simkit.Time, seed int64) (BillingAblation, error) {
 	spec := func(name string, increment simkit.Time) RunSpec {
 		return RunSpec{ID: name, Cfg: PolicyRunConfig{
 			Policy:           PolicyFactory{Name: "4P-ED", New: core.Policy4PED},
@@ -510,10 +544,10 @@ func AblationBilling(vms int, horizon simkit.Time, seed int64, workers ...int) (
 			BillingIncrement: increment,
 		}}
 	}
-	results, err := Sweep([]RunSpec{
+	results, err := s.Sweep([]RunSpec{
 		spec("billing-continuous", 0),
 		spec("billing-hourly", simkit.Hour),
-	}, SweepOptions{Workers: sweepWorkers(workers)})
+	})
 	if err != nil {
 		return BillingAblation{}, err
 	}
@@ -545,6 +579,10 @@ type TraceModelAblation struct {
 // different m3.medium price processes: the calibrated overlay generator,
 // the two-state Markov model, and a generate→fit→regenerate round trip.
 func AblationTraceModel(vms int, horizon simkit.Time, seed int64, workers ...int) ([]TraceModelAblation, error) {
+	return NewSession(sweepWorkers(workers)).ablationTraceModel(vms, horizon, seed)
+}
+
+func (s *Session) ablationTraceModel(vms int, horizon simkit.Time, seed int64) ([]TraceModelAblation, error) {
 	const od = cloud.USD(0.07)
 	mediumKey := spotmarket.MarketKey{Type: cloud.M3Medium, Zone: EvalZone}
 
@@ -586,7 +624,7 @@ func AblationTraceModel(vms int, horizon simkit.Time, seed int64, workers ...int
 			Traces:    spotmarket.Set{mediumKey: m.trace},
 		}}
 	}
-	results, err := Sweep(specs, SweepOptions{Workers: sweepWorkers(workers)})
+	results, err := s.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}

@@ -68,11 +68,16 @@ type CatalogComparisonRow struct {
 // comparable. The four simulations fan out across the sweep engine; the
 // optional trailing argument bounds the worker count.
 func CatalogComparison(vms int, horizon simkit.Time, seed int64, workers ...int) ([]CatalogComparisonRow, error) {
+	return NewSession(sweepWorkers(workers)).CatalogComparison(vms, horizon, seed)
+}
+
+// CatalogComparison is the package-level CatalogComparison on the session.
+func (s *Session) CatalogComparison(vms int, horizon simkit.Time, seed int64) ([]CatalogComparisonRow, error) {
 	cat, err := cloud.GenerateCatalog(cloud.DefaultCatalogSpec())
 	if err != nil {
 		return nil, err
 	}
-	traces, err := CatalogTraces(cat, horizon, seed, sweepWorkers(workers))
+	traces, err := CatalogTraces(cat, horizon, seed, s.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +109,7 @@ func CatalogComparison(vms int, horizon simkit.Time, seed int64, workers ...int)
 			NetworkAwareSlicing: true,
 		}}
 	}
-	results, err := Sweep(specs, SweepOptions{Workers: sweepWorkers(workers)})
+	results, err := s.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}

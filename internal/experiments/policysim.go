@@ -182,6 +182,24 @@ func RunPolicy(cfg PolicyRunConfig) (PolicyRunResult, error) {
 // resolved fills the zero-value defaults and the trace set, once per run;
 // everything downstream reads the config as given.
 func (cfg PolicyRunConfig) resolved() (PolicyRunConfig, error) {
+	cfg = cfg.withDefaults()
+	if cfg.VMs < cfg.Shards {
+		return cfg, fmt.Errorf("experiments: %d VMs cannot fill %d shards", cfg.VMs, cfg.Shards)
+	}
+	if cfg.Traces == nil {
+		var err error
+		cfg.Traces, err = EvalTraces(cfg.Horizon, cfg.Seed)
+		if err != nil {
+			return cfg, err
+		}
+	}
+	return cfg, nil
+}
+
+// withDefaults fills the zero-value defaults other than the trace set. A
+// nil Bidding becomes the controller's own default, bid = on-demand, so a
+// spec that leaves it out is the same run as one that names it.
+func (cfg PolicyRunConfig) withDefaults() PolicyRunConfig {
 	if len(cfg.ArrivalOffsets) > 0 {
 		cfg.VMs = len(cfg.ArrivalOffsets)
 	}
@@ -197,20 +215,13 @@ func (cfg PolicyRunConfig) resolved() (PolicyRunConfig, error) {
 	if cfg.Policy.New == nil {
 		cfg.Policy = NamedPolicyFactories()[0]
 	}
+	if cfg.Bidding == nil {
+		cfg.Bidding = core.OnDemandBid{}
+	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	if cfg.VMs < cfg.Shards {
-		return cfg, fmt.Errorf("experiments: %d VMs cannot fill %d shards", cfg.VMs, cfg.Shards)
-	}
-	if cfg.Traces == nil {
-		var err error
-		cfg.Traces, err = EvalTraces(cfg.Horizon, cfg.Seed)
-		if err != nil {
-			return cfg, err
-		}
-	}
-	return cfg, nil
+	return cfg
 }
 
 // shard is one complete single-threaded simulation — scheduler, metrics
@@ -417,6 +428,11 @@ func foldShards(cfg PolicyRunConfig, shards []*shard) PolicyRunResult {
 // absent means GOMAXPROCS; 1 runs sequentially); the matrix is identical
 // regardless of the worker count.
 func PolicyMatrix(vms int, horizon simkit.Time, seed int64, workers ...int) ([][]PolicyRunResult, error) {
+	return NewSession(sweepWorkers(workers)).PolicyMatrix(vms, horizon, seed)
+}
+
+// PolicyMatrix is the package-level PolicyMatrix on the session.
+func (s *Session) PolicyMatrix(vms int, horizon simkit.Time, seed int64) ([][]PolicyRunResult, error) {
 	policies := NamedPolicyFactories()
 	mechs := FigureMechanisms()
 	specs := make([]RunSpec, 0, len(policies)*len(mechs))
@@ -434,7 +450,7 @@ func PolicyMatrix(vms int, horizon simkit.Time, seed int64, workers ...int) ([][
 			})
 		}
 	}
-	flat, err := Sweep(specs, SweepOptions{Workers: sweepWorkers(workers)})
+	flat, err := s.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -494,15 +510,18 @@ func Table3Fractions() []float64 { return []float64{0.25, 0.5, 0.75, 1.0} }
 // three simulations fan out across the sweep engine; the optional trailing
 // argument bounds the worker count as in PolicyMatrix.
 func Table3(vms int, horizon simkit.Time, seed int64, workers ...int) ([]Table3Result, error) {
-	policies := []PolicyFactory{
-		{Name: "1-Pool", New: core.Policy1PM},
-		{Name: "2-Pool", New: core.Policy2PML},
-		{Name: "4-Pool", New: core.Policy4PED},
-	}
+	return NewSession(sweepWorkers(workers)).Table3(vms, horizon, seed)
+}
+
+// Table3 is the package-level Table3 on the session. Its pools run under the
+// matrix's policy names, so a session that ran the matrix runs nothing here.
+func (s *Session) Table3(vms int, horizon simkit.Time, seed int64) ([]Table3Result, error) {
+	labels := []string{"1-Pool", "2-Pool", "4-Pool"} // 1P-M, 2P-ML, 4P-ED
+	policies := NamedPolicyFactories()[:len(labels)]
 	specs := make([]RunSpec, len(policies))
 	for i, pol := range policies {
 		specs[i] = RunSpec{
-			ID: pol.Name,
+			ID: labels[i],
 			Cfg: PolicyRunConfig{
 				Policy:    pol,
 				Mechanism: migration.SpotCheckLazy,
@@ -512,14 +531,14 @@ func Table3(vms int, horizon simkit.Time, seed int64, workers ...int) ([]Table3R
 			},
 		}
 	}
-	results, err := Sweep(specs, SweepOptions{Workers: sweepWorkers(workers)})
+	results, err := s.Sweep(specs)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Table3Result, len(results))
 	for i, res := range results {
 		probs := core.StormTable(res.Report.StormSizes, vms, Table3Fractions(), horizon.Hours())
-		out[i] = Table3Result{Policy: policies[i].Name, Probs: probs}
+		out[i] = Table3Result{Policy: labels[i], Probs: probs}
 	}
 	return out, nil
 }
@@ -551,16 +570,23 @@ type Headline struct {
 
 // RunHeadline computes the headline comparison.
 func RunHeadline(vms int, horizon simkit.Time, seed int64) (Headline, error) {
-	res, err := RunPolicy(PolicyRunConfig{
-		Policy:    PolicyFactory{Name: "1P-M", New: core.Policy1PM},
+	return NewSession(0).RunHeadline(vms, horizon, seed)
+}
+
+// RunHeadline is the package-level RunHeadline on the session: the matrix's
+// 1P-M SpotCheck-lazy cell.
+func (s *Session) RunHeadline(vms int, horizon simkit.Time, seed int64) (Headline, error) {
+	results, err := s.Sweep([]RunSpec{{ID: "headline", Cfg: PolicyRunConfig{
+		Policy:    NamedPolicyFactories()[0],
 		Mechanism: migration.SpotCheckLazy,
 		VMs:       vms,
 		Horizon:   horizon,
 		Seed:      seed,
-	})
+	}}})
 	if err != nil {
 		return Headline{}, err
 	}
+	res := results[0]
 	od := 0.07 // m3.medium on-demand $/hr
 	return Headline{
 		CostPerVMHour:   res.CostPerHour(),

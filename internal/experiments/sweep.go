@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/simkit"
-	"repro/internal/spotmarket"
 )
 
 // This file holds the parallel sweep engine. The paper's evaluation is
@@ -100,64 +99,13 @@ type traceKey struct {
 	seed    int64
 }
 
-// fillSharedTraces generates the default trace set once per (horizon, seed)
-// and hands the same read-only spotmarket.Set to every spec that would
-// otherwise regenerate it inside RunPolicy. Specs with explicit traces are
-// left alone. The sweep's worker budget is reused for the generation
-// itself, so a multi-market set parallelizes before the first cell runs.
-// The specs slice is mutated in place; Sweep passes a copy.
-func fillSharedTraces(specs []RunSpec, workers int) error {
-	cache := map[traceKey]spotmarket.Set{}
-	for i := range specs {
-		cfg := &specs[i].Cfg
-		if cfg.Traces != nil {
-			continue
-		}
-		h := cfg.Horizon
-		if h == 0 {
-			h = SixMonths
-		}
-		key := traceKey{horizon: h, seed: cfg.Seed}
-		set, ok := cache[key]
-		if !ok {
-			var err error
-			set, err = EvalTraces(h, key.seed, workers)
-			if err != nil {
-				return fmt.Errorf("experiments: shared traces for %v/seed=%d: %w", h, key.seed, err)
-			}
-			cache[key] = set
-		}
-		cfg.Traces = set
-	}
-	return nil
-}
-
 // Sweep runs every spec through RunPolicy on a bounded worker pool and
-// returns the results in spec order. Error handling is fail-fast: the first
-// failure stops new runs from being dispatched (in-flight runs drain), and
-// the returned error joins every failure as a *RunError in spec order.
+// returns the results in spec order; specs that are the same simulation run
+// once (Session.Sweep). Error handling is fail-fast: the first failure stops
+// new runs from being dispatched (in-flight runs drain), and the returned
+// error joins every failure as a *RunError in spec order.
 func Sweep(specs []RunSpec, opt SweepOptions) ([]PolicyRunResult, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	// Copy so shared-trace filling never mutates the caller's specs.
-	specs = append([]RunSpec(nil), specs...)
-	if err := fillSharedTraces(specs, opt.Workers); err != nil {
-		return nil, err
-	}
-	results := make([]PolicyRunResult, len(specs))
-	err := forEachIndex(len(specs), opt.Workers, func(i int) error {
-		res, err := RunPolicy(specs[i].Cfg)
-		if err != nil {
-			return &RunError{ID: specs[i].ID, Err: err}
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return NewSession(opt.Workers).Sweep(specs)
 }
 
 // sweepWorkers extracts the optional trailing worker-count argument the

@@ -139,7 +139,7 @@ func TestForEachIndex(t *testing.T) {
 	}
 }
 
-// TestSweepSharedTraces verifies the engine generates the default trace set
+// TestSweepSharedTraces verifies a session generates the default trace set
 // once per (horizon, seed) and hands every matching spec the same Set,
 // while leaving explicit traces and distinct seeds alone.
 func TestSweepSharedTraces(t *testing.T) {
@@ -147,21 +147,25 @@ func TestSweepSharedTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewSession(0)
 	specs := sweepSpecs(4)
 	specs[2].Cfg.Seed = 43 // different seed: must not share
 	specs[3].Cfg.Traces = explicit
-	if err := fillSharedTraces(specs, 0); err != nil {
-		t.Fatal(err)
+	sets := make([]spotmarket.Set, len(specs))
+	for i, spec := range specs[:3] {
+		if sets[i], err = s.defaultTraces(sweepHorizon, spec.Cfg.Seed); err != nil {
+			t.Fatal(err)
+		}
 	}
 	key := spotmarket.MarketKey{Type: cloud.M3Medium, Zone: EvalZone}
-	if specs[0].Cfg.Traces[key] != specs[1].Cfg.Traces[key] {
+	if sets[0][key] != sets[1][key] {
 		t.Error("same (horizon, seed) specs did not share one trace set")
 	}
-	if specs[0].Cfg.Traces[key] == specs[2].Cfg.Traces[key] {
+	if sets[0][key] == sets[2][key] {
 		t.Error("different seeds shared a trace set")
 	}
-	if specs[3].Cfg.Traces[key] != explicit[key] {
-		t.Error("explicit traces were replaced")
+	if _, shared, _ := s.shareKey(specs[3].Cfg.withDefaults()); shared {
+		t.Error("a spec on explicit traces is shared as a default-trace run")
 	}
 }
 
