@@ -1,10 +1,10 @@
 // Command spotlint runs the project-invariant static-analysis suite
 // (internal/lint) over package patterns and exits nonzero on any finding.
 // It enforces what the compiler cannot: simulation determinism, metric-name
-// hygiene, panic discipline, goroutine cancellation pairing, trace-copy
-// ownership, error discipline, duration-overflow safety, slab-handle
-// safety and lock discipline. See docs/LINTING.md for the analyzer
-// contracts and the suppression syntax.
+// hygiene, panic discipline, goroutine cancellation pairing, closure-free
+// and loop-free event code, error discipline, duration-overflow safety and
+// lock discipline. See docs/LINTING.md for the analyzer contracts and the
+// suppression syntax.
 //
 // Usage:
 //

@@ -233,8 +233,8 @@ func TestListAndUsage(t *testing.T) {
 		t.Fatalf("-list exit = %d", code)
 	}
 	for _, want := range []string{
-		"determinism", "metrichygiene", "panicdiscipline", "goroutines", "tracecopy",
-		"errdiscipline", "duracc", "handlesafety", "lockdiscipline",
+		"determinism", "metrichygiene", "panicdiscipline", "goroutines", "hotpath",
+		"errdiscipline", "duracc", "lockdiscipline",
 	} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("-list missing %q:\n%s", want, stdout.String())

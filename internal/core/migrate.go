@@ -88,6 +88,7 @@ func (c *Controller) recordStorm(key PoolKey, vms int) {
 	// defer the observation until the instant's event cascade completes
 	// (same-time events fire in insertion order) to see the final size.
 	idx := len(c.storms) - 1
+	//lint:ignore hotpath one closure per revocation batch, not per VM: the observation waits out the instant's cascade
 	c.sched.After(0, "storm-observe", func() {
 		s := c.storms[idx]
 		c.met.stormVMs.Observe(float64(s.VMs))

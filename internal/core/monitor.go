@@ -327,6 +327,7 @@ func (c *Controller) requestSpare() {
 		return
 	}
 	c.sparePending++
+	//lint:ignore hotpath one launch per hot spare, a cold path
 	c.prov.RunOnDemand(c.cfg.HotSpareType, c.cfg.BackupZone, func(inst *cloud.Instance, err error) {
 		c.sparePending--
 		if c.shutdown {
@@ -338,6 +339,7 @@ func (c *Controller) requestSpare() {
 		if err != nil {
 			// Retry later; spares are an optimization, not a correctness
 			// requirement.
+			//lint:ignore hotpath runs only after a failed spare launch
 			c.sched.After(c.cfg.MonitorInterval, "spare-retry", func() { c.requestSpare() })
 			return
 		}

@@ -516,6 +516,7 @@ func (c *Controller) unregisterBackup(vs *vmState) {
 // onBackupProvisioned rents a native on-demand instance to stand behind a
 // newly provisioned backup server.
 func (c *Controller) onBackupProvisioned(srv *backup.Server) {
+	//lint:ignore hotpath one launch per backup server, a cold path
 	c.prov.RunOnDemand(c.cfg.BackupType, c.cfg.BackupZone, func(inst *cloud.Instance, err error) {
 		if err != nil {
 			// Cost-accounting only; the logical backup server still works.

@@ -51,7 +51,7 @@ func BidCurve(tr *spotmarket.Trace, od cloud.USD, ratios []float64, downtimePerM
 
 		// E(c_spot | spot <= bid): mean price during the below-bid time.
 		// Iterate segments in place — copying the point slice per ratio
-		// (tr.Points) made this loop the curve's allocation hot spot.
+		// made this loop the curve's allocation hot spot.
 		var spotMean float64
 		if below > 0 {
 			var integral float64 // $·hr accumulated while below bid

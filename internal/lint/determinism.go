@@ -11,14 +11,17 @@ import (
 // Wall-clock reads and global math/rand state break that silently.
 var DeterministicPackages = map[string]bool{
 	"internal/backup":      true,
+	"internal/cloud":       true,
 	"internal/cloudchaos":  true,
 	"internal/cloudsim":    true,
+	"internal/cloudtest":   true,
 	"internal/core":        true,
 	"internal/experiments": true,
 	"internal/migration":   true,
 	"internal/nestedvm":    true,
 	"internal/scenario":    true,
 	"internal/simkit":      true,
+	"internal/slab":        true,
 	"internal/spotmarket":  true,
 	"internal/workload":    true,
 }

@@ -64,6 +64,15 @@ func f() int { return rand.IntN(10) }
 			want: []string{"rand.IntN uses the global math/rand source"},
 		},
 		{
+			name: "catalog generator global rand flagged",
+			rel:  "internal/cloud",
+			src: `package cloud
+import "math/rand"
+func f() int { return rand.Intn(54) }
+`,
+			want: []string{"rand.Intn uses the global math/rand source"},
+		},
+		{
 			name: "seeded rand.New allowed",
 			rel:  "internal/cloudsim",
 			src: `package cloudsim

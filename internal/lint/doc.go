@@ -15,15 +15,25 @@
 //   - goroutines: every go statement in non-test code needs a visible
 //     cancellation path (context, WaitGroup, or done channel) in its
 //     enclosing function.
-//   - tracecopy: Trace.Points() copies the whole multi-thousand-point trace;
-//     the simulation hot-path packages must iterate via PointAt/Len or a
-//     Cursor instead (the PR 4/5 hot-path contract).
+//   - hotpath: event code in core, cloudsim and cloudchaos hands no function
+//     literal to the scheduler or the provider, spawns or defers none, never
+//     drives the event loop, and cloudsim keys no map by an instance,
+//     volume or address id.
+//   - errdiscipline: an error value reaches a reaction — returned, wrapped
+//     with %w, classified or answered — never discarded with _ or dropped
+//     by an if err != nil branch that does nothing.
+//   - duracc: loop-carried duration sums in the fleet-scale packages go
+//     through core's widened durAcc, never a bare += on simkit.Time.
+//   - lockdiscipline: fields annotated "// guarded by mu" are touched only
+//     while mu is held on every path.
 //
 // The framework is stdlib-only (go/ast, go/parser, go/token): it walks a
 // module, parses packages syntactically, and runs per-file Analyzers that
-// report structured Findings. There is deliberately no type checking — each
-// analyzer documents the syntactic heuristic it uses, and intentional
-// exceptions are written down in the source with
+// report structured Findings. errdiscipline and lockdiscipline run on a
+// small intraprocedural dataflow layer (cfg.go, dataflow.go). There is
+// deliberately no type checking — each analyzer documents the syntactic
+// heuristic it uses, and intentional exceptions are written down in the
+// source with
 //
 //	//lint:ignore <check> <reason>
 //

@@ -301,8 +301,8 @@ func sortFindings(out []Finding) {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Determinism, MetricHygiene, PanicDiscipline, Goroutines, TraceCopy,
-		ErrDiscipline, DurAcc, HandleSafety, LockDiscipline,
+		Determinism, MetricHygiene, PanicDiscipline, Goroutines, HotPath,
+		ErrDiscipline, DurAcc, LockDiscipline,
 	}
 }
 

@@ -126,8 +126,8 @@ type registry interface{ Describe(name, help string) }
 
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 9 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 9", len(all), err)
+	if err != nil || len(all) != 8 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 8", len(all), err)
 	}
 	two, err := ByName("determinism, goroutines")
 	if err != nil || len(two) != 2 || two[0].Name != "determinism" || two[1].Name != "goroutines" {

@@ -64,7 +64,7 @@ func Compile(s Spec) (experiments.RunSpec, error) {
 	if err != nil {
 		return experiments.RunSpec{}, err
 	}
-	horizon := simkit.Time(s.Hours * float64(simkit.Hour))
+	horizon := simkit.Hours(s.Hours)
 	traces, err := regimeTraces(s, horizon)
 	if err != nil {
 		return experiments.RunSpec{}, err
@@ -136,7 +136,7 @@ func overlayStorms(set spotmarket.Set, horizon simkit.Time, m Market) (spotmarke
 	if storms == 0 {
 		storms = 2
 	}
-	dur := simkit.Time(m.StormHours * float64(simkit.Hour))
+	dur := simkit.Hours(m.StormHours)
 	if dur == 0 {
 		dur = simkit.Hour
 	}
@@ -242,7 +242,7 @@ func priceWarTraces(horizon simkit.Time, seed int64) (spotmarket.Set, error) {
 
 // arrivalOffsets renders the spec's arrival shape to one offset per VM.
 func arrivalOffsets(s Spec, horizon simkit.Time) []simkit.Time {
-	window := simkit.Time(s.Arrival.WindowHours * float64(simkit.Hour))
+	window := simkit.Hours(s.Arrival.WindowHours)
 	if window == 0 {
 		window = 24 * simkit.Hour
 	}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+
+	"repro/internal/simkit"
 )
 
 // Spec declares one experiment cell. The zero values of the optional
@@ -125,6 +128,26 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario %s: peak_hour must be in [0, 24)", s.Name)
 	case s.Market.Storms < 0 || s.Market.StormHours < 0 || s.Market.StormMultiple < 0:
 		return fmt.Errorf("scenario %s: storm parameters must be >= 0", s.Name)
+	}
+	for _, d := range []struct {
+		field string
+		v     float64
+		unit  simkit.Time
+	}{
+		{"hours", s.Hours, simkit.Hour},
+		{"window_hours", s.Arrival.WindowHours, simkit.Hour},
+		{"storm_hours", s.Market.StormHours, simkit.Hour},
+		{"extra_latency_seconds", s.Faults.ExtraLatencySeconds, simkit.Second},
+	} {
+		// Written so NaN fails too: float64(math.MaxInt64) is 2^63, the
+		// first product that no longer converts to a simkit.Time.
+		if !(d.v*float64(d.unit) < float64(math.MaxInt64)) {
+			return fmt.Errorf("scenario %s: %s = %v does not fit simulated time (at most %v)",
+				s.Name, d.field, d.v, float64(math.MaxInt64)/float64(d.unit))
+		}
+	}
+	if simkit.Hours(s.Hours) <= 0 {
+		return fmt.Errorf("scenario %s: hours = %v is shorter than a nanosecond", s.Name, s.Hours)
 	}
 	if _, err := policyByName(s.Policy); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)

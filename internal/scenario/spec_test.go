@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,6 +35,11 @@ func TestSpecValidate(t *testing.T) {
 		{"peak hour out of range", func(s *Spec) { s.Arrival.PeakHour = 24 }, "peak_hour"},
 		{"unknown policy", func(s *Spec) { s.Policy = "9P-X" }, "policy"},
 		{"unknown mechanism", func(s *Spec) { s.Mechanism = "teleport" }, "mechanism"},
+		{"hours overflow", func(s *Spec) { s.Hours = 3e6 }, "hours = 3e+06 does not fit"},
+		{"window not a number", func(s *Spec) { s.Arrival.WindowHours = math.NaN() }, "window_hours = NaN does not fit"},
+		{"storm hours overflow", func(s *Spec) { s.Market.StormHours = 3e6 }, "storm_hours = 3e+06 does not fit"},
+		{"latency overflow", func(s *Spec) { s.Faults.ExtraLatencySeconds = 1e12 }, "extra_latency_seconds = 1e+12 does not fit"},
+		{"horizon under a nanosecond", func(s *Spec) { s.Hours = 1e-20 }, "shorter than a nanosecond"},
 	}
 	for _, tc := range cases {
 		s := validSpec()

@@ -41,7 +41,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		if a.End() != b.End() {
 			t.Errorf("market %v: end %v became %v", k, a.End(), b.End())
 		}
-		pa, pb := a.Points(), b.Points()
+		pa, pb := a.points, b.points
 		for i := range pa {
 			// Offsets serialize at millisecond precision; prices at 1e-6.
 			if dt := pa[i].T - pb[i].T; dt > simkit.Millisecond || dt < -simkit.Millisecond {

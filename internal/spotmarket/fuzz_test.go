@@ -18,7 +18,7 @@ import (
 func checkDecodedSet(t *testing.T, set Set) {
 	t.Helper()
 	for k, tr := range set {
-		pts := tr.Points()
+		pts := tr.points
 		if len(pts) == 0 || pts[0].T != 0 {
 			t.Fatalf("%v: does not start at t=0: %v", k, pts)
 		}
@@ -45,7 +45,7 @@ func checkDecodedSet(t *testing.T, set Set) {
 // micro-dollar. Such a set must survive a write/read cycle.
 func csvCarries(set Set) bool {
 	for _, tr := range set {
-		pts := tr.Points()
+		pts := tr.points
 		for i, p := range pts {
 			next := tr.End()
 			if i+1 < len(pts) {

@@ -139,7 +139,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatalf("same seed, different lengths: %d vs %d", a.Len(), b.Len())
 	}
-	pa, pb := a.Points(), b.Points()
+	pa, pb := a.points, b.points
 	for i := range pa {
 		if pa[i] != pb[i] {
 			t.Fatalf("same seed, different point %d", i)
@@ -193,7 +193,7 @@ func TestGenerateSetStablePerMarket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := small[k1].Points(), big[k1].Points()
+	a, b := small[k1].points, big[k1].points
 	if len(a) != len(b) {
 		t.Fatalf("adding a market changed another market's trace length")
 	}
@@ -240,7 +240,7 @@ func TestGeneratorInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pts := tr.Points()
+		pts := tr.points
 		if pts[0].T != 0 {
 			return false
 		}

@@ -44,7 +44,7 @@ func TestGenerateMarkovDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, pb := a.Points(), b.Points()
+	pa, pb := a.points, b.points
 	if len(pa) != len(pb) {
 		t.Fatal("same seed diverged")
 	}

@@ -88,10 +88,6 @@ func (tr *Trace) End() simkit.Time { return tr.end }
 // Len reports the number of price changes.
 func (tr *Trace) Len() int { return len(tr.points) }
 
-// Points returns a copy of the price-change points. Hot paths that only
-// iterate should prefer PointAt/Len (no copy) or a Cursor.
-func (tr *Trace) Points() []Point { return append([]Point(nil), tr.points...) }
-
 // PointAt returns the i-th price-change point without copying the whole
 // trace. The segment starting at PointAt(i) ends at PointAt(i+1).T, or at
 // End() for the last point.

@@ -167,15 +167,6 @@ func TestSampleGrid(t *testing.T) {
 	}
 }
 
-func TestPointsCopy(t *testing.T) {
-	tr := stepTrace(t)
-	pts := tr.Points()
-	pts[0].Price = 999
-	if tr.PriceAt(0) == 999 {
-		t.Error("Points() must return a copy")
-	}
-}
-
 // Property: for any bid, FractionBelow + fraction of excursion time == 1.
 func TestFractionExcursionComplement(t *testing.T) {
 	f := func(seed int64) bool {
