@@ -24,6 +24,21 @@
 //	GET    /trace                                   controller event trace (JSON)
 //	POST   /advance?d=1h                            advance virtual time
 //	GET    /clock                                   current virtual time
+//
+// One mutex, d.mu, guards the scheduler, the platform and the controller.
+// A handler holds it only for its controller call (daemon.serve); the value
+// that call returns owns no controller memory (VMInfo, Report,
+// CustomerReport, PoolInfo and MigrationEstimate are values, and Events
+// returns a copy), so it is encoded after the lock is released and a large
+// body never holds up a writer. /metrics and /trace take no daemon lock.
+//
+// JSON bodies are the bytes an encoding/json Encoder with SetIndent("",
+// "  ") writes. writeJSON lets encoding/json marshal compactly and indents
+// its output in one pass (indenter) that tracks only string and escape
+// state, instead of re-running the JSON scanner over every byte, streaming
+// the body to the client a chunk at a time. The value is marshalled whole
+// before the status is committed, so one encoding/json rejects is answered
+// 500 with {"error": …}.
 package main
 
 import (
@@ -130,13 +145,59 @@ func (d *daemon) clockLoop(ticks <-chan time.Time, start time.Time, speedup floa
 	}
 }
 
+// indentChunk is how much compact JSON jsonWriter indents per write to the
+// client: a few writes per large body, and a small buffer to keep.
+const indentChunk = 64 << 10
+
+// jsonWriter is the io.Writer writeJSON hands encoding/json. It indents
+// what the encoder writes and passes it on to w a chunk at a time, through
+// a buffer pooled across requests; its first Write commits status.
+type jsonWriter struct {
+	w      http.ResponseWriter
+	status int
+	wrote  bool
+	ix     indenter
+	buf    []byte
+}
+
+var jsonWriters = sync.Pool{New: func() any { return new(jsonWriter) }}
+
+func (jw *jsonWriter) Write(p []byte) (int, error) {
+	if !jw.wrote {
+		jw.wrote = true
+		jw.w.WriteHeader(jw.status)
+	}
+	for n := 0; n < len(p); {
+		k := min(len(p)-n, indentChunk)
+		jw.buf = jw.ix.append(jw.buf[:0], p[n:n+k])
+		if _, err := jw.w.Write(jw.buf); err != nil {
+			return n, err
+		}
+		n += k
+	}
+	return len(p), nil
+}
+
+// writeJSON answers with v encoded as an indented JSON body, the bytes an
+// encoding/json Encoder with SetIndent("", "  ") writes. The Encoder
+// marshals v whole before it writes a byte, so the status is committed only
+// for a value that encodes: one encoding/json rejects (a NaN, a channel) is
+// answered 500 with {"error": …} instead of status with an empty body.
 func (d *daemon) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	jw := jsonWriters.Get().(*jsonWriter)
+	*jw = jsonWriter{w: w, status: status, buf: jw.buf}
+	defer jsonWriters.Put(jw)
+	err := json.NewEncoder(jw).Encode(v)
+	switch {
+	case err == nil:
+	case jw.wrote:
+		log.Printf("spotcheckd: write: %v", err)
+	default:
 		log.Printf("spotcheckd: encode: %v", err)
+		jw.status = http.StatusInternalServerError
+		// A map of strings always encodes.
+		_ = json.NewEncoder(jw).Encode(map[string]string{"error": err.Error()})
 	}
 }
 
@@ -144,31 +205,48 @@ func (d *daemon) writeErr(w http.ResponseWriter, status int, err error) {
 	d.writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func (d *daemon) handleServers(w http.ResponseWriter, r *http.Request) {
+// locked runs call with d.mu held: the lock covers the controller call and
+// nothing else.
+func (d *daemon) locked(call func() (any, error)) (any, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return call()
+}
+
+// serve answers a request from the controller. call runs under d.mu; the
+// value it returns is encoded after the lock is released, so a large body
+// never holds up a writer. That value must own no controller memory (every
+// core accessor the handlers call returns values or copies). A non-nil
+// error is answered with errStatus.
+func (d *daemon) serve(w http.ResponseWriter, status, errStatus int, call func() (any, error)) {
+	v, err := d.locked(call)
+	if err != nil {
+		d.writeErr(w, errStatus, err)
+		return
+	}
+	d.writeJSON(w, status, v)
+}
+
+func (d *daemon) handleServers(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		customer := r.URL.Query().Get("customer")
-		typ := r.URL.Query().Get("type")
-		if customer == "" {
-			customer = "default"
-		}
-		if typ == "" {
-			typ = cloud.M3Medium
-		}
-		id, err := d.ctrl.RequestServerWithOptions(core.ServerOptions{
-			Customer:  customer,
-			Type:      typ,
+		opts := core.ServerOptions{
+			Customer:  r.URL.Query().Get("customer"),
+			Type:      r.URL.Query().Get("type"),
 			Stateless: r.URL.Query().Get("stateless") == "true",
-		})
-		if err != nil {
-			d.writeErr(w, http.StatusBadRequest, err)
-			return
 		}
-		d.writeJSON(w, http.StatusCreated, map[string]string{"id": string(id)})
+		if opts.Customer == "" {
+			opts.Customer = "default"
+		}
+		if opts.Type == "" {
+			opts.Type = cloud.M3Medium
+		}
+		d.serve(w, http.StatusCreated, http.StatusBadRequest, func() (any, error) {
+			id, err := d.ctrl.RequestServerWithOptions(opts)
+			return map[string]string{"id": string(id)}, err
+		})
 	case http.MethodGet:
-		d.writeJSON(w, http.StatusOK, d.ctrl.ListVMs())
+		d.serve(w, http.StatusOK, http.StatusInternalServerError, func() (any, error) { return d.ctrl.ListVMs(), nil })
 	default:
 		d.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 	}
@@ -185,22 +263,13 @@ func (d *daemon) handleServer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := nestedvm.ID(rest)
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	switch r.Method {
 	case http.MethodGet:
-		info, err := d.ctrl.DescribeVM(id)
-		if err != nil {
-			d.writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		d.writeJSON(w, http.StatusOK, info)
+		d.serve(w, http.StatusOK, http.StatusNotFound, func() (any, error) { return d.ctrl.DescribeVM(id) })
 	case http.MethodDelete:
-		if err := d.ctrl.ReleaseServer(id); err != nil {
-			d.writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		d.writeJSON(w, http.StatusOK, map[string]string{"released": string(id)})
+		d.serve(w, http.StatusOK, http.StatusNotFound, func() (any, error) {
+			return map[string]string{"released": string(id)}, d.ctrl.ReleaseServer(id)
+		})
 	default:
 		d.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 	}
@@ -211,13 +280,12 @@ func (d *daemon) handleServerEvents(w http.ResponseWriter, r *http.Request, id n
 		d.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, err := d.ctrl.DescribeVM(id); err != nil {
-		d.writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	d.writeJSON(w, http.StatusOK, d.ctrl.Events(id))
+	d.serve(w, http.StatusOK, http.StatusNotFound, func() (any, error) {
+		if _, err := d.ctrl.DescribeVM(id); err != nil {
+			return nil, err
+		}
+		return d.ctrl.Events(id), nil
+	})
 }
 
 func (d *daemon) handleServerEstimate(w http.ResponseWriter, r *http.Request, id nestedvm.ID) {
@@ -225,65 +293,50 @@ func (d *daemon) handleServerEstimate(w http.ResponseWriter, r *http.Request, id
 		d.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	est, err := d.ctrl.EstimateMigration(id)
-	if err != nil {
-		d.writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	d.writeJSON(w, http.StatusOK, est)
+	d.serve(w, http.StatusOK, http.StatusNotFound, func() (any, error) { return d.ctrl.EstimateMigration(id) })
 }
 
 func (d *daemon) handlePools(w http.ResponseWriter, _ *http.Request) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.writeJSON(w, http.StatusOK, d.ctrl.Pools())
+	d.serve(w, http.StatusOK, http.StatusInternalServerError, func() (any, error) { return d.ctrl.Pools(), nil })
 }
 
 func (d *daemon) handlePrices(w http.ResponseWriter, _ *http.Request) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	type price struct {
 		Type     string    `json:"type"`
 		Zone     string    `json:"zone"`
 		Spot     cloud.USD `json:"spot"`
 		OnDemand cloud.USD `json:"onDemand"`
 	}
-	var out []price
-	for _, typ := range d.plat.Catalog() {
-		for _, zone := range d.plat.Zones() {
-			p, err := d.plat.SpotPrice(typ.Name, zone)
-			if err != nil {
-				if errors.Is(err, cloud.ErrNotFound) {
-					continue // untraced market: nothing to list
+	d.serve(w, http.StatusOK, http.StatusInternalServerError, func() (any, error) {
+		var out []price
+		for _, typ := range d.plat.Catalog() {
+			for _, zone := range d.plat.Zones() {
+				p, err := d.plat.SpotPrice(typ.Name, zone)
+				if err != nil {
+					if errors.Is(err, cloud.ErrNotFound) {
+						continue // untraced market: nothing to list
+					}
+					return nil, err
 				}
-				d.writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-				return
+				out = append(out, price{Type: typ.Name, Zone: string(zone), Spot: p, OnDemand: typ.OnDemand})
 			}
-			out = append(out, price{Type: typ.Name, Zone: string(zone), Spot: p, OnDemand: typ.OnDemand})
 		}
-	}
-	d.writeJSON(w, http.StatusOK, out)
+		return out, nil
+	})
 }
 
 func (d *daemon) handleReport(w http.ResponseWriter, _ *http.Request) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.writeJSON(w, http.StatusOK, d.ctrl.Report())
+	d.serve(w, http.StatusOK, http.StatusInternalServerError, func() (any, error) { return d.ctrl.Report(), nil })
 }
 
 func (d *daemon) handleCustomers(w http.ResponseWriter, _ *http.Request) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.writeJSON(w, http.StatusOK, d.ctrl.Customers())
+	d.serve(w, http.StatusOK, http.StatusInternalServerError, func() (any, error) { return d.ctrl.Customers(), nil })
 }
 
 func (d *daemon) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	text, _ := d.locked(func() (any, error) { return d.ctrl.StatusText(), nil })
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, d.ctrl.StatusText())
+	fmt.Fprint(w, text)
 }
 
 // handleMetrics serves the Prometheus text exposition. It deliberately does
@@ -317,9 +370,9 @@ func (d *daemon) handleAdvance(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *daemon) handleClock(w http.ResponseWriter, _ *http.Request) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.writeJSON(w, http.StatusOK, map[string]string{"virtualTime": d.sched.Now().String()})
+	d.serve(w, http.StatusOK, http.StatusInternalServerError, func() (any, error) {
+		return map[string]string{"virtualTime": d.sched.Now().String()}, nil
+	})
 }
 
 func main() {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/simkit"
 )
@@ -677,5 +678,92 @@ func TestDaemonMetricsDuringAdvance(t *testing.T) {
 	}
 	if len(last) < 2 {
 		t.Errorf("scrapes found only %v", last)
+	}
+}
+
+// TestDaemonReadsDuringWrites runs readers of the routes that encode off
+// the daemon lock (/servers, /report, /customers, /servers/{id}/events)
+// against a writer that creates, advances and deletes (run it under
+// -race): every body decodes, and the controller counts exactly the
+// creates that succeeded.
+func TestDaemonReadsDuringWrites(t *testing.T) {
+	_, srv := testServer(t)
+	client := srv.Client()
+	do := func(method, path string) (int, []byte) {
+		req, _ := http.NewRequest(method, srv.URL+path, nil)
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Error(err)
+			return 0, nil
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		return resp.StatusCode, body
+	}
+	create := func() string {
+		status, body := do(http.MethodPost, "/servers?customer=w")
+		var created map[string]string
+		if status != http.StatusCreated || json.Unmarshal(body, &created) != nil {
+			t.Errorf("create: %d %s", status, body)
+		}
+		return created["id"]
+	}
+	watched := create() // read by /events, never deleted
+	posts := 1
+
+	done := make(chan struct{})
+	readersDone := make(chan struct{})
+	readers := []string{"/servers", "/report", "/customers", "/servers/" + watched + "/events"}
+	for _, path := range readers {
+		go func() {
+			defer func() { readersDone <- struct{}{} }()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				status, body := do(http.MethodGet, path)
+				var v any
+				if status != http.StatusOK || json.Unmarshal(body, &v) != nil {
+					t.Errorf("GET %s: %d %q", path, status, body)
+					return
+				}
+			}
+		}()
+	}
+	var owned []string
+	for i := 0; i < 30; i++ {
+		switch i % 3 {
+		case 0:
+			owned = append(owned, create())
+			posts++
+		case 1:
+			if status, body := do(http.MethodPost, "/advance?d=20m"); status != http.StatusOK {
+				t.Errorf("advance: %d %s", status, body)
+			}
+		case 2:
+			if len(owned) > 2 {
+				if status, body := do(http.MethodDelete, "/servers/"+owned[0]); status != http.StatusOK {
+					t.Errorf("delete %s: %d %s", owned[0], status, body)
+				}
+				owned = owned[1:]
+			}
+		}
+	}
+	close(done)
+	for range readers {
+		<-readersDone
+	}
+	status, body := do(http.MethodGet, "/report")
+	var report core.Report
+	if status != http.StatusOK || json.Unmarshal(body, &report) != nil {
+		t.Fatalf("final /report: %d %s", status, body)
+	}
+	if report.Stats.VMsCreated != posts {
+		t.Errorf("VMsCreated = %d, %d POSTs succeeded", report.Stats.VMsCreated, posts)
 	}
 }

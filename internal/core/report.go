@@ -171,7 +171,10 @@ func (c *Controller) Customers() []CustomerReport {
 		a.down.add(d)
 		totalService.add(life)
 	})
-	rep := c.Report()
+	// Settle as Report does (through Stats): an embedder's lock-free
+	// metrics read the same counters after either.
+	c.Settle()
+	bill := c.bill()
 	names := make([]string, 0, len(byName))
 	for n := range byName {
 		names = append(names, n)
@@ -191,10 +194,10 @@ func (c *Controller) Customers() []CustomerReport {
 		}
 		var share float64
 		if totalService.positive() {
-			share += float64(rep.HostCost+rep.SpareCost) * a.service.ns() / totalService.ns()
+			share += float64(bill.host+bill.spare) * a.service.ns() / totalService.ns()
 		}
 		if totalStateful.positive() {
-			share += float64(rep.BackupCost) * a.stateful.ns() / totalStateful.ns()
+			share += float64(bill.backup) * a.stateful.ns() / totalStateful.ns()
 		}
 		cr.CostShare = cloud.USD(share)
 		out = append(out, cr)
@@ -253,38 +256,9 @@ func (c *Controller) Report() Report {
 		r.Availability = 1
 	}
 
-	// Rentals scrubbed out of the ledger folded their final costs into
-	// rentalFinal; live entries are summed below. A terminated instance's
-	// bill never changes, so it is memoized on first read.
-	r.HostCost = c.rentalFinal[rentalHost]
-	r.BackupCost = c.rentalFinal[rentalBackup]
-	r.SpareCost = c.rentalFinal[rentalSpare]
-	for i := range c.rentals {
-		rt := &c.rentals[i]
-		cost := rt.cost
-		if !rt.final {
-			var err error
-			cost, err = c.prov.AccruedCost(rt.inst.ID)
-			if err != nil {
-				// An unpriceable rental must not vanish from the bill
-				// silently; record it so TotalCost's undercount is visible.
-				r.BillingErrors++
-				r.BillingErrSample = fmt.Sprintf("%s: %v", rt.inst.ID, err)
-				continue
-			}
-			if rt.inst.State == cloud.StateTerminated {
-				rt.cost, rt.final = cost, true
-			}
-		}
-		switch rt.kind {
-		case rentalHost:
-			r.HostCost += cost
-		case rentalBackup:
-			r.BackupCost += cost
-		case rentalSpare:
-			r.SpareCost += cost
-		}
-	}
+	bill := c.bill()
+	r.HostCost, r.BackupCost, r.SpareCost = bill.host, bill.backup, bill.spare
+	r.BillingErrors, r.BillingErrSample = bill.errors, bill.errSample
 	r.TotalCost = r.HostCost + r.BackupCost + r.SpareCost
 	if r.VMHours > 0 {
 		r.CostPerVMHour = cloud.USD(float64(r.TotalCost) / r.VMHours)
@@ -299,6 +273,54 @@ func (c *Controller) Report() Report {
 	r.BackupServers = c.backups.Size()
 	r.BackupVMsMax = c.backups.MaxVMsPerServer()
 	return r
+}
+
+// rentalBill is every rental's cost so far, by what it was rented for.
+type rentalBill struct {
+	host, backup, spare cloud.USD
+	// errors counts rentals whose provider cost query failed (they are
+	// left out of the sums); errSample is the last such failure.
+	errors    int
+	errSample string
+}
+
+// bill sums the cost of every rental so far. Rentals scrubbed out of
+// the ledger folded their final costs into rentalFinal; live entries are
+// asked of the provider. A terminated instance's bill never changes, so it
+// is memoized on first read.
+func (c *Controller) bill() rentalBill {
+	b := rentalBill{
+		host:   c.rentalFinal[rentalHost],
+		backup: c.rentalFinal[rentalBackup],
+		spare:  c.rentalFinal[rentalSpare],
+	}
+	for i := range c.rentals {
+		rt := &c.rentals[i]
+		cost := rt.cost
+		if !rt.final {
+			var err error
+			cost, err = c.prov.AccruedCost(rt.inst.ID)
+			if err != nil {
+				// An unpriceable rental must not vanish from the bill
+				// silently; count it so the undercount is visible.
+				b.errors++
+				b.errSample = fmt.Sprintf("%s: %v", rt.inst.ID, err)
+				continue
+			}
+			if rt.inst.State == cloud.StateTerminated {
+				rt.cost, rt.final = cost, true
+			}
+		}
+		switch rt.kind {
+		case rentalHost:
+			b.host += cost
+		case rentalBackup:
+			b.backup += cost
+		case rentalSpare:
+			b.spare += cost
+		}
+	}
+	return b
 }
 
 // VMInfo is the customer-visible view of a nested VM.
