@@ -1,11 +1,27 @@
-// Command spotsim runs the paper's six-month policy simulations: Figure 10
-// (average cost per VM-hour), Figure 11 (unavailability), Figure 12
-// (performance degradation), Table 3 (concurrent-revocation storms) and the
-// headline cost/availability comparison.
+// Command spotsim prints every table and figure of the paper's evaluation
+// (§6). The six-month policy simulations: Figure 10 (average cost per
+// VM-hour), Figure 11 (unavailability), Figure 12 (performance degradation),
+// Table 3 (concurrent-revocation storms) and the headline cost/availability
+// comparison. The spot-market characterization: Figure 1 (a price series
+// spiking far above on-demand), Figures 6a-6d (availability vs bid, hourly
+// jump CDFs, cross-zone and cross-type correlations) and the bid curves of
+// §4.4's cost model. The microbenchmarks: Table 1 (control-plane operation
+// latencies, 20 samples each), Figure 7 (backup-server multiplexing),
+// Figure 8 (concurrent restoration) and Figure 9 (TPC-W response time during
+// lazy restoration).
 //
 // Usage:
 //
-//	spotsim [-exp all|fig10|fig11|fig12|table3|headline|ablations|catalog|scale|scenarios] [-metrics] [-vms 40] [-months 6] [-seed 42] [-parallel N] [-fleet N] [-shards N] [-scenarios names] [-scenario file.json] [-cpuprofile f] [-memprofile f]
+//	spotsim [-exp name] [-metrics] [-vms 40] [-months 6] [-seed 42] [-parallel N] [-fleet N] [-shards N] [-scenarios names] [-scenario file.json] [-replay file.csv] [-cpuprofile f] [-memprofile f]
+//
+// -exp names one section or a group of them:
+//
+//	all         fig10 fig11 fig12 table3 headline ablations catalog
+//	market      fig1 fig6a fig6b fig6c fig6d bidcurve
+//	mechanisms  table1 fig7 fig8 fig9
+//
+// scale, scenarios and traces belong to no group and run only by name.
+// Table 1 in EXPERIMENTS.md is printed with -seed 1.
 //
 // The simulations in a batch are fully independent, so spotsim fans them
 // out across the experiments sweep engine; -parallel bounds the worker
@@ -17,14 +33,21 @@
 // generated 54-market catalog (docs/ARCHITECTURE.md, "Generated catalog"),
 // reporting cost, revocations and availability per policy.
 //
-// The scale experiment (docs/SCALING.md) is the one member excluded from
-// -exp all: it climbs synthetic fleets of 1k/10k/100k nested VMs over the
-// full horizon and reports ns per simulated VM-hour and bytes per VM.
-// -fleet N replaces the ladder with a single rung of N VMs; -shards N
-// splits every rung across N independent event loops whose reports merge
-// into one fleet view (docs/ARCHITECTURE.md, "Sharded execution"). Both
-// flags are errors without -exp scale, as -scenarios/-scenario are without
-// -exp scenarios: spotsim rejects a flag it would otherwise ignore.
+// The scale experiment (docs/SCALING.md) climbs synthetic fleets of
+// 1k/10k/100k nested VMs over the full horizon and reports ns per simulated
+// VM-hour and bytes per VM. -fleet N replaces the ladder with a single rung
+// of N VMs; -shards N splits every rung across N independent event loops
+// whose reports merge into one fleet view (docs/ARCHITECTURE.md, "Sharded
+// execution"). Both flags are errors without -exp scale, as
+// -scenarios/-scenario are without -exp scenarios and -replay is without
+// -exp fig6a or fig6b: spotsim rejects a flag it would otherwise ignore.
+//
+// -replay computes Figure 6a or 6b from a price archive instead of the
+// generator: this repo's CSV (what -exp traces writes) or an AWS
+// describe-spot-price-history export, with or without its header row.
+//
+// -exp traces writes the four m3 markets the policy simulations run on, for
+// -months and -seed, to stdout as CSV.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the selected
 // experiments (the heap profile is taken after a forced GC at exit), so
@@ -34,10 +57,10 @@
 // the declarative scenario campaigns of internal/scenario — diurnal
 // arrivals, coordinated revocation storms, price wars, a degraded control
 // plane and CSV trace replay — and prints the availability/cost SLO report.
-// Like scale it runs only when asked for by name: its cells carry their own
-// fleet sizes and horizons, so the global -vms/-months knobs do not apply.
-// -scenarios picks a comma-separated subset of the library; -scenario runs
-// a single JSON spec file instead of the library.
+// Its cells carry their own fleet sizes and horizons, so the global
+// -vms/-months knobs do not apply. -scenarios picks a comma-separated subset
+// of the library; -scenario runs a single JSON spec file instead of the
+// library.
 //
 // The -metrics flag additionally prints the headline simulation's
 // end-of-run observability snapshot (every spotcheck_* and spotcheck_cloudsim_*
@@ -45,23 +68,27 @@
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/simkit"
+	"repro/internal/spotmarket"
 )
 
 func main() {
 	opts := runOpts{}
-	flag.StringVar(&opts.exp, "exp", "all", "experiment: all, fig10, fig11, fig12, table3, headline, ablations, catalog, scale, scenarios")
+	flag.StringVar(&opts.exp, "exp", "all", "section or group: all, market, mechanisms, fig10, fig11, fig12, table3, headline, ablations, catalog, fig1, fig6a, fig6b, fig6c, fig6d, bidcurve, table1, fig7, fig8, fig9, scale, scenarios, traces")
 	flag.BoolVar(&opts.metrics, "metrics", false, "print the headline run's metrics snapshot")
 	flag.IntVar(&opts.vms, "vms", 40, "nested VM fleet size")
 	flag.Float64Var(&opts.months, "months", 6, "simulation horizon in months")
@@ -71,6 +98,7 @@ func main() {
 	flag.IntVar(&opts.shards, "shards", 0, "scale experiment shard count (0 and 1 both mean one event loop)")
 	flag.StringVar(&opts.scenarios, "scenarios", "", "comma-separated library subset for -exp scenarios (empty = whole library)")
 	flag.StringVar(&opts.scenarioFile, "scenario", "", "JSON scenario spec file to run instead of the library")
+	flag.StringVar(&opts.replay, "replay", "", "price archive for -exp fig6a/fig6b instead of generated traces: this repo's CSV or an AWS price-history CSV")
 	flag.StringVar(&opts.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&opts.memprofile, "memprofile", "", "write a post-run heap profile to this file")
 	flag.Parse()
@@ -81,19 +109,35 @@ func main() {
 	}
 }
 
-// knownExperiments are the accepted -exp values.
-var knownExperiments = map[string]bool{
-	"all":       true,
-	"fig10":     true,
-	"fig11":     true,
-	"fig12":     true,
-	"table3":    true,
-	"headline":  true,
-	"ablations": true,
-	"catalog":   true,
-	"scale":     true,
-	"scenarios": true,
+// groups are the -exp values that print several sections, listed in the
+// order they print.
+var groups = map[string][]string{
+	"all":        {"fig10", "fig11", "fig12", "table3", "headline", "ablations", "catalog"},
+	"market":     {"fig1", "fig6a", "fig6b", "fig6c", "fig6d", "bidcurve"},
+	"mechanisms": {"table1", "fig7", "fig8", "fig9"},
 }
+
+// ungrouped are the sections only their own name runs: the scale ladder
+// tops out at 100k VMs, the scenario cells size themselves, and traces is
+// CSV, not a figure.
+var ungrouped = []string{"scale", "scenarios", "traces"}
+
+// known reports whether exp is an accepted -exp value.
+func known(exp string) bool {
+	if _, ok := groups[exp]; ok || slices.Contains(ungrouped, exp) {
+		return true
+	}
+	for _, sections := range groups {
+		if slices.Contains(sections, exp) {
+			return true
+		}
+	}
+	return false
+}
+
+// table1Samples is how often Table 1 measures each operation: the paper's
+// count.
+const table1Samples = 20
 
 // runOpts carries every flag; the zero value of the optional fields matches
 // the flag defaults tests rely on.
@@ -108,6 +152,7 @@ type runOpts struct {
 	shards       int    // scale experiment shard count
 	scenarios    string // comma-separated library subset
 	scenarioFile string // JSON spec path
+	replay       string // price archive for fig6a/fig6b
 	cpuprofile   string // pprof CPU profile path
 	memprofile   string // pprof heap profile path
 }
@@ -166,24 +211,36 @@ func runExperiments(w io.Writer, o runOpts) error {
 		o.exp, o.vms, o.months, o.seed, o.metrics, o.parallel, o.fleet
 	// Validate up front: an unknown -exp must error even when -metrics (or
 	// any other output) would otherwise produce something.
-	if !knownExperiments[exp] {
+	if !known(exp) {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
+	// A zero would otherwise run the defaults under a label that says zero.
+	if !(months > 0) {
+		return fmt.Errorf("-months must be positive (got %v)", months)
+	}
+	if vms <= 0 {
+		return fmt.Errorf("-vms must be positive (got %d)", vms)
+	}
 	// A flag only one experiment reads is an error anywhere else, not a
-	// silently unsharded (or library-wide) run.
+	// silently unsharded (or library-wide, or generated) run.
 	if exp != "scale" && (fleet != 0 || o.shards != 0) {
 		return fmt.Errorf("-fleet and -shards only apply to -exp scale (got -exp %s)", exp)
 	}
 	if exp != "scenarios" && (o.scenarios != "" || o.scenarioFile != "") {
 		return fmt.Errorf("-scenarios and -scenario only apply to -exp scenarios (got -exp %s)", exp)
 	}
-	horizon := simkit.Time(float64(30*simkit.Day) * months)
-	// The scale ladder tops out at 100k VMs and the scenario cells size
-	// themselves, so neither rides along with "all"; they run only when
-	// asked for by name.
-	want := func(f string) bool {
-		return exp == f || (exp == "all" && f != "scale" && f != "scenarios")
+	if exp != "fig6a" && exp != "fig6b" && o.replay != "" {
+		return fmt.Errorf("-replay only applies to -exp fig6a and -exp fig6b (got -exp %s)", exp)
 	}
+	var replay spotmarket.Set
+	if o.replay != "" {
+		var err error
+		if replay, err = loadTraces(o.replay); err != nil {
+			return err
+		}
+	}
+	horizon := simkit.Time(float64(30*simkit.Day) * months)
+	want := func(f string) bool { return exp == f || slices.Contains(groups[exp], f) }
 
 	// One session for the invocation: a simulation two sections share (Table
 	// 3's pools, the headline and several ablation control arms are matrix
@@ -286,6 +343,114 @@ func runExperiments(w io.Writer, o runOpts) error {
 		fmt.Fprint(w, scenario.CampaignTable(results).String())
 		fmt.Fprintln(w)
 	}
+	if err := runMarket(w, want, horizon, seed, replay); err != nil {
+		return err
+	}
+	if err := runMechanisms(w, want, seed); err != nil {
+		return err
+	}
+	if want("traces") {
+		set, err := experiments.EvalTraces(horizon, seed)
+		if err != nil {
+			return err
+		}
+		return spotmarket.WriteCSV(w, set)
+	}
+	return nil
+}
+
+// runMarket prints the spot-market sections; Figures 6a and 6b read replay
+// instead of generated traces when it is set.
+func runMarket(w io.Writer, want func(string) bool, horizon simkit.Time, seed int64, replay spotmarket.Set) error {
+	if want("fig1") {
+		s, err := experiments.Fig1(seed)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, experiments.Fig1Chart(s))
+		fmt.Fprintln(w)
+	}
+	if want("fig6a") {
+		var rows []experiments.Fig6aRow
+		if replay != nil {
+			rows = experiments.Fig6aFromSet(replay)
+		} else {
+			var err error
+			if rows, err = experiments.Fig6a(horizon, seed); err != nil {
+				return err
+			}
+		}
+		if len(rows) == 0 {
+			return fmt.Errorf("no markets for figure 6a")
+		}
+		fmt.Fprint(w, experiments.Fig6aTable(rows).String())
+		fmt.Fprintln(w)
+	}
+	if want("fig6b") {
+		var inc, dec *analysis.CDF
+		if replay != nil {
+			inc, dec = experiments.Fig6bFromSet(replay)
+		} else {
+			var err error
+			if inc, dec, err = experiments.Fig6b(horizon, seed); err != nil {
+				return err
+			}
+		}
+		fmt.Fprint(w, experiments.JumpCDFTable(inc, dec).String())
+		fmt.Fprintf(w, "max increase %.0f%%, max decrease %.0f%%\n\n", inc.Max(), dec.Max())
+	}
+	if want("fig6c") {
+		m, err := experiments.Fig6c(18, horizon, seed)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, experiments.RenderCorrelation("Fig 6c: price correlations across 18 zones", m))
+		fmt.Fprintln(w)
+	}
+	if want("fig6d") {
+		m, err := experiments.Fig6d(15, horizon, seed)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, experiments.RenderCorrelation("Fig 6d: price correlations across 15 instance types", m))
+		fmt.Fprintln(w)
+	}
+	if want("bidcurve") {
+		set, err := experiments.EvalTraces(horizon, seed)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, experiments.RenderBidCurves(set))
+	}
+	return nil
+}
+
+// runMechanisms prints the microbenchmark sections.
+func runMechanisms(w io.Writer, want func(string) bool, seed int64) error {
+	if want("table1") {
+		t, err := experiments.Table1(table1Samples, seed)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, t.String())
+		fmt.Fprintln(w)
+	}
+	if want("fig7") {
+		fmt.Fprint(w, experiments.Fig7Table(experiments.Fig7(nil)).String())
+		fmt.Fprintln(w)
+	}
+	if want("fig8") {
+		rows, err := experiments.Fig8(nil)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, experiments.Fig8Table(rows).String())
+		fmt.Fprintln(w)
+	}
+	if want("fig9") {
+		fmt.Fprint(w, experiments.Fig9Table(experiments.Fig9(nil)).String())
+		fmt.Fprintln(w)
+	}
 	return nil
 }
 
@@ -314,4 +479,27 @@ func campaignSpecs(o runOpts) ([]scenario.Spec, error) {
 		specs = append(specs, s)
 	}
 	return specs, nil
+}
+
+// loadTraces reads a -replay archive: this repo's CSV schema or the AWS
+// price-history schema. The first record decides: a "timestamp" header or
+// an RFC 3339 first field is the AWS format, which may come without its
+// header.
+func loadTraces(path string) (spotmarket.Set, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	first, err := csv.NewReader(f).Read()
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	if _, perr := time.Parse(time.RFC3339, first[0]); first[0] == "timestamp" || perr == nil {
+		return spotmarket.ReadAWSPriceHistory(f, time.Time{})
+	}
+	return spotmarket.ReadCSV(f)
 }

@@ -88,11 +88,7 @@ type SlicingAblation struct {
 	SlicedMaxStorm    int
 }
 
-// AblationSlicing runs the comparison.
-func AblationSlicing(vms int, horizon simkit.Time, seed int64, workers ...int) (SlicingAblation, error) {
-	return NewSession(sweepWorkers(workers)).ablationSlicing(vms, horizon, seed)
-}
-
+// ablationSlicing runs the comparison.
 func (s *Session) ablationSlicing(vms int, horizon simkit.Time, seed int64) (SlicingAblation, error) {
 	// A market where m3.large costs 1.2x m3.medium (i.e. 0.6x per slot),
 	// both spiking together so storms are comparable. Generated once: both
@@ -155,12 +151,8 @@ type BiddingAblationRow struct {
 	UnavailabilityPct float64
 }
 
-// AblationBidding compares bid=OD against k×OD (with proactive migration)
+// ablationBidding compares bid=OD against k×OD (with proactive migration)
 // on the stormy 4-pool placement.
-func AblationBidding(vms int, horizon simkit.Time, seed int64, workers ...int) ([]BiddingAblationRow, error) {
-	return NewSession(sweepWorkers(workers)).ablationBidding(vms, horizon, seed)
-}
-
 func (s *Session) ablationBidding(vms int, horizon simkit.Time, seed int64) ([]BiddingAblationRow, error) {
 	policies := []struct {
 		name string
@@ -220,7 +212,7 @@ type DestinationAblationRow struct {
 	SpareCost         float64
 }
 
-// AblationDestination compares lazy on-demand acquisition, hot spares and
+// ablationDestination compares lazy on-demand acquisition, hot spares and
 // staging servers under the stormy 4-pool placement — with the revocation
 // warning shrunk to 45 s, *below* the ~62 s on-demand startup latency.
 // This is exactly the regime §4.3 motivates spares with: "requesting new
@@ -228,10 +220,6 @@ type DestinationAblationRow struct {
 // them is smaller than the warning period". (With EC2's full 120 s window,
 // lazy acquisition hides the startup behind the degraded drain and spares
 // buy nothing — the paper's own observation.)
-func AblationDestination(vms int, horizon simkit.Time, seed int64, workers ...int) ([]DestinationAblationRow, error) {
-	return NewSession(sweepWorkers(workers)).ablationDestination(vms, horizon, seed)
-}
-
 func (s *Session) ablationDestination(vms int, horizon simkit.Time, seed int64) ([]DestinationAblationRow, error) {
 	configs := []struct {
 		name   string
@@ -294,11 +282,7 @@ type StatelessAblation struct {
 	BackupServersSaved   int
 }
 
-// AblationStateless runs the comparison on the calm 1P-M pool.
-func AblationStateless(vms int, horizon simkit.Time, seed int64, workers ...int) (StatelessAblation, error) {
-	return NewSession(sweepWorkers(workers)).ablationStateless(vms, horizon, seed)
-}
-
+// ablationStateless runs the comparison on the calm 1P-M pool.
 func (s *Session) ablationStateless(vms int, horizon simkit.Time, seed int64) (StatelessAblation, error) {
 	spec := func(name string, stateless bool) RunSpec {
 		return RunSpec{ID: name, Cfg: PolicyRunConfig{
@@ -343,14 +327,10 @@ type PredictiveAblation struct {
 	OnCostPerHour  float64
 }
 
-// AblationPredictive runs the comparison on the stormy pools. Synthetic
+// ablationPredictive runs the comparison on the stormy pools. Synthetic
 // spikes are near-instantaneous, so the trend predictor catches only
 // spikes whose onset straddles a monitor tick — the honest result the
 // paper hints at: trend prediction is hard without high-frequency signals.
-func AblationPredictive(vms int, horizon simkit.Time, seed int64, workers ...int) (PredictiveAblation, error) {
-	return NewSession(sweepWorkers(workers)).ablationPredictive(vms, horizon, seed)
-}
-
 func (s *Session) ablationPredictive(vms int, horizon simkit.Time, seed int64) (PredictiveAblation, error) {
 	spec := func(name string, pred core.PredictiveConfig) RunSpec {
 		return RunSpec{ID: name, Cfg: PolicyRunConfig{
@@ -393,12 +373,8 @@ type ZoneSpreadAblation struct {
 	ThreeZoneUnavailPct float64
 }
 
-// AblationZoneSpread compares storm sizes with and without zone spreading
+// ablationZoneSpread compares storm sizes with and without zone spreading
 // of the medium pool across three zones with independent prices.
-func AblationZoneSpread(vms int, horizon simkit.Time, seed int64, workers ...int) (ZoneSpreadAblation, error) {
-	return NewSession(sweepWorkers(workers)).ablationZoneSpread(vms, horizon, seed)
-}
-
 func (s *Session) ablationZoneSpread(vms int, horizon simkit.Time, seed int64) (ZoneSpreadAblation, error) {
 	zones := []cloud.Zone{"zone-a", "zone-b", "zone-c"}
 	configs := map[spotmarket.MarketKey]spotmarket.GenConfig{}
@@ -526,13 +502,9 @@ type BillingAblation struct {
 	DeltaPct float64
 }
 
-// AblationBilling runs the comparison on the stormy 4-pool placement,
+// ablationBilling runs the comparison on the stormy 4-pool placement,
 // where frequent revocations make both hourly rounding (more cost) and
 // free reclaimed hours (less cost) matter.
-func AblationBilling(vms int, horizon simkit.Time, seed int64, workers ...int) (BillingAblation, error) {
-	return NewSession(sweepWorkers(workers)).ablationBilling(vms, horizon, seed)
-}
-
 func (s *Session) ablationBilling(vms int, horizon simkit.Time, seed int64) (BillingAblation, error) {
 	spec := func(name string, increment simkit.Time) RunSpec {
 		return RunSpec{ID: name, Cfg: PolicyRunConfig{
@@ -575,13 +547,9 @@ type TraceModelAblation struct {
 	Savings      float64
 }
 
-// AblationTraceModel runs the 1P-M SpotCheck-lazy headline under three
+// ablationTraceModel runs the 1P-M SpotCheck-lazy headline under three
 // different m3.medium price processes: the calibrated overlay generator,
 // the two-state Markov model, and a generate→fit→regenerate round trip.
-func AblationTraceModel(vms int, horizon simkit.Time, seed int64, workers ...int) ([]TraceModelAblation, error) {
-	return NewSession(sweepWorkers(workers)).ablationTraceModel(vms, horizon, seed)
-}
-
 func (s *Session) ablationTraceModel(vms int, horizon simkit.Time, seed int64) ([]TraceModelAblation, error) {
 	const od = cloud.USD(0.07)
 	mediumKey := spotmarket.MarketKey{Type: cloud.M3Medium, Zone: EvalZone}

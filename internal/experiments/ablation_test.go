@@ -29,7 +29,7 @@ func TestAblationFlushShape(t *testing.T) {
 }
 
 func TestAblationSlicingSaves(t *testing.T) {
-	res, err := AblationSlicing(8, shortHorizon, 42)
+	res, err := NewSession(0).ablationSlicing(8, shortHorizon, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestAblationSlicingSaves(t *testing.T) {
 }
 
 func TestAblationBiddingTradeoff(t *testing.T) {
-	rows, err := AblationBidding(8, shortHorizon, 42)
+	rows, err := NewSession(0).ablationBidding(8, shortHorizon, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestAblationBiddingTradeoff(t *testing.T) {
 }
 
 func TestAblationDestinationTradeoff(t *testing.T) {
-	rows, err := AblationDestination(8, shortHorizon, 42)
+	rows, err := NewSession(0).ablationDestination(8, shortHorizon, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestAblationDestinationTradeoff(t *testing.T) {
 }
 
 func TestAblationStatelessSavesBackup(t *testing.T) {
-	res, err := AblationStateless(8, shortHorizon, 42)
+	res, err := NewSession(0).ablationStateless(8, shortHorizon, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestAblationStatelessSavesBackup(t *testing.T) {
 }
 
 func TestAblationPredictiveNeverLosesState(t *testing.T) {
-	res, err := AblationPredictive(8, shortHorizon, 42)
+	res, err := NewSession(0).ablationPredictive(8, shortHorizon, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestAblationPredictiveNeverLosesState(t *testing.T) {
 }
 
 func TestAblationZoneSpreadShrinksStorms(t *testing.T) {
-	res, err := AblationZoneSpread(9, shortHorizon, 42)
+	res, err := NewSession(0).ablationZoneSpread(9, shortHorizon, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestRenderAblations(t *testing.T) {
 // The headline conclusion must be robust to the price-process model: every
 // model yields multi-x savings at >=99.9% availability.
 func TestAblationTraceModelRobust(t *testing.T) {
-	rows, err := AblationTraceModel(8, shortHorizon, 42)
+	rows, err := NewSession(0).ablationTraceModel(8, shortHorizon, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

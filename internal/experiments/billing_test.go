@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestAblationBillingEffects(t *testing.T) {
-	res, err := AblationBilling(8, shortHorizon, 42)
+	res, err := NewSession(0).ablationBilling(8, shortHorizon, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/cloudsim"
+	"repro/internal/core"
 	"repro/internal/simkit"
 	"repro/internal/spotmarket"
 )
@@ -111,5 +114,71 @@ func TestCatalogComparisonSmoke(t *testing.T) {
 		if !strings.Contains(table, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, table)
 		}
+	}
+}
+
+// largeCatalogChoose returns one cheapest-compatible placement decision over
+// the full generated catalog (18 HVM types × 3 zones = 54 spot markets) —
+// the catalog scan, feasibility filter and per-slice price comparison that
+// run on every acquisition at scale — and the number of markets it scans.
+func largeCatalogChoose(tb testing.TB) (choose func() error, markets int) {
+	cat, err := cloud.GenerateCatalog(cloud.DefaultCatalogSpec())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	traces, err := CatalogTraces(cat, 2*simkit.Day, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plat, err := cloudsim.New(simkit.NewScheduler(), cloudsim.Config{
+		Traces:    traces,
+		Catalog:   cat.Types,
+		Zones:     cat.Zones,
+		Latencies: cloudsim.ZeroOpLatencies(),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req, ok := cat.TypeByName(cloud.M3Medium)
+	if !ok {
+		tb.Fatal("m3.medium missing from generated catalog")
+	}
+	ctx := &core.PlacementContext{
+		Requested: req,
+		Provider:  plat,
+		History:   core.NewHistory(),
+		Rand:      rand.New(rand.NewSource(42)),
+	}
+	policy := core.NewCheapestCompatiblePolicy(nil)
+	return func() error {
+		_, _, err := policy.Choose(ctx)
+		return err
+	}, len(traces)
+}
+
+// BenchmarkChooseCompatibleLargeCatalog measures largeCatalogChoose.
+func BenchmarkChooseCompatibleLargeCatalog(b *testing.B) {
+	choose, markets := largeCatalogChoose(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := choose(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(markets), "markets")
+}
+
+// The decision runs on every acquisition, so what it allocates must not
+// grow with the markets scanned: only the provider's copies of its catalog
+// and zone list.
+func TestChooseCompatibleLargeCatalogAllocs(t *testing.T) {
+	choose, _ := largeCatalogChoose(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := choose(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("Choose over the 54-market catalog allocates %.1f allocs/op, want <= 2", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/cloud"
@@ -106,6 +107,24 @@ func Knee(points []BidPoint, epsilon float64) (BidPoint, error) {
 		}
 	}
 	return points[len(points)-1], nil
+}
+
+// RenderBidCurves renders every market's bid curve, at 23 s of downtime per
+// migration, followed by its knee where one exists.
+func RenderBidCurves(set spotmarket.Set) string {
+	var b strings.Builder
+	for _, key := range set.Keys() {
+		od := onDemandPrice(key.Type)
+		points := BidCurve(set[key], od, nil, 23*simkit.Second)
+		b.WriteString(BidCurveTable(
+			fmt.Sprintf("Bid curve (%s, on-demand $%.2f/hr): expected cost & availability vs bid", key, float64(od)),
+			points).String())
+		if knee, err := Knee(points, 0.005); err == nil {
+			fmt.Fprintf(&b, "knee at bid = %.2fx on-demand\n", knee.Ratio)
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
 }
 
 // BidCurveTable renders a bid curve.

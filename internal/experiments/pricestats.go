@@ -41,6 +41,17 @@ func Fig1(seed int64) (analysis.Series, error) {
 	}, nil
 }
 
+// Fig1Chart renders Figure 1's series on a log scale, with the on-demand
+// price as a dashed line.
+func Fig1Chart(s analysis.Series) string {
+	chart := analysis.AsciiChart{
+		Title:   s.Name + " [log scale, dashes = on-demand price]",
+		YMarker: 0.06,
+		LogY:    true,
+	}
+	return chart.Render(s.X, s.Y)
+}
+
 // Fig6aRow is one instance type's availability-vs-bid curve.
 type Fig6aRow struct {
 	Type   string
@@ -68,19 +79,42 @@ func Fig6aFromSet(set spotmarket.Set) []Fig6aRow {
 	}
 	var rows []Fig6aRow
 	for _, key := range set.Keys() {
-		od := cloud.USD(0.07)
-		for _, it := range cloud.DefaultCatalog() {
-			if it.Name == key.Type {
-				od = it.OnDemand
-			}
-		}
 		rows = append(rows, Fig6aRow{
 			Type:   key.String(),
 			Ratios: ratios,
-			Avail:  spotmarket.AvailabilityCurve(set[key], od, ratios),
+			Avail:  spotmarket.AvailabilityCurve(set[key], onDemandPrice(key.Type), ratios),
 		})
 	}
 	return rows
+}
+
+// onDemandPrice is typ's on-demand price in the default catalog, or the
+// m3.medium price for a type the catalog does not list.
+func onDemandPrice(typ string) cloud.USD {
+	for _, it := range cloud.DefaultCatalog() {
+		if it.Name == typ {
+			return it.OnDemand
+		}
+	}
+	return 0.07
+}
+
+// Fig6aTable renders Figure 6a's curves, one availability column per
+// market; rows must not be empty.
+func Fig6aTable(rows []Fig6aRow) *analysis.Table {
+	headers := []string{"ratio"}
+	for _, r := range rows {
+		headers = append(headers, r.Type)
+	}
+	t := analysis.NewTable("Fig 6a: availability CDF vs bid/on-demand ratio", headers...)
+	for i, ratio := range rows[0].Ratios {
+		cells := []any{ratio}
+		for _, r := range rows {
+			cells = append(cells, r.Avail[i])
+		}
+		t.AddRow(cells...)
+	}
+	return t
 }
 
 // Fig6b reproduces Figure 6b: the CDF of hourly percentage price jumps

@@ -39,14 +39,6 @@ type RunError struct {
 func (e *RunError) Error() string { return fmt.Sprintf("run %s: %v", e.ID, e.Err) }
 func (e *RunError) Unwrap() error { return e.Err }
 
-// SweepOptions configures a sweep.
-type SweepOptions struct {
-	// Workers bounds the number of simulations in flight; <= 0 means
-	// runtime.GOMAXPROCS(0). Results are identical regardless of the
-	// worker count — only wall-clock time changes.
-	Workers int
-}
-
 // forEachIndex calls fn(0..n-1) on a bounded worker pool: workers <= 0
 // means GOMAXPROCS, capped at n, and 1 runs inline on the caller's
 // goroutine. It is fail-fast — after the first error no further index is
@@ -97,15 +89,6 @@ func forEachIndex(n, workers int, fn func(i int) error) error {
 type traceKey struct {
 	horizon simkit.Time
 	seed    int64
-}
-
-// Sweep runs every spec through RunPolicy on a bounded worker pool and
-// returns the results in spec order; specs that are the same simulation run
-// once (Session.Sweep). Error handling is fail-fast: the first failure stops
-// new runs from being dispatched (in-flight runs drain), and the returned
-// error joins every failure as a *RunError in spec order.
-func Sweep(specs []RunSpec, opt SweepOptions) ([]PolicyRunResult, error) {
-	return NewSession(opt.Workers).Sweep(specs)
 }
 
 // sweepWorkers extracts the optional trailing worker-count argument the

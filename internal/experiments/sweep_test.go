@@ -42,11 +42,11 @@ func sweepSpecs(n int) []RunSpec {
 // across worker counts.
 func TestSweepDeterministicOrdering(t *testing.T) {
 	specs := sweepSpecs(6)
-	seq, err := Sweep(specs, SweepOptions{Workers: 1})
+	seq, err := NewSession(1).Sweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Sweep(specs, SweepOptions{Workers: 4})
+	par, err := NewSession(4).Sweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSweepFailFast(t *testing.T) {
 	// An explicitly empty trace set makes cloudsim.New reject the run.
 	specs[1].Cfg.Traces = spotmarket.Set{}
 	specs[1].ID = "poisoned-cell"
-	_, err := Sweep(specs, SweepOptions{Workers: 2})
+	_, err := NewSession(2).Sweep(specs)
 	if err == nil {
 		t.Fatal("sweep with a failing cell returned nil error")
 	}
@@ -173,7 +173,7 @@ func TestSweepSharedTraces(t *testing.T) {
 // own copy, so a caller can reuse the spec slice.
 func TestSweepDoesNotMutateCallerSpecs(t *testing.T) {
 	specs := sweepSpecs(2)
-	if _, err := Sweep(specs, SweepOptions{Workers: 2}); err != nil {
+	if _, err := NewSession(2).Sweep(specs); err != nil {
 		t.Fatal(err)
 	}
 	for i := range specs {

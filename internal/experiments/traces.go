@@ -2,8 +2,9 @@
 // evaluation (§6): price statistics (Figures 1, 6a-d), control-plane
 // latencies (Table 1), backup-server microbenchmarks (Figures 7-9), and
 // the six-month policy simulations (Figures 10-12, Table 3). Each harness
-// returns structured rows/series rendered by internal/analysis, so the cmd
-// tools and benchmarks print the same artifacts the paper reports.
+// returns structured rows/series rendered by internal/analysis, so
+// cmd/spotsim, bench and the Example tests print the same artifacts the
+// paper reports.
 package experiments
 
 import (

@@ -87,7 +87,7 @@ func RunCampaign(specs []Spec, opts Options) ([]Result, error) {
 		}
 		runSpecs[i] = rs
 	}
-	runs, err := experiments.Sweep(runSpecs, experiments.SweepOptions{Workers: opts.Workers})
+	runs, err := experiments.NewSession(opts.Workers).Sweep(runSpecs)
 	if err != nil {
 		return nil, err
 	}
