@@ -440,12 +440,15 @@ type Controller struct {
 	// odHosts counts the hosts in on-demand pools: while there are any, the
 	// return sweep has candidates and the monitor's ticks are events.
 	odHosts int
+	// unhomed counts the return sweep's candidates — the residents of the
+	// hosts in on-demand pools — that have no home pool; each market record
+	// counts those homed to it (market.parked). See returnsPossible.
+	unhomed int
+	// testHookReturnSweep, set only by tests, runs as each return sweep
+	// starts, before it decides whether to walk.
+	testHookReturnSweep func()
 	// ticking is set while an armed tick's sweeps run.
 	ticking bool
-	// calmTick and anyCalm memoize, for one tick, whether any market at all
-	// is calm: when none is, the return sweep has nothing to ask.
-	calmTick uint64
-	anyCalm  bool
 
 	// met holds the pre-resolved observability instruments; Stats() derives
 	// ControllerStats from it.
@@ -679,21 +682,31 @@ func (c *Controller) freeVMSlot(vs *vmState) {
 // hostAddVM inserts a VM into its host's sorted resident list and keeps the
 // pool's occupancy counter current.
 func (c *Controller) hostAddVM(h *hostState, vs *vmState) {
-	i := sort.Search(len(h.vms), func(i int) bool { return h.vms[i].vm.ID >= vs.vm.ID })
+	i, _ := hostFind(h, vs)
 	h.vms = append(h.vms, nil)
 	copy(h.vms[i+1:], h.vms[i:])
 	h.vms[i] = vs
 	if h.pool != nil {
 		h.pool.vmCount++
 	}
+	if returnHost(h) {
+		*c.parked(vs)++
+	}
+}
+
+// hostFind returns where vs sits, or would sit, in h's resident list, and
+// whether it is there.
+func hostFind(h *hostState, vs *vmState) (int, bool) {
+	i := sort.Search(len(h.vms), func(i int) bool { return h.vms[i].vm.ID >= vs.vm.ID })
+	return i, i < len(h.vms) && h.vms[i] == vs
 }
 
 // hostRemoveVM removes a VM from its host's resident list (no-op when
 // absent, e.g. a recovery chain replaying a move off an already-emptied
 // terminated host) and re-offers the freed slot to placements.
 func (c *Controller) hostRemoveVM(h *hostState, vs *vmState) {
-	i := sort.Search(len(h.vms), func(i int) bool { return h.vms[i].vm.ID >= vs.vm.ID })
-	if i >= len(h.vms) || h.vms[i] != vs {
+	i, ok := hostFind(h, vs)
+	if !ok {
 		return
 	}
 	copy(h.vms[i:], h.vms[i+1:])
@@ -701,6 +714,9 @@ func (c *Controller) hostRemoveVM(h *hostState, vs *vmState) {
 	h.vms = h.vms[:len(h.vms)-1]
 	if h.pool != nil {
 		h.pool.vmCount--
+	}
+	if returnHost(h) {
+		*c.parked(vs)--
 	}
 	c.hostFreed(h)
 }
@@ -730,6 +746,7 @@ func (c *Controller) addPoolHost(pool *poolState, h *hostState) {
 	h.poolIdx = pool.hosts.Add(h.slot, h.seq)
 	if pool.key.Market == cloud.MarketOnDemand {
 		c.odHosts++
+		c.parkAll(h, 1)
 		c.armMonitor()
 	}
 }
@@ -739,10 +756,53 @@ func (c *Controller) dropPoolHost(h *hostState) {
 	if !h.inHosts {
 		return
 	}
-	h.inHosts = false
-	h.pool.hosts.Remove(h.slot, h.poolIdx)
 	if h.pool.key.Market == cloud.MarketOnDemand {
 		c.odHosts--
+		c.parkAll(h, -1)
+	}
+	h.inHosts = false
+	h.pool.hosts.Remove(h.slot, h.poolIdx)
+}
+
+// returnHost reports whether h's residents are the return sweep's
+// candidates: h serves VMs in an on-demand pool.
+func returnHost(h *hostState) bool {
+	return h.inHosts && h.role == roleHost && h.pool.key.Market == cloud.MarketOnDemand
+}
+
+// parked returns the count vs is kept in while it resides on a return host:
+// the one of its home market, or the count of candidates with no home.
+func (c *Controller) parked(vs *vmState) *int {
+	if vs.homeMarket == nil {
+		return &c.unhomed
+	}
+	return &vs.homeMarket.parked
+}
+
+// parkAll adds d to the counts of h's residents when h is a return host.
+func (c *Controller) parkAll(h *hostState, d int) {
+	if !returnHost(h) {
+		return
+	}
+	for _, vs := range h.vms {
+		*c.parked(vs) += d
+	}
+}
+
+// setHome records vs's home pool and market, moving vs between the return
+// sweep's counts when it resides on a return host.
+func (c *Controller) setHome(vs *vmState, key PoolKey, m *market) {
+	h := vs.host
+	resident := false
+	if h != nil && returnHost(h) {
+		_, resident = hostFind(h, vs)
+	}
+	if resident {
+		*c.parked(vs)--
+	}
+	vs.homePool, vs.homeMarket = key, m
+	if resident {
+		*c.parked(vs)++
 	}
 }
 

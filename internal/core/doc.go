@@ -56,7 +56,15 @@
 // while a sweep could act on it: a host sits in an on-demand pool (the
 // return sweep's candidates), or the run bids k×OD (proactive sweep) or
 // runs the predictor. An armed tick that finds nothing to act on does not
-// re-arm. The ticks in between are replayed: catchUp accounts them, and a
+// re-arm. An armed tick walks the return sweep's candidates only when one
+// of them can go home: the controller keeps the residents of on-demand
+// hosts counted by home market (market.parked), and those with no home
+// (unhomed), and the tick walks when a counted home market is calm, or when
+// a candidate has no home and some market is calm (returnsPossible). On
+// any other tick every candidate would stop before tryReturn's placement
+// call and before a migration, so the walk is skipped; the tick still
+// fires, so no event moves, not even among same-instant ties. The ticks in
+// between are replayed: catchUp accounts them, and a
 // market record catches up only when it is read — by a sweep (spotPool,
 // marketCalm) or by a policy through History.MeanPrice/Volatility — from
 // the provider's price history (cloud.Provider.SpotPriceAt), one question

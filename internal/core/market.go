@@ -61,6 +61,10 @@ type market struct {
 	calm     bool
 	calmTick uint64
 
+	// parked counts the residents of on-demand hosts whose home market this
+	// is: the return sweep's candidates that can only go here.
+	parked int
+
 	window      priceWindow
 	revocations int
 

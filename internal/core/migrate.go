@@ -584,7 +584,7 @@ func (c *Controller) tryReturn(vs *vmState) {
 		return
 	}
 	vs.returnTarget = target
-	vs.homePool, vs.homeMarket = target, m
+	c.setHome(vs, target, m)
 	c.migrateVM(vs, reasonReturn, 0)
 }
 

@@ -230,10 +230,16 @@ func (c *Controller) predictiveSweep() {
 }
 
 // returnSweep migrates VMs hosted on on-demand servers back to spot pools
-// once prices have stayed below on-demand for the hold-down period. On a
-// tick where no market at all is calm it ends at the first candidate: no VM
-// could pass spotCalmFor, so none reaches tryReturn or the placement policy.
+// once prices have stayed below on-demand for the hold-down period. It walks
+// only on a tick where a candidate can go (see returnsPossible), and so
+// where some market is calm.
 func (c *Controller) returnSweep() {
+	if c.testHookReturnSweep != nil {
+		c.testHookReturnSweep()
+	}
+	if !c.returnsPossible() {
+		return
+	}
 	for _, m := range c.history.markets {
 		pool := m.pools[cloud.MarketOnDemand]
 		if pool == nil {
@@ -245,13 +251,7 @@ func (c *Controller) returnSweep() {
 				continue
 			}
 			for _, vs := range h.vms {
-				if vs.phase != phaseRunning {
-					continue
-				}
-				if !c.someMarketCalm() {
-					return
-				}
-				if !c.spotCalmFor(vs) {
+				if vs.phase != phaseRunning || !c.spotCalmFor(vs) {
 					continue
 				}
 				c.tryReturn(vs)
@@ -260,19 +260,32 @@ func (c *Controller) returnSweep() {
 	}
 }
 
-// someMarketCalm reports whether any market is calm this tick, asked once
-// per tick and only when the sweep has a candidate to ask for.
-func (c *Controller) someMarketCalm() bool {
-	if c.calmTick != c.tick {
-		c.calmTick, c.anyCalm = c.tick, false
-		for _, m := range c.history.markets {
-			if c.marketCalm(m) {
-				c.anyCalm = true
-				break
-			}
+// returnsPossible reports whether the return sweep's walk can reach
+// tryReturn's placement policy or a migration this tick. A candidate with a
+// home goes only to its home market, so only a calm home lets it go; one
+// without a home needs some calm market. When neither holds, every
+// candidate the walk visits stops at spotCalmFor or at its home's calm
+// check, and the walk changes nothing.
+func (c *Controller) returnsPossible() bool {
+	if c.unhomed > 0 && c.someMarketCalm() {
+		return true
+	}
+	for _, m := range c.history.markets {
+		if m.parked > 0 && c.marketCalm(m) {
+			return true
 		}
 	}
-	return c.anyCalm
+	return false
+}
+
+// someMarketCalm reports whether any market is calm this tick.
+func (c *Controller) someMarketCalm() bool {
+	for _, m := range c.history.markets {
+		if c.marketCalm(m) {
+			return true
+		}
+	}
+	return false
 }
 
 // spotCalmFor reports whether the placement policy's candidate markets have

@@ -114,7 +114,7 @@ func (c *Controller) placed(vs *vmState, h *hostState, err error) {
 		c.placeNew(vs)
 	default:
 		if !fallback {
-			vs.homePool, vs.homeMarket = h.key, h.pool.market
+			c.setHome(vs, h.key, h.pool.market)
 		}
 		c.install(vs, nil)
 	}

@@ -1,6 +1,7 @@
 package simkit
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -46,5 +47,34 @@ func BenchmarkLognormalSample(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
 		_ = d.Sample(r)
+	}
+}
+
+// BenchmarkSchedulerHold measures the classic hold model at a fixed queue
+// depth: each op fires the earliest event and schedules one more within the
+// next minute, so the queue stays depth deep. The depths bracket the
+// workloads: a small scenario cell, a 1 500-VM cell's mean, the 10k-VM
+// fleet's, and a 100k-VM fleet's.
+func BenchmarkSchedulerHold(b *testing.B) {
+	for _, depth := range []int{30, 750, 20000, 100000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			s := NewScheduler()
+			x := uint64(depth)
+			delay := func() Time { // xorshift: keeps the RNG off the profile
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				return Time(x % uint64(Minute))
+			}
+			fn := func(uint64) {}
+			for range depth {
+				s.AfterArg(delay(), "hold", fn, 0)
+			}
+			b.ResetTimer()
+			for range b.N {
+				s.Step()
+				s.AfterArg(delay(), "hold", fn, 0)
+			}
+		})
 	}
 }

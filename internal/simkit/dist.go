@@ -58,6 +58,9 @@ func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
 // the given values (mean must exceed median). This lets us plug Table 1's
 // published median/mean pairs straight into the simulator.
 func LognormalFromMedianMean(median, mean float64) (Lognormal, error) {
+	if math.IsNaN(median) || math.IsInf(median, 0) || math.IsNaN(mean) || math.IsInf(mean, 0) {
+		return Lognormal{}, fmt.Errorf("simkit: lognormal needs a finite median %v and mean %v", median, mean)
+	}
 	if median <= 0 || mean <= 0 {
 		return Lognormal{}, fmt.Errorf("simkit: lognormal needs positive median %v and mean %v", median, mean)
 	}
@@ -129,11 +132,15 @@ func (c Clamped) Mean() float64 {
 }
 
 // SampleSeconds draws from d and converts the value (interpreted as seconds)
-// to virtual time, never returning a negative duration.
+// to virtual time, never returning a negative duration: a negative or NaN
+// sample is 0, and one past Time's range is the largest Time.
 func SampleSeconds(d Dist, r *rand.Rand) Time {
 	v := d.Sample(r)
-	if v < 0 {
-		v = 0
+	switch {
+	case !(v > 0):
+		return 0
+	case v*float64(Second) >= float64(maxTime):
+		return maxTime
 	}
 	return Seconds(v)
 }

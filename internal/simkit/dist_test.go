@@ -83,14 +83,22 @@ func TestLognormalFromMedianMean(t *testing.T) {
 }
 
 func TestLognormalFromMedianMeanErrors(t *testing.T) {
-	if _, err := LognormalFromMedianMean(-1, 5); err == nil {
-		t.Error("negative median accepted")
-	}
-	if _, err := LognormalFromMedianMean(5, 0); err == nil {
-		t.Error("zero mean accepted")
-	}
-	if _, err := LognormalFromMedianMean(10, 5); err == nil {
-		t.Error("mean below median accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name         string
+		median, mean float64
+	}{
+		{"negative median", -1, 5},
+		{"zero mean", 5, 0},
+		{"mean below median", 10, 5},
+		{"NaN median", nan, 2},
+		{"NaN mean", 1, nan},
+		{"infinite mean", 1, inf},
+		{"infinite median and mean", inf, inf},
+	} {
+		if d, err := LognormalFromMedianMean(tc.median, tc.mean); err == nil {
+			t.Errorf("%s: LognormalFromMedianMean(%v, %v) = %+v, want an error", tc.name, tc.median, tc.mean, d)
+		}
 	}
 }
 
@@ -135,13 +143,25 @@ func TestClamped(t *testing.T) {
 }
 
 func TestSampleSecondsNeverNegative(t *testing.T) {
-	d := Constant{V: -3}
 	r := rand.New(rand.NewSource(6))
-	if got := SampleSeconds(d, r); got != 0 {
-		t.Errorf("SampleSeconds clamped to %v, want 0", got)
-	}
-	if got := SampleSeconds(Constant{V: 1.5}, r); got != Seconds(1.5) {
-		t.Errorf("SampleSeconds = %v, want 1.5s", got)
+	for _, tc := range []struct {
+		sample float64
+		want   Time
+	}{
+		{-3, 0},
+		{1.5, Seconds(1.5)},
+		{math.NaN(), 0},
+		{math.Inf(1), maxTime},
+		{math.MaxFloat64, maxTime},
+		{1e10, maxTime}, // 10^19 ns: past 2^63-1
+	} {
+		got := SampleSeconds(Constant{V: tc.sample}, r)
+		if got != tc.want {
+			t.Errorf("SampleSeconds(%v) = %d, want %d", tc.sample, got, tc.want)
+		}
+		if got < 0 {
+			t.Errorf("SampleSeconds(%v) is negative", tc.sample)
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package simkit
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -129,7 +131,7 @@ func TestSchedulerDoubleCancel(t *testing.T) {
 
 // A handle held after its event fired must stay inert once the slot is
 // recycled for a new event: Cancel through the stale handle must neither
-// cancel the slot's new occupant nor corrupt the heap.
+// cancel the slot's new occupant nor corrupt the queue.
 func TestSchedulerStaleHandleAfterFire(t *testing.T) {
 	s := NewScheduler()
 	stale := s.At(Second, "old", func() {})
@@ -157,7 +159,7 @@ func TestSchedulerStaleHandleAfterFire(t *testing.T) {
 	fresh2 := fresh // copies stay valid
 	s.Run(0)
 	if !fired || s.Pending() != 0 {
-		t.Error("heap corrupted by stale-handle Cancel")
+		t.Error("queue corrupted by stale-handle Cancel")
 	}
 	if fresh2.Canceled() {
 		t.Error("recycled event that fired normally reports Canceled")
@@ -206,7 +208,7 @@ func TestSchedulerZeroEvent(t *testing.T) {
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
-	// Warm up: grow the heap, slab and free list past steady state.
+	// Warm up: grow the queue blocks, slab and free list past steady state.
 	for i := 0; i < 4*eventChunk; i++ {
 		s.After(Time(i)*Millisecond, "warm", fn)
 	}
@@ -250,7 +252,7 @@ func TestAtArgSteadyStateAllocs(t *testing.T) {
 }
 
 // Heavy interleaved schedule/cancel/fire churn with handle copies retained
-// across recycling: pop order must match a reference sort and the heap
+// across recycling: pop order must match a reference sort and the queue
 // must never lose or duplicate events.
 func TestSchedulerChurnOrdering(t *testing.T) {
 	s := NewScheduler()
@@ -386,29 +388,36 @@ func TestSchedulerOrderProperty(t *testing.T) {
 
 	// Cancel-heavy mix against a sorted-slice reference: every fired event
 	// must be the reference's head (same id, same time, so FIFO among ties
-	// too), through a queue whose size crosses four levels of the 4-ary heap
-	// (1, 5, 21, 85, 341 nodes) while over 30 % of the ops cancel an event
-	// from the middle of the order — the removal that sifts either way.
+	// too). Queue sizes sit on either side of one, two and several 64-entry
+	// blocks, so a bucket's chain gains and drops blocks at its boundaries,
+	// and over 30 % of the ops cancel an event from the middle of the order,
+	// leaving orphans that the pops drop and compaction rewrites in place.
+	// Half the times are a few distinct milliseconds ahead (many ties, one
+	// bucket), half are a power of two nanoseconds ahead, give or take one,
+	// so they straddle the radix buckets' boundaries.
 	type rec struct {
 		at Time
 		id int
 		h  Event
 	}
 	ops, cancels := 0, 0
-	for _, size := range []int{1, 4, 5, 6, 21, 22, 85, 86, 341, 342, 700} {
+	for _, size := range []int{1, 2, 63, 64, 65, 127, 128, 129, 300, 700} {
 		rng := rand.New(rand.NewSource(int64(size)))
 		s := NewScheduler()
 		var ref []rec // the pending events, sorted by (at, id)
 		var fired []int
 		next := 0
 		// Half the events carry their id as an argument to one shared
-		// function, half in a closure: both forms share the slab, the
-		// sequence counter and the heap, so the pop order is a function of
-		// (at, seq) alone — and a canceled or fired argument event must stay
+		// function, half in a closure: both forms share the slab and the
+		// queue, so the pop order is a function of time and scheduling
+		// order alone — and a canceled or fired argument event must stay
 		// inert however its slot is reused, as a closure event does.
 		fireArg := func(id uint64) { fired = append(fired, int(id)) }
 		add := func() {
-			at := s.Now() + Time(rng.Intn(40))*Millisecond // few distinct times: many ties
+			at := s.Now() + Time(rng.Intn(40))*Millisecond
+			if rng.Intn(2) == 0 {
+				at = s.Now() + 1<<rng.Intn(45) + Time(rng.Intn(3)) - 1
+			}
 			id := next
 			next++
 			var h Event
@@ -499,5 +508,145 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if s := (90 * Minute).String(); s != "1h30m0s" {
 		t.Errorf("String() = %q", s)
+	}
+}
+
+// A delay that runs past the largest Time panics naming the overflow, not as
+// a schedule before now.
+func TestSchedulerOverflowPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		schedule func(s *Scheduler, d Time)
+	}{
+		{"After", func(s *Scheduler, d Time) { s.After(d, "x", func() {}) }},
+		{"AfterArg", func(s *Scheduler, d Time) { s.AfterArg(d, "x", func(uint64) {}, 0) }},
+	} {
+		for _, d := range []Time{maxTime, maxTime - Hour + 1} {
+			s := NewScheduler()
+			s.RunUntil(Hour)
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "overflows") {
+						t.Errorf("%s(%d) one hour in: panic %q, want one naming the overflow", tc.name, d, msg)
+					}
+				}()
+				tc.schedule(s, d)
+			}()
+		}
+		// The largest delay that still fits is accepted and fires there.
+		s := NewScheduler()
+		s.RunUntil(Hour)
+		tc.schedule(s, maxTime-Hour)
+		if !s.Step() || s.Now() != maxTime {
+			t.Errorf("%s(maxTime-1h) one hour in: fired at %v, want %v", tc.name, s.Now(), maxTime)
+		}
+	}
+}
+
+// An entry's tag is the low 32 bits of its slot's generation. Before a
+// slot's tag repeats the queue drops every orphan, so an entry left by an
+// occupancy 2^32 reuses ago never fires the slot's current occupant early.
+func TestSchedulerTagWrap(t *testing.T) {
+	s := NewScheduler()
+	var fired []Time
+	fn := func() { fired = append(fired, s.Now()) }
+	for range 4 { // enough pending events that two orphans force no compaction
+		s.At(4*Hour, "keep", fn)
+	}
+	old := s.At(Hour, "old", fn)
+	s.Cancel(old) // an orphan at 1h, with old's tag
+	// Fast-forward the free slot to the last generation before its tag
+	// wraps, as 2^32 reuses would.
+	old.e.gen += 1<<32 - 2
+	wrapped := s.At(2*Hour, "wrapped", fn) // tag 0: the queue compacts first
+	if wrapped.e != old.e || uint32(wrapped.gen) != 0 {
+		t.Fatalf("slot %p gen %#x, want old's slot %p at a wrapped tag", wrapped.e, wrapped.gen, old.e)
+	}
+	s.Cancel(wrapped)
+	again := s.At(3*Hour, "again", fn) // old's tag once more
+	if again.e != old.e || uint32(again.gen) != uint32(old.gen) {
+		t.Fatalf("slot %p gen %#x, want old's slot and tag %#x", again.e, again.gen, uint32(old.gen))
+	}
+	s.Run(0)
+	if want := []Time{3 * Hour, 4 * Hour, 4 * Hour, 4 * Hour, 4 * Hour}; !slices.Equal(fired, want) {
+		t.Errorf("fired at %v, want %v: an orphan from before the wrap fired the slot's new occupant", fired, want)
+	}
+}
+
+// The queue's storage holds no Go pointer: the collector never scans it and
+// moving an entry needs no write barrier. An entry is 16 bytes.
+func TestQueueStorageHoldsNoPointers(t *testing.T) {
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				if hasPointers(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return hasPointers(typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64:
+			return false
+		}
+		return true
+	}
+	for _, typ := range []reflect.Type{reflect.TypeFor[entry](), reflect.TypeFor[block](), reflect.TypeFor[bucket]()} {
+		if hasPointers(typ) {
+			t.Errorf("%v holds a pointer", typ)
+		}
+	}
+	if size := unsafe.Sizeof(entry{}); size != 16 {
+		t.Errorf("queue entry is %d bytes, want 16", size)
+	}
+}
+
+// A redistribution may start a block in every bucket below the one it
+// empties. From a fresh queue — one block in use, none spare — bucket i
+// holds 2^(i-1) plus each lower power of two, which deals one entry into
+// each of the i buckets below it; they must pop in time order.
+func TestSchedulerDealIntoEveryBucket(t *testing.T) {
+	for _, i := range []int{1, 2, 10, 40, 63} {
+		s := NewScheduler()
+		base := Time(1) << (i - 1)
+		want := []Time{base}
+		for j := i - 2; j >= 0; j-- {
+			want = append(want, base+Time(1)<<j)
+		}
+		for _, at := range want {
+			s.At(at, "deal", func() {})
+		}
+		slices.Sort(want)
+		for _, at := range want {
+			if !s.Step() || s.Now() != at {
+				t.Fatalf("bucket %d: popped %v, want %v", i, s.Now(), at)
+			}
+		}
+	}
+	// A deal may also fill a block with the free list empty: the first
+	// source block starts buckets 0 and 1, the second fills bucket 1's
+	// block, starts bucket 3 with the block the first one freed, and then
+	// needs one more block for bucket 1.
+	s := NewScheduler()
+	base := Time(1) << 40
+	times := []Time{base}
+	for range 64 {
+		times = append(times, base+1)
+	}
+	times = append(times, base+4, base+1)
+	var fired []Time
+	for _, at := range times {
+		s.At(at, "deal", func() { fired = append(fired, s.Now()) })
+	}
+	s.Run(0)
+	want := slices.Clone(times)
+	slices.Sort(want)
+	if !slices.Equal(fired, want) {
+		t.Errorf("fired %v, want %v", fired, want)
 	}
 }
