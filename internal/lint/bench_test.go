@@ -4,8 +4,7 @@ import "testing"
 
 // BenchmarkSpotlintTree runs the full analyzer suite over the real
 // repository — the cost CI pays on every push. Load (parse + object
-// resolution) dominates; the dataflow analyzers add CFG construction and
-// fixed-point solving per function body.
+// resolution) dominates.
 func BenchmarkSpotlintTree(b *testing.B) {
 	root, err := FindModuleRoot(".")
 	if err != nil {

@@ -29,11 +29,11 @@
 //
 // The framework is stdlib-only (go/ast, go/parser, go/token): it walks a
 // module, parses packages syntactically, and runs per-file Analyzers that
-// report structured Findings. errdiscipline and lockdiscipline run on a
-// small intraprocedural dataflow layer (cfg.go, dataflow.go). There is
-// deliberately no type checking — each analyzer documents the syntactic
-// heuristic it uses, and intentional exceptions are written down in the
-// source with
+// report structured Findings. Every analyzer is an intraprocedural walk of
+// the syntax tree; errdiscipline and lockdiscipline follow its statement
+// structure branch by branch. There is deliberately no type checking —
+// each analyzer documents the syntactic heuristic it uses, and intentional
+// exceptions are written down in the source with
 //
 //	//lint:ignore <check> <reason>
 //

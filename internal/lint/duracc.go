@@ -24,9 +24,9 @@ const durAccType = "durAcc"
 
 // DurAcc flags `x += d` (and `x = x + d`) on duration-typed accumulators
 // inside loops in the fleet-scale packages. Duration-ness is inferred
-// syntactically from the dataflow layer's local type facts: variables
-// declared simkit.Time/time.Duration (or converted from one), and struct
-// fields whose declared type is a duration anywhere in the package. A
+// syntactically from declarations: variables declared
+// simkit.Time/time.Duration (or converted from one), and struct fields
+// whose declared type is a duration anywhere in the package. A
 // for-statement's own post clause (`t += tick` stepping virtual time) is
 // bounded iteration, not accumulation, and stays legal.
 var DurAcc = &Analyzer{

@@ -181,3 +181,148 @@ func use(int)              {}
 `
 	wantFindings(t, runOne(t, ErrDiscipline, "internal/core", src))
 }
+
+// The non-nil branch of `err == nil` is its else, down an else-if chain.
+func TestErrDisciplineElseIfChain(t *testing.T) {
+	src := `package core
+
+func g(xs []int, verbose bool) {
+	for range xs {
+		v, err := lookup()
+		if err == nil {
+			use(v)
+		} else if verbose {
+			continue
+		}
+	}
+}
+
+func lookup() (int, error) { return 0, nil }
+func use(int)              {}
+`
+	got := runOne(t, ErrDiscipline, "internal/core", src)
+	wantFindings(t, got, "bare continue swallows non-nil error err")
+}
+
+// An `if err == nil` block that always leaves makes the rest of the list
+// the error branch.
+func TestErrDisciplineInvertedEarlyExit(t *testing.T) {
+	src := `package core
+
+func g() int {
+	v, err := lookup()
+	if err == nil {
+		return v
+	}
+	return 0
+}
+
+func h() (int, error) {
+	v, err := lookup()
+	if err == nil {
+		return v, nil
+	}
+	return 0, err
+}
+
+func lookup() (int, error) { return 0, nil }
+`
+	got := runOne(t, ErrDiscipline, "internal/core", src)
+	wantFindings(t, got, "return drops non-nil error err")
+	if got[0].Pos.Line != 8 {
+		t.Errorf("finding at line %d, want 8", got[0].Pos.Line)
+	}
+}
+
+// `err != nil` as one conjunct of && still proves err non-nil in the
+// then-block; a mention elsewhere in the condition consumes it.
+func TestErrDisciplineConjunct(t *testing.T) {
+	src := `package core
+
+import "errors"
+
+var errSkip = errors.New("skip")
+
+func g(xs []int, strict bool) {
+	for range xs {
+		v, err := lookup()
+		if strict && err != nil {
+			break
+		}
+		if err != nil && !errors.Is(err, errSkip) {
+			continue
+		}
+		use(v)
+	}
+}
+
+func lookup() (int, error) { return 0, nil }
+func use(int)              {}
+`
+	got := runOne(t, ErrDiscipline, "internal/core", src)
+	wantFindings(t, got, "bare break swallows non-nil error err")
+}
+
+// Branches nest: an error branch inside another block is found, and inside
+// an error branch a call on one arm does not cover the other.
+func TestErrDisciplineNestedBranch(t *testing.T) {
+	src := `package core
+
+func g(xs []int, ok, verbose bool) {
+	for range xs {
+		v, err := lookup()
+		if ok {
+			if err != nil {
+				break
+			}
+		}
+		if err != nil {
+			if verbose {
+				record(err)
+				continue
+			}
+			continue
+		}
+		use(v)
+	}
+}
+
+func lookup() (int, error) { return 0, nil }
+func use(int)              {}
+func record(error)         {}
+`
+	got := runOne(t, ErrDiscipline, "internal/core", src)
+	wantFindings(t, got, "bare break swallows non-nil error err", "bare continue swallows non-nil error err")
+	if got[1].Pos.Line != 16 {
+		t.Errorf("second finding at line %d, want 16", got[1].Pos.Line)
+	}
+}
+
+// The strconv exemption covers the parse's own test, not the variable: a
+// read error in the same loop, later reused by a parse, is still checked.
+func TestErrDisciplineParseExemptionIsPerStatement(t *testing.T) {
+	src := `package spotmarket
+
+import "strconv"
+
+func read(next func() ([]string, error)) float64 {
+	total := 0.0
+	for {
+		rec, err := next()
+		if err != nil {
+			continue
+		}
+		v, err := strconv.ParseFloat(rec[0], 64)
+		if err != nil {
+			continue
+		}
+		total += v
+	}
+}
+`
+	got := runOne(t, ErrDiscipline, "internal/spotmarket", src)
+	wantFindings(t, got, "bare continue swallows non-nil error err")
+	if got[0].Pos.Line != 10 {
+		t.Errorf("finding at line %d, want 10", got[0].Pos.Line)
+	}
+}

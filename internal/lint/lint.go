@@ -351,3 +351,115 @@ func RunSource(a *Analyzer, rel, filename, src string) ([]Finding, error) {
 	pkg.collectConsts()
 	return Run([]*Analyzer{a}, []*Package{pkg}), nil
 }
+
+// ---------------------------------------------------------------------------
+// Shared syntactic helpers.
+
+// recvTypeName returns the bare receiver type name of a method ("durAcc"
+// for `func (d *durAcc) add…`), "" for functions.
+func recvTypeName(fd *ast.FuncDecl) string {
+	if fd == nil || fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return ""
+	}
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// recvObj returns the receiver identifier's object, nil for unnamed or
+// absent receivers.
+func recvObj(fd *ast.FuncDecl) *ast.Object {
+	if fd == nil || fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
+		return nil
+	}
+	return fd.Recv.List[0].Names[0].Obj
+}
+
+// selectorPath renders a pure identifier chain ("p.instSlab", "c.sched")
+// or returns "" when the expression is anything else (calls, indexes).
+func selectorPath(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		base := selectorPath(e.X)
+		if base == "" {
+			return ""
+		}
+		return base + "." + e.Sel.Name
+	case *ast.ParenExpr:
+		return selectorPath(e.X)
+	}
+	return ""
+}
+
+// pathContainsFold reports whether any dot-separated segment of path
+// contains sub, case-insensitively ("p.instSlab" contains "slab").
+func pathContainsFold(path, sub string) bool {
+	for _, seg := range strings.Split(path, ".") {
+		if strings.Contains(strings.ToLower(seg), sub) {
+			return true
+		}
+	}
+	return false
+}
+
+// isNilIdent reports whether e is the predeclared nil.
+func isNilIdent(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "nil"
+}
+
+// nilComparison decodes `x == nil` / `x != nil` (either operand order),
+// returning the compared expression and whether the operator is ==.
+func nilComparison(e ast.Expr) (x ast.Expr, isEq, ok bool) {
+	be, isBin := e.(*ast.BinaryExpr)
+	if !isBin || (be.Op != token.EQL && be.Op != token.NEQ) {
+		return nil, false, false
+	}
+	switch {
+	case isNilIdent(be.Y):
+		return be.X, be.Op == token.EQL, true
+	case isNilIdent(be.X):
+		return be.Y, be.Op == token.EQL, true
+	}
+	return nil, false, false
+}
+
+// importLocalNames resolves the local names a file binds for the given
+// import paths (unquoted), honoring aliases. The default name for
+// "math/rand/v2" is "rand".
+func importLocalNames(f *ast.File, paths ...string) map[string]bool {
+	want := map[string]bool{}
+	for _, p := range paths {
+		want[p] = true
+	}
+	out := map[string]bool{}
+	for _, imp := range f.Imports {
+		path := strings.Trim(imp.Path.Value, `"`)
+		if !want[path] {
+			continue
+		}
+		local := path
+		if i := strings.LastIndexByte(local, '/'); i >= 0 {
+			local = local[i+1:]
+		}
+		if local == "v2" { // math/rand/v2 and friends
+			rest := strings.TrimSuffix(strings.Trim(imp.Path.Value, `"`), "/v2")
+			if i := strings.LastIndexByte(rest, '/'); i >= 0 {
+				rest = rest[i+1:]
+			}
+			local = rest
+		}
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		out[local] = true
+	}
+	return out
+}

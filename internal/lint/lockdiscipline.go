@@ -7,10 +7,11 @@ import (
 
 // LockDiscipline checks `// guarded by <mutex>` field annotations: inside
 // methods of the annotated struct, every access to the guarded field must
-// sit on a path where the named sibling mutex is held. Lock state is a
-// must-hold set solved over the CFG — Lock/RLock add, Unlock/RUnlock
-// remove, `defer mu.Unlock()` keeps the mutex held to every return, and
-// joining paths keep only mutexes held on all of them.
+// sit on a path where the named sibling mutex is held. The held set is
+// carried through the statement tree — Lock/RLock add, Unlock/RUnlock
+// remove, `defer mu.Unlock()` keeps the mutex held to every return, a
+// branch that leaves adds nothing to what follows it, and branches that
+// fall through meet by intersection.
 //
 // The annotation is opt-in per field:
 //
@@ -85,28 +86,33 @@ func guardAnnotation(fld *ast.Field) string {
 	return ""
 }
 
-// lockState is the must-hold set of receiver mutexes, keyed by mutex
-// field name.
-type lockState map[string]bool
+// lockSet is the set of receiver mutexes held, keyed by mutex field
+// name. nil means control never gets here (every path left).
+type lockSet map[string]bool
 
-func (s lockState) clone() flowState {
-	out := make(lockState, len(s))
-	for k, v := range s {
-		out[k] = v
+func (s lockSet) clone() lockSet {
+	out := make(lockSet, len(s))
+	for k := range s {
+		out[k] = true
 	}
 	return out
 }
 
-func (s lockState) joinFrom(o flowState) bool {
-	os := o.(lockState)
-	changed := false
-	for k := range s {
-		if !os[k] {
-			delete(s, k)
-			changed = true
+// meet joins two paths: a path that left (nil) adds nothing, otherwise
+// only mutexes held on both stay held.
+func meet(a, b lockSet) lockSet {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	}
+	for k := range a {
+		if !b[k] {
+			delete(a, k)
 		}
 	}
-	return changed
+	return a
 }
 
 // recvMutexCall decodes recv.<mu>.<op>() where recv is the receiver
@@ -146,78 +152,151 @@ func runLockDiscipline(pass *Pass) {
 		if len(fields) == 0 {
 			continue
 		}
-		recv := recvObj(fd)
-		if recv == nil {
-			continue
-		}
-		analyzeLockBody(pass, fd.Body, recv, fields)
-	}
-}
-
-func analyzeLockBody(pass *Pass, body *ast.BlockStmt, recv *ast.Object, fields map[string]string) {
-	transfer := func(fs flowState, n ast.Node) {
-		st := fs.(lockState)
-		if ds, ok := n.(*ast.DeferStmt); ok {
-			// `defer recv.mu.Unlock()` keeps the mutex held for the rest
-			// of the function; a deferred Lock would be bizarre — ignore.
-			if mu, op := recvMutexCall(ds.Call, recv); mu != "" && (op == "Unlock" || op == "RUnlock") {
-				return
-			}
-		}
-		ast.Inspect(n, func(nn ast.Node) bool {
-			if _, ok := nn.(*ast.FuncLit); ok {
-				return false
-			}
-			call, ok := nn.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch mu, op := recvMutexCall(call, recv); op {
-			case "Lock", "RLock":
-				st[mu] = true
-			case "Unlock", "RUnlock":
-				delete(st, mu)
-			}
-			return true
-		})
-	}
-	g := buildCFG(body)
-	in := g.solve(lockState{}, flowFuncs{transfer: transfer})
-	for _, blk := range g.blocks {
-		entry, reachable := in[blk]
-		if !reachable {
-			continue
-		}
-		st := entry.clone().(lockState)
-		for _, n := range blk.nodes {
-			reportUnlockedAccess(pass, st, n, recv, fields)
-			transfer(st, n)
+		if recv := recvObj(fd); recv != nil {
+			w := &lockWalk{pass: pass, recv: recv, fields: fields}
+			w.stmts(fd.Body.List, lockSet{})
 		}
 	}
 }
 
-// reportUnlockedAccess flags recv.<guarded field> accesses while the
-// guarding mutex is not in the must-hold set. Lock/Unlock calls on the
-// mutex itself and nested closures are skipped.
-func reportUnlockedAccess(pass *Pass, st lockState, n ast.Node, recv *ast.Object, fields map[string]string) {
+// lockWalk checks one method body. quiet suppresses reports during a
+// loop body's first pass, which only learns what an iteration keeps held.
+type lockWalk struct {
+	pass   *Pass
+	recv   *ast.Object
+	fields map[string]string
+	quiet  int
+}
+
+// stmts walks list with held locked and returns what is held where
+// control falls off its end, nil if it never does.
+func (w *lockWalk) stmts(list []ast.Stmt, held lockSet) lockSet {
+	for _, s := range list {
+		if held = w.stmt(s, held); held == nil {
+			return nil
+		}
+	}
+	return held
+}
+
+func (w *lockWalk) stmt(s ast.Stmt, held lockSet) lockSet {
+	switch s := s.(type) {
+	case *ast.BlockStmt:
+		return w.stmts(s.List, held)
+	case *ast.LabeledStmt:
+		return w.stmt(s.Stmt, held)
+	case *ast.BranchStmt:
+		return nil
+	case *ast.ReturnStmt:
+		w.node(s, held)
+		return nil
+	case *ast.ExprStmt:
+		held = w.node(s, held)
+		if isPanic(s) {
+			return nil
+		}
+		return held
+	case *ast.DeferStmt:
+		// `defer recv.mu.Unlock()` keeps the mutex held for the rest of
+		// the function.
+		if mu, op := recvMutexCall(s.Call, w.recv); mu != "" && (op == "Unlock" || op == "RUnlock") {
+			return held
+		}
+		return w.node(s, held)
+	case *ast.IfStmt:
+		held = w.node(s.Cond, w.node(s.Init, held))
+		then := w.stmts(s.Body.List, held.clone())
+		if s.Else != nil {
+			held = w.stmt(s.Else, held)
+		}
+		return meet(then, held)
+	case *ast.ForStmt:
+		return w.loop(w.node(s.Init, held), s.Cond, s.Body, s.Post)
+	case *ast.RangeStmt:
+		return w.loop(w.node(s.X, held), nil, s.Body, nil)
+	case *ast.SwitchStmt:
+		return w.clauses(s.Body, w.node(s.Tag, w.node(s.Init, held)))
+	case *ast.TypeSwitchStmt:
+		return w.clauses(s.Body, w.node(s.Assign, w.node(s.Init, held)))
+	case *ast.SelectStmt:
+		return w.clauses(s.Body, held)
+	}
+	return w.node(s, held)
+}
+
+// loop walks a loop body twice: the first pass learns what an iteration
+// keeps held, the second checks the body under what every iteration
+// starts with, which is also what holds after the loop (it may run zero
+// times).
+func (w *lockWalk) loop(held lockSet, cond ast.Expr, body *ast.BlockStmt, post ast.Stmt) lockSet {
+	w.quiet++
+	end := w.stmts(body.List, held.clone())
+	if end != nil {
+		end = w.node(post, end)
+	}
+	w.quiet--
+	held = meet(held, end)
+	held = w.node(cond, held)
+	if end := w.stmts(body.List, held.clone()); end != nil {
+		w.node(post, end)
+	}
+	return held
+}
+
+// clauses walks each case of a switch or select from held and meets the
+// cases that fall through; a switch without default may skip them all.
+func (w *lockWalk) clauses(body *ast.BlockStmt, held lockSet) lockSet {
+	var out lockSet
+	skip := true
+	for _, c := range body.List {
+		st := held.clone()
+		switch c := c.(type) {
+		case *ast.CaseClause:
+			skip = skip && c.List != nil
+			for _, e := range c.List {
+				st = w.node(e, st)
+			}
+			st = w.stmts(c.Body, st)
+		case *ast.CommClause:
+			skip = false
+			st = w.stmts(c.Body, w.node(c.Comm, st))
+		}
+		out = meet(out, st)
+	}
+	if skip {
+		out = meet(out, held)
+	}
+	return out
+}
+
+// node reports guarded accesses in n and applies its Lock and Unlock
+// calls, in source order. Nested closures are skipped.
+func (w *lockWalk) node(n ast.Node, held lockSet) lockSet {
+	if n == nil || held == nil {
+		return held
+	}
 	ast.Inspect(n, func(nn ast.Node) bool {
-		if _, ok := nn.(*ast.FuncLit); ok {
+		switch nn := nn.(type) {
+		case *ast.FuncLit:
 			return false
+		case *ast.CallExpr:
+			switch mu, op := recvMutexCall(nn, w.recv); op {
+			case "Lock", "RLock":
+				held[mu] = true
+			case "Unlock", "RUnlock":
+				delete(held, mu)
+			}
+		case *ast.SelectorExpr:
+			base, ok := nn.X.(*ast.Ident)
+			if !ok || base.Obj == nil || base.Obj != w.recv || w.quiet > 0 {
+				break
+			}
+			if mu, guarded := w.fields[nn.Sel.Name]; guarded && !held[mu] {
+				w.pass.Reportf(nn, "field %s.%s is guarded by %s but accessed without holding it",
+					base.Name, nn.Sel.Name, mu)
+			}
 		}
-		sel, ok := nn.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		base, ok := sel.X.(*ast.Ident)
-		if !ok || base.Obj == nil || base.Obj != recv {
-			return true
-		}
-		mu, guarded := fields[sel.Sel.Name]
-		if !guarded || st[mu] {
-			return true
-		}
-		pass.Reportf(sel, "field %s.%s is guarded by %s but accessed without holding it",
-			base.Name, sel.Sel.Name, mu)
 		return true
 	})
+	return held
 }

@@ -105,3 +105,110 @@ func (r *ring) len() int {
 `
 	wantFindings(t, runOne(t, LockDiscipline, "internal/obs", src))
 }
+
+// A branch that unlocks and returns adds nothing to what follows it; one
+// that unlocks and falls through does.
+func TestLockDisciplineUnlockReturnInBranch(t *testing.T) {
+	src := lockFixtureHeader + `
+func (r *ring) pop() int {
+	r.mu.Lock()
+	if r.n == 0 {
+		r.mu.Unlock()
+		return 0
+	}
+	v := r.buf[0]
+	r.mu.Unlock()
+	return v
+}
+
+func (r *ring) peek() int {
+	r.mu.Lock()
+	if r.n == 0 {
+		r.mu.Unlock()
+	}
+	return r.n
+}
+`
+	got := runOne(t, LockDiscipline, "internal/obs", src)
+	wantFindings(t, got, "field r.n is guarded by mu")
+	if got[0].Pos.Line != 28 {
+		t.Errorf("finding at line %d, want 28", got[0].Pos.Line)
+	}
+}
+
+// A lock taken inside a loop body does not cover the code after the loop,
+// which may run zero times; an iteration that unlocks before looping back
+// leaves the top of the next iteration unguarded.
+func TestLockDisciplineLockInLoop(t *testing.T) {
+	src := lockFixtureHeader + `
+func (r *ring) sum(xs []int) int {
+	for i := 0; i < len(xs); i++ {
+		r.mu.Lock()
+		r.n += xs[i]
+	}
+	return r.n
+}
+
+func (r *ring) add(xs []int) {
+	for i := 0; i < len(xs); i++ {
+		r.mu.Lock()
+		r.n += xs[i]
+		r.mu.Unlock()
+	}
+}
+
+func (r *ring) relock(xs []int) {
+	r.mu.Lock()
+	for i := 0; i < len(xs); i++ {
+		r.n++
+		r.mu.Unlock()
+	}
+}
+`
+	got := runOne(t, LockDiscipline, "internal/obs", src)
+	wantFindings(t, got, "field r.n is guarded by mu", "field r.n is guarded by mu")
+	if got[0].Pos.Line != 17 || got[1].Pos.Line != 31 {
+		t.Errorf("findings at lines %d and %d, want 17 and 31", got[0].Pos.Line, got[1].Pos.Line)
+	}
+}
+
+// A range loop is a loop like any other: the lock its body takes guards
+// the body's accesses, not the code after it.
+func TestLockDisciplineRangeLoop(t *testing.T) {
+	src := lockFixtureHeader + `
+func (r *ring) sum(xs []int) int {
+	for _, x := range xs {
+		r.mu.Lock()
+		r.n += x
+		r.mu.Unlock()
+	}
+	for _, x := range xs {
+		r.mu.Lock()
+		r.n += x
+	}
+	return r.n
+}
+`
+	got := runOne(t, LockDiscipline, "internal/obs", src)
+	wantFindings(t, got, "field r.n is guarded by mu")
+	if got[0].Pos.Line != 22 {
+		t.Errorf("finding at line %d, want 22", got[0].Pos.Line)
+	}
+}
+
+// Conditions are accesses too: an if or for condition reading a guarded
+// field needs the lock like any statement.
+func TestLockDisciplineConditionAccess(t *testing.T) {
+	src := lockFixtureHeader + `
+func (r *ring) full() bool {
+	if r.n == r.cap {
+		return true
+	}
+	for i := 0; i < len(r.buf); i++ {
+	}
+	return false
+}
+`
+	got := runOne(t, LockDiscipline, "internal/obs", src)
+	wantFindings(t, got, "field r.n is guarded by mu", "field r.buf is guarded by mu")
+}

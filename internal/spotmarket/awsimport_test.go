@@ -77,6 +77,7 @@ func TestReadAWSPriceHistoryErrors(t *testing.T) {
 		"bad price":      "2014-04-01T00:00:00Z,m3.medium,z,free\n",
 		"neg price":      "2014-04-01T00:00:00Z,m3.medium,z,-1\n",
 		"short row":      "2014-04-01T00:00:00Z,m3.medium\n",
+		"bare quote":     "2014-04-01T00:00:00Z,m3.medium,z,0.01\n2014-04-01T01:00:00Z,m3.medium,z,0.0\"2\n2014-04-01T02:00:00Z,m3.medium,z,0.03\n",
 		"start too late": awsSample, // validated below with a future start
 	}
 	for name, in := range cases {

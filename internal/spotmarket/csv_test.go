@@ -80,6 +80,7 @@ func TestReadCSVErrors(t *testing.T) {
 		{"no data", "type,zone,offset_seconds,price_usd_per_hr\nx,z,100,end\n"},
 		{"empty", ""},
 		{"not starting at zero", "type,zone,offset_seconds,price_usd_per_hr\nx,z,5,0.1\n"},
+		{"short record after a good one", "type,zone,offset_seconds,price_usd_per_hr\nx,z,0,0.1\nx,z,3600\nx,z,7200,0.2\n"},
 	}
 	for _, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c.in)); err == nil {
