@@ -6,7 +6,8 @@
 // The model captures the two resources that produce the paper's results:
 //
 //   - Ingest capacity (network + disk write): a backup server absorbs the
-//     sum of its VMs' dirty rates; past ~90% utilization, resident VMs
+//     sum of its VMs' dirty rates; past the workload's saturation knee
+//     (workload.Profile.SaturationKnee, ~90% utilization), resident VMs
 //     degrade — the ~35-40 VM knee of Figure 7 (§6.1).
 //   - Restore read bandwidth: full restores stream sequentially and gain
 //     from request batching; unoptimized lazy restores issue random reads

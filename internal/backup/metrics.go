@@ -49,7 +49,7 @@ func (m *Metrics) sync(p *Pool, s *Server) {
 		if s.ingest == nil {
 			s.ingest = m.reg.Gauge("spotcheck_backup_ingest_mbs", obs.L("server", s.ID()))
 		}
-		s.ingest.Set(s.IngestUtilization() * s.cfg.IngestMBs)
+		s.ingest.Set(s.IngestUtilization() * ingestMBs)
 	}
 }
 

@@ -7,67 +7,43 @@ import (
 	"repro/internal/obs"
 )
 
-// Config describes one backup server's capacity.
-type Config struct {
-	// IngestMBs is the sustained checkpoint absorption rate: the minimum
-	// of network bandwidth and (cache-absorbed) disk write bandwidth.
-	// The default (110 MB/s) saturates at ~39 VMs × 2.8 MB/s.
-	IngestMBs float64
+// The m3.xlarge backup server of the prototype (§5). Its capacity is fixed;
+// only the I/O tuning (Config.OptimizedIO) and the registration cap vary.
+const (
+	// ingestMBs is the sustained checkpoint absorption rate: the minimum
+	// of network bandwidth and (cache-absorbed) disk write bandwidth. It
+	// saturates at ~39 VMs × 2.8 MB/s, Figure 7's knee.
+	ingestMBs = 110.0
 	// BaseReadMBs is the raw single-stream restore read bandwidth from the
-	// checkpoint store. Default 38.4 MB/s (a 3.84 GB image in ~100 s, the
-	// paper's single-restore Figure 8 measurement).
-	BaseReadMBs float64
+	// checkpoint store: a 3.84 GB image in ~100 s, Figure 8's single restore.
+	BaseReadMBs = 38.4
+	// batchBoost is the per-additional-concurrent-restore gain in
+	// aggregate read bandwidth for batchable access patterns: 10
+	// concurrent restores reach ~2.1× aggregate bandwidth (Figure 8).
+	batchBoost = 0.12
+	// lazyOptimizedPenalty scales optimized lazy reads relative to
+	// sequential ones, the residual seek cost (Figure 8b).
+	lazyOptimizedPenalty = 0.9
+)
+
+// Config describes what varies between backup servers.
+type Config struct {
 	// OptimizedIO applies SpotCheck's backup tuning: ext4 write-back
 	// journalling, noatime, fadvise WILLNEED + access-pattern hints, page
 	// cache tuning. It doubles effective read bandwidth and lets lazy
 	// (random) reads batch like sequential ones.
 	OptimizedIO bool
-	// BatchBoost is the per-additional-concurrent-restore gain in
-	// aggregate read bandwidth for batchable access patterns. Default
-	// 0.12 (10 concurrent restores reach ~2.1× aggregate bandwidth).
-	BatchBoost float64
-	// LazyOptimizedPenalty scales optimized lazy reads relative to
-	// sequential ones (residual seek cost). Default 0.9.
-	LazyOptimizedPenalty float64
 	// MaxVMs is the registration capacity. The paper assigns at most
 	// 35-40 VMs per backup server; default 40.
 	MaxVMs int
-	// SaturationKnee is the ingest utilization above which resident VMs
-	// degrade. Default 0.9.
-	SaturationKnee float64
 }
 
 // DefaultConfig returns the m3.xlarge backup server the prototype uses.
-func DefaultConfig() Config {
-	return Config{
-		IngestMBs:            110,
-		BaseReadMBs:          38.4,
-		BatchBoost:           0.12,
-		LazyOptimizedPenalty: 0.9,
-		MaxVMs:               40,
-		SaturationKnee:       0.9,
-	}
-}
+func DefaultConfig() Config { return Config{MaxVMs: 40} }
 
 func (c *Config) fillDefaults() {
-	d := DefaultConfig()
-	if c.IngestMBs <= 0 {
-		c.IngestMBs = d.IngestMBs
-	}
-	if c.BaseReadMBs <= 0 {
-		c.BaseReadMBs = d.BaseReadMBs
-	}
-	if c.BatchBoost <= 0 {
-		c.BatchBoost = d.BatchBoost
-	}
-	if c.LazyOptimizedPenalty <= 0 {
-		c.LazyOptimizedPenalty = d.LazyOptimizedPenalty
-	}
 	if c.MaxVMs <= 0 {
-		c.MaxVMs = d.MaxVMs
-	}
-	if c.SaturationKnee <= 0 {
-		c.SaturationKnee = d.SaturationKnee
+		c.MaxVMs = DefaultConfig().MaxVMs
 	}
 }
 
@@ -100,9 +76,6 @@ func NewServer(id string, cfg Config) *Server {
 
 // ID returns the server's identifier.
 func (s *Server) ID() string { return s.id }
-
-// Config returns the effective configuration.
-func (s *Server) Config() Config { return s.cfg }
 
 // Register adds a VM's checkpoint stream. It fails when the server is at
 // its VM capacity. A server that belongs to a Pool takes streams through
@@ -172,12 +145,7 @@ func (s *Server) IngestUtilization() float64 {
 	for _, d := range s.dirty {
 		sum += d
 	}
-	return sum / s.cfg.IngestMBs
-}
-
-// Overloaded reports whether resident VMs currently run degraded.
-func (s *Server) Overloaded() bool {
-	return s.IngestUtilization() > s.cfg.SaturationKnee
+	return sum / ingestMBs
 }
 
 // BeginRestore reserves a restoration slot and returns the per-VM read
@@ -201,7 +169,7 @@ func (s *Server) Restoring() int { return s.restoring }
 // concurrent restorations with the given access pattern.
 //
 //   - Sequential (full restore): batching grows aggregate bandwidth
-//     (1 + BatchBoost per extra stream).
+//     (1 + batchBoost per extra stream).
 //   - Lazy, unoptimized: random demand reads defeat prefetching and
 //     caching; aggregate bandwidth stays at the single-stream rate — which
 //     is why 10 concurrent unoptimized lazy restores take far longer than
@@ -213,16 +181,16 @@ func (s *Server) AggregateReadMBs(n int, lazy bool) float64 {
 	if n <= 0 {
 		n = 1
 	}
-	base := s.cfg.BaseReadMBs
+	base := BaseReadMBs
 	if s.cfg.OptimizedIO {
 		base *= 2
 	}
-	batch := 1 + s.cfg.BatchBoost*float64(n-1)
+	batch := 1 + batchBoost*float64(n-1)
 	switch {
 	case !lazy:
 		return base * batch
 	case s.cfg.OptimizedIO:
-		return base * s.cfg.LazyOptimizedPenalty * batch
+		return base * lazyOptimizedPenalty * batch
 	default:
 		return base
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/workload"
 )
 
 func TestRegisterUnregister(t *testing.T) {
@@ -43,12 +45,13 @@ func TestRegisterUnregister(t *testing.T) {
 	}
 }
 
-// Figure 7's knee: a default backup server saturates between 35 and 45 VMs
-// at the evaluation's ~2.8 MB/s dirty rate.
+// Figure 7's knee: a backup server passes the workload's saturation knee
+// between 35 and 45 VMs at the evaluation's ~2.8 MB/s dirty rate.
 func TestSaturationKneeNearPaperValue(t *testing.T) {
 	s := NewServer("b1", Config{MaxVMs: 100})
+	knee := workload.TPCW().SaturationKnee
 	n := 0
-	for !s.Overloaded() && n < 100 {
+	for s.IngestUtilization() <= knee && n < 100 {
 		n++
 		if err := s.Register(vmName(n), 2.8); err != nil {
 			t.Fatal(err)
@@ -62,21 +65,18 @@ func TestSaturationKneeNearPaperValue(t *testing.T) {
 func vmName(i int) string { return "vm-" + string(rune('a'+i/26)) + string(rune('a'+i%26)) }
 
 func TestIngestUtilization(t *testing.T) {
-	s := NewServer("b1", Config{IngestMBs: 100})
+	s := NewServer("b1", Config{})
 	if s.IngestUtilization() != 0 {
 		t.Error("empty server utilization != 0")
 	}
-	s.Register("vm-1", 30)
-	s.Register("vm-2", 30)
+	s.Register("vm-1", 33)
+	s.Register("vm-2", 33)
 	if u := s.IngestUtilization(); math.Abs(u-0.6) > 1e-12 {
-		t.Errorf("utilization = %v, want 0.6", u)
+		t.Errorf("utilization = %v, want 0.6 of %v MB/s", u, ingestMBs)
 	}
-	if s.Overloaded() {
-		t.Error("0.6 utilization should not be overloaded")
-	}
-	s.Register("vm-3", 35)
-	if !s.Overloaded() {
-		t.Error("0.95 utilization should be overloaded")
+	s.Register("vm-3", 44)
+	if u := s.IngestUtilization(); math.Abs(u-1) > 1e-12 {
+		t.Errorf("utilization = %v, want 1 at %v MB/s", u, ingestMBs)
 	}
 }
 
@@ -173,10 +173,8 @@ func TestRestoreBandwidthMonotoneProperty(t *testing.T) {
 
 func TestDefaultsFilled(t *testing.T) {
 	s := NewServer("b1", Config{})
-	cfg := s.Config()
-	if cfg.IngestMBs <= 0 || cfg.BaseReadMBs <= 0 || cfg.MaxVMs <= 0 ||
-		cfg.BatchBoost <= 0 || cfg.LazyOptimizedPenalty <= 0 || cfg.SaturationKnee <= 0 {
-		t.Errorf("defaults not filled: %+v", cfg)
+	if s.Free() != DefaultConfig().MaxVMs {
+		t.Errorf("empty server has %d free slots, want the default %d", s.Free(), DefaultConfig().MaxVMs)
 	}
 	if s.ID() != "b1" {
 		t.Error("ID wrong")

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -72,7 +73,7 @@ func (s CatalogSpec) Validate() error {
 	if s.Zones > 26 {
 		return fmt.Errorf("cloud: catalog spec supports at most 26 zones, got %d", s.Zones)
 	}
-	if s.PriceJitter < 0 || s.PriceJitter >= 1 {
+	if !(s.PriceJitter >= 0 && s.PriceJitter < 1) {
 		return fmt.Errorf("cloud: PriceJitter must be in [0,1), got %v", s.PriceJitter)
 	}
 	seen := map[string]bool{}
@@ -84,18 +85,50 @@ func (s CatalogSpec) Validate() error {
 			return fmt.Errorf("cloud: duplicate family %q", f.Name)
 		case f.Sizes < 1:
 			return fmt.Errorf("cloud: family %s needs at least one size", f.Name)
-		case f.FirstSize < 0:
-			return fmt.Errorf("cloud: family %s FirstSize must be >= 0", f.Name)
+		case f.FirstSize < 0 || f.FirstSize > maxSizeIndex:
+			return fmt.Errorf("cloud: family %s FirstSize must be in [0,%d], got %d", f.Name, maxSizeIndex, f.FirstSize)
+		case f.Sizes > maxSizeIndex+1-f.FirstSize:
+			return fmt.Errorf("cloud: family %s runs past the largest size, %s", f.Name, sizeName(maxSizeIndex))
 		case f.BaseVCPUs < 1 || f.BaseMemoryMB < 1:
 			return fmt.Errorf("cloud: family %s needs positive base resources", f.Name)
-		case f.BaseOnDemand <= 0:
-			return fmt.Errorf("cloud: family %s needs a positive base price", f.Name)
-		case f.BaseNetworkMBs <= 0:
-			return fmt.Errorf("cloud: family %s needs positive base network bandwidth", f.Name)
+		case f.BaseVCPUs > math.MaxInt>>(f.Sizes-1) || f.BaseMemoryMB > math.MaxInt>>(f.Sizes-1):
+			return fmt.Errorf("cloud: family %s's largest size overflows its vCPU or memory count", f.Name)
+		case !finitePositive(float64(f.BaseOnDemand)):
+			return fmt.Errorf("cloud: family %s needs a finite positive base price, got %v", f.Name, f.BaseOnDemand)
+		case !finitePositive(f.BaseNetworkMBs):
+			return fmt.Errorf("cloud: family %s needs finite positive base network bandwidth, got %v", f.Name, f.BaseNetworkMBs)
+		case math.IsNaN(f.NetworkScale) || math.IsInf(f.NetworkScale, 0):
+			return fmt.Errorf("cloud: family %s needs a finite NetworkScale, got %v", f.Name, f.NetworkScale)
+		}
+		// Walk the ladder with the jitter at both extremes: rounding is
+		// monotone, so every price GenerateCatalog can draw lies between
+		// lo and hi, and every bandwidth is one of net's steps.
+		lo, hi, net := float64(f.BaseOnDemand), float64(f.BaseOnDemand), f.BaseNetworkMBs
+		for i, scale := 1, f.networkScale(); i < f.Sizes; i++ {
+			lo *= 2 * (1 - s.PriceJitter)
+			hi *= 2 * (1 + s.PriceJitter)
+			net *= scale
+		}
+		if !finitePositive(lo) || !finitePositive(hi) || !finitePositive(net) {
+			return fmt.Errorf("cloud: family %s's largest size has a price or bandwidth out of float range", f.Name)
 		}
 		seen[f.Name] = true
 	}
 	return nil
+}
+
+// maxSizeIndex is the largest rung of the size ladder, 1073741824xlarge:
+// the multiplier sizeName renders, 1<<30, fits an int on every platform.
+const maxSizeIndex = 33
+
+func finitePositive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
+// networkScale is the family's NetworkScale with its default applied.
+func (f FamilySpec) networkScale() float64 {
+	if f.NetworkScale <= 0 {
+		return 1.7
+	}
+	return f.NetworkScale
 }
 
 // sizeName renders the canonical size ladder: small, medium, large, xlarge,
@@ -129,10 +162,7 @@ func GenerateCatalog(spec CatalogSpec) (Catalog, error) {
 	r := rand.New(rand.NewSource(spec.Seed))
 	var types []InstanceType
 	for _, f := range spec.Families {
-		netScale := f.NetworkScale
-		if netScale <= 0 {
-			netScale = 1.7
-		}
+		netScale := f.networkScale()
 		vcpus, mem, net := f.BaseVCPUs, f.BaseMemoryMB, f.BaseNetworkMBs
 		od := float64(f.BaseOnDemand)
 		for i := 0; i < f.Sizes; i++ {

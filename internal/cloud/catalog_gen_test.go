@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -141,6 +142,19 @@ func TestCatalogSpecValidate(t *testing.T) {
 		"no vcpus":      fam(func(f *FamilySpec) { f.BaseVCPUs = 0 }),
 		"free":          fam(func(f *FamilySpec) { f.BaseOnDemand = 0 }),
 		"no network":    fam(func(f *FamilySpec) { f.BaseNetworkMBs = 0 }),
+		// Each row below was accepted before Validate checked it.
+		"nan jitter":             {Families: ok.Families, Zones: 1, PriceJitter: math.NaN()},
+		"nan price":              fam(func(f *FamilySpec) { f.BaseOnDemand = USD(math.NaN()) }),
+		"inf price":              fam(func(f *FamilySpec) { f.BaseOnDemand = USD(math.Inf(1)) }),
+		"nan network":            fam(func(f *FamilySpec) { f.BaseNetworkMBs = math.NaN() }),
+		"inf network":            fam(func(f *FamilySpec) { f.BaseNetworkMBs = math.Inf(1) }),
+		"nan network scale":      fam(func(f *FamilySpec) { f.NetworkScale = math.NaN() }),
+		"inf network scale":      fam(func(f *FamilySpec) { f.Sizes, f.NetworkScale = 2, math.Inf(1) }),
+		"top price overflows":    fam(func(f *FamilySpec) { f.Sizes, f.BaseOnDemand = 3, 1e308 }),
+		"top network underflows": fam(func(f *FamilySpec) { f.Sizes, f.NetworkScale = 3, 1e-300 }),
+		"first size wraps name":  fam(func(f *FamilySpec) { f.FirstSize, f.Sizes = 67, 2 }),
+		"sizes overflow vcpus":   fam(func(f *FamilySpec) { f.Sizes = 64 }),
+		"vcpus overflow":         fam(func(f *FamilySpec) { f.Sizes, f.BaseVCPUs = 2, math.MaxInt }),
 		"dup family": {Zones: 1, Families: []FamilySpec{
 			fam(func(*FamilySpec) {}).Families[0],
 			fam(func(*FamilySpec) {}).Families[0],

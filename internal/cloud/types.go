@@ -170,9 +170,13 @@ type Volume struct {
 	AttachedTo InstanceID // empty when detached
 }
 
+// WarningWindow is EC2's interval between a spot revocation warning and
+// the forced termination (§3.2).
+const WarningWindow = 120 * simkit.Second
+
 // RevocationWarning notifies the renter that a spot instance will be
 // force-terminated at Deadline unless it is voluntarily terminated first.
-// EC2's window is 120 s.
+// EC2's window is WarningWindow.
 type RevocationWarning struct {
 	Instance *Instance
 	Issued   simkit.Time

@@ -22,7 +22,7 @@ type Config struct {
 	Traces  spotmarket.Set       // required: spot price traces per market
 
 	// WarningWindow is the interval between a revocation warning and the
-	// forced termination (EC2: 120 s).
+	// forced termination. Defaults to EC2's cloud.WarningWindow.
 	WarningWindow simkit.Time
 	// Latencies models control-plane operation latency (Table 1).
 	Latencies OpLatencies
@@ -71,7 +71,7 @@ func (c *Config) fillDefaults() {
 		c.Zones = cloud.DefaultZones()
 	}
 	if c.WarningWindow == 0 {
-		c.WarningWindow = 120 * simkit.Second
+		c.WarningWindow = cloud.WarningWindow
 	}
 	if c.Latencies == (OpLatencies{}) {
 		c.Latencies = DefaultOpLatencies()

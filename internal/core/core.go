@@ -39,13 +39,6 @@ type Config struct {
 	// Mechanism selects the migration variant (Figures 10-12 compare all
 	// five). Defaults to migration.SpotCheckLazy, the full system.
 	Mechanism migration.Mechanism
-	// Bound is the bounded-time migration guarantee. The paper uses a
-	// conservative 30 s, well under EC2's 120 s warning.
-	Bound simkit.Time
-	// CheckpointBandwidthMBs is the per-VM bandwidth to the backup server.
-	CheckpointBandwidthMBs float64
-	// LiveBandwidthMBs is host-to-host bandwidth for live migrations.
-	LiveBandwidthMBs float64
 
 	// Placement maps new VMs to spot pools (Table 2's policies).
 	Placement PlacementPolicy
@@ -57,15 +50,6 @@ type Config struct {
 	// HotSpares is the number of idle on-demand servers kept ready when
 	// Destination is DestHotSpare.
 	HotSpares int
-	// HotSpareType is the native type of hot spares (defaults to
-	// cloud.M3Medium).
-	HotSpareType string
-
-	// Backup configures backup servers; BackupType is the native type
-	// rented for them (defaults to m3.xlarge, the paper's choice).
-	Backup     backup.Config
-	BackupType string
-	BackupZone cloud.Zone
 
 	// Workload is the application profile VMs run (drives dirty rate and
 	// the degradation sensor). Defaults to workload.TPCW().
@@ -78,12 +62,6 @@ type Config struct {
 	// on-demand price before VMs migrate back from on-demand hosts.
 	// Defaults to 10 minutes.
 	ReturnHoldDown simkit.Time
-	// RebootSeconds is the recovery time when a VM's memory state is lost
-	// (live migration overrun): the VM restarts from its network volume.
-	RebootSeconds float64
-	// BootSeconds is how long a stateless VM takes to boot from its
-	// volume on a new host after a revocation (defaults to 30 s).
-	BootSeconds float64
 
 	// Metrics receives every controller instrument (counters, gauges,
 	// histograms). Defaults to a fresh private registry, so metrics are
@@ -135,33 +113,11 @@ func (c *Config) fillDefaults() error {
 	if c.Scheduler == nil || c.Provider == nil {
 		return fmt.Errorf("core: Scheduler and Provider are required")
 	}
-	if c.Bound == 0 {
-		c.Bound = 30 * simkit.Second
-	}
-	if c.CheckpointBandwidthMBs == 0 {
-		c.CheckpointBandwidthMBs = 40
-	}
-	if c.LiveBandwidthMBs == 0 {
-		c.LiveBandwidthMBs = 60
-	}
 	if c.Placement == nil {
 		c.Placement = Policy1PM()
 	}
 	if c.Bidding == nil {
 		c.Bidding = OnDemandBid{}
-	}
-	if c.HotSpareType == "" {
-		c.HotSpareType = cloud.M3Medium
-	}
-	if c.BackupType == "" {
-		c.BackupType = cloud.M3XLarge
-	}
-	if c.BackupZone == "" {
-		zones := c.Provider.Zones()
-		if len(zones) == 0 {
-			return fmt.Errorf("core: provider has no zones")
-		}
-		c.BackupZone = zones[0]
 	}
 	if c.Workload.Name == "" {
 		c.Workload = workload.TPCW()
@@ -171,12 +127,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.ReturnHoldDown == 0 {
 		c.ReturnHoldDown = 10 * simkit.Minute
-	}
-	if c.RebootSeconds == 0 {
-		c.RebootSeconds = 150
-	}
-	if c.BootSeconds == 0 {
-		c.BootSeconds = 30
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -223,7 +173,7 @@ type vmState struct {
 	// pool's market record, set wherever homePool is.
 	homePool   PoolKey
 	homeMarket *market
-	// typeMarket is the record of the VM's own type in the backup zone: its
+	// typeMarket is the record of the VM's own type in the home zone: its
 	// on-demand pool is where a displaced VM goes, and its calm slot holds
 	// the return sweep's per-tick answer for this requested type.
 	typeMarket *market
@@ -383,6 +333,9 @@ type Controller struct {
 	sched *simkit.Scheduler
 	prov  cloud.Provider
 	rng   *rand.Rand
+	// homeZone is the provider's first zone: backup servers, hot spares and
+	// the on-demand fallback pools live there.
+	homeZone cloud.Zone
 
 	// vmSlab and hostSlab hold all controller-side VM and host state in
 	// index-addressed, pre-sizable chunks; vmIndex and hostIndex are the
@@ -536,14 +489,19 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	if _, ok := cfg.Provider.TypeByName(cfg.BackupType); !ok {
-		return nil, fmt.Errorf("core: backup type %q not in catalog", cfg.BackupType)
+	zones := cfg.Provider.Zones()
+	if len(zones) == 0 {
+		return nil, fmt.Errorf("core: provider has no zones")
+	}
+	if _, ok := cfg.Provider.TypeByName(backupType); !ok {
+		return nil, fmt.Errorf("core: backup type %q not in catalog", backupType)
 	}
 	exp := cfg.ExpectedVMs
 	c := &Controller{
 		cfg:         cfg,
 		sched:       cfg.Scheduler,
 		prov:        cfg.Provider,
+		homeZone:    zones[0],
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		vmSlab:      slab.New[vmState](exp),
 		vmIndex:     make(map[nestedvm.ID]slab.Handle, exp),
@@ -563,8 +521,7 @@ func New(cfg Config) (*Controller, error) {
 	}
 	// Backup-server I/O tuning follows the mechanism: the SpotCheck
 	// variants run the fadvise/ext4-tuned backup servers of §5.
-	c.cfg.Backup.OptimizedIO = cfg.Mechanism.Optimized()
-	c.backups = backup.NewPool(c.cfg.Backup, c.onBackupProvisioned)
+	c.backups = backup.NewPool(backup.Config{OptimizedIO: cfg.Mechanism.Optimized()}, c.onBackupProvisioned)
 	c.backups.SetMetrics(backup.NewMetrics(c.cfg.Metrics))
 	c.prov.OnRevocationWarning(c.onRevocationWarning)
 	c.startMonitor()

@@ -96,14 +96,25 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config accepted")
 	}
+	// A catalog without the m3.xlarge backup servers run on.
+	var catalog []cloud.InstanceType
+	for _, typ := range cloud.DefaultCatalog() {
+		if typ.Name != cloud.M3XLarge {
+			catalog = append(catalog, typ)
+		}
+	}
 	sched := simkit.NewScheduler()
-	plat, _ := cloudsim.New(sched, cloudsim.Config{
+	plat, err := cloudsim.New(sched, cloudsim.Config{
+		Catalog: catalog,
 		Traces: spotmarket.Set{
 			{Type: cloud.M3Medium, Zone: "zone-a"}: makeTrace(t, 0.01, simkit.Hour),
 		},
 	})
-	if _, err := New(Config{Scheduler: sched, Provider: plat, BackupType: "bogus"}); err == nil {
-		t.Error("bogus backup type accepted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Scheduler: sched, Provider: plat}); err == nil {
+		t.Error("catalog without the backup type accepted")
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/backup"
+	"repro/internal/cloud"
 	"repro/internal/migration"
 	"repro/internal/nestedvm"
 	"repro/internal/simkit"
@@ -54,40 +56,21 @@ func (c *Controller) EstimateMigration(id nestedvm.ID) (MigrationEstimate, error
 	switch {
 	case vs.stateless:
 		// Serves until the forced kill, then boots from its volume.
-		est.TotalDowntime = simkit.Seconds(c.cfg.BootSeconds) + est.Replumb
+		est.TotalDowntime = bootTime + est.Replumb
 	case !mech.UsesBackup():
 		// Pre-copy live migration: sub-second stop-and-copy; the re-plumb
 		// overlaps the copy in the paper's treatment.
-		live, err := migration.SimulateLive(migration.LiveSpec{
-			MemoryMB:     vm.Memory.SizeMB,
-			DirtyMBs:     vm.Memory.DirtyMBs,
-			BandwidthMBs: c.cfg.LiveBandwidthMBs,
-		})
-		if err != nil {
-			return MigrationEstimate{}, err
-		}
 		est.Replumb = 0
-		est.TotalDowntime = live.Downtime
+		est.TotalDowntime = c.simulateLive(vs).Downtime
 	default:
-		cp := migration.CheckpointSpec{
-			DirtyMBs:     vm.Memory.DirtyMBs,
-			BandwidthMBs: c.cfg.CheckpointBandwidthMBs,
-			Bound:        c.cfg.Bound,
-		}
-		flush, err := migration.SimulateFlush(migration.FlushSpec{
-			ResidueMB:    cp.ResidueMB(),
-			DirtyMBs:     vm.Memory.DirtyMBs,
-			BandwidthMBs: c.cfg.CheckpointBandwidthMBs,
-			Warning:      120 * simkit.Second,
-			Ramped:       mech.Optimized(),
-		})
+		_, flush, err := c.sizeFlush(vs, cloud.WarningWindow)
 		if err != nil {
 			return MigrationEstimate{}, err
 		}
 		est.FlushPause = flush.Downtime
 		est.FlushDegraded = flush.DegradedTime
 
-		readMBs := 38.4
+		readMBs := backup.BaseReadMBs
 		if srv := vs.backup; srv != nil {
 			readMBs = srv.RestoreReadMBsPerVM(srv.Restoring()+1, mech.Lazy())
 		}

@@ -1,0 +1,64 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/cloud"
+	"repro/internal/migration"
+	"repro/internal/simkit"
+	"repro/internal/spotmarket"
+)
+
+// TestEstimateMatchesChain pins the one sizing path: the what-if a VM's
+// estimate gives before a revocation is what the migration chain records
+// when EC2 then warns its host with the full warning window left — the
+// final flush of every backup-based mechanism, and XenLive's stop-and-copy
+// pause.
+func TestEstimateMatchesChain(t *testing.T) {
+	traces := spotmarket.Set{
+		{Type: cloud.M3Medium, Zone: "zone-a"}: makeTrace(t, 0.01, testEnd,
+			spike{at: 10 * simkit.Hour, dur: simkit.Hour, price: 0.50}),
+	}
+	for _, mech := range migration.Mechanisms() {
+		t.Run(mech.String(), func(t *testing.T) {
+			r := newRig(t, traces, func(c *Config) { c.Mechanism = mech })
+			id := r.request(t, "alice")
+			r.run(t, 9*simkit.Hour)
+			est, err := r.ctrl.EstimateMigration(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs := r.ctrl.lookupVM(id)
+			// Registered after the controller's, so this listener sees the
+			// move the warning has just started.
+			var warned bool
+			var chain move
+			r.plat.OnRevocationWarning(func(w cloud.RevocationWarning) {
+				if w.Instance.ID != vs.host.inst.ID {
+					return
+				}
+				if w.Window() != cloud.WarningWindow {
+					t.Errorf("warned with %v left, want %v", w.Window(), cloud.WarningWindow)
+				}
+				warned, chain = true, vs.move
+			})
+			r.run(t, 10*simkit.Hour+simkit.Second)
+			if !warned {
+				t.Fatal("the spike warned no host of the VM")
+			}
+			if !mech.UsesBackup() {
+				if live := r.ctrl.simulateLive(vs); est.TotalDowntime != live.Downtime || chain.live.Downtime != live.Downtime {
+					t.Errorf("estimate downtime %v, chain's pre-copy pause %v, simulateLive %v", est.TotalDowntime, chain.live.Downtime, live.Downtime)
+				}
+				return
+			}
+			if est.FlushPause != chain.flush.Downtime || est.FlushDegraded != chain.flush.DegradedTime {
+				t.Errorf("estimate flush pause %v degraded %v, chain recorded %v / %v",
+					est.FlushPause, est.FlushDegraded, chain.flush.Downtime, chain.flush.DegradedTime)
+			}
+			if chain.flush.Downtime == 0 {
+				t.Error("the chain recorded no flush")
+			}
+		})
+	}
+}

@@ -253,8 +253,8 @@ func auditMoves(t *testing.T, c *Controller) {
 		}
 		switch m.phase {
 		case moveDrain, moveFlush, moveServe:
-			if now > m.deadline+c.cfg.Bound {
-				t.Errorf("%s: still in source-side phase %d at %v, deadline %v + bound %v", id, m.phase, now, m.deadline, c.cfg.Bound)
+			if now > m.deadline+migrationBound {
+				t.Errorf("%s: still in source-side phase %d at %v, deadline %v + bound %v", id, m.phase, now, m.deadline, migrationBound)
 			}
 			fallthrough
 		case moveRestore, moveReboot:

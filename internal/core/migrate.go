@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/backup"
 	"repro/internal/cloud"
 	"repro/internal/migration"
 	"repro/internal/nestedvm"
@@ -149,6 +150,44 @@ func (c *Controller) endLazyWindow(vs *vmState) {
 	}
 }
 
+// The migration model's fixed parameters (docs/ARCHITECTURE.md, "Model
+// constants").
+const (
+	// migrationBound is the bounded-time migration guarantee: the paper's
+	// conservative 30 s, well inside EC2's cloud.WarningWindow (§3.2).
+	migrationBound = 30 * simkit.Second
+	// checkpointMBs is each VM's bandwidth to its backup server (§3.2).
+	checkpointMBs = 40.0
+	// liveMBs is the host-to-host bandwidth of a pre-copy live migration
+	// (§3.2): an m3.medium's network share.
+	liveMBs = 60.0
+	// bootTime is how long a stateless VM takes to boot from its network
+	// volume on a new host after a revocation (§4.2).
+	bootTime = 30 * simkit.Second
+	// rebootTime is the recovery time of a VM whose memory state is lost
+	// (a live migration overrun): it restarts from its network volume
+	// (§3.2).
+	rebootTime = 150 * simkit.Second
+)
+
+// sizeFlush sizes the final flush of vs's bounded-time migration with
+// warning left before the forced kill. The residue is the worst case: the
+// checkpointer lets the dirty set grow to the bound's threshold between
+// checkpoints (conservative, like the paper's 30 s bound). The revocation
+// path and EstimateMigration both size a flush here.
+func (c *Controller) sizeFlush(vs *vmState, warning simkit.Time) (residueMB float64, flush migration.FlushResult, err error) {
+	dirty := vs.vm.Memory.DirtyMBs
+	residueMB = migration.CheckpointSpec{DirtyMBs: dirty, BandwidthMBs: checkpointMBs, Bound: migrationBound}.ResidueMB()
+	flush, err = migration.SimulateFlush(migration.FlushSpec{
+		ResidueMB:    residueMB,
+		DirtyMBs:     dirty,
+		BandwidthMBs: checkpointMBs,
+		Warning:      warning,
+		Ramped:       c.cfg.Mechanism.Optimized(),
+	})
+	return residueMB, flush, err
+}
+
 // startBounded begins the revocation path of the four backup-based
 // mechanisms: flush the dirty residue within the bound (Yank pause, or
 // SpotCheck's ramped degradation + short pause) while a destination is
@@ -161,26 +200,12 @@ func (c *Controller) startBounded(vs *vmState) {
 	if warning <= 0 {
 		warning = simkit.Second
 	}
-	cp := migration.CheckpointSpec{
-		DirtyMBs:     vm.Memory.DirtyMBs,
-		BandwidthMBs: c.cfg.CheckpointBandwidthMBs,
-		Bound:        c.cfg.Bound,
-	}
-	// Worst-case residue: the checkpointer lets the dirty set grow to its
-	// bound threshold between checkpoints (conservative, like the paper's
-	// 30 s bound).
-	flush, err := migration.SimulateFlush(migration.FlushSpec{
-		ResidueMB:    cp.ResidueMB(),
-		DirtyMBs:     vm.Memory.DirtyMBs,
-		BandwidthMBs: c.cfg.CheckpointBandwidthMBs,
-		Warning:      warning,
-		Ramped:       c.cfg.Mechanism.Optimized(),
-	})
+	residue, flush, err := c.sizeFlush(vs, warning)
 	if err != nil {
 		// Mis-configuration; treat as an immediate pause of the bound.
-		flush = migration.FlushResult{Downtime: c.cfg.Bound, Total: c.cfg.Bound, Completed: true}
+		flush = migration.FlushResult{Downtime: migrationBound, Total: migrationBound, Completed: true}
 	}
-	c.met.mig.RecordFlush(cp.ResidueMB(), flush)
+	c.met.mig.RecordFlush(residue, flush)
 	m.flush = flush
 
 	if !c.cfg.Mechanism.Optimized() {
@@ -243,13 +268,13 @@ func (c *Controller) seekDestination(vs *vmState) {
 			}
 		}
 	}
-	// The VM's own type, on demand, in the backup zone. Once that pool
+	// The VM's own type, on demand, in the home zone. Once that pool
 	// exists the request goes straight to it, with no key to hash.
 	if pool := vs.typeMarket.pools[cloud.MarketOnDemand]; pool != nil {
 		c.acquireIn(pool, vs.vm.Type, vs)
 		return
 	}
-	c.acquireHost(PoolKey{Type: vs.vm.Type.Name, Zone: c.cfg.BackupZone, Market: cloud.MarketOnDemand}, vs.vm.Type, vs)
+	c.acquireHost(PoolKey{Type: vs.vm.Type.Name, Zone: c.homeZone, Market: cloud.MarketOnDemand}, vs.vm.Type, vs)
 }
 
 // hostAcquired receives the outcome of a host acquisition for the VM that
@@ -303,7 +328,7 @@ func (c *Controller) destinationReady(vs *vmState, h *hostState, staged bool) {
 			return
 		}
 		c.enter(vs, moveReboot)
-		c.wakeAfter(vs, simkit.Seconds(c.cfg.RebootSeconds), "reboot", stepReboot)
+		c.wakeAfter(vs, rebootTime, "reboot", stepReboot)
 	}
 }
 
@@ -393,7 +418,7 @@ func (c *Controller) restoreOnDestination(vs *vmState) {
 	mech := c.cfg.Mechanism
 	c.enter(vs, moveRestore)
 	if vs.stateless {
-		c.wakeAfter(vs, simkit.Seconds(c.cfg.BootSeconds), "boot", stepRestored)
+		c.wakeAfter(vs, bootTime, "boot", stepRestored)
 		return
 	}
 	srv := vs.backup
@@ -403,7 +428,7 @@ func (c *Controller) restoreOnDestination(vs *vmState) {
 	} else {
 		// Shouldn't happen for backup mechanisms; assume an unloaded
 		// default server's bandwidth.
-		readMBs = 38.4
+		readMBs = backup.BaseReadMBs
 	}
 	res, err := migration.SimulateRestore(migration.RestoreSpec{
 		MemoryMB:   vm.Memory.SizeMB,
@@ -485,7 +510,7 @@ func (c *Controller) simulateLive(vs *vmState) migration.LiveResult {
 	live, err := migration.SimulateLive(migration.LiveSpec{
 		MemoryMB:     vs.vm.Memory.SizeMB,
 		DirtyMBs:     vs.vm.Memory.DirtyMBs,
-		BandwidthMBs: c.cfg.LiveBandwidthMBs,
+		BandwidthMBs: liveMBs,
 	})
 	if err != nil {
 		live = migration.LiveResult{Total: simkit.Minute, Downtime: simkit.Second, Converged: true}
@@ -521,7 +546,7 @@ func (c *Controller) copyTo(vs *vmState) {
 	downAt := max(m.deadline, now)
 	c.enter(vs, moveReboot)
 	c.stepAt(vs, downAt, "lost", stepDown)
-	m.wake = c.stepAt(vs, downAt+simkit.Seconds(c.cfg.RebootSeconds), "reboot", stepReboot)
+	m.wake = c.stepAt(vs, downAt+rebootTime, "reboot", stepReboot)
 }
 
 // liveDone ends a pre-copy that was given time to finish.
@@ -544,7 +569,7 @@ func (c *Controller) liveDone(vs *vmState) {
 		c.met.stateLost.Inc()
 		c.emit("vm", string(vm.ID), EventStateLost, "predictive miss with no backup server")
 		c.enter(vs, moveReboot)
-		c.wakeAfter(vs, simkit.Seconds(c.cfg.RebootSeconds), "reboot", stepReboot)
+		c.wakeAfter(vs, rebootTime, "reboot", stepReboot)
 		return
 	}
 	c.moveLive(vs)

@@ -333,6 +333,9 @@ func (c *Controller) marketCalm(m *market) bool {
 // ---------------------------------------------------------------------------
 // Hot spares (§4.3)
 
+// hotSpareType is the native type of a hot spare (§4.3).
+const hotSpareType = cloud.M3Medium
+
 // requestSpare launches an idle on-demand server to stand ready for
 // instant failover.
 func (c *Controller) requestSpare() {
@@ -341,7 +344,7 @@ func (c *Controller) requestSpare() {
 	}
 	c.sparePending++
 	//lint:ignore hotpath one launch per hot spare, a cold path
-	c.prov.RunOnDemand(c.cfg.HotSpareType, c.cfg.BackupZone, func(inst *cloud.Instance, err error) {
+	c.prov.RunOnDemand(hotSpareType, c.homeZone, func(inst *cloud.Instance, err error) {
 		c.sparePending--
 		if c.shutdown {
 			if inst != nil {

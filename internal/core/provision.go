@@ -59,7 +59,7 @@ func (c *Controller) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, 
 	vs.phase = phaseProvisioning
 	vs.workload = c.cfg.Workload
 	vs.stateless = opts.Stateless
-	vs.typeMarket = c.history.at(spotmarket.MarketKey{Type: typ.Name, Zone: c.cfg.BackupZone})
+	vs.typeMarket = c.history.at(spotmarket.MarketKey{Type: typ.Name, Zone: c.homeZone})
 	c.vmIndex[id] = vs.slot
 	c.met.vmsCreated.Inc()
 	if c.trace != nil {
@@ -91,7 +91,7 @@ func (c *Controller) placeNew(vs *vmState) {
 			return
 		}
 	}
-	c.acquireHost(PoolKey{Type: vs.vm.Type.Name, Zone: c.cfg.BackupZone, Market: cloud.MarketOnDemand}, vs.vm.Type, vs)
+	c.acquireHost(PoolKey{Type: vs.vm.Type.Name, Zone: c.homeZone, Market: cloud.MarketOnDemand}, vs.vm.Type, vs)
 }
 
 // placed continues a new VM's placement with the outcome of its host
@@ -513,11 +513,15 @@ func (c *Controller) unregisterBackup(vs *vmState) {
 	}
 }
 
+// backupType is the native type rented for each backup server: the
+// m3.xlarge of the prototype (§5).
+const backupType = cloud.M3XLarge
+
 // onBackupProvisioned rents a native on-demand instance to stand behind a
 // newly provisioned backup server.
 func (c *Controller) onBackupProvisioned(srv *backup.Server) {
 	//lint:ignore hotpath one launch per backup server, a cold path
-	c.prov.RunOnDemand(c.cfg.BackupType, c.cfg.BackupZone, func(inst *cloud.Instance, err error) {
+	c.prov.RunOnDemand(backupType, c.homeZone, func(inst *cloud.Instance, err error) {
 		if err != nil {
 			// Cost-accounting only; the logical backup server still works.
 			c.met.destFails.Inc()

@@ -42,14 +42,14 @@ func AblationFlush(residues []float64) ([]FlushAblationRow, error) {
 	for _, res := range residues {
 		yank, err := migration.SimulateFlush(migration.FlushSpec{
 			ResidueMB: res, DirtyMBs: dirty, BandwidthMBs: bw,
-			Warning: 120 * simkit.Second,
+			Warning: cloud.WarningWindow,
 		})
 		if err != nil {
 			return nil, err
 		}
 		ramped, err := migration.SimulateFlush(migration.FlushSpec{
 			ResidueMB: res, DirtyMBs: dirty, BandwidthMBs: bw,
-			Warning: 120 * simkit.Second, Ramped: true,
+			Warning: cloud.WarningWindow, Ramped: true,
 		})
 		if err != nil {
 			return nil, err

@@ -71,9 +71,6 @@ type LiveSpec struct {
 	MemoryMB     float64 // VM memory footprint
 	DirtyMBs     float64 // page dirtying rate during migration
 	BandwidthMBs float64 // migration transfer bandwidth
-	// StopCopyMB is the residual dirty set at which the VM pauses for the
-	// final stop-and-copy round. Defaults to 50 MB.
-	StopCopyMB float64
 	// MaxRounds caps pre-copy iterations before forcing stop-and-copy
 	// (non-converging migrations). Defaults to 30.
 	MaxRounds int
@@ -85,8 +82,12 @@ type LiveResult struct {
 	Downtime      simkit.Time // final stop-and-copy pause
 	TransferredMB float64     // total bytes moved (copies + recopies)
 	Rounds        int
-	Converged     bool // dirty set shrank below StopCopyMB before MaxRounds
+	Converged     bool // dirty set shrank below stopCopyMB before MaxRounds
 }
+
+// stopCopyMB is the residual dirty set at which a pre-copy pauses the VM
+// for its final stop-and-copy round (§3.2).
+const stopCopyMB = 50
 
 // SimulateLive runs the pre-copy iteration analytically: round i re-copies
 // the pages dirtied during round i-1. With dirty rate d and bandwidth b the
@@ -98,10 +99,6 @@ func SimulateLive(s LiveSpec) (LiveResult, error) {
 	}
 	if s.DirtyMBs < 0 {
 		return LiveResult{}, fmt.Errorf("migration: negative dirty rate %v", s.DirtyMBs)
-	}
-	stopCopy := s.StopCopyMB
-	if stopCopy <= 0 {
-		stopCopy = 50
 	}
 	maxRounds := s.MaxRounds
 	if maxRounds <= 0 {
@@ -121,7 +118,7 @@ func SimulateLive(s LiveSpec) (LiveResult, error) {
 		if remaining > s.MemoryMB {
 			remaining = s.MemoryMB // dirty set cannot exceed RAM
 		}
-		if remaining <= stopCopy {
+		if remaining <= stopCopyMB {
 			converged = true
 			break
 		}
@@ -188,10 +185,12 @@ type FlushSpec struct {
 	BandwidthMBs float64     // bandwidth to the backup server
 	Warning      simkit.Time // window until forced termination
 	Ramped       bool        // SpotCheck's rising checkpoint frequency
-	// RampFloorSeconds is how much dirtying the final pause must absorb
-	// once ramping has drained the residue (defaults to 1 s of dirtying).
-	RampFloorSeconds float64
 }
+
+// rampFloorSeconds is how much dirtying the final pause of a ramped flush
+// must absorb once ramping has drained the residue: one second's worth
+// (§3.2).
+const rampFloorSeconds = 1
 
 // FlushResult reports the flush.
 type FlushResult struct {
@@ -234,11 +233,7 @@ func SimulateFlush(s FlushSpec) (FlushResult, error) {
 	// SpotCheck: keep the VM running while checkpointing at rising
 	// frequency. The residue drains at (bandwidth - dirty rate); the VM is
 	// degraded during the drain, then pauses only to flush the floor.
-	floorSecs := s.RampFloorSeconds
-	if floorSecs <= 0 {
-		floorSecs = 1
-	}
-	floor := s.DirtyMBs * floorSecs
+	floor := s.DirtyMBs * rampFloorSeconds
 	if floor > s.ResidueMB {
 		floor = s.ResidueMB
 	}
