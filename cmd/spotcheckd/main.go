@@ -47,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -100,13 +101,22 @@ func newDaemon(months float64, seed int64) (*daemon, error) {
 	return &daemon{sched: sched, plat: plat, ctrl: ctrl, reg: reg, trace: trace}, nil
 }
 
-// advance moves virtual time forward under the lock, then settles the
-// controller's tick accounting so the lock-free /metrics reads the monitor
-// and price-change counters as of the new instant.
+// maxSimTime is the largest virtual time: the daemon's clock stops there
+// instead of wrapping negative.
+const maxSimTime = simkit.Time(math.MaxInt64)
+
+// advance moves virtual time forward by dt (> 0), saturating at
+// maxSimTime, under the lock, then settles the controller's tick
+// accounting so the lock-free /metrics reads the monitor and price-change
+// counters as of the new instant.
 func (d *daemon) advance(dt simkit.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.sched.RunUntil(d.sched.Now() + dt)
+	to := maxSimTime
+	if now := d.sched.Now(); dt < maxSimTime-now {
+		to = now + dt
+	}
+	d.sched.RunUntil(to)
 	d.ctrl.Settle()
 }
 
@@ -114,12 +124,16 @@ func (d *daemon) advance(dt simkit.Time) {
 // given speedup. This is the daemon's single wall→sim crossing point:
 // everything behind it (scheduler, controller, traces, /metrics) sees only
 // simkit virtual time. Non-positive elapsed time (a clock step, a
-// duplicate tick) advances nothing.
+// duplicate tick) or speedup advances nothing; a delta past maxSimTime is
+// maxSimTime.
 func wallToSim(elapsed time.Duration, speedup float64) simkit.Time {
-	if elapsed <= 0 || speedup <= 0 {
+	if elapsed <= 0 || !(speedup > 0) {
 		return 0
 	}
-	return simkit.Time(float64(elapsed) * speedup)
+	if v := float64(elapsed) * speedup; v < float64(maxSimTime) {
+		return simkit.Time(v)
+	}
+	return maxSimTime
 }
 
 // clockLoop drives continuous virtual time from a wall-clock tick stream
@@ -381,6 +395,9 @@ func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	months := flag.Float64("months", 6, "spot price trace horizon in months")
 	flag.Parse()
+	if err := checkFlags(*speedup, *months); err != nil {
+		log.Fatal("spotcheckd: ", err)
+	}
 
 	d, err := newDaemon(*months, *seed)
 	if err != nil {
@@ -396,6 +413,18 @@ func main() {
 	log.Printf("spotcheckd: listening on %s (speedup %.0fx, markets %v)",
 		*listen, *speedup, marketNames())
 	log.Fatal(http.ListenAndServe(*listen, d.mux()))
+}
+
+// checkFlags rejects a speedup that is negative, NaN or infinite, and a
+// horizon of months that is not positive or does not fit in virtual time.
+func checkFlags(speedup, months float64) error {
+	if !(speedup >= 0) || math.IsInf(speedup, 1) {
+		return fmt.Errorf("-speedup %v: need a finite value >= 0", speedup)
+	}
+	if !(months > 0) || float64(30*simkit.Day)*months >= float64(maxSimTime) {
+		return fmt.Errorf("-months %v: need a positive horizon of at most %.0f months", months, float64(maxSimTime)/float64(30*simkit.Day))
+	}
+	return nil
 }
 
 // mux builds the daemon's route table (shared with the tests).

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -548,6 +549,9 @@ func TestWallToSim(t *testing.T) {
 		{"zero elapsed", 0, 60, 0},
 		{"backwards wall clock", -time.Second, 60, 0},
 		{"zero speedup", time.Second, 0, 0},
+		{"NaN speedup", 100 * time.Millisecond, math.NaN(), 0},
+		{"past the largest time", 100 * time.Millisecond, 1e11, maxSimTime},
+		{"infinite speedup", 100 * time.Millisecond, math.Inf(1), maxSimTime},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -555,6 +559,51 @@ func TestWallToSim(t *testing.T) {
 				t.Errorf("wallToSim(%v, %v) = %v, want %v", tt.elapsed, tt.speedup, got, tt.want)
 			}
 		})
+	}
+}
+
+// Advancing past the largest virtual time stops the clock there: it does
+// not wrap to a negative time, which RunUntil refuses with a panic.
+func TestDaemonAdvancePastTheEnd(t *testing.T) {
+	d, srv := testServer(t)
+	client := srv.Client()
+	resp, err := client.Post(srv.URL+"/servers?customer=alice", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode(t, resp, http.StatusCreated, nil)
+	for _, dur := range []string{"2562047h", "47m", "1h"} {
+		resp, err := client.Post(srv.URL+"/advance?d="+dur, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode(t, resp, http.StatusOK, nil)
+	}
+	if now := d.sched.Now(); now != maxSimTime {
+		t.Errorf("clock at %v, want the largest time %v", now, maxSimTime)
+	}
+	d.advance(wallToSim(time.Second, 60)) // the clock loop's next tick
+}
+
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		speedup, months float64
+		ok              bool
+	}{
+		{60, 6, true},
+		{0, 6, true}, // manual /advance only
+		{-1, 6, false},
+		{math.NaN(), 6, false},
+		{math.Inf(1), 6, false},
+		{60, 0, false},
+		{60, -1, false},
+		{60, math.NaN(), false},
+		{60, math.Inf(1), false},
+		{60, 1e6, false}, // past the largest virtual time
+	} {
+		if err := checkFlags(tc.speedup, tc.months); (err == nil) != tc.ok {
+			t.Errorf("checkFlags(%v, %v) = %v, want ok=%v", tc.speedup, tc.months, err, tc.ok)
+		}
 	}
 }
 

@@ -88,22 +88,6 @@ func Summarize(samples []float64) Summary {
 	}
 }
 
-// Histogram counts samples into equal-width bins over [lo, hi).
-func Histogram(samples []float64, lo, hi float64, bins int) []int {
-	out := make([]int, bins)
-	if bins <= 0 || hi <= lo {
-		return out
-	}
-	w := (hi - lo) / float64(bins)
-	for _, v := range samples {
-		if v < lo || v >= hi {
-			continue
-		}
-		out[int((v-lo)/w)]++
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Text rendering
 

@@ -62,17 +62,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0, 0.5, 1, 1.5, 2, 5, -1}, 0, 2, 2)
-	// [0,1): {0, 0.5}; [1,2): {1, 1.5}; 2, 5 and -1 fall outside [lo, hi).
-	if h[0] != 2 || h[1] != 2 {
-		t.Errorf("hist = %v", h)
-	}
-	if got := Histogram(nil, 0, 0, 3); len(got) != 3 {
-		t.Error("degenerate histogram length")
-	}
-}
-
 // Property: CDF is monotone and bounded in [0,1].
 func TestCDFMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {

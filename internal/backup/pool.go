@@ -89,12 +89,6 @@ func (s *Server) groupVMs(g int) int32 {
 	return s.groups[g]
 }
 
-// Assign registers a VM's checkpoint stream on the next server in
-// round-robin order, provisioning a new server once all are full.
-func (p *Pool) Assign(vmID string, dirtyMBs float64) (*Server, error) {
-	return p.AssignSpread(vmID, dirtyMBs, "")
-}
-
 // AssignSpread registers a VM's checkpoint stream, spreading VMs of the
 // same group (their spot pool, §4.2) across backup servers: "since each
 // spot pool is subject to concurrent revocations, spreading one pool's VMs

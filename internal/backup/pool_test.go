@@ -14,7 +14,7 @@ func TestPoolRoundRobinSpreads(t *testing.T) {
 	// force two servers by capacity 3.
 	p2 := NewPool(Config{MaxVMs: 3}, nil)
 	for i := 0; i < 6; i++ {
-		if _, err := p2.Assign(fmt.Sprintf("vm-%d", i), 2.8); err != nil {
+		if _, err := p2.AssignSpread(fmt.Sprintf("vm-%d", i), 2.8, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -32,7 +32,7 @@ func TestPoolProvisionsWhenFull(t *testing.T) {
 	var provisioned []string
 	p := NewPool(Config{MaxVMs: 2}, func(s *Server) { provisioned = append(provisioned, s.ID()) })
 	for i := 0; i < 5; i++ {
-		if _, err := p.Assign(fmt.Sprintf("vm-%d", i), 2.8); err != nil {
+		if _, err := p.AssignSpread(fmt.Sprintf("vm-%d", i), 2.8, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +50,7 @@ func TestPoolProvisionsWhenFull(t *testing.T) {
 func TestPoolRoundRobinAfterRelease(t *testing.T) {
 	p := NewPool(Config{MaxVMs: 2}, nil)
 	for i := 0; i < 4; i++ {
-		if _, err := p.Assign(fmt.Sprintf("vm-%d", i), 2.8); err != nil {
+		if _, err := p.AssignSpread(fmt.Sprintf("vm-%d", i), 2.8, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func TestPoolRoundRobinAfterRelease(t *testing.T) {
 	// rather than provision.
 	victim := p.Servers()[0].VMIDs()[0]
 	p.Release(victim)
-	if _, err := p.Assign("vm-new", 2.8); err != nil {
+	if _, err := p.AssignSpread("vm-new", 2.8, ""); err != nil {
 		t.Fatal(err)
 	}
 	if p.Size() != 2 {
@@ -71,10 +71,10 @@ func TestPoolRoundRobinAfterRelease(t *testing.T) {
 
 func TestPoolDuplicateAssign(t *testing.T) {
 	p := NewPool(Config{}, nil)
-	if _, err := p.Assign("vm-1", 2.8); err != nil {
+	if _, err := p.AssignSpread("vm-1", 2.8, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Assign("vm-1", 2.8); err == nil {
+	if _, err := p.AssignSpread("vm-1", 2.8, ""); err == nil {
 		t.Error("duplicate assign accepted")
 	}
 }
@@ -89,7 +89,7 @@ func TestPoolReleaseUnknown(t *testing.T) {
 
 func TestPoolServerFor(t *testing.T) {
 	p := NewPool(Config{}, nil)
-	s, err := p.Assign("vm-1", 2.8)
+	s, err := p.AssignSpread("vm-1", 2.8, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestPoolMaxVMsPerServer(t *testing.T) {
 		t.Error("empty pool max should be 0")
 	}
 	for i := 0; i < 4; i++ {
-		p.Assign(fmt.Sprintf("vm-%d", i), 2.8)
+		p.AssignSpread(fmt.Sprintf("vm-%d", i), 2.8, "")
 	}
 	if got := p.MaxVMsPerServer(); got != 3 {
 		t.Errorf("MaxVMsPerServer = %d, want 3", got)
@@ -172,7 +172,7 @@ func TestMetricsRetireServer(t *testing.T) {
 	p.SetMetrics(NewMetrics(reg))
 
 	for i := 0; i < 4; i++ {
-		if _, err := p.Assign(fmt.Sprintf("vm-%d", i), 2.8); err != nil {
+		if _, err := p.AssignSpread(fmt.Sprintf("vm-%d", i), 2.8, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

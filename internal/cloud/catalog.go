@@ -31,6 +31,22 @@ func DefaultCatalog() []InstanceType {
 	}
 }
 
+// OnDemandPrice is typ's on-demand price in DefaultCatalog. A type the
+// catalog does not list (a replayed archive's, say) is priced as an
+// m3.medium, the paper's evaluation type.
+func OnDemandPrice(typ string) USD {
+	var anchor USD
+	for _, it := range DefaultCatalog() {
+		if it.Name == typ {
+			return it.OnDemand
+		}
+		if it.Name == M3Medium {
+			anchor = it.OnDemand
+		}
+	}
+	return anchor
+}
+
 // DefaultZones returns the simulated region's availability zones.
 func DefaultZones() []Zone {
 	return []Zone{"zone-a", "zone-b", "zone-c"}

@@ -394,15 +394,8 @@ func New(sched *simkit.Scheduler, cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// Scheduler exposes the platform's event loop so co-simulated components
-// (backup servers, workloads) share the same clock.
-func (p *Platform) Scheduler() *simkit.Scheduler { return p.sched }
-
 // Stats returns event counters.
 func (p *Platform) Stats() Stats { return p.stats }
-
-// Config returns the effective configuration (defaults filled).
-func (p *Platform) Config() Config { return p.cfg }
 
 // Now implements cloud.Provider.
 func (p *Platform) Now() simkit.Time { return p.sched.Now() }

@@ -93,7 +93,7 @@ func (p *Platform) DeleteVolume(vol cloud.VolumeID) error {
 }
 
 // Volume returns the current view of a volume (not part of cloud.Provider;
-// used by tests and the daemon's inspection API).
+// the tests' volume inspector).
 func (p *Platform) Volume(id cloud.VolumeID) (*cloud.Volume, error) {
 	v := p.volume(id)
 	if v == nil {

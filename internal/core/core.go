@@ -281,15 +281,6 @@ func hostLess(a, b *hostState) bool {
 
 func (h *hostState) free() int { return h.capacity - len(h.vms) - h.reserved }
 
-// vmByID finds a resident VM by id (binary search over the sorted slice).
-func (h *hostState) vmByID(id nestedvm.ID) *vmState {
-	i := sort.Search(len(h.vms), func(i int) bool { return h.vms[i].vm.ID >= id })
-	if i < len(h.vms) && h.vms[i].vm.ID == id {
-		return h.vms[i]
-	}
-	return nil
-}
-
 type poolState struct {
 	key PoolKey
 	// label is key.String(), built once: the pool's metric label and its

@@ -662,9 +662,6 @@ func TestHistoryObservations(t *testing.T) {
 	if got := h.MeanPrice(key); math.Abs(float64(got)-0.01) > 1e-9 {
 		t.Errorf("observed mean price = %v, want 0.01", got)
 	}
-	if h.Volatility(key) > 1e-9 {
-		t.Errorf("flat market volatility = %v", h.Volatility(key))
-	}
 	if h.Revocations(key) != 0 {
 		t.Error("phantom revocations")
 	}

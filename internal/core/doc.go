@@ -66,7 +66,7 @@
 // fires, so no event moves, not even among same-instant ties. The ticks in
 // between are replayed: catchUp accounts them, and a
 // market record catches up only when it is read — by a sweep (spotPool,
-// marketCalm) or by a policy through History.MeanPrice/Volatility — from
+// marketCalm) or by a policy through History.MeanPrice — from
 // the provider's price history (cloud.Provider.SpotPriceAt), one question
 // per price step. The replay fills price, prev, their tick stamps,
 // lastAboveOD, everAboveOD and noSpot exactly as sampling every market on

@@ -49,7 +49,6 @@ func (c *Controller) EstimateMigration(id nestedvm.ID) (MigrationEstimate, error
 	if vs == nil {
 		return MigrationEstimate{}, fmt.Errorf("core: unknown VM %s", id)
 	}
-	vm := vs.vm
 	mech := c.cfg.Mechanism
 	est := MigrationEstimate{Mechanism: mech, Replumb: replumbMean}
 
@@ -74,15 +73,7 @@ func (c *Controller) EstimateMigration(id nestedvm.ID) (MigrationEstimate, error
 		if srv := vs.backup; srv != nil {
 			readMBs = srv.RestoreReadMBsPerVM(srv.Restoring()+1, mech.Lazy())
 		}
-		res, err := migration.SimulateRestore(migration.RestoreSpec{
-			MemoryMB:   vm.Memory.SizeMB,
-			SkeletonMB: vm.Memory.SkeletonMB,
-			ReadMBs:    readMBs,
-			Lazy:       mech.Lazy(),
-		})
-		if err != nil {
-			return MigrationEstimate{}, err
-		}
+		res := c.sizeRestore(vs, readMBs)
 		est.RestoreDowntime = res.Downtime
 		est.RestoreDegraded = res.DegradedTime
 		est.TotalDowntime = est.FlushPause + est.Replumb + est.RestoreDowntime

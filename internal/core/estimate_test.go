@@ -12,8 +12,10 @@ import (
 // TestEstimateMatchesChain pins the one sizing path: the what-if a VM's
 // estimate gives before a revocation is what the migration chain records
 // when EC2 then warns its host with the full warning window left — the
-// final flush of every backup-based mechanism, and XenLive's stop-and-copy
-// pause.
+// final flush and the restore (full or lazy) of every backup-based
+// mechanism, and XenLive's stop-and-copy pause. Two restores are in flight
+// on the VM's backup server throughout, so the restore is sized under
+// load.
 func TestEstimateMatchesChain(t *testing.T) {
 	traces := spotmarket.Set{
 		{Type: cloud.M3Medium, Zone: "zone-a"}: makeTrace(t, 0.01, testEnd,
@@ -24,11 +26,16 @@ func TestEstimateMatchesChain(t *testing.T) {
 			r := newRig(t, traces, func(c *Config) { c.Mechanism = mech })
 			id := r.request(t, "alice")
 			r.run(t, 9*simkit.Hour)
+			vs := r.ctrl.lookupVM(id)
+			lazy := mech.Lazy()
+			if srv := vs.backup; srv != nil {
+				srv.BeginRestore(lazy)
+				srv.BeginRestore(lazy)
+			}
 			est, err := r.ctrl.EstimateMigration(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			vs := r.ctrl.lookupVM(id)
 			// Registered after the controller's, so this listener sees the
 			// move the warning has just started.
 			var warned bool
@@ -58,6 +65,23 @@ func TestEstimateMatchesChain(t *testing.T) {
 			}
 			if chain.flush.Downtime == 0 {
 				t.Error("the chain recorded no flush")
+			}
+			for steps := 0; vs.move.phase != moveRestore; steps++ {
+				if steps == 10000 || !r.sched.Step() {
+					t.Fatalf("the chain never reached its restore (phase %v)", vs.move.phase)
+				}
+			}
+			got := vs.move.restore
+			if est.RestoreDowntime != got.Downtime || est.RestoreDegraded != got.DegradedTime {
+				t.Errorf("estimate restore downtime %v degraded %v, chain sized %v / %v",
+					est.RestoreDowntime, est.RestoreDegraded, got.Downtime, got.DegradedTime)
+			}
+			if (got.DegradedTime > 0) != lazy {
+				t.Errorf("lazy=%v restore degraded for %v", lazy, got.DegradedTime)
+			}
+			alone := r.ctrl.sizeRestore(vs, vs.backup.RestoreReadMBsPerVM(1, lazy))
+			if got.Downtime <= alone.Downtime {
+				t.Errorf("restore downtime %v with two in flight, %v alone: the load went unread", got.Downtime, alone.Downtime)
 			}
 		})
 	}

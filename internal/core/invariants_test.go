@@ -308,7 +308,7 @@ func auditController(t *testing.T, c *Controller, mech migration.Mechanism) {
 				t.Errorf("%s: running with no host", id)
 				continue
 			}
-			if h.vmByID(id) != vs {
+			if _, ok := hostFind(h, vs); !ok {
 				t.Errorf("%s: not registered on its host %s", id, h.inst.ID)
 			}
 			if h.inst.State == cloud.StateTerminated {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 	"sort"
 
@@ -82,8 +81,8 @@ const priceWindowCap = 24 * 7
 // as runs — one price held over many ticks is one addRun — and reach the
 // ring only when somebody reads it, so a market replayed tick-free costs one
 // entry per price step. The ring a read sees is exactly the one a sample-at-
-// a-time add would have built: same slots, same write position, so mean and
-// stddev sum in the same order and agree to the bit.
+// a-time add would have built: same slots, same write position, so the mean
+// sums in the same order and agrees to the bit.
 type priceWindow struct {
 	samples []float64
 	next    int
@@ -174,20 +173,6 @@ func (w *priceWindow) mean() float64 {
 	return s / float64(len(w.samples))
 }
 
-func (w *priceWindow) stddev() float64 {
-	m := w.mean()
-	n := len(w.samples)
-	if n < 2 {
-		return 0
-	}
-	var ss float64
-	for _, v := range w.samples {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
 // NewHistory returns an empty history.
 func NewHistory() *History {
 	return &History{index: map[spotmarket.MarketKey]*market{}}
@@ -244,14 +229,6 @@ func (h *History) read(key spotmarket.MarketKey) *market {
 func (h *History) MeanPrice(key spotmarket.MarketKey) cloud.USD {
 	if m := h.read(key); m != nil {
 		return cloud.USD(m.window.mean())
-	}
-	return 0
-}
-
-// Volatility returns the trailing price standard deviation.
-func (h *History) Volatility(key spotmarket.MarketKey) float64 {
-	if m := h.read(key); m != nil {
-		return m.window.stddev()
 	}
 	return 0
 }

@@ -122,11 +122,11 @@ func TestHistoryGrowsOnDemand(t *testing.T) {
 		h.ObservePrice(k, cloud.USD(i+1))
 	}
 	h.ObserveRevocation(keys[1])
-	if h.MeanPrice(keys[2]) != 3 || h.Volatility(keys[2]) != 0 || h.Revocations(keys[1]) != 1 {
-		t.Errorf("mean %v, volatility %v, revocations %v", h.MeanPrice(keys[2]), h.Volatility(keys[2]), h.Revocations(keys[1]))
+	if h.MeanPrice(keys[2]) != 3 || h.Revocations(keys[1]) != 1 {
+		t.Errorf("mean %v, revocations %v", h.MeanPrice(keys[2]), h.Revocations(keys[1]))
 	}
 	unseen := spotmarket.MarketKey{Type: "zz", Zone: "zone-a"}
-	if h.MeanPrice(unseen) != 0 || h.Volatility(unseen) != 0 || h.Revocations(unseen) != 0 {
+	if h.MeanPrice(unseen) != 0 || h.Revocations(unseen) != 0 {
 		t.Error("unobserved market is not all zeros")
 	}
 	if len(h.markets) != len(keys) {

@@ -414,34 +414,41 @@ func (c *Controller) replumbNext(vs *vmState) {
 // restoreOnDestination resumes the VM on the destination from its backup
 // server, or — for stateless VMs — boots it afresh from its network volume.
 func (c *Controller) restoreOnDestination(vs *vmState) {
-	vm, m := vs.vm, &vs.move
-	mech := c.cfg.Mechanism
+	m := &vs.move
+	lazy := c.cfg.Mechanism.Lazy()
 	c.enter(vs, moveRestore)
 	if vs.stateless {
 		c.wakeAfter(vs, bootTime, "boot", stepRestored)
 		return
 	}
 	srv := vs.backup
-	var readMBs float64
+	// A backup mechanism's VM always has a server; without one, assume an
+	// unloaded default server's bandwidth.
+	readMBs := backup.BaseReadMBs
 	if srv != nil {
-		readMBs = srv.BeginRestore(mech.Lazy())
-	} else {
-		// Shouldn't happen for backup mechanisms; assume an unloaded
-		// default server's bandwidth.
-		readMBs = backup.BaseReadMBs
+		readMBs = srv.BeginRestore(lazy)
 	}
-	res, err := migration.SimulateRestore(migration.RestoreSpec{
-		MemoryMB:   vm.Memory.SizeMB,
-		SkeletonMB: vm.Memory.SkeletonMB,
-		ReadMBs:    readMBs,
-		Lazy:       mech.Lazy(),
-	})
-	if err != nil {
-		res = migration.RestoreResult{Downtime: simkit.Second}
-	}
-	c.met.mig.RecordRestore(mech.Lazy(), res)
+	res := c.sizeRestore(vs, readMBs)
+	c.met.mig.RecordRestore(lazy, res)
 	m.srv, m.restore = srv, res
 	c.wakeAfter(vs, res.Downtime, "restore", stepRestored)
+}
+
+// sizeRestore sizes vs's restore (full or lazy, per the mechanism) at
+// readMBs of per-VM read bandwidth from its backup server. A spec the model
+// rejects restores in 1 s. The revocation path and EstimateMigration both
+// size a restore here.
+func (c *Controller) sizeRestore(vs *vmState, readMBs float64) migration.RestoreResult {
+	res, err := migration.SimulateRestore(migration.RestoreSpec{
+		MemoryMB:   vs.vm.Memory.SizeMB,
+		SkeletonMB: vs.vm.Memory.SkeletonMB,
+		ReadMBs:    readMBs,
+		Lazy:       c.cfg.Mechanism.Lazy(),
+	})
+	if err != nil {
+		return migration.RestoreResult{Downtime: simkit.Second}
+	}
+	return res
 }
 
 // restored ends the restore phase: the VM lands, and whatever outlives the

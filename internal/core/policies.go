@@ -18,7 +18,7 @@ import (
 var ErrUnknownMarket = errors.New("core: market names a type missing from the provider catalog")
 
 // ---------------------------------------------------------------------------
-// Placement policies (Table 2 + §4.2's greedy and stability-first)
+// Placement policies (Table 2 + §4.2's greedy)
 
 // PlacementContext carries what a placement policy may consult.
 type PlacementContext struct {
@@ -260,49 +260,6 @@ func NewGreedyCheapestPolicy(markets []spotmarket.MarketKey) PlacementPolicy {
 		markets = fourPools()
 	}
 	return &greedyCheapest{markets: markets}
-}
-
-// stabilityFirst implements §4.2's conservative alternative: pick the
-// market with the most stable trailing prices among those that can host
-// the request.
-type stabilityFirst struct {
-	markets []spotmarket.MarketKey
-}
-
-func (p *stabilityFirst) Name() string { return "stability-first" }
-
-func (p *stabilityFirst) Choose(ctx *PlacementContext) (string, cloud.Zone, error) {
-	best := -1
-	bestVol := math.Inf(1)
-	var skipped []string
-	for i, m := range p.markets {
-		typ, ok := ctx.Provider.TypeByName(m.Type)
-		if !ok {
-			return "", "", fmt.Errorf("%w: %v", ErrUnknownMarket, m)
-		}
-		if typ.Units(ctx.Requested) <= 0 {
-			skipped = append(skipped, fmt.Sprintf("%v: cannot host %s", m, ctx.Requested.Name))
-			continue
-		}
-		vol := ctx.History.Volatility(m)
-		if vol < bestVol || (vol == bestVol && best >= 0 && marketKeyLess(m, p.markets[best])) {
-			bestVol = vol
-			best = i
-		}
-	}
-	if best < 0 {
-		return "", "", errNoFeasible(p.Name(), len(p.markets), skipped)
-	}
-	return p.markets[best].Type, p.markets[best].Zone, nil
-}
-
-// NewStabilityFirstPolicy returns the lowest-volatility policy over the
-// given markets (defaults to the four m3 pools when markets is nil).
-func NewStabilityFirstPolicy(markets []spotmarket.MarketKey) PlacementPolicy {
-	if markets == nil {
-		markets = fourPools()
-	}
-	return &stabilityFirst{markets: markets}
 }
 
 // cheapestCompatible extends greedy-cheapest from a fixed market list to the

@@ -39,7 +39,7 @@ func mustType(t *testing.T, r *testRig, name string) cloud.InstanceType {
 func TestHistoryWindowStats(t *testing.T) {
 	h := NewHistory()
 	key := spotmarket.MarketKey{Type: cloud.M3Medium, Zone: "zone-a"}
-	if h.MeanPrice(key) != 0 || h.Volatility(key) != 0 || h.Revocations(key) != 0 {
+	if h.MeanPrice(key) != 0 || h.Revocations(key) != 0 {
 		t.Error("empty history should be zeros")
 	}
 	for _, p := range []float64{0.01, 0.02, 0.03} {
@@ -47,9 +47,6 @@ func TestHistoryWindowStats(t *testing.T) {
 	}
 	if m := float64(h.MeanPrice(key)); math.Abs(m-0.02) > 1e-12 {
 		t.Errorf("mean = %v, want 0.02", m)
-	}
-	if v := h.Volatility(key); math.Abs(v-0.01) > 1e-12 {
-		t.Errorf("stddev = %v, want 0.01", v)
 	}
 	h.ObserveRevocation(key)
 	h.ObserveRevocation(key)
@@ -213,25 +210,20 @@ func TestGreedySkipsInfeasibleMarkets(t *testing.T) {
 
 func TestPoliciesFailFastOnUnknownMarket(t *testing.T) {
 	// A market list naming a type outside the provider catalog is a config
-	// bug (typo'd list or a list built for a different catalog). Both
-	// list-driven policies must fail fast with ErrUnknownMarket — not
+	// bug (typo'd list or a list built for a different catalog). The
+	// list-driven policy must fail fast with ErrUnknownMarket — not
 	// silently shrink the candidate set — and name the offending market.
 	ctx := testCtx(t, nil)
 	markets := []spotmarket.MarketKey{
 		{Type: cloud.M3Medium, Zone: "zone-a"},
 		{Type: "m9.imaginary", Zone: "zone-a"},
 	}
-	for _, p := range []PlacementPolicy{
-		NewGreedyCheapestPolicy(markets),
-		NewStabilityFirstPolicy(markets),
-	} {
-		_, _, err := p.Choose(ctx)
-		if !errors.Is(err, ErrUnknownMarket) {
-			t.Errorf("%s: err = %v, want ErrUnknownMarket", p.Name(), err)
-		}
-		if err == nil || !strings.Contains(err.Error(), "m9.imaginary") {
-			t.Errorf("%s: error should name the market, got %v", p.Name(), err)
-		}
+	_, _, err := NewGreedyCheapestPolicy(markets).Choose(ctx)
+	if !errors.Is(err, ErrUnknownMarket) {
+		t.Errorf("err = %v, want ErrUnknownMarket", err)
+	}
+	if err == nil || !strings.Contains(err.Error(), "m9.imaginary") {
+		t.Errorf("error should name the market, got %v", err)
 	}
 }
 
@@ -401,34 +393,6 @@ func TestCheapestCompatibleZoneRestriction(t *testing.T) {
 	}
 	if zone != "zone-b" {
 		t.Errorf("zone-restricted policy chose %v", zone)
-	}
-}
-
-func TestStabilityFirstPolicy(t *testing.T) {
-	h := NewHistory()
-	// Large pool is volatile, medium flat.
-	for i := 0; i < 10; i++ {
-		h.ObservePrice(spotmarket.MarketKey{Type: cloud.M3Medium, Zone: defaultZone}, 0.01)
-		h.ObservePrice(spotmarket.MarketKey{Type: cloud.M3Large, Zone: defaultZone}, cloud.USD(0.01*float64(1+i%5)))
-	}
-	p := NewStabilityFirstPolicy([]spotmarket.MarketKey{
-		{Type: cloud.M3Medium, Zone: defaultZone},
-		{Type: cloud.M3Large, Zone: defaultZone},
-	})
-	ctx := testCtx(t, h)
-	typ, _, err := p.Choose(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != cloud.M3Medium {
-		t.Errorf("stability-first chose the volatile pool %s", typ)
-	}
-	if p.Name() != "stability-first" {
-		t.Error("name wrong")
-	}
-	// Default market list is non-empty.
-	if _, _, err := NewStabilityFirstPolicy(nil).Choose(ctx); err != nil {
-		t.Errorf("default markets: %v", err)
 	}
 }
 

@@ -94,8 +94,8 @@ func (s *Session) ablationSlicing(vms int, horizon simkit.Time, seed int64) (Sli
 	// both spiking together so storms are comparable. Generated once: both
 	// arms read the same immutable trace set.
 	configs := map[spotmarket.MarketKey]spotmarket.GenConfig{
-		{Type: cloud.M3Medium, Zone: EvalZone}: spotmarket.DefaultConfig(0.07, spotmarket.VolatilityMedium),
-		{Type: cloud.M3Large, Zone: EvalZone}:  spotmarket.DefaultConfig(0.14, spotmarket.VolatilityMedium),
+		{Type: cloud.M3Medium, Zone: EvalZone}: spotmarket.DefaultConfig(cloud.OnDemandPrice(cloud.M3Medium), spotmarket.VolatilityMedium),
+		{Type: cloud.M3Large, Zone: EvalZone}:  spotmarket.DefaultConfig(cloud.OnDemandPrice(cloud.M3Large), spotmarket.VolatilityMedium),
 	}
 	// Make the large market structurally cheaper per slot.
 	c := configs[spotmarket.MarketKey{Type: cloud.M3Large, Zone: EvalZone}]
@@ -380,7 +380,7 @@ func (s *Session) ablationZoneSpread(vms int, horizon simkit.Time, seed int64) (
 	configs := map[spotmarket.MarketKey]spotmarket.GenConfig{}
 	for _, z := range zones {
 		configs[spotmarket.MarketKey{Type: cloud.M3Medium, Zone: z}] =
-			spotmarket.DefaultConfig(0.07, spotmarket.VolatilityHigh)
+			spotmarket.DefaultConfig(cloud.OnDemandPrice(cloud.M3Medium), spotmarket.VolatilityHigh)
 	}
 	// One generation, shared read-only by both arms.
 	traces, err := spotmarket.GenerateSet(configs, horizon, seed, s.workers)
@@ -551,7 +551,7 @@ type TraceModelAblation struct {
 // different m3.medium price processes: the calibrated overlay generator,
 // the two-state Markov model, and a generate→fit→regenerate round trip.
 func (s *Session) ablationTraceModel(vms int, horizon simkit.Time, seed int64) ([]TraceModelAblation, error) {
-	const od = cloud.USD(0.07)
+	od := cloud.OnDemandPrice(cloud.M3Medium)
 	mediumKey := spotmarket.MarketKey{Type: cloud.M3Medium, Zone: EvalZone}
 
 	overlayTrace, err := spotmarket.Generate(
@@ -602,7 +602,7 @@ func (s *Session) ablationTraceModel(vms int, horizon simkit.Time, seed int64) (
 			Model:        models[i].name,
 			CostPerHour:  res.CostPerHour(),
 			Availability: res.Report.Availability,
-			Savings:      0.07 / res.CostPerHour(),
+			Savings:      float64(od) / res.CostPerHour(),
 		}
 	}
 	return out, nil

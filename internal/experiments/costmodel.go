@@ -114,7 +114,7 @@ func Knee(points []BidPoint, epsilon float64) (BidPoint, error) {
 func RenderBidCurves(set spotmarket.Set) string {
 	var b strings.Builder
 	for _, key := range set.Keys() {
-		od := onDemandPrice(key.Type)
+		od := cloud.OnDemandPrice(key.Type)
 		points := BidCurve(set[key], od, nil, 23*simkit.Second)
 		b.WriteString(BidCurveTable(
 			fmt.Sprintf("Bid curve (%s, on-demand $%.2f/hr): expected cost & availability vs bid", key, float64(od)),

@@ -60,7 +60,7 @@ func Table1(n int, seed int64) (*analysis.Table, error) {
 	// Launch latencies (the instance is terminated between samples so the
 	// platform does not accumulate fleet state).
 	spotSamples := measure(func(done func()) {
-		plat.RequestSpot(cloud.M3Medium, EvalZone, 0.07, func(inst *cloud.Instance, err error) {
+		plat.RequestSpot(cloud.M3Medium, EvalZone, cloud.OnDemandPrice(cloud.M3Medium), func(inst *cloud.Instance, err error) {
 			if err == nil {
 				done()
 				_ = plat.Terminate(inst.ID, nil)

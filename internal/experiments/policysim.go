@@ -587,7 +587,7 @@ func (s *Session) RunHeadline(vms int, horizon simkit.Time, seed int64) (Headlin
 		return Headline{}, err
 	}
 	res := results[0]
-	od := 0.07 // m3.medium on-demand $/hr
+	od := float64(cloud.OnDemandPrice(cloud.M3Medium))
 	return Headline{
 		CostPerVMHour:   res.CostPerHour(),
 		OnDemandPerHour: od,

@@ -82,21 +82,10 @@ func Fig6aFromSet(set spotmarket.Set) []Fig6aRow {
 		rows = append(rows, Fig6aRow{
 			Type:   key.String(),
 			Ratios: ratios,
-			Avail:  spotmarket.AvailabilityCurve(set[key], onDemandPrice(key.Type), ratios),
+			Avail:  spotmarket.AvailabilityCurve(set[key], cloud.OnDemandPrice(key.Type), ratios),
 		})
 	}
 	return rows
-}
-
-// onDemandPrice is typ's on-demand price in the default catalog, or the
-// m3.medium price for a type the catalog does not list.
-func onDemandPrice(typ string) cloud.USD {
-	for _, it := range cloud.DefaultCatalog() {
-		if it.Name == typ {
-			return it.OnDemand
-		}
-	}
-	return 0.07
 }
 
 // Fig6aTable renders Figure 6a's curves, one availability column per

@@ -64,7 +64,7 @@ func ZoneTraces(n int, horizon simkit.Time, seed int64, workers ...int) (spotmar
 			Type: cloud.M3Medium,
 			Zone: cloud.Zone(fmt.Sprintf("zone-%02d", i)),
 		}
-		configs[key] = spotmarket.DefaultConfig(0.07, spotmarket.VolatilityMedium)
+		configs[key] = spotmarket.DefaultConfig(cloud.OnDemandPrice(cloud.M3Medium), spotmarket.VolatilityMedium)
 		keys = append(keys, key)
 	}
 	set, err := spotmarket.GenerateSet(configs, horizon, seed, workers...)

@@ -147,9 +147,6 @@ var SizeMBBuckets = []float64{1, 10, 50, 100, 250, 500, 1000, 2000, 4000}
 // backup fan-in.
 var CountBuckets = []float64{1, 2, 3, 5, 8, 13, 21, 34, 55}
 
-// RatioBuckets suits utilizations and fractions in [0, 1].
-var RatioBuckets = []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1}
-
 // ---------------------------------------------------------------------------
 // Registry
 

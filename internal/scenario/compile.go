@@ -218,15 +218,9 @@ func overlayStorms(set spotmarket.Set, horizon simkit.Time, m Market) (spotmarke
 // but the cushion between the bid and the market is thin and revocations
 // are routine rather than rare.
 func priceWarTraces(horizon simkit.Time, seed int64) (spotmarket.Set, error) {
-	vols := map[string]cloud.USD{
-		cloud.M3Medium:  0.07,
-		cloud.M3Large:   0.14,
-		cloud.M3XLarge:  0.28,
-		cloud.M32XLarge: 0.56,
-	}
 	configs := map[spotmarket.MarketKey]spotmarket.GenConfig{}
-	for typ, odPrice := range vols {
-		cfg := spotmarket.DefaultConfig(odPrice, spotmarket.VolatilityExtreme)
+	for _, typ := range []string{cloud.M3Medium, cloud.M3Large, cloud.M3XLarge, cloud.M32XLarge} {
+		cfg := spotmarket.DefaultConfig(cloud.OnDemandPrice(typ), spotmarket.VolatilityExtreme)
 		cfg.BaseRatio = 0.55
 		cfg.Jitter = 0.2
 		cfg.SurgeMeanInterval = 30 * simkit.Hour

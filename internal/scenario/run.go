@@ -63,17 +63,6 @@ func percentile(sorted []simkit.Time, p float64) simkit.Time {
 	return sorted[rank]
 }
 
-// onDemandAnchor is the nested-VM equivalent on-demand price: every
-// scenario requests m3.medium nested VMs, the paper's evaluation type.
-func onDemandAnchor() cloud.USD {
-	for _, typ := range cloud.DefaultCatalog() {
-		if typ.Name == cloud.M3Medium {
-			return typ.OnDemand
-		}
-	}
-	return 0
-}
-
 // RunCampaign compiles every spec and fans the cells out across the
 // experiments sweep engine. Results come back in spec order regardless of
 // the worker count, and each run is seed-deterministic, so the campaign's
@@ -91,7 +80,9 @@ func RunCampaign(specs []Spec, opts Options) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	od := onDemandAnchor()
+	// Every scenario requests m3.medium nested VMs, the paper's evaluation
+	// type: its on-demand price is the savings anchor.
+	od := cloud.OnDemandPrice(cloud.M3Medium)
 	out := make([]Result, len(runs))
 	for i, run := range runs {
 		out[i] = Result{

@@ -1,7 +1,6 @@
 package simkit
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -53,25 +52,6 @@ func (l Lognormal) Sample(r *rand.Rand) float64 {
 
 // Mean returns exp(mu + sigma^2/2).
 func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// LognormalFromMedianMean constructs a Lognormal whose median and mean match
-// the given values (mean must exceed median). This lets us plug Table 1's
-// published median/mean pairs straight into the simulator.
-func LognormalFromMedianMean(median, mean float64) (Lognormal, error) {
-	if math.IsNaN(median) || math.IsInf(median, 0) || math.IsNaN(mean) || math.IsInf(mean, 0) {
-		return Lognormal{}, fmt.Errorf("simkit: lognormal needs a finite median %v and mean %v", median, mean)
-	}
-	if median <= 0 || mean <= 0 {
-		return Lognormal{}, fmt.Errorf("simkit: lognormal needs positive median %v and mean %v", median, mean)
-	}
-	if mean < median {
-		return Lognormal{}, fmt.Errorf("simkit: lognormal mean %v below median %v", mean, median)
-	}
-	mu := math.Log(median)
-	// mean = exp(mu + sigma^2/2)  =>  sigma = sqrt(2 ln(mean/median))
-	sigma := math.Sqrt(2 * math.Log(mean/median))
-	return Lognormal{Mu: mu, Sigma: sigma}, nil
-}
 
 // Pareto samples a Pareto(Scale, Alpha) heavy-tailed variate with support
 // [Scale, inf). Alpha must exceed 0; means only exist for Alpha > 1.

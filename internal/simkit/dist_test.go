@@ -3,7 +3,6 @@ package simkit
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -21,12 +20,6 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-func median(xs []float64) float64 {
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return cp[len(cp)/2]
 }
 
 func TestConstant(t *testing.T) {
@@ -62,43 +55,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 	if d.Mean() != 3 {
 		t.Error("Mean() wrong")
-	}
-}
-
-func TestLognormalFromMedianMean(t *testing.T) {
-	// Table 1 start-spot row: median 227s, mean 224 would be invalid
-	// (mean<median); use the start on-demand row: median 61, mean 62.
-	d, err := LognormalFromMedianMean(61, 62)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(3))
-	xs := sampleN(d, r, 100000)
-	if m := median(xs); math.Abs(m-61) > 1.5 {
-		t.Errorf("median = %v, want ~61", m)
-	}
-	if m := mean(xs); math.Abs(m-62) > 1.5 {
-		t.Errorf("mean = %v, want ~62", m)
-	}
-}
-
-func TestLognormalFromMedianMeanErrors(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	for _, tc := range []struct {
-		name         string
-		median, mean float64
-	}{
-		{"negative median", -1, 5},
-		{"zero mean", 5, 0},
-		{"mean below median", 10, 5},
-		{"NaN median", nan, 2},
-		{"NaN mean", 1, nan},
-		{"infinite mean", 1, inf},
-		{"infinite median and mean", inf, inf},
-	} {
-		if d, err := LognormalFromMedianMean(tc.median, tc.mean); err == nil {
-			t.Errorf("%s: LognormalFromMedianMean(%v, %v) = %+v, want an error", tc.name, tc.median, tc.mean, d)
-		}
 	}
 }
 

@@ -24,13 +24,3 @@ func ExampleScheduler() {
 	// terminated at 1h2m0s
 	// spike at 2h0m0s
 }
-
-// Lognormal latency models are anchored at published medians (Table 1).
-func ExampleLognormalFromMedianMean() {
-	d, err := simkit.LognormalFromMedianMean(61, 62)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("mean %.1fs\n", d.Mean())
-	// Output: mean 62.0s
-}

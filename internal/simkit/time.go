@@ -19,26 +19,14 @@ const (
 	Day         = 24 * Hour
 )
 
-// Duration converts t to a time.Duration offset from the simulation start.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // Hours reports t in fractional hours, the natural unit for $/hr accounting.
 func (t Time) Hours() float64 { return time.Duration(t).Hours() }
 
 // Seconds reports t in fractional seconds.
 func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 
-// Add returns t shifted by d.
-func (t Time) Add(d time.Duration) Time { return t + Time(d) }
-
 // Sub returns the duration between t and earlier.
 func (t Time) Sub(earlier Time) time.Duration { return time.Duration(t - earlier) }
-
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
 
 func (t Time) String() string {
 	d := time.Duration(t)

@@ -161,15 +161,3 @@ func (s *Slab[T]) Len() int { return s.live }
 
 // Cap reports the total slots currently backed by chunks.
 func (s *Slab[T]) Cap() int { return len(s.chunks) * chunkSize }
-
-// Range calls fn for every live slot in ascending slot order (allocation
-// order for never-freed slabs; otherwise an arbitrary but deterministic
-// order). fn must not Alloc or Free during the walk.
-func (s *Slab[T]) Range(fn func(h Handle, v *T)) {
-	for i := uint32(1); i <= s.next; i++ {
-		e := s.slot(i)
-		if e.gen%2 == 1 {
-			fn(Handle{idx: i, gen: e.gen}, &e.val)
-		}
-	}
-}

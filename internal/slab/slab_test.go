@@ -151,28 +151,3 @@ func TestFreeListChurnStaysBounded(t *testing.T) {
 		t.Fatalf("Len = %d, want 64", s.Len())
 	}
 }
-
-func TestRangeVisitsLiveOnly(t *testing.T) {
-	s := New[obj](0)
-	var hs []Handle
-	for i := 0; i < 10; i++ {
-		v, h := s.Alloc()
-		v.id = i
-		hs = append(hs, h)
-	}
-	s.Free(hs[3])
-	s.Free(hs[7])
-	seen := map[int]bool{}
-	s.Range(func(h Handle, v *obj) {
-		if seen[v.id] {
-			t.Fatalf("Range visited id %d twice", v.id)
-		}
-		seen[v.id] = true
-	})
-	if len(seen) != 8 {
-		t.Fatalf("Range visited %d objects, want 8", len(seen))
-	}
-	if seen[3] || seen[7] {
-		t.Fatal("Range visited freed slots")
-	}
-}

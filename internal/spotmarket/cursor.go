@@ -6,12 +6,14 @@ import (
 )
 
 // Cursor is a stateful reader over a Trace for time-ordered access. The
-// Trace methods binary-search the segment list on every call; the monitor
-// loop, the platform's price sampling and the figure kernels all query time
-// moving forward, so a cursor remembers the last segment and advances
-// linearly from it — amortized O(1) per call over a monotone scan instead
-// of O(log n). Queries that jump backwards are still correct: the cursor
-// falls back to a binary search and re-anchors.
+// Trace methods binary-search the segment list on every call; the
+// platform's price reads, revocation-crossing search and period billing,
+// and the figure series (SampleGrid, Figure 1) all query time moving
+// forward, so a cursor remembers the last segment and advances linearly
+// from it — amortized O(1) per call over a monotone scan instead of
+// O(log n). Queries that jump backwards are still correct: the cursor
+// falls back to a binary search and re-anchors. Interval sums (Integrate,
+// FractionBelow) are Trace methods only: no caller walks them in order.
 //
 // A Cursor reads the shared immutable Trace and carries only its own
 // position, so any number of cursors can walk one trace concurrently (the
@@ -24,9 +26,6 @@ type Cursor struct {
 
 // Cursor returns a new cursor positioned at the start of the trace.
 func (tr *Trace) Cursor() Cursor { return Cursor{tr: tr} }
-
-// Trace returns the underlying trace.
-func (c *Cursor) Trace() *Trace { return c.tr }
 
 // seek positions the cursor on the segment containing t and returns its
 // index: the last point with T <= t (0 when t precedes the first point).
@@ -73,59 +72,4 @@ func (c *Cursor) NextAbove(t simkit.Time, bid cloud.USD) (simkit.Time, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Integrate returns the rental cost of [a, b) exactly as Trace.Integrate
-// (same segment walk, same summation order, bit-identical result), leaving
-// the cursor anchored near b for the next interval.
-func (c *Cursor) Integrate(a, b simkit.Time) cloud.USD {
-	if b <= a {
-		return 0
-	}
-	pts := c.tr.points
-	i := c.seek(a)
-	var total float64
-	cur := a
-	for cur < b {
-		segEnd := b
-		if i+1 < len(pts) && pts[i+1].T < b {
-			segEnd = pts[i+1].T
-		}
-		total += float64(pts[i].Price) * segEnd.Sub(cur).Hours()
-		cur = segEnd
-		if segEnd == b {
-			break
-		}
-		i++
-	}
-	c.i = i
-	return cloud.USD(total)
-}
-
-// FractionBelow returns the fraction of [a, b) at or below bid, exactly as
-// Trace.FractionBelow.
-func (c *Cursor) FractionBelow(bid cloud.USD, a, b simkit.Time) float64 {
-	if b <= a {
-		return 0
-	}
-	pts := c.tr.points
-	i := c.seek(a)
-	var below float64
-	cur := a
-	for cur < b {
-		segEnd := b
-		if i+1 < len(pts) && pts[i+1].T < b {
-			segEnd = pts[i+1].T
-		}
-		if pts[i].Price <= bid {
-			below += segEnd.Sub(cur).Hours()
-		}
-		cur = segEnd
-		if segEnd == b {
-			break
-		}
-		i++
-	}
-	c.i = i
-	return below / b.Sub(a).Hours()
 }

@@ -89,41 +89,6 @@ func TestCursorMatchesTrace(t *testing.T) {
 	}
 }
 
-// Cursor Integrate/FractionBelow must be bit-identical to the Trace
-// versions: same segment walk, same summation order.
-func TestCursorIntegralsBitIdentical(t *testing.T) {
-	tr := churnTrace(t, 300, 10*simkit.Day)
-	cur := tr.Cursor()
-	r := rand.New(rand.NewSource(3))
-	// Monotone interval chain (the billing pattern)...
-	var a simkit.Time
-	for a < tr.End() {
-		b := a + simkit.Time(r.Int63n(int64(6*simkit.Hour)))
-		if b > tr.End() {
-			b = tr.End()
-		}
-		if float64(cur.Integrate(a, b)) != float64(tr.Integrate(a, b)) {
-			t.Fatalf("Integrate(%v,%v) differs from trace", a, b)
-		}
-		a = b + simkit.Minute
-	}
-	// ...and random intervals with rewinds.
-	for i := 0; i < 500; i++ {
-		x := simkit.Time(r.Int63n(int64(tr.End())))
-		y := simkit.Time(r.Int63n(int64(tr.End())))
-		if x > y {
-			x, y = y, x
-		}
-		if got, want := cur.Integrate(x, y), tr.Integrate(x, y); float64(got) != float64(want) {
-			t.Fatalf("Integrate(%v,%v) = %v, trace says %v", x, y, got, want)
-		}
-		bid := cloud.USD(0.01 + r.Float64())
-		if got, want := cur.FractionBelow(bid, x, y), tr.FractionBelow(bid, x, y); got != want {
-			t.Fatalf("FractionBelow(%v,%v,%v) = %v, trace says %v", bid, x, y, got, want)
-		}
-	}
-}
-
 // The single-pass AvailabilityCurve must stay bit-identical to evaluating
 // FractionBelow per ratio (it feeds Figure 6a).
 func TestAvailabilityCurveSinglePassIdentical(t *testing.T) {

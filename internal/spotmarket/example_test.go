@@ -21,7 +21,7 @@ func ExampleTrace() {
 		panic(err)
 	}
 	fmt.Printf("price at 10h30m: $%.2f/hr\n", float64(tr.PriceAt(10*simkit.Hour+30*simkit.Minute)))
-	fmt.Printf("availability at a $0.07 bid: %.0f%%\n", 100*spotmarket.AvailabilityAtBid(tr, 0.07))
+	fmt.Printf("availability at a $0.07 bid: %.0f%%\n", 100*tr.FractionBelow(0.07, 0, tr.End()))
 	fmt.Printf("revocations: %d\n", len(tr.ExcursionsAbove(0.07)))
 	fmt.Printf("20h rental cost: $%.3f\n", float64(tr.Integrate(0, 20*simkit.Hour)))
 	// Output:

@@ -36,8 +36,8 @@ func TestFitConfigRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1 := AvailabilityAtBid(tr, 0.07)
-	a2 := AvailabilityAtBid(regen, 0.07)
+	a1 := tr.FractionBelow(0.07, 0, tr.End())
+	a2 := regen.FractionBelow(0.07, 0, regen.End())
 	if math.Abs(a1-a2) > 0.05 {
 		t.Errorf("availability@od: original %.4f vs regenerated %.4f", a1, a2)
 	}

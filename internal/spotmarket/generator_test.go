@@ -77,7 +77,7 @@ func TestGeneratedTraceMatchesPaperShape(t *testing.T) {
 	if ratio := mean / float64(od); ratio < 0.05 || ratio > 0.35 {
 		t.Errorf("mean price ratio = %.3f, want deep discount (0.05..0.35)", ratio)
 	}
-	avail := AvailabilityAtBid(tr, od)
+	avail := tr.FractionBelow(od, 0, tr.End())
 	if avail < 0.99 {
 		t.Errorf("availability at on-demand bid = %.4f, want >= 0.99 for a low-volatility market", avail)
 	}
@@ -91,12 +91,12 @@ func TestGeneratedTraceMatchesPaperShape(t *testing.T) {
 	}
 	// Knee: availability flattens near the on-demand price — bidding 2x
 	// on-demand buys little extra availability.
-	a2 := AvailabilityAtBid(tr, 2*od)
+	a2 := tr.FractionBelow(2*od, 0, tr.End())
 	if a2-avail > 0.02 {
 		t.Errorf("availability gain from doubling bid = %.4f, want < 0.02 (knee below OD)", a2-avail)
 	}
 	// But bidding far below the base price forfeits most availability.
-	aLow := AvailabilityAtBid(tr, od/20)
+	aLow := tr.FractionBelow(od/20, 0, tr.End())
 	if aLow > 0.6 {
 		t.Errorf("availability at 5%% bid = %.3f, should lose most availability", aLow)
 	}

@@ -19,7 +19,7 @@ func TestGenerateMarkovShape(t *testing.T) {
 	if ratio := mean / 0.07; ratio < 0.05 || ratio > 0.5 {
 		t.Errorf("mean ratio = %.3f, want a deep discount", ratio)
 	}
-	avail := AvailabilityAtBid(tr, 0.07)
+	avail := tr.FractionBelow(0.07, 0, tr.End())
 	if avail < 0.95 {
 		t.Errorf("availability at od = %.4f", avail)
 	}

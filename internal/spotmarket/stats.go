@@ -2,18 +2,10 @@ package spotmarket
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/cloud"
 	"repro/internal/simkit"
 )
-
-// AvailabilityAtBid returns the availability (fraction of the trace during
-// which the market price is at or below bid) — one point of Figure 6a's
-// availability-vs-bid curve.
-func AvailabilityAtBid(tr *Trace, bid cloud.USD) float64 {
-	return tr.FractionBelow(bid, 0, tr.End())
-}
 
 // AvailabilityCurve evaluates availability at each bid/on-demand ratio,
 // reproducing one line of Figure 6a. It walks the trace once, crediting
@@ -139,39 +131,4 @@ func OffDiagonalStats(m [][]float64) (mean, max float64) {
 		mean /= float64(n)
 	}
 	return mean, max
-}
-
-// RevocationRate returns the number of excursions above bid per hour — the
-// rate R = p/T of the paper's §4.4 availability analysis.
-func RevocationRate(tr *Trace, bid cloud.USD) float64 {
-	hrs := tr.End().Hours()
-	if hrs <= 0 {
-		return 0
-	}
-	return float64(len(tr.ExcursionsAbove(bid))) / hrs
-}
-
-// PriceRatioQuantiles returns the q-quantiles of price/on-demand sampled
-// hourly; summarises the Figure 6a price distribution.
-func PriceRatioQuantiles(tr *Trace, onDemand cloud.USD, qs []float64) []float64 {
-	grid := tr.SampleGrid(simkit.Hour)
-	for i := range grid {
-		grid[i] /= float64(onDemand)
-	}
-	sort.Float64s(grid)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		if len(grid) == 0 {
-			continue
-		}
-		idx := int(q * float64(len(grid)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(grid) {
-			idx = len(grid) - 1
-		}
-		out[i] = grid[idx]
-	}
-	return out
 }

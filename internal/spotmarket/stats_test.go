@@ -94,26 +94,3 @@ func TestOffDiagonalStats(t *testing.T) {
 		t.Error("1x1 matrix should give zeros")
 	}
 }
-
-func TestRevocationRate(t *testing.T) {
-	tr := stepTrace(t) // one excursion above 0.05 in 4h
-	if got := RevocationRate(tr, 0.05); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("RevocationRate = %v, want 0.25/hr", got)
-	}
-	if got := RevocationRate(tr, 1.0); got != 0 {
-		t.Errorf("rate with high bid = %v, want 0", got)
-	}
-}
-
-func TestPriceRatioQuantiles(t *testing.T) {
-	tr := genTrace(t, VolatilityLow, 21)
-	qs := PriceRatioQuantiles(tr, 0.07, []float64{0.1, 0.5, 0.9, 0.999})
-	for i := 1; i < len(qs); i++ {
-		if qs[i] < qs[i-1] {
-			t.Fatalf("quantiles not monotone: %v", qs)
-		}
-	}
-	if qs[1] > 0.5 {
-		t.Errorf("median price ratio = %v, want deep discount", qs[1])
-	}
-}

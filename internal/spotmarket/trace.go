@@ -211,26 +211,6 @@ func (tr *Trace) ExcursionsAbove(bid cloud.USD) []Excursion {
 	return out
 }
 
-// Slice re-bases the sub-interval [a, b) of the trace as a standalone
-// trace starting at t=0 — how a real multi-year price archive is cut into
-// evaluation windows.
-func (tr *Trace) Slice(a, b simkit.Time) (*Trace, error) {
-	if a < 0 || b <= a || b > tr.end {
-		return nil, fmt.Errorf("spotmarket: slice [%v, %v) outside [0, %v)", a, b, tr.end)
-	}
-	pts := []Point{{T: 0, Price: tr.PriceAt(a)}}
-	i := tr.segmentAt(a)
-	for _, p := range tr.points[i+1:] {
-		if p.T >= b {
-			break
-		}
-		if p.T > a {
-			pts = append(pts, Point{T: p.T - a, Price: p.Price})
-		}
-	}
-	return newTraceOwned(pts, b-a)
-}
-
 // SampleGrid returns the price sampled every interval over [0, End), used
 // for jump statistics and cross-market correlation.
 func (tr *Trace) SampleGrid(interval simkit.Time) []float64 {

@@ -190,49 +190,6 @@ func TestFractionExcursionComplement(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	tr := stepTrace(t) // 0.01 [0,1h), 0.10 [1h,2h), 0.02 [2h,4h)
-	sub, err := tr.Slice(30*simkit.Minute, 150*simkit.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.End() != 2*simkit.Hour {
-		t.Errorf("sliced end = %v, want 2h", sub.End())
-	}
-	// Prices re-based: at 0 the price is 0.01 (from 30m), at 30m it
-	// becomes 0.10 (original 1h), at 90m it becomes 0.02 (original 2h).
-	cases := []struct {
-		at   simkit.Time
-		want cloud.USD
-	}{
-		{0, 0.01},
-		{29 * simkit.Minute, 0.01},
-		{30 * simkit.Minute, 0.10},
-		{90 * simkit.Minute, 0.02},
-	}
-	for _, c := range cases {
-		if got := sub.PriceAt(c.at); got != c.want {
-			t.Errorf("sliced PriceAt(%v) = %v, want %v", c.at, got, c.want)
-		}
-	}
-	// Integration matches the original window.
-	if a, b := tr.Integrate(30*simkit.Minute, 150*simkit.Minute), sub.Integrate(0, 2*simkit.Hour); math.Abs(float64(a-b)) > 1e-12 {
-		t.Errorf("sliced integral %v != original %v", b, a)
-	}
-	// Bounds validation.
-	for _, bad := range [][2]simkit.Time{
-		{-simkit.Hour, simkit.Hour},
-		{simkit.Hour, simkit.Hour},
-		{2 * simkit.Hour, simkit.Hour},
-		{0, 5 * simkit.Hour},
-	} {
-		if _, err := tr.Slice(bad[0], bad[1]); err == nil {
-			t.Errorf("slice %v accepted", bad)
-		}
-	}
-}
-
-// Property: Integrate is additive over adjacent intervals.
 func TestIntegrateAdditiveProperty(t *testing.T) {
 	f := func(seed int64, aRaw, bRaw, cRaw uint16) bool {
 		cfg := DefaultConfig(0.07, VolatilityMedium)
