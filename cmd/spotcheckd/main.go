@@ -74,7 +74,10 @@ type daemon struct {
 }
 
 func newDaemon(months float64, seed int64) (*daemon, error) {
-	horizon := simkit.Time(float64(30*simkit.Day) * months)
+	horizon, err := experiments.MonthsHorizon(months)
+	if err != nil {
+		return nil, fmt.Errorf("-months %w", err)
+	}
 	traces, err := experiments.EvalTraces(horizon, seed)
 	if err != nil {
 		return nil, err
@@ -421,8 +424,8 @@ func checkFlags(speedup, months float64) error {
 	if !(speedup >= 0) || math.IsInf(speedup, 1) {
 		return fmt.Errorf("-speedup %v: need a finite value >= 0", speedup)
 	}
-	if !(months > 0) || float64(30*simkit.Day)*months >= float64(maxSimTime) {
-		return fmt.Errorf("-months %v: need a positive horizon of at most %.0f months", months, float64(maxSimTime)/float64(30*simkit.Day))
+	if _, err := experiments.MonthsHorizon(months); err != nil {
+		return fmt.Errorf("-months %w", err)
 	}
 	return nil
 }

@@ -604,6 +604,13 @@ func TestCheckFlags(t *testing.T) {
 		if err := checkFlags(tc.speedup, tc.months); (err == nil) != tc.ok {
 			t.Errorf("checkFlags(%v, %v) = %v, want ok=%v", tc.speedup, tc.months, err, tc.ok)
 		}
+		// The daemon converts -months with the same check.
+		if tc.ok || tc.months == 6 {
+			continue
+		}
+		if _, err := newDaemon(tc.months, 1); err == nil || !strings.Contains(err.Error(), "-months must be positive") {
+			t.Errorf("newDaemon(%v) = %v, want an error naming -months", tc.months, err)
+		}
 	}
 }
 

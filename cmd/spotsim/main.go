@@ -215,8 +215,9 @@ func runExperiments(w io.Writer, o runOpts) error {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	// A zero would otherwise run the defaults under a label that says zero.
-	if !(months > 0) {
-		return fmt.Errorf("-months must be positive (got %v)", months)
+	horizon, err := experiments.MonthsHorizon(months)
+	if err != nil {
+		return fmt.Errorf("-months %w", err)
 	}
 	if vms <= 0 {
 		return fmt.Errorf("-vms must be positive (got %d)", vms)
@@ -234,12 +235,10 @@ func runExperiments(w io.Writer, o runOpts) error {
 	}
 	var replay spotmarket.Set
 	if o.replay != "" {
-		var err error
 		if replay, err = loadTraces(o.replay); err != nil {
 			return err
 		}
 	}
-	horizon := simkit.Time(float64(30*simkit.Day) * months)
 	want := func(f string) bool { return exp == f || slices.Contains(groups[exp], f) }
 
 	// One session for the invocation: a simulation two sections share (Table

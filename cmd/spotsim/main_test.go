@@ -3,6 +3,7 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -265,6 +266,10 @@ func TestRunRejectsIgnoredFlags(t *testing.T) {
 		{"zero months", func(o *runOpts) { o.exp, o.months = "headline", 0 }, "-months must be positive"},
 		{"negative months", func(o *runOpts) { o.exp, o.months = "table3", -1 }, "-months must be positive"},
 		{"zero months under traces", func(o *runOpts) { o.exp, o.months = "traces", 0 }, "-months must be positive"},
+		{"months past virtual time", func(o *runOpts) { o.exp, o.months = "table3", 1e300 }, "-months must be positive and at most 3558"},
+		{"infinite months", func(o *runOpts) { o.exp, o.months = "table3", math.Inf(1) }, "-months must be positive and at most 3558"},
+		{"NaN months", func(o *runOpts) { o.exp, o.months = "headline", math.NaN() }, "-months must be positive and at most 3558"},
+		{"months just past virtual time", func(o *runOpts) { o.exp, o.months = "table3", 3.6e9 }, "-months must be positive and at most 3558"},
 		{"zero vms", func(o *runOpts) { o.exp, o.vms = "headline", 0 }, "-vms must be positive"},
 		{"negative vms", func(o *runOpts) { o.exp, o.vms = "fig10", -4 }, "-vms must be positive"},
 		{"replay under market", func(o *runOpts) { o.exp, o.replay = "market", "x.csv" }, "only applies to -exp fig6a"},

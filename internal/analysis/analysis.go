@@ -22,9 +22,6 @@ func NewCDF(samples []float64) *CDF {
 	return &CDF{sorted: cp}
 }
 
-// Len reports the sample count.
-func (c *CDF) Len() int { return len(c.sorted) }
-
 // At returns P(X <= x).
 func (c *CDF) At(x float64) float64 {
 	if len(c.sorted) == 0 {
@@ -170,15 +167,6 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Rows exposes the formatted cells (for tests and structured output).
-func (t *Table) Rows() [][]string {
-	out := make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = append([]string(nil), r...)
-	}
-	return out
 }
 
 // Series renders an (x, y) series as two aligned columns — one line of a

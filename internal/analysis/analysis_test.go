@@ -9,8 +9,8 @@ import (
 
 func TestCDFBasics(t *testing.T) {
 	c := NewCDF([]float64{3, 1, 2, 4})
-	if c.Len() != 4 {
-		t.Error("Len wrong")
+	if len(c.sorted) != 4 {
+		t.Error("sample count wrong")
 	}
 	cases := []struct{ x, want float64 }{
 		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {100, 1},
@@ -97,14 +97,8 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 5 { // title, header, separator, 2 rows
 		t.Errorf("line count = %d:\n%s", len(lines), out)
 	}
-	rows := tb.Rows()
-	if len(rows) != 2 || rows[0][0] != "Start spot instance" {
-		t.Errorf("Rows() = %v", rows)
-	}
-	// Rows returns copies.
-	rows[0][0] = "mutated"
-	if tb.Rows()[0][0] == "mutated" {
-		t.Error("Rows leaked internal state")
+	if len(tb.rows) != 2 || tb.rows[0][0] != "Start spot instance" {
+		t.Errorf("rows = %v", tb.rows)
 	}
 }
 
@@ -115,11 +109,10 @@ func TestFloatFormatting(t *testing.T) {
 	tb.AddRow(2.25)
 	tb.AddRow(0.0064)
 	tb.AddRow(1.74e-4)
-	rows := tb.Rows()
 	want := []string{"0", "1234", "2.25", "0.0064", "1.740e-04"}
 	for i, w := range want {
-		if rows[i][0] != w {
-			t.Errorf("row %d = %q, want %q", i, rows[i][0], w)
+		if tb.rows[i][0] != w {
+			t.Errorf("row %d = %q, want %q", i, tb.rows[i][0], w)
 		}
 	}
 }

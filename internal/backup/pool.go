@@ -57,9 +57,13 @@ func (p *Pool) Servers() []*Server { return append([]*Server(nil), p.servers...)
 func (p *Pool) Size() int { return len(p.servers) }
 
 // TotalVMs reports registered VMs across all servers.
+//
+//lint:testonly FuzzPool compares it against the map-based oracle
 func (p *Pool) TotalVMs() int { return len(p.byVM) }
 
 // ServerFor returns the server backing vmID, or nil.
+//
+//lint:testonly the pool tests check a VM's placement through it
 func (p *Pool) ServerFor(vmID string) *Server { return p.byVM[vmID].server }
 
 // provision adds a fresh server.
@@ -214,6 +218,8 @@ func (p *Pool) MaxVMsPerServer() int {
 // MaxGroupPerServer reports the largest number of same-group VMs on any
 // single backup server — the restore load one pool-wide revocation storm
 // would put on that server.
+//
+//lint:testonly FuzzPool compares it against the map-based oracle
 func (p *Pool) MaxGroupPerServer() int {
 	var max int32
 	for _, s := range p.servers {
@@ -227,6 +233,8 @@ func (p *Pool) MaxGroupPerServer() int {
 }
 
 // Distribution returns registration counts per server, sorted descending.
+//
+//lint:testonly FuzzPool compares it against the map-based oracle
 func (p *Pool) Distribution() []int {
 	out := make([]int, len(p.servers))
 	for i, s := range p.servers {

@@ -131,6 +131,8 @@ func (s *Server) VMs() int { return len(s.ids) }
 func (s *Server) Free() int { return s.cfg.MaxVMs - len(s.ids) }
 
 // VMIDs returns registered VM ids in sorted order.
+//
+//lint:testonly FuzzPool compares it against the map-based oracle
 func (s *Server) VMIDs() []string {
 	out := append(make([]string, 0, len(s.ids)), s.ids...)
 	sort.Strings(out)

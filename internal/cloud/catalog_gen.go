@@ -205,16 +205,6 @@ func (c Catalog) HVMTypes() []InstanceType {
 	return out
 }
 
-// TypeByName looks up a generated type.
-func (c Catalog) TypeByName(name string) (InstanceType, bool) {
-	for _, t := range c.Types {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return InstanceType{}, false
-}
-
 // DefaultCatalogSpec is the evaluation catalog: five 2014-era families
 // (four HVM, one paravirtual) × three to five sizes × three zones — 21
 // types, 18 of them HVM, 54 spot markets. The m3 family's base reproduces

@@ -184,6 +184,3 @@ type RevocationWarning struct {
 	// Price is the market price that exceeded the bid.
 	Price USD
 }
-
-// Window returns the warning duration (Deadline - Issued).
-func (w RevocationWarning) Window() simkit.Time { return w.Deadline - w.Issued }

@@ -4,8 +4,6 @@ import (
 	"net/netip"
 	"strings"
 	"testing"
-
-	"repro/internal/simkit"
 )
 
 func typeByName(t *testing.T, name string) InstanceType {
@@ -119,13 +117,6 @@ func TestInstanceHasIP(t *testing.T) {
 	}
 	if inst.HasIP(b) {
 		t.Error("HasIP(b) = true")
-	}
-}
-
-func TestRevocationWarningWindow(t *testing.T) {
-	w := RevocationWarning{Issued: 10 * simkit.Second, Deadline: 130 * simkit.Second}
-	if w.Window() != 120*simkit.Second {
-		t.Errorf("Window() = %v, want 2m", w.Window())
 	}
 }
 

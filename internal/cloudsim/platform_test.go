@@ -158,8 +158,8 @@ func TestSpotRevocationWarningAndForcedKill(t *testing.T) {
 	if warning.Instance.ID != inst.ID {
 		t.Errorf("warned instance = %v", warning.Instance.ID)
 	}
-	if warning.Window() != 120*simkit.Second {
-		t.Errorf("warning window = %v, want 120s", warning.Window())
+	if window := warning.Deadline - warning.Issued; window != 120*simkit.Second {
+		t.Errorf("warning window = %v, want 120s", window)
 	}
 	if inst.State != cloud.StateWarned {
 		t.Errorf("state = %v, want warned", inst.State)

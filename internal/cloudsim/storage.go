@@ -92,16 +92,6 @@ func (p *Platform) DeleteVolume(vol cloud.VolumeID) error {
 	return nil
 }
 
-// Volume returns the current view of a volume (not part of cloud.Provider;
-// the tests' volume inspector).
-func (p *Platform) Volume(id cloud.VolumeID) (*cloud.Volume, error) {
-	v := p.volume(id)
-	if v == nil {
-		return nil, fmt.Errorf("%w: volume %s", cloud.ErrNotFound, id)
-	}
-	return v, nil
-}
-
 func removeVolume(vols []cloud.VolumeID, id cloud.VolumeID) []cloud.VolumeID {
 	out := vols[:0]
 	for _, v := range vols {

@@ -68,6 +68,8 @@ func FlatTraces(t testing.TB, typ string, zone cloud.Zone) spotmarket.Set {
 }
 
 // Run executes the full conformance suite.
+//
+//lint:testonly the conformance suite that cloudsim's, cloudchaos' and bench's providers pass
 func Run(t *testing.T, h Harness) {
 	t.Run("CatalogAndPrices", func(t *testing.T) { testCatalog(t, h) })
 	t.Run("OnDemandLifecycle", func(t *testing.T) { testOnDemand(t, h) })

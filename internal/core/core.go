@@ -89,7 +89,7 @@ type Config struct {
 	// final pre-copy rounds; with a backup-based mechanism the VM falls
 	// back to restoring from its checkpoint, without one it loses memory
 	// state — exactly the risk the paper describes.
-	Predictive PredictiveConfig
+	Predictive bool
 
 	// ExpectedVMs is a capacity hint: it pre-sizes the controller's fleet
 	// state — the VM and host slabs, the boundary ID maps and the rental
@@ -522,14 +522,10 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Mechanism reports the configured migration mechanism.
-func (c *Controller) Mechanism() migration.Mechanism { return c.cfg.Mechanism }
-
-// Storms returns the recorded concurrent-revocation batches.
-func (c *Controller) Storms() []StormEvent { return append([]StormEvent(nil), c.storms...) }
-
 // History exposes the controller's market observations (for policies and
 // reports), settled up to now.
+//
+//lint:testonly the market tests read the controller's observations through it
 func (c *Controller) History() *History {
 	c.Settle()
 	return c.history

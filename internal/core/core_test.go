@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cloud"
@@ -185,8 +186,8 @@ func TestRevocationMigratesToOnDemand(t *testing.T) {
 	}
 	// The volume followed the VM.
 	vs := r.ctrl.lookupVM(id)
-	if vol, err := r.plat.Volume(vs.vm.Volume); err != nil || vol.AttachedTo != vs.host.inst.ID {
-		t.Errorf("volume not attached to new host: %+v err=%v", vol, err)
+	if inst, err := r.plat.Instance(vs.host.inst.ID); err != nil || !slices.Contains(inst.Volumes, vs.vm.Volume) {
+		t.Errorf("volume %s not attached to new host: %+v err=%v", vs.vm.Volume, inst, err)
 	}
 	// Downtime was recorded but brief (SpotCheck lazy restore).
 	down, degraded := vs.vm.Ledger.Snapshot(r.sched.Now())
@@ -580,7 +581,7 @@ func TestStormRecording(t *testing.T) {
 		r.request(t, "alice")
 	}
 	r.run(t, 11*simkit.Hour)
-	storms := r.ctrl.Storms()
+	storms := r.ctrl.storms
 	if len(storms) != 1 {
 		t.Fatalf("storms = %v, want one batch", storms)
 	}

@@ -44,8 +44,8 @@ func TestEstimateMatchesChain(t *testing.T) {
 				if w.Instance.ID != vs.host.inst.ID {
 					return
 				}
-				if w.Window() != cloud.WarningWindow {
-					t.Errorf("warned with %v left, want %v", w.Window(), cloud.WarningWindow)
+				if window := w.Deadline - w.Issued; window != cloud.WarningWindow {
+					t.Errorf("warned with %v left, want %v", window, cloud.WarningWindow)
 				}
 				warned, chain = true, vs.move
 			})

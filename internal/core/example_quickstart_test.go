@@ -102,7 +102,7 @@ func Example_quickstart() {
 	fmt.Printf("cost per VM-hour: $%.4f (hosts $%.2f + backup server $%.2f over %.0f VM-hours)\n",
 		float64(report.CostPerVMHour), float64(report.HostCost), float64(report.BackupCost), report.VMHours)
 	fmt.Println("                  (a backup server multiplexes ~40 VMs in production; with one")
-	fmt.Println("                   VM it dominates — see examples/policylab for the fleet view)")
+	fmt.Println("                   VM it dominates — see Example_policylab or spotsim -exp all for the fleet view)")
 	fmt.Printf("migrations:       %d (1 revocation + 1 return)\n", report.Stats.Migrations)
 	fmt.Printf("VM state lost:    %d times\n", report.Stats.VMsLostMemoryState)
 	// Output:
@@ -136,7 +136,7 @@ func Example_quickstart() {
 	// down time:        25.62846545s (EC2 re-plumbing dominates)
 	// cost per VM-hour: $0.2849 (hosts $0.57 + backup server $13.09 over 48 VM-hours)
 	//                   (a backup server multiplexes ~40 VMs in production; with one
-	//                    VM it dominates — see examples/policylab for the fleet view)
+	//                    VM it dominates — see Example_policylab or spotsim -exp all for the fleet view)
 	// migrations:       2 (1 revocation + 1 return)
 	// VM state lost:    0 times
 }

@@ -144,13 +144,6 @@ func TestVPCExhaustionParksRequests(t *testing.T) {
 	}
 }
 
-func TestMechanismAccessor(t *testing.T) {
-	r := newRig(t, nil, func(c *Config) { c.Mechanism = migration.UnoptimizedFull })
-	if r.ctrl.Mechanism() != migration.UnoptimizedFull {
-		t.Error("Mechanism() wrong")
-	}
-}
-
 // A staging destination that is warned while the displaced VM is still in
 // flight: the VM lands, notices, and immediately evacuates again.
 func TestDestinationWarnedMidMigration(t *testing.T) {
@@ -183,7 +176,7 @@ func TestDestinationWarnedMidMigration(t *testing.T) {
 	if r.ctrl.Stats().VMsLostMemoryState != 0 {
 		t.Error("state lost despite checkpoints")
 	}
-	auditController(t, r.ctrl, r.ctrl.Mechanism())
+	auditController(t, r.ctrl, r.ctrl.cfg.Mechanism)
 }
 
 // A staging destination force-terminated before a slow (Yank) restore
@@ -217,5 +210,5 @@ func TestDestinationDiesMidMigration(t *testing.T) {
 	if r.ctrl.Stats().VMsLostMemoryState != 0 {
 		t.Error("bounded-time migration lost state despite the checkpoint")
 	}
-	auditController(t, r.ctrl, r.ctrl.Mechanism())
+	auditController(t, r.ctrl, r.ctrl.cfg.Mechanism)
 }

@@ -145,7 +145,7 @@ func rampTraces(t *testing.T) spotmarket.Set {
 
 func TestPredictiveMigrationBeatsWarning(t *testing.T) {
 	r := newRig(t, rampTraces(t), func(c *Config) {
-		c.Predictive = PredictiveConfig{Enabled: true, Threshold: 0.8}
+		c.Predictive = true
 	})
 	id := r.request(t, "alice")
 	r.run(t, 10*simkit.Hour+5*simkit.Minute)
@@ -192,7 +192,7 @@ func TestPredictiveMissFallsBackToBackup(t *testing.T) {
 	ctrl, err := New(Config{
 		Scheduler: sched, Provider: plat,
 		Mechanism:  migration.SpotCheckLazy,
-		Predictive: PredictiveConfig{Enabled: true, Threshold: 0.8},
+		Predictive: true,
 	})
 	if err != nil {
 		t.Fatal(err)

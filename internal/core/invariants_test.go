@@ -107,7 +107,7 @@ func runRandomScenario(t *testing.T, seed int64, recycle bool) *Controller {
 		cfg.Bidding = MultipleBid{K: 1.5 + rng.Float64()}
 	}
 	if rng.Intn(3) == 0 {
-		cfg.Predictive = PredictiveConfig{Enabled: true}
+		cfg.Predictive = true
 	}
 	if recycle {
 		cfg.ExpectedVMs = 16

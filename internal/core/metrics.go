@@ -139,4 +139,6 @@ func (c *Controller) Stats() ControllerStats {
 }
 
 // Metrics exposes the controller's registry (its own when none was given).
+//
+//lint:testonly the event tests read the controller's own registry through it
 func (c *Controller) Metrics() *obs.Registry { return c.met.reg }

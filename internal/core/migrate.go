@@ -177,7 +177,7 @@ const (
 // path and EstimateMigration both size a flush here.
 func (c *Controller) sizeFlush(vs *vmState, warning simkit.Time) (residueMB float64, flush migration.FlushResult, err error) {
 	dirty := vs.vm.Memory.DirtyMBs
-	residueMB = migration.CheckpointSpec{DirtyMBs: dirty, BandwidthMBs: checkpointMBs, Bound: migrationBound}.ResidueMB()
+	residueMB = migration.CheckpointSpec{BandwidthMBs: checkpointMBs, Bound: migrationBound}.ResidueMB()
 	flush, err = migration.SimulateFlush(migration.FlushSpec{
 		ResidueMB:    residueMB,
 		DirtyMBs:     dirty,

@@ -24,7 +24,7 @@ func (c *Controller) startMonitor() {
 // (the return sweep's candidates), or the run evacuates spot pools on price
 // (k×OD bidding's proactive sweep, the predictor).
 func (c *Controller) needTicks() bool {
-	return c.odHosts > 0 || c.cfg.Bidding.Proactive() || c.cfg.Predictive.Enabled
+	return c.odHosts > 0 || c.cfg.Bidding.Proactive() || c.cfg.Predictive
 }
 
 // tickAt returns when tick n falls.
@@ -75,7 +75,7 @@ func (c *Controller) monitorTick() {
 	if c.cfg.Bidding.Proactive() {
 		c.proactiveSweep()
 	}
-	if c.cfg.Predictive.Enabled {
+	if c.cfg.Predictive {
 		c.predictiveSweep()
 	}
 	c.returnSweep()
@@ -195,14 +195,17 @@ func (c *Controller) proactiveSweep() {
 	}
 }
 
+// predictiveThreshold is the fraction of the on-demand price at which a
+// rising spot price triggers a predictive evacuation.
+const predictiveThreshold = 0.8
+
 // predictiveSweep evacuates spot pools whose price is rising toward the
-// bid: price at or above threshold×on-demand AND above the previous tick's
-// sample. Unlike proactiveSweep (which waits for the price to actually
-// cross the on-demand price under a k×OD bid), the predictor acts on the
-// trend and therefore works even when the bid equals the on-demand price —
-// at the risk of mispredicting (§3.2).
+// bid: price at or above predictiveThreshold×on-demand AND above the
+// previous tick's sample. Unlike proactiveSweep (which waits for the price
+// to actually cross the on-demand price under a k×OD bid), the predictor
+// acts on the trend and therefore works even when the bid equals the
+// on-demand price — at the risk of mispredicting (§3.2).
 func (c *Controller) predictiveSweep() {
-	threshold := c.cfg.Predictive.threshold()
 	for _, m := range c.history.markets {
 		pool := c.spotPool(m)
 		if pool == nil {
@@ -211,7 +214,7 @@ func (c *Controller) predictiveSweep() {
 		if m.prevSampled != c.tick-1 || m.price <= m.prev {
 			continue // not rising
 		}
-		if float64(m.price) < threshold*float64(m.typ.OnDemand) {
+		if float64(m.price) < predictiveThreshold*float64(m.typ.OnDemand) {
 			continue // not near the bid yet
 		}
 		for _, hh := range pool.hosts.Ordered() {
@@ -323,8 +326,7 @@ func (c *Controller) marketCalm(m *market) bool {
 	if m.sampled != c.tick || m.price >= od {
 		return false
 	}
-	if c.cfg.Predictive.Enabled &&
-		float64(m.price) >= c.cfg.Predictive.threshold()*float64(od) {
+	if c.cfg.Predictive && float64(m.price) >= predictiveThreshold*float64(od) {
 		return false
 	}
 	return !m.everAboveOD || c.sched.Now()-m.lastAboveOD >= c.cfg.ReturnHoldDown

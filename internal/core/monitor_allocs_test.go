@@ -16,7 +16,7 @@ import (
 func TestMonitorTickSteadyStateAllocs(t *testing.T) {
 	r := newRig(t, nil, func(c *Config) {
 		c.Placement = Policy1PM()
-		c.Predictive = PredictiveConfig{Enabled: true}
+		c.Predictive = true
 	})
 	for i := 0; i < 4; i++ {
 		r.request(t, "alice")

@@ -12,7 +12,7 @@ import (
 // never drained. The predictor keeps the tick armed, so there is a pending
 // one to cancel; ticks are read after Stats has settled them.
 func TestShutdownStopsMonitor(t *testing.T) {
-	r := newRig(t, nil, func(c *Config) { c.Predictive = PredictiveConfig{Enabled: true} })
+	r := newRig(t, nil, func(c *Config) { c.Predictive = true })
 	r.request(t, "alice")
 	r.run(t, 30*simkit.Minute)
 

@@ -327,6 +327,8 @@ func NewCheapestCompatiblePolicy(zones []cloud.Zone) PlacementPolicy {
 }
 
 // NamedPolicies returns the five Table 2 policies in evaluation order.
+//
+//lint:testonly the 20-seed controller audit enumerates the policies through it
 func NamedPolicies() []PlacementPolicy {
 	return []PlacementPolicy{
 		Policy1PM(), Policy2PML(), Policy4PED(), Policy4PCOST(), Policy4PST(),
@@ -375,22 +377,6 @@ func (m MultipleBid) Bid(od cloud.USD) cloud.USD { return cloud.USD(m.K * float6
 
 // Proactive implements BiddingPolicy.
 func (m MultipleBid) Proactive() bool { return true }
-
-// PredictiveConfig tunes trend-based proactive migration.
-type PredictiveConfig struct {
-	// Enabled turns the predictor on.
-	Enabled bool
-	// Threshold is the fraction of the on-demand price at which a rising
-	// price triggers evacuation (e.g. 0.8). Values <= 0 default to 0.8.
-	Threshold float64
-}
-
-func (p PredictiveConfig) threshold() float64 {
-	if p.Threshold <= 0 {
-		return 0.8
-	}
-	return p.Threshold
-}
 
 // ---------------------------------------------------------------------------
 // Destination policies (§4.3)

@@ -283,7 +283,7 @@ func TestGreedyTieBreaksLexicographically(t *testing.T) {
 // catalogRig builds a platform over the generated default catalog with flat
 // traces for HVM markets in the given zones; prices vary deterministically
 // per market so unit costs differ.
-func catalogRig(t *testing.T, tracedZones []cloud.Zone) (*cloudsim.Platform, cloud.Catalog) {
+func catalogRig(t *testing.T, tracedZones []cloud.Zone) *cloudsim.Platform {
 	t.Helper()
 	cat, err := cloud.GenerateCatalog(cloud.DefaultCatalogSpec())
 	if err != nil {
@@ -305,7 +305,7 @@ func catalogRig(t *testing.T, tracedZones []cloud.Zone) (*cloudsim.Platform, clo
 	if err != nil {
 		t.Fatal(err)
 	}
-	return plat, cat
+	return plat
 }
 
 func TestCheapestCompatibleNeverDominated(t *testing.T) {
@@ -313,8 +313,8 @@ func TestCheapestCompatibleNeverDominated(t *testing.T) {
 	// policy must tolerate price-lookup failures), the chosen market's
 	// per-slice price is the minimum over every feasible market, with ties
 	// resolved to the lexicographically smallest key.
-	plat, cat := catalogRig(t, []cloud.Zone{"zone-a", "zone-b"})
-	req, ok := cat.TypeByName(cloud.M3Medium)
+	plat := catalogRig(t, []cloud.Zone{"zone-a", "zone-b"})
+	req, ok := plat.TypeByName(cloud.M3Medium)
 	if !ok {
 		t.Fatal("m3.medium missing from generated catalog")
 	}
@@ -370,7 +370,7 @@ func TestCheapestCompatibleNeverDominated(t *testing.T) {
 }
 
 func TestCheapestCompatibleNoFeasible(t *testing.T) {
-	plat, _ := catalogRig(t, []cloud.Zone{"zone-a"})
+	plat := catalogRig(t, []cloud.Zone{"zone-a"})
 	// Nothing in the catalog dominates a 128-vCPU monster.
 	ctx := &PlacementContext{
 		Requested: cloud.InstanceType{Name: "huge", VCPUs: 128, MemoryMB: 1 << 20, NetworkMBs: 10000},
@@ -384,8 +384,8 @@ func TestCheapestCompatibleNoFeasible(t *testing.T) {
 }
 
 func TestCheapestCompatibleZoneRestriction(t *testing.T) {
-	plat, cat := catalogRig(t, []cloud.Zone{"zone-a", "zone-b"})
-	req, _ := cat.TypeByName(cloud.M3Medium)
+	plat := catalogRig(t, []cloud.Zone{"zone-a", "zone-b"})
+	req, _ := plat.TypeByName(cloud.M3Medium)
 	ctx := &PlacementContext{Requested: req, Provider: plat, History: NewHistory(), Rand: rand.New(rand.NewSource(1))}
 	_, zone, err := NewCheapestCompatiblePolicy([]cloud.Zone{"zone-b"}).Choose(ctx)
 	if err != nil {
@@ -420,15 +420,6 @@ func TestDestinationPolicyString(t *testing.T) {
 	}
 	if DestinationPolicy(9).String() != "destination(9)" {
 		t.Error("unknown destination string")
-	}
-}
-
-func TestPredictiveConfigThreshold(t *testing.T) {
-	if (PredictiveConfig{}).threshold() != 0.8 {
-		t.Error("default threshold wrong")
-	}
-	if (PredictiveConfig{Threshold: 0.5}).threshold() != 0.5 {
-		t.Error("explicit threshold ignored")
 	}
 }
 

@@ -251,7 +251,7 @@ func TestReplayMatchesPerTickSampling(t *testing.T) {
 			case 1:
 				c.Bidding = MultipleBid{K: 1.5}
 			case 2:
-				c.Predictive = PredictiveConfig{Enabled: true, Threshold: 0.8}
+				c.Predictive = true
 			}
 		})
 		c := r.ctrl

@@ -151,7 +151,7 @@ func TestReturnSweepSkipsOnlyIdleTicks(t *testing.T) {
 		case 1:
 			cfg.Bidding = MultipleBid{K: 2}
 		case 2:
-			cfg.Predictive = PredictiveConfig{Enabled: true}
+			cfg.Predictive = true
 		}
 		c, err := New(cfg)
 		if err != nil {

@@ -332,7 +332,7 @@ type PredictiveAblation struct {
 // spikes whose onset straddles a monitor tick — the honest result the
 // paper hints at: trend prediction is hard without high-frequency signals.
 func (s *Session) ablationPredictive(vms int, horizon simkit.Time, seed int64) (PredictiveAblation, error) {
-	spec := func(name string, pred core.PredictiveConfig) RunSpec {
+	spec := func(name string, pred bool) RunSpec {
 		return RunSpec{ID: name, Cfg: PolicyRunConfig{
 			Policy:     PolicyFactory{Name: "4P-ED", New: core.Policy4PED},
 			Mechanism:  migration.SpotCheckLazy,
@@ -343,8 +343,8 @@ func (s *Session) ablationPredictive(vms int, horizon simkit.Time, seed int64) (
 		}}
 	}
 	results, err := s.Sweep([]RunSpec{
-		spec("predictive-off", core.PredictiveConfig{}),
-		spec("predictive-on", core.PredictiveConfig{Enabled: true, Threshold: 0.8}),
+		spec("predictive-off", false),
+		spec("predictive-on", true),
 	})
 	if err != nil {
 		return PredictiveAblation{}, err

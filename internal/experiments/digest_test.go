@@ -112,7 +112,7 @@ func TestRunDigestTable(t *testing.T) {
 		{"4P-COST/chaos", chaotic(base(3, migration.UnoptimizedFull)), "a520c9f5a76a5b993e933db0855efd2c94e059fc0c92176ca57b861aec12b1ba"},
 		{"4P-ST/chaos", chaotic(base(4, migration.XenLive)), "f63329e112179c15566c60a00f616b78121c6b7da35027722fe25f0b60e0359e"},
 		{"predictive", with(base(2, lazy), func(c *PolicyRunConfig) {
-			c.Predictive = core.PredictiveConfig{Enabled: true}
+			c.Predictive = true
 		}), "e2a2d29b93078f65d8cd7331a860e5d8e3e7d77298aac2316e298c16ee223241"},
 		{"bid-2x", with(base(2, lazy), func(c *PolicyRunConfig) {
 			c.Bidding = core.MultipleBid{K: 2}

@@ -74,7 +74,7 @@ type PolicyRunConfig struct {
 	Destination         core.DestinationPolicy // lazy OD / hot spares / staging
 	HotSpares           int
 	Stateless           bool // request every VM as stateless
-	Predictive          core.PredictiveConfig
+	Predictive          bool
 	WarningWindow       simkit.Time // shrink the platform's revocation warning
 	// BillingIncrement enables 2015-era period billing on the platform.
 	BillingIncrement simkit.Time

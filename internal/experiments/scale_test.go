@@ -69,7 +69,7 @@ func TestScaleLadderSharesTraces(t *testing.T) {
 		t.Fatalf("ladder rungs = %+v", rows)
 	}
 	table := ScaleTable(rows)
-	if got := len(table.Rows()); got != 2 {
+	if got := len(tableRows(t, table)); got != 2 {
 		t.Errorf("capacity table has %d rows, want 2", got)
 	}
 }

@@ -58,7 +58,7 @@ type runKey struct {
 	destination core.DestinationPolicy
 	hotSpares   int
 	stateless   bool
-	predictive  core.PredictiveConfig
+	predictive  bool
 	warning     simkit.Time
 	billing     simkit.Time
 	workload    workload.Profile

@@ -88,8 +88,9 @@ func TestSessionRunsEachCellOnce(t *testing.T) {
 }
 
 // TestSessionSharesOnlyTheSameRun changes one field of a matrix cell at a
-// time: every change is a different simulation (or one the session never
-// shares), so each runs; asking the cell itself again runs nothing.
+// time, every PolicyRunConfig field by reflection: a change that reaches the
+// simulation (or one the session never shares) runs, and asking for the
+// cell again, in any spelling that does not, runs nothing.
 func TestSessionSharesOnlyTheSameRun(t *testing.T) {
 	const vms, seed = 4, 9
 	horizon := 2 * simkit.Day
@@ -104,33 +105,52 @@ func TestSessionSharesOnlyTheSameRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := map[string]func(*PolicyRunConfig){
-		"policy name":      func(c *PolicyRunConfig) { c.Policy.Name = "1-Pool" },
-		"mechanism":        func(c *PolicyRunConfig) { c.Mechanism = migration.XenLive },
-		"vms":              func(c *PolicyRunConfig) { c.VMs++ },
-		"horizon":          func(c *PolicyRunConfig) { c.Horizon += simkit.Day },
-		"seed":             func(c *PolicyRunConfig) { c.Seed++ },
-		"monitor interval": func(c *PolicyRunConfig) { c.MonitorInterval = 5 * simkit.Minute },
-		"network slicing":  func(c *PolicyRunConfig) { c.NetworkAwareSlicing = true },
-		"bidding":          func(c *PolicyRunConfig) { c.Bidding = core.MultipleBid{K: 2} },
-		"destination":      func(c *PolicyRunConfig) { c.Destination = core.DestStaging },
-		"hot spares":       func(c *PolicyRunConfig) { c.HotSpares = 1 },
-		"stateless":        func(c *PolicyRunConfig) { c.Stateless = true },
-		"predictive":       func(c *PolicyRunConfig) { c.Predictive = core.PredictiveConfig{Enabled: true} },
-		"warning window":   func(c *PolicyRunConfig) { c.WarningWindow = 45 * simkit.Second },
-		"billing":          func(c *PolicyRunConfig) { c.BillingIncrement = simkit.Hour },
-		"workload":         func(c *PolicyRunConfig) { c.Workload = workload.SPECjbb() },
-		"explicit traces":  func(c *PolicyRunConfig) { c.Traces = traces },
-		"zones":            func(c *PolicyRunConfig) { c.Zones = cloud.DefaultZones() },
-		"catalog":          func(c *PolicyRunConfig) { c.Catalog = cloud.DefaultCatalog() },
-		"chaos":            func(c *PolicyRunConfig) { c.Chaos = &cloudchaos.Config{} },
-		"arrivals":         func(c *PolicyRunConfig) { c.ArrivalOffsets = make([]simkit.Time, vms) },
-		"downtimes":        func(c *PolicyRunConfig) { c.CollectVMDowntimes = true },
-		"shards":           func(c *PolicyRunConfig) { c.Shards = 2 },
+	// differs changes each PolicyRunConfig field that reaches the
+	// simulation, so each is a different run; shares changes a field so the
+	// run stays the cell's. Every field needs a row in one of them: a field
+	// runKey misses would let two different runs share one cached result.
+	differs := map[string]func(*PolicyRunConfig){
+		"Policy":              func(c *PolicyRunConfig) { c.Policy.Name = "1-Pool" },
+		"Mechanism":           func(c *PolicyRunConfig) { c.Mechanism = migration.XenLive },
+		"VMs":                 func(c *PolicyRunConfig) { c.VMs++ },
+		"Horizon":             func(c *PolicyRunConfig) { c.Horizon += simkit.Day },
+		"Seed":                func(c *PolicyRunConfig) { c.Seed++ },
+		"MonitorInterval":     func(c *PolicyRunConfig) { c.MonitorInterval = 5 * simkit.Minute },
+		"NetworkAwareSlicing": func(c *PolicyRunConfig) { c.NetworkAwareSlicing = true },
+		"Bidding":             func(c *PolicyRunConfig) { c.Bidding = core.MultipleBid{K: 2} },
+		"Destination":         func(c *PolicyRunConfig) { c.Destination = core.DestStaging },
+		"HotSpares":           func(c *PolicyRunConfig) { c.HotSpares = 1 },
+		"Stateless":           func(c *PolicyRunConfig) { c.Stateless = true },
+		"Predictive":          func(c *PolicyRunConfig) { c.Predictive = true },
+		"WarningWindow":       func(c *PolicyRunConfig) { c.WarningWindow = 45 * simkit.Second },
+		"BillingIncrement":    func(c *PolicyRunConfig) { c.BillingIncrement = simkit.Hour },
+		"Workload":            func(c *PolicyRunConfig) { c.Workload = workload.SPECjbb() },
+		"Traces":              func(c *PolicyRunConfig) { c.Traces = traces },
+		"Zones":               func(c *PolicyRunConfig) { c.Zones = cloud.DefaultZones() },
+		"Catalog":             func(c *PolicyRunConfig) { c.Catalog = cloud.DefaultCatalog() },
+		"Chaos":               func(c *PolicyRunConfig) { c.Chaos = &cloudchaos.Config{} },
+		"ArrivalOffsets":      func(c *PolicyRunConfig) { c.ArrivalOffsets = make([]simkit.Time, vms) },
+		"CollectVMDowntimes":  func(c *PolicyRunConfig) { c.CollectVMDowntimes = true },
+		"Shards":              func(c *PolicyRunConfig) { c.Shards = 2 },
+	}
+	shares := map[string]func(*PolicyRunConfig){
+		// The controller's default bid, spelled out.
+		"Bidding": func(c *PolicyRunConfig) { c.Bidding = core.OnDemandBid{} },
+		// Concurrency only: an unsharded run ignores it, and a sharded one
+		// is byte-identical at every worker count (and never shared).
+		"ShardWorkers": func(c *PolicyRunConfig) { c.ShardWorkers = 1 },
+		// A dead field kept only so bench/ compiles; it changes nothing.
+		"FleetMode": func(c *PolicyRunConfig) { c.FleetMode = true },
+	}
+	fields := reflect.TypeOf(PolicyRunConfig{})
+	for i := 0; i < fields.NumField(); i++ {
+		if name := fields.Field(i).Name; differs[name] == nil && shares[name] == nil {
+			t.Errorf("PolicyRunConfig.%s has no row: a field that reaches the simulation goes in runKey and differs, any other in shares", name)
+		}
 	}
 	s := NewSession(0)
 	specs := []RunSpec{{ID: "cell", Cfg: cell}}
-	for name, change := range variants {
+	for name, change := range differs {
 		cfg := cell
 		change(&cfg)
 		specs = append(specs, RunSpec{ID: name, Cfg: cfg})
@@ -141,10 +161,14 @@ func TestSessionSharesOnlyTheSameRun(t *testing.T) {
 	if s.runs != len(specs) {
 		t.Errorf("%d specs, each a different simulation, ran %d", len(specs), s.runs)
 	}
-	// The cell again — spelled with the controller's default bid — is shared.
-	again := cell
-	again.Bidding = core.OnDemandBid{}
-	if _, err := s.Sweep([]RunSpec{{ID: "again", Cfg: again}, {ID: "twice", Cfg: cell}}); err != nil {
+	// The cell again, and each spelling of it shares says is the same run.
+	same := []RunSpec{{ID: "twice", Cfg: cell}}
+	for name, change := range shares {
+		cfg := cell
+		change(&cfg)
+		same = append(same, RunSpec{ID: name, Cfg: cfg})
+	}
+	if _, err := s.Sweep(same); err != nil {
 		t.Fatal(err)
 	}
 	if s.runs != len(specs) {

@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cloud"
 	"repro/internal/simkit"
@@ -17,6 +18,17 @@ import (
 
 // SixMonths is the paper's evaluation window (April-October 2014).
 const SixMonths = 182 * simkit.Day
+
+// MonthsHorizon converts a horizon given in 30-day months to virtual time.
+// It rejects a count that is not positive or whose horizon does not fit in
+// virtual time; the error reads after the flag's name ("-months " + err).
+func MonthsHorizon(months float64) (simkit.Time, error) {
+	h := float64(30*simkit.Day) * months
+	if !(months > 0) || h >= math.MaxInt64 {
+		return 0, fmt.Errorf("must be positive and at most %.0f (got %v)", math.MaxInt64/float64(30*simkit.Day), months)
+	}
+	return simkit.Time(h), nil
+}
 
 // EvalZone is the availability zone the single-zone experiments use.
 const EvalZone = cloud.Zone("zone-a")

@@ -339,6 +339,8 @@ func Names() []string {
 // RunSource parses src as a single file of a package rooted at the
 // module-relative dir rel (e.g. "internal/core") and runs one analyzer over
 // it, suppression filtering included. It exists for fixture tests.
+//
+//lint:testonly the analyzers' fixture, mutation and fuzz tests run through it
 func RunSource(a *Analyzer, rel, filename, src string) ([]Finding, error) {
 	fset := token.NewFileSet()
 	astf, err := parser.ParseFile(fset, filename, src, parser.ParseComments)

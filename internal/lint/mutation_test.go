@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/parser"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,10 +9,12 @@ import (
 )
 
 // treeMutation is one edit of a real source file that an analyzer must
-// catch: old occurs exactly once in file, the file is clean before the
-// edit, and after it the analyzer reports want (once per finding, n
-// findings). go vet catches no row, and no test catches one except the
-// two read swallows, which internal/spotmarket's reader tests catch.
+// catch: old occurs exactly once in file, the package is clean before the
+// edit, and after it the analyzer, and no other, reports want (once per
+// finding, n findings). go vet catches no row. No test catches one except
+// the two read swallows, which internal/spotmarket's reader tests catch,
+// and the raw degraded sum, whose fold still overwrites the total, so
+// TestRunDigestTable's sharded row catches it too.
 type treeMutation struct {
 	name     string
 	analyzer *Analyzer
@@ -79,18 +82,18 @@ var treeMutations = []treeMutation{
 		want: "field t.kept is guarded by mu", n: 1,
 	},
 	{
-		name: "Trace.Len without the lock", analyzer: LockDiscipline,
+		name: "Trace.Timeline without the lock", analyzer: LockDiscipline,
 		file: "internal/obs/trace.go",
-		old:  "func (t *Trace) Len() int {\n\tt.mu.Lock()\n\tdefer t.mu.Unlock()\n",
-		new:  "func (t *Trace) Len() int {\n",
-		want: "field t.n is guarded by mu", n: 1,
+		old:  "func (t *Trace) Timeline(subject string) []TraceEvent {\n\tt.mu.Lock()\n\tdefer t.mu.Unlock()\n",
+		new:  "func (t *Trace) Timeline(subject string) []TraceEvent {\n",
+		want: "field t.kept is guarded by mu", n: 1,
 	},
 	{
-		name: "Trace.Cap without the lock", analyzer: LockDiscipline,
+		name: "Trace.Dump without the lock", analyzer: LockDiscipline,
 		file: "internal/obs/trace.go",
-		old:  "func (t *Trace) Cap() int {\n\tt.mu.Lock()\n\tdefer t.mu.Unlock()\n",
-		new:  "func (t *Trace) Cap() int {\n",
-		want: "field t.buf is guarded by mu", n: 1,
+		old:  "func (t *Trace) Dump() TraceDump {\n\tt.mu.Lock()\n\tdefer t.mu.Unlock()\n",
+		new:  "func (t *Trace) Dump() TraceDump {\n",
+		want: "is guarded by mu", n: 8,
 	},
 	{
 		name: "Registry.Remove without the read lock", analyzer: LockDiscipline,
@@ -99,10 +102,55 @@ var treeMutations = []treeMutation{
 		new:  "\tf := r.families[name]\n\tif f == nil {\n\t\treturn\n\t}\n\tsortLabels(labels)\n",
 		want: "field r.families is guarded by mu", n: 1,
 	},
+	{
+		name: "conformance shuffle on the global source", analyzer: Determinism,
+		file: "internal/cloudtest/conformance.go",
+		old:  "rand.New(rand.NewSource(1)).Shuffle(",
+		new:  "rand.Shuffle(",
+		want: "rand.Shuffle uses the global math/rand source", n: 1,
+	},
+	{
+		name: "warning counter looked up per record", analyzer: MetricHygiene,
+		file: "internal/cloudsim/platform.go",
+		old:  "p.met.warnings.Inc()",
+		new:  "p.met.reg.Counter(metricWarnings).Add(1)",
+		want: "looks the instrument up on every record", n: 1,
+	},
+	{
+		name: "catalog generation error panics", analyzer: PanicDiscipline,
+		file: "internal/experiments/catalog.go",
+		old:  "cat, err := cloud.GenerateCatalog(cloud.DefaultCatalogSpec())\n\tif err != nil {\n\t\treturn nil, err\n",
+		new:  "cat, err := cloud.GenerateCatalog(cloud.DefaultCatalogSpec())\n\tif err != nil {\n\t\tpanic(err)\n",
+		want: "panic outside invariant-guard packages", n: 1,
+	},
+	{
+		name: "daemon clock loop without a stop channel", analyzer: Goroutines,
+		file: "cmd/spotcheckd/main.go",
+		old:  "\t\tstop := make(chan struct{})\n\t\tdefer close(stop)\n\t\tgo d.clockLoop(ticker.C, time.Now(), *speedup, stop)\n",
+		new:  "\t\tgo d.clockLoop(ticker.C, time.Now(), *speedup, nil)\n",
+		want: "has no visible cancellation path", n: 1,
+	},
+	{
+		name: "price crossing scheduled through a closure", analyzer: HotPath,
+		file: "internal/cloudsim/platform.go",
+		old:  `p.sched.AtArg(at, "price-change", p.crossFn, uint64(m.index))`,
+		new:  `p.sched.AtArg(at, "price-change", func(a uint64) { p.crossFn(a) }, uint64(m.index))`,
+		want: "function literal handed to p.sched.AtArg", n: 1,
+	},
+	{
+		name: "shard fold sums degraded time raw", analyzer: DurAcc,
+		file: "internal/core/shard.go",
+		old:  "degraded.add(r.TotalDegraded)",
+		new:  "agg.TotalDegraded += r.TotalDegraded",
+		want: "duration accumulation agg.TotalDegraded += … in a loop", n: 1,
+	},
 }
 
-// TestAnalyzersCatchTreeMutations proves errdiscipline and lockdiscipline
-// on the code they guard, not only on fixtures.
+// TestAnalyzersCatchTreeMutations proves every analyzer on the code it
+// guards, not only on fixtures. Each row's file is checked with the rest of
+// its package loaded, as spotlint sees it, so package-wide facts (duracc's
+// duration fields, metrichygiene's constants) hold, and with the whole
+// suite, so a row shows that only its analyzer catches the edit.
 func TestAnalyzersCatchTreeMutations(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -110,7 +158,20 @@ func TestAnalyzersCatchTreeMutations(t *testing.T) {
 	}
 	for _, m := range treeMutations {
 		t.Run(m.name, func(t *testing.T) {
-			data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(m.file)))
+			pkgs, err := Load(root, []string{"./" + filepath.Dir(m.file)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var file *File
+			for _, f := range pkgs[0].Files {
+				if f.Name == filepath.Join(root, filepath.FromSlash(m.file)) {
+					file = f
+				}
+			}
+			if file == nil {
+				t.Fatalf("%s not loaded", m.file)
+			}
+			data, err := os.ReadFile(file.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,21 +179,23 @@ func TestAnalyzersCatchTreeMutations(t *testing.T) {
 			if c := strings.Count(src, m.old); c != 1 {
 				t.Fatalf("%s: mutated text occurs %d times, want 1", m.file, c)
 			}
-			rel := filepath.ToSlash(filepath.Dir(m.file))
-			before, err := RunSource(m.analyzer, rel, m.file, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantFindings(t, before)
-			after, err := RunSource(m.analyzer, rel, m.file, strings.Replace(src, m.old, m.new, 1))
+			wantFindings(t, Run(All(), pkgs))
+			file.AST, err = parser.ParseFile(file.Fset, file.Name, strings.Replace(src, m.old, m.new, 1), parser.ParseComments)
 			if err != nil {
 				t.Fatalf("mutated %s does not parse: %v", m.file, err)
 			}
+			pkgs[0].collectConsts()
 			want := make([]string, m.n)
 			for i := range want {
 				want[i] = m.want
 			}
+			after := Run(All(), pkgs)
 			wantFindings(t, after, want...)
+			for _, f := range after {
+				if f.Check != m.analyzer.Name {
+					t.Errorf("%s caught it too: %s", f.Check, f)
+				}
+			}
 		})
 	}
 }

@@ -28,7 +28,7 @@ func ExampleSimulateLive() {
 // ramped variant converts nearly all of that pause into degraded-but-
 // running time.
 func ExampleSimulateFlush() {
-	cp := migration.CheckpointSpec{DirtyMBs: 2.8, BandwidthMBs: 40, Bound: 30 * simkit.Second}
+	cp := migration.CheckpointSpec{BandwidthMBs: 40, Bound: 30 * simkit.Second}
 	yank, _ := migration.SimulateFlush(migration.FlushSpec{
 		ResidueMB: cp.ResidueMB(), DirtyMBs: 2.8, BandwidthMBs: 40,
 		Warning: 120 * simkit.Second,

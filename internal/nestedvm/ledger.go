@@ -151,30 +151,9 @@ func (l *Ledger) Availability(start, t simkit.Time) float64 {
 	return 1 - float64(down)/float64(total)
 }
 
-// DegradedFraction returns degraded/(t-start) over [start, t) (Figure 12).
-func (l *Ledger) DegradedFraction(start, t simkit.Time) float64 {
-	total := t - start
-	if total <= 0 {
-		return 0
-	}
-	_, deg := l.Snapshot(t)
-	return float64(deg) / float64(total)
-}
-
-// DownSpells returns the durations of completed down intervals, plus the
-// open one as of t if the VM is currently down.
-func (l *Ledger) DownSpells(t simkit.Time) []simkit.Time {
-	out := append([]simkit.Time(nil), l.downSpellDurations...)
-	if l.started && l.cond == CondDown && t >= l.spellStart {
-		out = append(out, t-l.spellStart)
-	}
-	return out
-}
-
 // openSpell returns the duration of the currently open down spell as of t,
-// or ok=false when the VM is not down. Shared by the aggregate accessors so
-// they can iterate the completed-spell list in place instead of paying
-// DownSpells' defensive copy once per VM per report.
+// or ok=false when the VM is not down. Shared by the aggregate accessors,
+// which iterate the completed-spell list in place.
 func (l *Ledger) openSpell(t simkit.Time) (simkit.Time, bool) {
 	if l.started && l.cond == CondDown && t >= l.spellStart {
 		return t - l.spellStart, true

@@ -78,11 +78,9 @@ func TestLedgerDegradedFraction(t *testing.T) {
 	l.Start(0)
 	l.Set(CondDegraded, 0)
 	l.Set(CondNormal, 2*simkit.Second)
-	if f := l.DegradedFraction(0, 100*simkit.Second); math.Abs(f-0.02) > 1e-12 {
-		t.Errorf("degraded fraction = %v, want 0.02", f)
-	}
-	if f := l.DegradedFraction(0, 0); f != 0 {
-		t.Errorf("degenerate fraction = %v", f)
+	down, deg := l.Snapshot(100 * simkit.Second)
+	if f := float64(deg) / float64(100*simkit.Second); down != 0 || math.Abs(f-0.02) > 1e-12 {
+		t.Errorf("down %v, degraded fraction = %v, want 0 and 0.02", down, f)
 	}
 }
 
@@ -210,12 +208,11 @@ func TestDownSpellTracking(t *testing.T) {
 	l.Set(CondDegraded, 170*simkit.Second) // 70 s spell, ends into degraded
 	l.Set(CondNormal, 180*simkit.Second)
 
-	spells := l.DownSpells(200 * simkit.Second)
-	if len(spells) != 2 {
-		t.Fatalf("spells = %v, want 2", spells)
+	if down, _ := l.Spells(); down != 2 {
+		t.Fatalf("down spells = %d, want 2", down)
 	}
-	if spells[0] != 30*simkit.Second || spells[1] != 70*simkit.Second {
-		t.Errorf("spell durations = %v", spells)
+	if down, _ := l.Snapshot(200 * simkit.Second); down != 100*simkit.Second {
+		t.Errorf("downtime = %v, want the 30 s and 70 s spells", down)
 	}
 	if l.MaxDownSpell(200*simkit.Second) != 70*simkit.Second {
 		t.Errorf("max spell = %v", l.MaxDownSpell(200*simkit.Second))
@@ -237,9 +234,8 @@ func TestDownSpellOpenInterval(t *testing.T) {
 	l.Start(0)
 	l.Set(CondDown, 10*simkit.Second)
 	// Still down: the open spell counts as of t.
-	spells := l.DownSpells(100 * simkit.Second)
-	if len(spells) != 1 || spells[0] != 90*simkit.Second {
-		t.Errorf("open spell = %v, want [90s]", spells)
+	if n := l.SpellsExceeding(89*simkit.Second, 100*simkit.Second); n != 1 {
+		t.Errorf("spells over 89 s = %d, want the open 90 s spell", n)
 	}
 	if l.MaxDownSpell(100*simkit.Second) != 90*simkit.Second {
 		t.Error("open spell not counted in max")

@@ -37,7 +37,7 @@ func Example() {
 	if v, ok := snap.Value("spotcheck_pool_vms", obs.L("market", "spot")); ok {
 		fmt.Printf("spot pool: %.0f VMs\n", v)
 	}
-	fmt.Printf("trace: %d event(s)\n", trace.Len())
+	fmt.Printf("trace: %d event(s)\n", len(trace.Dump().Events))
 
 	_ = reg.WritePrometheus(os.Stdout)
 

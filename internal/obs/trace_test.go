@@ -12,8 +12,8 @@ import (
 
 func TestTraceBasics(t *testing.T) {
 	tr := NewTrace(4)
-	if tr.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", tr.Cap())
+	if len(tr.buf) != 4 {
+		t.Fatalf("capacity = %d, want 4", len(tr.buf))
 	}
 	for i := 0; i < 3; i++ {
 		seq := tr.Add(TraceEvent{At: simkit.Time(i), Scope: "vm", Subject: "v1", Kind: "tick"})
@@ -22,8 +22,8 @@ func TestTraceBasics(t *testing.T) {
 		}
 	}
 	d := tr.Dump()
-	if tr.Len() != 3 || d.Total != 3 || d.Dropped != 0 {
-		t.Errorf("Len/Total/Dropped = %d/%d/%d, want 3/3/0", tr.Len(), d.Total, d.Dropped)
+	if len(d.Events) != 3 || d.Total != 3 || d.Dropped != 0 {
+		t.Errorf("Events/Total/Dropped = %d/%d/%d, want 3/3/0", len(d.Events), d.Total, d.Dropped)
 	}
 	for i, ev := range d.Events {
 		if ev.Seq != uint64(i) || ev.At != simkit.Time(i) {
@@ -55,10 +55,10 @@ func TestTraceWraparound(t *testing.T) {
 			for i := 0; i < tt.adds; i++ {
 				tr.Add(TraceEvent{At: simkit.Time(i), Kind: "k"})
 			}
-			if tr.Len() != tt.wantLen {
-				t.Errorf("Len = %d, want %d", tr.Len(), tt.wantLen)
-			}
 			d := tr.Dump()
+			if len(d.Events) != tt.wantLen {
+				t.Errorf("retained %d events, want %d", len(d.Events), tt.wantLen)
+			}
 			if d.Total != uint64(tt.adds) {
 				t.Errorf("Total = %d, want %d", d.Total, tt.adds)
 			}
@@ -108,8 +108,8 @@ func TestTraceConcurrent(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		<-done
 	}
-	if d := tr.Dump(); d.Total != 2000 || tr.Len() != 64 || len(tr.Timeline("v")) != TimelineCap {
-		t.Errorf("Total/Len/timeline = %d/%d/%d, want 2000/64/%d", d.Total, tr.Len(), len(tr.Timeline("v")), TimelineCap)
+	if d := tr.Dump(); d.Total != 2000 || len(d.Events) != 64 || len(tr.Timeline("v")) != TimelineCap {
+		t.Errorf("Total/Events/timeline = %d/%d/%d, want 2000/64/%d", d.Total, len(d.Events), len(tr.Timeline("v")), TimelineCap)
 	}
 }
 
@@ -173,7 +173,7 @@ func FuzzTrace(f *testing.F) {
 		newest := func(evs []TraceEvent, n int) []TraceEvent { return evs[max(0, len(evs)-n):] }
 		check := func() {
 			t.Helper()
-			want := newest(all, tr.Cap())
+			want := newest(all, len(tr.buf))
 			d := tr.Dump()
 			if d.Total != uint64(len(all)) || d.Dropped != uint64(len(all)-len(want)) || !slices.Equal(d.Events, want) {
 				t.Fatalf("dump = %d total, %d dropped, %v; model has %d total, retains %v", d.Total, d.Dropped, d.Events, len(all), want)

@@ -11,7 +11,7 @@ import (
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	s := NewScheduler()
 	for i := 0; i < b.N; i++ {
-		s.After(Time(i%1000)*Millisecond, "e", func() {})
+		s.After(Time(i%1000)*millisecond, "e", func() {})
 		if i%1024 == 1023 {
 			s.Run(0)
 		}
@@ -26,8 +26,8 @@ func BenchmarkSchedulerMixed(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	var pending []Event
 	for i := 0; i < b.N; i++ {
-		e := s.After(Time(r.Intn(10000))*Millisecond, "m", func() {
-			s.After(Millisecond, "child", func() {})
+		e := s.After(Time(r.Intn(10000))*millisecond, "m", func() {
+			s.After(millisecond, "child", func() {})
 		})
 		pending = append(pending, e)
 		if len(pending) >= 256 {

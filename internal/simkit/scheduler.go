@@ -104,6 +104,8 @@ func (h Event) At() Time { return h.at }
 // handle whose slot has been recycled for later events keeps reporting its
 // own outcome (until the slot's current occupant is itself canceled, which
 // reclaims the cancellation mark).
+//
+//lint:testonly FuzzScheduler checks it against its model
 func (h Event) Canceled() bool { return h.e != nil && h.e.cgen == h.gen }
 
 // Pending reports whether the event is still queued: not yet fired and not

@@ -12,6 +12,9 @@ import (
 	"unsafe"
 )
 
+// millisecond spaces the tests' events finer than the model's units.
+const millisecond = Second / 1000
+
 func TestSchedulerOrdering(t *testing.T) {
 	s := NewScheduler()
 	var order []int
@@ -210,11 +213,11 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	fn := func() {}
 	// Warm up: grow the queue blocks, slab and free list past steady state.
 	for i := 0; i < 4*eventChunk; i++ {
-		s.After(Time(i)*Millisecond, "warm", fn)
+		s.After(Time(i)*millisecond, "warm", fn)
 	}
 	s.Run(0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.After(Millisecond, "steady", fn)
+		s.After(millisecond, "steady", fn)
 		s.Run(0)
 	})
 	if allocs > 0 {
@@ -233,13 +236,13 @@ func TestAtArgSteadyStateAllocs(t *testing.T) {
 	var sum uint64
 	fn := func(arg uint64) { sum += arg }
 	for i := 0; i < 4*eventChunk; i++ {
-		s.AfterArg(Time(i)*Millisecond, "warm", fn, uint64(i))
+		s.AfterArg(Time(i)*millisecond, "warm", fn, uint64(i))
 	}
 	s.Run(0)
 	want := sum + 1000*7 + 7 // AllocsPerRun calls once more to warm up
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.AfterArg(Millisecond, "steady", fn, 7)
-		h := s.AtArg(s.Now()+2*Millisecond, "dropped", fn, 1<<40)
+		s.AfterArg(millisecond, "steady", fn, 7)
+		h := s.AtArg(s.Now()+2*millisecond, "dropped", fn, 1<<40)
 		s.Cancel(h)
 		s.Run(0)
 	})
@@ -272,13 +275,13 @@ func TestSchedulerChurnOrdering(t *testing.T) {
 	}
 	for round := 0; round < 50; round++ {
 		for k := 0; k < 20; k++ {
-			schedule(Time((k*37+round*11)%100) * Millisecond)
+			schedule(Time((k*37+round*11)%100) * millisecond)
 		}
 		// Cancel every third handle ever issued — most are stale by now.
 		for i := 0; i < len(handles); i += 3 {
 			s.Cancel(handles[i])
 		}
-		s.RunUntil(s.Now() + 40*Millisecond)
+		s.RunUntil(s.Now() + 40*millisecond)
 	}
 	s.Run(0)
 	for i := 1; i < len(fired); i++ {
@@ -368,7 +371,7 @@ func TestSchedulerOrderProperty(t *testing.T) {
 		var fired []Time
 		var maxT Time
 		for _, o := range offsets {
-			d := Time(o) * Millisecond
+			d := Time(o) * millisecond
 			if d > maxT {
 				maxT = d
 			}
@@ -414,7 +417,7 @@ func TestSchedulerOrderProperty(t *testing.T) {
 		// inert however its slot is reused, as a closure event does.
 		fireArg := func(id uint64) { fired = append(fired, int(id)) }
 		add := func() {
-			at := s.Now() + Time(rng.Intn(40))*Millisecond
+			at := s.Now() + Time(rng.Intn(40))*millisecond
 			if rng.Intn(2) == 0 {
 				at = s.Now() + 1<<rng.Intn(45) + Time(rng.Intn(3)) - 1
 			}

@@ -12,11 +12,10 @@ type Time time.Duration
 
 // Common virtual-time units.
 const (
-	Millisecond = Time(time.Millisecond)
-	Second      = Time(time.Second)
-	Minute      = Time(time.Minute)
-	Hour        = Time(time.Hour)
-	Day         = 24 * Hour
+	Second = Time(time.Second)
+	Minute = Time(time.Minute)
+	Hour   = Time(time.Hour)
+	Day    = 24 * Hour
 )
 
 // Hours reports t in fractional hours, the natural unit for $/hr accounting.

@@ -157,7 +157,11 @@ func (s *Slab[T]) Free(h Handle) bool {
 }
 
 // Len reports the number of live objects.
+//
+//lint:testonly core's recycle and release tests check that VM slots are freed
 func (s *Slab[T]) Len() int { return s.live }
 
 // Cap reports the total slots currently backed by chunks.
+//
+//lint:testonly core's recycle test checks that the free list is reused
 func (s *Slab[T]) Cap() int { return len(s.chunks) * chunkSize }

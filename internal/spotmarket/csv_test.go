@@ -44,7 +44,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		pa, pb := a.points, b.points
 		for i := range pa {
 			// Offsets serialize at millisecond precision; prices at 1e-6.
-			if dt := pa[i].T - pb[i].T; dt > simkit.Millisecond || dt < -simkit.Millisecond {
+			if dt := pa[i].T - pb[i].T; dt > simkit.Second/1000 || dt < -simkit.Second/1000 {
 				t.Fatalf("market %v point %d time drift %v", k, i, dt)
 			}
 			if dp := float64(pa[i].Price - pb[i].Price); dp > 1e-6 || dp < -1e-6 {

@@ -51,7 +51,7 @@ func csvCarries(set Set) bool {
 			if i+1 < len(pts) {
 				next = pts[i+1].T
 			}
-			if next-p.T < simkit.Millisecond || p.Price < 1e-6 {
+			if next-p.T < simkit.Second/1000 || p.Price < 1e-6 {
 				return false
 			}
 		}

@@ -144,6 +144,8 @@ func (tr *Trace) Integrate(a, b simkit.Time) cloud.USD {
 }
 
 // MeanPrice returns the time-weighted mean price over [a, b).
+//
+//lint:testonly the market and policy tests' oracle for prices the controller samples
 func (tr *Trace) MeanPrice(a, b simkit.Time) cloud.USD {
 	if b <= a {
 		return 0
