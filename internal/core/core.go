@@ -135,7 +135,7 @@ func (c *Config) fillDefaults() error {
 }
 
 // vmPhase is the controller's internal lifecycle for a nested VM.
-type vmPhase int
+type vmPhase uint8
 
 const (
 	phaseProvisioning vmPhase = iota
@@ -144,15 +144,11 @@ const (
 	phaseReleased
 )
 
+// vmState is the controller's record of one nested VM. The small fields sit
+// together at the end so the record packs without padding.
 type vmState struct {
-	vm       *nestedvm.VM
-	phase    vmPhase
-	host     *hostState
-	workload workload.Profile
-	// pendingRelease marks a VM released while a chain holds it: the chain
-	// tears it down where it has nothing in flight (placeNew, placed, a failed
-	// install, land).
-	pendingRelease bool
+	vm   *nestedvm.VM
+	host *hostState
 	// lazyDegradeEvent tracks the post-restore demand-paging window.
 	lazyDegradeEvent simkit.Event
 	// backup is the server holding the VM's checkpoint stream (nil when it
@@ -164,43 +160,50 @@ type vmState struct {
 	restoreSrv *backup.Server
 	// serviceEnd records when a released VM left service.
 	serviceEnd simkit.Time
-	// returnTarget is the spot pool tryReturn validated for the pending
-	// return migration.
-	returnTarget PoolKey
-	// homePool is the spot pool the placement policy originally assigned;
-	// returns after a spike go back there so the policy's distribution of
-	// VMs across pools (Table 2) stays stable over time. homeMarket is that
-	// pool's market record, set wherever homePool is.
-	homePool   PoolKey
+	// homeMarket is the market of the spot pool the placement policy
+	// originally assigned (nil when it has none); returns after a spike go
+	// back there so the policy's distribution of VMs across pools (Table 2)
+	// stays stable over time. tryReturn sets it to the market it validates
+	// just before a return starts, so it is also the return's target.
 	homeMarket *market
 	// typeMarket is the record of the VM's own type in the home zone: its
-	// on-demand pool is where a displaced VM goes, and its calm slot holds
-	// the return sweep's per-tick answer for this requested type.
+	// on-demand pool is where a displaced VM goes, its calm slot holds the
+	// return sweep's per-tick answer for this requested type, and its typ is
+	// the slice size hosts are cut into for the VM (see slotType).
 	typeMarket *market
 	// move is the state of the relocation in flight (phase moveIdle when
 	// there is none).
 	move move
-	// epoch stamps the argument of every event scheduled for this VM: it
-	// moves on each time the VM lands on a host and when the slot is freed,
-	// and survives recycling, so an event left over from an earlier move or
-	// an earlier occupant no longer matches (see advance).
-	epoch uint32
 	// onOp is the provider callback of the install or re-plumbing operation
 	// in flight, bound once per slot: the chain has at most one outstanding,
 	// and it lands before the VM can leave phaseProvisioning or
 	// phaseMigrating, so the slot is never recycled under it.
 	onOp cloud.Callback
-	// stateless marks a VM whose service tolerates memory-state loss
-	// (e.g. a replicated web tier, §4.2): it runs without a backup server
-	// and simply reboots from its volume on a new host after revocation.
-	stateless bool
 	// slot is this state's slab handle: scheduled callbacks that may
 	// outlive the VM capture it and re-check liveness before touching the
 	// (possibly recycled) slot.
 	slot slab.Handle
+	// epoch stamps the argument of every event scheduled for this VM: it
+	// moves on each time the VM lands on a host and when the slot is freed,
+	// and survives recycling, so an event left over from an earlier move or
+	// an earlier occupant no longer matches (see advance).
+	epoch uint32
+	phase vmPhase
+	// pendingRelease marks a VM released while a chain holds it: the chain
+	// tears it down where it has nothing in flight (placeNew, placed, a failed
+	// install, land).
+	pendingRelease bool
+	// stateless marks a VM whose service tolerates memory-state loss
+	// (e.g. a replicated web tier, §4.2): it runs without a backup server
+	// and simply reboots from its volume on a new host after revocation.
+	stateless bool
 }
 
-type hostRole int
+// slotType is the size hosts are sliced into for vs: its requested type's
+// catalog entry in the market table, one per type for the whole controller.
+func (vs *vmState) slotType() *cloud.InstanceType { return &vs.typeMarket.typ }
+
+type hostRole uint8
 
 const (
 	roleHost hostRole = iota
@@ -208,22 +211,23 @@ const (
 	roleBackup
 )
 
+// hostState is one rented native instance. The small fields sit together
+// at the end so the record packs without padding.
 type hostState struct {
 	inst *cloud.Instance
-	key  PoolKey
-	// pool is the pool a roleHost host serves in (the one key names); nil
-	// for hot spares and backup hosts.
-	pool     *poolState
-	role     hostRole
-	slotType cloud.InstanceType // nested VM size this host is sliced into
+	// pool is the pool a roleHost host serves in; nil for hot spares and
+	// backup hosts.
+	pool *poolState
+	// slotType is the nested VM size this host is sliced into: the catalog
+	// entry in the market table (see vmState.slotType), compared by Name.
+	slotType *cloud.InstanceType
 	capacity int
 	// vms holds the resident VMs sorted by VM id — the iteration order
 	// every sweep and warning handler needs, maintained incrementally
 	// instead of copied and re-sorted per walk.
 	vms      []*vmState
 	reserved int // slots claimed by in-flight placements/migrations
-	// warned marks a host whose revocation warning has fired.
-	warned       bool
+	// warnDeadline is when a warned host (see warned) is killed.
 	warnDeadline simkit.Time
 	// slot is this state's slab handle (see vmState.slot).
 	slot slab.Handle
@@ -232,18 +236,24 @@ type hostState struct {
 	// host's slot is never recycled (see completeMove's dst-terminated
 	// branch).
 	pinned int
-	// inFreeSet marks membership in the pool's free-host candidate set;
-	// freeIdx is the entry's position there, kept current by the lazy
-	// prune, so leaving the set is one indexed write.
-	inFreeSet bool
-	freeIdx   int
-	// inHosts marks membership in the pool's host list; poolIdx is the
-	// entry's position there, kept current by compaction and re-sorting.
-	inHosts bool
+	// freeIdx is the host's position in the pool's free-host candidate set
+	// while inFreeSet, kept current by the lazy prune, so leaving the set
+	// is one indexed write.
+	freeIdx int
+	// poolIdx is the host's position in the pool's host list while
+	// inHosts, kept current by compaction and re-sorting.
 	poolIdx int
 	// seq is the numeric tail of the instance id (see instanceSeq),
 	// cached when the host is bound to its instance.
 	seq uint64
+	// rent is the number of the instance's rental (see rental.n).
+	rent uint32
+	role hostRole
+	// warned marks a host whose revocation warning has fired.
+	warned bool
+	// inFreeSet and inHosts mark membership in the pool's free-host
+	// candidate set and in its host list.
+	inFreeSet, inHosts bool
 }
 
 // instanceSeq extracts the trailing decimal sequence from an instance id
@@ -344,17 +354,22 @@ type Controller struct {
 	spares       []*hostState // ready hot spares
 	sparePending int
 
-	// acqFree and followFree recycle the records of finished host
-	// acquisitions and landed live-move followers, each with the provider
-	// callback it was bound to when first built.
+	// acqFree, followFree and retireFree recycle the records of finished
+	// host acquisitions, landed live-move followers and confirmed
+	// terminations, each with the provider callback it was bound to when
+	// first built.
 	acqFree    []*pendingAcq
 	followFree []*follower
+	retireFree []*retirement
 	// advanceFn is advance bound once: the function of every argument-
 	// carrying event the controller schedules.
 	advanceFn func(uint64)
 	// moveSeen counts the move-phase transitions taken, by (from, to); the
-	// audit checks every nonzero cell against moveLegal.
-	moveSeen [numMovePhases][numMovePhases]uint32
+	// audit checks every nonzero cell against moveLegal. stepsDropped counts
+	// the stale steps advance dropped, by step: each is an event that fired
+	// for nothing.
+	moveSeen     [numMovePhases][numMovePhases]uint32
+	stepsDropped [numMoveSteps]uint32
 
 	// history is the market table: per (type, zone) pair, the monitor's
 	// samples, the trailing price window, the revocation count and the
@@ -364,11 +379,13 @@ type Controller struct {
 
 	nextVM int
 
-	// rentals tracks every native instance ever rented (for cost). Each
-	// entry memoizes its final cost once the instance terminates; the
-	// finalized entries periodically fold into rentalFinal so the ledger
-	// stays proportional to live instances.
+	// rentals tracks every native instance ever rented (for cost), in
+	// renting order. Each entry memoizes its final cost once the instance
+	// terminates and lets go of the instance once the controller has seen
+	// it gone (rentalGone); the finalized entries periodically fold into
+	// rentalFinal so the ledger stays proportional to live instances.
 	rentals         []rental
+	rented          uint32       // rentals ever entered: the last rental.n
 	rentalFinal     [3]cloud.USD // folded cost by rentalKind
 	rentalsScrubbed int          // ledger length after the last fold
 	retired         retiredVMStats
@@ -450,7 +467,7 @@ type ControllerStats struct {
 
 // rentalKind classifies what a rented native instance is for, so the
 // report can split costs into hosting, backup and spare components.
-type rentalKind int
+type rentalKind uint8
 
 const (
 	rentalHost rentalKind = iota
@@ -459,11 +476,16 @@ const (
 )
 
 type rental struct {
+	// inst is the rented instance; nil once the bill is final and the
+	// controller has seen the instance gone, which is all it needed it for.
 	inst *cloud.Instance
-	kind rentalKind
 	// cost memoizes the instance's final bill once it terminates, so
 	// repeated Reports stop re-walking finished instances' price history.
-	cost  cloud.USD
+	cost cloud.USD
+	// n numbers the rental from 1 in renting order. Scrubs keep the ledger
+	// in that order, so a host finds its entry by n (see rentalGone).
+	n     uint32
+	kind  rentalKind
 	final bool
 }
 
@@ -733,9 +755,9 @@ func (c *Controller) parkAll(h *hostState, d int) {
 	}
 }
 
-// setHome records vs's home pool and market, moving vs between the return
-// sweep's counts when it resides on a return host.
-func (c *Controller) setHome(vs *vmState, key PoolKey, m *market) {
+// setHome records vs's home market, moving vs between the return sweep's
+// counts when it resides on a return host.
+func (c *Controller) setHome(vs *vmState, m *market) {
 	h := vs.host
 	resident := false
 	if h != nil && returnHost(h) {
@@ -744,7 +766,7 @@ func (c *Controller) setHome(vs *vmState, key PoolKey, m *market) {
 	if resident {
 		*c.parked(vs)--
 	}
-	vs.homePool, vs.homeMarket = key, m
+	vs.homeMarket = m
 	if resident {
 		*c.parked(vs)++
 	}
@@ -779,4 +801,76 @@ func (c *Controller) maybeScrubRentals() {
 	}
 	c.rentals = kept
 	c.rentalsScrubbed = len(kept)
+}
+
+// rent enters a newly rented instance into the ledger and returns its
+// rental's number.
+func (c *Controller) rent(inst *cloud.Instance, kind rentalKind) uint32 {
+	c.rented++
+	c.rentals = append(c.rentals, rental{inst: inst, kind: kind, n: c.rented})
+	return c.rented
+}
+
+// rentalGone settles rental n once its instance has terminated: the bill is
+// final, so it is memoized and the instance let go. The entry keeps its
+// place, so scrubs fold what they always folded and bill adds the same
+// costs in the same order. An entry a scrub has folded is settled already;
+// one whose instance still runs, or whose price query fails, keeps its
+// instance for bill and the scrubs to ask again.
+func (c *Controller) rentalGone(n uint32) {
+	i := sort.Search(len(c.rentals), func(i int) bool { return c.rentals[i].n >= n })
+	if i == len(c.rentals) || c.rentals[i].n != n {
+		return
+	}
+	rt := &c.rentals[i]
+	if !rt.final && rt.inst.State == cloud.StateTerminated {
+		if cost, err := c.prov.AccruedCost(rt.inst.ID); err == nil {
+			rt.cost, rt.final = cost, true
+		}
+	}
+	if rt.final {
+		rt.inst = nil
+	}
+}
+
+// retirement is one of the controller's own Terminate calls in flight: the
+// host that made it has usually been forgotten and its slot recycled by the
+// time the platform confirms, so the record carries the rental to settle.
+// Records and their bound callbacks are recycled through
+// Controller.retireFree.
+type retirement struct {
+	c  *Controller
+	n  uint32         // the rental to settle
+	fn cloud.Callback // done, bound once
+}
+
+func (r *retirement) done(err error) {
+	c, n := r.c, r.n
+	c.retireFree = append(c.retireFree, r)
+	if err == nil {
+		c.rentalGone(n)
+	}
+}
+
+// retire returns rental n's instance to the platform; its rental settles
+// when the platform confirms, or at once if the platform has already
+// terminated the instance.
+func (c *Controller) retire(inst *cloud.Instance, n uint32) error {
+	if inst.State == cloud.StateTerminated {
+		c.rentalGone(n)
+		return nil
+	}
+	var r *retirement
+	if k := len(c.retireFree); k > 0 {
+		r, c.retireFree = c.retireFree[k-1], c.retireFree[:k-1]
+	} else {
+		r = &retirement{c: c}
+		r.fn = r.done
+	}
+	r.n = n
+	err := c.prov.Terminate(inst.ID, r.fn)
+	if err != nil {
+		c.retireFree = append(c.retireFree, r)
+	}
+	return err
 }

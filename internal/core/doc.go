@@ -27,7 +27,9 @@
 //     covers the provider's catalog × zones grid from New (other keys grow
 //     it on demand), stays sorted by (type, zone), and has one map index
 //     for callers that arrive with a key. Hosts point at their pool and
-//     pools at their record.
+//     pools at their record; a VM's home market and the slice size a host
+//     is cut into (vmState.slotType) point into the table too, so no per-VM
+//     or per-host record copies a pool key or a catalog entry.
 //   - Hosts keep their resident VMs in an ID-sorted slice; pools keep a
 //     launch-ordered host list, a free-candidate set and a vmCount, so
 //     sweeps iterate in deterministic order with no per-tick sorting.
@@ -100,7 +102,8 @@
 // returns its slot to the free list after folding its final accounting
 // into integer-duration aggregates; Report and Customers read the same
 // either way. Retired hosts' slots and finalized rental-ledger entries are
-// always folded and reused. Config.ExpectedVMs pre-sizes the slabs and
+// always folded and reused, and a rental drops its instance pointer once
+// the controller has seen the instance terminated (rentalGone). Config.ExpectedVMs pre-sizes the slabs and
 // indexes when the scale is known.
 //
 // # Events

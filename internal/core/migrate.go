@@ -57,7 +57,7 @@ func (c *Controller) onRevocationWarning(w cloud.RevocationWarning) {
 		}
 	}
 	if running > 0 {
-		c.recordStorm(h.key, running)
+		c.recordStorm(h.pool.key, running)
 	}
 	for _, vs := range victims {
 		if vs.phase != phaseRunning {
@@ -254,7 +254,7 @@ func (c *Controller) seekDestination(vs *vmState) {
 	if !vs.move.forceOD {
 		switch c.cfg.Destination {
 		case DestHotSpare:
-			if h := c.takeSpare(vs.vm.Type); h != nil {
+			if h := c.takeSpare(vs.slotType()); h != nil {
 				h.reserved++
 				c.destinationReady(vs, h, false)
 				return
@@ -271,10 +271,10 @@ func (c *Controller) seekDestination(vs *vmState) {
 	// The VM's own type, on demand, in the home zone. Once that pool
 	// exists the request goes straight to it, with no key to hash.
 	if pool := vs.typeMarket.pools[cloud.MarketOnDemand]; pool != nil {
-		c.acquireIn(pool, vs.vm.Type, vs)
+		c.acquireIn(pool, vs.slotType(), vs)
 		return
 	}
-	c.acquireHost(PoolKey{Type: vs.vm.Type.Name, Zone: c.homeZone, Market: cloud.MarketOnDemand}, vs.vm.Type, vs)
+	c.acquireHost(PoolKey{Type: vs.vm.Type.Name, Zone: c.homeZone, Market: cloud.MarketOnDemand}, vs.slotType(), vs)
 }
 
 // hostAcquired receives the outcome of a host acquisition for the VM that
@@ -308,11 +308,14 @@ func (c *Controller) destinationReady(vs *vmState, h *hostState, staged bool) {
 	switch m.phase {
 	case moveDrain, moveFlush, moveFlushed:
 		m.staged = staged
-		if c.cfg.Mechanism.Optimized() {
-			// Pause as soon as the drain allows. The deadline may already
-			// have forced the pause, and finished the flush, while the
-			// destination was still coming up.
-			c.stepAt(vs, max(c.sched.Now(), m.drainEnd), "pause", stepPause)
+		// Pause as soon as the drain allows: the deadline's pause timer
+		// moves earlier, or stays where it is when the drain itself ends no
+		// sooner. The deadline may already have forced the pause, and
+		// finished the flush, while the destination was still coming up;
+		// then there is nothing to move.
+		if at := max(c.sched.Now(), m.drainEnd); m.phase == moveDrain && at < m.wake.At() {
+			c.sched.Cancel(m.wake)
+			m.wake = c.stepAt(vs, at, "pause", stepPause)
 		}
 		if m.phase == moveFlushed {
 			c.replumb(vs)
@@ -597,8 +600,8 @@ func (c *Controller) tryReturn(vs *vmState) {
 	}
 	// Return to the VM's home pool so the placement policy's distribution
 	// stays stable; VMs without one (placed during a spike) ask the policy.
-	target, m := vs.homePool, vs.homeMarket
-	if target.Type == "" {
+	m := vs.homeMarket
+	if m == nil {
 		natType, zone, err := c.choosePool(vs)
 		if err != nil {
 			// No viable spot destination this tick; the VM stays where it
@@ -606,7 +609,6 @@ func (c *Controller) tryReturn(vs *vmState) {
 			c.met.destFails.Inc()
 			return
 		}
-		target = PoolKey{Type: natType, Zone: zone, Market: cloud.MarketSpot}
 		m = c.history.index[spotmarket.MarketKey{Type: natType, Zone: zone}]
 	}
 	// The target market itself must be calm: below the on-demand price and
@@ -615,22 +617,17 @@ func (c *Controller) tryReturn(vs *vmState) {
 	if m == nil || !c.marketCalm(m) {
 		return
 	}
-	vs.returnTarget = target
-	c.setHome(vs, target, m)
+	c.setHome(vs, m)
 	c.migrateVM(vs, reasonReturn, 0)
 }
 
 // startReturn live-migrates a VM from an on-demand host back to the spot
-// pool selected by tryReturn.
+// pool of the home market tryReturn has just validated and set.
 func (c *Controller) startReturn(vs *vmState) {
-	key := vs.returnTarget
-	if key.Type == "" {
-		c.abortReturn(vs)
-		return
-	}
+	m := vs.homeMarket
 	vs.move.live = c.simulateLive(vs)
 	c.enter(vs, moveCopy)
-	c.acquireHost(key, vs.vm.Type, vs)
+	c.acquireHost(PoolKey{Type: m.key.Type, Zone: m.key.Zone, Market: cloud.MarketSpot}, vs.slotType(), vs)
 }
 
 // abortReturn undoes a return whose spot target became unavailable between

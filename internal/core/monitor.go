@@ -366,7 +366,7 @@ func (c *Controller) requestSpare() {
 		h.seq = instanceSeq(inst.ID)
 		h.role = roleHotSpare
 		c.hostIndex[inst.ID] = h.slot
-		c.rentals = append(c.rentals, rental{inst: inst, kind: rentalSpare})
+		h.rent = c.rent(inst, rentalSpare)
 		c.maybeScrubRentals()
 		c.spares = append(c.spares, h)
 	})
@@ -374,9 +374,9 @@ func (c *Controller) requestSpare() {
 
 // takeSpare converts a ready hot spare into a live on-demand host sliced
 // for slotType, and replenishes the spare pool.
-func (c *Controller) takeSpare(slotType cloud.InstanceType) *hostState {
+func (c *Controller) takeSpare(slotType *cloud.InstanceType) *hostState {
 	for i, h := range c.spares {
-		capacity := c.hostUnits(h.inst.Type, slotType)
+		capacity := c.hostUnits(h.inst.Type, *slotType)
 		if capacity < 1 || h.inst.State != cloud.StateRunning {
 			continue
 		}
@@ -384,8 +384,8 @@ func (c *Controller) takeSpare(slotType cloud.InstanceType) *hostState {
 		h.role = roleHost
 		h.slotType = slotType
 		h.capacity = capacity
-		h.key = PoolKey{Type: h.inst.Type.Name, Zone: h.inst.Zone, Market: cloud.MarketOnDemand}
-		c.addPoolHost(c.poolFor(h.key, h.inst.Type), h)
+		key := PoolKey{Type: h.inst.Type.Name, Zone: h.inst.Zone, Market: cloud.MarketOnDemand}
+		c.addPoolHost(c.poolFor(key, h.inst.Type), h)
 		c.hostFreed(h)
 		c.requestSpare()
 		return h

@@ -70,8 +70,8 @@ const (
 )
 
 // moveAccepts is the other half of the table: the phases in which each step
-// means something. A step that arrives in any other phase is left over — a
-// pause deadline after the pause began, say — and advance drops it.
+// means something. A step that arrives in any other phase is left over, and
+// advance drops it (Controller.stepsDropped counts such steps).
 var moveAccepts = [numMoveSteps]uint32{
 	stepPause:        phases(moveDrain),
 	stepFlushDone:    phases(moveFlush),
@@ -150,14 +150,12 @@ func (c *Controller) wakeAfter(vs *vmState, d simkit.Time, label string, step mo
 // the move is in no phase that accepts it — and otherwise takes it.
 func (c *Controller) advance(arg uint64) {
 	vs := c.vmSlab.At(uint32(arg >> 32))
-	if vs == nil || vs.epoch&0xffffff != uint32(arg>>8)&0xffffff {
-		return
-	}
 	step := moveStep(arg)
-	m := &vs.move
-	if moveAccepts[step]&(1<<m.phase) == 0 {
+	if vs == nil || vs.epoch&0xffffff != uint32(arg>>8)&0xffffff || moveAccepts[step]&(1<<vs.move.phase) == 0 {
+		c.stepsDropped[step]++
 		return
 	}
+	m := &vs.move
 	vm := vs.vm
 	switch step {
 	case stepPause:

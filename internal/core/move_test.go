@@ -64,7 +64,7 @@ func TestFindStagingSlotMatchesSortedScan(t *testing.T) {
 			h.warned = rng.Intn(5) == 0
 			h.capacity = rng.Intn(4)
 			h.reserved = rng.Intn(2)
-			h.slotType = types[rng.Intn(len(types))]
+			h.slotType = &types[rng.Intn(len(types))]
 			c.hostIndex[h.inst.ID] = h.slot
 			hosts = append(hosts, h)
 		}

@@ -46,6 +46,12 @@ func (c *Controller) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, 
 	if !typ.HVM {
 		return "", fmt.Errorf("core: type %q is not HVM-capable; the nested hypervisor requires HVM hosts", opts.Type)
 	}
+	// The VM's slices are cut to its type's catalog entry in the market
+	// table (vmState.slotType), so the provider's catalog must list it.
+	typeMarket := c.history.at(spotmarket.MarketKey{Type: typ.Name, Zone: c.homeZone})
+	if typeMarket.typ.Name != typ.Name {
+		return "", fmt.Errorf("core: type %q is missing from the provider's catalog", opts.Type)
+	}
 	c.nextVM++
 	id := nestedvm.ID(fmt.Sprintf("nvm-%05d", c.nextVM))
 	mem := nestedvm.DefaultMemory()
@@ -57,9 +63,8 @@ func (c *Controller) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, 
 	vs := c.newVMState()
 	vs.vm = vm
 	vs.phase = phaseProvisioning
-	vs.workload = c.cfg.Workload
 	vs.stateless = opts.Stateless
-	vs.typeMarket = c.history.at(spotmarket.MarketKey{Type: typ.Name, Zone: c.homeZone})
+	vs.typeMarket = typeMarket
 	c.vmIndex[id] = vs.slot
 	c.met.vmsCreated.Inc()
 	if c.trace != nil {
@@ -87,11 +92,11 @@ func (c *Controller) placeNew(vs *vmState) {
 	}
 	for m := &vs.move; m.tries < 3; m.tries++ {
 		if natType, zone, err := c.choosePool(vs); err == nil {
-			c.acquireHost(PoolKey{Type: natType, Zone: zone, Market: cloud.MarketSpot}, vs.vm.Type, vs)
+			c.acquireHost(PoolKey{Type: natType, Zone: zone, Market: cloud.MarketSpot}, vs.slotType(), vs)
 			return
 		}
 	}
-	c.acquireHost(PoolKey{Type: vs.vm.Type.Name, Zone: c.homeZone, Market: cloud.MarketOnDemand}, vs.vm.Type, vs)
+	c.acquireHost(PoolKey{Type: vs.vm.Type.Name, Zone: c.homeZone, Market: cloud.MarketOnDemand}, vs.slotType(), vs)
 }
 
 // placed continues a new VM's placement with the outcome of its host
@@ -114,7 +119,7 @@ func (c *Controller) placed(vs *vmState, h *hostState, err error) {
 		c.placeNew(vs)
 	default:
 		if !fallback {
-			c.setHome(vs, h.key, h.pool.market)
+			c.setHome(vs, h.pool.market)
 		}
 		c.install(vs, nil)
 	}
@@ -168,7 +173,7 @@ func (c *Controller) hostUnits(host, slot cloud.InstanceType) int {
 type pendingAcq struct {
 	c        *Controller
 	pool     *poolState
-	slotType cloud.InstanceType
+	slotType *cloud.InstanceType // see vmState.slotType
 	capacity int
 	waiters  []slab.Handle
 	fn       cloud.InstanceCallback // finish, bound once
@@ -178,7 +183,7 @@ type pendingAcq struct {
 // pool key names, on behalf of vs: hostAcquired receives the host with one
 // slot reserved for the VM (released by installing it or decrementing
 // reserved), or the error.
-func (c *Controller) acquireHost(key PoolKey, slotType cloud.InstanceType, vs *vmState) {
+func (c *Controller) acquireHost(key PoolKey, slotType *cloud.InstanceType, vs *vmState) {
 	if key.Market != cloud.MarketSpot && key.Market != cloud.MarketOnDemand {
 		c.hostAcquired(vs, nil, fmt.Errorf("core: unknown market %v", key.Market))
 		return
@@ -188,7 +193,7 @@ func (c *Controller) acquireHost(key PoolKey, slotType cloud.InstanceType, vs *v
 		c.hostAcquired(vs, nil, fmt.Errorf("core: unknown native type %q", key.Type))
 		return
 	}
-	if c.hostUnits(natType, slotType) <= 0 {
+	if c.hostUnits(natType, *slotType) <= 0 {
 		c.hostAcquired(vs, nil, fmt.Errorf("core: native type %s cannot host %s", key.Type, slotType.Name))
 		return
 	}
@@ -197,7 +202,7 @@ func (c *Controller) acquireHost(key PoolKey, slotType cloud.InstanceType, vs *v
 
 // acquireIn is acquireHost for a pool already resolved: one whose native
 // type is known to host slotType.
-func (c *Controller) acquireIn(pool *poolState, slotType cloud.InstanceType, vs *vmState) {
+func (c *Controller) acquireIn(pool *poolState, slotType *cloud.InstanceType, vs *vmState) {
 	// Reuse a running host with a free slot and matching slice size.
 	if h := c.freeHost(pool, slotType); h != nil {
 		h.reserved++
@@ -224,7 +229,7 @@ func (c *Controller) acquireIn(pool *poolState, slotType cloud.InstanceType, vs 
 		acq = &pendingAcq{c: c}
 		acq.fn = acq.finish
 	}
-	acq.pool, acq.slotType, acq.capacity = pool, slotType, c.hostUnits(pool.typ, slotType)
+	acq.pool, acq.slotType, acq.capacity = pool, slotType, c.hostUnits(pool.typ, *slotType)
 	acq.waiters = append(acq.waiters[:0], vs.slot)
 	if acq.capacity > 1 {
 		pool.joinable = append(pool.joinable, acq)
@@ -261,13 +266,12 @@ func (acq *pendingAcq) finish(inst *cloud.Instance, err error) {
 		h = c.newHostState()
 		h.inst = inst
 		h.seq = instanceSeq(inst.ID)
-		h.key = pool.key
 		h.role = roleHost
 		h.slotType = acq.slotType
 		h.capacity = acq.capacity
 		c.hostIndex[inst.ID] = h.slot
 		c.addPoolHost(pool, h)
-		c.rentals = append(c.rentals, rental{inst: inst, kind: rentalHost})
+		h.rent = c.rent(inst, rentalHost)
 		c.maybeScrubRentals()
 		c.met.hostAcquired(pool)
 		c.met.syncPool(pool)
@@ -306,7 +310,7 @@ func (acq *pendingAcq) finish(inst *cloud.Instance, err error) {
 // event order, but the (free, seq, id) comparator picks exactly the host
 // the historical id-ordered scan's strict less chose: the lowest-id member
 // of the fullest tier.
-func (c *Controller) freeHost(pool *poolState, slotType cloud.InstanceType) *hostState {
+func (c *Controller) freeHost(pool *poolState, slotType *cloud.InstanceType) *hostState {
 	var best *hostState
 	cands := pool.freeCands
 	kept := cands[:0]
@@ -426,19 +430,19 @@ func (c *Controller) land(vs *vmState) {
 		vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
 		c.syncPoolOf(src)
 		kind, verb = EventMigrated, "now"
-		if dst.key.Market == cloud.MarketSpot {
+		if dst.pool.key.Market == cloud.MarketSpot {
 			kind = EventReturned
 		}
 	}
 	c.syncPoolOf(dst)
 	if c.trace != nil {
-		c.emit("vm", string(vm.ID), kind, verb+" on "+string(dst.inst.ID)+" ("+dst.key.String()+")")
+		c.emit("vm", string(vm.ID), kind, verb+" on "+string(dst.inst.ID)+" ("+dst.pool.label+")")
 	}
 	// Spot-hosted VMs under a backup-using mechanism continuously
 	// checkpoint to a backup server; on-demand hosts rely on live
 	// migration and need none (§4.2).
 	if c.cfg.Mechanism.UsesBackup() {
-		if dst.key.Market == cloud.MarketSpot {
+		if dst.pool.key.Market == cloud.MarketSpot {
 			c.registerBackup(vs)
 		} else {
 			c.unregisterBackup(vs)
@@ -502,9 +506,7 @@ func (c *Controller) unregisterBackup(vs *vmState) {
 		if err := c.backups.Remove(srv); err == nil {
 			if h, ok := c.backupHosts[srv.ID()]; ok {
 				delete(c.backupHosts, srv.ID())
-				if h.inst.State != cloud.StateTerminated {
-					_ = c.prov.Terminate(h.inst.ID, nil)
-				}
+				_ = c.retire(h.inst, h.rent)
 				delete(c.hostIndex, h.inst.ID)
 				h.inst = nil
 				c.hostSlab.Free(h.slot)
@@ -527,16 +529,17 @@ func (c *Controller) onBackupProvisioned(srv *backup.Server) {
 			c.met.destFails.Inc()
 			return
 		}
-		c.rentals = append(c.rentals, rental{inst: inst, kind: rentalBackup})
+		n := c.rent(inst, rentalBackup)
 		if !slices.Contains(c.backups.Servers(), srv) {
 			// The server drained and was removed while its instance was
 			// launching: nothing else would ever terminate it.
-			_ = c.prov.Terminate(inst.ID, nil)
+			_ = c.retire(inst, n)
 			return
 		}
 		h := c.newHostState()
 		h.inst = inst
 		h.seq = instanceSeq(inst.ID)
+		h.rent = n
 		h.role = roleBackup
 		c.hostIndex[inst.ID] = h.slot
 		c.backupHosts[srv.ID()] = h
@@ -609,11 +612,7 @@ func (c *Controller) maybeRetireHost(h *hostState) {
 	if h.role != roleHost || len(h.vms) > 0 || h.reserved > 0 || h.pinned > 0 {
 		return
 	}
-	if h.inst.State == cloud.StateTerminated {
-		c.forgetHost(h)
-		return
-	}
-	if err := c.prov.Terminate(h.inst.ID, nil); err == nil {
+	if err := c.retire(h.inst, h.rent); err == nil {
 		c.forgetHost(h)
 	}
 }
@@ -631,7 +630,7 @@ func (c *Controller) forgetHost(h *hostState) {
 	pool.vmCount -= len(h.vms)
 	c.met.syncPool(pool)
 	if c.trace != nil {
-		c.emit("host", string(h.inst.ID), "retired", "pool="+h.key.String())
+		c.emit("host", string(h.inst.ID), "retired", "pool="+pool.label)
 	}
 	// Recycle the slot: nothing references this state anymore (no resident
 	// VMs, no reservations, no pins).
@@ -659,18 +658,14 @@ func (c *Controller) Shutdown() {
 	}
 	// Spares are not retired by teardown; return them explicitly.
 	for _, h := range c.spares {
-		if h.inst.State != cloud.StateTerminated {
-			_ = c.prov.Terminate(h.inst.ID, nil)
-		}
+		_ = c.retire(h.inst, h.rent)
 	}
 	c.spares = nil
 	// Backup hosts linger only if their logical server still has VMs
 	// registered (there are none after the teardowns above), but guard
 	// against stragglers.
 	for id, h := range c.backupHosts {
-		if h.inst.State != cloud.StateTerminated {
-			_ = c.prov.Terminate(h.inst.ID, nil)
-		}
+		_ = c.retire(h.inst, h.rent)
 		delete(c.backupHosts, id)
 	}
 }

@@ -162,8 +162,8 @@ func TestReleaseDuringInstallLeavesNothing(t *testing.T) {
 				if len(r.held.volumes) != 0 || len(r.held.addrs) != 0 {
 					t.Errorf("left on the platform: volumes %v, addresses %v", r.held.volumes, r.held.addrs)
 				}
-				for _, rt := range c.rentals {
-					if len(rt.inst.IPs) != 0 {
+				for _, rt := range c.rentals { // a settled entry's instance is gone
+					if rt.inst != nil && len(rt.inst.IPs) != 0 {
 						t.Errorf("instance %s still carries %v", rt.inst.ID, rt.inst.IPs)
 					}
 				}
@@ -222,8 +222,8 @@ func TestShutdownDuringInstallLeavesNothing(t *testing.T) {
 	if len(r.held.volumes) != 0 || len(r.held.addrs) != 0 {
 		t.Errorf("left on the platform: volumes %v, addresses %v", r.held.volumes, r.held.addrs)
 	}
-	for _, rt := range c.rentals {
-		if rt.inst.State != cloud.StateTerminated {
+	for _, rt := range c.rentals { // a settled entry's instance is gone
+		if rt.inst != nil && rt.inst.State != cloud.StateTerminated {
 			t.Errorf("instance %s still %v", rt.inst.ID, rt.inst.State)
 		}
 	}

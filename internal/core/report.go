@@ -388,7 +388,7 @@ func (c *Controller) describe(vs *vmState) VMInfo {
 	if vs.host != nil {
 		info.Host = vs.host.inst.ID
 		info.HostType = vs.host.inst.Type.Name
-		info.Market = vs.host.key.Market.String()
+		info.Market = vs.host.pool.key.Market.String()
 	}
 	if vs.phase != phaseProvisioning {
 		end := c.sched.Now()

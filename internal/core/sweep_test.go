@@ -61,9 +61,9 @@ func sweepWouldAct(c *Controller) bool {
 				case !anyCalm:
 					return false
 				case !c.spotCalmFor(vs) || vs.lazyDegradeEvent.Pending():
-				case vs.homePool.Type == "":
+				case vs.homeMarket == nil:
 					return true // choosePool
-				case vs.homeMarket != nil && c.marketCalm(vs.homeMarket):
+				case c.marketCalm(vs.homeMarket):
 					return true // migrateVM
 				}
 			}

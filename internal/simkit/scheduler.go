@@ -19,12 +19,11 @@ import (
 // schedules per entity builds no closure per event. A slot is queued exactly
 // while one of the two is set: firing and canceling both clear them.
 type event struct {
-	fn   func()
-	afn  func(uint64)
-	arg  uint64
-	gen  uint64 // occupancy generation; bumped on slot reuse
-	cgen uint64 // gen of the most recent canceled occupancy (0 = none)
-	id   uint32 // the slot's number: its chunk and its place in it
+	fn  func()
+	afn func(uint64)
+	arg uint64
+	gen uint64 // occupancy generation; bumped on slot reuse
+	id  uint32 // the slot's number: its chunk and its place in it
 }
 
 func (e *event) queued() bool { return e.fn != nil || e.afn != nil }
@@ -97,16 +96,6 @@ type Event struct {
 // At reports when the event fires (or fired). It stays valid for the
 // lifetime of the handle.
 func (h Event) At() Time { return h.at }
-
-// Canceled reports whether Cancel was called on this event before it fired.
-// Events that fired normally — including events Cancel was called on only
-// after they fired — report false. The answer is generation-checked, so a
-// handle whose slot has been recycled for later events keeps reporting its
-// own outcome (until the slot's current occupant is itself canceled, which
-// reclaims the cancellation mark).
-//
-//lint:testonly FuzzScheduler checks it against its model
-func (h Event) Canceled() bool { return h.e != nil && h.e.cgen == h.gen }
 
 // Pending reports whether the event is still queued: not yet fired and not
 // canceled.
@@ -502,7 +491,6 @@ func (s *Scheduler) Cancel(h Event) {
 	if e == nil || e.gen != h.gen || !e.queued() {
 		return
 	}
-	e.cgen = e.gen
 	s.recycle(e)
 	s.live--
 	if s.size-s.live > s.live {
