@@ -32,6 +32,16 @@
 // returns a copy), so it is encoded after the lock is released and a large
 // body never holds up a writer. /metrics and /trace take no daemon lock.
 //
+// The aggregate routes re-derive what they answer on every request and
+// keep nothing from one request to the next; each costs about the size of
+// its answer. /report and /customers walk the controller's VM table once,
+// hashing and sorting nothing per VM, and bill each live rental with one
+// subtraction: its market's cumulative price F(now), searched once per
+// market per instant, less the F(launch) kept since it launched.
+// /customers adds each VM into its customer's record by position. /servers
+// walks the same table, already in id order, and describes each VM.
+// /metrics appends every series to one buffer and writes it once.
+//
 // JSON bodies are the bytes an encoding/json Encoder with SetIndent("",
 // "  ") writes. writeJSON lets encoding/json marshal compactly and indents
 // its output in one pass (indenter) that tracks only string and escape

@@ -56,16 +56,6 @@ func (p *Pool) Servers() []*Server { return append([]*Server(nil), p.servers...)
 // Size reports the number of provisioned backup servers.
 func (p *Pool) Size() int { return len(p.servers) }
 
-// TotalVMs reports registered VMs across all servers.
-//
-//lint:testonly FuzzPool compares it against the map-based oracle
-func (p *Pool) TotalVMs() int { return len(p.byVM) }
-
-// ServerFor returns the server backing vmID, or nil.
-//
-//lint:testonly the pool tests check a VM's placement through it
-func (p *Pool) ServerFor(vmID string) *Server { return p.byVM[vmID].server }
-
 // provision adds a fresh server.
 func (p *Pool) provision() *Server {
 	p.nextID++
@@ -213,33 +203,4 @@ func (p *Pool) MaxVMsPerServer() int {
 		}
 	}
 	return max
-}
-
-// MaxGroupPerServer reports the largest number of same-group VMs on any
-// single backup server — the restore load one pool-wide revocation storm
-// would put on that server.
-//
-//lint:testonly FuzzPool compares it against the map-based oracle
-func (p *Pool) MaxGroupPerServer() int {
-	var max int32
-	for _, s := range p.servers {
-		for _, n := range s.groups {
-			if n > max {
-				max = n
-			}
-		}
-	}
-	return int(max)
-}
-
-// Distribution returns registration counts per server, sorted descending.
-//
-//lint:testonly FuzzPool compares it against the map-based oracle
-func (p *Pool) Distribution() []int {
-	out := make([]int, len(p.servers))
-	for i, s := range p.servers {
-		out[i] = s.VMs()
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }

@@ -2,7 +2,6 @@ package backup
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 )
@@ -129,15 +128,6 @@ func (s *Server) VMs() int { return len(s.ids) }
 
 // Free reports remaining registration slots.
 func (s *Server) Free() int { return s.cfg.MaxVMs - len(s.ids) }
-
-// VMIDs returns registered VM ids in sorted order.
-//
-//lint:testonly FuzzPool compares it against the map-based oracle
-func (s *Server) VMIDs() []string {
-	out := append(make([]string, 0, len(s.ids)), s.ids...)
-	sort.Strings(out)
-	return out
-}
 
 // IngestUtilization is the ratio of the aggregate dirty rate to ingest
 // capacity. Values above the knee degrade resident VMs (Figure 7). The sum

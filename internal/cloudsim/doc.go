@@ -32,8 +32,8 @@
 //
 // Everything kept per traced spot market is one market record — the trace,
 // its one cursor, the running spot instances in launch order with their
-// cached minimum bid, the armed crossing, the lazily built prefix integral
-// and the price-tick counter — in the platform's one table, a slice in
+// cached minimum bid, the armed crossing, the prefix integral built at the
+// first spot launch with its memo of F(now), and the price-tick counter — in the platform's one table, a slice in
 // canonical key order (spotmarket.Set.Keys, the order the controller's
 // table walks in) beside a map keyed by (type, zone); a spot instance
 // points at its record. Resolving a pair first tries the record after the
@@ -93,8 +93,12 @@
 // The slab holds live instances only. Termination bills the instance once,
 // keeps the bill in its ledger entry (AccruedCost answers it for the rest of
 // the run) and recycles the slot; Instance(id) resolves live instances only.
-// Continuous spot bills read the market's prefix integral in O(log n)
-// instead of walking every price segment the instance lived through.
+// A continuous spot bill is F(end) − F(Launched) of the market's prefix
+// integral, the difference PrefixIntegral.Integrate takes, instead of a walk
+// of every price segment the instance lived through: F(Launched) is kept on
+// the instance from its launch and F(now) is searched once per market per
+// instant, so billing every running instance at one instant is one
+// subtraction each.
 // Config.ExpectedInstances pre-sizes the ledger when the scale is known;
 // docs/SCALING.md quantifies the result.
 package cloudsim

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
-	"strconv"
-	"strings"
 
 	"repro/internal/cloud"
 	"repro/internal/obs"
@@ -234,14 +232,28 @@ type market struct {
 	// instance can be underbid before armed fires.
 	armed      simkit.Event
 	armedFloor cloud.USD
-	// prefix is the cumulative price integral, built on the market's
-	// first spot bill.
+	// prefix is the cumulative price integral F, built at the market's
+	// first spot launch under continuous billing. cum memoizes F at cumAt,
+	// the last instant it was asked for (the zero memo is right: F(0) = 0):
+	// every bill of a running instance asks at now, so a report billing the
+	// market's whole fleet searches the trace once.
 	prefix *spotmarket.PrefixIntegral
+	cumAt  simkit.Time
+	cum    float64
 	// ticks counts the price changes the platform has observed (nil without
 	// Config.Metrics); counted is how many of the changes behind the cursor
 	// it has been given.
 	ticks   *obs.Counter
 	counted int
+}
+
+// cumulative returns F(t) of the market's price trace, searching the trace
+// only when t is not the instant asked last.
+func (m *market) cumulative(t simkit.Time) float64 {
+	if m.cumAt != t {
+		m.cumAt, m.cum = t, m.prefix.Cumulative(t)
+	}
+	return m.cum
 }
 
 // observe moves the market's cursor to t and returns the price there,
@@ -280,6 +292,11 @@ type instanceState struct {
 	// reclaimed marks a spot instance the platform force-terminated (its
 	// final partial billing period is then free under period billing).
 	reclaimed bool
+	// launchCum is F(Launched) of a continuously billed spot instance's
+	// market (see market.prefix), taken at launch: its bill up to t is
+	// F(t) − launchCum, the two terms PrefixIntegral.Integrate subtracts.
+	// Zero, which is F(0), until it launches.
+	launchCum float64
 }
 
 // spotList is one market's running spot instances in launch order
@@ -540,39 +557,15 @@ type ledgerEntry struct {
 	bill cloud.USD   // its whole-life bill once it has terminated
 }
 
-// paddedID is fmt.Sprintf(prefix+"%06d", n) for n ≥ 0 in one allocation
-// instead of two: ids are minted once per launch and per volume.
-func paddedID(prefix string, n int) string {
-	var buf [24]byte // the longest prefix ("vol-") and 19 digits fit
-	b := append(buf[:0], prefix...)
-	for width := 100000; width > 1 && n < width; width /= 10 {
-		b = append(b, '0')
-	}
-	return string(strconv.AppendInt(b, int64(n), 10))
-}
+// idDigits is the zero-padded width of the platform's instance and volume
+// ids (cloud.SeqID).
+const idDigits = 6
 
-// idSeq is paddedID's strict inverse: the n for which paddedID(prefix, n)
-// is id, byte for byte. Anything else — another prefix, a non-digit, fewer
-// than six digits, a zero-padded longer number, a number past int — is not
-// an id this platform could have minted, and reports false.
-func idSeq(prefix, id string) (int, bool) {
-	if !strings.HasPrefix(id, prefix) {
-		return 0, false
-	}
-	digits := id[len(prefix):]
-	if len(digits) < 6 || (len(digits) > 6 && digits[0] == '0') {
-		return 0, false
-	}
-	n := 0
-	for i := 0; i < len(digits); i++ {
-		d := int(digits[i]) - '0'
-		if d < 0 || d > 9 || n > (math.MaxInt-d)/10 {
-			return 0, false
-		}
-		n = n*10 + d
-	}
-	return n, true
-}
+// paddedID mints the n-th id under prefix: fmt.Sprintf(prefix+"%06d", n).
+func paddedID(prefix string, n int) string { return cloud.SeqID(prefix, idDigits, n) }
+
+// idSeq is paddedID's strict inverse (cloud.ParseSeqID).
+func idSeq(prefix, id string) (int, bool) { return cloud.ParseSeqID(prefix, idDigits, id) }
 
 // issued reports the ledger index of an instance id this platform minted,
 // or 0 for any other string.
@@ -633,6 +626,12 @@ func (p *Platform) launched(o op) {
 	o.icb(st.inst, nil)
 	if m := st.market; m != nil {
 		p.stats.SpotLaunched++
+		if p.cfg.BillingIncrement == 0 {
+			if m.prefix == nil {
+				m.prefix = m.trace.PrefixIntegral()
+			}
+			st.launchCum = m.cumulative(st.inst.Launched)
+		}
 		m.spots.insert(st)
 		// The price may have spiked past the bid while the launch was
 		// pending; EC2 would warn immediately.
@@ -758,11 +757,16 @@ func (p *Platform) accrued(st *instanceState) (cloud.USD, error) {
 	case cloud.MarketOnDemand:
 		return cloud.USD(float64(inst.Type.OnDemand) * end.Sub(inst.Launched).Hours()), nil
 	case cloud.MarketSpot:
+		// PrefixIntegral.Integrate(Launched, end), with F(Launched) kept
+		// from launch and F(end) memoized per instant.
+		if end <= inst.Launched {
+			return 0, nil
+		}
 		m := st.market
 		if m.prefix == nil {
 			m.prefix = m.trace.PrefixIntegral()
 		}
-		return m.prefix.Integrate(inst.Launched, end), nil
+		return cloud.USD(m.cumulative(end) - st.launchCum), nil
 	default:
 		return 0, fmt.Errorf("%w: unknown market %v", cloud.ErrBadState, inst.Market)
 	}

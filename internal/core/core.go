@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/backup"
 	"repro/internal/cloud"
@@ -174,6 +176,9 @@ type vmState struct {
 	// move is the state of the relocation in flight (phase moveIdle when
 	// there is none).
 	move move
+	// cust is the record of the VM's customer (vm.Customer), so the
+	// per-tenant accounting adds the VM in without hashing the name.
+	cust *customer
 	// onOp is the provider callback of the install or re-plumbing operation
 	// in flight, bound once per slot: the chain has at most one outstanding,
 	// and it lands before the VM can leave phaseProvisioning or
@@ -339,13 +344,20 @@ type Controller struct {
 	homeZone cloud.Zone
 
 	// vmSlab and hostSlab hold all controller-side VM and host state in
-	// index-addressed, pre-sizable chunks; vmIndex and hostIndex are the
-	// boundary maps translating external IDs to generation-checked
-	// handles. Internal code passes stable *vmState/*hostState pointers.
+	// index-addressed, pre-sizable chunks. vms is the VM table: entry n is
+	// the VM minted as vmID(n) while its slot is tracked, nil once the slot
+	// is recycled; entry 0 is never issued and the next VM is len(vms), so
+	// an id resolves by parsing its number and the table is walked in
+	// number order. hostIndex is the boundary map translating
+	// instance ids to generation-checked handles. Internal code passes
+	// stable *vmState/*hostState pointers.
 	vmSlab    *slab.Slab[vmState]
-	vmIndex   map[nestedvm.ID]slab.Handle
+	vms       []*vmState
 	hostSlab  *slab.Slab[hostState]
 	hostIndex map[cloud.InstanceID]slab.Handle
+	// customers holds one record per customer that ever requested a VM, in
+	// name order (each record's idx is its position).
+	customers []*customer
 
 	backups *backup.Pool
 	// backupHosts maps backup server id -> native instance state.
@@ -376,8 +388,6 @@ type Controller struct {
 	// pair's server pools.
 	history *History
 	trace   *obs.Trace // nil: no event sink (see emit)
-
-	nextVM int
 
 	// rentals tracks every native instance ever rented (for cost), in
 	// renting order. Each entry memoizes its final cost once the instance
@@ -428,22 +438,44 @@ type Controller struct {
 }
 
 // retiredVMStats accumulates the final accounting of VMs whose controller
-// state has been recycled (Config.RecycleReleased). All sums are integer
-// durations held in overflow-proof accumulators (durAcc — fleet-scale
-// service totals outgrow int64 nanoseconds), so totals are exactly what a
-// retained per-VM walk would produce regardless of fold order.
+// state has been recycled (Config.RecycleReleased); the per-customer part
+// is in each customer record. All sums are integer durations held in
+// overflow-proof accumulators (durAcc — fleet-scale service totals outgrow
+// int64 nanoseconds), so totals are exactly what a retained per-VM walk
+// would produce regardless of fold order.
 type retiredVMStats struct {
 	service, down, degraded durAcc
 	maxDownSpell            simkit.Time
 	tcpBreaks               int
-	byCustomer              map[string]*retiredCustomer
 }
 
-type retiredCustomer struct {
+// customerAcc is one customer's accounting over a set of VMs that entered
+// service: how many, their service time (that of the stateful ones apart,
+// which backup costs are shared by) and their downtime.
+type customerAcc struct {
 	vms      int
 	service  durAcc
 	stateful durAcc
 	down     durAcc
+}
+
+// add counts in a VM that served for life with down of it unavailable.
+func (a *customerAcc) add(life, down simkit.Time, stateless bool) {
+	a.vms++
+	a.service.add(life)
+	if !stateless {
+		a.stateful.add(life)
+	}
+	a.down.add(down)
+}
+
+// customer is one tenant's record: every VM it requested points at it.
+type customer struct {
+	name string
+	// idx is the record's position in Controller.customers.
+	idx int
+	// retired is the accounting of the customer's recycled VMs.
+	retired customerAcc
 }
 
 // ControllerStats counts controller-level events.
@@ -517,14 +549,13 @@ func New(cfg Config) (*Controller, error) {
 		homeZone:    zones[0],
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		vmSlab:      slab.New[vmState](exp),
-		vmIndex:     make(map[nestedvm.ID]slab.Handle, exp),
+		vms:         make([]*vmState, 1, exp+1),
 		hostSlab:    slab.New[hostState](exp),
 		hostIndex:   make(map[cloud.InstanceID]slab.Handle, exp),
 		backupHosts: map[string]*hostState{},
 		history:     NewHistory(),
 		tick:        1,
 		trace:       cfg.Trace,
-		retired:     retiredVMStats{byCustomer: map[string]*retiredCustomer{}},
 		met:         newCoreMetrics(cfg.Metrics),
 	}
 	c.advanceFn = c.advance
@@ -544,33 +575,63 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// History exposes the controller's market observations (for policies and
-// reports), settled up to now.
-//
-//lint:testonly the market tests read the controller's observations through it
-func (c *Controller) History() *History {
-	c.Settle()
-	return c.history
+// VM ids are vmIDPrefix and the VM's number, zero-padded to vmIDDigits
+// (cloud.SeqID): "nvm-00001" is the first VM.
+const (
+	vmIDPrefix = "nvm-"
+	vmIDDigits = 5
+)
+
+// vmID is the id of the VM numbered n.
+func vmID(n int) nestedvm.ID { return nestedvm.ID(cloud.SeqID(vmIDPrefix, vmIDDigits, n)) }
+
+// vmSeq is the number of the VM with the given id, or 0 for a string the
+// controller never minted.
+func vmSeq(id nestedvm.ID) int {
+	if n, ok := cloud.ParseSeqID(vmIDPrefix, vmIDDigits, string(id)); ok {
+		return n
+	}
+	return 0
 }
 
-// vmIDsSorted returns all tracked VM ids in stable order.
+// vmIDsSorted returns all tracked VM ids in string order. The table is in
+// numeric order, which is the same below the 100 000th VM, so the sort
+// mostly confirms what it is given.
 func (c *Controller) vmIDsSorted() []nestedvm.ID {
-	ids := make([]nestedvm.ID, 0, len(c.vmIndex))
-	for id := range c.vmIndex {
-		ids = append(ids, id)
+	ids := make([]nestedvm.ID, 0, len(c.vms))
+	for _, vs := range c.vms {
+		if vs != nil {
+			ids = append(ids, vs.vm.ID)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
 // lookupVM resolves an external VM id to its live state (nil if unknown or
 // recycled).
 func (c *Controller) lookupVM(id nestedvm.ID) *vmState {
-	h, ok := c.vmIndex[id]
-	if !ok {
-		return nil
+	if n := vmSeq(id); n < len(c.vms) {
+		return c.vms[n]
 	}
-	return c.vmSlab.Get(h)
+	return nil
+}
+
+// customer returns the record of the customer called name, adding it in
+// name order on first use.
+func (c *Controller) customer(name string) *customer {
+	i, found := slices.BinarySearchFunc(c.customers, name, func(cu *customer, name string) int {
+		return strings.Compare(cu.name, name)
+	})
+	if found {
+		return c.customers[i]
+	}
+	cu := &customer{name: name}
+	c.customers = slices.Insert(c.customers, i, cu)
+	for j := i; j < len(c.customers); j++ {
+		c.customers[j].idx = j
+	}
+	return cu
 }
 
 // lookupHost resolves a native instance id to its live host state.
@@ -621,20 +682,10 @@ func (c *Controller) freeVMSlot(vs *vmState) {
 		if spell := vm.Ledger.MaxDownSpell(end); spell > c.retired.maxDownSpell {
 			c.retired.maxDownSpell = spell
 		}
-		c.retired.tcpBreaks += vm.Ledger.SpellsExceeding(TCPTimeout, end)
-		rc := c.retired.byCustomer[vm.Customer]
-		if rc == nil {
-			rc = &retiredCustomer{}
-			c.retired.byCustomer[vm.Customer] = rc
-		}
-		rc.vms++
-		rc.service.add(life)
-		if !vs.stateless {
-			rc.stateful.add(life)
-		}
-		rc.down.add(d)
+		c.retired.tcpBreaks += vm.Ledger.TCPBreaks(end)
+		vs.cust.retired.add(life, d, vs.stateless)
 	}
-	delete(c.vmIndex, vm.ID)
+	c.vms[vmSeq(vm.ID)] = nil
 	if c.trace != nil {
 		c.trace.Forget(string(vm.ID))
 	}

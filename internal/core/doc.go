@@ -16,10 +16,17 @@
 //
 //   - vmState and hostState values are allocated from chunked slabs
 //     (internal/slab) whose backing arrays never move, so internal hot
-//     paths hold plain pointers while boundary maps (vmIndex, hostIndex)
-//     translate external IDs to generation-checked handles. A stale
-//     handle — one whose slot was freed or reused — resolves to nil
-//     instead of aliasing the slot's next occupant.
+//     paths hold plain pointers. The VM table (Controller.vms) is indexed
+//     by the number in the VM's id (cloud.SeqID/ParseSeqID, "nvm-00042"
+//     is entry 42), so an id resolves without hashing and the table's
+//     walk is in id order; hostIndex translates instance ids to
+//     generation-checked handles. A stale handle — one whose slot was
+//     freed or reused — resolves to nil instead of aliasing the slot's
+//     next occupant.
+//   - Each customer has one record (customer), in name order; a VM points
+//     at its customer's record, which also holds the accounting of the
+//     customer's recycled VMs, so Customers sums per VM without hashing
+//     names.
 //   - Everything keyed by (instance type, zone) is one record in one
 //     table, History (market.go): the catalog entry, the monitor's price
 //     samples, the hold-down stamp, the trailing price window, the
@@ -87,8 +94,8 @@
 // Settle brings the accounting up to now, ticks at now included: it counts
 // the unfired ticks and asks each market not read since the last tick its
 // price there, which advances the provider's price-change counters exactly
-// as a per-tick sample would. Report, Stats, History and Shutdown settle
-// first; an embedder that exposes the metrics registry between runs of the
+// as a per-tick sample would. Report, Customers, Stats and Shutdown
+// settle first; an embedder that exposes the metrics registry between runs of the
 // event loop calls Settle after each run (spotcheckd does, in advance).
 //
 // Fleet-wide duration sums (service time, downtime, degraded time)
@@ -103,8 +110,9 @@
 // into integer-duration aggregates; Report and Customers read the same
 // either way. Retired hosts' slots and finalized rental-ledger entries are
 // always folded and reused, and a rental drops its instance pointer once
-// the controller has seen the instance terminated (rentalGone). Config.ExpectedVMs pre-sizes the slabs and
-// indexes when the scale is known.
+// the controller has seen the instance terminated (rentalGone).
+// Config.ExpectedVMs pre-sizes the slabs and tables when the scale is
+// known.
 //
 // # Events
 //

@@ -25,7 +25,7 @@ func TestRecordSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"vmState", unsafe.Sizeof(vmState{}), 296},
+		{"vmState", unsafe.Sizeof(vmState{}), 304}, // + the customer record pointer
 		{"hostState", unsafe.Sizeof(hostState{}), 120},
 		{"pendingAcq", unsafe.Sizeof(pendingAcq{}), 64},
 		{"rental", unsafe.Sizeof(rental{}), 24},

@@ -206,20 +206,6 @@ func (h *History) at(key spotmarket.MarketKey) *market {
 	return m
 }
 
-// ObservePrice records a price sample for a market.
-//
-//lint:testonly policy tests feed a History by hand; the controller's sweep writes the window directly
-func (h *History) ObservePrice(key spotmarket.MarketKey, price cloud.USD) {
-	h.at(key).window.add(float64(price))
-}
-
-// ObserveRevocation records a revocation event in a market.
-//
-//lint:testonly policy tests feed a History by hand; the controller counts revocations directly
-func (h *History) ObserveRevocation(key spotmarket.MarketKey) {
-	h.at(key).revocations++
-}
-
 // read returns the record for key brought up to date, or nil if unseen.
 func (h *History) read(key spotmarket.MarketKey) *market {
 	m := h.index[key]

@@ -137,8 +137,3 @@ func (c *Controller) Stats() ControllerStats {
 		PredictiveMisses:     int(m.predMisses.Value()),
 	}
 }
-
-// Metrics exposes the controller's registry (its own when none was given).
-//
-//lint:testonly the event tests read the controller's own registry through it
-func (c *Controller) Metrics() *obs.Registry { return c.met.reg }

@@ -326,15 +326,6 @@ func NewCheapestCompatiblePolicy(zones []cloud.Zone) PlacementPolicy {
 	return &cheapestCompatible{zones: zones}
 }
 
-// NamedPolicies returns the five Table 2 policies in evaluation order.
-//
-//lint:testonly the 20-seed controller audit enumerates the policies through it
-func NamedPolicies() []PlacementPolicy {
-	return []PlacementPolicy{
-		Policy1PM(), Policy2PML(), Policy4PED(), Policy4PCOST(), Policy4PST(),
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Bidding policies (§4.3)
 

@@ -52,8 +52,10 @@ func (c *Controller) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, 
 	if typeMarket.typ.Name != typ.Name {
 		return "", fmt.Errorf("core: type %q is missing from the provider's catalog", opts.Type)
 	}
-	c.nextVM++
-	id := nestedvm.ID(fmt.Sprintf("nvm-%05d", c.nextVM))
+	// The VM's number is taken even if it is refused below.
+	n := len(c.vms)
+	c.vms = append(c.vms, nil)
+	id := vmID(n)
 	mem := nestedvm.DefaultMemory()
 	mem.DirtyMBs = c.cfg.Workload.DirtyMBs
 	vm, err := nestedvm.NewVM(id, opts.Customer, typ, mem, c.sched.Now())
@@ -65,7 +67,8 @@ func (c *Controller) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, 
 	vs.phase = phaseProvisioning
 	vs.stateless = opts.Stateless
 	vs.typeMarket = typeMarket
-	c.vmIndex[id] = vs.slot
+	vs.cust = c.customer(opts.Customer)
+	c.vms[n] = vs
 	c.met.vmsCreated.Inc()
 	if c.trace != nil {
 		c.trace.Keep(string(id))

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/cloud"
 	"repro/internal/nestedvm"
@@ -65,8 +67,9 @@ type Report struct {
 }
 
 // TCPTimeout is the conservative connection timeout the paper cites
-// ("generally requires a timeout of greater than one minute").
-const TCPTimeout = 60 * simkit.Second
+// ("generally requires a timeout of greater than one minute"); the VM
+// ledgers count the down spells past it.
+const TCPTimeout = nestedvm.TCPTimeout
 
 // durAcc accumulates fleet-wide duration sums. int64 nanoseconds cap out
 // at ~292 VM-years, which a fleet blows through easily (100k VMs over six
@@ -134,57 +137,43 @@ type CustomerReport struct {
 // Customers breaks the current accounting down per tenant, sorted by name.
 // Host and spare costs are prorated by VM-hours across everyone; backup
 // server costs are prorated across *stateful* VM-hours only, since
-// stateless VMs never checkpoint (§4.2).
+// stateless VMs never checkpoint (§4.2). A customer none of whose VMs has
+// been counted as in service is left out.
 func (c *Controller) Customers() []CustomerReport {
 	now := c.sched.Now()
-	type acc struct {
-		vms      int
-		service  durAcc
-		stateful durAcc
-		down     durAcc
-	}
-	byName := make(map[string]*acc, len(c.retired.byCustomer))
+	// One accumulator per customer record, in name order: seeded with the
+	// recycled VMs' whole contribution, folded into the retired sums when
+	// their slots were freed. Every sum is an integer duration, so the
+	// seed is exact regardless of fold order.
+	accs := make([]customerAcc, len(c.customers))
 	var totalService, totalStateful durAcc
-	// Recycled VMs folded their whole contribution into the retired
-	// accumulators when their slots were freed; every sum is an integer
-	// duration, so the seed is exact regardless of fold order.
-	for name, rc := range c.retired.byCustomer {
-		byName[name] = &acc{vms: rc.vms, service: rc.service, stateful: rc.stateful, down: rc.down}
-		totalService.addAcc(rc.service)
-		totalStateful.addAcc(rc.stateful)
+	for i, cu := range c.customers {
+		accs[i] = cu.retired
+		totalService.addAcc(cu.retired.service)
+		totalStateful.addAcc(cu.retired.stateful)
 	}
 	c.forEachServiceVM(now, func(vs *vmState, end simkit.Time) {
 		vm := vs.vm
-		a := byName[vm.Customer]
-		if a == nil {
-			a = &acc{}
-			byName[vm.Customer] = a
-		}
 		life := end - vm.Created
-		a.vms++
-		a.service.add(life)
+		d, _ := vm.Ledger.Snapshot(end)
+		accs[vs.cust.idx].add(life, d, vs.stateless)
+		totalService.add(life)
 		if !vs.stateless {
-			a.stateful.add(life)
 			totalStateful.add(life)
 		}
-		d, _ := vm.Ledger.Snapshot(end)
-		a.down.add(d)
-		totalService.add(life)
 	})
 	// Settle as Report does (through Stats): an embedder's lock-free
 	// metrics read the same counters after either.
 	c.Settle()
 	bill := c.bill()
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]CustomerReport, 0, len(names))
-	for _, n := range names {
-		a := byName[n]
+	out := make([]CustomerReport, 0, len(accs))
+	for i := range accs {
+		a := &accs[i]
+		if a.vms == 0 {
+			continue
+		}
 		cr := CustomerReport{
-			Customer:     n,
+			Customer:     c.customers[i].name,
 			VMs:          a.vms,
 			VMHours:      a.service.hours(),
 			Availability: 1,
@@ -205,13 +194,12 @@ func (c *Controller) Customers() []CustomerReport {
 	return out
 }
 
-// forEachServiceVM calls fn, in no particular order, for every tracked VM
-// that has entered service, with the end of its service interval so far:
-// now, or the moment it was released. Report and Customers only sum integer
+// forEachServiceVM calls fn, in id-number order, for every tracked VM that
+// has entered service, with the end of its service interval so far: now,
+// or the moment it was released. Report and Customers only sum integer
 // durations and take maxima over the walk, so its order cannot show.
 func (c *Controller) forEachServiceVM(now simkit.Time, fn func(vs *vmState, end simkit.Time)) {
-	for _, slot := range c.vmIndex {
-		vs := c.vmSlab.Get(slot)
+	for _, vs := range c.vms {
 		if vs == nil || (vs.vm.Created == 0 && vs.phase == phaseProvisioning) {
 			continue // recycled, or never entered service
 		}
@@ -245,7 +233,7 @@ func (c *Controller) Report() Report {
 		if spell := vm.Ledger.MaxDownSpell(end); spell > r.MaxDownSpell {
 			r.MaxDownSpell = spell
 		}
-		r.TCPBreaks += vm.Ledger.SpellsExceeding(TCPTimeout, end)
+		r.TCPBreaks += vm.Ledger.TCPBreaks(end)
 	})
 	r.TotalDown, r.TotalDegraded = down.clamp(), degraded.clamp()
 	r.VMHours = serviceTotal.hours()
@@ -351,14 +339,17 @@ func (c *Controller) DescribeVM(id nestedvm.ID) (VMInfo, error) {
 	return c.describe(vs), nil
 }
 
-// ListVMs returns all known VMs in id order.
+// ListVMs returns all known VMs in id order. The VM table is walked in
+// number order, which is id order below the 100 000th VM, so the sort
+// mostly confirms what it is given.
 func (c *Controller) ListVMs() []VMInfo {
-	out := make([]VMInfo, 0, len(c.vmIndex))
-	for _, id := range c.vmIDsSorted() {
-		if vs := c.lookupVM(id); vs != nil {
+	out := make([]VMInfo, 0, len(c.vms))
+	for _, vs := range c.vms {
+		if vs != nil {
 			out = append(out, c.describe(vs))
 		}
 	}
+	slices.SortFunc(out, func(a, b VMInfo) int { return strings.Compare(string(a.ID), string(b.ID)) })
 	return out
 }
 

@@ -45,12 +45,19 @@ type Ledger struct {
 	// transition counters for reports
 	downSpells     int
 	degradedSpells int
-	// per-spell durations of completed down intervals; the paper's TCP
-	// claim (§5: "this ~23 second downtime is not long enough to break
-	// TCP connections") is checked against these.
-	downSpellDurations []simkit.Time
-	spellStart         simkit.Time
+	// The paper's TCP claim (§5: "this ~23 second downtime is not long
+	// enough to break TCP connections") is checked against the completed
+	// down spells, summarized as the longest one and the count of those
+	// longer than TCPTimeout; spellStart opens the current one.
+	maxSpell   simkit.Time
+	tcpBreaks  int
+	spellStart simkit.Time
 }
+
+// TCPTimeout is the conservative connection timeout the paper cites
+// ("generally requires a timeout of greater than one minute"): a down
+// spell longer than it breaks the customers' TCP connections.
+const TCPTimeout = 60 * simkit.Second
 
 // Start opens the ledger at time t in CondNormal. Calling Start twice
 // panics: a VM has exactly one service lifetime.
@@ -81,7 +88,11 @@ func (l *Ledger) Set(cond Condition, t simkit.Time) {
 	}
 	if l.cond == CondDown {
 		// A down spell just ended (whatever we transition to).
-		l.downSpellDurations = append(l.downSpellDurations, t-l.spellStart)
+		spell := t - l.spellStart
+		l.maxSpell = max(l.maxSpell, spell)
+		if spell > TCPTimeout {
+			l.tcpBreaks++
+		}
 	}
 	l.accumulate(t)
 	l.cond = cond
@@ -152,8 +163,7 @@ func (l *Ledger) Availability(start, t simkit.Time) float64 {
 }
 
 // openSpell returns the duration of the currently open down spell as of t,
-// or ok=false when the VM is not down. Shared by the aggregate accessors,
-// which iterate the completed-spell list in place.
+// or ok=false when the VM is not down.
 func (l *Ledger) openSpell(t simkit.Time) (simkit.Time, bool) {
 	if l.started && l.cond == CondDown && t >= l.spellStart {
 		return t - l.spellStart, true
@@ -163,29 +173,17 @@ func (l *Ledger) openSpell(t simkit.Time) (simkit.Time, bool) {
 
 // MaxDownSpell returns the longest down interval as of t (0 if never down).
 func (l *Ledger) MaxDownSpell(t simkit.Time) simkit.Time {
-	var max simkit.Time
-	for _, d := range l.downSpellDurations {
-		if d > max {
-			max = d
-		}
+	if d, ok := l.openSpell(t); ok && d > l.maxSpell {
+		return d
 	}
-	if d, ok := l.openSpell(t); ok && d > max {
-		max = d
-	}
-	return max
+	return l.maxSpell
 }
 
-// SpellsExceeding counts down spells longer than threshold as of t — e.g.
-// a 60 s TCP timeout: any spell past it would break customers' connections.
-func (l *Ledger) SpellsExceeding(threshold, t simkit.Time) int {
-	n := 0
-	for _, d := range l.downSpellDurations {
-		if d > threshold {
-			n++
-		}
+// TCPBreaks counts the down spells longer than TCPTimeout as of t, the open
+// one included: each would break the customers' connections.
+func (l *Ledger) TCPBreaks(t simkit.Time) int {
+	if d, ok := l.openSpell(t); ok && d > TCPTimeout {
+		return l.tcpBreaks + 1
 	}
-	if d, ok := l.openSpell(t); ok && d > threshold {
-		n++
-	}
-	return n
+	return l.tcpBreaks
 }

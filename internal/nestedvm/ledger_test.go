@@ -2,6 +2,7 @@ package nestedvm
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -205,27 +206,29 @@ func TestDownSpellTracking(t *testing.T) {
 	l.Set(CondDown, 10*simkit.Second)
 	l.Set(CondNormal, 40*simkit.Second) // 30 s spell
 	l.Set(CondDown, 100*simkit.Second)
-	l.Set(CondDegraded, 170*simkit.Second) // 70 s spell, ends into degraded
+	l.Set(CondDegraded, 160*simkit.Second) // exactly TCPTimeout, ends into degraded
 	l.Set(CondNormal, 180*simkit.Second)
 
 	if down, _ := l.Spells(); down != 2 {
 		t.Fatalf("down spells = %d, want 2", down)
 	}
-	if down, _ := l.Snapshot(200 * simkit.Second); down != 100*simkit.Second {
-		t.Errorf("downtime = %v, want the 30 s and 70 s spells", down)
+	if down, _ := l.Snapshot(200 * simkit.Second); down != 90*simkit.Second {
+		t.Errorf("downtime = %v, want the 30 s and 60 s spells", down)
 	}
-	if l.MaxDownSpell(200*simkit.Second) != 70*simkit.Second {
+	if l.MaxDownSpell(200*simkit.Second) != 60*simkit.Second {
 		t.Errorf("max spell = %v", l.MaxDownSpell(200*simkit.Second))
 	}
-	// Exactly at the threshold does not count as exceeding.
-	if n := l.SpellsExceeding(70*simkit.Second, 200*simkit.Second); n != 0 {
-		t.Errorf("exceeding 70s = %d, want 0", n)
+	// Exactly at the timeout does not break a connection.
+	if n := l.TCPBreaks(200 * simkit.Second); n != 0 {
+		t.Errorf("TCP breaks after a 60 s spell = %d, want 0", n)
 	}
-	if n := l.SpellsExceeding(60*simkit.Second, 200*simkit.Second); n != 1 {
-		t.Errorf("exceeding 60s = %d, want 1", n)
+	l.Set(CondDown, 300*simkit.Second)
+	l.Set(CondNormal, 360*simkit.Second+1) // one nanosecond past the timeout
+	if n := l.TCPBreaks(400 * simkit.Second); n != 1 {
+		t.Errorf("TCP breaks after a 60 s + 1 ns spell = %d, want 1", n)
 	}
-	if n := l.SpellsExceeding(10*simkit.Second, 200*simkit.Second); n != 2 {
-		t.Errorf("exceeding 10s = %d, want 2", n)
+	if l.MaxDownSpell(400*simkit.Second) != 60*simkit.Second+1 {
+		t.Errorf("max spell = %v", l.MaxDownSpell(400*simkit.Second))
 	}
 }
 
@@ -234,14 +237,134 @@ func TestDownSpellOpenInterval(t *testing.T) {
 	l.Start(0)
 	l.Set(CondDown, 10*simkit.Second)
 	// Still down: the open spell counts as of t.
-	if n := l.SpellsExceeding(89*simkit.Second, 100*simkit.Second); n != 1 {
-		t.Errorf("spells over 89 s = %d, want the open 90 s spell", n)
+	if n := l.TCPBreaks(70 * simkit.Second); n != 0 {
+		t.Errorf("TCP breaks of an open 60 s spell = %d, want 0", n)
+	}
+	if n := l.TCPBreaks(70*simkit.Second + 1); n != 1 {
+		t.Errorf("TCP breaks of an open 60 s + 1 ns spell = %d, want 1", n)
 	}
 	if l.MaxDownSpell(100*simkit.Second) != 90*simkit.Second {
 		t.Error("open spell not counted in max")
 	}
 	var fresh Ledger
-	if fresh.MaxDownSpell(simkit.Hour) != 0 {
+	if fresh.MaxDownSpell(simkit.Hour) != 0 || fresh.TCPBreaks(simkit.Hour) != 0 {
 		t.Error("unstarted ledger should have no spells")
+	}
+}
+
+// refLedger is the ledger as it was when it kept every completed down
+// spell: the oracle TestLedgerMatchesEverySpellReference holds the
+// summarized spells to.
+type refLedger struct {
+	started            bool
+	cond               Condition
+	since              simkit.Time
+	down, degraded     simkit.Time
+	downSpellDurations []simkit.Time
+	spellStart         simkit.Time
+}
+
+func (l *refLedger) start(t simkit.Time) {
+	l.started, l.cond, l.since = true, CondNormal, t
+}
+
+func (l *refLedger) set(cond Condition, t simkit.Time) {
+	if cond == l.cond {
+		return
+	}
+	if l.cond == CondDown {
+		l.downSpellDurations = append(l.downSpellDurations, t-l.spellStart)
+	}
+	switch dt := t - l.since; l.cond {
+	case CondDown:
+		l.down += dt
+	case CondDegraded:
+		l.degraded += dt
+	}
+	l.cond, l.since = cond, t
+	if cond == CondDown {
+		l.spellStart = t
+	}
+}
+
+func (l *refLedger) snapshot(t simkit.Time) (down, degraded simkit.Time) {
+	down, degraded = l.down, l.degraded
+	switch dt := t - l.since; l.cond {
+	case CondDown:
+		down += dt
+	case CondDegraded:
+		degraded += dt
+	}
+	return down, degraded
+}
+
+func (l *refLedger) openSpell(t simkit.Time) (simkit.Time, bool) {
+	if l.started && l.cond == CondDown && t >= l.spellStart {
+		return t - l.spellStart, true
+	}
+	return 0, false
+}
+
+func (l *refLedger) maxDownSpell(t simkit.Time) simkit.Time {
+	var max simkit.Time
+	for _, d := range l.downSpellDurations {
+		if d > max {
+			max = d
+		}
+	}
+	if d, ok := l.openSpell(t); ok && d > max {
+		max = d
+	}
+	return max
+}
+
+func (l *refLedger) spellsExceeding(threshold, t simkit.Time) int {
+	n := 0
+	for _, d := range l.downSpellDurations {
+		if d > threshold {
+			n++
+		}
+	}
+	if d, ok := l.openSpell(t); ok && d > threshold {
+		n++
+	}
+	return n
+}
+
+// The summarized ledger answers exactly what the every-spell ledger did:
+// random transition sequences, with steps drawn around the TCP timeout so
+// spells land on both sides of it and exactly on it, are queried at random
+// instants through Snapshot, MaxDownSpell and TCPBreaks.
+func TestLedgerMatchesEverySpellReference(t *testing.T) {
+	steps := []simkit.Time{0, 1, simkit.Second, 30 * simkit.Second, TCPTimeout - 1, TCPTimeout, TCPTimeout + 1, 2 * TCPTimeout, simkit.Hour}
+	rng := rand.New(rand.NewSource(1))
+	for run := 0; run < 2000; run++ {
+		var l Ledger
+		var ref refLedger
+		now := simkit.Time(rng.Int63n(int64(simkit.Day)))
+		l.Start(now)
+		ref.start(now)
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			now += steps[rng.Intn(len(steps))]
+			if rng.Intn(3) == 0 {
+				// A query between transitions, ahead of the last one by
+				// a step of its own.
+				at := now + steps[rng.Intn(len(steps))]
+				down, deg := l.Snapshot(at)
+				rdown, rdeg := ref.snapshot(at)
+				if down != rdown || deg != rdeg || l.MaxDownSpell(at) != ref.maxDownSpell(at) ||
+					l.TCPBreaks(at) != ref.spellsExceeding(TCPTimeout, at) {
+					t.Fatalf("run %d step %d at %v: ledger (%v, %v, max %v, breaks %d), reference (%v, %v, max %v, breaks %d)",
+						run, i, at, down, deg, l.MaxDownSpell(at), l.TCPBreaks(at),
+						rdown, rdeg, ref.maxDownSpell(at), ref.spellsExceeding(TCPTimeout, at))
+				}
+			}
+			cond := Condition(rng.Intn(3))
+			l.Set(cond, now)
+			ref.set(cond, now)
+		}
+		if ds, _ := l.Spells(); l.TCPBreaks(now) > ds {
+			t.Fatalf("run %d: %d TCP breaks out of %d down spells", run, l.TCPBreaks(now), ds)
+		}
 	}
 }

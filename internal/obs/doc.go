@@ -25,7 +25,9 @@
 // A Registry renders three ways:
 //
 //   - WritePrometheus emits Prometheus text exposition format (v0.0.4) for
-//     scraping (served by spotcheckd's /metrics endpoint);
+//     scraping (served by spotcheckd's /metrics endpoint), appended into
+//     one pooled buffer and written once; each family keeps its series in
+//     signature order as they come and go, so no scrape or snapshot sorts;
 //   - Snapshot returns a deterministic point-in-time copy with programmatic
 //     lookups (Value, Total, BucketCounts) that internal/core's Report and
 //     internal/experiments consume;

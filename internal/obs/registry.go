@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -148,6 +149,7 @@ var CountBuckets = []float64{1, 2, 3, 5, 8, 13, 21, 34, 55}
 // Registry
 
 type series struct {
+	sig    string // signature(labels)
 	labels []Label
 	ctr    *Counter
 	gauge  *Gauge
@@ -161,6 +163,16 @@ type family struct {
 	bounds []float64 // histograms only; fixed at first registration
 	mu     sync.Mutex
 	series map[string]*series // interned by label signature; guarded by mu
+	// sorted holds the same series ordered by signature, the order
+	// snapshots and scrapes list them in, kept as series come and go so
+	// no reader sorts; guarded by mu.
+	sorted []*series
+}
+
+// seriesAt returns where the series with signature sig sits, or would sit,
+// in a family's sorted list.
+func seriesAt(sorted []*series, sig string) int {
+	return sort.Search(len(sorted), func(i int) bool { return sorted[i].sig >= sig })
 }
 
 // Registry interns metric families and their labelled series. All methods
@@ -221,7 +233,7 @@ func (f *family) get(labels []Label) *series {
 	defer f.mu.Unlock()
 	s := f.series[sig]
 	if s == nil {
-		s = &series{labels: append([]Label(nil), labels...)}
+		s = &series{sig: sig, labels: append([]Label(nil), labels...)}
 		switch f.kind {
 		case KindCounter:
 			s.ctr = &Counter{}
@@ -231,6 +243,7 @@ func (f *family) get(labels []Label) *series {
 			s.hist = newHistogram(f.bounds)
 		}
 		f.series[sig] = s
+		f.sorted = slices.Insert(f.sorted, seriesAt(f.sorted, sig), s)
 	}
 	return s
 }
@@ -281,7 +294,11 @@ func (r *Registry) Remove(name string, labels ...Label) {
 	sortLabels(labels)
 	sig := signature(labels)
 	f.mu.Lock()
-	delete(f.series, sig)
+	if f.series[sig] != nil {
+		delete(f.series, sig)
+		i := seriesAt(f.sorted, sig)
+		f.sorted = slices.Delete(f.sorted, i, i+1)
+	}
 	f.mu.Unlock()
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -45,24 +44,10 @@ type Snapshot struct {
 
 // Snapshot copies the registry's current state.
 func (r *Registry) Snapshot() *Snapshot {
-	r.mu.RLock()
-	names := append([]string(nil), r.order...)
-	fams := make([]*family, 0, len(names))
-	for _, n := range names {
-		fams = append(fams, r.families[n])
-	}
-	r.mu.RUnlock()
-
 	snap := &Snapshot{}
-	for _, f := range fams {
+	for _, f := range r.familiesInOrder() {
 		f.mu.Lock()
-		sigs := make([]string, 0, len(f.series))
-		for sig := range f.series {
-			sigs = append(sigs, sig)
-		}
-		sort.Strings(sigs)
-		for _, sig := range sigs {
-			s := f.series[sig]
+		for _, s := range f.sorted {
 			m := Metric{Name: f.name, Kind: f.kind, Help: f.help,
 				Labels: append([]Label(nil), s.labels...)}
 			switch f.kind {
@@ -82,6 +67,17 @@ func (r *Registry) Snapshot() *Snapshot {
 		f.mu.Unlock()
 	}
 	return snap
+}
+
+// familiesInOrder returns the registry's families in registration order.
+func (r *Registry) familiesInOrder() []*family {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	fams := make([]*family, len(r.order))
+	for i, n := range r.order {
+		fams[i] = r.families[n]
+	}
+	return fams
 }
 
 // MergeSnapshots folds per-shard snapshots into one fleet view by summing

@@ -39,11 +39,12 @@ func (tr *Trace) PrefixIntegral() *PrefixIntegral {
 	return &PrefixIntegral{tr: tr, cum: cum}
 }
 
-// at returns F(t): the cumulative cost of holding one instance over [0, t).
-// Negative t extends the first segment backwards (negative cost), matching
-// Trace.Integrate's clamp-to-first-segment behaviour for out-of-range
-// starts.
-func (pi *PrefixIntegral) at(t simkit.Time) float64 {
+// Cumulative returns F(t): the cumulative cost of holding one instance over
+// [0, t). Negative t extends the first segment backwards (negative cost),
+// matching Trace.Integrate's clamp-to-first-segment behaviour for
+// out-of-range starts. A biller that keeps F(launch) and F(now) computes
+// Integrate(launch, now) as their difference, bit for bit.
+func (pi *PrefixIntegral) Cumulative(t simkit.Time) float64 {
 	if t <= 0 {
 		return float64(pi.tr.PointAt(0).Price) * t.Hours()
 	}
@@ -62,5 +63,5 @@ func (pi *PrefixIntegral) Integrate(a, b simkit.Time) cloud.USD {
 	if b <= a {
 		return 0
 	}
-	return cloud.USD(pi.at(b) - pi.at(a))
+	return cloud.USD(pi.Cumulative(b) - pi.Cumulative(a))
 }
