@@ -435,11 +435,11 @@ func runMechanisms(w io.Writer, want func(string) bool, seed int64) error {
 		fmt.Fprintln(w)
 	}
 	if want("fig7") {
-		fmt.Fprint(w, experiments.Fig7Table(experiments.Fig7(nil)).String())
+		fmt.Fprint(w, experiments.Fig7Table(experiments.Fig7()).String())
 		fmt.Fprintln(w)
 	}
 	if want("fig8") {
-		rows, err := experiments.Fig8(nil)
+		rows, err := experiments.Fig8()
 		if err != nil {
 			return err
 		}
@@ -447,7 +447,7 @@ func runMechanisms(w io.Writer, want func(string) bool, seed int64) error {
 		fmt.Fprintln(w)
 	}
 	if want("fig9") {
-		fmt.Fprint(w, experiments.Fig9Table(experiments.Fig9(nil)).String())
+		fmt.Fprint(w, experiments.Fig9Table(experiments.Fig9()).String())
 		fmt.Fprintln(w)
 	}
 	return nil

@@ -144,19 +144,22 @@ func TestRunUnknownWithMetrics(t *testing.T) {
 	}
 }
 
-// TestRunParallelMatchesSequential requires byte-identical figure output
-// for a fixed seed regardless of the sweep worker count.
+// TestRunParallelMatchesSequential requires byte-identical output of the
+// policy matrix and of the ablations' one sweep for a fixed seed regardless
+// of the sweep worker count.
 func TestRunParallelMatchesSequential(t *testing.T) {
-	var seq, par strings.Builder
-	if err := run(&seq, runOpts{exp: "fig10", vms: 6, months: 0.5, seed: 42, parallel: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(&par, runOpts{exp: "fig10", vms: 6, months: 0.5, seed: 42, parallel: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
-		t.Errorf("parallel output differs from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-			seq.String(), par.String())
+	for _, exp := range []string{"fig10", "ablations"} {
+		var seq, par strings.Builder
+		if err := run(&seq, runOpts{exp: exp, vms: 6, months: 0.5, seed: 42, parallel: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(&par, runOpts{exp: exp, vms: 6, months: 0.5, seed: 42, parallel: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if seq.String() != par.String() {
+			t.Errorf("-exp %s: parallel output differs from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s",
+				exp, seq.String(), par.String())
+		}
 	}
 }
 
@@ -332,9 +335,9 @@ func TestRunProfiles(t *testing.T) {
 }
 
 // TestOutputDigests pins the stdout of the market and mechanism groups,
-// each of their sections at the defaults, the -replay figures and the
-// traces CSV. `-exp all` is pinned by bench's figures workload. Amd64-only
-// for the reason the run digests are.
+// each of their sections at the defaults, the -replay figures, the traces
+// CSV and a month of the ablations. `-exp all` is pinned by bench's figures
+// workload. Amd64-only for the reason the run digests are.
 func TestOutputDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests pinned on amd64, running on %s", runtime.GOARCH)
@@ -361,6 +364,7 @@ func TestOutputDigests(t *testing.T) {
 		{"-exp fig6b -replay week", func(o *runOpts) { o.exp, o.replay = "fig6b", week }, "c67e60355ce3685ad2493b91385640a5e0fca7735c26b08889da9c29933547fa"},
 		{"-exp traces", func(o *runOpts) { o.exp = "traces" }, "91ac9bdbc5e4340f6b7db780c500cb788a2a6ec07154c80af2f010e2931d8ec5"},
 		{"-exp traces -months 1 -seed 7", func(o *runOpts) { o.exp, o.months, o.seed = "traces", 1, 7 }, "d39fef19ef8dfccb29370c93f3cd69731e42eeb4bff122320ba557f424b53bd5"},
+		{"-exp ablations -months 1", func(o *runOpts) { o.exp, o.months = "ablations", 1 }, "c408d2ca88a3901fcec80514559433efe8a67797a68c116bd5655d8671efd7ce"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			o := runOpts{vms: 40, months: 6, seed: 42}

@@ -66,7 +66,7 @@ func foldReport(c *Controller, prefixes map[spotmarket.MarketKey]*spotmarket.Pre
 	var down, degraded, service, stateful simkit.Time
 	byName := map[string]*foldCustomer{}
 	for _, vs := range c.vms {
-		if vs == nil || (vs.vm.Created == 0 && vs.phase == phaseProvisioning) {
+		if vs == nil || vs.phase == phaseProvisioning {
 			continue
 		}
 		vm := vs.vm

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cloud"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/migration"
 	"repro/internal/simkit"
 	"repro/internal/spotmarket"
+	"repro/internal/workload"
 )
 
 // --- Stateless service mode (§4.2) ---
@@ -328,5 +330,37 @@ func TestPendingAcquisitionShared(t *testing.T) {
 	}
 	if len(hosts) != 1 {
 		t.Errorf("VMs spread over %d hosts, want 1", len(hosts))
+	}
+}
+
+// --- The workload's dirty rate loads the backup pool (§4.2) ---
+
+// Each VM streams its workload's dirty rate to its backup server, so 40
+// SPECjbb VMs (3.0 MB/s each) fill one server's slots past its ingest
+// capacity where 40 TPC-W VMs (2.6 MB/s) stay under it; the slot cap, not
+// the ingest, decides how many servers the pool provisions.
+func TestWorkloadDrivesBackupProvisioning(t *testing.T) {
+	tpcw, jbb := workload.TPCW(), workload.SPECjbb()
+	util := map[string]float64{}
+	for _, w := range []workload.Profile{tpcw, jbb} {
+		r := newRig(t, nil, func(c *Config) { c.Workload = w })
+		for i := 0; i < 40; i++ {
+			r.request(t, "alice")
+		}
+		r.run(t, simkit.Hour)
+		servers := r.ctrl.backups.Servers()
+		if len(servers) != 1 || servers[0].VMs() != 40 {
+			t.Fatalf("%s: %d backup servers, want one holding all 40 VMs", w.Name, len(servers))
+		}
+		if rep := r.ctrl.Report(); rep.BackupServers != 1 || rep.BackupVMsMax != 40 {
+			t.Errorf("%s: report has %d backup servers, at most %d VMs each", w.Name, rep.BackupServers, rep.BackupVMsMax)
+		}
+		util[w.Name] = servers[0].IngestUtilization()
+	}
+	if util[tpcw.Name] >= 1 || util[jbb.Name] <= 1 {
+		t.Errorf("ingest utilization TPC-W %.3f, SPECjbb %.3f: want TPC-W under capacity and SPECjbb over", util[tpcw.Name], util[jbb.Name])
+	}
+	if got, want := util[jbb.Name]/util[tpcw.Name], jbb.DirtyMBs/tpcw.DirtyMBs; math.Abs(got-want) > 1e-9 {
+		t.Errorf("SPECjbb/TPC-W ingest ratio %.6f, want the dirty-rate ratio %.6f", got, want)
 	}
 }

@@ -200,8 +200,8 @@ func (c *Controller) Customers() []CustomerReport {
 // durations and take maxima over the walk, so its order cannot show.
 func (c *Controller) forEachServiceVM(now simkit.Time, fn func(vs *vmState, end simkit.Time)) {
 	for _, vs := range c.vms {
-		if vs == nil || (vs.vm.Created == 0 && vs.phase == phaseProvisioning) {
-			continue // recycled, or never entered service
+		if vs == nil || vs.phase == phaseProvisioning {
+			continue // recycled, or not in service yet
 		}
 		end := now
 		if vs.phase == phaseReleased {

@@ -160,16 +160,16 @@ type Fig7Row struct {
 	TPCWMs       float64
 }
 
+// fig7Points are Figure 7's x-axis: nested VMs checkpointing to one backup
+// server. The zero point is "no checkpointing at all".
+var fig7Points = [...]int{0, 1, 10, 20, 30, 35, 40, 45, 50}
+
 // Fig7 reproduces Figure 7: SPECjbb throughput and TPC-W response time as
-// the number of nested VMs checkpointing to one backup server grows. The
-// zero point is "no checkpointing at all".
-func Fig7(points []int) []Fig7Row {
-	if points == nil {
-		points = []int{0, 1, 10, 20, 30, 35, 40, 45, 50}
-	}
+// the number of nested VMs checkpointing to one backup server grows.
+func Fig7() []Fig7Row {
 	jbb, tpcw := workload.SPECjbb(), workload.TPCW()
 	var rows []Fig7Row
-	for _, n := range points {
+	for _, n := range fig7Points {
 		srv := backup.NewServer("bench", backup.Config{MaxVMs: 128, OptimizedIO: true})
 		for i := 0; i < n; i++ {
 			// The mixed workload dirty rate (~2.8 MB/s average).
@@ -214,12 +214,12 @@ type Fig8Row struct {
 	SCLazyDegradedSec    float64
 }
 
-// Fig8 reproduces Figure 8 for the given concurrency levels (paper: 1, 5,
-// 10 m3.medium nested VMs restored from one backup server).
-func Fig8(levels []int) ([]Fig8Row, error) {
-	if levels == nil {
-		levels = []int{1, 5, 10}
-	}
+// fig8Levels are Figure 8's x-axis: m3.medium nested VMs restored at once
+// from one backup server.
+var fig8Levels = [...]int{1, 5, 10}
+
+// Fig8 reproduces Figure 8.
+func Fig8() ([]Fig8Row, error) {
 	mem := nestedvm.DefaultMemory()
 	restoreWindow := func(optimized, lazy bool, n int) (float64, error) {
 		srv := backup.NewServer("bench", backup.Config{OptimizedIO: optimized})
@@ -239,7 +239,7 @@ func Fig8(levels []int) ([]Fig8Row, error) {
 		return res.Downtime.Seconds(), nil
 	}
 	var rows []Fig8Row
-	for _, n := range levels {
+	for _, n := range fig8Levels {
 		var row Fig8Row
 		var err error
 		row.Concurrent = n
@@ -281,16 +281,17 @@ type Fig9Row struct {
 	TPCWMs             float64
 }
 
+// fig9Levels are Figure 9's x-axis: concurrent lazy restorations. Zero is
+// normal operation.
+var fig9Levels = [...]int{0, 1, 5, 10}
+
 // Fig9 reproduces Figure 9: the restoring VM's TPC-W response time against
-// the number of concurrent lazy restorations. Zero is normal operation.
-// Per-VM bandwidth throttling keeps the restoring response time flat.
-func Fig9(levels []int) []Fig9Row {
-	if levels == nil {
-		levels = []int{0, 1, 5, 10}
-	}
+// the number of concurrent lazy restorations. Per-VM bandwidth throttling
+// keeps the restoring response time flat.
+func Fig9() []Fig9Row {
 	tpcw := workload.TPCW()
 	var rows []Fig9Row
-	for _, n := range levels {
+	for _, n := range fig9Levels {
 		cond := workload.Conditions{LazyRestoring: n > 0}
 		rows = append(rows, Fig9Row{
 			ConcurrentRestores: n,

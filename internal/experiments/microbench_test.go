@@ -94,7 +94,7 @@ func TestTable1MatchesPaperEnvelope(t *testing.T) {
 // Figure 7: flat until ~35 VMs per backup, then SPECjbb throughput drops
 // and TPC-W response time rises by roughly 30%.
 func TestFig7Knee(t *testing.T) {
-	rows := Fig7(nil)
+	rows := Fig7()
 	byN := map[int]Fig7Row{}
 	for _, r := range rows {
 		byN[r.VMsPerBackup] = r
@@ -128,7 +128,7 @@ func TestFig7Knee(t *testing.T) {
 
 // Figure 8's shape assertions (see DESIGN.md §4).
 func TestFig8Shape(t *testing.T) {
-	rows, err := Fig8(nil)
+	rows, err := Fig8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestFig8Shape(t *testing.T) {
 
 // Figure 9: 29 ms normally, ~60 ms while restoring, flat in concurrency.
 func TestFig9Shape(t *testing.T) {
-	rows := Fig9(nil)
+	rows := Fig9()
 	if rows[0].ConcurrentRestores != 0 || rows[0].TPCWMs != 29 {
 		t.Errorf("baseline row = %+v", rows[0])
 	}

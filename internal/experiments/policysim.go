@@ -14,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/simkit"
 	"repro/internal/spotmarket"
-	"repro/internal/workload"
 )
 
 // PolicyFactory constructs a fresh (stateful) placement policy per run.
@@ -78,8 +77,6 @@ type PolicyRunConfig struct {
 	WarningWindow       simkit.Time // shrink the platform's revocation warning
 	// BillingIncrement enables 2015-era period billing on the platform.
 	BillingIncrement simkit.Time
-	// Workload selects the application profile (default workload.TPCW()).
-	Workload workload.Profile
 
 	// The next three knobs support the scenario library's chaos campaigns
 	// (internal/scenario); zero values leave the paper's runs untouched.
@@ -272,7 +269,6 @@ func buildShard(cfg PolicyRunConfig, s int) (*shard, error) {
 		Predictive:          cfg.Predictive,
 		MonitorInterval:     cfg.MonitorInterval,
 		NetworkAwareSlicing: cfg.NetworkAwareSlicing,
-		Workload:            cfg.Workload,
 		Seed:                seed,
 		Metrics:             reg,
 		ExpectedVMs:         vms,

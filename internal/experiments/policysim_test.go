@@ -4,10 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/migration"
 	"repro/internal/simkit"
-	"repro/internal/workload"
 )
 
 // Short policy runs keep the test suite fast; the cmd tools run the full
@@ -187,36 +185,5 @@ func TestRunPolicyDeterminism(t *testing.T) {
 		a.Report.Availability != b.Report.Availability ||
 		a.Report.Stats.Migrations != b.Report.Stats.Migrations {
 		t.Errorf("same seed diverged: %+v vs %+v", a.Report, b.Report)
-	}
-}
-
-// The memory-intensive SPECjbb workload dirties pages faster (3.0 vs 2.6
-// MB/s), so a 40-VM fleet exceeds one backup server's ingest capacity and
-// the pool must grow — exactly the provisioning rule of §4.2.
-func TestWorkloadDrivesBackupProvisioning(t *testing.T) {
-	run := func(w workload.Profile) core.Report {
-		res, err := RunPolicy(PolicyRunConfig{
-			Policy:    PolicyFactory{Name: "1P-M", New: core.Policy1PM},
-			Mechanism: migration.SpotCheckLazy,
-			VMs:       40,
-			Horizon:   20 * simkit.Day,
-			Seed:      4,
-			Workload:  w,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Report
-	}
-	tpcw := run(workload.TPCW())
-	jbb := run(workload.SPECjbb())
-	// 40 x 2.6 = 104 < 110 capacity: one server. 40 x 3.0 = 120 > 110
-	// ... but provisioning is slot-capped at 40 VMs/server anyway; the
-	// discriminator is ingest utilization.
-	if tpcw.BackupServers < 1 || jbb.BackupServers < 1 {
-		t.Fatalf("no backups provisioned: %d / %d", tpcw.BackupServers, jbb.BackupServers)
-	}
-	if jbb.BackupVMsMax > 40 || tpcw.BackupVMsMax > 40 {
-		t.Errorf("backup slot cap violated: %d / %d", tpcw.BackupVMsMax, jbb.BackupVMsMax)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/migration"
 	"repro/internal/simkit"
 	"repro/internal/spotmarket"
-	"repro/internal/workload"
 )
 
 // Session runs experiment sections over one worker bound, one set of default
@@ -61,7 +60,6 @@ type runKey struct {
 	predictive  bool
 	warning     simkit.Time
 	billing     simkit.Time
-	workload    workload.Profile
 }
 
 // shareKey returns the cache key of a defaulted spec, or ok=false for a run
@@ -93,7 +91,6 @@ func (s *Session) shareKey(cfg PolicyRunConfig) (key runKey, ok bool, err error)
 		predictive:  cfg.Predictive,
 		warning:     cfg.WarningWindow,
 		billing:     cfg.BillingIncrement,
-		workload:    cfg.Workload,
 	}, true, nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/migration"
 	"repro/internal/simkit"
-	"repro/internal/workload"
 )
 
 // TestSessionRunsEachCellOnce pins what one spotsim invocation simulates:
@@ -124,7 +123,6 @@ func TestSessionSharesOnlyTheSameRun(t *testing.T) {
 		"Predictive":          func(c *PolicyRunConfig) { c.Predictive = true },
 		"WarningWindow":       func(c *PolicyRunConfig) { c.WarningWindow = 45 * simkit.Second },
 		"BillingIncrement":    func(c *PolicyRunConfig) { c.BillingIncrement = simkit.Hour },
-		"Workload":            func(c *PolicyRunConfig) { c.Workload = workload.SPECjbb() },
 		"Traces":              func(c *PolicyRunConfig) { c.Traces = traces },
 		"Zones":               func(c *PolicyRunConfig) { c.Zones = cloud.DefaultZones() },
 		"Catalog":             func(c *PolicyRunConfig) { c.Catalog = cloud.DefaultCatalog() },
