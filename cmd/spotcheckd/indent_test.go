@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/nestedvm"
 	"repro/internal/obs"
+	"repro/internal/simkit"
 )
 
 // encoderBody is what writeJSON wrote before the indenter: an Encoder
@@ -30,10 +30,12 @@ func encoderBody(t *testing.T, v any) []byte {
 
 func TestWriteJSONMatchesEncoder(t *testing.T) {
 	d := &daemon{}
-	// Several indentChunks of compact JSON, so the body goes out in pieces.
-	large := make([]core.VMInfo, 4000)
-	for i := range large {
-		large[i] = core.VMInfo{ID: nestedvm.ID(fmt.Sprintf("nvm-%05d", i)), Customer: "c\"<\\>", Phase: "running"}
+	// Several indentChunks of compact JSON, so the body goes out in pieces:
+	// a trace dump is the largest body writeJSON still sends.
+	large := obs.TraceDump{Total: 4000, Events: make([]obs.TraceEvent, 4000)}
+	for i := range large.Events {
+		large.Events[i] = obs.TraceEvent{Seq: uint64(i), At: simkit.Time(i) * simkit.Second, Scope: "vm",
+			Subject: fmt.Sprintf("nvm-%05d", i), Kind: "placed", Detail: "on i-1 \"c<\\>\" \u2028"}
 	}
 	for _, tc := range []struct {
 		name string

@@ -26,7 +26,7 @@
 //	GET    /clock                                   current virtual time
 //
 // One mutex, d.mu, guards the scheduler, the platform and the controller.
-// A handler holds it only for its controller call (daemon.serve); the value
+// A handler holds it only for its controller call (daemon.locked); the value
 // that call returns owns no controller memory (VMInfo, Report,
 // CustomerReport, PoolInfo and MigrationEstimate are values, and Events
 // returns a copy), so it is encoded after the lock is released and a large
@@ -43,24 +43,39 @@
 // /metrics appends every series to one buffer and writes it once.
 //
 // JSON bodies are the bytes an encoding/json Encoder with SetIndent("",
-// "  ") writes. writeJSON lets encoding/json marshal compactly and indents
-// its output in one pass (indenter) that tracks only string and escape
-// state, instead of re-running the JSON scanner over every byte, streaming
-// the body to the client a chunk at a time. The value is marshalled whole
-// before the status is committed, so one encoding/json rejects is answered
-// 500 with {"error": …}.
+// "  ") writes. The VMInfo routes (GET /servers and GET /servers/{id}),
+// the largest bodies, are appended by hand, field by field, with
+// encoding/json's string escaping and float format (vminfo.go), and
+// GET /servers goes to the client 64 KB at a time, so no body-sized buffer
+// is ever held. Every other route goes through writeJSON: encoding/json
+// marshals compactly and a one-pass indenter (indenter) that tracks only
+// string and escape state streams the indented body to the client a chunk
+// at a time. writeJSON marshals the value whole before the status is
+// committed, so one encoding/json rejects is answered 500 with
+// {"error": …}; a VMInfo always encodes.
+//
+// The server drops a client that has not sent its headers within
+// readHeaderTimeout and a keep-alive connection idle for idleTimeout; it
+// sets no write timeout, since a long /advance is legitimate. On SIGINT or
+// SIGTERM it stops accepting, waits for the requests in flight, and shuts
+// the controller down under d.mu, returning every rented instance.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math"
+	"net"
 	"net/http"
+	"os"
+	"os/signal"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/cloud"
@@ -172,8 +187,10 @@ func (d *daemon) clockLoop(ticks <-chan time.Time, start time.Time, speedup floa
 	}
 }
 
-// indentChunk is how much compact JSON jsonWriter indents per write to the
-// client: a few writes per large body, and a small buffer to keep.
+// indentChunk is how much of a JSON body goes to the client per write:
+// jsonWriter indents this much compact JSON at a time, and writeVMInfos
+// writes its buffer each time it passes this size. A few writes per large
+// body, and a small buffer to keep.
 const indentChunk = 64 << 10
 
 // jsonWriter is the io.Writer writeJSON hands encoding/json. It indents
@@ -273,7 +290,8 @@ func (d *daemon) handleServers(w http.ResponseWriter, r *http.Request) {
 			return map[string]string{"id": string(id)}, err
 		})
 	case http.MethodGet:
-		d.serve(w, http.StatusOK, http.StatusInternalServerError, func() (any, error) { return d.ctrl.ListVMs(), nil })
+		vms, _ := d.locked(func() (any, error) { return d.ctrl.ListVMs(), nil })
+		writeVMInfos(w, vms.([]core.VMInfo))
 	default:
 		d.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 	}
@@ -292,7 +310,12 @@ func (d *daemon) handleServer(w http.ResponseWriter, r *http.Request) {
 	id := nestedvm.ID(rest)
 	switch r.Method {
 	case http.MethodGet:
-		d.serve(w, http.StatusOK, http.StatusNotFound, func() (any, error) { return d.ctrl.DescribeVM(id) })
+		v, err := d.locked(func() (any, error) { return d.ctrl.DescribeVM(id) })
+		if err != nil {
+			d.writeErr(w, http.StatusNotFound, err)
+			return
+		}
+		writeVMInfo(w, v.(core.VMInfo))
 	case http.MethodDelete:
 		d.serve(w, http.StatusOK, http.StatusNotFound, func() (any, error) {
 			return map[string]string{"released": string(id)}, d.ctrl.ReleaseServer(id)
@@ -416,6 +439,10 @@ func main() {
 	if err != nil {
 		log.Fatal("spotcheckd: ", err)
 	}
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		log.Fatal("spotcheckd: ", err)
+	}
 	if *speedup > 0 {
 		ticker := time.NewTicker(100 * time.Millisecond)
 		defer ticker.Stop()
@@ -423,9 +450,51 @@ func main() {
 		defer close(stop)
 		go d.clockLoop(ticker.C, time.Now(), *speedup, stop)
 	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	log.Printf("spotcheckd: listening on %s (speedup %.0fx, markets %v)",
-		*listen, *speedup, marketNames())
-	log.Fatal(http.ListenAndServe(*listen, d.mux()))
+		ln.Addr(), *speedup, marketNames())
+	if err := d.run(newServer(d.mux()), ln, sig); err != nil {
+		log.Fatal("spotcheckd: ", err)
+	}
+}
+
+// newServer serves h. A client has readHeaderTimeout to send its request
+// headers, and a keep-alive connection idle for idleTimeout is closed, so
+// neither a slow client nor a vanished one holds a connection forever.
+// There is deliberately no WriteTimeout: a long /advance is a legitimate
+// request, and a write timeout would cut its answer off.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 30 * time.Second // how long run waits for requests in flight
+)
+
+// run serves srv on ln until a signal arrives on sig, then shuts down
+// gracefully: the server stops accepting and waits up to shutdownGrace for
+// the requests in flight, and then, under d.mu, the controller releases
+// every VM and returns every native instance it rents.
+func (d *daemon) run(srv *http.Server, ln net.Listener, sig <-chan os.Signal) error {
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case s := <-sig:
+		log.Printf("spotcheckd: %v: shutting down", s)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	err := srv.Shutdown(ctx)
+	<-served // http.ErrServerClosed
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.ctrl.Shutdown()
+	return err
 }
 
 // checkFlags rejects a speedup that is negative, NaN or infinite, and a

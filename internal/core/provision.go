@@ -650,8 +650,6 @@ func (c *Controller) forgetHost(h *hostState) {
 // every rented native instance (hosts, spares, backup hosts) is returned to
 // the platform. The final Report remains queryable afterwards. Call it when
 // decommissioning the controller; it is not required for correctness.
-//
-//lint:testonly meant for the daemon's shutdown path, which does not call it yet; the leak tests drive it
 func (c *Controller) Shutdown() {
 	c.Settle()
 	c.shutdown = true
