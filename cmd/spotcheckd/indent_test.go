@@ -10,9 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/simkit"
 )
 
 // encoderBody is what writeJSON wrote before the indenter: an Encoder
@@ -31,11 +31,12 @@ func encoderBody(t *testing.T, v any) []byte {
 func TestWriteJSONMatchesEncoder(t *testing.T) {
 	d := &daemon{}
 	// Several indentChunks of compact JSON, so the body goes out in pieces:
-	// a trace dump is the largest body writeJSON still sends.
-	large := obs.TraceDump{Total: 4000, Events: make([]obs.TraceEvent, 4000)}
-	for i := range large.Events {
-		large.Events[i] = obs.TraceEvent{Seq: uint64(i), At: simkit.Time(i) * simkit.Second, Scope: "vm",
-			Subject: fmt.Sprintf("nvm-%05d", i), Kind: "placed", Detail: "on i-1 \"c<\\>\" \u2028"}
+	// the customer list, one record per name any request ever gave, is the
+	// largest body writeJSON still sends.
+	large := make([]core.CustomerReport, 2000)
+	for i := range large {
+		large[i] = core.CustomerReport{Customer: fmt.Sprintf("cust-%05d \"c<\\>\" \u2028", i), VMs: i,
+			VMHours: float64(i) * 1.5, Availability: 1 - float64(i)*1e-9, CostShare: cloud.USD(i) / 3}
 	}
 	for _, tc := range []struct {
 		name string

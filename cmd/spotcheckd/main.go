@@ -43,16 +43,16 @@
 // /metrics appends every series to one buffer and writes it once.
 //
 // JSON bodies are the bytes an encoding/json Encoder with SetIndent("",
-// "  ") writes. The VMInfo routes (GET /servers and GET /servers/{id}),
-// the largest bodies, are appended by hand, field by field, with
-// encoding/json's string escaping and float format (vminfo.go), and
-// GET /servers goes to the client 64 KB at a time, so no body-sized buffer
-// is ever held. Every other route goes through writeJSON: encoding/json
-// marshals compactly and a one-pass indenter (indenter) that tracks only
-// string and escape state streams the indented body to the client a chunk
-// at a time. writeJSON marshals the value whole before the status is
-// committed, so one encoding/json rejects is answered 500 with
-// {"error": …}; a VMInfo always encodes.
+// "  ") writes. The VMInfo routes (GET /servers and GET /servers/{id}) and
+// GET /trace, the largest bodies, are appended by hand, field by field,
+// with encoding/json's string escaping and float format (vminfo.go,
+// trace.go), and the two lists go to the client 64 KB at a time, so no
+// body-sized buffer is ever held. Every other route goes through
+// writeJSON: encoding/json marshals compactly and a one-pass indenter
+// (indenter) that tracks only string and escape state streams the indented
+// body to the client a chunk at a time. writeJSON marshals the value whole
+// before the status is committed, so one encoding/json rejects is answered
+// 500 with {"error": …}; a VMInfo or a trace dump always encodes.
 //
 // The server drops a client that has not sent its headers within
 // readHeaderTimeout and a keep-alive connection idle for idleTimeout; it
@@ -399,10 +399,11 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleTrace dumps the controller's event-trace ring, oldest first. Like
-// handleMetrics it does not take d.mu; Dump is one consistent copy.
+// handleTrace dumps the controller's event-trace ring, oldest first, through
+// writeTrace. Like handleMetrics it does not take d.mu; Dump is one
+// consistent copy.
 func (d *daemon) handleTrace(w http.ResponseWriter, _ *http.Request) {
-	d.writeJSON(w, http.StatusOK, d.trace.Dump())
+	writeTrace(w, d.trace.Dump())
 }
 
 func (d *daemon) handleAdvance(w http.ResponseWriter, r *http.Request) {

@@ -16,44 +16,24 @@ import (
 // which goes to the client every time it passes indentChunk, so a 2 000-VM
 // list costs one 64 KB buffer, not a body-sized one.
 func writeVMInfos(w http.ResponseWriter, vms []core.VMInfo) {
-	jw := startVMBody(w)
+	jw := startBody(w)
 	defer jsonWriters.Put(jw)
-	buf := jw.buf[:0]
-	switch {
-	case vms == nil:
-		buf = append(buf, "null"...)
-	case len(vms) == 0:
-		buf = append(buf, "[]"...)
-	default:
-		buf = append(buf, '[')
-		for i := range vms {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendNewline(buf, 1)
-			buf = appendVMInfo(buf, &vms[i], 1)
-			if len(buf) >= indentChunk {
-				if !jw.flush(buf) {
-					return
-				}
-				buf = buf[:0]
-			}
-		}
-		buf = append(buf, "\n]"...)
+	if buf, ok := appendList(jw, jw.buf[:0], vms, 0, appendVMInfo); ok {
+		jw.flush(append(buf, '\n'))
 	}
-	jw.flush(append(buf, '\n'))
 }
 
 // writeVMInfo answers GET /servers/{id} with the same encoding at depth 0.
 func writeVMInfo(w http.ResponseWriter, v core.VMInfo) {
-	jw := startVMBody(w)
+	jw := startBody(w)
 	defer jsonWriters.Put(jw)
 	jw.flush(append(appendVMInfo(jw.buf[:0], &v, 0), '\n'))
 }
 
-// startVMBody commits a 200 JSON response and lends out a pooled buffer.
-// A VMInfo always encodes, so there is no error status to hold back for.
-func startVMBody(w http.ResponseWriter) *jsonWriter {
+// startBody commits a 200 JSON response and lends out a pooled buffer.
+// The hand-appended bodies always encode, so there is no error status to
+// hold back for.
+func startBody(w http.ResponseWriter) *jsonWriter {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	jw := jsonWriters.Get().(*jsonWriter)
@@ -72,30 +52,61 @@ func (jw *jsonWriter) flush(buf []byte) bool {
 	return true
 }
 
+// appendList appends items as encoding/json indents a slice whose '[' sits
+// at depth, each element appended by appendItem at depth+1: "null" for a
+// nil slice, "[]" for an empty one. Each time buf passes indentChunk it
+// goes to the client, and appending starts over at buf[:0]. It returns
+// what is left to send, or false once the client is gone.
+func appendList[T any](jw *jsonWriter, buf []byte, items []T, depth int, appendItem func([]byte, *T, int) []byte) ([]byte, bool) {
+	switch {
+	case items == nil:
+		return append(buf, "null"...), true
+	case len(items) == 0:
+		return append(buf, "[]"...), true
+	}
+	buf = append(buf, '[')
+	for i := range items {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendItem(appendNewline(buf, depth+1), &items[i], depth+1)
+		if len(buf) >= indentChunk {
+			if !jw.flush(buf) {
+				return nil, false
+			}
+			buf = buf[:0]
+		}
+	}
+	return append(appendNewline(buf, depth), ']'), true
+}
+
+// appendKey starts an object member at depth: a new line, then the quoted
+// name (which must need no escaping) and ": ".
+func appendKey(dst []byte, depth int, name string) []byte {
+	return append(append(appendNewline(dst, depth), name...), ": "...)
+}
+
 // appendVMInfo appends v as encoding/json indents a VMInfo whose '{' sits
 // at depth: its Go field names in declaration order, one per line at
 // depth+1. Nothing in a VMInfo can fail to encode: Availability is finite
 // by construction (Ledger.Availability is 1 for an empty interval and
 // 1 − down/total otherwise), so there is no error path.
 func appendVMInfo(dst []byte, v *core.VMInfo, depth int) []byte {
-	field := func(dst []byte, name string) []byte {
-		dst = appendNewline(dst, depth+1)
-		return append(append(dst, name...), ": "...)
-	}
+	d := depth + 1
 	dst = append(dst, '{')
-	dst = appendJSONString(field(dst, `"ID"`), string(v.ID))
-	dst = appendJSONString(field(append(dst, ','), `"Customer"`), v.Customer)
-	dst = appendJSONString(field(append(dst, ','), `"Type"`), v.Type)
-	dst = appendJSONString(field(append(dst, ','), `"Phase"`), v.Phase)
-	dst = appendJSONString(field(append(dst, ','), `"Host"`), string(v.Host))
-	dst = appendJSONString(field(append(dst, ','), `"HostType"`), v.HostType)
-	dst = appendJSONString(field(append(dst, ','), `"Market"`), v.Market)
-	dst = appendJSONString(field(append(dst, ','), `"IP"`), v.IP)
-	dst = appendJSONString(field(append(dst, ','), `"BackupServer"`), v.BackupServer)
-	dst = strconv.AppendInt(field(append(dst, ','), `"Migrations"`), int64(v.Migrations), 10)
-	dst = strconv.AppendInt(field(append(dst, ','), `"Revocations"`), int64(v.Revocations), 10)
-	dst = appendJSONFloat(field(append(dst, ','), `"Availability"`), v.Availability)
-	dst = appendJSONString(field(append(dst, ','), `"Condition"`), v.Condition)
+	dst = appendJSONString(appendKey(dst, d, `"ID"`), string(v.ID))
+	dst = appendJSONString(appendKey(append(dst, ','), d, `"Customer"`), v.Customer)
+	dst = appendJSONString(appendKey(append(dst, ','), d, `"Type"`), v.Type)
+	dst = appendJSONString(appendKey(append(dst, ','), d, `"Phase"`), v.Phase)
+	dst = appendJSONString(appendKey(append(dst, ','), d, `"Host"`), string(v.Host))
+	dst = appendJSONString(appendKey(append(dst, ','), d, `"HostType"`), v.HostType)
+	dst = appendJSONString(appendKey(append(dst, ','), d, `"Market"`), v.Market)
+	dst = appendJSONString(appendKey(append(dst, ','), d, `"IP"`), v.IP)
+	dst = appendJSONString(appendKey(append(dst, ','), d, `"BackupServer"`), v.BackupServer)
+	dst = strconv.AppendInt(appendKey(append(dst, ','), d, `"Migrations"`), int64(v.Migrations), 10)
+	dst = strconv.AppendInt(appendKey(append(dst, ','), d, `"Revocations"`), int64(v.Revocations), 10)
+	dst = appendJSONFloat(appendKey(append(dst, ','), d, `"Availability"`), v.Availability)
+	dst = appendJSONString(appendKey(append(dst, ','), d, `"Condition"`), v.Condition)
 	dst = appendNewline(dst, depth)
 	return append(dst, '}')
 }

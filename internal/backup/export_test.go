@@ -8,7 +8,12 @@ import "sort"
 func (p *Pool) TotalVMs() int { return len(p.byVM) }
 
 // ServerFor returns the server backing vmID, or nil.
-func (p *Pool) ServerFor(vmID string) *Server { return p.byVM[vmID].server }
+func (p *Pool) ServerFor(vmID string) *Server {
+	if r, ok := p.byVM[vmID]; ok {
+		return p.recs[r].server
+	}
+	return nil
+}
 
 // MaxGroupPerServer reports the largest number of same-group VMs on any
 // single backup server — the restore load one pool-wide revocation storm
@@ -33,6 +38,15 @@ func (p *Pool) Distribution() []int {
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(out)))
 	return out
+}
+
+// Unregister removes a VM's stream by id, the way a standalone server
+// would; unknown VMs are a no-op. Pool.Release removes by position and must
+// leave the streams in the order this does (TestReleaseKeepsStreamOrder).
+func (s *Server) Unregister(vmID string) {
+	if i := s.index(vmID); i >= 0 {
+		s.removeAt(int32(i))
+	}
 }
 
 // VMIDs returns registered VM ids in sorted order.

@@ -21,8 +21,12 @@ type Pool struct {
 	// servers with room in exactly the order a walk over servers would,
 	// without stepping over the full ones.
 	open []*Server
-	// byVM tracks which server holds each VM, and under which spread group.
-	byVM map[string]assignment
+	// byVM finds each VM's assignment record in recs: which server holds
+	// its stream, where in the server's arrays, and under which spread
+	// group. recFree lists the records no VM holds.
+	byVM    map[string]int32
+	recs    []assignment
+	recFree []int32
 	// groupIDs interns spread-group strings; a Server counts its VMs per
 	// group in a slice indexed by these ids.
 	groupIDs map[string]int
@@ -34,7 +38,8 @@ type Pool struct {
 
 type assignment struct {
 	server *Server
-	group  int // interned spread group, noGroup when assigned without one
+	group  int32 // interned spread group, noGroup when assigned without one
+	pos    int32 // the stream's index in the server's arrays
 }
 
 const noGroup = -1
@@ -44,7 +49,7 @@ func NewPool(cfg Config, onProvision func(*Server)) *Pool {
 	cfg.fillDefaults()
 	return &Pool{
 		cfg:         cfg,
-		byVM:        map[string]assignment{},
+		byVM:        map[string]int32{},
 		groupIDs:    map[string]int{},
 		onProvision: onProvision,
 	}
@@ -60,6 +65,11 @@ func (p *Pool) Size() int { return len(p.servers) }
 func (p *Pool) provision() *Server {
 	p.nextID++
 	s := NewServer(fmt.Sprintf("backup-%03d", p.nextID), p.cfg)
+	// A server is provisioned only when every other one is full, so its
+	// stream arrays are sized for a full one: one allocation each, not one
+	// per doubling.
+	n := p.cfg.MaxVMs
+	s.ids, s.dirty, s.recs = make([]string, 0, n), make([]float64, 0, n), make([]int32, 0, n)
 	s.pos = len(p.servers)
 	p.servers = append(p.servers, s)
 	p.open = append(p.open, s) // the highest position: open stays ordered
@@ -131,14 +141,21 @@ func (p *Pool) AssignSpread(vmID string, dirtyMBs float64, group string) (*Serve
 	}
 	// Advance the cursor past the chosen server.
 	p.next = (best.pos + 1) % len(p.servers)
-	if err := best.Register(vmID, dirtyMBs); err != nil {
+	// byVM has ruled out a duplicate: no server of the pool holds vmID.
+	if err := checkStream(vmID, dirtyMBs); err != nil {
 		return nil, err
 	}
+	r := p.newRec()
+	if err := best.add(vmID, dirtyMBs, r); err != nil {
+		p.recFree = append(p.recFree, r)
+		return nil, err
+	}
+	p.recs[r] = assignment{server: best, group: int32(g), pos: int32(best.VMs() - 1)}
 	if best.Free() == 0 {
 		i := p.openIndex(best.pos)
 		p.open = slices.Delete(p.open, i, i+1)
 	}
-	p.byVM[vmID] = assignment{best, g}
+	p.byVM[vmID] = r
 	if g != noGroup {
 		for len(best.groups) <= g {
 			best.groups = append(best.groups, 0)
@@ -152,13 +169,18 @@ func (p *Pool) AssignSpread(vmID string, dirtyMBs float64, group string) (*Serve
 // Release removes a VM's stream and returns the server it was on (nil for
 // unknown VMs), so the caller can retire servers that drained.
 func (p *Pool) Release(vmID string) *Server {
-	a, ok := p.byVM[vmID]
+	r, ok := p.byVM[vmID]
 	if !ok {
 		return nil
 	}
+	a := p.recs[r]
 	s := a.server
-	s.Unregister(vmID)
+	if moved := s.removeAt(a.pos); moved >= 0 {
+		p.recs[moved].pos = a.pos
+	}
 	delete(p.byVM, vmID)
+	p.recs[r] = assignment{}
+	p.recFree = append(p.recFree, r)
 	if a.group != noGroup {
 		s.groups[a.group]--
 	}
@@ -167,6 +189,18 @@ func (p *Pool) Release(vmID string) *Server {
 	}
 	p.metrics.sync(p, s)
 	return s
+}
+
+// newRec returns a free assignment record's index, growing recs when none
+// is free.
+func (p *Pool) newRec() int32 {
+	if n := len(p.recFree); n > 0 {
+		r := p.recFree[n-1]
+		p.recFree = p.recFree[:n-1]
+		return r
+	}
+	p.recs = append(p.recs, assignment{})
+	return int32(len(p.recs) - 1)
 }
 
 // Remove retires a drained server from the pool. It refuses to remove a

@@ -2,6 +2,9 @@ package backup
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -320,5 +323,51 @@ func TestAssignReleaseSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Release→AssignSpread allocates %v times per cycle, want 0", allocs)
+	}
+}
+
+// TestReleaseKeepsStreamOrder holds the pool's positional Release to what
+// Server.Unregister does: every pool server is shadowed by a standalone
+// twin that registers and unregisters by id, and after every operation the
+// two hold the same streams in the same order — so each server's ingest sum
+// repeats bit for bit. A stale position on the stream a swap-remove moved
+// would remove the wrong stream on that stream's own release.
+func TestReleaseKeepsStreamOrder(t *testing.T) {
+	p := NewPool(Config{MaxVMs: 7}, nil)
+	twins := map[*Server]*Server{}
+	rng := rand.New(rand.NewSource(1))
+	var live []string
+	rates := []float64{2.8, 0.1, 7.25, 1.0 / 3}
+	for i := range 20_000 {
+		if len(live) == 0 || rng.Intn(5) < 3 {
+			id := fmt.Sprintf("nvm-%05d", i)
+			dirty := rates[rng.Intn(len(rates))]
+			s, err := p.AssignSpread(id, dirty, fmt.Sprint("g", rng.Intn(3)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if twins[s] == nil {
+				twins[s] = NewServer(s.ID(), Config{MaxVMs: 7})
+			}
+			if err := twins[s].Register(id, dirty); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, id)
+		} else {
+			k := rng.Intn(len(live))
+			id := live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			s := p.Release(id)
+			twins[s].Unregister(id)
+		}
+		for s, twin := range twins {
+			if !slices.Equal(s.ids, twin.ids) || !slices.Equal(s.dirty, twin.dirty) {
+				t.Fatalf("op %d: server %s holds %v, Unregister's order is %v", i, s.ID(), s.ids, twin.ids)
+			}
+			if math.Float64bits(s.IngestUtilization()) != math.Float64bits(twin.IngestUtilization()) {
+				t.Fatalf("op %d: server %s ingest %v, Unregister's order gives %v", i, s.ID(), s.IngestUtilization(), twin.IngestUtilization())
+			}
+		}
 	}
 }

@@ -56,6 +56,10 @@ type Server struct {
 	// and the ingest sum over dirty repeats bit for bit.
 	ids   []string
 	dirty []float64
+	// recs is, on a pool's server, the index of each stream's assignment
+	// record in the pool (Pool.recs), so a stream moved by a swap-remove has
+	// its position updated without a lookup; -1 on a standalone server.
+	recs []int32
 	// restoring counts in-flight restorations.
 	restoring int
 
@@ -80,33 +84,50 @@ func (s *Server) ID() string { return s.id }
 // its VM capacity. A server that belongs to a Pool takes streams through
 // the pool (AssignSpread/Release), which tracks which servers have room.
 func (s *Server) Register(vmID string, dirtyMBs float64) error {
+	if err := checkStream(vmID, dirtyMBs); err != nil {
+		return err
+	}
+	if s.Has(vmID) {
+		return fmt.Errorf("backup: VM %s already registered on %s", vmID, s.id)
+	}
+	return s.add(vmID, dirtyMBs, -1)
+}
+
+// checkStream rejects a stream no server can take.
+func checkStream(vmID string, dirtyMBs float64) error {
 	if vmID == "" {
 		return fmt.Errorf("backup: empty VM id")
 	}
 	if dirtyMBs < 0 {
 		return fmt.Errorf("backup: negative dirty rate %v", dirtyMBs)
 	}
-	if s.Has(vmID) {
-		return fmt.Errorf("backup: VM %s already registered on %s", vmID, s.id)
-	}
+	return nil
+}
+
+// add appends a stream owned by assignment record rec, failing when the
+// server is at its VM capacity.
+func (s *Server) add(vmID string, dirtyMBs float64, rec int32) error {
 	if len(s.ids) >= s.cfg.MaxVMs {
 		return fmt.Errorf("backup: server %s full (%d VMs)", s.id, s.cfg.MaxVMs)
 	}
 	s.ids = append(s.ids, vmID)
 	s.dirty = append(s.dirty, dirtyMBs)
+	s.recs = append(s.recs, rec)
 	return nil
 }
 
-// Unregister removes a VM's stream; unknown VMs are a no-op.
-func (s *Server) Unregister(vmID string) {
-	i := s.index(vmID)
-	if i < 0 {
-		return
-	}
+// removeAt removes stream i by moving the last stream into its place, and
+// returns the assignment record of the stream that moved there (-1 when
+// none did, or it has none).
+func (s *Server) removeAt(i int32) int32 {
 	last := len(s.ids) - 1
-	s.ids[i], s.dirty[i] = s.ids[last], s.dirty[last]
+	s.ids[i], s.dirty[i], s.recs[i] = s.ids[last], s.dirty[last], s.recs[last]
 	s.ids[last] = ""
-	s.ids, s.dirty = s.ids[:last], s.dirty[:last]
+	s.ids, s.dirty, s.recs = s.ids[:last], s.dirty[:last], s.recs[:last]
+	if int(i) == last {
+		return -1
+	}
+	return s.recs[i]
 }
 
 // index finds a stream by VM id; a server holds at most MaxVMs (~40), so a

@@ -178,6 +178,9 @@ const WarningWindow = 120 * simkit.Second
 // force-terminated at Deadline unless it is voluntarily terminated first.
 // EC2's window is WarningWindow.
 type RevocationWarning struct {
+	// Instance is the pointer the instance's launch callback delivered, not
+	// a copy: a renter finds its own record of the instance by it
+	// (cloudtest's RevocationWarning case holds providers to this).
 	Instance *Instance
 	Issued   simkit.Time
 	Deadline simkit.Time

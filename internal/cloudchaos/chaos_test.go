@@ -66,6 +66,15 @@ func TestChaosTransparentPassesConformance(t *testing.T) {
 				return v
 			}
 		},
+		Revoking: func(t *testing.T, sched *simkit.Scheduler, traces spotmarket.Set) cloud.Provider {
+			inner, err := cloudsim.New(sched, cloudsim.Config{Traces: traces, Latencies: cloudsim.ZeroOpLatencies()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Delayed completions: the launch reaches the caller through the
+			// wrapper's own event, the warning straight from the platform.
+			return cloudchaos.Wrap(inner, sched, cloudchaos.Config{ExtraLatency: simkit.Minute, Seed: 1})
+		},
 	})
 }
 

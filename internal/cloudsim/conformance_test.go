@@ -33,6 +33,10 @@ func TestPlatformConformance(t *testing.T) {
 		Replay: func(t *testing.T, sched *simkit.Scheduler, traces spotmarket.Set) (cloud.Provider, func(spotmarket.MarketKey) float64) {
 			return replayPlatform(t, sched, traces)
 		},
+		Revoking: func(t *testing.T, sched *simkit.Scheduler, traces spotmarket.Set) cloud.Provider {
+			p, _ := replayPlatform(t, sched, traces)
+			return p
+		},
 	})
 }
 

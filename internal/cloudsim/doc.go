@@ -14,7 +14,9 @@
 //
 // The platform hashes no id it minted itself. Instance and volume ids are a
 // prefix plus a zero-padded counter (paddedID), and idSeq, its strict
-// inverse, reads the counter back: the ledger (one entry per instance id
+// inverse, reads the counter back — an id of exactly six digits, every id
+// below a million, in one 64-bit word without a general parse, since any
+// six digits are a minted id: the ledger (one entry per instance id
 // ever issued: the live handle, or the finalized bill), the volume table
 // and the VPC address table (in-use mark and holder, by offset from the
 // prefix's first address) are slices indexed by it. A string that is not
@@ -33,13 +35,20 @@
 // Everything kept per traced spot market is one market record — the trace,
 // its one cursor, the running spot instances in launch order with their
 // cached minimum bid, the armed crossing, the prefix integral built at the
-// first spot launch with its memo of F(now), and the price-tick counter — in the platform's one table, a slice in
-// canonical key order (spotmarket.Set.Keys, the order the controller's
-// table walks in) beside a map keyed by (type, zone); a spot instance
-// points at its record. Resolving a pair first tries the record after the
-// one resolved last, a string compare, and hashes the pair only on a miss.
-// A pair without a record has no spot market: SpotPrice answers
-// cloud.ErrNotFound for it, always, wherever in a sweep it is asked.
+// first spot launch with its memo of F(now), and the price-tick counter —
+// in the platform's one table, a slice in canonical key order
+// (spotmarket.Set.Keys, the order the controller's table walks in); a spot
+// instance points at its record. Everything kept per instance type is one
+// type record too — the catalog entry, the type's markets in zone order
+// and, only when Config.Capacity caps the type, its launch count — found
+// by a scan of the few dozen types that tries the record found last first.
+// Resolving a (type, zone) pair first tries the market record after the
+// one resolved last (a sweep in key order), then that one itself (the
+// controller replaying one market's skipped ticks), each a string compare;
+// a miss scans its type's few zones.
+// No map is hashed on either path. A pair without a record has no spot
+// market: SpotPrice answers cloud.ErrNotFound for it, always, wherever in
+// a sweep it is asked.
 //
 // # Price changes
 //

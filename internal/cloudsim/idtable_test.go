@@ -21,8 +21,18 @@ func TestIDSeqInvertsPaddedID(t *testing.T) {
 			}
 		}
 	}
+	// The six-digit fast path reads every id below a million; each must
+	// come back as its number.
+	for _, prefix := range []string{"i-", "vol-"} {
+		for n := range 1_000_000 {
+			if got, ok := idSeq(prefix, paddedID(prefix, n)); !ok || got != n {
+				t.Fatalf("idSeq(%q, %q) = %d, %v; want %d", prefix, paddedID(prefix, n), got, ok, n)
+			}
+		}
+	}
 	for _, bad := range []string{
 		"", "i-", "i-1", "i-00001", "i-0000001", "i-00000x", "i-x00001", "i-000 01", "i-+00001", "i--00001",
+		"i-0999999", "i-99999", "i-00000a", "i-/00001", "i-:00001", "vol-999999",
 		"i-99999999999999999999", "i-9223372036854775808", "i-01000000", "I-000001", "vol-000001", " i-000001", "i-000001 ",
 		"i-٠٠٠٠٠١", // six non-ASCII digits
 	} {
@@ -35,7 +45,9 @@ func TestIDSeqInvertsPaddedID(t *testing.T) {
 // FuzzIDSeq: any string is either rejected or round-trips byte for byte, and
 // an accepted one never reaches outside the tables it indexes.
 func FuzzIDSeq(f *testing.F) {
-	for _, s := range []string{"i-000001", "i-1", "i-0000001", "i-00000x", "i-99999999999999999999", "vol-000001", "", "i-1000000", "i-9223372036854775807"} {
+	for _, s := range []string{"i-000001", "i-1", "i-0000001", "i-00000x", "i-99999999999999999999", "vol-000001", "", "i-1000000", "i-9223372036854775807",
+		// The six-digit width's boundary, for both prefixes.
+		"i-999999", "i-0999999", "i-99999", "i-00000a", "vol-999999", "vol-1000000", "vol-0999999", "vol-99999", "vol-00000a"} {
 		f.Add(s)
 	}
 	_, p := testPlatform(f, nil)
@@ -87,6 +99,19 @@ func TestIDTablesNeverIssuedVersusGone(t *testing.T) {
 	}
 	if _, err := p.AccruedCost(next); !errors.Is(err, cloud.ErrNotFound) {
 		t.Errorf("bill of the next, unissued id = %v, want ErrNotFound", err)
+	}
+	// Around the six-digit width: minted but never issued, or never minted.
+	for _, n := range []string{"999999", "1000000", "0999999", "99999", "00000a", "0000001", "00001"} {
+		id, vid := cloud.InstanceID("i-"+n), cloud.VolumeID("vol-"+n)
+		if _, err := p.AccruedCost(id); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("bill of %s = %v, want ErrNotFound", id, err)
+		}
+		if err := p.AttachVolume(vol.ID, id, nil); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("attach to %s = %v, want ErrNotFound", id, err)
+		}
+		if err := p.DeleteVolume(vid); !errors.Is(err, cloud.ErrNotFound) {
+			t.Errorf("delete of %s = %v, want ErrNotFound", vid, err)
+		}
 	}
 	if err := p.Terminate(inst.ID, nil); err != nil {
 		t.Fatal(err)

@@ -95,7 +95,13 @@ type Platform struct {
 	cfg   Config
 	rng   *rand.Rand
 
-	types map[string]cloud.InstanceType
+	// types holds one record per instance type, the catalog's in catalog
+	// order and then any type only a trace names; lastType is the index of
+	// the record typ() returned last, tried first. capped is set when
+	// Config.Capacity caps a type: only then are launches counted.
+	types    []typeRec
+	lastType int
+	capped   bool
 
 	// instSlab holds every live instance's state in chunked, index-addressed
 	// storage; destroy recycles the slot, so it holds live instances only.
@@ -112,11 +118,10 @@ type Platform struct {
 
 	// markets holds one record per traced (type, zone) spot market in the
 	// canonical key order (spotmarket.Set.Keys); a pair without a record has
-	// no spot market, now or later. byKey finds a record by its pair; guess
-	// is the index after the record market() last returned, tried first.
-	markets []market
-	byKey   map[spotmarket.MarketKey]*market
-	guess   int
+	// no spot market, now or later. Each type's record lists its markets;
+	// lastMarket is the index of the record market() returned last.
+	markets    []market
+	lastMarket int
 	// crossFn is crossing bound once; due is its scratch list of the markets
 	// whose crossings fall on one instant; scans counts Cursor.NextAbove
 	// calls (the work an arm costs; tests pin it).
@@ -133,9 +138,6 @@ type Platform struct {
 	opDoneFn func(uint64)
 	// forcedKillFn is forcedKill bound once.
 	forcedKillFn func(uint64)
-
-	// liveCount tracks non-terminated instances per type for Capacity.
-	liveCount map[string]int
 
 	revocationListeners []func(cloud.RevocationWarning)
 
@@ -211,6 +213,45 @@ func (m *platMetrics) launched(market cloud.Market) {
 	} else {
 		m.launchedOD.Inc()
 	}
+}
+
+// typeRec is everything the platform keeps per instance type.
+type typeRec struct {
+	it cloud.InstanceType
+	// listed is false for a type only a trace names: it has spot markets
+	// but is not in the catalog, so it cannot be launched or priced.
+	listed bool
+	// markets are the type's spot markets in zone order.
+	markets []*market
+	// limit is the type's cap in Config.Capacity when capped is set, and
+	// live then counts its non-terminated (pending or running) instances.
+	capped      bool
+	limit, live int
+}
+
+// typ returns the record of the type called name, or nil. A catalog is a
+// few dozen types at most and callers ask about one type many times in a
+// row, so the record returned last is tried first and a miss scans the
+// table: a string compare each, most of them a length compare.
+func (p *Platform) typ(name string) *typeRec {
+	if i := p.lastType; i < len(p.types) && p.types[i].it.Name == name {
+		return &p.types[i]
+	}
+	for i := range p.types {
+		if t := &p.types[i]; t.it.Name == name {
+			p.lastType = i
+			return t
+		}
+	}
+	return nil
+}
+
+// listedType returns the record of a catalog type, or nil.
+func (p *Platform) listedType(name string) *typeRec {
+	if t := p.typ(name); t != nil && t.listed {
+		return t
+	}
+	return nil
 }
 
 // market is everything the platform keeps per traced spot market.
@@ -372,24 +413,28 @@ func New(sched *simkit.Scheduler, cfg Config) (*Platform, error) {
 	}
 	exp := cfg.ExpectedInstances
 	p := &Platform{
-		sched:     sched,
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		types:     make(map[string]cloud.InstanceType, len(cfg.Catalog)),
-		instSlab:  slab.New[instanceState](exp),
-		ledger:    make([]ledgerEntry, 1, exp+1),
-		volumes:   make([]*cloud.Volume, 1, exp+1),
-		markets:   make([]market, len(cfg.Traces)),
-		byKey:     make(map[spotmarket.MarketKey]*market, len(cfg.Traces)),
-		ipPool:    newIPPool(cfg.VPC, exp),
-		liveCount: map[string]int{},
-		met:       newPlatMetrics(cfg.Metrics),
+		sched:    sched,
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		types:    make([]typeRec, 0, len(cfg.Catalog)+1),
+		capped:   len(cfg.Capacity) > 0,
+		instSlab: slab.New[instanceState](exp),
+		ledger:   make([]ledgerEntry, 1, exp+1),
+		volumes:  make([]*cloud.Volume, 1, exp+1),
+		markets:  make([]market, len(cfg.Traces)),
+		ipPool:   newIPPool(cfg.VPC, exp),
+		met:      newPlatMetrics(cfg.Metrics),
 	}
 	p.opDoneFn = p.opDone
 	p.forcedKillFn = p.forcedKill
 	p.crossFn = p.crossing
 	for _, it := range cfg.Catalog {
-		p.types[it.Name] = it
+		if t := p.typ(it.Name); t != nil {
+			t.it = it // a repeated name: the last entry answers
+			continue
+		}
+		limit, capped := cfg.Capacity[it.Name]
+		p.types = append(p.types, typeRec{it: it, listed: true, capped: capped, limit: limit})
 	}
 	// A market schedules nothing until a spot instance joins it (see arm).
 	for i, key := range cfg.Traces.Keys() {
@@ -406,7 +451,12 @@ func New(sched *simkit.Scheduler, cfg Config) (*Platform, error) {
 		if p.met != nil {
 			m.ticks = p.met.reg.Counter(metricPriceTicks, obs.L("market", key.String()))
 		}
-		p.byKey[key] = m
+		t := p.typ(key.Type)
+		if t == nil {
+			p.types = append(p.types, typeRec{it: cloud.InstanceType{Name: key.Type}})
+			t = &p.types[len(p.types)-1]
+		}
+		t.markets = append(t.markets, m)
 	}
 	return p, nil
 }
@@ -424,8 +474,10 @@ func (p *Platform) Catalog() []cloud.InstanceType {
 
 // TypeByName implements cloud.Provider.
 func (p *Platform) TypeByName(name string) (cloud.InstanceType, bool) {
-	it, ok := p.types[name]
-	return it, ok
+	if t := p.listedType(name); t != nil {
+		return t.it, true
+	}
+	return cloud.InstanceType{}, false
 }
 
 // Zones implements cloud.Provider.
@@ -435,11 +487,11 @@ func (p *Platform) Zones() []cloud.Zone {
 
 // OnDemandPrice implements cloud.Provider.
 func (p *Platform) OnDemandPrice(typ string) (cloud.USD, error) {
-	it, ok := p.types[typ]
-	if !ok {
+	t := p.listedType(typ)
+	if t == nil {
 		return 0, fmt.Errorf("%w: type %q", cloud.ErrNotFound, typ)
 	}
-	return it.OnDemand, nil
+	return t.it.OnDemand, nil
 }
 
 // SpotPrice implements cloud.Provider.
@@ -475,26 +527,48 @@ func (p *Platform) SpotPriceAt(typ string, zone cloud.Zone, t simkit.Time) (clou
 
 // market returns the record of a traced spot market. Callers that sweep the
 // markets do so in key order (the controller's settle asks every one), so
-// the record after the last one returned is tried first — a string compare
-// that is a pointer compare when the caller's keys are the trace set's own —
-// and only a miss hashes the pair, which also re-syncs the guess.
+// the record after the one returned last is tried first; the controller's
+// monitor replays a market's skipped ticks one question at a time, so the
+// one returned last is tried next. Each try is a string compare that is a
+// pointer compare when the caller's keys are the trace set's own. A miss
+// finds the type's record and scans its few zones.
 func (p *Platform) market(typ string, zone cloud.Zone) (*market, error) {
-	m := &p.markets[p.guess]
-	if m.key.Type != typ || m.key.Zone != zone {
-		if m = p.byKey[spotmarket.MarketKey{Type: typ, Zone: zone}]; m == nil {
-			return nil, fmt.Errorf("%w: no spot market for %s/%s", cloud.ErrNotFound, typ, zone)
+	next := p.lastMarket + 1
+	if next == len(p.markets) {
+		next = 0
+	}
+	m := &p.markets[next]
+	if !m.is(typ, zone) {
+		if m = &p.markets[p.lastMarket]; !m.is(typ, zone) {
+			if m = p.typ(typ).market(zone); m == nil {
+				return nil, fmt.Errorf("%w: no spot market for %s/%s", cloud.ErrNotFound, typ, zone)
+			}
 		}
 	}
-	if p.guess = m.index + 1; p.guess == len(p.markets) {
-		p.guess = 0
-	}
+	p.lastMarket = m.index
 	return m, nil
+}
+
+// is reports whether m is the (typ, zone) market.
+func (m *market) is(typ string, zone cloud.Zone) bool { return m.key.Type == typ && m.key.Zone == zone }
+
+// market returns the type's spot market in zone, or nil; a nil t has none.
+func (t *typeRec) market(zone cloud.Zone) *market {
+	if t == nil {
+		return nil
+	}
+	for _, m := range t.markets {
+		if m.key.Zone == zone {
+			return m
+		}
+	}
+	return nil
 }
 
 // RunOnDemand implements cloud.Provider.
 func (p *Platform) RunOnDemand(typ string, zone cloud.Zone, cb cloud.InstanceCallback) {
-	it, ok := p.types[typ]
-	if !ok {
+	t := p.listedType(typ)
+	if t == nil {
 		cb(nil, fmt.Errorf("%w: type %q", cloud.ErrNotFound, typ))
 		return
 	}
@@ -503,20 +577,20 @@ func (p *Platform) RunOnDemand(typ string, zone cloud.Zone, cb cloud.InstanceCal
 		cb(nil, fmt.Errorf("%w: on-demand %s in %s", cloud.ErrCapacity, typ, zone))
 		return
 	}
-	if err := p.checkCapacity(typ); err != nil {
+	if err := t.checkCapacity(); err != nil {
 		p.stats.ODStockouts++
 		cb(nil, err)
 		return
 	}
-	st := p.newInstance(it, zone, cloud.MarketOnDemand, 0)
+	st := p.newInstance(t, zone, cloud.MarketOnDemand, 0)
 	delay := simkit.SampleSeconds(p.cfg.Latencies.StartOnDemand, p.rng)
 	p.after(delay, "od-launch", op{kind: opLaunch, h: st.slot, inst: st.inst, icb: cb})
 }
 
 // RequestSpot implements cloud.Provider.
 func (p *Platform) RequestSpot(typ string, zone cloud.Zone, bid cloud.USD, cb cloud.InstanceCallback) {
-	it, ok := p.types[typ]
-	if !ok {
+	t := p.listedType(typ)
+	if t == nil {
 		cb(nil, fmt.Errorf("%w: type %q", cloud.ErrNotFound, typ))
 		return
 	}
@@ -529,24 +603,20 @@ func (p *Platform) RequestSpot(typ string, zone cloud.Zone, bid cloud.USD, cb cl
 		cb(nil, fmt.Errorf("%w: bid %v <= market %v for %s/%s", cloud.ErrBidTooLow, bid, cur, typ, zone))
 		return
 	}
-	if err := p.checkCapacity(typ); err != nil {
+	if err := t.checkCapacity(); err != nil {
 		cb(nil, err)
 		return
 	}
-	st := p.newInstance(it, zone, cloud.MarketSpot, bid)
+	st := p.newInstance(t, zone, cloud.MarketSpot, bid)
 	st.market = m
 	delay := simkit.SampleSeconds(p.cfg.Latencies.StartSpot, p.rng)
 	p.after(delay, "spot-launch", op{kind: opLaunch, h: st.slot, inst: st.inst, icb: cb})
 }
 
 // checkCapacity enforces the per-type fleet cap.
-func (p *Platform) checkCapacity(typ string) error {
-	limit, capped := p.cfg.Capacity[typ]
-	if !capped {
-		return nil
-	}
-	if p.liveCount[typ] >= limit {
-		return fmt.Errorf("%w: type %s at its capacity of %d", cloud.ErrCapacity, typ, limit)
+func (t *typeRec) checkCapacity() error {
+	if t.capped && t.live >= t.limit {
+		return fmt.Errorf("%w: type %s at its capacity of %d", cloud.ErrCapacity, t.it.Name, t.limit)
 	}
 	return nil
 }
@@ -564,8 +634,39 @@ const idDigits = 6
 // paddedID mints the n-th id under prefix: fmt.Sprintf(prefix+"%06d", n).
 func paddedID(prefix string, n int) string { return cloud.SeqID(prefix, idDigits, n) }
 
-// idSeq is paddedID's strict inverse (cloud.ParseSeqID).
-func idSeq(prefix, id string) (int, bool) { return cloud.ParseSeqID(prefix, idDigits, id) }
+// idSeq is paddedID's strict inverse (cloud.ParseSeqID). An id of exactly
+// idDigits digits — every id below a million — is read in place by
+// sixDigits; such an id is minted whatever its leading zeros, so nothing
+// else needs checking. A longer one goes to the general parser, which
+// rejects its leading zeros.
+func idSeq(prefix, id string) (int, bool) {
+	if len(id) != len(prefix)+idDigits || id[:len(prefix)] != prefix {
+		return cloud.ParseSeqID(prefix, idDigits, id)
+	}
+	return sixDigits(id[len(prefix):])
+}
+
+// ones has a one in every byte, to spread a byte constant over a word.
+const ones = 0x0101010101010101
+
+// sixDigits reads d, six bytes that must all be ASCII digits, as a decimal
+// number in one word: the six bytes behind two '0's make eight digits,
+// first digit in the lowest byte, which are checked all at once and then
+// folded pairwise (two digits per byte, four per 16 bits, eight per 32).
+func sixDigits(d string) (int, bool) {
+	_ = d[5]
+	x := uint64(d[0]) | uint64(d[1])<<8 | uint64(d[2])<<16 | uint64(d[3])<<24 | uint64(d[4])<<32 | uint64(d[5])<<40
+	x = x<<16 | 0x3030
+	// Every byte is 0x30–0x3f, and adding 6 keeps it there: '0'–'9'.
+	if x&(0xf0*ones) != 0x30*ones || (x+0x06*ones)&(0xf0*ones) != 0x30*ones {
+		return 0, false
+	}
+	v := x - 0x30*ones
+	v = (v*10 + v>>8) & 0x00ff00ff00ff00ff
+	v = (v*100 + v>>16) & 0x0000ffff0000ffff
+	v = (v*10000 + v>>32) & 0xffffffff
+	return int(v), true
+}
 
 // issued reports the ledger index of an instance id this platform minted,
 // or 0 for any other string.
@@ -593,19 +694,21 @@ func (p *Platform) errNoInstance(id cloud.InstanceID) error {
 	return fmt.Errorf("%w: instance %s", cloud.ErrNotFound, id)
 }
 
-func (p *Platform) newInstance(it cloud.InstanceType, zone cloud.Zone, market cloud.Market, bid cloud.USD) *instanceState {
+func (p *Platform) newInstance(t *typeRec, zone cloud.Zone, market cloud.Market, bid cloud.USD) *instanceState {
 	seq := len(p.ledger)
 	st, h := p.instSlab.Alloc()
 	*st = instanceState{
 		slot: h,
 		seq:  seq,
 		inst: &cloud.Instance{
-			ID: cloud.InstanceID(paddedID("i-", seq)), Type: it, Zone: zone, Market: market, Bid: bid,
+			ID: cloud.InstanceID(paddedID("i-", seq)), Type: t.it, Zone: zone, Market: market, Bid: bid,
 			State: cloud.StatePending,
 		},
 	}
 	p.ledger = append(p.ledger, ledgerEntry{live: h})
-	p.liveCount[it.Name]++
+	if t.capped {
+		t.live++
+	}
 	return st
 }
 
@@ -673,7 +776,11 @@ func (p *Platform) destroy(st *instanceState) {
 		p.sched.Cancel(st.forcedKill)
 		st.forcedKill = simkit.Event{}
 	}
-	p.liveCount[st.inst.Type.Name]--
+	if p.capped {
+		if t := p.typ(st.inst.Type.Name); t.capped {
+			t.live--
+		}
+	}
 	st.inst.State = cloud.StateTerminated
 	st.inst.Ended = p.sched.Now()
 	// VPC semantics: addresses detach from the dead instance but remain

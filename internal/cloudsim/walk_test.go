@@ -373,7 +373,7 @@ func TestIdleMarketsFireNothing(t *testing.T) {
 func TestCrossingsOnly(t *testing.T) {
 	sched, p, horizon, _ := catalogPlatform(t)
 	m := &p.markets[7]
-	od := p.types[m.key.Type].OnDemand
+	od := p.typ(m.key.Type).it.OnDemand
 	var spike spotmarket.Point
 	before := 0
 	for i := 1; i < m.trace.Len(); i++ {

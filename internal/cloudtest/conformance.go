@@ -38,6 +38,11 @@ type Harness struct {
 	// counter for a market (nil when it keeps none). The PriceHistory case
 	// walks the clock through moving prices with it.
 	Replay func(t *testing.T, sched *simkit.Scheduler, traces spotmarket.Set) (cloud.Provider, func(spotmarket.MarketKey) float64)
+	// Revoking, when set, builds a provider on sched over the given trace
+	// set whose requests all go through (no injected faults). The
+	// RevocationWarning case raises a market past a running instance's bid
+	// with it.
+	Revoking func(t *testing.T, sched *simkit.Scheduler, traces spotmarket.Set) cloud.Provider
 }
 
 // FlatTraces returns a trace set for Harness.Traces over the default catalog
@@ -81,6 +86,52 @@ func Run(t *testing.T, h Harness) {
 	t.Run("CostAccrual", func(t *testing.T) { testCost(t, h) })
 	t.Run("MarketsInAnyOrder", func(t *testing.T) { testMarketOrder(t, h) })
 	t.Run("PriceHistory", func(t *testing.T) { testPriceHistory(t, h) })
+	t.Run("RevocationWarning", func(t *testing.T) { testRevocationWarning(t, h) })
+}
+
+// testRevocationWarning checks the warning a price rise past the bid
+// brings: one warning for the instance, carrying the very *cloud.Instance
+// the launch callback delivered (the controller finds its host by that
+// pointer), the price that rose past the bid and a deadline after the
+// warning, and the instance terminated once the deadline has passed.
+func testRevocationWarning(t *testing.T, h Harness) {
+	if h.Revoking == nil {
+		t.Skip("the harness replays no price rise")
+	}
+	const spike = cloud.USD(1)
+	tr, err := spotmarket.NewTrace([]spotmarket.Point{{T: 0, Price: h.LowPrice / 2}, {T: simkit.Hour, Price: spike}}, 100*simkit.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := simkit.NewScheduler()
+	p := h.Revoking(t, sched, spotmarket.Set{{Type: h.SpotType, Zone: h.SpotZone}: tr})
+	var warnings []cloud.RevocationWarning
+	p.OnRevocationWarning(func(w cloud.RevocationWarning) { warnings = append(warnings, w) })
+	var inst *cloud.Instance
+	p.RequestSpot(h.SpotType, h.SpotZone, spike/2, func(i *cloud.Instance, err error) {
+		if err != nil {
+			t.Fatalf("spot launch: %v", err)
+		}
+		inst = i
+	})
+	sched.RunUntil(30 * simkit.Minute)
+	if inst == nil || inst.State != cloud.StateRunning || len(warnings) != 0 {
+		t.Fatalf("before the rise: instance %+v, %d warnings", inst, len(warnings))
+	}
+	sched.RunUntil(3 * simkit.Hour)
+	if len(warnings) != 1 {
+		t.Fatalf("%d warnings after the price rose past the bid, want 1", len(warnings))
+	}
+	w := warnings[0]
+	if w.Instance != inst {
+		t.Errorf("the warning carries instance %p (%s), the launch callback delivered %p (%s)", w.Instance, w.Instance.ID, inst, inst.ID)
+	}
+	if w.Price != spike || w.Issued != simkit.Hour || w.Deadline <= w.Issued {
+		t.Errorf("warning price %v issued %v deadline %v; want price %v issued at %v, deadline after it", w.Price, w.Issued, w.Deadline, spike, simkit.Hour)
+	}
+	if inst.State != cloud.StateTerminated {
+		t.Errorf("instance is %v after its deadline, want terminated", inst.State)
+	}
 }
 
 // testPriceHistory checks SpotPriceAt against the replayed traces. For every

@@ -348,13 +348,14 @@ type Controller struct {
 	// the VM minted as vmID(n) while its slot is tracked, nil once the slot
 	// is recycled; entry 0 is never issued and the next VM is len(vms), so
 	// an id resolves by parsing its number and the table is walked in
-	// number order. hostIndex is the boundary map translating
-	// instance ids to generation-checked handles. Internal code passes
-	// stable *vmState/*hostState pointers.
+	// number order. hostIndex translates the platform's instances — the
+	// pointers its launch callbacks delivered, which its revocation
+	// warnings carry again — to generation-checked handles, hashing no id.
+	// Internal code passes stable *vmState/*hostState pointers.
 	vmSlab    *slab.Slab[vmState]
 	vms       []*vmState
 	hostSlab  *slab.Slab[hostState]
-	hostIndex map[cloud.InstanceID]slab.Handle
+	hostIndex map[*cloud.Instance]slab.Handle
 	// customers holds one record per customer that ever requested a VM, in
 	// name order (each record's idx is its position).
 	customers []*customer
@@ -551,7 +552,7 @@ func New(cfg Config) (*Controller, error) {
 		vmSlab:      slab.New[vmState](exp),
 		vms:         make([]*vmState, 1, exp+1),
 		hostSlab:    slab.New[hostState](exp),
-		hostIndex:   make(map[cloud.InstanceID]slab.Handle, exp),
+		hostIndex:   make(map[*cloud.Instance]slab.Handle, exp),
 		backupHosts: map[string]*hostState{},
 		history:     NewHistory(),
 		tick:        1,
@@ -634,9 +635,9 @@ func (c *Controller) customer(name string) *customer {
 	return cu
 }
 
-// lookupHost resolves a native instance id to its live host state.
-func (c *Controller) lookupHost(id cloud.InstanceID) *hostState {
-	h, ok := c.hostIndex[id]
+// lookupHost resolves a native instance to its live host state.
+func (c *Controller) lookupHost(inst *cloud.Instance) *hostState {
+	h, ok := c.hostIndex[inst]
 	if !ok {
 		return nil
 	}

@@ -19,10 +19,12 @@
 //     paths hold plain pointers. The VM table (Controller.vms) is indexed
 //     by the number in the VM's id (cloud.SeqID/ParseSeqID, "nvm-00042"
 //     is entry 42), so an id resolves without hashing and the table's
-//     walk is in id order; hostIndex translates instance ids to
-//     generation-checked handles. A stale handle — one whose slot was
-//     freed or reused — resolves to nil instead of aliasing the slot's
-//     next occupant.
+//     walk is in id order; hostIndex translates the platform's
+//     *cloud.Instance pointers (the ones its launch callbacks delivered,
+//     which its revocation warnings carry again) to generation-checked
+//     handles, so a warning finds its host without hashing an id. A stale
+//     handle — one whose slot was freed or reused — resolves to nil
+//     instead of aliasing the slot's next occupant.
 //   - Each customer has one record (customer), in name order; a VM points
 //     at its customer's record, which also holds the accounting of the
 //     customer's recycled VMs, so Customers sums per VM without hashing

@@ -99,7 +99,7 @@ func TestTerminatedRentalsLetGo(t *testing.T) {
 					t.Fatalf("at %v: rental %d let go of its instance before its bill was final", at, rt.n)
 				}
 			case rt.inst.State != cloud.StateTerminated:
-			case prov.inFlight[rt.inst.ID] > 0 || ctrl.lookupHost(rt.inst.ID) != nil:
+			case prov.inFlight[rt.inst.ID] > 0 || ctrl.lookupHost(rt.inst) != nil:
 				held++
 			default:
 				t.Fatalf("at %v: rental %d still holds terminated instance %s", at, rt.n, rt.inst.ID)

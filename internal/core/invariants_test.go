@@ -341,8 +341,9 @@ func auditController(t *testing.T, c *Controller, mech migration.Mechanism) {
 	}
 
 	// Host slot accounting.
-	for instID := range c.hostIndex {
-		h := c.lookupHost(instID)
+	for inst := range c.hostIndex {
+		instID := inst.ID
+		h := c.lookupHost(inst)
 		if h == nil {
 			t.Errorf("host %s: indexed but not resolvable", instID)
 			continue

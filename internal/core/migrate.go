@@ -38,7 +38,7 @@ func (r migrationReason) String() string {
 // every resident nested VM must be off the server (or at least safe on its
 // backup server) before the deadline.
 func (c *Controller) onRevocationWarning(w cloud.RevocationWarning) {
-	h := c.lookupHost(w.Instance.ID)
+	h := c.lookupHost(w.Instance)
 	if h == nil || h.role != roleHost {
 		return
 	}
@@ -340,7 +340,7 @@ func (c *Controller) destinationReady(vs *vmState, h *hostState, staged bool) {
 // instance id, in one pass.
 func (c *Controller) findStagingSlot(vs *vmState) *hostState {
 	var best *hostState
-	for id, slot := range c.hostIndex {
+	for inst, slot := range c.hostIndex {
 		h := c.hostSlab.Get(slot)
 		if h == nil || h.role != roleHost || h.warned || h.free() <= 0 {
 			continue
@@ -348,7 +348,7 @@ func (c *Controller) findStagingSlot(vs *vmState) *hostState {
 		if h.inst.State != cloud.StateRunning || h.slotType.Name != vs.vm.Type.Name || h == vs.host {
 			continue
 		}
-		if best == nil || id < best.inst.ID {
+		if best == nil || inst.ID < best.inst.ID {
 			best = h
 		}
 	}

@@ -365,7 +365,7 @@ func (c *Controller) requestSpare() {
 		h.inst = inst
 		h.seq = instanceSeq(inst.ID)
 		h.role = roleHotSpare
-		c.hostIndex[inst.ID] = h.slot
+		c.hostIndex[inst] = h.slot
 		h.rent = c.rent(inst, rentalSpare)
 		c.maybeScrubRentals()
 		c.spares = append(c.spares, h)

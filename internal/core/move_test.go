@@ -19,13 +19,13 @@ import (
 // stagingSlotBySort is findStagingSlot as it was before it became one pass:
 // sort every host id, return the first that qualifies. Kept as the reference.
 func stagingSlotBySort(c *Controller, vs *vmState) *hostState {
-	ids := make([]cloud.InstanceID, 0, len(c.hostIndex))
-	for id := range c.hostIndex {
-		ids = append(ids, id)
+	insts := make([]*cloud.Instance, 0, len(c.hostIndex))
+	for inst := range c.hostIndex {
+		insts = append(insts, inst)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		h := c.lookupHost(id)
+	sort.Slice(insts, func(i, j int) bool { return insts[i].ID < insts[j].ID })
+	for _, inst := range insts {
+		h := c.lookupHost(inst)
 		if h == nil || h.role != roleHost || h.warned || h.free() <= 0 {
 			continue
 		}
@@ -49,6 +49,7 @@ func TestFindStagingSlotMatchesSortedScan(t *testing.T) {
 		c := r.ctrl
 		n := rng.Intn(40)
 		var hosts []*hostState
+		seen := map[int]bool{}
 		for i := 0; i < n; i++ {
 			h := c.newHostState()
 			seq := 1 + rng.Intn(2_000_000)
@@ -56,16 +57,17 @@ func TestFindStagingSlotMatchesSortedScan(t *testing.T) {
 				ID:    cloud.InstanceID(fmt.Sprintf("i-%06d", seq)),
 				State: []cloud.InstanceState{cloud.StateRunning, cloud.StateRunning, cloud.StateWarned, cloud.StateTerminated}[rng.Intn(4)],
 			}
-			if _, dup := c.hostIndex[h.inst.ID]; dup {
+			if seen[seq] {
 				c.hostSlab.Free(h.slot)
 				continue
 			}
+			seen[seq] = true
 			h.role = []hostRole{roleHost, roleHost, roleHost, roleHotSpare, roleBackup}[rng.Intn(5)]
 			h.warned = rng.Intn(5) == 0
 			h.capacity = rng.Intn(4)
 			h.reserved = rng.Intn(2)
 			h.slotType = &types[rng.Intn(len(types))]
-			c.hostIndex[h.inst.ID] = h.slot
+			c.hostIndex[h.inst] = h.slot
 			hosts = append(hosts, h)
 		}
 		vs := c.newVMState()

@@ -272,7 +272,7 @@ func (acq *pendingAcq) finish(inst *cloud.Instance, err error) {
 		h.role = roleHost
 		h.slotType = acq.slotType
 		h.capacity = acq.capacity
-		c.hostIndex[inst.ID] = h.slot
+		c.hostIndex[inst] = h.slot
 		c.addPoolHost(pool, h)
 		h.rent = c.rent(inst, rentalHost)
 		c.maybeScrubRentals()
@@ -510,7 +510,7 @@ func (c *Controller) unregisterBackup(vs *vmState) {
 			if h, ok := c.backupHosts[srv.ID()]; ok {
 				delete(c.backupHosts, srv.ID())
 				_ = c.retire(h.inst, h.rent)
-				delete(c.hostIndex, h.inst.ID)
+				delete(c.hostIndex, h.inst)
 				h.inst = nil
 				c.hostSlab.Free(h.slot)
 			}
@@ -544,7 +544,7 @@ func (c *Controller) onBackupProvisioned(srv *backup.Server) {
 		h.seq = instanceSeq(inst.ID)
 		h.rent = n
 		h.role = roleBackup
-		c.hostIndex[inst.ID] = h.slot
+		c.hostIndex[inst] = h.slot
 		c.backupHosts[srv.ID()] = h
 		c.maybeScrubRentals()
 	})
@@ -621,7 +621,7 @@ func (c *Controller) maybeRetireHost(h *hostState) {
 }
 
 func (c *Controller) forgetHost(h *hostState) {
-	delete(c.hostIndex, h.inst.ID)
+	delete(c.hostIndex, h.inst)
 	pool := h.pool
 	c.dropPoolHost(h)
 	if h.inFreeSet {

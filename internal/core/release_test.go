@@ -111,8 +111,8 @@ func (r *latentRig) stepUntil(t *testing.T, what string, cond func() bool) {
 // server time rented for nobody.
 func idleHosts(c *Controller) []*hostState {
 	var idle []*hostState
-	for id := range c.hostIndex {
-		h := c.lookupHost(id)
+	for inst := range c.hostIndex {
+		h := c.lookupHost(inst)
 		if h != nil && h.role == roleHost && h.inst.State == cloud.StateRunning && len(h.vms)+h.reserved+h.pinned == 0 {
 			idle = append(idle, h)
 		}

@@ -13,13 +13,21 @@ var HotPathPackages = map[string]bool{
 }
 
 // idKeyTypes are the identifier types cloudsim resolves through its
-// sequence-indexed tables; a map keyed by one of them is the string hash
-// per provider call growing back.
+// sequence-indexed tables and the controller through the pointers the
+// platform hands it; a map keyed by one of them is a string hash per
+// provider call or revocation warning growing back.
 var idKeyTypes = map[string]bool{
 	"cloud.InstanceID": true,
 	"cloud.VolumeID":   true,
 	"cloud.Addr":       true,
 	"netip.Addr":       true,
+}
+
+// idMapPackages are the HotPathPackages R4 applies to: the two that resolve
+// the platform's ids on every provider call and warning.
+var idMapPackages = map[string]bool{
+	"internal/core":     true,
+	"internal/cloudsim": true,
 }
 
 // HotPath keeps event code free of per-event closures and of loop
@@ -31,14 +39,15 @@ var idKeyTypes = map[string]bool{
 //	R2  a function literal in a go or defer statement;
 //	R3  Step/Run/RunUntil on a sched path: code that runs inside an event
 //	    never drives the loop, so no slab slot is recycled under it;
-//	R4  (internal/cloudsim only) a map keyed by an id type in idKeyTypes.
+//	R4  (internal/cloudsim and internal/core) a map keyed by an id type in
+//	    idKeyTypes.
 //
 // The check is syntactic: receivers are recognized by name, so a method
 // value or a closure stored in a field first is invisible. A cold call
 // site that keeps its closure carries //lint:ignore hotpath <reason>.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "event code hands no function literal to the scheduler or provider, never drives the loop, and cloudsim keys no map by an id",
+	Doc:  "event code hands no function literal to the scheduler or provider, never drives the loop, and cloudsim and core key no map by an id",
 	Run:  runHotPath,
 }
 
@@ -47,7 +56,7 @@ func runHotPath(pass *Pass) {
 	if !HotPathPackages[rel] {
 		return
 	}
-	idMaps := rel == "internal/cloudsim"
+	idMaps := idMapPackages[rel]
 	ast.Inspect(pass.File.AST, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
@@ -58,7 +67,7 @@ func runHotPath(pass *Pass) {
 			checkHotCall(pass, n)
 		case *ast.MapType:
 			if key := selectorPath(n.Key); idMaps && idKeyTypes[key] {
-				pass.Reportf(n, "map keyed by %s in cloudsim; resolve ids through the sequence-indexed tables", key)
+				pass.Reportf(n, "map keyed by %s in event code; resolve ids through sequence-indexed tables or the platform's pointers", key)
 			}
 		}
 		return true

@@ -108,10 +108,18 @@ type t struct {
 			want: []string{"map keyed by cloud.InstanceID", "map keyed by cloud.VolumeID", "map keyed by netip.Addr", "map keyed by cloud.Addr"},
 		},
 		{
-			name: "R4 applies to cloudsim only",
+			name: "R4 applies to core too",
 			rel:  "internal/core",
 			src: `package core
 var hostIndex map[cloud.InstanceID]int
+`,
+			want: []string{"map keyed by cloud.InstanceID"},
+		},
+		{
+			name: "R4 does not apply to cloudchaos",
+			rel:  "internal/cloudchaos",
+			src: `package cloudchaos
+var seen map[cloud.InstanceID]int
 `,
 		},
 		{

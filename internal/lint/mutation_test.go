@@ -138,6 +138,13 @@ var treeMutations = []treeMutation{
 		want: "function literal handed to p.sched.AtArg", n: 1,
 	},
 	{
+		name: "host index keyed by instance id", analyzer: HotPath,
+		file: "internal/core/core.go",
+		old:  "hostIndex map[*cloud.Instance]slab.Handle",
+		new:  "hostIndex map[cloud.InstanceID]slab.Handle",
+		want: "map keyed by cloud.InstanceID in event code", n: 1,
+	},
+	{
 		name: "shard fold sums degraded time raw", analyzer: DurAcc,
 		file: "internal/core/shard.go",
 		old:  "degraded.add(r.TotalDegraded)",

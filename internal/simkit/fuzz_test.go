@@ -196,6 +196,31 @@ func FuzzScheduler(f *testing.F) {
 		storm = append(storm, 3)
 	}
 	f.Add(storm)
+	// Times that span 2^40, and same-instant ties on digit boundaries (16,
+	// 2^20, 2^40; a first byte of 91 draws 2^40 and 51 draws 1): each
+	// instant gets an event scheduled from time zero and
+	// ties scheduled from one tick before it, after a run to just short of
+	// it, and one tie schedules another at its own instant as it fires.
+	f.Add([]byte{
+		0, 91, 0, 0, 0, 91, 0, 6, 0, 20, 0, 0, 0, 4, 0, 0,
+		5, 0, 0, 0, 51, 0, 0, 0, 51, 0, 6, 3, 3, 3, 3, 3,
+		5, 0, 0, 0, 51, 0, 2, 0, 51, 0, 0, 3, 3, 3, 3,
+		5, 0, 0, 0, 51, 0, 0, 0, 51, 0, 12, 0, 51, 0, 6, 3, 3, 3, 3, 3, 3, 3, 3,
+	})
+	// One event per power of two up to 2^40, each with a tie, drained in
+	// one pass: every level of the radix is dealt. (A first byte that is a
+	// multiple of 8 draws no delay; k+51 draws the same power.)
+	var ladder []byte
+	for k := range byte(41) {
+		if k%8 == 0 {
+			k += 51
+		}
+		ladder = append(ladder, 0, k, 255, 0, 0, k, 255, 6)
+	}
+	for range 130 {
+		ladder = append(ladder, 3)
+	}
+	f.Add(ladder)
 	// Long programs: many events over every bucket, cancel storms.
 	for seed := int64(1); seed <= 4; seed++ {
 		r := rand.New(rand.NewSource(seed))

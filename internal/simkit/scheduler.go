@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 )
 
 // event is one slot in the scheduler's slab: the live state of a scheduled
@@ -69,10 +70,21 @@ type bucket struct {
 	min        Time
 }
 
-// buckets is the number of radix buckets: bucket b holds the entries whose
-// time first differs from the queue's reference time at bit b-1, bucket 0
-// the ones equal to it. Times are never negative, so bit 63 never differs.
-const buckets = 64
+// The queue's radix is a digit of digitBits bits: a time's level is the
+// highest digit in which it differs from the queue's reference time (0 when
+// it equals it), and its bucket is that level's bucket for the time's own
+// digit there. Bucket numbers grow with time: every entry of a level sits
+// after every entry of the levels below it, and within a level the larger
+// digit comes later. An entry moves down at least one level each time its
+// bucket is dealt, so it is dealt at most levels-1 times; a level-0 bucket
+// holds entries of one instant and is never dealt.
+const (
+	digitBits = 4
+	digitMask = 1<<digitBits - 1
+	levels    = 64 / digitBits
+	buckets   = levels << digitBits
+	usedWords = buckets / 64 // the used bitmap's words; lowest reads all four
+)
 
 // maxTime is the largest virtual time.
 const maxTime = Time(math.MaxInt64)
@@ -106,18 +118,22 @@ func (h Event) Pending() bool {
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use: simulations are deterministic single-goroutine runs.
 //
-// The pending queue is a monotone radix heap: scheduling before now panics,
-// so the times popped never decrease, and each entry sits in the bucket
-// named by the highest bit in which its time differs from last, the queue's
-// reference time, which is never after now (see redistribute). Events of
-// one instant always share a bucket and a bucket is a FIFO, so they pop in
-// the order they were scheduled. Fired or canceled slots and emptied blocks
-// are recycled through free lists, so steady-state scheduling allocates
-// nothing.
+// The pending queue is a monotone radix heap over 4-bit digits: scheduling
+// before now panics, so the times popped never decrease, and each entry
+// sits in the bucket named by the highest digit in which its time differs
+// from last, the queue's reference time, and its own value of that digit
+// (see slotOf). last is never after now. Events of one instant always share
+// a bucket and a bucket is a FIFO, so they pop in the order they were
+// scheduled. Fired or canceled slots and emptied blocks are recycled
+// through free lists, so steady-state scheduling allocates nothing. Every
+// yieldEvery events fire gives up the processor (runtime.Gosched), so the
+// collector's mark worker never waits on a running loop for long.
 type Scheduler struct {
 	now   Time
-	last  Time   // the queue's reference time: last ≤ now ≤ every entry's at
-	used  uint64 // bit b set: bucket b is not empty
+	last  Time              // the queue's reference time: last ≤ now ≤ every entry's at
+	used  [usedWords]uint64 // bit b%64 of word b/64 set: bucket b is not empty
+	dealt uint64            // entries moved by deal, the queue's re-sorting work
+	head  int               // the bucket front found the next event in
 	bkt   [buckets]bucket
 	blks  []block // the buckets' storage
 	links []int32 // per block: the chain's next block, or the free list's
@@ -172,10 +188,14 @@ func (s *Scheduler) alloc() *event {
 
 // recycle returns an ended (fired or canceled) slot to the free list,
 // dropping the callback so it can be collected and the slot reads as no
-// longer queued.
+// longer queued. Only the field that is set is cleared: a pointer store
+// pays the collector's write barrier while it marks.
 func (s *Scheduler) recycle(e *event) {
-	e.fn = nil
-	e.afn = nil
+	if e.fn != nil {
+		e.fn = nil
+	} else {
+		e.afn = nil
+	}
 	s.free = append(s.free, e.id)
 }
 
@@ -206,16 +226,39 @@ func (s *Scheduler) freeBlock(b int32) {
 	s.spare = b
 }
 
+// isUsed reports whether bucket i holds entries. Here and below, masking a
+// bucket number with the table's size lets the compiler drop the bounds
+// check.
+func (s *Scheduler) isUsed(i int) bool { return s.used[i>>6&(usedWords-1)]&(1<<(i&63)) != 0 }
+
+// setUsed and clearUsed mark bucket i non-empty and empty.
+func (s *Scheduler) setUsed(i int)   { s.used[i>>6&(usedWords-1)] |= 1 << (i & 63) }
+func (s *Scheduler) clearUsed(i int) { s.used[i>>6&(usedWords-1)] &^= 1 << (i & 63) }
+
+// lowest returns the first non-empty bucket, which holds the earliest
+// entries; some bucket must be non-empty.
+func (s *Scheduler) lowest() int {
+	switch {
+	case s.used[0] != 0:
+		return bits.TrailingZeros64(s.used[0])
+	case s.used[1] != 0:
+		return 64 | bits.TrailingZeros64(s.used[1])
+	case s.used[2] != 0:
+		return 128 | bits.TrailingZeros64(s.used[2])
+	}
+	return 192 | bits.TrailingZeros64(s.used[3])
+}
+
 // put appends en to bucket i, taking a block off the free list when the
 // bucket is empty or its tail block full: the caller makes sure the list
 // has one.
 func (s *Scheduler) put(i int, en entry) {
-	q := &s.bkt[i]
+	q := &s.bkt[i&(buckets-1)]
 	switch {
-	case s.used&(1<<i) == 0:
+	case !s.isUsed(i):
 		b := s.takeBlock()
 		*q = bucket{head: b, tail: b, min: en.at}
-		s.used |= 1 << i
+		s.setUsed(i)
 	case q.hi == blockLen:
 		b := s.takeBlock()
 		s.links[q.tail] = b
@@ -228,19 +271,24 @@ func (s *Scheduler) put(i int, en entry) {
 	q.hi++
 }
 
-// bucketOf returns the bucket an entry at t belongs in.
-func (s *Scheduler) bucketOf(t Time) int { return bits.Len64(uint64(t ^ s.last)) }
+// slotOf returns the bucket of an entry at t when the reference time is
+// last: level l, the highest digit in which they differ (0 when t is last),
+// and t's digit d there, as l<<digitBits | d.
+func slotOf(t, last Time) int {
+	l := uint(bits.Len64(uint64(t^last)|1)-1) / digitBits
+	return int(l<<digitBits | uint(t)>>(l*digitBits)&digitMask)
+}
 
-// takeFront removes the first entry of bucket 0.
-func (s *Scheduler) takeFront() entry {
-	q := &s.bkt[0]
+// takeFront removes the first entry of bucket i, the front bucket.
+func (s *Scheduler) takeFront(i int) entry {
+	q := &s.bkt[i&(buckets-1)]
 	en := s.blks[q.head][q.lo]
 	q.lo++
 	s.size--
 	switch {
 	case q.head == q.tail && q.lo == q.hi:
 		s.freeBlock(q.head)
-		s.used &^= 1
+		s.clearUsed(i)
 	case q.lo == blockLen:
 		b := q.head
 		q.head, q.lo = s.links[b], 0
@@ -249,21 +297,17 @@ func (s *Scheduler) takeFront() entry {
 	return en
 }
 
-// redistribute empties bucket i, the lowest non-empty one, into the buckets
-// below it after moving last to its earliest time. Every entry of bucket i
-// shares last's bits above bit i-1, so entries of higher buckets keep
-// their buckets; the buckets below are empty, and walking bucket i in order
-// keeps each of them a FIFO in scheduling order.
+// redistribute empties bucket i, the lowest non-empty one, above level 0
+// and holding more than one entry, into the buckets below its level after
+// moving last to its earliest time. Every entry of bucket i shares last's
+// digits above i's level and its own digit at that level, and so does the
+// new last: entries of higher buckets keep their buckets. The buckets
+// below are empty, and walking bucket i in order keeps each of them a FIFO
+// in scheduling order.
 func (s *Scheduler) redistribute(i int) {
 	q := s.bkt[i]
-	s.used &^= 1 << i
+	s.clearUsed(i)
 	s.last = q.min
-	if q.head == q.tail && q.hi-q.lo == 1 {
-		// A lone entry is at last: its chain becomes bucket 0 as it is.
-		s.bkt[0] = q
-		s.used |= 1
-		return
-	}
 	for b, lo := q.head, q.lo; ; lo = 0 {
 		hi := int32(blockLen)
 		if b == q.tail {
@@ -289,18 +333,21 @@ func (s *Scheduler) deal(b, lo, hi int32) int32 {
 	src, last := &s.blks[b], s.last
 	for k := lo; k < hi; k++ {
 		en := src[k]
-		j := bits.Len64(uint64(en.at^last)) & (buckets - 1)
+		j := slotOf(en.at, last) & (buckets - 1)
 		t := &s.bkt[j]
+		w, bit := &s.used[j>>6], uint64(1)<<(j&63)
 		switch {
-		case s.used&(1<<j) == 0:
+		case *w&bit == 0:
 			if s.spare < 0 {
+				s.dealt += uint64(k - lo)
 				return k
 			}
 			nb := s.takeBlock()
 			*t = bucket{head: nb, tail: nb, min: en.at}
-			s.used |= 1 << j
+			*w |= bit
 		case t.hi == blockLen:
 			if s.spare < 0 {
+				s.dealt += uint64(k - lo)
 				return k
 			}
 			nb := s.takeBlock()
@@ -313,6 +360,7 @@ func (s *Scheduler) deal(b, lo, hi int32) int32 {
 		s.blks[t.tail][t.hi] = en
 		t.hi++
 	}
+	s.dealt += uint64(hi - lo)
 	return hi
 }
 
@@ -328,40 +376,51 @@ func (s *Scheduler) freeChain(b, tail int32) {
 	}
 }
 
-// front brings the earliest pending event to the front of bucket 0 and
-// returns its slot, dropping the orphans it passes. It reports false when
-// nothing is pending at or before limit, and then leaves last at or before
-// limit: a later push at any time from now on still has its bucket.
+// front finds the earliest pending event at the front of a bucket, moves
+// last to its time and returns its slot, dropping the orphans it passes;
+// head names the bucket for fire. It reports false when nothing is pending
+// at or before limit, and then leaves last at or before limit: a later push
+// at any time from now on still has its bucket.
 func (s *Scheduler) front(limit Time) (*event, bool) {
 	for {
 		if s.live == 0 {
 			s.clear()
 			return nil, false
 		}
-		if s.used&1 != 0 {
-			q := &s.bkt[0]
-			if e, ok := s.isLive(s.blks[q.head][q.lo]); ok {
-				return e, true
+		i := s.lowest()
+		q := &s.bkt[i&(buckets-1)]
+		if q.min != s.last {
+			if q.min > limit {
+				return nil, false
 			}
-			s.takeFront()
-			continue
+			if i > digitMask && (q.head != q.tail || q.hi-q.lo != 1) {
+				s.redistribute(i)
+				continue
+			}
+			// A level-0 bucket holds one instant, the next, and a lone entry
+			// is the next event: either is the front as it is. A lone entry
+			// above level 0 then sits in a bucket that is not its own until
+			// fire takes it, before anything else can be pushed.
+			s.last = q.min
 		}
-		i := bits.TrailingZeros64(s.used)
-		if s.bkt[i].min > limit {
-			return nil, false
+		if e, ok := s.isLive(s.blks[q.head][q.lo]); ok {
+			s.head = i
+			return e, true
 		}
-		s.redistribute(i)
+		s.takeFront(i)
 	}
 }
 
 // clear drops every entry — all orphans, as nothing is pending — and puts
 // last back to now.
 func (s *Scheduler) clear() {
-	for used := s.used; used != 0; used &= used - 1 {
-		q := &s.bkt[bits.TrailingZeros64(used)]
-		s.freeChain(q.head, q.tail)
+	for w, u := range s.used {
+		for ; u != 0; u &= u - 1 {
+			q := &s.bkt[w<<6|bits.TrailingZeros64(u)]
+			s.freeChain(q.head, q.tail)
+		}
 	}
-	s.used, s.size, s.last = 0, 0, s.now
+	s.used, s.size, s.last = [usedWords]uint64{}, 0, s.now
 }
 
 // compact drops every orphan, keeping each bucket's live entries in order,
@@ -371,8 +430,10 @@ func (s *Scheduler) compact() {
 		s.clear()
 		return
 	}
-	for used := s.used; used != 0; used &= used - 1 {
-		i := bits.TrailingZeros64(used)
+	for i := range buckets {
+		if !s.isUsed(i) {
+			continue
+		}
 		q := &s.bkt[i]
 		// The write cursor w never passes the read cursor, so the chain is
 		// rewritten in place.
@@ -406,7 +467,7 @@ func (s *Scheduler) compact() {
 		switch {
 		case kept == 0:
 			s.freeChain(q.head, q.tail)
-			s.used &^= 1 << i
+			s.clearUsed(i)
 			continue
 		case w.tail != q.tail:
 			s.freeChain(s.links[w.tail], q.tail)
@@ -453,7 +514,7 @@ func (s *Scheduler) push(t Time, label string) *event {
 	if s.spare < 0 {
 		s.grow()
 	}
-	s.put(s.bucketOf(t), entry{at: t, id: e.id, tag: uint32(e.gen)})
+	s.put(slotOf(t, s.last), entry{at: t, id: e.id, tag: uint32(e.gen)})
 	s.size++
 	s.live++
 	return e
@@ -511,12 +572,25 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// fire runs e, the live event at the front of bucket 0.
+// yieldEvery is how many events fire between two yields of the processor.
+// A simulation is one goroutine that never blocks, so with one processor
+// (GOMAXPROCS=1, as the sweeps and the benchmark run it) the collector's
+// mark worker would get the CPU only when the runtime preempts the loop,
+// about every 10 ms, and the write barrier would slow every pointer store
+// for that long each cycle: a third of spotsim's run time at its 4 MB heap
+// goal. Yielding every 256 events, a tenth of a millisecond, lets a mark
+// finish within about that.
+const yieldEvery = 256
+
+// fire runs e, the live event front found at the front of bucket head.
 func (s *Scheduler) fire(e *event) {
-	s.takeFront()
+	s.takeFront(s.head)
 	s.now = s.last
 	s.live--
 	s.fired++
+	if s.fired%yieldEvery == 0 {
+		runtime.Gosched()
+	}
 	fn, afn, arg := e.fn, e.afn, e.arg
 	s.recycle(e)
 	if fn != nil {

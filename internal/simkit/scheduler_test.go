@@ -3,9 +3,11 @@ package simkit
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -653,5 +655,69 @@ func TestRecordSizes(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(event{}); got != 40 {
 		t.Errorf("event is %d bytes, want 40", got)
+	}
+}
+
+// TestSchedulerStormDeals pins the queue's re-sorting work on a synthetic
+// revocation storm: 10 000 events at nanosecond offsets spread over 120 s,
+// scheduled an hour ahead, while a monitor ticks on a 10-minute grid for
+// six hours. With 4-bit digits an entry is dealt at most 15 times, and the
+// storm's entries, which share their high digits, far fewer: the count
+// moves only if the radix or the bucket rule changes.
+func TestSchedulerStormDeals(t *testing.T) {
+	s := NewScheduler()
+	rng := rand.New(rand.NewSource(1))
+	fired, last := 0, Time(0)
+	check := func(uint64) {
+		if s.Now() < last {
+			t.Fatalf("popped %v after %v", s.Now(), last)
+		}
+		last = s.Now()
+		fired++
+	}
+	var tick func(uint64)
+	tick = func(n uint64) {
+		check(n)
+		if n < 36 {
+			s.AfterArg(10*Minute, "tick", tick, n+1)
+		}
+	}
+	s.AtArg(0, "tick", tick, 0)
+	for range 10_000 {
+		s.AtArg(Hour+Time(rng.Int63n(int64(120*Second))), "storm", check, 0)
+	}
+	s.Run(0)
+	if fired != 10_037 {
+		t.Fatalf("fired %d events, want 10 037", fired)
+	}
+	if got, want := s.Dealt(), uint64(42_099); got != want {
+		t.Errorf("dealt %d entries for %d events, want %d", got, fired, want)
+	}
+}
+
+// TestSchedulerYields checks that a run gives up the processor every
+// yieldEvery events: with one processor, a goroutine that became runnable
+// before the run (standing in for the collector's mark worker) runs by
+// then, not only once the runtime preempts the loop after the run's last
+// event.
+func TestSchedulerYields(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := NewScheduler()
+	var ran atomic.Bool
+	seen := uint64(0) // the first event that saw the other goroutine's store
+	for i := range 2 * yieldEvery {
+		s.AtArg(Time(i), "e", func(n uint64) {
+			if seen == 0 && ran.Load() {
+				seen = n
+			}
+		}, uint64(i+1))
+	}
+	go ran.Store(true)
+	s.Run(0)
+	switch {
+	case seen == 0:
+		t.Errorf("the other goroutine did not run during %d events; want it to run by event %d", 2*yieldEvery, yieldEvery)
+	case seen > yieldEvery:
+		t.Errorf("the other goroutine first ran before event %d; want it to run by event %d", seen, yieldEvery)
 	}
 }
