@@ -55,7 +55,8 @@ type foldCustomer struct {
 
 // foldReport recomputes what Report and Customers answer from the
 // controller's per-VM records and the platform's instances: every VM the
-// controller holds, folded by customer name in a map, and every rental not
+// controller holds that has landed (vm.Host is set), its ledger read as of
+// now and folded by customer name in a map, and every rental not
 // yet final billed afresh from the price trace's PrefixIntegral
 // (Integrate(Launched, end)) or the on-demand rate. Durations are summed
 // exactly; dollars are added in the controller's rental order, so they
@@ -66,24 +67,17 @@ func foldReport(c *Controller, prefixes map[spotmarket.MarketKey]*spotmarket.Pre
 	var down, degraded, service, stateful simkit.Time
 	byName := map[string]*foldCustomer{}
 	for _, vs := range c.vms {
-		if vs == nil || vs.phase == phaseProvisioning {
-			continue
+		if vs == nil || vs.vm.Host == "" {
+			continue // recycled, or never landed
 		}
 		vm := vs.vm
-		end := now
-		if vs.phase == phaseReleased {
-			end = vs.serviceEnd
-		}
-		if end < vm.Created {
-			continue
-		}
-		life := end - vm.Created
-		d, g := vm.Ledger.Snapshot(end)
+		life := vm.Ledger.Service(now)
+		d, g := vm.Ledger.Snapshot(now)
 		down += d
 		degraded += g
 		service += life
-		r.MaxDownSpell = max(r.MaxDownSpell, vm.Ledger.MaxDownSpell(end))
-		r.TCPBreaks += vm.Ledger.TCPBreaks(end)
+		r.MaxDownSpell = max(r.MaxDownSpell, vm.Ledger.MaxDownSpell(now))
+		r.TCPBreaks += vm.Ledger.TCPBreaks(now)
 		fc := byName[vm.Customer]
 		if fc == nil {
 			fc = &foldCustomer{}
@@ -295,6 +289,22 @@ func TestAggregatesMatchPerVMFold(t *testing.T) {
 	}
 	release(11) // still being placed
 	check(simkit.Minute)
+	// A customer whose only VM is released before it lands is no customer,
+	// and the VM adds nothing to Report (the fold leaves it out).
+	check(simkit.Hour)
+	request("dora", false)
+	release(len(ids) - 1)
+	check(2 * simkit.Hour)
+	for _, c := range []*Controller{rec, keep} {
+		for _, cr := range c.Customers() {
+			if cr.Customer == "dora" {
+				t.Errorf("a VM released before it landed counts as a customer's: %+v", cr)
+			}
+		}
+	}
+	if vs := keep.lookupVM(ids[len(ids)-1]); vs.phase != phaseReleased || vs.vm.Host != "" {
+		t.Errorf("dora's VM was meant to be released before it landed: phase %d, host %q", vs.phase, vs.vm.Host)
+	}
 	check(30 * simkit.Hour)
 	release(0)
 	release(4)

@@ -160,8 +160,6 @@ type vmState struct {
 	// restoreSrv holds the backup server serving an in-progress lazy
 	// restore (so its restore slot is released even on early teardown).
 	restoreSrv *backup.Server
-	// serviceEnd records when a released VM left service.
-	serviceEnd simkit.Time
 	// homeMarket is the market of the spot pool the placement policy
 	// originally assigned (nil when it has none); returns after a spike go
 	// back there so the policy's distribution of VMs across pools (Table 2)
@@ -207,6 +205,10 @@ type vmState struct {
 // slotType is the size hosts are sliced into for vs: its requested type's
 // catalog entry in the market table, one per type for the whole controller.
 func (vs *vmState) slotType() *cloud.InstanceType { return &vs.typeMarket.typ }
+
+// served reports whether the VM has entered service: its ledger started. A
+// ledger that never started is the zero Ledger.
+func (vs *vmState) served() bool { return vs.vm.Ledger != nestedvm.Ledger{} }
 
 type hostRole uint8
 
@@ -399,7 +401,7 @@ type Controller struct {
 	rented          uint32       // rentals ever entered: the last rental.n
 	rentalFinal     [3]cloud.USD // folded cost by rentalKind
 	rentalsScrubbed int          // ledger length after the last fold
-	retired         retiredVMStats
+	retired         serviceStats
 
 	// tick numbers the monitor's ticks; market samples are stamped with it,
 	// so a sample's age is a comparison and nothing is cleared. It starts
@@ -438,16 +440,28 @@ type Controller struct {
 	shutdown bool
 }
 
-// retiredVMStats accumulates the final accounting of VMs whose controller
-// state has been recycled (Config.RecycleReleased); the per-customer part
-// is in each customer record. All sums are integer durations held in
-// overflow-proof accumulators (durAcc — fleet-scale service totals outgrow
-// int64 nanoseconds), so totals are exactly what a retained per-VM walk
-// would produce regardless of fold order.
-type retiredVMStats struct {
+// serviceStats accumulates the accounting of a set of served VMs:
+// Controller.retired holds that of the VMs whose controller state has been
+// recycled (Config.RecycleReleased), and Report adds the tracked ones to a
+// copy of it; the per-customer part is in each customer record. All sums
+// are integer durations held in overflow-proof accumulators (durAcc —
+// fleet-scale service totals outgrow int64 nanoseconds), so totals are
+// exactly what a retained per-VM walk would produce regardless of fold
+// order.
+type serviceStats struct {
 	service, down, degraded durAcc
 	maxDownSpell            simkit.Time
 	tcpBreaks               int
+}
+
+// add folds in the accounting of a VM's ledger as of now.
+func (s *serviceStats) add(l *nestedvm.Ledger, now simkit.Time) {
+	d, g := l.Snapshot(now)
+	s.service.add(l.Service(now))
+	s.down.add(d)
+	s.degraded.add(g)
+	s.maxDownSpell = max(s.maxDownSpell, l.MaxDownSpell(now))
+	s.tcpBreaks += l.TCPBreaks(now)
 }
 
 // customerAcc is one customer's accounting over a set of VMs that entered
@@ -460,11 +474,13 @@ type customerAcc struct {
 	down     durAcc
 }
 
-// add counts in a VM that served for life with down of it unavailable.
-func (a *customerAcc) add(life, down simkit.Time, stateless bool) {
+// add counts in a served VM's accounting as of now.
+func (a *customerAcc) add(vs *vmState, now simkit.Time) {
+	life := vs.vm.Ledger.Service(now)
+	down, _ := vs.vm.Ledger.Snapshot(now)
 	a.vms++
 	a.service.add(life)
-	if !stateless {
+	if !vs.stateless {
 		a.stateful.add(life)
 	}
 	a.down.add(down)
@@ -670,21 +686,13 @@ func (c *Controller) newHostState() *hostState {
 // accounting into the retained aggregates first (Config.RecycleReleased).
 func (c *Controller) freeVMSlot(vs *vmState) {
 	vm := vs.vm
-	end := vs.serviceEnd
-	if end >= vm.Created {
+	if vs.served() {
 		// Fold exactly the per-VM contributions Report and Customers would
 		// have computed from the retained state. Every sum is an integer
 		// duration, so the fold is order-independent and exact.
-		life := end - vm.Created
-		d, g := vm.Ledger.Snapshot(end)
-		c.retired.service.add(life)
-		c.retired.down.add(d)
-		c.retired.degraded.add(g)
-		if spell := vm.Ledger.MaxDownSpell(end); spell > c.retired.maxDownSpell {
-			c.retired.maxDownSpell = spell
-		}
-		c.retired.tcpBreaks += vm.Ledger.TCPBreaks(end)
-		vs.cust.retired.add(life, d, vs.stateless)
+		now := c.sched.Now()
+		c.retired.add(&vm.Ledger, now)
+		vs.cust.retired.add(vs, now)
 	}
 	c.vms[vmSeq(vm.ID)] = nil
 	if c.trace != nil {

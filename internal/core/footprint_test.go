@@ -7,13 +7,15 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/cloudsim"
 	"repro/internal/migration"
+	"repro/internal/nestedvm"
 	"repro/internal/simkit"
 	"repro/internal/spotmarket"
 )
 
 // TestRecordSizes pins the size of the records the controller keeps per VM,
 // per host slot and per pooled acquisition (64-bit platforms). A fleet
-// holds one vmState per VM, about two hostState slots per VM and one
+// holds one vmState and one nestedvm.VM per VM (the service interval's
+// stamps live in the VM's ledger), about two hostState slots per VM and one
 // pendingAcq per VM at the 10k rung's peak, so a field added to any of them
 // is fleet-sized; grow one only on purpose, and update the budget in
 // docs/SCALING.md with it.
@@ -25,7 +27,8 @@ func TestRecordSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"vmState", unsafe.Sizeof(vmState{}), 304}, // + the customer record pointer
+		{"vmState", unsafe.Sizeof(vmState{}), 296}, // the service end moved to the VM's ledger
+		{"nestedvm.VM", unsafe.Sizeof(nestedvm.VM{}), 288},
 		{"hostState", unsafe.Sizeof(hostState{}), 120},
 		{"pendingAcq", unsafe.Sizeof(pendingAcq{}), 64},
 		{"rental", unsafe.Sizeof(rental{}), 24},

@@ -294,16 +294,25 @@ func auditController(t *testing.T, c *Controller, mech migration.Mechanism) {
 		}
 		vm := vs.vm
 
+		// The ledger's stamps agree with the phase: it started exactly when
+		// the VM landed (vm.Host is set; a ledger that never started is the
+		// zero Ledger), and a started one is closed exactly when the VM is
+		// released (past the close, Service stops growing).
+		landed, started := vm.Host != "", vm.Ledger != nestedvm.Ledger{}
+		service := vm.Ledger.Service(now)
+		closed := started && vm.Ledger.Service(now+simkit.Second) == service
+		if started != landed {
+			t.Errorf("%s: ledger started %v, landed %v", id, started, landed)
+		}
+		if started && closed != (vs.phase == phaseReleased) {
+			t.Errorf("%s: ledger closed %v in phase %d", id, closed, vs.phase)
+		}
+		if !landed && service != 0 {
+			t.Errorf("%s: in service for %v without landing", id, service)
+		}
 		// Ledger conservation: down + degraded never exceeds service time.
-		if vs.phase != phaseProvisioning {
-			end := now
-			if vs.phase == phaseReleased {
-				end = vs.serviceEnd
-			}
-			down, degraded := vm.Ledger.Snapshot(end)
-			if lifetime := end - vm.Created; down+degraded > lifetime {
-				t.Errorf("%s: down %v + degraded %v exceeds lifetime %v", id, down, degraded, lifetime)
-			}
+		if down, degraded := vm.Ledger.Snapshot(now); down+degraded > service {
+			t.Errorf("%s: down %v + degraded %v exceeds service %v", id, down, degraded, service)
 		}
 
 		switch vs.phase {

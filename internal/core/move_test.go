@@ -71,7 +71,7 @@ func TestFindStagingSlotMatchesSortedScan(t *testing.T) {
 			hosts = append(hosts, h)
 		}
 		vs := c.newVMState()
-		vm, err := nestedvm.NewVM("nvm-00001", "t", types[rng.Intn(len(types))], nestedvm.DefaultMemory(), 0)
+		vm, err := nestedvm.NewVM("nvm-00001", "t", types[rng.Intn(len(types))], nestedvm.DefaultMemory())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,7 +58,7 @@ func (c *Controller) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, 
 	id := vmID(n)
 	mem := nestedvm.DefaultMemory()
 	mem.DirtyMBs = c.cfg.Workload.DirtyMBs
-	vm, err := nestedvm.NewVM(id, opts.Customer, typ, mem, c.sched.Now())
+	vm, err := nestedvm.NewVM(id, opts.Customer, typ, mem)
 	if err != nil {
 		return "", err
 	}
@@ -152,7 +152,6 @@ func (c *Controller) abandon(vs *vmState) {
 	c.enter(vs, moveIdle)
 	vs.move = move{}
 	vs.pendingRelease = false
-	vs.vm.Created = c.sched.Now() // it never entered service
 	c.teardownVM(vs)
 }
 
@@ -381,8 +380,7 @@ func (c *Controller) install(vs *vmState, err error) {
 			}
 		}
 	default:
-		// Address and volume are on: the service clock starts.
-		vm.Created = c.sched.Now()
+		// Address and volume are on: the service interval opens.
 		vm.Ledger.Start(c.sched.Now())
 		c.land(vs)
 		return
@@ -575,11 +573,10 @@ func (c *Controller) ReleaseServer(id nestedvm.ID) error {
 func (c *Controller) teardownVM(vs *vmState) {
 	vm, h := vs.vm, vs.host
 	vs.phase = phaseReleased
-	vs.serviceEnd = c.sched.Now()
+	vm.Ledger.Close(c.sched.Now()) // abandon's VM has no interval to close
 	c.met.vmsReleased.Inc()
 	c.emit("vm", string(vm.ID), EventReleased, "released by customer")
 	if h != nil {
-		vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
 		c.unregisterBackup(vs)
 		c.endLazyWindow(vs)
 		// Retiring may forget the host and recycle its slot; the instance

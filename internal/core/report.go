@@ -144,24 +144,17 @@ func (c *Controller) Customers() []CustomerReport {
 	// One accumulator per customer record, in name order: seeded with the
 	// recycled VMs' whole contribution, folded into the retired sums when
 	// their slots were freed. Every sum is an integer duration, so the
-	// seed is exact regardless of fold order.
+	// totals are exact regardless of fold order.
 	accs := make([]customerAcc, len(c.customers))
-	var totalService, totalStateful durAcc
 	for i, cu := range c.customers {
 		accs[i] = cu.retired
-		totalService.addAcc(cu.retired.service)
-		totalStateful.addAcc(cu.retired.stateful)
 	}
-	c.forEachServiceVM(now, func(vs *vmState, end simkit.Time) {
-		vm := vs.vm
-		life := end - vm.Created
-		d, _ := vm.Ledger.Snapshot(end)
-		accs[vs.cust.idx].add(life, d, vs.stateless)
-		totalService.add(life)
-		if !vs.stateless {
-			totalStateful.add(life)
-		}
-	})
+	c.forEachServiceVM(func(vs *vmState) { accs[vs.cust.idx].add(vs, now) })
+	var totalService, totalStateful durAcc
+	for i := range accs {
+		totalService.addAcc(accs[i].service)
+		totalStateful.addAcc(accs[i].stateful)
+	}
 	// Settle as Report does (through Stats): an embedder's lock-free
 	// metrics read the same counters after either.
 	c.Settle()
@@ -195,20 +188,12 @@ func (c *Controller) Customers() []CustomerReport {
 }
 
 // forEachServiceVM calls fn, in id-number order, for every tracked VM that
-// has entered service, with the end of its service interval so far: now,
-// or the moment it was released. Report and Customers only sum integer
-// durations and take maxima over the walk, so its order cannot show.
-func (c *Controller) forEachServiceVM(now simkit.Time, fn func(vs *vmState, end simkit.Time)) {
+// has entered service. Report and Customers only sum integer durations and
+// take maxima over the walk, so its order cannot show.
+func (c *Controller) forEachServiceVM(fn func(vs *vmState)) {
 	for _, vs := range c.vms {
-		if vs == nil || vs.phase == phaseProvisioning {
-			continue // recycled, or not in service yet
-		}
-		end := now
-		if vs.phase == phaseReleased {
-			end = vs.serviceEnd
-		}
-		if end >= vs.vm.Created {
-			fn(vs, end)
+		if vs != nil && vs.served() { // not recycled, and landed
+			fn(vs)
 		}
 	}
 }
@@ -220,26 +205,14 @@ func (c *Controller) Report() Report {
 
 	// Seed from the retired accumulators (recycled VMs); the live walk
 	// below adds only VMs whose slots are still tracked.
-	down, degraded := c.retired.down, c.retired.degraded
-	serviceTotal := c.retired.service
-	r.MaxDownSpell = c.retired.maxDownSpell
-	r.TCPBreaks = c.retired.tcpBreaks
-	c.forEachServiceVM(now, func(vs *vmState, end simkit.Time) {
-		vm := vs.vm
-		d, g := vm.Ledger.Snapshot(end)
-		down.add(d)
-		degraded.add(g)
-		serviceTotal.add(end - vm.Created)
-		if spell := vm.Ledger.MaxDownSpell(end); spell > r.MaxDownSpell {
-			r.MaxDownSpell = spell
-		}
-		r.TCPBreaks += vm.Ledger.TCPBreaks(end)
-	})
-	r.TotalDown, r.TotalDegraded = down.clamp(), degraded.clamp()
-	r.VMHours = serviceTotal.hours()
-	if serviceTotal.positive() {
-		r.Availability = 1 - down.ns()/serviceTotal.ns()
-		r.DegradedFraction = degraded.ns() / serviceTotal.ns()
+	s := c.retired
+	c.forEachServiceVM(func(vs *vmState) { s.add(&vs.vm.Ledger, now) })
+	r.MaxDownSpell, r.TCPBreaks = s.maxDownSpell, s.tcpBreaks
+	r.TotalDown, r.TotalDegraded = s.down.clamp(), s.degraded.clamp()
+	r.VMHours = s.service.hours()
+	if s.service.positive() {
+		r.Availability = 1 - s.down.ns()/s.service.ns()
+		r.DegradedFraction = s.degraded.ns() / s.service.ns()
 	} else {
 		r.Availability = 1
 	}
@@ -381,17 +354,10 @@ func (c *Controller) describe(vs *vmState) VMInfo {
 		info.HostType = vs.host.inst.Type.Name
 		info.Market = vs.host.pool.key.Market.String()
 	}
-	if vs.phase != phaseProvisioning {
-		end := c.sched.Now()
-		if vs.phase == phaseReleased {
-			end = vs.serviceEnd
-		}
-		info.Availability = vm.Ledger.Availability(vm.Created, end)
-		info.Condition = vm.Ledger.Condition().String()
-	} else {
-		info.Availability = 1
-		info.Condition = nestedvm.CondNormal.String()
-	}
+	// A VM not yet in service has a ledger that never started: available
+	// and normal.
+	info.Availability = vm.Ledger.Availability(c.sched.Now())
+	info.Condition = vm.Ledger.Condition().String()
 	return info
 }
 
@@ -489,11 +455,7 @@ func (c *Controller) DebugLedger(id nestedvm.ID) DebugLedgerInfo {
 	if vs == nil {
 		return DebugLedgerInfo{}
 	}
-	end := c.sched.Now()
-	if vs.phase == phaseReleased {
-		end = vs.serviceEnd
-	}
-	down, deg := vs.vm.Ledger.Snapshot(end)
+	down, deg := vs.vm.Ledger.Snapshot(c.sched.Now())
 	ds, gs := vs.vm.Ledger.Spells()
 	return DebugLedgerInfo{Down: down, Degraded: deg, DownSpells: ds, DegradedSpells: gs}
 }

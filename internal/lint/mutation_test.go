@@ -42,8 +42,8 @@ var treeMutations = []treeMutation{
 	{
 		name: "nested VM creation error returns no id", analyzer: ErrDiscipline,
 		file: "internal/core/provision.go",
-		old:  "vm, err := nestedvm.NewVM(id, opts.Customer, typ, mem, c.sched.Now())\n\tif err != nil {\n\t\treturn \"\", err\n",
-		new:  "vm, err := nestedvm.NewVM(id, opts.Customer, typ, mem, c.sched.Now())\n\tif err != nil {\n\t\treturn \"\", nil\n",
+		old:  "vm, err := nestedvm.NewVM(id, opts.Customer, typ, mem)\n\tif err != nil {\n\t\treturn \"\", err\n",
+		new:  "vm, err := nestedvm.NewVM(id, opts.Customer, typ, mem)\n\tif err != nil {\n\t\treturn \"\", nil\n",
 		want: "return drops non-nil error err", n: 1,
 	},
 	{

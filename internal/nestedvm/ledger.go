@@ -33,12 +33,18 @@ func (c Condition) String() string {
 	}
 }
 
-// Ledger accumulates a nested VM's downtime and degraded time. It is a
-// three-state interval accountant: call Set at every condition transition
-// and Close (or Snapshot) to flush the open interval.
+// Ledger is a nested VM's service interval and the downtime and degraded
+// time within it, a three-state interval accountant: Start opens the
+// interval when the VM lands, Set records every condition transition and
+// Close ends it when the VM is released. Readers answer as of an instant t;
+// past the close, as of the close. The zero Ledger never started: it reads
+// as no service in CondNormal, and Close leaves it so.
 type Ledger struct {
-	started  bool
-	cond     Condition
+	started, closed bool
+	cond            Condition
+	// start is when the interval opened; since is when the current
+	// condition began, and once closed, when the interval ended.
+	start    simkit.Time
 	since    simkit.Time
 	down     simkit.Time
 	degraded simkit.Time
@@ -67,8 +73,20 @@ func (l *Ledger) Start(t simkit.Time) {
 		panic("nestedvm: ledger started twice")
 	}
 	l.started = true
-	l.cond = CondNormal
+	l.start, l.since = t, t
+}
+
+// Close ends the service interval at t: an open down or degraded spell ends
+// with it, as in a transition to CondNormal. Close on a ledger that never
+// started does nothing (the VM never entered service); a transition after
+// Close panics, a second Close included.
+func (l *Ledger) Close(t simkit.Time) {
+	if !l.started {
+		return
+	}
+	l.Set(CondNormal, t)
 	l.since = t
+	l.closed = true
 }
 
 // Set transitions the ledger to cond at time t, accumulating the interval
@@ -78,6 +96,10 @@ func (l *Ledger) Set(cond Condition, t simkit.Time) {
 	if !l.started {
 		//lint:ignore panicdiscipline invariant guard: transitions before Start are programmer error, not a runtime condition
 		panic("nestedvm: ledger not started")
+	}
+	if l.closed {
+		//lint:ignore panicdiscipline invariant guard: a transition after Close means a released VM is still being moved; its interval would no longer end at the release
+		panic("nestedvm: ledger transition after close")
 	}
 	if t < l.since {
 		//lint:ignore panicdiscipline invariant guard: time running backwards would silently corrupt Figure 11's downtime integrals
@@ -137,24 +159,31 @@ func (l *Ledger) Snapshot(t simkit.Time) (down, degraded simkit.Time) {
 	return down, degraded
 }
 
-// Condition reports the current condition.
-func (l *Ledger) Condition() Condition {
-	if !l.started {
-		return CondNormal
-	}
-	return l.cond
-}
+// Condition reports the current condition (CondNormal outside service).
+func (l *Ledger) Condition() Condition { return l.cond }
 
 // Spells reports how many distinct down and degraded intervals occurred.
 func (l *Ledger) Spells() (downSpells, degradedSpells int) {
 	return l.downSpells, l.degradedSpells
 }
 
-// Availability returns 1 - downtime/(t-start) over [start, t). The paper's
-// availability numbers (e.g. 99.9989%) are exactly this quantity relative
-// to a fully-available native platform.
-func (l *Ledger) Availability(start, t simkit.Time) float64 {
-	total := t - start
+// Service returns the time in service as of t: from Start to t, or to the
+// close if that came first. It is 0 for a ledger that never started.
+func (l *Ledger) Service(t simkit.Time) simkit.Time {
+	if !l.started {
+		return 0
+	}
+	if l.closed && t > l.since {
+		t = l.since
+	}
+	return t - l.start
+}
+
+// Availability returns 1 - downtime/service as of t, 1 with no service. The
+// paper's availability numbers (e.g. 99.9989%) are exactly this quantity
+// relative to a fully-available native platform.
+func (l *Ledger) Availability(t simkit.Time) float64 {
+	total := l.Service(t)
 	if total <= 0 {
 		return 1
 	}
@@ -165,7 +194,7 @@ func (l *Ledger) Availability(start, t simkit.Time) float64 {
 // openSpell returns the duration of the currently open down spell as of t,
 // or ok=false when the VM is not down.
 func (l *Ledger) openSpell(t simkit.Time) (simkit.Time, bool) {
-	if l.started && l.cond == CondDown && t >= l.spellStart {
+	if l.cond == CondDown && t >= l.spellStart {
 		return t - l.spellStart, true
 	}
 	return 0, false

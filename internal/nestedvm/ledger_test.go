@@ -1,6 +1,7 @@
 package nestedvm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -66,11 +67,47 @@ func TestLedgerAvailability(t *testing.T) {
 	l.Set(CondDown, 50*simkit.Second)
 	l.Set(CondNormal, 51*simkit.Second)
 	// 1s down out of 100s => 99%
-	if a := l.Availability(0, 100*simkit.Second); math.Abs(a-0.99) > 1e-12 {
+	if a := l.Availability(100 * simkit.Second); math.Abs(a-0.99) > 1e-12 {
 		t.Errorf("availability = %v, want 0.99", a)
 	}
-	if a := l.Availability(0, 0); a != 1 {
+	if a := l.Availability(0); a != 1 {
 		t.Errorf("degenerate availability = %v, want 1", a)
+	}
+	// Released at 200s: the interval ends there, whenever it is read.
+	l.Close(200 * simkit.Second)
+	for _, at := range []simkit.Time{200 * simkit.Second, simkit.Hour} {
+		if a := l.Availability(at); math.Abs(a-0.995) > 1e-12 {
+			t.Errorf("availability at %v after a close at 200s = %v, want 0.995", at, a)
+		}
+	}
+	var never Ledger
+	if a := never.Availability(simkit.Hour); a != 1 {
+		t.Errorf("availability of a ledger that never started = %v, want 1", a)
+	}
+}
+
+func TestLedgerService(t *testing.T) {
+	var l Ledger
+	l.Close(simkit.Second) // never started: nothing to close
+	if l != (Ledger{}) || l.Service(simkit.Hour) != 0 {
+		t.Fatalf("a ledger closed before it started reads %+v, service %v", l, l.Service(simkit.Hour))
+	}
+	l.Start(10 * simkit.Second)
+	l.Set(CondDegraded, 20*simkit.Second)
+	if s := l.Service(30 * simkit.Second); s != 20*simkit.Second {
+		t.Errorf("open service at 30s = %v, want 20s", s)
+	}
+	l.Close(40 * simkit.Second)
+	for _, at := range []simkit.Time{40 * simkit.Second, simkit.Hour} {
+		if s := l.Service(at); s != 30*simkit.Second {
+			t.Errorf("service at %v after a close at 40s = %v, want 30s", at, s)
+		}
+		if _, deg := l.Snapshot(at); deg != 20*simkit.Second {
+			t.Errorf("degraded at %v = %v, want the 20s spell the close ended", at, deg)
+		}
+	}
+	if l.Condition() != CondNormal {
+		t.Errorf("condition after close = %v, want normal", l.Condition())
 	}
 }
 
@@ -88,16 +125,25 @@ func TestLedgerDegradedFraction(t *testing.T) {
 func TestLedgerPanics(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
+		if !panics(fn) {
+			t.Errorf("%s did not panic", name)
+		}
 	}
 	expectPanic("set before start", func() {
 		var l Ledger
 		l.Set(CondDown, 0)
+	})
+	expectPanic("set after close", func() {
+		var l Ledger
+		l.Start(0)
+		l.Close(simkit.Second)
+		l.Set(CondDown, 2*simkit.Second)
+	})
+	expectPanic("double close", func() {
+		var l Ledger
+		l.Start(0)
+		l.Close(simkit.Second)
+		l.Close(2 * simkit.Second)
 	})
 	expectPanic("double start", func() {
 		var l Ledger
@@ -180,22 +226,22 @@ func TestMemoryProfileValidate(t *testing.T) {
 
 func TestNewVM(t *testing.T) {
 	typ := cloud.InstanceType{Name: "m3.medium", VCPUs: 1, MemoryMB: 3840, OnDemand: 0.07}
-	vm, err := NewVM("vm-1", "alice", typ, DefaultMemory(), 5*simkit.Second)
+	vm, err := NewVM("vm-1", "alice", typ, DefaultMemory())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vm.Ledger.Condition() != CondNormal {
 		t.Error("new VM should start normal")
 	}
-	if vm.Created != 5*simkit.Second {
-		t.Error("creation time not recorded")
+	if vm.Ledger != (Ledger{}) || vm.Ledger.Service(simkit.Hour) != 0 {
+		t.Error("a new VM is in service before it lands")
 	}
-	if _, err := NewVM("", "alice", typ, DefaultMemory(), 0); err == nil {
+	if _, err := NewVM("", "alice", typ, DefaultMemory()); err == nil {
 		t.Error("empty id accepted")
 	}
 	bad := DefaultMemory()
 	bad.SizeMB = -1
-	if _, err := NewVM("vm-2", "alice", typ, bad, 0); err == nil {
+	if _, err := NewVM("vm-2", "alice", typ, bad); err == nil {
 		t.Error("invalid memory accepted")
 	}
 }
@@ -253,10 +299,11 @@ func TestDownSpellOpenInterval(t *testing.T) {
 }
 
 // refLedger is the ledger as it was when it kept every completed down
-// spell: the oracle TestLedgerMatchesEverySpellReference holds the
-// summarized spells to.
+// spell, with its service interval as two explicit stamps: the oracle
+// TestLedgerMatchesEverySpellReference and FuzzLedger hold the ledger to.
 type refLedger struct {
-	started            bool
+	started, closed    bool
+	start, end         simkit.Time
 	cond               Condition
 	since              simkit.Time
 	down, degraded     simkit.Time
@@ -264,8 +311,8 @@ type refLedger struct {
 	spellStart         simkit.Time
 }
 
-func (l *refLedger) start(t simkit.Time) {
-	l.started, l.cond, l.since = true, CondNormal, t
+func (l *refLedger) begin(t simkit.Time) {
+	l.started, l.start, l.cond, l.since = true, t, CondNormal, t
 }
 
 func (l *refLedger) set(cond Condition, t simkit.Time) {
@@ -287,6 +334,23 @@ func (l *refLedger) set(cond Condition, t simkit.Time) {
 	}
 }
 
+func (l *refLedger) close(t simkit.Time) {
+	if l.started {
+		l.set(CondNormal, t)
+		l.closed, l.end = true, t
+	}
+}
+
+func (l *refLedger) service(t simkit.Time) simkit.Time {
+	switch {
+	case !l.started:
+		return 0
+	case l.closed && t > l.end:
+		return l.end - l.start
+	}
+	return t - l.start
+}
+
 func (l *refLedger) snapshot(t simkit.Time) (down, degraded simkit.Time) {
 	down, degraded = l.down, l.degraded
 	switch dt := t - l.since; l.cond {
@@ -296,6 +360,14 @@ func (l *refLedger) snapshot(t simkit.Time) (down, degraded simkit.Time) {
 		degraded += dt
 	}
 	return down, degraded
+}
+
+func (l *refLedger) availability(t simkit.Time) float64 {
+	if l.service(t) <= 0 {
+		return 1
+	}
+	down, _ := l.snapshot(t)
+	return 1 - float64(down)/float64(l.service(t))
 }
 
 func (l *refLedger) openSpell(t simkit.Time) (simkit.Time, bool) {
@@ -331,33 +403,48 @@ func (l *refLedger) spellsExceeding(threshold, t simkit.Time) int {
 	return n
 }
 
+// matchRef fails tb unless l answers exactly what ref does as of at.
+func matchRef(tb testing.TB, label string, l *Ledger, ref *refLedger, at simkit.Time) {
+	tb.Helper()
+	type answer struct {
+		Service, Down, Degraded, MaxSpell simkit.Time
+		Breaks                            int
+		Availability                      float64
+	}
+	var got, want answer
+	got.Down, got.Degraded = l.Snapshot(at)
+	got.Service, got.MaxSpell, got.Breaks, got.Availability = l.Service(at), l.MaxDownSpell(at), l.TCPBreaks(at), l.Availability(at)
+	want.Down, want.Degraded = ref.snapshot(at)
+	want.Service, want.MaxSpell, want.Breaks, want.Availability = ref.service(at), ref.maxDownSpell(at), ref.spellsExceeding(TCPTimeout, at), ref.availability(at)
+	if got != want {
+		tb.Fatalf("%s at %v: ledger %+v, reference %+v", label, at, got, want)
+	}
+}
+
+// ledgerSteps are the time steps the reference checks draw from: around
+// the TCP timeout, so spells land on both sides of it and exactly on it.
+var ledgerSteps = []simkit.Time{0, 1, simkit.Second, 30 * simkit.Second, TCPTimeout - 1, TCPTimeout, TCPTimeout + 1, 2 * TCPTimeout, simkit.Hour}
+
 // The summarized ledger answers exactly what the every-spell ledger did:
-// random transition sequences, with steps drawn around the TCP timeout so
-// spells land on both sides of it and exactly on it, are queried at random
-// instants through Snapshot, MaxDownSpell and TCPBreaks.
+// random transition sequences, each opened at a random instant and in two
+// runs of three closed after its last transition, are queried at random
+// instants, past the close included, through Service, Snapshot,
+// MaxDownSpell, TCPBreaks and Availability.
 func TestLedgerMatchesEverySpellReference(t *testing.T) {
-	steps := []simkit.Time{0, 1, simkit.Second, 30 * simkit.Second, TCPTimeout - 1, TCPTimeout, TCPTimeout + 1, 2 * TCPTimeout, simkit.Hour}
+	steps := ledgerSteps
 	rng := rand.New(rand.NewSource(1))
 	for run := 0; run < 2000; run++ {
 		var l Ledger
 		var ref refLedger
 		now := simkit.Time(rng.Int63n(int64(simkit.Day)))
 		l.Start(now)
-		ref.start(now)
+		ref.begin(now)
 		for i, n := 0, rng.Intn(40); i < n; i++ {
 			now += steps[rng.Intn(len(steps))]
 			if rng.Intn(3) == 0 {
 				// A query between transitions, ahead of the last one by
 				// a step of its own.
-				at := now + steps[rng.Intn(len(steps))]
-				down, deg := l.Snapshot(at)
-				rdown, rdeg := ref.snapshot(at)
-				if down != rdown || deg != rdeg || l.MaxDownSpell(at) != ref.maxDownSpell(at) ||
-					l.TCPBreaks(at) != ref.spellsExceeding(TCPTimeout, at) {
-					t.Fatalf("run %d step %d at %v: ledger (%v, %v, max %v, breaks %d), reference (%v, %v, max %v, breaks %d)",
-						run, i, at, down, deg, l.MaxDownSpell(at), l.TCPBreaks(at),
-						rdown, rdeg, ref.maxDownSpell(at), ref.spellsExceeding(TCPTimeout, at))
-				}
+				matchRef(t, fmt.Sprintf("run %d step %d", run, i), &l, &ref, now+steps[rng.Intn(len(steps))])
 			}
 			cond := Condition(rng.Intn(3))
 			l.Set(cond, now)
@@ -366,5 +453,64 @@ func TestLedgerMatchesEverySpellReference(t *testing.T) {
 		if ds, _ := l.Spells(); l.TCPBreaks(now) > ds {
 			t.Fatalf("run %d: %d TCP breaks out of %d down spells", run, l.TCPBreaks(now), ds)
 		}
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		now += steps[rng.Intn(len(steps))]
+		l.Close(now)
+		ref.close(now)
+		for _, d := range []simkit.Time{0, steps[rng.Intn(len(steps))], simkit.Day} {
+			matchRef(t, fmt.Sprintf("run %d after the close at %v", run, now), &l, &ref, now+d)
+		}
 	}
+}
+
+// FuzzLedger drives a Ledger and refLedger through the same Start, Set and
+// Close operations, each byte one operation a drawn step of time after the
+// last: they must agree at every query, and a transition the ledger must
+// refuse (before Start, after Close) must panic and leave it unchanged.
+func FuzzLedger(f *testing.F) {
+	f.Add([]byte{0x00, 0x15, 0x32, 0x03, 0x06, 0x43})
+	f.Add([]byte{0x02, 0x00, 0x25, 0x29, 0x72, 0x13, 0x01, 0x83})
+	f.Add([]byte{0x01, 0x02, 0x00, 0x09, 0x0d, 0x51, 0x02, 0x03, 0x05})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var l Ledger
+		var ref refLedger
+		now := simkit.Time(0)
+		for i, b := range ops {
+			now += ledgerSteps[int(b>>4)%len(ledgerSteps)]
+			label := fmt.Sprintf("op %d (%#x)", i, b)
+			switch b & 3 {
+			case 0:
+				if !ref.started {
+					l.Start(now)
+					ref.begin(now)
+				}
+			case 1:
+				cond := Condition((b>>2)&3) % 3
+				if ref.started && !ref.closed {
+					l.Set(cond, now)
+					ref.set(cond, now)
+				} else if before := l; !panics(func() { l.Set(cond, now) }) || l != before {
+					t.Fatalf("%s: a transition was accepted (started %v, closed %v)", label, ref.started, ref.closed)
+				}
+			case 2:
+				if !ref.closed {
+					l.Close(now)
+					ref.close(now)
+				} else if before := l; !panics(func() { l.Close(now) }) || l != before {
+					t.Fatalf("%s: a second Close was accepted", label)
+				}
+			case 3:
+				matchRef(t, label, &l, &ref, now)
+			}
+		}
+		matchRef(t, "the end", &l, &ref, now+simkit.Day)
+	})
+}
+
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cloud"
-	"repro/internal/simkit"
 )
 
 // MemoryProfile describes the memory behaviour that determines a VM's
@@ -60,8 +59,8 @@ type VM struct {
 	// Volume is the network-attached root disk that is detached/attached
 	// around each migration.
 	Volume cloud.VolumeID
-	// Host is the native instance currently executing the VM (empty while
-	// in flight between hosts).
+	// Host is the native instance the VM last landed on ("" until it first
+	// lands).
 	Host cloud.InstanceID
 	// BackupServer is the backup server holding its checkpoint, if the VM
 	// is on a spot server ("" on on-demand hosts, which live-migrate).
@@ -73,18 +72,17 @@ type VM struct {
 	// Counters for reports.
 	Migrations  int
 	Revocations int
-	Created     simkit.Time
 }
 
 // NewVM constructs a nested VM. The ledger is NOT started: the controller
 // opens it when the VM first enters service, so provisioning latency does
 // not count against availability.
-func NewVM(id ID, customer string, typ cloud.InstanceType, mem MemoryProfile, now simkit.Time) (*VM, error) {
+func NewVM(id ID, customer string, typ cloud.InstanceType, mem MemoryProfile) (*VM, error) {
 	if err := mem.Validate(); err != nil {
 		return nil, err
 	}
 	if id == "" {
 		return nil, fmt.Errorf("nestedvm: empty VM id")
 	}
-	return &VM{ID: id, Customer: customer, Type: typ, Memory: mem, Created: now}, nil
+	return &VM{ID: id, Customer: customer, Type: typ, Memory: mem}, nil
 }
